@@ -27,6 +27,17 @@ Two numerical choices matter:
   evaluated through exact polynomial moments of e^{-i w t} against a cubic
   spline of the data (stable for arbitrarily large |w|, with a Taylor
   fallback for small |w|).
+
+The forcing is factored once per solve.  Its samples on the x-quadrature,
+corner-blend forcing included, are split by an SVD cut at rounding level as
+A(x) B(t) of rank r (1 for an affine blend forcing).  The x-kernels then act
+on the r columns of A, and only the r rows of B are splined in time: all time
+transforms go through one shared-series transform that computes the moments
+and e^{-i w t} once per chunk of w and contracts every series with them by
+matrix products.  A forcing term at a node k is the row-wise dot
+sum_r Ahat_r(k) Btilde_r(omega(k)), and the running transform on the real
+axis combines B's spline coefficients with the node's weights Ahat(k), so no
+spline is ever built per node.
 """
 
 from __future__ import annotations
@@ -199,49 +210,74 @@ def _filon_moments(w: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _time_transform(values: np.ndarray, horizon: float, w: np.ndarray,
-                    cumulative: bool = False, chunk: int = 2048) -> np.ndarray:
-    """int_0^{t} e^{-i w t'} phi(t') dt' against a cubic spline of phi.
-
-    values is (nt,) for a series shared by all w, or (nw, nt) pairing row j
-    with w[j].  cumulative=True returns the running integral at every grid
-    time (shape (nw, nt)); otherwise the full integral to the horizon
-    (shape (nw,)).
-    """
-    w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
-    vals = np.asarray(values, dtype=np.complex128)
-    shared = vals.ndim == 1
-    nt = vals.shape[-1]
+def _moment_chunks(horizon, nt, w, chunk):
+    """Per chunk of w: the slice, the Filon moments (4, ncw) over one time
+    cell and e^{-i w t} at the cell starts (ncw, nt - 1), shared by every
+    series transformed at those w.  The checks run at the first step."""
     if nt < 4:
         raise ValueError("need at least 4 time samples")
-    t = np.linspace(0.0, horizon, nt)
-    h = t[1] - t[0]
     if np.max(w.imag) * horizon > OVERFLOW_GUARD:
         raise ExponentialOverflow("Im w too positive for the time transform")
-    if shared:
-        coef = CubicSpline(t, vals).c              # (4, nt-1), highest power first
-    else:
-        if vals.shape[0] != len(w):
-            raise ValueError("row count of values must match len(w)")
-        coef = CubicSpline(t, vals, axis=1).c      # (4, nt-1, nw)
-    nw = len(w)
-    out = np.empty((nw, nt) if cumulative else (nw,), dtype=np.complex128)
-    for lo in range(0, nw, chunk):
-        sel = slice(lo, min(lo + chunk, nw))
-        wc = w[sel]
-        mom = _filon_moments(wc, h)                 # (4, ncw)
-        eph = np.exp(-1j * wc[:, None] * t[None, :-1])
-        cell = np.zeros((len(wc), nt - 1), dtype=np.complex128)
-        for m in range(4):                          # power m of the local variable
-            cm = coef[3 - m]
-            block = cm[None, :] if shared else cm[:, sel].T
-            cell += mom[m][:, None] * block * eph
-        if cumulative:
-            out[sel, 0] = 0.0
-            out[sel, 1:] = np.cumsum(cell, axis=1)
-        else:
-            out[sel] = np.sum(cell, axis=1)
+    t = np.linspace(0.0, horizon, nt)
+    for lo in range(0, len(w), chunk):
+        sel = slice(lo, min(lo + chunk, len(w)))
+        yield sel, _filon_moments(w[sel], t[1] - t[0]), \
+            np.exp(-1j * np.outer(w[sel], t[:-1]))
+
+
+def _spline_coefficients(series, horizon):
+    """Cubic-spline coefficients (4, nt - 1, S) of a stack of S series on a
+    uniform grid over [0, horizon], highest power first."""
+    t = np.linspace(0.0, horizon, series.shape[1])
+    return CubicSpline(t, series, axis=1).c
+
+
+def _time_transform(series, horizon: float, w, chunk: int = 2048) -> np.ndarray:
+    """int_0^horizon e^{-i w t} phi_s(t) dt against a cubic spline of each
+    series phi_s, for every w.
+
+    series is (S, nt), a stack of series sampled on a uniform grid and shared
+    by all w, or one series (nt,).  Returns (nw, S), or (nw,) for one series.
+    The moments and exponentials are computed once per chunk of w and every
+    series is contracted with them by matrix products.
+    """
+    w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
+    vals = np.atleast_2d(np.asarray(series, dtype=np.complex128))
+    coef = _spline_coefficients(vals, horizon)
+    out = np.empty((len(w), len(vals)), dtype=np.complex128)
+    for sel, mom, eph in _moment_chunks(horizon, vals.shape[1], w, chunk):
+        out[sel] = sum(mom[m][:, None] * (eph @ coef[3 - m]) for m in range(4))
+    return out[:, 0] if np.ndim(series) == 1 else out
+
+
+def _cumulative_transform(series, horizon: float, w, weights,
+                          chunk: int = 2048) -> np.ndarray:
+    """Running integrals int_0^{t_i} e^{-i w_j t} sum_s weights[j, s] phi_s(t) dt
+    at every grid time t_i, against cubic splines of the series.
+
+    series is (S, nt) as in _time_transform and weights is (nw, S).  The
+    spline of each per-w combination is the same combination of the series'
+    splines, so only the S series are splined.  Returns (nw, nt).
+    """
+    w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
+    vals = np.asarray(series, dtype=np.complex128)
+    weights = np.asarray(weights, dtype=np.complex128)
+    nt = vals.shape[1]
+    coef = _spline_coefficients(vals, horizon)
+    out = np.empty((len(w), nt), dtype=np.complex128)
+    for sel, mom, eph in _moment_chunks(horizon, nt, w, chunk):
+        wc = weights[sel]
+        cell = eph * sum(mom[m][:, None] * (wc @ coef[3 - m].T) for m in range(4))
+        out[sel, 0] = 0.0
+        out[sel, 1:] = np.cumsum(cell, axis=1)
     return out
+
+
+def _interpolation_matrix(t_from, t_to) -> np.ndarray:
+    """P with CubicSpline(t_from, y, axis=1)(t_to) == y @ P for any row
+    stack y: the spline is linear in its data."""
+    n = len(t_from)
+    return CubicSpline(t_from, np.eye(n), axis=1)(t_to)
 
 
 # --------------------------------------------------------------------------
@@ -292,14 +328,12 @@ def _assemble(vals, x_grid, t_grid, ell, basis, karr, warr, om,
             ker = np.exp(1j * np.outer(x_grid, kc))
         else:
             ker = np.exp(-1j * (ell - x_grid[:, None]) * kc[None, :])
-        tm = np.exp(1j * np.outer(om[sel], t_grid))
+        coef = 0.0
         if coef_static is not None:
-            tm = tm * (warr[sel] * coef_static[sel])[:, None]
-            if coef_time is not None:
-                tm = tm + np.exp(1j * np.outer(om[sel], t_grid)) \
-                    * (warr[sel][:, None] * coef_time[sel])
-        else:
-            tm = tm * warr[sel][:, None] * coef_time[sel]
+            coef = (warr[sel] * coef_static[sel])[:, None]
+        if coef_time is not None:
+            coef = coef + warr[sel][:, None] * coef_time[sel]
+        tm = np.exp(1j * np.outer(om[sel], t_grid)) * coef
         vals += prefactor * (ker @ tm)
     return vals
 
@@ -337,7 +371,7 @@ def _graded_panel_nodes(pf, cum, n_panels):
 
 
 def _radial_envelope(params, ell, horizon, xq, wq, u0v, g0v, h0v, h1v,
-                     fq, r_max, n_r=193):
+                     forcing, r_max, n_r=193):
     """Radial proxy for the magnitude of the transformed data at distance r
     from the dispersion center, used to thin the quadrature where the
     integrand is negligible.
@@ -349,16 +383,15 @@ def _radial_envelope(params, ell, horizon, xq, wq, u0v, g0v, h0v, h1v,
     """
     rs = np.linspace(0.0, r_max, n_r)
     ks = np.concatenate([params.center + rs, params.center - rs]) + 0j
-    (u0hat,) = _apply_kernel(ks, None, xq, wq, [u0v])
     om = omega(params, ks).real
     omp = np.abs(omega_prime(params, ks))
-    env = np.abs(u0hat)
-    env += omp * (np.abs(_time_transform(g0v, horizon, om))
-                  + np.abs(_time_transform(h0v, horizon, om))
-                  + np.abs(_time_transform(h1v, horizon, om)))
-    if fq is not None:
-        (fhat,) = _apply_kernel(ks, None, xq, wq, [fq])
-        env += np.abs(_time_transform(fhat, horizon, om))
+    hats = _apply_kernel(ks, None, xq, wq, _x_payloads(u0v, forcing))
+    env = np.abs(hats[0])
+    env += omp * np.sum(np.abs(_time_transform(
+        np.stack([g0v, h0v, h1v]), horizon, om)), axis=1)
+    if forcing is not None:
+        env += np.abs(np.sum(hats[1] * _time_transform(forcing[1], horizon, om),
+                             axis=1))
     env = np.maximum(env[:n_r], env[n_r:])
     env = np.maximum.accumulate(env[::-1])[::-1]
     emax = float(env[0])
@@ -509,6 +542,34 @@ def _forcing_on_quadrature(data: ProblemData, xq):
     return CubicSpline(f.x_grid, f.values, axis=0)(xq)
 
 
+def _factor_forcing(fq):
+    """Split the quadrature-sampled forcing fq (nq, nt) as A @ B with A
+    (nq, r) and B (r, nt), by an SVD cut at rounding level (numpy's
+    matrix_rank rule).  Every forcing transform then needs the x-kernel on r
+    columns of A and the time transform of r shared series B.  None when
+    there is no forcing or it is zero."""
+    if fq is None:
+        return None
+    u, s, vh = np.linalg.svd(fq, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(fq.shape) * np.finfo(np.float64).eps))
+    if rank == 0:
+        return None
+    return u[:, :rank] * s[:rank], vh[:rank]
+
+
+def _x_payloads(u0v, forcing):
+    return [u0v] if forcing is None else [u0v, forcing[0]]
+
+
+def _with_forcing(hats, bt):
+    """u0 transform minus i times the forcing transform, from the kernel
+    outputs [u0hat, Ahat] of _x_payloads and the time transforms bt (nk, r)
+    of B at the same nodes: the forcing term is the row-wise dot of the two."""
+    if bt is None:
+        return hats[0]
+    return hats[0] - 1j * np.sum(hats[1] * bt, axis=1)
+
+
 def _is_zero(arr) -> bool:
     return bool(np.all(arr == 0))
 
@@ -588,59 +649,53 @@ def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:
             fq = -wforce(xq[:, None], tf[None, :])
         else:
             fq = fq - wforce(xq[:, None], np.asarray(tf)[None, :])
+    forcing = _factor_forcing(fq)
 
     vals = np.zeros((len(x_grid), len(t_grid)), dtype=np.complex128)
     pref = 1.0 / TWO_PI
 
     weight = _radial_envelope(params, ell, horizon, xq, wq,
-                              u0v, g0v, h0v, h1v, fq,
+                              u0v, g0v, h0v, h1v, forcing,
                               budget.real_axis_window)
 
     # ---- whole-line term over the truncated real window ----
-    if not (_is_zero(u0v) and fq is None):
+    if not (_is_zero(u0v) and forcing is None):
         k_r, w_r = _real_axis_nodes(params, ell, horizon, budget,
                                     weight=weight)
         om_r = omega(params, k_r + 0j).real
-        (u0hat_r,) = _apply_kernel(k_r + 0j, None, xq, wq, [u0v])
+        hats = _apply_kernel(k_r + 0j, None, xq, wq, _x_payloads(u0v, forcing))
         icum = None
-        if fq is not None:
-            (fhat_r,) = _apply_kernel(k_r + 0j, None, xq, wq, [fq])
-            icum_f = _time_transform(fhat_r, horizon, om_r, cumulative=True)
-            icum = CubicSpline(tf, icum_f, axis=1)(t_grid)
+        if forcing is not None:
+            icum = (_cumulative_transform(forcing[1], horizon, om_r, hats[1])
+                    @ _interpolation_matrix(tf, t_grid))
         vals = _assemble(vals, x_grid, t_grid, ell, "in", k_r + 0j, w_r + 0j,
-                         om_r + 0j, coef_static=u0hat_r,
+                         om_r + 0j, coef_static=hats[0],
                          coef_time=(-1j * icum) if icum is not None else None,
                          prefactor=pref)
 
     # ---- contour terms ----
     groups, _rho = _solver_segments(params, ell, horizon, budget,
                                     weight=weight)
+    payloads = _x_payloads(u0v, forcing)
     for region, k, w in groups:
         nu0, nup, num = symmetry_roots(params, k)
         mu0, mup, mum = nup - num, num - nu0, nu0 - nup
         om = omega(params, k)
         omp = omega_prime(params, k)
-        g0t = _time_transform(g0v, horizon, om)
-        h0t = _time_transform(h0v, horizon, om)
-        h1t = _time_transform(h1v, horizon, om)
+        g0t, h0t, h1t = _time_transform(np.stack([g0v, h0v, h1v]), horizon, om).T
+        bt = None if forcing is None else _time_transform(forcing[1], horizon, om)
 
         if region is RegionLabel.D0:
             epl = np.exp(1j * (k - nup) * ell)
             eml = np.exp(1j * (k - num) * ell)
             delta_s = mu0 + mup * epl + mum * eml
-            payloads = [u0v] if fq is None else [u0v, fq]
             # shifted transforms of u0 (and forcing) keep exponents <= 0
-            sh_p = _apply_kernel(k, 1j * (k - nup) * ell, xq, wq, payloads)
-            sh_m = _apply_kernel(k, 1j * (k - num) * ell, xq, wq, payloads)
-            at_p = _apply_kernel(nup, None, xq, wq, payloads)
-            at_m = _apply_kernel(num, None, xq, wq, payloads)
-            ut_sh_p, ut_sh_m = sh_p[0], sh_m[0]
-            ut_p, ut_m = at_p[0], at_m[0]
-            if fq is not None:
-                ut_sh_p = ut_sh_p - 1j * _time_transform(sh_p[1], horizon, om)
-                ut_sh_m = ut_sh_m - 1j * _time_transform(sh_m[1], horizon, om)
-                ut_p = ut_p - 1j * _time_transform(at_p[1], horizon, om)
-                ut_m = ut_m - 1j * _time_transform(at_m[1], horizon, om)
+            ut_sh_p = _with_forcing(_apply_kernel(
+                k, 1j * (k - nup) * ell, xq, wq, payloads), bt)
+            ut_sh_m = _with_forcing(_apply_kernel(
+                k, 1j * (k - num) * ell, xq, wq, payloads), bt)
+            ut_p = _with_forcing(_apply_kernel(nup, None, xq, wq, payloads), bt)
+            ut_m = _with_forcing(_apply_kernel(num, None, xq, wq, payloads), bt)
             emp = np.exp(-1j * nup * ell)
             emm = np.exp(-1j * num * ell)
             payload = (mup * ut_p + mum * ut_m
@@ -662,15 +717,10 @@ def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:
             ep = np.exp(1j * (sig - nup) * ell)
             em = np.exp(1j * (sig - num) * ell)
             delta_s = mu0 * e0 + mup * ep + mum * em
-            payloads = [u0v] if fq is None else [u0v, fq]
-            at_k = _apply_kernel(k, None, xq, wq, payloads)
-            sh_sig = _apply_kernel(sig, 1j * sig * ell, xq, wq, payloads)
-            at_sub = _apply_kernel(sub, None, xq, wq, payloads)
-            ut_k, ut_sig_sh, ut_sub = at_k[0], sh_sig[0], at_sub[0]
-            if fq is not None:
-                ut_k = ut_k - 1j * _time_transform(at_k[1], horizon, om)
-                ut_sig_sh = ut_sig_sh - 1j * _time_transform(sh_sig[1], horizon, om)
-                ut_sub = ut_sub - 1j * _time_transform(at_sub[1], horizon, om)
+            ut_k = _with_forcing(_apply_kernel(k, None, xq, wq, payloads), bt)
+            ut_sig_sh = _with_forcing(_apply_kernel(
+                sig, 1j * sig * ell, xq, wq, payloads), bt)
+            ut_sub = _with_forcing(_apply_kernel(sub, None, xq, wq, payloads), bt)
             payload = (mu0 * s_fac * ut_k
                        + mu_sig * ut_sig_sh + mu_sub * s_fac * ut_sub
                        - mu0 * omp * g0t * s_fac
@@ -768,24 +818,22 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
     g2 = _trace_derivative(field, "left", 2)
     h2 = _trace_derivative(field, "right", 2)
 
-    def cum(series):
-        return _time_transform(series, th, om, cumulative=True)
-
-    g0t, g1t, g2t = cum(g0), cum(g1), cum(g2)
-    h0t, h1t, h2t = cum(h0), cum(h1), cum(h2)
-
+    # the left traces enter as beta g2 + i p1 g1 - p0 g0 and the right ones as
+    # -e^{-ik ell} times the same combination: one weighted running transform
     beta, alpha, delta = params.beta, params.alpha, params.delta
-    poly1 = (beta * karr - alpha)[:, None]
-    poly0 = (beta * karr ** 2 - alpha * karr - delta)[:, None]
-    left = beta * g2t + 1j * poly1 * g1t - poly0 * g0t
-    right = beta * h2t + 1j * poly1 * h1t - poly0 * h0t
-    rhs = u0hat[:, None] + left - np.exp(-1j * karr * ell)[:, None] * right
-    if data.forcing is not None:
-        fq = _forcing_on_quadrature(data, xq)
-        (fhat,) = _apply_kernel(karr, None, xq, wq, [fq])
-        tf = np.linspace(0.0, horizon, fq.shape[1])
-        icum = _time_transform(fhat, horizon, om, cumulative=True)
-        rhs = rhs - 1j * CubicSpline(tf, icum, axis=1)(t)
+    poly1 = beta * karr - alpha
+    poly0 = beta * karr ** 2 - alpha * karr - delta
+    left = np.stack([-poly0, 1j * poly1, np.full_like(karr, beta)], axis=1)
+    weights = np.concatenate(
+        [left, -np.exp(-1j * karr * ell)[:, None] * left], axis=1)
+    rhs = u0hat[:, None] + _cumulative_transform(
+        np.stack([g0, g1, g2, h0, h1, h2]), th, om, weights)
+    forcing = _factor_forcing(_forcing_on_quadrature(data, xq))
+    if forcing is not None:
+        (ahat,) = _apply_kernel(karr, None, xq, wq, [forcing[0]])
+        tf = np.linspace(0.0, horizon, forcing[1].shape[1])
+        icum = _cumulative_transform(forcing[1], horizon, om, ahat)
+        rhs = rhs - 1j * (icum @ _interpolation_matrix(tf, t))
 
     scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))))
     if scale == 0.0:

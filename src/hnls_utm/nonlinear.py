@@ -44,7 +44,6 @@ class LifespanIndicator:
 
 @dataclass
 class PicardReport:
-    iterates: List[Field] = dc_field(default_factory=list)
     distances: List[float] = dc_field(default_factory=list)
     contraction_ratios: List[float] = dc_field(default_factory=list)
     converged: bool = False
@@ -240,7 +239,6 @@ def picard_solve(data: ProblemData, grid, budget: QuadratureBudget,
         raise ValueError("tol must be positive")
     report = PicardReport()
     current = solve_full(data, grid, budget)
-    report.iterates.append(current)
     if data.kappa == 0:
         report.converged = True
         report.final_residual = 0.0
@@ -250,7 +248,6 @@ def picard_solve(data: ProblemData, grid, budget: QuadratureBudget,
         forced = replace(data, forcing=_combined_forcing(data, nl))
         new = solve_full(forced, (current.x_grid, current.t_grid), budget)
         dist = _ct_l2_distance(new, current)
-        report.iterates.append(new)
         report.distances.append(dist)
         if len(report.distances) > 1 and report.distances[-2] > 0:
             report.contraction_ratios.append(dist / report.distances[-2])

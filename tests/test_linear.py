@@ -6,12 +6,15 @@ import pytest
 from hnls_utm.dispersion import DispersionParams
 from hnls_utm.errors import GridTooCoarse
 from hnls_utm.fields import Field
-from hnls_utm.linear import (ProblemData, QuadratureBudget, _filon_moments,
-                             _time_transform, evaluate_traces, fd_weights,
+from hnls_utm.linear import (ProblemData, QuadratureBudget, _cumulative_transform,
+                             _filon_moments, _time_transform, evaluate_traces,
+                             fd_weights,
                              global_relation_residual, solve_full,
                              solve_reduced, zero_data)
-from hnls_utm.presets import (bump_profile, bump_series, plane_wave_data, plane_wave_field,
-                              zero_profile, zero_series)
+from hnls_utm import linear
+from hnls_utm.presets import (bump_profile, bump_series, plane_wave_data,
+                              plane_wave_exact, plane_wave_field, zero_profile,
+                              zero_series)
 from hnls_utm.transforms import SpatialProfile, TimeSeries
 
 AIRY = DispersionParams(1.0, 0.0, 0.0)
@@ -55,24 +58,42 @@ class TestTimeTransform:
         t = np.linspace(0.0, horizon, 65)
         vals = np.sin(3 * t) + 1j * t ** 2
         w = np.array([11.0 + 0.0j])
-        cum = _time_transform(vals, horizon, w, cumulative=True)[0]
+        cum = _cumulative_transform(vals[None, :], horizon, w, np.ones((1, 1)))[0]
         for j in (10, 32, 64):
             direct = _time_transform(vals[: j + 1], t[j], w)[0]
             assert cum[j] == pytest.approx(direct, rel=1e-6, abs=1e-12)
 
     def test_rowwise_values(self):
+        # a stack of series is transformed at every w: (nw, S)
         horizon = 1.0
         t = np.linspace(0.0, horizon, 129)
         w = np.array([3.0 + 0.0j, 80.0 + 0.0j])
         rows = np.stack([np.exp(1j * 2 * t), t.astype(complex)])
         got = _time_transform(rows, horizon, w)
+        assert got.shape == (2, 2)
         want0 = (np.exp(1j * (2 - w[0])) - 1.0) / (1j * (2 - w[0]))
-        assert got[0] == pytest.approx(want0, rel=1e-8)
+        assert got[0, 0] == pytest.approx(want0, rel=1e-8)
         # int_0^1 t e^{-iwt} dt by parts
         wv = w[1]
         want1 = (np.exp(-1j * wv) * (1.0 / (-1j * wv) - 1.0 / (-1j * wv) ** 2)
                  + 1.0 / (-1j * wv) ** 2)
-        assert got[1] == pytest.approx(want1, rel=1e-8)
+        assert got[1, 1] == pytest.approx(want1, rel=1e-8)
+
+    def test_stack_matches_single_series(self):
+        horizon = 0.7
+        t = np.linspace(0.0, horizon, 97)
+        rows = np.stack([np.exp(1j * 2 * t), np.cos(5 * t) + 1j * t,
+                         t ** 3 - 0.5j])
+        w = np.array([0.0, 0.3, 9.0, 250.0 - 2.0j, -40.0], dtype=complex)
+        stacked = _time_transform(rows, horizon, w, chunk=2)
+        for s, row in enumerate(rows):
+            np.testing.assert_allclose(stacked[:, s],
+                                       _time_transform(row, horizon, w),
+                                       rtol=1e-13, atol=1e-15)
+        weights = np.arange(15.0).reshape(5, 3) * (1.0 - 0.5j)
+        cum = _cumulative_transform(rows, horizon, w, weights, chunk=2)
+        np.testing.assert_allclose(cum[:, -1], np.sum(weights * stacked, axis=1),
+                                   rtol=1e-12, atol=1e-14)
 
 
 class TestFdWeights:
@@ -127,6 +148,61 @@ class TestPlaneWave:
         err = np.sqrt(np.trapezoid(np.abs(field.values[:, 0] - u0) ** 2, x))
         norm = np.sqrt(np.trapezoid(np.abs(u0) ** 2, x))
         assert err <= budget.tolerance * norm
+
+
+def _forced_plane_wave(params, x_nodes=257, t_nodes=129):
+    """Problem solved by u = (1 + t) P with P the plane wave (a = 2, ell = 1,
+    T = 0.5): i u_t + L u = i P, a rank-1 forcing."""
+    ell, horizon, a = 1.0, 0.5, 2.0
+    wave = plane_wave_exact(params, a)
+
+    def exact(x, t):
+        return (1.0 + np.asarray(t)) * wave(x, t)
+
+    forcing = Field.from_callable(lambda x, t: 1j * wave(x, t),
+                                  np.linspace(0.0, ell, x_nodes),
+                                  np.linspace(0.0, horizon, t_nodes))
+    data = ProblemData(
+        params, ell, horizon,
+        SpatialProfile.from_callable(lambda x: exact(x, 0.0), ell),
+        TimeSeries.from_callable(lambda t: exact(0.0, t), horizon),
+        TimeSeries.from_callable(lambda t: exact(ell, t), horizon),
+        TimeSeries.from_callable(lambda t: 1j * a * exact(ell, t), horizon),
+        forcing=forcing)
+    return data, exact
+
+
+class TestForcedSolution:
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0), (0.5, 1.0, 1.0)])
+    def test_manufactured_forced_plane_wave(self, coeffs):
+        data, exact = _forced_plane_wave(DispersionParams(*coeffs))
+        field = solve_full(data, (49, 17), QuadratureBudget())
+        want = Field.from_callable(exact, field.x_grid, field.t_grid)
+        assert field.relative_l2_gap(want) <= 1e-3
+
+    def test_spline_rows_do_not_grow_with_nodes(self, monkeypatch):
+        # the forcing is splined as a few shared series, never per node
+        rows = []
+        base = linear.CubicSpline
+
+        class CountingSpline(base):
+            def __init__(self, x, y, axis=0, **kwargs):
+                y = np.asarray(y)
+                rows.append(y.size // y.shape[axis])
+                super().__init__(x, y, axis=axis, **kwargs)
+
+        monkeypatch.setattr(linear, "CubicSpline", CountingSpline)
+        data, _exact = _forced_plane_wave(AIRY, 33, 17)
+        counts = []
+        for scale in (1, 3):
+            rows.clear()
+            budget = QuadratureBudget(
+                contour_nodes=scale * SMALL_BUDGET.contour_nodes,
+                real_axis_window=SMALL_BUDGET.real_axis_window,
+                real_axis_nodes=scale * SMALL_BUDGET.real_axis_nodes)
+            solve_full(data, (9, 9), budget)
+            counts.append(sum(rows))
+        assert 0 < counts[1] <= counts[0]
 
 
 class TestReducedBump:
