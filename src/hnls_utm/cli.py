@@ -282,6 +282,9 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
                    dict(diagnostics, error=type(exc).__name__,
                         message=str(exc)))
         return 3
+    except ValueError as exc:
+        click.echo("input error: %s" % exc, err=True)
+        return 2
 
     header = {
         "params": {"beta": cfg.params.beta, "alpha": cfg.params.alpha,

@@ -38,12 +38,21 @@ matrix products.  A forcing term at a node k is the row-wise dot
 sum_r Ahat_r(k) Btilde_r(omega(k)), and the running transform on the real
 axis combines B's spline coefficients with the node's weights Ahat(k), so no
 spline is ever built per node.
+
+The dense exponential tables sit on grids the solver builds itself, and both
+factor exactly into two short tables.  The x-quadrature has uniform panels,
+x = mid_p + off_j, so the x-kernel e^{-i k x + s_k} at a node k costs 32 + 8
+exponentials for the 256 nodes; the time grid is uniform, t_j = j dt, so with
+j = a m + b and m = ceil(sqrt(nt - 1)) the time phase e^{-i w t_j} costs
+about 2 sqrt(nt - 1) exponentials per w.  The tables are then filled by one
+broadcast product each.  The output assembly keeps one exponential per
+entry, because its grids are the caller's and need not be uniform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -164,17 +173,40 @@ def _output_grids(ell: float, horizon: float, grid):
               else np.asarray(gt, dtype=np.float64))
     if len(x_grid) < 4 or len(t_grid) < 4:
         raise GridTooCoarse("output grids need at least 4 points each")
+    # the representation holds on [0, ell] x [0, horizon] only; written so
+    # that NaN points fail too
+    if not np.all((x_grid >= -1e-12 * ell) & (x_grid <= ell * (1 + 1e-12))):
+        raise ValueError("output points lie outside [0, ell]")
+    if not np.all(t_grid >= -1e-12 * horizon):
+        raise ValueError("output times precede t = 0")
+    if not np.all(t_grid <= horizon * (1 + 1e-12)):
+        raise ValueError("output times exceed the problem horizon")
     return x_grid, t_grid
 
 
-def _x_quadrature(ell: float, n_nodes: int = 256):
+class XQuadrature(NamedTuple):
+    """Composite Gauss-Legendre rule on uniform panels of [0, ell]: nodes
+    and weights, and the panel factors with nodes[p * 8 + j] = mid[p] + off[j]
+    (panel midpoints and the scaled Gauss points shared by every panel)."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    mid: np.ndarray
+    off: np.ndarray
+
+
+def _x_quadrature(ell: float, n_nodes: int = 256) -> XQuadrature:
+    """The x-quadrature of every spatial transform: 8-point Gauss-Legendre on
+    n_nodes // 8 uniform panels, with the panel factors that _apply_kernel
+    builds its kernels from."""
     xg, wg = roots_legendre(8)
     n_panels = max(4, n_nodes // 8)
     edges = np.linspace(0.0, ell, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    return ((mid[:, None] + half[:, None] * xg[None, :]).ravel(),
-            (half[:, None] * wg[None, :]).ravel())
+    half = 0.5 * ell / n_panels
+    off = half * xg
+    return XQuadrature((mid[:, None] + off[None, :]).ravel(),
+                       np.tile(half * wg, n_panels), mid, off)
 
 
 # --------------------------------------------------------------------------
@@ -210,6 +242,27 @@ def _filon_moments(w: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _phase_table(w, dt, n):
+    """e^{-i w j dt} for j = 0..n-1, shape (len(w), n).
+
+    With m = ceil(sqrt(n)) and j = a m + b it is the product of
+    e^{-i w a m dt} and e^{-i w b dt}: about 2 sqrt(n) exponentials per w
+    instead of n.  Both factors' exponents have the sign of Im(w) j dt, so
+    neither factor is larger than the largest entry of the table.
+    """
+    m = int(np.ceil(np.sqrt(n)))
+    na = -(-n // m)
+    coarse = np.exp(-1j * np.outer(w, np.arange(na) * (m * dt)))
+    fine = np.exp(-1j * np.outer(w, np.arange(m) * dt))
+    # the rows a < na - 1 are whole; the last one stops at j = n - 1, so no
+    # entry past the horizon (which could overflow) is formed
+    full = (na - 1) * m
+    out = np.empty((len(w), n), dtype=np.complex128)
+    out[:, :full] = (coarse[:, :-1, None] * fine[:, None, :]).reshape(len(w), full)
+    out[:, full:] = coarse[:, -1:] * fine[:, :n - full]
+    return out
+
+
 def _moment_chunks(horizon, nt, w, chunk):
     """Per chunk of w: the slice, the Filon moments (4, ncw) over one time
     cell and e^{-i w t} at the cell starts (ncw, nt - 1), shared by every
@@ -218,18 +271,17 @@ def _moment_chunks(horizon, nt, w, chunk):
         raise ValueError("need at least 4 time samples")
     if np.max(w.imag) * horizon > OVERFLOW_GUARD:
         raise ExponentialOverflow("Im w too positive for the time transform")
-    t = np.linspace(0.0, horizon, nt)
+    dt = np.linspace(0.0, horizon, nt)[1]
     for lo in range(0, len(w), chunk):
         sel = slice(lo, min(lo + chunk, len(w)))
-        yield sel, _filon_moments(w[sel], t[1] - t[0]), \
-            np.exp(-1j * np.outer(w[sel], t[:-1]))
+        yield sel, _filon_moments(w[sel], dt), _phase_table(w[sel], dt, nt - 1)
 
 
 def _spline_coefficients(series, horizon):
     """Cubic-spline coefficients (4, nt - 1, S) of a stack of S series on a
-    uniform grid over [0, horizon], highest power first."""
+    uniform grid over [0, horizon], lowest power first."""
     t = np.linspace(0.0, horizon, series.shape[1])
-    return CubicSpline(t, series, axis=1).c
+    return CubicSpline(t, series, axis=1).c[::-1]
 
 
 def _time_transform(series, horizon: float, w, chunk: int = 2048) -> np.ndarray:
@@ -238,36 +290,45 @@ def _time_transform(series, horizon: float, w, chunk: int = 2048) -> np.ndarray:
 
     series is (S, nt), a stack of series sampled on a uniform grid and shared
     by all w, or one series (nt,).  Returns (nw, S), or (nw,) for one series.
-    The moments and exponentials are computed once per chunk of w and every
-    series is contracted with them by matrix products.
+    The moments and exponentials are computed once per chunk of w, and one
+    matrix product contracts them with every series' four cell polynomial
+    coefficients.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     vals = np.atleast_2d(np.asarray(series, dtype=np.complex128))
     coef = _spline_coefficients(vals, horizon)
+    # (nt - 1, 4 S): cell rows, columns grouped by power
+    coef = coef.transpose(1, 0, 2).reshape(coef.shape[1], -1)
     out = np.empty((len(w), len(vals)), dtype=np.complex128)
     for sel, mom, eph in _moment_chunks(horizon, vals.shape[1], w, chunk):
-        out[sel] = sum(mom[m][:, None] * (eph @ coef[3 - m]) for m in range(4))
+        prod = (eph @ coef).reshape(len(mom[0]), 4, -1)
+        out[sel] = sum(mom[m][:, None] * prod[:, m] for m in range(4))
     return out[:, 0] if np.ndim(series) == 1 else out
 
 
 def _cumulative_transform(series, horizon: float, w, weights,
-                          chunk: int = 2048) -> np.ndarray:
+                          chunk: int = 512) -> np.ndarray:
     """Running integrals int_0^{t_i} e^{-i w_j t} sum_s weights[j, s] phi_s(t) dt
     at every grid time t_i, against cubic splines of the series.
 
     series is (S, nt) as in _time_transform and weights is (nw, S).  The
     spline of each per-w combination is the same combination of the series'
-    splines, so only the S series are splined.  Returns (nw, nt).
+    splines, so only the S series are splined, and one matrix product per
+    chunk forms every combination's four cell polynomial coefficients.  That
+    product holds (chunk, 4, nt - 1) values, which sets the smaller chunk.
+    Returns (nw, nt).
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     vals = np.asarray(series, dtype=np.complex128)
     weights = np.asarray(weights, dtype=np.complex128)
     nt = vals.shape[1]
     coef = _spline_coefficients(vals, horizon)
+    # (S, 4 (nt - 1)): per series, the cells' coefficients grouped by power
+    coef = coef.transpose(2, 0, 1).reshape(len(vals), -1)
     out = np.empty((len(w), nt), dtype=np.complex128)
     for sel, mom, eph in _moment_chunks(horizon, nt, w, chunk):
-        wc = weights[sel]
-        cell = eph * sum(mom[m][:, None] * (wc @ coef[3 - m].T) for m in range(4))
+        comb = (weights[sel] @ coef).reshape(len(mom[0]), 4, nt - 1)
+        cell = eph * sum(mom[m][:, None] * comb[:, m] for m in range(4))
         out[sel, 0] = 0.0
         out[sel, 1:] = np.cumsum(cell, axis=1)
     return out
@@ -284,15 +345,31 @@ def _interpolation_matrix(t_from, t_to) -> np.ndarray:
 # exponential kernels with guarded exponents
 # --------------------------------------------------------------------------
 
-def _apply_kernel(karr, shift, xq, wq, payloads, chunk=4096):
-    """For each payload p (shape (nq,) or (nq, nt)) return
+def _apply_kernel(karr, shift, xquad: XQuadrature, payloads, chunk=2048):
+    """For each payload p (shape (nq,) or (nq, c)) return
     sum_q exp(-i k x_q + shift_k) w_q p[q] as an array over k.
 
-    All exponents must have (essentially) nonpositive real part; a large
-    positive real part signals a construction error and raises.
+    The kernel is the product of the panel factors e^{-i k mid_p + shift_k}
+    and e^{-i k off_j}: 40 exponentials per k for the 32-panel rule instead
+    of one per node.  All exponents must have (essentially) nonpositive real
+    part; a large positive real part signals a construction error and raises
+    before any exponential is taken.  The real part Im(k) x + Re(shift_k) is
+    linear in x, so its maximum over the nodes is at the first or last node.
     """
     karr = np.asarray(karr, dtype=np.complex128)
     nk = len(karr)
+    shift = (np.zeros(nk) if shift is None
+             else np.asarray(shift, dtype=np.complex128))
+    xq, wq = xquad.nodes, xquad.weights
+    if nk:
+        worst = float(np.max(np.maximum(karr.imag * xq[0], karr.imag * xq[-1])
+                             + shift.real))
+        if worst > 2.0:
+            raise ExponentialOverflow(
+                "kernel exponent has positive real part %.3g" % worst)
+        # e^{-i k off} has exponents of both signs; it must stay finite
+        if np.max(np.abs(karr.imag)) * np.max(np.abs(xquad.off)) > OVERFLOW_GUARD:
+            raise ExponentialOverflow("Im k too large for the x-quadrature panels")
     pw = []
     for p in payloads:
         p = np.asarray(p, dtype=np.complex128)
@@ -300,14 +377,10 @@ def _apply_kernel(karr, shift, xq, wq, payloads, chunk=4096):
     outs = [np.empty((nk,) + p.shape[1:], dtype=np.complex128) for p in pw]
     for lo in range(0, nk, chunk):
         sel = slice(lo, min(lo + chunk, nk))
-        expo = -1j * np.outer(karr[sel], xq)
-        if shift is not None:
-            expo = expo + np.asarray(shift, dtype=np.complex128)[sel, None]
-        worst = float(np.max(expo.real)) if expo.size else 0.0
-        if worst > 2.0:
-            raise ExponentialOverflow(
-                "kernel exponent has positive real part %.3g" % worst)
-        ker = np.exp(expo)
+        kc = karr[sel]
+        coarse = np.exp(-1j * np.outer(kc, xquad.mid) + shift[sel, None])
+        fine = np.exp(-1j * np.outer(kc, xquad.off))
+        ker = (coarse[:, :, None] * fine[:, None, :]).reshape(len(kc), -1)
         for o, p in zip(outs, pw):
             o[sel] = ker @ p
     return outs
@@ -370,7 +443,7 @@ def _graded_panel_nodes(pf, cum, n_panels):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _radial_envelope(params, ell, horizon, xq, wq, u0v, g0v, h0v, h1v,
+def _radial_envelope(params, ell, horizon, xquad, u0v, g0v, h0v, h1v,
                      forcing, r_max, n_r=193):
     """Radial proxy for the magnitude of the transformed data at distance r
     from the dispersion center, used to thin the quadrature where the
@@ -385,7 +458,7 @@ def _radial_envelope(params, ell, horizon, xq, wq, u0v, g0v, h0v, h1v,
     ks = np.concatenate([params.center + rs, params.center - rs]) + 0j
     om = omega(params, ks).real
     omp = np.abs(omega_prime(params, ks))
-    hats = _apply_kernel(ks, None, xq, wq, _x_payloads(u0v, forcing))
+    hats = _apply_kernel(ks, None, xquad, _x_payloads(u0v, forcing))
     env = np.abs(hats[0])
     env += omp * np.sum(np.abs(_time_transform(
         np.stack([g0v, h0v, h1v]), horizon, om)), axis=1)
@@ -619,10 +692,9 @@ def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:
     the requested output grid."""
     params, ell, horizon = data.params, data.ell, data.horizon
     x_grid, t_grid = _output_grids(ell, horizon, grid)
-    if t_grid[-1] > horizon * (1 + 1e-12):
-        raise ValueError("output times exceed the problem horizon")
 
-    xq, wq = _x_quadrature(ell)
+    xquad = _x_quadrature(ell)
+    xq = xquad.nodes
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
     fq = _forcing_on_quadrature(data, xq)
     tf = data.forcing.t_grid if data.forcing is not None else None
@@ -654,7 +726,7 @@ def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:
     vals = np.zeros((len(x_grid), len(t_grid)), dtype=np.complex128)
     pref = 1.0 / TWO_PI
 
-    weight = _radial_envelope(params, ell, horizon, xq, wq,
+    weight = _radial_envelope(params, ell, horizon, xquad,
                               u0v, g0v, h0v, h1v, forcing,
                               budget.real_axis_window)
 
@@ -663,14 +735,15 @@ def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:
         k_r, w_r = _real_axis_nodes(params, ell, horizon, budget,
                                     weight=weight)
         om_r = omega(params, k_r + 0j).real
-        hats = _apply_kernel(k_r + 0j, None, xq, wq, _x_payloads(u0v, forcing))
+        hats = _apply_kernel(k_r + 0j, None, xquad, _x_payloads(u0v, forcing))
         icum = None
         if forcing is not None:
+            # -i goes into the small interpolation matrix, so no second
+            # (nodes x times) array is live during the assembly
             icum = (_cumulative_transform(forcing[1], horizon, om_r, hats[1])
-                    @ _interpolation_matrix(tf, t_grid))
+                    @ (-1j * _interpolation_matrix(tf, t_grid)))
         vals = _assemble(vals, x_grid, t_grid, ell, "in", k_r + 0j, w_r + 0j,
-                         om_r + 0j, coef_static=hats[0],
-                         coef_time=(-1j * icum) if icum is not None else None,
+                         om_r + 0j, coef_static=hats[0], coef_time=icum,
                          prefactor=pref)
 
     # ---- contour terms ----
@@ -691,11 +764,11 @@ def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:
             delta_s = mu0 + mup * epl + mum * eml
             # shifted transforms of u0 (and forcing) keep exponents <= 0
             ut_sh_p = _with_forcing(_apply_kernel(
-                k, 1j * (k - nup) * ell, xq, wq, payloads), bt)
+                k, 1j * (k - nup) * ell, xquad, payloads), bt)
             ut_sh_m = _with_forcing(_apply_kernel(
-                k, 1j * (k - num) * ell, xq, wq, payloads), bt)
-            ut_p = _with_forcing(_apply_kernel(nup, None, xq, wq, payloads), bt)
-            ut_m = _with_forcing(_apply_kernel(num, None, xq, wq, payloads), bt)
+                k, 1j * (k - num) * ell, xquad, payloads), bt)
+            ut_p = _with_forcing(_apply_kernel(nup, None, xquad, payloads), bt)
+            ut_m = _with_forcing(_apply_kernel(num, None, xquad, payloads), bt)
             emp = np.exp(-1j * nup * ell)
             emm = np.exp(-1j * num * ell)
             payload = (mup * ut_p + mum * ut_m
@@ -717,10 +790,10 @@ def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:
             ep = np.exp(1j * (sig - nup) * ell)
             em = np.exp(1j * (sig - num) * ell)
             delta_s = mu0 * e0 + mup * ep + mum * em
-            ut_k = _with_forcing(_apply_kernel(k, None, xq, wq, payloads), bt)
+            ut_k = _with_forcing(_apply_kernel(k, None, xquad, payloads), bt)
             ut_sig_sh = _with_forcing(_apply_kernel(
-                sig, 1j * sig * ell, xq, wq, payloads), bt)
-            ut_sub = _with_forcing(_apply_kernel(sub, None, xq, wq, payloads), bt)
+                sig, 1j * sig * ell, xquad, payloads), bt)
+            ut_sub = _with_forcing(_apply_kernel(sub, None, xquad, payloads), bt)
             payload = (mu0 * s_fac * ut_k
                        + mu_sig * ut_sig_sh + mu_sub * s_fac * ut_sub
                        - mu0 * omp * g0t * s_fac
@@ -804,10 +877,11 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
         raise GridTooCoarse("need at least 4 time samples")
     om = omega(params, karr)
 
-    xq, wq = _x_quadrature(ell)
+    xquad = _x_quadrature(ell)
+    xq = xquad.nodes
     vq = CubicSpline(field.x_grid, field.values, axis=0)(xq)
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
-    uhat, u0hat = _apply_kernel(karr, None, xq, wq, [vq, u0v])
+    uhat, u0hat = _apply_kernel(karr, None, xquad, [vq, u0v])
     lhs = np.exp(-1j * np.outer(om, t)) * uhat
 
     th = float(t[-1])
@@ -830,7 +904,7 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
         np.stack([g0, g1, g2, h0, h1, h2]), th, om, weights)
     forcing = _factor_forcing(_forcing_on_quadrature(data, xq))
     if forcing is not None:
-        (ahat,) = _apply_kernel(karr, None, xq, wq, [forcing[0]])
+        (ahat,) = _apply_kernel(karr, None, xquad, [forcing[0]])
         tf = np.linspace(0.0, horizon, forcing[1].shape[1])
         icum = _cumulative_transform(forcing[1], horizon, om, ahat)
         rhs = rhs - 1j * (icum @ _interpolation_matrix(tf, t))

@@ -112,13 +112,23 @@ def _banded_matrix(rows, neumann, nx, dt_theta):
     return ab
 
 
-def _apply_l(rows, state):
+def _padded_stencil(rows):
+    """The interior rows as one gather: point indices and L weights, one row
+    per interior point, short rows padded with weight 0 at point 0."""
+    width = max(len(ridx) for _i, ridx, _w in rows)
+    idx = np.zeros((len(rows), width), dtype=np.intp)
+    wts = np.zeros((len(rows), width), dtype=np.complex128)
+    for j, (_i, ridx, lrow) in enumerate(rows):
+        idx[j, :len(ridx)] = ridx
+        wts[j, :len(ridx)] = lrow
+    return idx, wts
+
+
+def _apply_l(stencil, state):
     """L applied to the full state (grid values then ghost) at the interior
     points, as an array of length nx - 2."""
-    out = np.empty(len(rows), dtype=np.complex128)
-    for j, (_i, idx, lrow) in enumerate(rows):
-        out[j] = lrow @ state[idx]
-    return out
+    idx, wts = stencil
+    return np.einsum("ij,ij->i", wts, state[idx])
 
 
 def _boundary_series(data: ProblemData, t_grid, bc_mode):
@@ -175,22 +185,20 @@ def oracle_solve(data: ProblemData, config: OracleConfig) -> Field:
     values = np.empty((nx, nt), dtype=np.complex128)
     values[:, 0] = state[:nx]
 
-    # static pieces of the implicit rows' boundary coupling
-    bdry = []  # per row: list of (point, L weight) at known points
-    for i, idx, lrow in rows:
-        bdry.append([(p, lv) for p, lv in zip(idx, lrow)
-                     if _unknown_col(p, nx) < 0])
+    stencil = _padded_stencil(rows)
+    # the implicit rows' coupling to the known points: the same gather with
+    # the weights of unknown points zeroed
+    known_pt = np.vectorize(_unknown_col)(stencil[0], nx) < 0
+    bdry = (stencil[0], np.where(known_pt, stencil[1], 0.0))
 
     for n in range(1, nt):
-        lu_n = _apply_l(rows, state)
+        lu_n = _apply_l(stencil, state)
         interior_n = state[1:nx - 1]
         rhs_fixed = interior_n + dt * (1.0 - theta) * (lu_n + q_term(interior_n, n - 1))
         # known boundary values at the new level enter the implicit side
         known = np.zeros(nx + 1, dtype=np.complex128)
         known[0], known[nx - 1] = g0[n], h0[n]
-        for j, pairs in enumerate(bdry):
-            for p, lv in pairs:
-                rhs_fixed[j] += dt * theta * lv * known[p]
+        rhs_fixed += dt * theta * _apply_l(bdry, known)
         b_neu = h1[n] - n_w[3] * h0[n]
 
         guess = interior_n.copy()

@@ -3,10 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from hnls_utm import cli
 from hnls_utm.cli import load_scenario, main
 from hnls_utm.errors import ConfigInvalid
 
@@ -79,6 +81,24 @@ class TestSolveVerb:
                                            "--mode", "magic",
                                            "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
+
+    def test_output_points_outside_the_rectangle_exit_2(self, tmp_path,
+                                                        monkeypatch):
+        # config grids are point counts, always inside [0, ell]; the points
+        # are moved past x = ell between the CLI and the solver
+        solve_full = cli.solve_full
+
+        def past_the_edge(data, grid, budget):
+            xs = np.linspace(0.0, 1.2 * data.ell, grid[0])
+            return solve_full(data, (xs, grid[1]), budget)
+
+        monkeypatch.setattr(cli, "solve_full", past_the_edge)
+        config = write_config(tmp_path, BASE)
+        result = CliRunner().invoke(main, ["solve", "--config", config,
+                                           "--mode", "linear",
+                                           "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "outside [0, ell]" in result.output
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_solver_failure_exit_3(self, tmp_path):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hnls_utm.dispersion import DispersionParams
-from hnls_utm.errors import GridTooCoarse
+from hnls_utm.dispersion import DispersionParams, symmetry_roots
+from hnls_utm.errors import ExponentialOverflow, GridTooCoarse
 from hnls_utm.fields import Field
 from hnls_utm.linear import (ProblemData, QuadratureBudget, _cumulative_transform,
                              _filon_moments, _time_transform, evaluate_traces,
@@ -15,7 +15,7 @@ from hnls_utm import linear
 from hnls_utm.presets import (bump_profile, bump_series, plane_wave_data,
                               plane_wave_exact, plane_wave_field, zero_profile,
                               zero_series)
-from hnls_utm.transforms import SpatialProfile, TimeSeries
+from hnls_utm.transforms import OVERFLOW_GUARD, SpatialProfile, TimeSeries
 
 AIRY = DispersionParams(1.0, 0.0, 0.0)
 SMALL_BUDGET = QuadratureBudget(contour_nodes=4000, real_axis_window=15.0,
@@ -94,6 +94,96 @@ class TestTimeTransform:
         cum = _cumulative_transform(rows, horizon, w, weights, chunk=2)
         np.testing.assert_allclose(cum[:, -1], np.sum(weights * stacked, axis=1),
                                    rtol=1e-12, atol=1e-14)
+
+
+XQUAD = linear._x_quadrature(1.0)
+
+
+def _kernel(k, shift, payloads):
+    return linear._apply_kernel(k, shift, XQUAD, payloads)
+
+
+class TestExponentialTables:
+    """The factored x-kernel and time phase tables against one dense exp per
+    entry, and the overflow guards in front of them."""
+
+    @staticmethod
+    def dense_kernel(k, shift, p):
+        xq, wq = XQUAD.nodes, XQUAD.weights
+        expo = -1j * np.outer(k, xq) + np.asarray(shift)[:, None]
+        return np.exp(expo) @ (wq[:, None] * p)
+
+    def test_kernel_matches_dense_exp(self):
+        xq = XQUAD.nodes
+        p = np.stack([np.exp(2j * xq) * (1 + xq ** 2), np.cos(7 * xq) - 0.3j],
+                     axis=1)
+        real_k = np.linspace(-80.0, 80.0, 161) + 0j
+        # D0-type nodes in the upper sector, shifted by i (k - nu_+) ell as
+        # the solver does so that every exponent stays nonpositive
+        d0_k = np.linspace(3.0, 60.0, 77) * np.exp(1j * np.linspace(1.1, 2.0, 77))
+        nup = symmetry_roots(AIRY, d0_k)[1]
+        # D+/- type nodes below the real axis, unshifted
+        dpm_k = np.linspace(3.0, 60.0, 77) * np.exp(-1j * np.linspace(0.2, 2.9, 77))
+        for k, shift in ((real_k, np.zeros(161)), (d0_k, 1j * (d0_k - nup)),
+                         (dpm_k, np.zeros(77))):
+            got_2d, got_1d = _kernel(k, shift, [p, p[:, 0]])
+            want = self.dense_kernel(k, shift, p)
+            np.testing.assert_allclose(got_2d, want, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want)))
+            np.testing.assert_allclose(got_1d, want[:, 0], rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("cells", [3, 10, 128, 256])
+    def test_phase_table_matches_dense_exp(self, cells):
+        horizon = 0.5
+        t = np.linspace(0.0, horizon, cells + 1)
+        w = np.concatenate([
+            np.linspace(-1e5, 1e5, 41),
+            np.linspace(-300.0, 300.0, 7) + 1j * np.linspace(1.0, 1300.0, 7),
+            np.linspace(-300.0, 300.0, 7) - 1j * np.array(
+                [1e3, 1.4e3, 1.5e3, 1.6e3, 3e3, 5e4, 1e6])])
+        eph = np.concatenate([e for _sel, _mom, e in
+                              linear._moment_chunks(horizon, cells + 1, w, 16)])
+        dense = np.exp(-1j * np.outer(w, t[:-1]))
+        # both round the phase w t, so they agree to a few ulps of |w| T;
+        # entries that underflow in one underflow in the other
+        tol = 8 * np.finfo(float).eps * (1.0 + np.abs(w)[:, None] * horizon)
+        assert np.all(np.abs(eph - dense) <= tol * np.abs(dense) + 1e-300)
+        assert np.any(dense == 0.0)
+
+    def test_kernel_guard_on_shift(self):
+        k = np.array([0.0, 5.0, -3.0]) + 0j
+        p = np.ones(len(XQUAD.nodes))
+        with pytest.raises(ExponentialOverflow):
+            _kernel(k, np.array([0.0, 2.01, 0.0]), [p])
+        _kernel(k, np.array([0.0, 1.99, 0.0]), [p])
+
+    def test_kernel_guard_on_imaginary_k(self):
+        x_first, x_last = XQUAD.nodes[0], XQUAD.nodes[-1]
+        p = np.ones(len(XQUAD.nodes))
+        # Im k > 0: the exponent's real part is largest at the last node
+        with pytest.raises(ExponentialOverflow):
+            _kernel(np.array([1.0 + 2.01j / x_last]), None, [p])
+        _kernel(np.array([1.0 + 1.99j / x_last]), None, [p])
+        # Im k < 0 with a shift: largest at the first node
+        with pytest.raises(ExponentialOverflow):
+            _kernel(np.array([-1.0j]), np.array([2.01 + x_first]), [p])
+        _kernel(np.array([-1.0j]), np.array([1.99 + x_first]), [p])
+
+    def test_kernel_guard_on_panel_factor(self):
+        # the shift cancels the growth, but e^{-i k off} would overflow
+        p = np.ones(len(XQUAD.nodes))
+        with pytest.raises(ExponentialOverflow):
+            _kernel(np.array([5e4j]), np.array([-5e4 + 0j]), [p])
+
+    def test_time_transform_guard(self):
+        horizon = 0.5
+        vals = np.linspace(0.0, 1.0, 33) + 0j
+        w_max = OVERFLOW_GUARD / horizon
+        with pytest.raises(ExponentialOverflow):
+            _time_transform(vals, horizon, np.array([3.0, 1.01j * w_max]))
+        assert np.all(np.isfinite(
+            _time_transform(vals, horizon, np.array([3.0, 0.99j * w_max]))))
 
 
 class TestFdWeights:
@@ -310,6 +400,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProblemData(AIRY, 1.0, 0.5, zero_profile(1.0),
                         zero_series(1.0), zero_series(0.5), zero_series(0.5))
+
+    @pytest.mark.parametrize("x_grid, t_grid", [
+        (np.linspace(0.0, 1.2, 9), np.linspace(0.0, 0.5, 5)),
+        (np.linspace(-0.1, 1.0, 9), np.linspace(0.0, 0.5, 5)),
+        (np.linspace(0.0, 1.0, 9), np.linspace(-0.1, 0.5, 5)),
+        (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 0.6, 5)),
+    ])
+    def test_output_points_outside_the_rectangle(self, x_grid, t_grid):
+        data = plane_wave_data(AIRY, 1.0, 0.5, 2.0)
+        with pytest.raises(ValueError):
+            solve_full(data, (x_grid, t_grid), SMALL_BUDGET)
+
+    def test_output_points_on_the_rectangle_edges(self):
+        # end points off by a rounding error are accepted
+        data = zero_data(AIRY, 1.0, 0.5)
+        xg = np.linspace(-1e-13, 1.0 + 1e-13, 7)
+        tg = np.linspace(-1e-14, 0.5 * (1 + 1e-13), 5)
+        field = solve_full(data, (xg, tg), SMALL_BUDGET)
+        assert field.values.shape == (7, 5)
 
     def test_output_grid_arrays(self):
         data = zero_data(AIRY, 1.0, 0.5)

@@ -1,8 +1,11 @@
 """Implicit finite-difference reference solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hnls_utm import oracle
 from hnls_utm.dispersion import DispersionParams
 from hnls_utm.errors import StepDiverged
 from hnls_utm.linear import ProblemData, zero_data
@@ -101,3 +104,26 @@ class TestNonlinearStep:
                            zero_series(horizon), kappa=1e6, lam=3.0)
         with pytest.raises(StepDiverged):
             oracle_solve(data, OracleConfig(nx=32, nt=16))
+
+
+class TestStencilGather:
+    @staticmethod
+    def row_loop(stencil, state):
+        """L at the interior points row by row, each row's products summed
+        left to right as the gather sums them."""
+        idx, wts = stencil
+        return np.array([sum(complex(w) * complex(s)
+                             for w, s in zip(wrow, state[irow]))
+                         for irow, wrow in zip(idx, wts)])
+
+    @pytest.mark.parametrize("n", [129, 257])
+    def test_fields_match_the_row_loop(self, n, monkeypatch):
+        # nonzero boundary data and a nonlinearity exercise both gathers
+        # (L u and the coupling to the known points) and the sweep
+        data = replace(plane_wave_data(DispersionParams(1.0, 0.5, 1.0),
+                                       1.0, 0.5, 2.0), kappa=0.05)
+        config = OracleConfig(nx=n, nt=n)
+        got = oracle_solve(data, config).values
+        monkeypatch.setattr(oracle, "_apply_l", self.row_loop)
+        want = oracle_solve(data, config).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
