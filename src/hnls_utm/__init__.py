@@ -10,9 +10,9 @@ from .errors import (BranchCutPoint, ConfigInvalid, ExponentialOverflow,
                      MissingProxy, NoConvergence, QuadratureDiverged,
                      SolverError, StepDiverged)
 from .fields import Field
-from .linear import (ProblemData, QuadratureBudget, evaluate_traces,
-                     global_relation_residual, solve_full, solve_reduced,
-                     zero_data)
+from .linear import (ProblemData, QuadratureBudget, SolvePlan, evaluate_traces,
+                     global_relation_residual, make_plan, solve_full,
+                     solve_reduced, zero_data)
 from .nonlinear import (DissipationAudit, LifespanIndicator, PicardReport,
                         Regime, apply_nonlinearity, check_compatibility,
                         data_norm_sum, default_proxies, dissipation_audit,

@@ -39,20 +39,28 @@ sum_r Ahat_r(k) Btilde_r(omega(k)), and the running transform on the real
 axis combines B's spline coefficients with the node's weights Ahat(k), so no
 spline is ever built per node.
 
-The dense exponential tables sit on grids the solver builds itself, and both
-factor exactly into two short tables.  The x-quadrature has uniform panels,
-x = mid_p + off_j, so the x-kernel e^{-i k x + s_k} at a node k costs 32 + 8
-exponentials for the 256 nodes; the time grid is uniform, t_j = j dt, so with
-j = a m + b and m = ceil(sqrt(nt - 1)) the time phase e^{-i w t_j} costs
-about 2 sqrt(nt - 1) exponentials per w.  The tables are then filled by one
-broadcast product each.  The output assembly keeps one exponential per
-entry, because its grids are the caller's and need not be uniform.
+The dense exponential tables factor exactly into two short tables on uniform
+grids.  The x-quadrature has uniform panels, x = mid_p + off_j, so the
+x-kernel e^{-i k x + s_k} at a node k costs 32 + 8 exponentials for the 256
+nodes; on a uniform grid t_j = t_0 + j dt, with j = a m + b and
+m = ceil(sqrt(n)), the phase e^{-i w t_j} costs about 2 sqrt(n)
+exponentials per w.  The tables are then filled by one broadcast product
+each.  This holds for the time transforms' grid and for the output assembly's
+e^{i k x} and e^{i omega t} whenever the caller's output grids are ascending
+and uniform; other output grids take one exponential per entry.
+
+The data-independent part of a solve is a SolvePlan: output grids,
+x-quadrature, real-axis and contour nodes, the deformed arc radius rho, and
+the radial envelope weight of the data the plan is made from.
+SolvePlan.apply(data) does the data transforms and the assembly only, and
+skips the transforms of identically zero data; solve_full is
+make_plan(...).apply(data).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -242,25 +250,54 @@ def _filon_moments(w: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _phase_table(w, dt, n):
-    """e^{-i w j dt} for j = 0..n-1, shape (len(w), n).
+def _phase_table(w, dt, n, start=0.0, scale=None):
+    """scale_w e^{-i w (start + j dt)} for j = 0..n-1, shape (len(w), n);
+    scale defaults to 1.
 
-    With m = ceil(sqrt(n)) and j = a m + b it is the product of
-    e^{-i w a m dt} and e^{-i w b dt}: about 2 sqrt(n) exponentials per w
-    instead of n.  Both factors' exponents have the sign of Im(w) j dt, so
-    neither factor is larger than the largest entry of the table.
+    With m = ceil(sqrt(n)) and j = a m + b it is the product of the coarse
+    factor scale_w e^{-i w (start + a m dt)} and the fine factor
+    e^{-i w b dt}: about 2 sqrt(n) exponentials per w instead of n.  For
+    start >= 0 both phase factors' exponents have the sign of
+    Im(w) (start + j dt), so neither is larger than the largest phase of the
+    table, and the coarse factor's entries are entries of the table itself.
     """
     m = int(np.ceil(np.sqrt(n)))
     na = -(-n // m)
-    coarse = np.exp(-1j * np.outer(w, np.arange(na) * (m * dt)))
+    coarse = np.exp(-1j * np.outer(w, start + np.arange(na) * (m * dt)))
+    if scale is not None:
+        coarse *= scale[:, None]
     fine = np.exp(-1j * np.outer(w, np.arange(m) * dt))
     # the rows a < na - 1 are whole; the last one stops at j = n - 1, so no
-    # entry past the horizon (which could overflow) is formed
+    # entry past the grid (which could overflow) is formed
     full = (na - 1) * m
     out = np.empty((len(w), n), dtype=np.complex128)
-    out[:, :full] = (coarse[:, :-1, None] * fine[:, None, :]).reshape(len(w), full)
-    out[:, full:] = coarse[:, -1:] * fine[:, :n - full]
+    np.multiply(coarse[:, :-1, None], fine[:, None, :],
+                out=out[:, :full].reshape(len(w), na - 1, m))
+    np.multiply(coarse[:, -1:], fine[:, :n - full], out=out[:, full:])
     return out
+
+
+def _uniform_step(grid):
+    """The step of an ascending grid that is uniform to a few ulps, else
+    None."""
+    n = len(grid)
+    step = (grid[-1] - grid[0]) / (n - 1)
+    if not step > 0:
+        return None
+    ideal = grid[0] + np.arange(n) * step
+    ulps = 8 * np.finfo(np.float64).eps * max(abs(grid[0]), abs(grid[-1]))
+    return step if np.max(np.abs(grid - ideal)) <= ulps else None
+
+
+def _exp_table(w, grid, scale=None):
+    """scale_w e^{-i w t} at every point t of grid, shape (len(w), len(grid)):
+    from two short factors on an ascending uniform grid, one exponential per
+    entry otherwise."""
+    step = _uniform_step(grid)
+    if step is not None:
+        return _phase_table(w, step, len(grid), start=grid[0], scale=scale)
+    out = np.exp(-1j * np.outer(w, grid))
+    return out if scale is None else out * scale[:, None]
 
 
 def _moment_chunks(horizon, nt, w, chunk):
@@ -356,6 +393,8 @@ def _apply_kernel(karr, shift, xquad: XQuadrature, payloads, chunk=2048):
     before any exponential is taken.  The real part Im(k) x + Re(shift_k) is
     linear in x, so its maximum over the nodes is at the first or last node.
     """
+    if not payloads:
+        return []
     karr = np.asarray(karr, dtype=np.complex128)
     nk = len(karr)
     shift = (np.zeros(nk) if shift is None
@@ -389,25 +428,33 @@ def _apply_kernel(karr, shift, xquad: XQuadrature, payloads, chunk=2048):
 def _assemble(vals, x_grid, t_grid, ell, basis, karr, warr, om,
               coef_static=None, coef_time=None, prefactor=1.0, chunk=4096):
     """vals += prefactor * sum_k w_k basis(x, k) e^{i om_k t}
-                      * (coef_static_k + coef_time[k, t])."""
+                      * (coef_static_k + coef_time[k, t]).
+
+    basis(x, k) is e^{i k x} ("in") or e^{-i k (ell - x)} ("out").  The
+    tables come from _exp_table, so on ascending uniform grids they are built
+    from two short factors, with w_k coef_static_k folded into the coarse
+    time factor when there is no coef_time.  The "out" table runs over
+    ell - x from ell - x_last upward, where its exponents are nonpositive
+    for Im k <= 0, and its rows are reversed after the product.
+    """
     nk = len(karr)
-    growth = np.max(-om.imag) * max(float(t_grid[-1]), 0.0) if nk else 0.0
+    growth = np.max(-om.imag) * max(float(np.max(t_grid)), 0.0) if nk else 0.0
     if growth > OVERFLOW_GUARD:
         raise ExponentialOverflow("contour time factor exceeds the overflow guard")
     for lo in range(0, nk, chunk):
         sel = slice(lo, min(lo + chunk, nk))
-        kc = karr[sel]
-        if basis == "in":
-            ker = np.exp(1j * np.outer(x_grid, kc))
+        if coef_time is None:
+            tm = _exp_table(-om[sel], t_grid, warr[sel] * coef_static[sel])
         else:
-            ker = np.exp(-1j * (ell - x_grid[:, None]) * kc[None, :])
-        coef = 0.0
-        if coef_static is not None:
-            coef = (warr[sel] * coef_static[sel])[:, None]
-        if coef_time is not None:
-            coef = coef + warr[sel][:, None] * coef_time[sel]
-        tm = np.exp(1j * np.outer(om[sel], t_grid)) * coef
-        vals += prefactor * (ker @ tm)
+            coef = warr[sel][:, None] * coef_time[sel]
+            if coef_static is not None:
+                coef = (warr[sel] * coef_static[sel])[:, None] + coef
+            tm = _exp_table(-om[sel], t_grid) * coef
+        if basis == "in":
+            vals += prefactor * (_exp_table(-karr[sel], x_grid).T @ tm)
+        else:
+            ker = _exp_table(karr[sel], ell - x_grid[::-1])
+            vals += prefactor * (ker.T @ tm)[::-1]
     return vals
 
 
@@ -443,8 +490,7 @@ def _graded_panel_nodes(pf, cum, n_panels):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _radial_envelope(params, ell, horizon, xquad, u0v, g0v, h0v, h1v,
-                     forcing, r_max, n_r=193):
+def _radial_envelope(params, ell, horizon, xquad, samples, r_max, n_r=193):
     """Radial proxy for the magnitude of the transformed data at distance r
     from the dispersion center, used to thin the quadrature where the
     integrand is negligible.
@@ -452,19 +498,19 @@ def _radial_envelope(params, ell, horizon, xquad, u0v, g0v, h0v, h1v,
     The proxy is evaluated on the real axis at c0 +/- r (where the data
     transforms are largest among the admissible directions), made
     nonincreasing, and normalized; the returned callable maps |k - c0| to a
-    density weight in [1e-2, 1].
+    density weight in [1e-2, 1], or None for identically zero data.
     """
     rs = np.linspace(0.0, r_max, n_r)
     ks = np.concatenate([params.center + rs, params.center - rs]) + 0j
     om = omega(params, ks).real
     omp = np.abs(omega_prime(params, ks))
-    hats = _apply_kernel(ks, None, xquad, _x_payloads(u0v, forcing))
-    env = np.abs(hats[0])
-    env += omp * np.sum(np.abs(_time_transform(
-        np.stack([g0v, h0v, h1v]), horizon, om)), axis=1)
-    if forcing is not None:
-        env += np.abs(np.sum(hats[1] * _time_transform(forcing[1], horizon, om),
-                             axis=1))
+    hats = _apply_kernel(ks, None, xquad, _x_payloads(samples))
+    st, bt = _data_time_transforms(samples, horizon, om)
+    env = np.abs(hats[0]) if samples.u0v is not None else np.zeros(2 * n_r)
+    if st is not None:
+        env += omp * np.sum(np.abs(st), axis=1)
+    if bt is not None:
+        env += np.abs(np.sum(hats[-1] * bt, axis=1))
     env = np.maximum(env[:n_r], env[n_r:])
     env = np.maximum.accumulate(env[::-1])[::-1]
     emax = float(env[0])
@@ -559,6 +605,10 @@ def _solver_segments(params, ell, horizon, budget, weight=None):
             kf = np.asarray(gamma(pf), dtype=np.complex128)
             amp = float(np.max(-omega(params, kf).imag)) * horizon
             amp = max(amp, 0.0)
+            if amp > OVERFLOW_GUARD:
+                raise ExponentialOverflow(
+                    "arc amplification exponent %.4g exceeds the overflow "
+                    "guard; the arc radius is too large for the horizon" % amp)
             theta_max = 2.6 * (1e-8 * np.exp(-amp)) ** (1.0 / 16.0)
             arc_panels.append(max(24, int(np.ceil(cum[-1] * TWO_PI / theta_max))))
         else:
@@ -630,21 +680,83 @@ def _factor_forcing(fq):
     return u[:, :rank] * s[:rank], vh[:rank]
 
 
-def _x_payloads(u0v, forcing):
-    return [u0v] if forcing is None else [u0v, forcing[0]]
-
-
-def _with_forcing(hats, bt):
-    """u0 transform minus i times the forcing transform, from the kernel
-    outputs [u0hat, Ahat] of _x_payloads and the time transforms bt (nk, r)
-    of B at the same nodes: the forcing term is the row-wise dot of the two."""
-    if bt is None:
-        return hats[0]
-    return hats[0] - 1j * np.sum(hats[1] * bt, axis=1)
-
-
 def _is_zero(arr) -> bool:
     return bool(np.all(arr == 0))
+
+
+class _Samples(NamedTuple):
+    """The data as the transforms see it, corner blend removed: u0 on the
+    x-quadrature, the (3, NTQ) stack of g0, h0, h1 on the uniform time grid,
+    and the factored forcing (A, B) with B's time grid tf; a part that is
+    identically zero is None.  blend is _corner_blend's result."""
+
+    u0v: Optional[np.ndarray]
+    stack: Optional[np.ndarray]
+    forcing: Optional[tuple]
+    tf: Optional[np.ndarray]
+    blend: Optional[tuple]
+
+
+# time samples of the boundary data
+NTQ = 257
+
+
+def _sample(data: ProblemData, xquad: XQuadrature) -> _Samples:
+    """Sample the data, remove the corner blend and factor the forcing."""
+    ell, horizon = data.ell, data.horizon
+    xq = xquad.nodes
+    u0v = np.asarray(data.u0(xq), dtype=np.complex128)
+    fq = _forcing_on_quadrature(data, xq)
+    tf = data.forcing.t_grid if data.forcing is not None else None
+    tq = np.linspace(0.0, horizon, NTQ)
+    stack = np.stack([np.asarray(s(tq), dtype=np.complex128)
+                      for s in (data.g0, data.h0, data.h1)])
+    blend = _corner_blend(data)
+    if blend is not None:
+        wfun, wforce, wx_right = blend
+        u0v = u0v - wfun(xq, 0.0)
+        stack = stack - np.stack([wfun(0.0, tq), wfun(ell, tq), wx_right(tq)])
+        if fq is None:
+            tf = tq
+            fq = -wforce(xq[:, None], tf[None, :])
+        else:
+            fq = fq - wforce(xq[:, None], np.asarray(tf)[None, :])
+    forcing = _factor_forcing(fq)
+    return _Samples(None if _is_zero(u0v) else u0v,
+                    None if _is_zero(stack) else stack,
+                    forcing, None if forcing is None else tf, blend)
+
+
+def _x_payloads(samples: _Samples):
+    """The x-kernel payloads: u0 and the columns of A, where present."""
+    forcing_a = None if samples.forcing is None else samples.forcing[0]
+    return [p for p in (samples.u0v, forcing_a) if p is not None]
+
+
+def _data_time_transforms(samples: _Samples, horizon, w):
+    """Time transforms at w of the g0/h0/h1 stack, (nw, 3), and of the
+    forcing series B, (nw, r); None for an absent part.  When B lies on the
+    stack's grid both go through one _time_transform call, so the moments
+    and phase tables are built once."""
+    stack = samples.stack
+    series_b = None if samples.forcing is None else samples.forcing[1]
+    if stack is not None and series_b is not None \
+            and series_b.shape[1] == stack.shape[1]:
+        both = _time_transform(np.concatenate([stack, series_b]), horizon, w)
+        return both[:, :3], both[:, 3:]
+    return (None if stack is None else _time_transform(stack, horizon, w),
+            None if series_b is None else _time_transform(series_b, horizon, w))
+
+
+def _transformed(k, shift, xquad, samples: _Samples, bt):
+    """u0 transform minus i times the forcing transform at the nodes k, with
+    the kernel shift; 0.0 when both parts are absent.  The forcing term is
+    the row-wise dot of A's kernel outputs and B's time transforms bt."""
+    hats = _apply_kernel(k, shift, xquad, _x_payloads(samples))
+    out = hats[0] if samples.u0v is not None else 0.0
+    if samples.forcing is not None:
+        out = out - 1j * np.sum(hats[-1] * bt, axis=1)
+    return out
 
 
 def _corner_blend(data: ProblemData):
@@ -687,88 +799,94 @@ def _corner_blend(data: ProblemData):
     return w, forcing, wx_right
 
 
-def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:
-    """Evaluate the solution representation of the forced linear problem on
-    the requested output grid."""
-    params, ell, horizon = data.params, data.ell, data.horizon
-    x_grid, t_grid = _output_grids(ell, horizon, grid)
+@dataclass(frozen=True, eq=False)
+class SolvePlan:
+    """Everything a solve needs that its data does not change, for one
+    (params, ell, horizon), output grid and budget: the output grids, the
+    x-quadrature, the real-axis nodes (k_r, w_r), the nine contour node
+    groups (region, k, dk-weights), the deformed arc radius rho, and the
+    radial envelope weight (None for unweighted nodes) of the data the plan
+    was made from.  Build one with make_plan; apply(data) solves for any data
+    on the same (params, ell, horizon), all on the same nodes, so the
+    solution map it evaluates is linear in the data."""
 
-    xquad = _x_quadrature(ell)
-    xq = xquad.nodes
-    u0v = np.asarray(data.u0(xq), dtype=np.complex128)
-    fq = _forcing_on_quadrature(data, xq)
-    tf = data.forcing.t_grid if data.forcing is not None else None
+    params: DispersionParams
+    ell: float
+    horizon: float
+    x_grid: np.ndarray
+    t_grid: np.ndarray
+    xquad: XQuadrature
+    weight: Optional[Callable]
+    real_axis: Tuple[np.ndarray, np.ndarray]
+    groups: list
+    rho: float
+    # the data the plan was made from and its samples, which apply reuses
+    # when given that same data object
+    source: ProblemData
+    source_samples: _Samples
 
-    ntq = 257
-    tq = np.linspace(0.0, horizon, ntq)
-    g0v = np.asarray(data.g0(tq), dtype=np.complex128)
-    h0v = np.asarray(data.h0(tq), dtype=np.complex128)
-    h1v = np.asarray(data.h1(tq), dtype=np.complex128)
+    @property
+    def node_counts(self) -> Tuple[int, ...]:
+        """Node count of each contour group."""
+        return tuple(len(k) for _region, k, _w in self.groups)
 
-    if (_is_zero(u0v) and fq is None and _is_zero(g0v) and _is_zero(h0v)
-            and _is_zero(h1v)):
-        return Field.zeros(x_grid, t_grid)
+    def apply(self, data: ProblemData) -> Field:
+        """Evaluate the solution representation of the forced linear problem
+        for data on the plan's nodes and output grid.  Transforms of
+        identically zero parts of the data are skipped."""
+        if (data.params, data.ell, data.horizon) != (self.params, self.ell,
+                                                     self.horizon):
+            raise ValueError("data params, ell or horizon differ from the plan's")
+        samples = (self.source_samples if data is self.source
+                   else _sample(data, self.xquad))
+        x_grid, t_grid = self.x_grid, self.t_grid
+        vals = np.zeros((len(x_grid), len(t_grid)), dtype=np.complex128)
+        spatial = samples.u0v is not None or samples.forcing is not None
+        if spatial:
+            self._real_axis_term(vals, samples)
+        if spatial or samples.stack is not None:
+            for region, k, w in self.groups:
+                self._contour_term(vals, samples, region, k, w)
+        if samples.blend is not None:
+            vals = vals + samples.blend[0](x_grid[:, None], t_grid[None, :])
+        return Field(x_grid, t_grid, vals)
 
-    blend = _corner_blend(data)
-    if blend is not None:
-        wfun, wforce, wx_right = blend
-        u0v = u0v - wfun(xq, 0.0)
-        g0v = g0v - wfun(0.0, tq)
-        h0v = h0v - wfun(ell, tq)
-        h1v = h1v - wx_right(tq)
-        if fq is None:
-            tf = tq
-            fq = -wforce(xq[:, None], tf[None, :])
-        else:
-            fq = fq - wforce(xq[:, None], np.asarray(tf)[None, :])
-    forcing = _factor_forcing(fq)
-
-    vals = np.zeros((len(x_grid), len(t_grid)), dtype=np.complex128)
-    pref = 1.0 / TWO_PI
-
-    weight = _radial_envelope(params, ell, horizon, xquad,
-                              u0v, g0v, h0v, h1v, forcing,
-                              budget.real_axis_window)
-
-    # ---- whole-line term over the truncated real window ----
-    if not (_is_zero(u0v) and forcing is None):
-        k_r, w_r = _real_axis_nodes(params, ell, horizon, budget,
-                                    weight=weight)
-        om_r = omega(params, k_r + 0j).real
-        hats = _apply_kernel(k_r + 0j, None, xquad, _x_payloads(u0v, forcing))
+    def _real_axis_term(self, vals, samples):
+        """The whole-line term over the truncated real window."""
+        k_r, w_r = self.real_axis
+        om_r = omega(self.params, k_r + 0j).real
+        hats = _apply_kernel(k_r + 0j, None, self.xquad, _x_payloads(samples))
         icum = None
-        if forcing is not None:
+        if samples.forcing is not None:
             # -i goes into the small interpolation matrix, so no second
             # (nodes x times) array is live during the assembly
-            icum = (_cumulative_transform(forcing[1], horizon, om_r, hats[1])
-                    @ (-1j * _interpolation_matrix(tf, t_grid)))
-        vals = _assemble(vals, x_grid, t_grid, ell, "in", k_r + 0j, w_r + 0j,
-                         om_r + 0j, coef_static=hats[0], coef_time=icum,
-                         prefactor=pref)
+            icum = (_cumulative_transform(samples.forcing[1], self.horizon,
+                                          om_r, hats[-1])
+                    @ (-1j * _interpolation_matrix(samples.tf, self.t_grid)))
+        _assemble(vals, self.x_grid, self.t_grid, self.ell, "in", k_r + 0j,
+                  w_r + 0j, om_r + 0j,
+                  coef_static=hats[0] if samples.u0v is not None else None,
+                  coef_time=icum, prefactor=1.0 / TWO_PI)
 
-    # ---- contour terms ----
-    groups, _rho = _solver_segments(params, ell, horizon, budget,
-                                    weight=weight)
-    payloads = _x_payloads(u0v, forcing)
-    for region, k, w in groups:
+    def _contour_term(self, vals, samples, region, k, w):
+        """One contour group's term."""
+        params, ell, xquad = self.params, self.ell, self.xquad
         nu0, nup, num = symmetry_roots(params, k)
         mu0, mup, mum = nup - num, num - nu0, nu0 - nup
         om = omega(params, k)
         omp = omega_prime(params, k)
-        g0t, h0t, h1t = _time_transform(np.stack([g0v, h0v, h1v]), horizon, om).T
-        bt = None if forcing is None else _time_transform(forcing[1], horizon, om)
+        st, bt = _data_time_transforms(samples, self.horizon, om)
+        g0t, h0t, h1t = (0.0, 0.0, 0.0) if st is None else st.T
 
         if region is RegionLabel.D0:
             epl = np.exp(1j * (k - nup) * ell)
             eml = np.exp(1j * (k - num) * ell)
             delta_s = mu0 + mup * epl + mum * eml
             # shifted transforms of u0 (and forcing) keep exponents <= 0
-            ut_sh_p = _with_forcing(_apply_kernel(
-                k, 1j * (k - nup) * ell, xquad, payloads), bt)
-            ut_sh_m = _with_forcing(_apply_kernel(
-                k, 1j * (k - num) * ell, xquad, payloads), bt)
-            ut_p = _with_forcing(_apply_kernel(nup, None, xquad, payloads), bt)
-            ut_m = _with_forcing(_apply_kernel(num, None, xquad, payloads), bt)
+            ut_sh_p = _transformed(k, 1j * (k - nup) * ell, xquad, samples, bt)
+            ut_sh_m = _transformed(k, 1j * (k - num) * ell, xquad, samples, bt)
+            ut_p = _transformed(nup, None, xquad, samples, bt)
+            ut_m = _transformed(num, None, xquad, samples, bt)
             emp = np.exp(-1j * nup * ell)
             emm = np.exp(-1j * num * ell)
             payload = (mup * ut_p + mum * ut_m
@@ -776,8 +894,7 @@ def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:
                        - (num * emp - nup * emm) * omp * h0t
                        - 1j * (emp - emm) * omp * h1t
                        - (mup * ut_sh_p + mum * ut_sh_m))
-            vals = _assemble(vals, x_grid, t_grid, ell, "in", k, w, om,
-                             coef_static=payload / delta_s, prefactor=pref)
+            basis = "in"
         else:
             if region is RegionLabel.DPLUS:
                 sig, sub = nup, num
@@ -790,21 +907,41 @@ def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:
             ep = np.exp(1j * (sig - nup) * ell)
             em = np.exp(1j * (sig - num) * ell)
             delta_s = mu0 * e0 + mup * ep + mum * em
-            ut_k = _with_forcing(_apply_kernel(k, None, xquad, payloads), bt)
-            ut_sig_sh = _with_forcing(_apply_kernel(
-                sig, 1j * sig * ell, xquad, payloads), bt)
-            ut_sub = _with_forcing(_apply_kernel(sub, None, xquad, payloads), bt)
+            ut_k = _transformed(k, None, xquad, samples, bt)
+            ut_sig_sh = _transformed(sig, 1j * sig * ell, xquad, samples, bt)
+            ut_sub = _transformed(sub, None, xquad, samples, bt)
             payload = (mu0 * s_fac * ut_k
                        + mu_sig * ut_sig_sh + mu_sub * s_fac * ut_sub
                        - mu0 * omp * g0t * s_fac
                        - (num * ep - nup * em) * omp * h0t
                        - 1j * (ep - em) * omp * h1t)
-            vals = _assemble(vals, x_grid, t_grid, ell, "out", k, w, om,
-                             coef_static=payload / delta_s, prefactor=pref)
+            basis = "out"
+        _assemble(vals, self.x_grid, self.t_grid, ell, basis, k, w, om,
+                  coef_static=payload / delta_s, prefactor=1.0 / TWO_PI)
 
-    if blend is not None:
-        vals = vals + blend[0](x_grid[:, None], t_grid[None, :])
-    return Field(x_grid, t_grid, vals)
+
+def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
+    """Choose the output grids, the x-quadrature and the contour and
+    real-axis nodes once for data's (params, ell, horizon).  The nodes are
+    thinned by the radial envelope of data itself, so the plan suits data of
+    similar spectral content; a plan made from identically zero data uses
+    unweighted nodes."""
+    params, ell, horizon = data.params, data.ell, data.horizon
+    x_grid, t_grid = _output_grids(ell, horizon, grid)
+    xquad = _x_quadrature(ell)
+    samples = _sample(data, xquad)
+    weight = _radial_envelope(params, ell, horizon, xquad, samples,
+                              budget.real_axis_window)
+    real_axis = _real_axis_nodes(params, ell, horizon, budget, weight=weight)
+    groups, rho = _solver_segments(params, ell, horizon, budget, weight=weight)
+    return SolvePlan(params, ell, horizon, x_grid, t_grid, xquad, weight,
+                     real_axis, groups, rho, data, samples)
+
+
+def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:
+    """Evaluate the solution representation of the forced linear problem on
+    the requested output grid."""
+    return make_plan(data, grid, budget).apply(data)
 
 
 def solve_reduced(params: DispersionParams, ell: float, psi0: TimeSeries,

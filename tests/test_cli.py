@@ -118,6 +118,23 @@ class TestSolveVerb:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "StepDiverged"
 
+    def test_arc_overflow_exit_3(self, tmp_path):
+        # arc radius R_Delta = 9 at T = 1: arc amplification e^{729}
+        doc = dict(BASE, geometry={"ell": 1.0, "horizon": 1.0},
+                   data={"preset": "plane_wave", "a": 2.0})
+        doc["solver"] = {"grid": [9, 9],
+                         "budget": {"contour_nodes": 4000,
+                                    "real_axis_nodes": 2000,
+                                    "arc_radius": 9.0}}
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "o4"
+        result = CliRunner().invoke(main, ["solve", "--config", config,
+                                           "--mode", "linear",
+                                           "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "ExponentialOverflow"
+
 
 class TestVerifyVerb:
     def test_pass_and_determinism(self, tmp_path):

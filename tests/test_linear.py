@@ -1,5 +1,7 @@
 """Contour-integral evaluator: time transforms, solves, traces, residual."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,10 @@ from hnls_utm.fields import Field
 from hnls_utm.linear import (ProblemData, QuadratureBudget, _cumulative_transform,
                              _filon_moments, _time_transform, evaluate_traces,
                              fd_weights,
-                             global_relation_residual, solve_full,
+                             global_relation_residual, make_plan, solve_full,
                              solve_reduced, zero_data)
 from hnls_utm import linear
+from hnls_utm.regions import r_delta
 from hnls_utm.presets import (bump_profile, bump_series, plane_wave_data,
                               plane_wave_exact, plane_wave_field, zero_profile,
                               zero_series)
@@ -185,6 +188,79 @@ class TestExponentialTables:
         assert np.all(np.isfinite(
             _time_transform(vals, horizon, np.array([3.0, 0.99j * w_max]))))
 
+    @staticmethod
+    def dense_assembly(x_grid, t_grid, ell, basis, k, w, om, coef):
+        if basis == "in":
+            ker = np.exp(1j * np.outer(x_grid, k))
+        else:
+            ker = np.exp(-1j * (ell - x_grid[:, None]) * k[None, :])
+        return ker @ (np.exp(1j * np.outer(om, t_grid)) * (w * coef)[:, None])
+
+    @staticmethod
+    def assembly_nodes():
+        """D0-type nodes (upper half plane, "in" basis) and D+/- type nodes
+        (lower half plane, "out" basis), each with time exponents from
+        arc-level growth e^{24} at t = 0.5 to strong decay."""
+        n = 61
+        rng = np.random.default_rng(3)
+        om = (np.linspace(-900.0, 900.0, n)
+              + 1j * np.linspace(-48.0, 400.0, n)[rng.permutation(n)])
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        coef = rng.normal(size=n) + 1j * rng.normal(size=n)
+        radius = np.linspace(3.0, 60.0, n)
+        d0_k = radius * np.exp(1j * np.linspace(1.1, 2.0, n))
+        dpm_k = radius * np.exp(-1j * np.linspace(0.2, 2.9, n))
+        return (("in", d0_k), ("out", dpm_k)), w, om, coef
+
+    def test_assembly_matches_dense_exp(self):
+        ell = 1.0
+        (bases, w, om, coef) = self.assembly_nodes()
+        for x_grid, t_grid in (
+                (np.linspace(0.0, ell, 33), np.linspace(0.0, 0.5, 17)),
+                (np.linspace(0.1, 0.9, 37), np.linspace(0.05, 0.5, 23))):
+            assert linear._uniform_step(x_grid) is not None
+            assert linear._uniform_step(t_grid) is not None
+            for basis, k in bases:
+                got = linear._assemble(
+                    np.zeros((len(x_grid), len(t_grid)), dtype=complex),
+                    x_grid, t_grid, ell, basis, k, w, om, coef_static=coef,
+                    chunk=16)
+                want = self.dense_assembly(x_grid, t_grid, ell, basis, k, w,
+                                           om, coef)
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("x_grid, t_grid", [
+        (np.linspace(0.0, 1.0, 33) ** 2, np.linspace(0.5, 0.0, 17)),
+        (np.linspace(1.0, 0.0, 33), np.sqrt(np.linspace(0.0, 0.25, 17))),
+    ])
+    def test_assembly_on_other_grids_takes_the_dense_path(self, x_grid, t_grid,
+                                                          monkeypatch):
+        # non-uniform and descending grids never reach the factored tables
+        def no_factors(*args, **kwargs):
+            raise AssertionError("factored table built for a dense-path grid")
+
+        monkeypatch.setattr(linear, "_phase_table", no_factors)
+        ell = 1.0
+        (bases, w, om, coef) = self.assembly_nodes()
+        for basis, k in bases:
+            got = linear._assemble(
+                np.zeros((len(x_grid), len(t_grid)), dtype=complex),
+                x_grid, t_grid, ell, basis, k, w, om, coef_static=coef)
+            want = self.dense_assembly(x_grid, t_grid, ell, basis, k, w, om,
+                                       coef)
+            np.testing.assert_allclose(got, want, rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(want)))
+
+    def test_arc_amplification_guard(self):
+        # the arc radius R_Delta = 9 at T = 1 amplifies by e^{729}: the arc
+        # panel count would overflow, so the guard raises first
+        data = plane_wave_data(AIRY, 1.0, 1.0, 2.0)
+        budget = QuadratureBudget(contour_nodes=4000, real_axis_nodes=2000,
+                                  arc_radius=r_delta(AIRY, 1.0))
+        with pytest.raises(ExponentialOverflow, match="arc amplification"):
+            solve_full(data, (9, 9), budget)
+
 
 class TestFdWeights:
     def test_first_derivative_exact_for_cubic(self):
@@ -293,6 +369,39 @@ class TestForcedSolution:
             solve_full(data, (9, 9), budget)
             counts.append(sum(rows))
         assert 0 < counts[1] <= counts[0]
+
+
+class TestSolvePlan:
+    def test_apply_equals_solve_full(self):
+        data, _exact = _forced_plane_wave(AIRY, 33, 17)
+        want = solve_full(data, (9, 9), SMALL_BUDGET).values
+        plan = make_plan(data, (9, 9), SMALL_BUDGET)
+        np.testing.assert_array_equal(plan.apply(data).values, want)
+        # an equal data object is sampled afresh, to the same field
+        np.testing.assert_array_equal(plan.apply(replace(data)).values, want)
+        assert len(plan.groups) == len(plan.node_counts) == 9
+        assert 0 < plan.rho <= r_delta(AIRY, 1.0)
+
+    def test_data_and_forcing_parts_add_up(self):
+        # the solution map on one plan is linear: the split picard_solve uses
+        data, _exact = _forced_plane_wave(AIRY, 33, 17)
+        plan = make_plan(data, (9, 9), SMALL_BUDGET)
+        whole = plan.apply(data).values
+        parts = (plan.apply(replace(data, forcing=None)).values
+                 + plan.apply(replace(zero_data(AIRY, 1.0, 0.5),
+                                      forcing=data.forcing)).values)
+        assert np.max(np.abs(parts - whole)) <= 1e-10 * np.max(np.abs(whole))
+
+    @pytest.mark.parametrize("other", [
+        plane_wave_data(DispersionParams(1.0, 0.0, 1.0), 1.0, 0.5, 2.0),
+        plane_wave_data(AIRY, 2.0, 0.5, 2.0),
+        plane_wave_data(AIRY, 1.0, 0.25, 2.0),
+    ])
+    def test_apply_rejects_other_geometry(self, other):
+        plan = make_plan(plane_wave_data(AIRY, 1.0, 0.5, 2.0), (9, 9),
+                         SMALL_BUDGET)
+        with pytest.raises(ValueError):
+            plan.apply(other)
 
 
 class TestReducedBump:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hnls_utm import linear
 from hnls_utm.dispersion import DispersionParams
 from hnls_utm.errors import (InhomogeneousBoundary, MissingProxy,
                              NoConvergence)
@@ -190,6 +191,21 @@ class TestPicard:
         assert report.final_residual <= 1e-6
         d = report.to_dict()
         assert d["iterations"] == len(d["distances"])
+
+    def test_one_node_set_per_solve(self, monkeypatch):
+        # the contour nodes are built once, for the plan every iterate uses
+        calls = []
+        segments = linear._solver_segments
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return segments(*args, **kwargs)
+
+        monkeypatch.setattr(linear, "_solver_segments", counting)
+        _field, report = picard_solve(self.gaussian_data(0.05), (33, 17),
+                                      self.budget, max_iter=8, tol=1e-6)
+        assert len(report.distances) >= 2
+        assert len(calls) == 1
 
     def test_no_convergence_carries_report(self):
         with pytest.raises(NoConvergence) as err:
