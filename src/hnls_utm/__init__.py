@@ -20,11 +20,9 @@ from .nonlinear import (DissipationAudit, LifespanIndicator, PicardReport,
 from .norms import (NormKind, NormSpec, bessel_norm, check_admissible_pair,
                     ct_l2_distance, ct_l2_norm, mixed_norm, sobolev_norm)
 from .oracle import BcMode, OracleConfig, oracle_solve
-from .regions import (ContourSegment, ContourSet, RegionLabel, SegmentId,
-                      SegmentKind, build_contour_set, classify_region,
-                      delta_fn, im_omega, m_delta, r_delta)
-from .transforms import (GridKind, SpatialProfile, TimeSeries, forcing_transform,
-                         interval_fourier, laplace_transform, tilde_transform)
+from .regions import (RegionLabel, SegmentKind, classify_region, delta_fn,
+                      im_omega, m_delta, r_delta)
+from .transforms import GridKind, SpatialProfile, TimeSeries, laplace_transform
 from .verify import run_suite
 
 __version__ = "0.1.0"

@@ -37,12 +37,11 @@ from .fields import Field
 from .linear import (ProblemData, QuadratureBudget, evaluate_traces,
                      global_relation_residual, solve_full, solve_reduced)
 from .nonlinear import (apply_nonlinearity, check_compatibility,
-                        _combined_forcing, data_norm_sum, default_proxies,
-                        lifespan_indicator, picard_solve)
+                        _combined_forcing, _data_norm_terms, data_norm_sum,
+                        default_proxies, lifespan_indicator, picard_solve)
 from .norms import NormKind, NormSpec, ct_l2_norm, mixed_norm, sobolev_norm
 from .oracle import BcMode, OracleConfig, oracle_solve
 from .presets import plane_wave_data, profile_from_spec, series_from_spec
-from .transforms import SpatialProfile
 from .verify import SUITES, run_suite
 
 MODES = ("linear", "nonlinear", "reduced", "oracle", "compare")
@@ -188,9 +187,14 @@ def _write_norms(path, cfg: ScenarioConfig, field_obj: Field):
         ("data_norm_sum", s, 2.0, 2.0, data_norm_sum(cfg.data, s)),
     ]
     with open(path, "w", newline="\n") as fh:
-        fh.write("quantity,s,p,q,value\n")
-        for name, sv, pv, qv, val in rows:
-            fh.write("%s,%.17g,%.17g,%.17g,%.17g\n" % (name, sv, pv, qv, val))
+        fh.write(_norms_csv(rows))
+
+
+def _norms_csv(rows) -> str:
+    """The quantity,s,p,q,value table of (name, s, p, q, value) rows."""
+    lines = ["quantity,s,p,q,value"]
+    lines += ["%s,%.17g,%.17g,%.17g,%.17g" % row for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _trace_gaps(field_obj: Field, data: ProblemData) -> dict:
@@ -366,19 +370,11 @@ def norms(config_path, out_dir):
     except ConfigInvalid as exc:
         click.echo("config error: %s" % exc, err=True)
         sys.exit(2)
-    s = cfg.s
-    rows = [
-        ("u0_hs", s, 2.0, 2.0, sobolev_norm(cfg.data.u0, s)),
-        ("g0_h(s+1)/3", (s + 1) / 3, 2.0, 2.0,
-         _series_norm(cfg.data.g0, (s + 1) / 3)),
-        ("h0_h(s+1)/3", (s + 1) / 3, 2.0, 2.0,
-         _series_norm(cfg.data.h0, (s + 1) / 3)),
-        ("h1_hs/3", s / 3, 2.0, 2.0, _series_norm(cfg.data.h1, s / 3)),
-        ("data_norm_sum", s, 2.0, 2.0, data_norm_sum(cfg.data, s)),
-    ]
-    lines = ["quantity,s,p,q,value"]
-    lines += ["%s,%.17g,%.17g,%.17g,%.17g" % row for row in rows]
-    text = "\n".join(lines) + "\n"
+    terms = _data_norm_terms(cfg.data, cfg.s)
+    rows = [(name, order, 2.0, 2.0, norm) for name, order, norm in terms]
+    rows.append(("data_norm_sum", cfg.s, 2.0, 2.0,
+                 float(sum(norm for _name, _order, norm in terms))))
+    text = _norms_csv(rows)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -386,11 +382,6 @@ def norms(config_path, out_dir):
             fh.write(text)
     click.echo(text, nl=False)
     sys.exit(0)
-
-
-def _series_norm(series, s):
-    prof = SpatialProfile(series.horizon, series.samples, func=series.func)
-    return sobolev_norm(prof, s)
 
 
 if __name__ == "__main__":

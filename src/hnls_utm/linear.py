@@ -19,7 +19,9 @@ Two numerical choices matter:
   is zero-free there, so the contour may be pulled in; the deformation is
   validated at runtime by a scaled-denominator margin sweep over the region
   actually crossed.  rho is chosen so the arc growth stays near e^{24},
-  which costs only a modest number of extra arc nodes.
+  which costs only a modest number of extra arc nodes.  Where rho cannot be
+  that small (it is at least 1.5 / ell), an arc that would need more than
+  MAX_ARC_PANELS panels raises ExponentialOverflow before any is built.
 
 * Quadrature panels are graded in phase: panel edges are placed so each
   8-point Gauss-Legendre panel spans a bounded amount of the worst-case
@@ -72,12 +74,17 @@ from .errors import ExponentialOverflow, GridTooCoarse, InvalidTruncation, Quadr
 from .fields import Field
 from .regions import (RegionLabel, SegmentKind, arc_half_angle, r_delta,
                       segment_specs)
-from .transforms import OVERFLOW_GUARD, SpatialProfile, TimeSeries
+from .transforms import SpatialProfile, TimeSeries
 
 TWO_PI = 2.0 * np.pi
+# largest |real part| of an exponent the transforms and the assembly evaluate
+OVERFLOW_GUARD = 700.0
 # target cap on log of the arc amplification e^{beta rho^3 T}
 ARC_LOG_CAP = 12.0
 MIN_DELTA_MARGIN = 1e-4
+# most Gauss-Legendre panels one arc may take; more means the arc radius is
+# too large for the horizon, and the panels would exhaust memory
+MAX_ARC_PANELS = 100000
 
 
 @dataclass(frozen=True)
@@ -592,7 +599,7 @@ def _solver_segments(params, ell, horizon, budget, weight=None):
     specs = segment_specs(params, ell, rho, r_t)
     measures = []
     arc_panels = []
-    for (_sid, kind, _region, lo, hi, _ori, gamma, _dg) in specs:
+    for (kind, _region, lo, hi, _ori, gamma, _dg) in specs:
         # arcs keep the unweighted phase measure: their panel count is set
         # by the amplification bound, not by the data amplitude
         seg_weight = None if kind is SegmentKind.CIRCULAR_ARC else weight
@@ -610,7 +617,13 @@ def _solver_segments(params, ell, horizon, budget, weight=None):
                     "arc amplification exponent %.4g exceeds the overflow "
                     "guard; the arc radius is too large for the horizon" % amp)
             theta_max = 2.6 * (1e-8 * np.exp(-amp)) ** (1.0 / 16.0)
-            arc_panels.append(max(24, int(np.ceil(cum[-1] * TWO_PI / theta_max))))
+            n_arc = np.ceil(cum[-1] * TWO_PI / theta_max)
+            if n_arc > MAX_ARC_PANELS:
+                raise ExponentialOverflow(
+                    "arc at rho = %.4g with amplification exponent %.4g needs "
+                    "%.3g panels, more than %d; the arc radius is too large "
+                    "for the horizon" % (rho, amp, n_arc, MAX_ARC_PANELS))
+            arc_panels.append(max(24, int(n_arc)))
         else:
             arc_panels.append(None)
     free = [i for i, ap in enumerate(arc_panels) if ap is None]
@@ -621,7 +634,7 @@ def _solver_segments(params, ell, horizon, budget, weight=None):
     for i, share in zip(free, shares):
         panel_counts[i] = max(2, int(round(n_free_panels * share)))
     groups = []
-    for (sid, kind, region, lo, hi, ori, gamma, dgamma), (pf, cum), n_panels in zip(
+    for (_kind, region, lo, hi, ori, gamma, dgamma), (pf, cum), n_panels in zip(
             specs, measures, panel_counts):
         p, w = _graded_panel_nodes(pf, cum, n_panels)
         k = np.asarray(gamma(p), dtype=np.complex128)

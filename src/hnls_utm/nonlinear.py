@@ -172,17 +172,25 @@ def _interval_norm(profile: SpatialProfile, s: float) -> float:
     return bessel_norm(profile, s, 2.0)
 
 
-def data_norm_sum(data: ProblemData, s: float) -> float:
-    """||u0||_{H^s} + ||g0||_{H^{(s+1)/3}} + ||h0||_{H^{(s+1)/3}}
-    + ||h1||_{H^{s/3}}, the data bracket of the lifespan conditions."""
+def _data_norm_terms(data: ProblemData, s: float):
+    """The four terms of data_norm_sum as (name, order, norm) rows:
+    ||u0||_{H^s}, ||g0||_{H^{(s+1)/3}}, ||h0||_{H^{(s+1)/3}} and
+    ||h1||_{H^{s/3}}."""
     x = np.linspace(0.0, data.ell, 257)
     u0 = SpatialProfile(data.ell, np.asarray(data.u0(x), dtype=np.complex128),
                         func=data.u0.func)
-    total = _interval_norm(u0, s)
-    total += _interval_norm(_time_profile(data.g0), (s + 1.0) / 3.0)
-    total += _interval_norm(_time_profile(data.h0), (s + 1.0) / 3.0)
-    total += _interval_norm(_time_profile(data.h1), s / 3.0)
-    return float(total)
+    return [("u0_hs", s, _interval_norm(u0, s)),
+            ("g0_h(s+1)/3", (s + 1.0) / 3.0,
+             _interval_norm(_time_profile(data.g0), (s + 1.0) / 3.0)),
+            ("h0_h(s+1)/3", (s + 1.0) / 3.0,
+             _interval_norm(_time_profile(data.h0), (s + 1.0) / 3.0)),
+            ("h1_hs/3", s / 3.0, _interval_norm(_time_profile(data.h1), s / 3.0))]
+
+
+def data_norm_sum(data: ProblemData, s: float) -> float:
+    """||u0||_{H^s} + ||g0||_{H^{(s+1)/3}} + ||h0||_{H^{(s+1)/3}}
+    + ||h1||_{H^{s/3}}, the data bracket of the lifespan conditions."""
+    return float(sum(norm for _name, _order, norm in _data_norm_terms(data, s)))
 
 
 def lifespan_indicator(data: ProblemData, s: float,

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from scipy.interpolate import CubicSpline
-from scipy.special import roots_legendre
 
 from .fields import Field
-from .transforms import GridKind, SpatialProfile, chebyshev_grid
+from .transforms import GridKind, SpatialProfile, chebyshev_grid, composite_gl
 
 
 class NormKind(enum.Enum):
@@ -81,25 +80,18 @@ def _derivative_func(profile: SpatialProfile, order: int):
     return spline.derivative(order) if order else spline
 
 
-def _gl_l2(func, ell: float, n_panels: int = 64) -> float:
-    xg, wg = roots_legendre(8)
-    edges = np.linspace(0.0, ell, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return float(np.sqrt(np.sum(w * np.abs(func(x)) ** 2).real))
-
-
 def sobolev_norm(profile: SpatialProfile, s: float) -> float:
     """H^s(0, ell) norm; integer s uses the derivative-sum convention,
     fractional s the extension realization of bessel_norm at p=2."""
     if s < 0:
         raise ValueError("s must be nonnegative")
     if float(s).is_integer():
+        # 64 uniform 8-point panels: composite_gl takes (257 - 1) // 4
+        x, w = composite_gl(0.0, profile.ell, 257)
         total = 0.0
         for j in range(int(s) + 1):
-            total += _gl_l2(_derivative_func(profile, j), profile.ell)
+            vals = _derivative_func(profile, j)(x)
+            total += float(np.sqrt(np.sum(w * np.abs(vals) ** 2).real))
         return total
     return bessel_norm(profile, s, 2.0)
 

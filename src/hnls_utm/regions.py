@@ -1,26 +1,23 @@
-"""Region classification and quadrature contours in the complex k-plane.
+"""Region classification and the boundary segments in the complex k-plane.
 
 The sign of Im omega(k) splits the plane into the solution-formula regions:
 D0 (Im omega < 0 above the real axis) and D+/D- (Im omega < 0 below the real
 axis, right/left of the center line Re k = alpha/(3 beta)).  The punctured
-regions remove the disk of radius R_Delta around the center, which contains
-the branch cut and all zeros of Delta.  Their boundaries are assembled from
-nine oriented segments: hyperbola branches of the Im omega = 0 locus,
-circular arcs of the puncture disk, and real-axis rays, each truncated at a
-common radius and discretized by composite Gauss-Legendre panels.
+regions remove a disk around the center, which for the radius R_Delta
+contains the branch cut and all zeros of Delta.  Their boundaries are nine
+oriented segments: hyperbola branches of the Im omega = 0 locus, circular
+arcs of the puncture disk, and real-axis rays, each truncated at a common
+radius.  segment_specs describes them geometrically; the solver
+(linear._solver_segments) places its phase-graded quadrature nodes on them.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
-from .dispersion import DispersionParams, mu_factors, symmetries, symmetry_roots
-from .errors import InvalidTruncation
+from .dispersion import DispersionParams, symmetry_roots
 
 
 class RegionLabel(enum.Enum):
@@ -103,97 +100,6 @@ DELTA_BOUND_CPM = ((3.0 * np.sqrt(2.0) - np.sqrt(7.0)) / (2.0 * np.sqrt(2.0))
                    * np.exp(-9.0 / 4.0))
 
 
-class SegmentId(enum.Enum):
-    GAMMA1 = 1
-    GAMMA2 = 2
-    GAMMA3 = 3
-    GAMMA4 = 4
-    GAMMA5 = 5
-    GAMMA6 = 6
-    GAMMA7 = 7
-    GAMMA8 = 8
-    GAMMA9 = 9
-
-
-@dataclass(frozen=True)
-class ContourSegment:
-    """One oriented piece of the truncated region boundary.
-
-    parametrization maps the natural real parameter (height r for hyperbola
-    branches, angle theta for arcs, abscissa for real rays) to a point k.
-    orientation is +1 when the traversal runs with increasing parameter and
-    -1 otherwise; the quadrature weights already carry the sign, so
-    sum(w * f(nodes_k)) approximates the oriented integral of f dk.
-    """
-
-    id: SegmentId
-    kind: SegmentKind
-    region: RegionLabel
-    param_range: tuple
-    orientation: int
-    parametrization: Callable = field(repr=False)
-    nodes_param: np.ndarray = field(repr=False)
-    nodes_k: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class ContourSet:
-    segments: tuple
-    r_delta: float
-    phi0: float
-    truncation_radius: float
-    nodes_per_segment: int
-
-    def nodes(self, regions=None):
-        """Concatenated (k, dk-weight) arrays, optionally restricted to the
-        boundary of the given regions."""
-        segs = [s for s in self.segments
-                if regions is None or s.region in regions]
-        k = np.concatenate([s.nodes_k for s in segs])
-        w = np.concatenate([s.weights for s in segs])
-        return k, w
-
-    def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("segment_id,param,re_k,im_k,weight\n")
-            for s in self.segments:
-                for p, k, w in zip(s.nodes_param, s.nodes_k, s.weights):
-                    fh.write("%s,%.17g,%.17g,%.17g,%.17g%+.17gj\n"
-                             % (s.id.name, p, k.real, k.imag, w.real, w.imag))
-
-
-def _panel_nodes(lo: float, hi: float, n_nodes: int):
-    """Composite Gauss-Legendre nodes/weights on [lo, hi].
-
-    Panels are uniform except that the first and last are split in half, to
-    concentrate points near segment junctions where integrand curvature
-    peaks.
-    """
-    per_panel = 8
-    n_panels = max(1, int(np.ceil(n_nodes / per_panel)))
-    edges = list(np.linspace(lo, hi, n_panels + 1))
-    if n_panels >= 2:
-        edges = ([edges[0], 0.5 * (edges[0] + edges[1])] + edges[1:-1]
-                 + [0.5 * (edges[-2] + edges[-1]), edges[-1]])
-    xg, wg = roots_legendre(per_panel)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        xs.append(0.5 * (a + b) + half * xg)
-        ws.append(half * wg)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _make_segment(seg_id, kind, region, lo, hi, orientation, gamma, dgamma, n_nodes):
-    p, w = _panel_nodes(lo, hi, n_nodes)
-    k = gamma(p)
-    weights = orientation * w * dgamma(p)
-    return ContourSegment(seg_id, kind, region, (lo, hi), orientation,
-                          gamma, p, np.asarray(k, dtype=np.complex128),
-                          np.asarray(weights, dtype=np.complex128))
-
-
 def arc_half_angle(params: DispersionParams, radius: float) -> float:
     """Half-angle (measured from the vertical) subtended by the puncture arc
     bounding the upper region: the circle of the given radius meets the
@@ -208,9 +114,15 @@ def segment_specs(params: DispersionParams, ell: float, puncture_radius: float,
                   truncation_radius: float):
     """Geometric descriptions of the nine boundary segments.
 
-    Returns a list of (id, kind, region, lo, hi, orientation, gamma, dgamma)
-    tuples; the puncture radius is R_Delta for the canonical contour set but
-    the solver may pass a smaller (deformation-checked) radius.
+    Returns a list of (kind, region, lo, hi, orientation, gamma, dgamma)
+    tuples, Gamma_1 to Gamma_9 in order: gamma maps the natural real
+    parameter in [lo, hi] (height r on hyperbola branches, angle theta on
+    arcs, abscissa on real rays) to k, dgamma is its derivative, and
+    orientation is +1 when the boundary runs with increasing parameter and -1
+    otherwise.  Each region's boundary is positively oriented (region on the
+    left), and its three segments meet end to end.  The puncture radius is
+    R_Delta for the canonical contour, but the solver passes a smaller
+    (deformation-checked) radius.
     """
     beta = params.beta
     c0 = params.center
@@ -258,49 +170,20 @@ def segment_specs(params: DispersionParams, ell: float, puncture_radius: float,
     hb = SegmentKind.HYPERBOLA_BRANCH
     return [
         # boundary of the punctured D0, counterclockwise
-        (SegmentId.GAMMA1, hb, RegionLabel.D0, r0, r_trunc, -1, g1, dg1),
-        (SegmentId.GAMMA2, SegmentKind.CIRCULAR_ARC, RegionLabel.D0,
+        (hb, RegionLabel.D0, r0, r_trunc, -1, g1, dg1),
+        (SegmentKind.CIRCULAR_ARC, RegionLabel.D0,
          0.5 * np.pi - phi0, 0.5 * np.pi + phi0, -1, arc, darc),
-        (SegmentId.GAMMA3, hb, RegionLabel.D0, r0, r_trunc, +1, g3, dg3),
+        (hb, RegionLabel.D0, r0, r_trunc, +1, g3, dg3),
         # boundary of the punctured D+
-        (SegmentId.GAMMA4, SegmentKind.REAL_RAY, RegionLabel.DPLUS,
+        (SegmentKind.REAL_RAY, RegionLabel.DPLUS,
          c0 + rd, c0 + r_t, -1, real_ray, done),
-        (SegmentId.GAMMA5, SegmentKind.CIRCULAR_ARC, RegionLabel.DPLUS,
+        (SegmentKind.CIRCULAR_ARC, RegionLabel.DPLUS,
          -(0.5 * np.pi - phi0), 0.0, -1, arc, darc),
-        (SegmentId.GAMMA6, hb, RegionLabel.DPLUS, r0, r_trunc, +1, g6, dg6),
+        (hb, RegionLabel.DPLUS, r0, r_trunc, +1, g6, dg6),
         # boundary of the punctured D-
-        (SegmentId.GAMMA7, hb, RegionLabel.DMINUS, r0, r_trunc, -1, g7, dg7),
-        (SegmentId.GAMMA8, SegmentKind.CIRCULAR_ARC, RegionLabel.DMINUS,
+        (hb, RegionLabel.DMINUS, r0, r_trunc, -1, g7, dg7),
+        (SegmentKind.CIRCULAR_ARC, RegionLabel.DMINUS,
          -np.pi, -(0.5 * np.pi + phi0), -1, arc, darc),
-        (SegmentId.GAMMA9, SegmentKind.REAL_RAY, RegionLabel.DMINUS,
+        (SegmentKind.REAL_RAY, RegionLabel.DMINUS,
          c0 - r_t, c0 - rd, -1, real_ray, done),
     ]
-
-
-def build_contour_set(params: DispersionParams, ell: float,
-                      truncation_radius: float, nodes_per_segment: int) -> ContourSet:
-    """Construct the nine truncated boundary segments of the punctured
-    regions, positively oriented (region on the left).
-
-    Within each region the three segments meet end to end; the labeling runs
-    counterclockwise starting from the upper-left hyperbola branch.
-    """
-    if nodes_per_segment < 8:
-        raise ValueError("nodes_per_segment must be at least 8")
-    rd = r_delta(params, ell)
-    if truncation_radius < rd:
-        raise InvalidTruncation(
-            "truncation radius %.6g is below the puncture radius %.6g"
-            % (truncation_radius, rd))
-    phi0 = arc_half_angle(params, rd)
-    specs = segment_specs(params, ell, rd, truncation_radius)
-    segments = tuple(_make_segment(*spec, nodes_per_segment) for spec in specs)
-    return ContourSet(segments, rd, phi0, truncation_radius, nodes_per_segment)
-
-
-def segment_endpoints(seg: ContourSegment):
-    """Start and end point of the oriented traversal."""
-    lo, hi = seg.param_range
-    if seg.orientation > 0:
-        return complex(seg.parametrization(lo)), complex(seg.parametrization(hi))
-    return complex(seg.parametrization(hi)), complex(seg.parametrization(lo))

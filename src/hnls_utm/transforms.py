@@ -1,12 +1,12 @@
-"""Quadrature evaluation of the data transforms at complex arguments.
+"""Data containers and the uniform Gauss-Legendre rule.
 
-interval_fourier computes the finite-interval Fourier transform
-phi_hat(k) = int_0^ell exp(-i k x) phi(x) dx, which is entire in k, and
-tilde_transform computes the truncated time transform
-phi_tilde(w, t) = int_0^t exp(-i w t') phi(t') dt'.  Both are evaluated by
-composite Gauss-Legendre panels; sampled data are carried onto the
-quadrature nodes by interpolation, while analytic presets attach a callable
-that is evaluated directly.
+SpatialProfile and TimeSeries hold complex samples of the data on [0, ell]
+and [0, horizon]; sampled data are carried off the grid by interpolation,
+while analytic presets attach a callable that is evaluated directly.
+composite_gl is the uniform composite Gauss-Legendre rule of the norm
+integrals and of laplace_transform.  The data transforms of the solution
+formula (the interval Fourier transform and the truncated time transforms)
+live in linear, next to the contours they are evaluated on.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import BarycentricInterpolator, CubicSpline
 from scipy.special import roots_legendre
-
-from .errors import ExponentialOverflow
-
-OVERFLOW_GUARD = 700.0
 
 
 class GridKind(enum.Enum):
@@ -121,55 +117,6 @@ def composite_gl(a: float, b: float, n_samples: int):
     x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     w = (half[:, None] * wg[None, :]).ravel()
     return x, w
-
-
-def interval_fourier(profile: SpatialProfile, k):
-    """phi_hat(k) = int_0^ell exp(-i k x) phi(x) dx for scalar or array k."""
-    scalar = np.isscalar(k)
-    karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-    if np.max(np.abs(karr.imag)) * profile.ell > OVERFLOW_GUARD:
-        raise ExponentialOverflow("|Im k| * ell exceeds the overflow guard")
-    x, w = composite_gl(0.0, profile.ell, len(profile.samples))
-    vals = profile(x) * w
-    out = np.exp(-1j * np.outer(karr, x)) @ vals
-    return complex(out[0]) if scalar else out.reshape(np.shape(k))
-
-
-def tilde_transform(series: TimeSeries, w, t_upper: float):
-    """phi_tilde(w, t_upper) = int_0^{t_upper} exp(-i w t') phi(t') dt'."""
-    if not (0.0 <= t_upper <= series.horizon * (1 + 1e-12)):
-        raise ValueError("t_upper outside [0, horizon]")
-    if t_upper == 0.0:
-        return 0.0 + 0.0j if np.isscalar(w) else np.zeros(np.shape(w), dtype=np.complex128)
-    scalar = np.isscalar(w)
-    warr = np.atleast_1d(np.asarray(w, dtype=np.complex128))
-    if np.max(np.abs(warr.imag)) * t_upper > OVERFLOW_GUARD:
-        raise ExponentialOverflow("|Im w| * t exceeds the overflow guard")
-    t, wt = composite_gl(0.0, t_upper, len(series.samples))
-    vals = series(t) * wt
-    out = np.exp(-1j * np.outer(warr, t)) @ vals
-    return complex(out[0]) if scalar else out.reshape(np.shape(w))
-
-
-def forcing_transform(f_hat_slices: np.ndarray, horizon: float, w, t_upper: float):
-    """Time transform int_0^{t_upper} exp(-i w t') f_hat(k, t') dt' of
-    forcing-transform slices sampled on the solver's uniform time grid.
-
-    f_hat_slices has shape (nt,) for a single k, or (nk, nt) with w of shape
-    (nk,) pairing each row with its own transform argument.
-    """
-    slices = np.asarray(f_hat_slices, dtype=np.complex128)
-    if slices.ndim == 1:
-        return tilde_transform(TimeSeries(horizon, slices), w, t_upper)
-    if t_upper == 0.0:
-        return np.zeros(slices.shape[0], dtype=np.complex128)
-    warr = np.asarray(w, dtype=np.complex128)
-    if np.max(np.abs(warr.imag)) * t_upper > OVERFLOW_GUARD:
-        raise ExponentialOverflow("|Im w| * t exceeds the overflow guard")
-    t, wt = composite_gl(0.0, t_upper, slices.shape[1])
-    tgrid = np.linspace(0.0, horizon, slices.shape[1])
-    vals = CubicSpline(tgrid, slices, axis=1)(t) * wt[None, :]
-    return np.sum(np.exp(-1j * np.outer(warr, t)) * vals, axis=1)
 
 
 def laplace_transform(phi_samples: np.ndarray, r_max: float):

@@ -135,6 +135,21 @@ class TestSolveVerb:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "ExponentialOverflow"
 
+    def test_arc_panel_cap_exit_3(self, tmp_path):
+        # ell = 0.2, T = 1 at the default budget: the arc would need about
+        # 4.6e14 panels
+        doc = dict(BASE, geometry={"ell": 0.2, "horizon": 1.0},
+                   data={"preset": "plane_wave", "a": 2.0},
+                   solver={"grid": [9, 9]})
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "o5"
+        result = CliRunner().invoke(main, ["solve", "--config", config,
+                                           "--mode", "linear",
+                                           "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "ExponentialOverflow"
+
 
 class TestVerifyVerb:
     def test_pass_and_determinism(self, tmp_path):
@@ -164,3 +179,17 @@ class TestNormsVerb:
         text = (out / "data_norms.csv").read_text() \
             if (out / "data_norms.csv").exists() else result.output
         assert "data_norm_sum" in text
+
+    def test_data_rows_sum_to_data_norm_sum(self, tmp_path):
+        doc = dict(BASE, data=dict(BASE["data"],
+                                   u0={"preset": "gaussian", "center": 0.5,
+                                       "width": 0.15},
+                                   g0={"preset": "bump"}))
+        config = write_config(tmp_path, doc)
+        result = CliRunner().invoke(main, ["norms", "--config", config])
+        assert result.exit_code == 0
+        rows = {line.split(",")[0]: float(line.split(",")[-1])
+                for line in result.output.splitlines()[1:]}
+        data_rows = [rows[name] for name in ("u0_hs", "g0_h(s+1)/3",
+                                             "h0_h(s+1)/3", "h1_hs/3")]
+        assert sum(data_rows) == pytest.approx(rows["data_norm_sum"], rel=1e-12)

@@ -8,8 +8,9 @@ import pytest
 from hnls_utm.dispersion import DispersionParams, symmetry_roots
 from hnls_utm.errors import ExponentialOverflow, GridTooCoarse
 from hnls_utm.fields import Field
-from hnls_utm.linear import (ProblemData, QuadratureBudget, _cumulative_transform,
-                             _filon_moments, _time_transform, evaluate_traces,
+from hnls_utm.linear import (OVERFLOW_GUARD, ProblemData, QuadratureBudget,
+                             _cumulative_transform, _filon_moments,
+                             _time_transform, evaluate_traces,
                              fd_weights,
                              global_relation_residual, make_plan, solve_full,
                              solve_reduced, zero_data)
@@ -18,7 +19,7 @@ from hnls_utm.regions import r_delta
 from hnls_utm.presets import (bump_profile, bump_series, plane_wave_data,
                               plane_wave_exact, plane_wave_field, zero_profile,
                               zero_series)
-from hnls_utm.transforms import OVERFLOW_GUARD, SpatialProfile, TimeSeries
+from hnls_utm.transforms import SpatialProfile, TimeSeries
 
 AIRY = DispersionParams(1.0, 0.0, 0.0)
 SMALL_BUDGET = QuadratureBudget(contour_nodes=4000, real_axis_window=15.0,
@@ -260,6 +261,14 @@ class TestExponentialTables:
                                   arc_radius=r_delta(AIRY, 1.0))
         with pytest.raises(ExponentialOverflow, match="arc amplification"):
             solve_full(data, (9, 9), budget)
+
+    def test_arc_panel_cap(self):
+        # on a short interval the arc radius is held at 1.5 / ell = 7.5: at
+        # T = 1 that is an amplification exponent of 422, below the overflow
+        # guard, and about 4.6e14 panels per arc, so the panel cap raises
+        data = plane_wave_data(AIRY, 0.2, 1.0, 2.0)
+        with pytest.raises(ExponentialOverflow, match="panels"):
+            solve_full(data, (9, 9), QuadratureBudget())
 
 
 class TestFdWeights:

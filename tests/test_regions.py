@@ -1,16 +1,35 @@
-"""Region classification, puncture radius, Delta, and contour construction."""
+"""Region classification, puncture radius, Delta, and the solver's contour:
+the boundary segments of segment_specs and the nodes linear._solver_segments
+places on them."""
 
 import numpy as np
 import pytest
 
 from hnls_utm.dispersion import DispersionParams, symmetries
 from hnls_utm.errors import InvalidTruncation
+from hnls_utm.linear import QuadratureBudget, _solver_segments
 from hnls_utm.regions import (DELTA_BOUND_C0, DELTA_BOUND_CPM, RegionLabel,
-                              SegmentKind, arc_half_angle, build_contour_set,
-                              classification_tol, classify_region, delta_fn,
-                              im_omega, m_delta, r_delta, segment_endpoints)
+                              SegmentKind, arc_half_angle, classification_tol,
+                              classify_region, delta_fn, im_omega, m_delta,
+                              r_delta, segment_specs)
 
 AIRY = DispersionParams(1.0, 0.0, 0.0)
+# truncation radius 20 on the unit interval, horizon 1/2
+BUDGET = QuadratureBudget(contour_nodes=4000, real_axis_window=20.0)
+
+
+def solver_segments(params, ell=1.0, horizon=0.5, budget=BUDGET):
+    """The solver's contour nodes as (kind, k) per segment, and rho."""
+    groups, rho = _solver_segments(params, ell, horizon, budget)
+    specs = segment_specs(params, ell, rho, budget.real_axis_window)
+    return [(spec[0], k) for spec, (_region, k, _w) in zip(specs, groups)], rho
+
+
+def segment_endpoints(spec):
+    """Start and end point of a segment_specs segment's oriented traversal."""
+    _kind, _region, lo, hi, orientation, gamma, _dgamma = spec
+    ends = (complex(gamma(lo)), complex(gamma(hi)))
+    return ends if orientation > 0 else ends[::-1]
 
 
 class TestImOmega:
@@ -64,14 +83,14 @@ class TestRadii:
         assert val == pytest.approx((1 / 3 + 9) ** 3 + (1 / 3 + 9) ** 2, rel=1e-12)
 
     def test_m_delta_bounds_arc(self):
-        cs = build_contour_set(AIRY, 1.0, 20.0, 64)
+        segments, rho = solver_segments(AIRY)
         md = m_delta(AIRY, 1.0)
-        for seg in cs.segments:
-            if seg.kind is SegmentKind.CIRCULAR_ARC:
-                w = (AIRY.beta * seg.nodes_k ** 3
-                     - AIRY.alpha * seg.nodes_k ** 2 - AIRY.delta * seg.nodes_k)
+        for kind, nodes_k in segments:
+            if kind is SegmentKind.CIRCULAR_ARC:
+                w = (AIRY.beta * nodes_k ** 3
+                     - AIRY.alpha * nodes_k ** 2 - AIRY.delta * nodes_k)
                 # the bound is stated on the puncture circle radius R_Delta
-                on_rd = seg.nodes_k * (cs.r_delta / 20.0)
+                on_rd = nodes_k * (r_delta(AIRY, 1.0) / rho)
                 w_rd = AIRY.beta * on_rd ** 3
                 assert np.all(np.abs(w_rd) <= md * (1 + 1e-12))
                 assert np.all(np.isfinite(w))
@@ -101,18 +120,19 @@ class TestContourSet:
     def test_nodes_on_boundary(self):
         for params in (AIRY, DispersionParams(1.0, 0.0, 3.0),
                        DispersionParams(1.0, 0.0, -3.0)):
-            cs = build_contour_set(params, 1.0, 20.0, 64)
+            segments, rho = solver_segments(params)
             tol = 1e-9 * m_delta(params, 1.0)
-            for seg in cs.segments:
-                if seg.kind is SegmentKind.CIRCULAR_ARC:
-                    r = np.abs(seg.nodes_k - params.center)
-                    np.testing.assert_allclose(r, cs.r_delta, rtol=1e-12)
+            for kind, nodes_k in segments:
+                if kind is SegmentKind.CIRCULAR_ARC:
+                    r = np.abs(nodes_k - params.center)
+                    np.testing.assert_allclose(r, rho, rtol=1e-12)
                 else:
-                    assert np.max(np.abs(im_omega(params, seg.nodes_k))) <= tol
+                    assert np.max(np.abs(im_omega(params, nodes_k))) <= tol
 
     def test_segments_close_up(self):
-        cs = build_contour_set(AIRY, 1.0, 20.0, 32)
-        ends = [segment_endpoints(s) for s in cs.segments]
+        _segments, rho = solver_segments(AIRY)
+        ends = [segment_endpoints(spec)
+                for spec in segment_specs(AIRY, 1.0, rho, 20.0)]
         # consecutive segments within each region boundary share endpoints
         gaps = []
         for (a_start, a_end), (b_start, b_end) in zip(ends[:-1], ends[1:]):
@@ -122,7 +142,8 @@ class TestContourSet:
 
     def test_invalid_truncation(self):
         with pytest.raises(InvalidTruncation):
-            build_contour_set(AIRY, 1.0, 2.0, 32)
+            _solver_segments(AIRY, 1.0, 0.5,
+                             QuadratureBudget(real_axis_window=2.0))
 
     def test_classification_tol_scale(self):
         assert classification_tol(AIRY, 1.0) == pytest.approx(1e-12 * 730.0)

@@ -1,4 +1,8 @@
-"""Finite-interval Fourier, tilde, forcing, and Laplace transforms."""
+"""Closed forms of the solver's transforms: the finite-interval Fourier
+transform (linear._apply_kernel on linear._x_quadrature), the truncated time
+transforms (linear._time_transform, linear._cumulative_transform) and the
+factored forcing transform (linear._factor_forcing); the Laplace transform
+and the data containers."""
 
 import numpy as np
 import pytest
@@ -6,13 +10,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnls_utm.errors import ExponentialOverflow
+from hnls_utm.linear import (_apply_kernel, _cumulative_transform,
+                             _factor_forcing, _time_transform, _x_quadrature)
 from hnls_utm.transforms import (GridKind, SpatialProfile, TimeSeries,
-                                 forcing_transform, interval_fourier,
-                                 laplace_transform, tilde_transform)
+                                 laplace_transform)
 
 
 def profile_of(func, ell=1.0, n=257):
     return SpatialProfile.from_callable(func, ell, n=n)
+
+
+def interval_fourier(prof, k):
+    """phi_hat(k) = int_0^ell e^{-i k x} phi(x) dx as the solver computes it:
+    the x-kernel applied to the profile on the x-quadrature."""
+    xq = _x_quadrature(prof.ell)
+    karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
+    (out,) = _apply_kernel(karr, None, xq, [prof(xq.nodes)])
+    return complex(out[0]) if np.isscalar(k) else out
+
+
+def tilde_transform(ser, w):
+    """int_0^horizon e^{-i w t} phi(t) dt as the solver computes it."""
+    return complex(_time_transform(ser.samples, ser.horizon, np.array([w]))[0])
+
+
+def forcing_transform(func, ell, horizon, k, w, nt=257):
+    """int_0^horizon e^{-i w t} int_0^ell e^{-i k x} f(x, t) dx dt as the
+    solver computes it: the forcing sampled on the x-quadrature and a uniform
+    time grid, factored as A(x) B(t), the x-kernel on the columns of A and
+    the time transform of the rows of B."""
+    xq = _x_quadrature(ell)
+    t = np.linspace(0.0, horizon, nt)
+    factored = _factor_forcing(func(xq.nodes[:, None], t[None, :]))
+    if factored is None:
+        return 0.0
+    a, b = factored
+    (ahat,) = _apply_kernel(np.array([k], dtype=np.complex128), None, xq, [a])
+    bt = _time_transform(b, horizon, np.array([w], dtype=np.complex128))
+    return complex(np.sum(ahat * bt, axis=1)[0])
 
 
 class TestIntervalFourier:
@@ -44,50 +79,50 @@ class TestIntervalFourier:
 class TestTildeTransform:
     def test_constant_zero_frequency(self):
         ser = TimeSeries.from_callable(lambda t: np.ones_like(t, dtype=complex), 2.0)
-        assert tilde_transform(ser, 0.0 + 0.0j, 2.0) == pytest.approx(2.0)
+        assert tilde_transform(ser, 0.0 + 0.0j) == pytest.approx(2.0)
 
     def test_constant_resonant(self):
         ser = TimeSeries.from_callable(lambda t: np.ones_like(t, dtype=complex), np.pi)
-        assert tilde_transform(ser, 2.0 + 0.0j, np.pi) == pytest.approx(0.0, abs=1e-12)
+        assert tilde_transform(ser, 2.0 + 0.0j) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_by_parts(self):
         ser = TimeSeries.from_callable(lambda t: t.astype(complex), 1.0)
         # int_0^1 t e^{-it} dt by parts
         want = 1j * np.exp(-1j) + (np.exp(-1j) - 1.0)
-        assert tilde_transform(ser, 1.0 + 0.0j, 1.0) == pytest.approx(want, rel=1e-10)
+        assert tilde_transform(ser, 1.0 + 0.0j) == pytest.approx(want, rel=1e-10)
 
     def test_truncated_upper_limit(self):
         ser = TimeSeries.from_callable(lambda t: np.ones_like(t, dtype=complex), 2.0)
-        assert tilde_transform(ser, 0.0 + 0.0j, 0.5) == pytest.approx(0.5)
+        # the running transform at the grid time t = 0.5
+        running = _cumulative_transform(ser.samples[None, :], ser.horizon,
+                                        np.array([0.0 + 0.0j]), np.ones((1, 1)))
+        j = int(np.flatnonzero(ser.grid() == 0.5)[0])
+        assert running[0, j] == pytest.approx(0.5)
 
 
 class TestForcingTransform:
     def test_zero(self):
-        slices = np.zeros(65, dtype=complex)
-        assert forcing_transform(slices, 1.0, 1.0 + 0.0j, 1.0) == 0.0
+        zero = lambda x, t: np.zeros(np.broadcast(x, t).shape, dtype=complex)
+        assert forcing_transform(zero, 1.0, 1.0, 1.0 + 0.0j, 1.0 + 0.0j, nt=65) == 0.0
 
     def test_separable_product(self):
-        # f_hat(k, t) = phi_hat(k) psi(t): the transform factorizes
+        # f(x, t) = phi(x) psi(t): the transform factorizes
         ell, horizon = 1.0, 1.0
         prof = profile_of(lambda x: np.exp(1j * x), ell)
         psi = lambda t: np.exp(2j * t)
-        t = np.linspace(0.0, horizon, 257)
         k, w = 4.0 + 0.0j, 3.0 + 0.0j
-        slices = interval_fourier(prof, k) * psi(t)
         ser = TimeSeries.from_callable(lambda tt: psi(tt).astype(complex), horizon)
-        want = interval_fourier(prof, k) * tilde_transform(ser, w, horizon)
-        got = forcing_transform(slices, horizon, w, horizon)
+        want = interval_fourier(prof, k) * tilde_transform(ser, w)
+        got = forcing_transform(lambda x, t: prof(x) * psi(t), ell, horizon, k, w)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_exponential_closed_form(self):
         a, b = 2.0, 3.0
-        prof = profile_of(lambda x: np.exp(1j * a * x))
-        t = np.linspace(0.0, 1.0, 257)
         k, w = 5.0 + 0.0j, 1.0 + 0.0j
-        slices = interval_fourier(prof, k) * np.exp(1j * b * t)
         x_part = (1 - np.exp(-1j * (k - a))) / (1j * (k - a))
         t_part = (np.exp(1j * (b - w)) - 1) / (1j * (b - w))
-        got = forcing_transform(slices, 1.0, w, 1.0)
+        got = forcing_transform(lambda x, t: np.exp(1j * a * x + 1j * b * t),
+                                1.0, 1.0, k, w)
         assert got == pytest.approx(x_part * t_part, rel=1e-9)
 
 
