@@ -44,11 +44,6 @@ class Field:
         ref = other.l2_norm_xt()
         return diff.l2_norm_xt() / ref if ref > 0 else diff.l2_norm_xt()
 
-    def slice_l2(self) -> np.ndarray:
-        """L2_x norm of each time slice."""
-        sq = np.abs(self.values) ** 2
-        return np.sqrt(np.trapezoid(sq, self.x_grid, axis=0))
-
     def to_csv(self, path, header: dict | None = None):
         """CSV columns x, t, re_u, im_u; optional JSON header sidecar."""
         with open(path, "w", newline="\n") as fh:

@@ -51,9 +51,15 @@ each.  This holds for the time transforms' grid and for the output assembly's
 e^{i k x} and e^{i omega t} whenever the caller's output grids are ascending
 and uniform; other output grids take one exponential per entry.
 
+The three contour regions share one term, SolvePlan._contour_term: a region
+fixes only its dominant symmetry root sigma (k, nu+ or nu-), whether the
+data are scaled by e^{i sigma ell}, and the assembly basis.  Each group takes
+one x-kernel application per symmetry root and divides by _scaled_delta, the
+one place the Delta formula lives.
+
 The data-independent part of a solve is a SolvePlan: output grids,
-x-quadrature, real-axis and contour nodes, the deformed arc radius rho, and
-the radial envelope weight of the data the plan is made from.
+x-quadrature, real-axis and contour nodes (thinned by the radial envelope of
+the data the plan is made from) and the deformed arc radius rho.
 SolvePlan.apply(data) does the data transforms and the assembly only, and
 skips the transforms of identically zero data; solve_full is
 make_plan(...).apply(data).
@@ -62,14 +68,14 @@ make_plan(...).apply(data).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 from scipy.special import roots_legendre
 
-from .dispersion import DispersionParams, branch_points, omega, omega_prime, symmetry_roots
+from .dispersion import DispersionParams, omega, omega_prime, symmetry_roots
 from .errors import ExponentialOverflow, GridTooCoarse, InvalidTruncation, QuadratureDiverged
 from .fields import Field
 from .regions import (RegionLabel, SegmentKind, arc_half_angle, r_delta,
@@ -532,27 +538,34 @@ def _radial_envelope(params, ell, horizon, xquad, samples, r_max, n_r=193):
     return wfun
 
 
-def _dominant_label(region):
-    return {"D0": 0, "DPlus": 1, "DMinus": 2}[region.value]
+# the index in (k, nu+, nu-) of each region's dominant symmetry root sigma
+_DOMINANT_ROOT = {RegionLabel.D0: 0, RegionLabel.DPLUS: 1, RegionLabel.DMINUS: 2}
 
 
-def _scaled_delta(params, ell, k, region):
-    """e^{i sigma ell} Delta(k) with sigma the region's dominant symmetry
-    root, written so all exponents have nonpositive real part."""
-    nu0, nup, num = symmetry_roots(params, k)
-    mu0, mup, mum = nup - num, num - nu0, nu0 - nup
-    sig = (nu0, nup, num)[_dominant_label(region)]
-    e0 = np.exp(1j * (sig - nu0) * ell)
-    ep = np.exp(1j * (sig - nup) * ell)
-    em = np.exp(1j * (sig - num) * ell)
-    return mu0 * e0 + mup * ep + mum * em
+def _mu(roots):
+    """(nu+ - nu-, nu- - k, k - nu+) for roots = (k, nu+, nu-)."""
+    nu0, nup, num = roots
+    return nup - num, num - nu0, nu0 - nup
+
+
+def _scaled_delta(roots, ell, sig):
+    """e^{i sigma ell} Delta(k) = sum_j mu_j e^{i (sigma - roots_j) ell} for
+    roots = (k, nu+, nu-); with sigma the region's dominant root every
+    exponent has nonpositive real part."""
+    return sum(m * np.exp(1j * (sig - r) * ell) for m, r in zip(_mu(roots), roots))
+
+
+def _delta_margin(params, ell, k, region):
+    """min |Delta_s| / |k - c0| over the points k of one region's boundary."""
+    roots = symmetry_roots(params, k)
+    ds = _scaled_delta(roots, ell, roots[_DOMINANT_ROOT[region]])
+    return float(np.min(np.abs(ds) / np.abs(k - params.center)))
 
 
 def _deformation_margin(params, ell, rho, rd, n_rad=9, n_ang=65):
     """Minimum scaled-denominator margin |Delta_s| / |k - c0| over the
     annular region sectors swept when the puncture arcs move from rd in to
     rho."""
-    c0 = params.center
     margin = np.inf
     for r in np.linspace(rho, rd, n_rad):
         phi0 = arc_half_angle(params, r)
@@ -563,9 +576,8 @@ def _deformation_margin(params, ell, rho, rd, n_rad=9, n_ang=65):
         }
         for region, (a, b) in spans.items():
             theta = np.linspace(a, b, n_ang)
-            k = c0 + r * np.exp(1j * theta)
-            ds = _scaled_delta(params, ell, k, region)
-            margin = min(margin, float(np.min(np.abs(ds) / np.abs(k - c0))))
+            k = params.center + r * np.exp(1j * theta)
+            margin = min(margin, _delta_margin(params, ell, k, region))
     return margin
 
 
@@ -641,11 +653,7 @@ def _solver_segments(params, ell, horizon, budget, weight=None):
         weights = ori * w * np.asarray(dgamma(p), dtype=np.complex128)
         groups.append((region, k, weights))
     # denominator margin on the actual nodes
-    margin = np.inf
-    c0 = params.center
-    for region, k, _w in groups:
-        ds = _scaled_delta(params, ell, k, region)
-        margin = min(margin, float(np.min(np.abs(ds) / np.abs(k - c0))))
+    margin = min(_delta_margin(params, ell, k, region) for region, k, _w in groups)
     if margin < MIN_DELTA_MARGIN:
         raise QuadratureDiverged(
             "denominator margin %.3g on the contour nodes; the deformed "
@@ -817,11 +825,11 @@ class SolvePlan:
     """Everything a solve needs that its data does not change, for one
     (params, ell, horizon), output grid and budget: the output grids, the
     x-quadrature, the real-axis nodes (k_r, w_r), the nine contour node
-    groups (region, k, dk-weights), the deformed arc radius rho, and the
-    radial envelope weight (None for unweighted nodes) of the data the plan
-    was made from.  Build one with make_plan; apply(data) solves for any data
-    on the same (params, ell, horizon), all on the same nodes, so the
-    solution map it evaluates is linear in the data."""
+    groups (region, k, dk-weights) and the deformed arc radius rho.  The
+    nodes are thinned by the radial envelope of the data the plan was made
+    from.  Build one with make_plan; apply(data) solves for any data on the
+    same (params, ell, horizon), all on the same nodes, so the solution map
+    it evaluates is linear in the data."""
 
     params: DispersionParams
     ell: float
@@ -829,7 +837,6 @@ class SolvePlan:
     x_grid: np.ndarray
     t_grid: np.ndarray
     xquad: XQuadrature
-    weight: Optional[Callable]
     real_axis: Tuple[np.ndarray, np.ndarray]
     groups: list
     rho: float
@@ -871,66 +878,57 @@ class SolvePlan:
         hats = _apply_kernel(k_r + 0j, None, self.xquad, _x_payloads(samples))
         icum = None
         if samples.forcing is not None:
-            # -i goes into the small interpolation matrix, so no second
-            # (nodes x times) array is live during the assembly
-            icum = (_cumulative_transform(samples.forcing[1], self.horizon,
-                                          om_r, hats[-1])
-                    @ (-1j * _interpolation_matrix(samples.tf, self.t_grid)))
+            icum = _cumulative_transform(samples.forcing[1], self.horizon,
+                                         om_r, hats[-1])
+            # on the output times (every Picard iteration) the interpolation
+            # is the identity; otherwise -i goes into the small matrix, so no
+            # second (nodes x times) array is live during the assembly
+            if np.array_equal(samples.tf, self.t_grid):
+                icum *= -1j
+            else:
+                icum = icum @ (-1j * _interpolation_matrix(samples.tf, self.t_grid))
         _assemble(vals, self.x_grid, self.t_grid, self.ell, "in", k_r + 0j,
                   w_r + 0j, om_r + 0j,
                   coef_static=hats[0] if samples.u0v is not None else None,
                   coef_time=icum, prefactor=1.0 / TWO_PI)
 
     def _contour_term(self, vals, samples, region, k, w):
-        """One contour group's term."""
+        """One contour group's term: payload / Delta_s in the region's basis.
+
+        The region fixes its dominant root sigma = roots[dom] of roots =
+        (k, nu+, nu-), the data-scaling root s (0 on D0, sigma on D+/-) and
+        the basis (e^{ikx} on D0, e^{-ik(ell - x)} on D+/-).  With
+        z = e^{i s ell}, f+/- = e^{i (s - nu+/-) ell} and mu = _mu(roots),
+            payload = -omega'(k) [mu_0 z g0~ + (nu- f+ - nu+ f-) h0~
+                                  + i (f+ - f-) h1~] + sum_j c_j T_j,
+        T_j the transformed u0 and forcing at roots_j, shifted by
+        e^{i sigma ell} at sigma, c_j = mu_j z at the other two roots and
+        c_sigma = mu_sigma on D+/-, -(mu+ f+ + mu- f-) on D0.  Grouped so,
+        every exponent has nonpositive real part.
+        """
         params, ell, xquad = self.params, self.ell, self.xquad
-        nu0, nup, num = symmetry_roots(params, k)
-        mu0, mup, mum = nup - num, num - nu0, nu0 - nup
+        roots = symmetry_roots(params, k)
+        mu = _mu(roots)
+        dom = _DOMINANT_ROOT[region]
+        in_d0 = region is RegionLabel.D0
+        s = 0.0 if in_d0 else roots[dom]
+        z = np.exp(1j * s * ell)
+        fp = np.exp(1j * (s - roots[1]) * ell)
+        fm = np.exp(1j * (s - roots[2]) * ell)
         om = omega(params, k)
         omp = omega_prime(params, k)
         st, bt = _data_time_transforms(samples, self.horizon, om)
         g0t, h0t, h1t = (0.0, 0.0, 0.0) if st is None else st.T
-
-        if region is RegionLabel.D0:
-            epl = np.exp(1j * (k - nup) * ell)
-            eml = np.exp(1j * (k - num) * ell)
-            delta_s = mu0 + mup * epl + mum * eml
-            # shifted transforms of u0 (and forcing) keep exponents <= 0
-            ut_sh_p = _transformed(k, 1j * (k - nup) * ell, xquad, samples, bt)
-            ut_sh_m = _transformed(k, 1j * (k - num) * ell, xquad, samples, bt)
-            ut_p = _transformed(nup, None, xquad, samples, bt)
-            ut_m = _transformed(num, None, xquad, samples, bt)
-            emp = np.exp(-1j * nup * ell)
-            emm = np.exp(-1j * num * ell)
-            payload = (mup * ut_p + mum * ut_m
-                       - mu0 * omp * g0t
-                       - (num * emp - nup * emm) * omp * h0t
-                       - 1j * (emp - emm) * omp * h1t
-                       - (mup * ut_sh_p + mum * ut_sh_m))
-            basis = "in"
-        else:
-            if region is RegionLabel.DPLUS:
-                sig, sub = nup, num
-                mu_sig, mu_sub = mup, mum
-            else:
-                sig, sub = num, nup
-                mu_sig, mu_sub = mum, mup
-            s_fac = np.exp(1j * sig * ell)
-            e0 = np.exp(1j * (sig - nu0) * ell)
-            ep = np.exp(1j * (sig - nup) * ell)
-            em = np.exp(1j * (sig - num) * ell)
-            delta_s = mu0 * e0 + mup * ep + mum * em
-            ut_k = _transformed(k, None, xquad, samples, bt)
-            ut_sig_sh = _transformed(sig, 1j * sig * ell, xquad, samples, bt)
-            ut_sub = _transformed(sub, None, xquad, samples, bt)
-            payload = (mu0 * s_fac * ut_k
-                       + mu_sig * ut_sig_sh + mu_sub * s_fac * ut_sub
-                       - mu0 * omp * g0t * s_fac
-                       - (num * ep - nup * em) * omp * h0t
-                       - 1j * (ep - em) * omp * h1t)
-            basis = "out"
-        _assemble(vals, self.x_grid, self.t_grid, ell, basis, k, w, om,
-                  coef_static=payload / delta_s, prefactor=1.0 / TWO_PI)
+        payload = -omp * (mu[0] * z * g0t + (roots[2] * fp - roots[1] * fm) * h0t
+                          + 1j * (fp - fm) * h1t)
+        c = [m * z for m in mu]
+        c[dom] = -(mu[1] * fp + mu[2] * fm) if in_d0 else mu[dom]
+        for j, root in enumerate(roots):
+            shift = 1j * root * ell if j == dom else None
+            payload = payload + c[j] * _transformed(root, shift, xquad, samples, bt)
+        _assemble(vals, self.x_grid, self.t_grid, ell, "in" if in_d0 else "out",
+                  k, w, om, coef_static=payload / _scaled_delta(roots, ell, roots[dom]),
+                  prefactor=1.0 / TWO_PI)
 
 
 def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
@@ -947,7 +945,7 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
                               budget.real_axis_window)
     real_axis = _real_axis_nodes(params, ell, horizon, budget, weight=weight)
     groups, rho = _solver_segments(params, ell, horizon, budget, weight=weight)
-    return SolvePlan(params, ell, horizon, x_grid, t_grid, xquad, weight,
+    return SolvePlan(params, ell, horizon, x_grid, t_grid, xquad,
                      real_axis, groups, rho, data, samples)
 
 
@@ -1019,12 +1017,16 @@ def _trace_derivative(field: Field, side: str, order: int) -> np.ndarray:
 def global_relation_residual(field: Field, data: ProblemData, k_samples) -> float:
     """Max over sampled (k, t) of the defect in the transform-side identity
     linking the evolving spatial transform of the field to the transformed
-    data, normalized by the magnitude of the identity's terms."""
+    data, normalized by the magnitude of the identity's terms.  The boundary
+    series are integrated on the field's time grid, which must be uniform
+    and start at t = 0."""
     params, ell, horizon = data.params, data.ell, data.horizon
     karr = np.asarray(list(k_samples), dtype=np.complex128)
     t = field.t_grid
     if len(t) < 4:
         raise GridTooCoarse("need at least 4 time samples")
+    if t[0] != 0.0 or _uniform_step(t) is None:
+        raise ValueError("the field's time grid must be uniform from t = 0")
     om = omega(params, karr)
 
     xquad = _x_quadrature(ell)

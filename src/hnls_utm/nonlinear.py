@@ -27,7 +27,7 @@ from .errors import InhomogeneousBoundary, MissingProxy, NoConvergence
 from .fields import Field
 from .linear import (ProblemData, QuadratureBudget, fd_weights, make_plan,
                      solve_full, zero_data)
-from .norms import bessel_norm, sobolev_norm
+from .norms import bessel_norm, ct_l2_distance, sobolev_norm
 from .transforms import SpatialProfile
 
 HIGH_PROXIES = ("c_s", "c_s_lambda", "c1_sT", "c2_sT")
@@ -227,11 +227,6 @@ def lifespan_indicator(data: ProblemData, s: float,
     return LifespanIndicator(regime, lhs, lhs < 1.0)
 
 
-def _ct_l2_distance(a: Field, b: Field) -> float:
-    diff = np.abs(a.values - b.values) ** 2
-    return float(np.max(np.sqrt(np.trapezoid(diff, a.x_grid, axis=0))))
-
-
 def _combined_forcing(data: ProblemData, nl: Field) -> Field:
     if data.forcing is None:
         return nl
@@ -266,7 +261,7 @@ def picard_solve(data: ProblemData, grid, budget: QuadratureBudget,
         nl = apply_nonlinearity(current, data.kappa, data.lam)
         part = plan.apply(replace(forcing_only, forcing=nl))
         new = Field(base.x_grid, base.t_grid, base.values + part.values)
-        dist = _ct_l2_distance(new, current)
+        dist = ct_l2_distance(new, current)
         report.distances.append(dist)
         if len(report.distances) > 1 and report.distances[-2] > 0:
             report.contraction_ratios.append(dist / report.distances[-2])

@@ -207,6 +207,17 @@ class TestPicard:
         assert len(report.distances) >= 2
         assert len(calls) == 1
 
+    def test_first_contraction_ratio_shrinks_with_the_horizon(self):
+        # the high-regularity lifespan condition carries a sqrt(T) factor
+        budget = QuadratureBudget(8000, 45.0, 4000)
+        ratios = []
+        for horizon in (0.04, 0.01, 0.0025):
+            _field, report = picard_solve(self.gaussian_data(0.05, horizon),
+                                          (33, 17), budget, max_iter=8,
+                                          tol=1e-10)
+            ratios.append(report.contraction_ratios[0])
+        assert ratios[0] > ratios[1] > ratios[2]
+
     def test_no_convergence_carries_report(self):
         with pytest.raises(NoConvergence) as err:
             picard_solve(self.gaussian_data(0.05), (33, 17), self.budget,
