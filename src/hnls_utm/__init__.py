@@ -2,9 +2,9 @@
 finite interval, with a Picard solver for the power nonlinearity, a
 finite-difference oracle, norm tools, and seeded verification suites."""
 
-from .dispersion import (BranchData, BranchKind, DispersionParams, MuFactors,
-                         SymmetryTriple, branch_points, branch_sqrt,
-                         mu_factors, omega, omega_prime, symmetries)
+from .dispersion import (BranchData, BranchKind, DispersionParams,
+                         branch_points, branch_sqrt, mu_factors, omega,
+                         omega_prime, symmetry_roots)
 from .errors import (BranchCutPoint, ConfigInvalid, ExponentialOverflow,
                      GridTooCoarse, InhomogeneousBoundary, InvalidTruncation,
                      MissingProxy, NoConvergence, QuadratureDiverged,
@@ -20,9 +20,9 @@ from .nonlinear import (DissipationAudit, LifespanIndicator, PicardReport,
 from .norms import (NormKind, NormSpec, bessel_norm, check_admissible_pair,
                     ct_l2_distance, ct_l2_norm, mixed_norm, sobolev_norm)
 from .oracle import BcMode, OracleConfig, oracle_solve
-from .regions import (RegionLabel, SegmentKind, classify_region, delta_fn,
-                      im_omega, m_delta, r_delta)
-from .transforms import GridKind, SpatialProfile, TimeSeries, laplace_transform
+from .regions import (RegionLabel, SegmentKind, im_omega, m_delta, r_delta,
+                      scaled_delta)
+from .transforms import SpatialProfile, TimeSeries, laplace_transform
 from .verify import run_suite
 
 __version__ = "0.1.0"

@@ -181,7 +181,7 @@ def _write_norms(path, cfg: ScenarioConfig, field_obj: Field):
         ("field_l2_xt", 0.0, 2.0, 2.0, field_obj.l2_norm_xt()),
         ("field_ct_l2", 0.0, 2.0, float("inf"), ct_l2_norm(field_obj)),
         ("field_ct_hs", s, 2.0, float("inf"),
-         mixed_norm(field_obj, float("inf"),
+         mixed_norm(field_obj,
                     NormSpec(s, 2.0, float("inf"), NormKind.SOBOLEV_INTERVAL))),
         ("u0_hs", s, 2.0, 2.0, sobolev_norm(cfg.data.u0, s)),
         ("data_norm_sum", s, 2.0, 2.0, data_norm_sum(cfg.data, s)),

@@ -67,27 +67,6 @@ class BranchData:
     kind: BranchKind
 
 
-@dataclass(frozen=True)
-class SymmetryTriple:
-    """The three roots of omega(nu) = omega(k): nu0 = k plus the pair nu+-."""
-
-    nu0: complex
-    nu_plus: complex
-    nu_minus: complex
-
-
-@dataclass(frozen=True)
-class MuFactors:
-    """Root differences mu0 = nu+ - nu-, mu+ = nu- - nu0, mu- = nu0 - nu+.
-
-    They satisfy omega'(k) = -beta * mu_plus * mu_minus.
-    """
-
-    mu0: complex
-    mu_plus: complex
-    mu_minus: complex
-
-
 def omega(params: DispersionParams, k):
     """Dispersion value beta*k**3 - alpha*k**2 - delta*k (scalar or array)."""
     k = np.asarray(k, dtype=np.complex128) if not np.isscalar(k) else k
@@ -161,15 +140,6 @@ def branch_sqrt(params: DispersionParams, k):
     return complex(out[0]) if scalar else out.reshape(np.shape(k))
 
 
-def symmetries(params: DispersionParams, k) -> SymmetryTriple:
-    """The triple (nu0, nu+, nu-) with omega(nu+-) = omega(k); the fields are
-    scalars for scalar k and arrays for array k."""
-    nu0, nup, num = symmetry_roots(params, k)
-    if np.isscalar(k) or np.ndim(k) == 0:
-        return SymmetryTriple(complex(nu0), complex(nup), complex(num))
-    return SymmetryTriple(nu0, nup, num)
-
-
 def symmetry_roots(params: DispersionParams, k):
     """Vectorized symmetry roots; returns (nu0, nu_plus, nu_minus)."""
     root = branch_sqrt(params, k)
@@ -178,9 +148,8 @@ def symmetry_roots(params: DispersionParams, k):
     return np.asarray(k, dtype=np.complex128), half + wing, half - wing
 
 
-def mu_factors(triple: SymmetryTriple) -> MuFactors:
-    return MuFactors(
-        mu0=triple.nu_plus - triple.nu_minus,
-        mu_plus=triple.nu_minus - triple.nu0,
-        mu_minus=triple.nu0 - triple.nu_plus,
-    )
+def mu_factors(roots):
+    """Root differences (mu0, mu+, mu-) = (nu+ - nu-, nu- - k, k - nu+) of
+    roots = (k, nu+, nu-); they satisfy omega'(k) = -beta mu+ mu-."""
+    nu0, nup, num = roots
+    return nup - num, num - nu0, nu0 - nup

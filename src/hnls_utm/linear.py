@@ -54,8 +54,8 @@ and uniform; other output grids take one exponential per entry.
 The three contour regions share one term, SolvePlan._contour_term: a region
 fixes only its dominant symmetry root sigma (k, nu+ or nu-), whether the
 data are scaled by e^{i sigma ell}, and the assembly basis.  Each group takes
-one x-kernel application per symmetry root and divides by _scaled_delta, the
-one place the Delta formula lives.
+one x-kernel application per symmetry root and divides by
+regions.scaled_delta, the one place the Delta formula lives.
 
 The data-independent part of a solve is a SolvePlan: output grids,
 x-quadrature, real-axis and contour nodes (thinned by the radial envelope of
@@ -75,11 +75,12 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 from scipy.special import roots_legendre
 
-from .dispersion import DispersionParams, omega, omega_prime, symmetry_roots
+from .dispersion import (DispersionParams, mu_factors, omega, omega_prime,
+                         symmetry_roots)
 from .errors import ExponentialOverflow, GridTooCoarse, InvalidTruncation, QuadratureDiverged
 from .fields import Field
-from .regions import (RegionLabel, SegmentKind, arc_half_angle, r_delta,
-                      segment_specs)
+from .regions import (DOMINANT_ROOT, RegionLabel, SegmentKind, arc_half_angle,
+                      r_delta, scaled_delta, segment_specs)
 from .transforms import SpatialProfile, TimeSeries
 
 TWO_PI = 2.0 * np.pi
@@ -538,27 +539,10 @@ def _radial_envelope(params, ell, horizon, xquad, samples, r_max, n_r=193):
     return wfun
 
 
-# the index in (k, nu+, nu-) of each region's dominant symmetry root sigma
-_DOMINANT_ROOT = {RegionLabel.D0: 0, RegionLabel.DPLUS: 1, RegionLabel.DMINUS: 2}
-
-
-def _mu(roots):
-    """(nu+ - nu-, nu- - k, k - nu+) for roots = (k, nu+, nu-)."""
-    nu0, nup, num = roots
-    return nup - num, num - nu0, nu0 - nup
-
-
-def _scaled_delta(roots, ell, sig):
-    """e^{i sigma ell} Delta(k) = sum_j mu_j e^{i (sigma - roots_j) ell} for
-    roots = (k, nu+, nu-); with sigma the region's dominant root every
-    exponent has nonpositive real part."""
-    return sum(m * np.exp(1j * (sig - r) * ell) for m, r in zip(_mu(roots), roots))
-
-
 def _delta_margin(params, ell, k, region):
     """min |Delta_s| / |k - c0| over the points k of one region's boundary."""
     roots = symmetry_roots(params, k)
-    ds = _scaled_delta(roots, ell, roots[_DOMINANT_ROOT[region]])
+    ds = scaled_delta(roots, ell, roots[DOMINANT_ROOT[region]])
     return float(np.min(np.abs(ds) / np.abs(k - params.center)))
 
 
@@ -898,7 +882,8 @@ class SolvePlan:
         The region fixes its dominant root sigma = roots[dom] of roots =
         (k, nu+, nu-), the data-scaling root s (0 on D0, sigma on D+/-) and
         the basis (e^{ikx} on D0, e^{-ik(ell - x)} on D+/-).  With
-        z = e^{i s ell}, f+/- = e^{i (s - nu+/-) ell} and mu = _mu(roots),
+        z = e^{i s ell}, f+/- = e^{i (s - nu+/-) ell} and
+        mu = mu_factors(roots),
             payload = -omega'(k) [mu_0 z g0~ + (nu- f+ - nu+ f-) h0~
                                   + i (f+ - f-) h1~] + sum_j c_j T_j,
         T_j the transformed u0 and forcing at roots_j, shifted by
@@ -908,8 +893,8 @@ class SolvePlan:
         """
         params, ell, xquad = self.params, self.ell, self.xquad
         roots = symmetry_roots(params, k)
-        mu = _mu(roots)
-        dom = _DOMINANT_ROOT[region]
+        mu = mu_factors(roots)
+        dom = DOMINANT_ROOT[region]
         in_d0 = region is RegionLabel.D0
         s = 0.0 if in_d0 else roots[dom]
         z = np.exp(1j * s * ell)
@@ -927,7 +912,7 @@ class SolvePlan:
             shift = 1j * root * ell if j == dom else None
             payload = payload + c[j] * _transformed(root, shift, xquad, samples, bt)
         _assemble(vals, self.x_grid, self.t_grid, ell, "in" if in_d0 else "out",
-                  k, w, om, coef_static=payload / _scaled_delta(roots, ell, roots[dom]),
+                  k, w, om, coef_static=payload / scaled_delta(roots, ell, roots[dom]),
                   prefactor=1.0 / TWO_PI)
 
 
@@ -988,11 +973,20 @@ def solve_reduced(params: DispersionParams, ell: float, psi0: TimeSeries,
 # diagnostics
 # --------------------------------------------------------------------------
 
+def _check_uniform_from_zero(t):
+    """Raise ValueError unless the time grid t is uniform and starts at 0,
+    as the TimeSeries and the running transforms built on it assume."""
+    if t[0] != 0.0 or _uniform_step(t) is None:
+        raise ValueError("the field's time grid must be uniform from t = 0")
+
+
 def evaluate_traces(field: Field) -> dict:
     """Boundary traces read off the field: u(0,.), u(ell,.), and u_x(ell,.)
-    by a one-sided 4th-order difference."""
+    by a one-sided 4th-order difference.  The field's time grid must be
+    uniform and start at t = 0."""
     if len(field.x_grid) < 5:
         raise GridTooCoarse("need at least 5 spatial points for the traces")
+    _check_uniform_from_zero(field.t_grid)
     x = field.x_grid
     horizon = float(field.t_grid[-1])
     wn = fd_weights(x[-5:], x[-1], 1)
@@ -1025,8 +1019,7 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
     t = field.t_grid
     if len(t) < 4:
         raise GridTooCoarse("need at least 4 time samples")
-    if t[0] != 0.0 or _uniform_step(t) is None:
-        raise ValueError("the field's time grid must be uniform from t = 0")
+    _check_uniform_from_zero(t)
     om = omega(params, karr)
 
     xquad = _x_quadrature(ell)

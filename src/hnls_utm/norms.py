@@ -19,13 +19,12 @@ from numpy.polynomial import chebyshev as npcheb
 from scipy.interpolate import CubicSpline
 
 from .fields import Field
-from .transforms import GridKind, SpatialProfile, chebyshev_grid, composite_gl
+from .transforms import SpatialProfile, chebyshev_grid, composite_gl
 
 
 class NormKind(enum.Enum):
     SOBOLEV_INTERVAL = "SobolevInterval"
     BESSEL_INTERVAL = "BesselInterval"
-    MIXED_TIME = "MixedTime"
 
 
 @dataclass(frozen=True)
@@ -52,16 +51,12 @@ def check_admissible_pair(q: float, p: float) -> bool:
 
 
 def _cheb_interpolant(profile: SpatialProfile, deg: int = 128):
-    """Chebyshev-series representation of the profile on [0, ell]."""
-    if profile.func is not None:
-        x = chebyshev_grid(deg + 1, profile.ell)
-        y = np.asarray(profile.func(x), dtype=np.complex128)
-    elif profile.grid_kind is GridKind.CHEBYSHEV:
-        x = profile.grid()
-        y = profile.samples
-        deg = len(x) - 1
-    else:
+    """Chebyshev-series representation of the profile's analytic source on
+    [0, ell], or None for sampled profiles."""
+    if profile.func is None:
         return None
+    x = chebyshev_grid(deg + 1, profile.ell)
+    y = np.asarray(profile.func(x), dtype=np.complex128)
     re = npcheb.Chebyshev.fit(x, y.real, deg, domain=[0.0, profile.ell])
     im = npcheb.Chebyshev.fit(x, y.imag, deg, domain=[0.0, profile.ell])
     return re, im
@@ -151,7 +146,7 @@ def bessel_norm(profile: SpatialProfile, s: float, p: float) -> float:
 
 def _slice_profile(field: Field, j: int) -> SpatialProfile:
     ell = float(field.x_grid[-1] - field.x_grid[0])
-    return SpatialProfile(ell, field.values[:, j], GridKind.UNIFORM)
+    return SpatialProfile(ell, field.values[:, j])
 
 
 def spatial_slice_norm(field: Field, j: int, spec: NormSpec) -> float:
@@ -166,11 +161,11 @@ def spatial_slice_norm(field: Field, j: int, spec: NormSpec) -> float:
     return sobolev_norm(prof, spec.s)
 
 
-def mixed_norm(field: Field, q: float, spatial: NormSpec) -> float:
-    """L^q in time of the spatial slice norms; q = inf takes the grid max."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    slice_norms = np.array([spatial_slice_norm(field, j, spatial)
+def mixed_norm(field: Field, spec: NormSpec) -> float:
+    """L^q in time, q = spec.q, of the spatial slice norms; q = inf takes the
+    grid max."""
+    q = spec.q
+    slice_norms = np.array([spatial_slice_norm(field, j, spec)
                             for j in range(len(field.t_grid))])
     if np.isinf(q):
         return float(np.max(slice_norms))
@@ -179,7 +174,7 @@ def mixed_norm(field: Field, q: float, spatial: NormSpec) -> float:
 
 def ct_l2_norm(field: Field) -> float:
     """The C_t L2_x norm: max over the time grid of the spatial L2 norm."""
-    return mixed_norm(field, np.inf, NormSpec(0.0, 2.0, np.inf))
+    return mixed_norm(field, NormSpec(0.0, 2.0, np.inf))
 
 
 def ct_l2_distance(a: Field, b: Field) -> float:

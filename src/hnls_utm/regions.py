@@ -1,14 +1,18 @@
-"""Region classification and the boundary segments in the complex k-plane.
+"""Solution-formula regions, the denominator Delta, and the boundary
+segments in the complex k-plane.
 
 The sign of Im omega(k) splits the plane into the solution-formula regions:
 D0 (Im omega < 0 above the real axis) and D+/D- (Im omega < 0 below the real
-axis, right/left of the center line Re k = alpha/(3 beta)).  The punctured
-regions remove a disk around the center, which for the radius R_Delta
-contains the branch cut and all zeros of Delta.  Their boundaries are nine
-oriented segments: hyperbola branches of the Im omega = 0 locus, circular
-arcs of the puncture disk, and real-axis rays, each truncated at a common
-radius.  segment_specs describes them geometrically; the solver
-(linear._solver_segments) places its phase-graded quadrature nodes on them.
+axis, right/left of the center line Re k = alpha/(3 beta)).  On each region
+one symmetry root dominates (DOMINANT_ROOT), and scaled_delta, the one place
+the exponential-sum denominator Delta is written down, scales Delta by that
+root's exponential.  The punctured regions remove a disk around the center,
+which for the radius R_Delta contains the branch cut and all zeros of Delta.
+Their boundaries are nine oriented segments: hyperbola branches of the
+Im omega = 0 locus, circular arcs of the puncture disk, and real-axis rays,
+each truncated at a common radius.  segment_specs describes them
+geometrically; the solver (linear._solver_segments) places its phase-graded
+quadrature nodes on them.
 """
 
 from __future__ import annotations
@@ -17,15 +21,18 @@ import enum
 
 import numpy as np
 
-from .dispersion import DispersionParams, symmetry_roots
+from .dispersion import DispersionParams, mu_factors
 
 
 class RegionLabel(enum.Enum):
     D0 = "D0"
     DPLUS = "DPlus"
     DMINUS = "DMinus"
-    OUTSIDE = "Outside"
-    BOUNDARY = "Boundary"
+
+
+# the index in (k, nu+, nu-) of each region's dominant symmetry root: the one
+# root with positive imaginary part on the region
+DOMINANT_ROOT = {RegionLabel.D0: 0, RegionLabel.DPLUS: 1, RegionLabel.DMINUS: 2}
 
 
 class SegmentKind(enum.Enum):
@@ -44,24 +51,6 @@ def im_omega(params: DispersionParams, k):
     return float(val) if val.ndim == 0 else val
 
 
-def classify_region(params: DispersionParams, k: complex, tol: float) -> RegionLabel:
-    """Assign the region label of a single point, with a boundary band of
-    half-width tol on Im omega."""
-    if tol <= 0:
-        raise ValueError("classification tolerance must be positive")
-    w = im_omega(params, k)
-    if w > tol:
-        return RegionLabel.OUTSIDE
-    if w < -tol:
-        if k.imag > 0:
-            return RegionLabel.D0
-        if k.imag < 0:
-            if k.real - params.center > 0:
-                return RegionLabel.DPLUS
-            return RegionLabel.DMINUS
-    return RegionLabel.BOUNDARY
-
-
 def r_delta(params: DispersionParams, ell: float) -> float:
     """Puncture radius R_Delta = max{(2 sqrt2/(sqrt3 beta)) sqrt|disc|, 9/ell}."""
     if ell <= 0:
@@ -76,19 +65,14 @@ def m_delta(params: DispersionParams, ell: float) -> float:
     return params.beta * rho ** 3 + abs(params.alpha) * rho ** 2 + abs(params.delta) * rho
 
 
-def classification_tol(params: DispersionParams, ell: float) -> float:
-    # scale-aware boundary band
-    return 1e-12 * (1.0 + m_delta(params, ell))
-
-
-def delta_fn(params: DispersionParams, ell: float, k):
-    """The exponential-sum denominator
+def scaled_delta(roots, ell: float, sigma):
+    """e^{i sigma ell} Delta(k) for roots = (k, nu+, nu-), where
     Delta(k) = (nu+ - nu-) e^{-ik ell} + (nu- - k) e^{-i nu+ ell}
-             + (k - nu+) e^{-i nu- ell}."""
-    nu0, nup, num = symmetry_roots(params, k)
-    return ((nup - num) * np.exp(-1j * nu0 * ell)
-            + (num - nu0) * np.exp(-1j * nup * ell)
-            + (nu0 - nup) * np.exp(-1j * num * ell))
+             + (k - nu+) e^{-i nu- ell};
+    sigma = 0 gives Delta itself.  With sigma a region's dominant root every
+    exponent has nonpositive real part."""
+    return sum(m * np.exp(1j * (sigma - r) * ell)
+               for m, r in zip(mu_factors(roots), roots))
 
 
 # explicit lower-bound constants for |e^{i nu_n ell} Delta(k)| >= c_n |k - c0|

@@ -11,18 +11,12 @@ live in linear, next to the contours they are evaluated on.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator, CubicSpline
+from scipy.interpolate import CubicSpline
 from scipy.special import roots_legendre
-
-
-class GridKind(enum.Enum):
-    UNIFORM = "uniform"
-    CHEBYSHEV = "chebyshev"
 
 
 def chebyshev_grid(n: int, ell: float) -> np.ndarray:
@@ -33,17 +27,14 @@ def chebyshev_grid(n: int, ell: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpatialProfile:
-    """Complex samples of a function on [0, ell].
+    """Complex samples of a function on a uniform grid over [0, ell].
 
     func, when given, is the analytic source of the samples and is used for
-    off-grid evaluation; otherwise interpolation of the samples is used
-    (global barycentric on Chebyshev grids, cubic spline on uniform grids,
-    where a global interpolant would be unstable).
+    off-grid evaluation; otherwise a cubic spline of the samples is used.
     """
 
     ell: float
     samples: np.ndarray
-    grid_kind: GridKind = GridKind.UNIFORM
     func: Optional[Callable] = None
 
     def __post_init__(self):
@@ -55,25 +46,17 @@ class SpatialProfile:
                            np.asarray(self.samples, dtype=np.complex128))
 
     def grid(self) -> np.ndarray:
-        n = len(self.samples)
-        if self.grid_kind is GridKind.CHEBYSHEV:
-            return chebyshev_grid(n, self.ell)
-        return np.linspace(0.0, self.ell, n)
+        return np.linspace(0.0, self.ell, len(self.samples))
 
     def __call__(self, x):
         if self.func is not None:
             return np.asarray(self.func(np.asarray(x)), dtype=np.complex128)
-        g = self.grid()
-        if self.grid_kind is GridKind.CHEBYSHEV:
-            interp = BarycentricInterpolator(g, self.samples)
-            return np.asarray(interp(x), dtype=np.complex128)
-        return CubicSpline(g, self.samples)(x)
+        return CubicSpline(self.grid(), self.samples)(x)
 
     @classmethod
-    def from_callable(cls, func, ell, n=257, grid_kind=GridKind.UNIFORM):
-        x = (chebyshev_grid(n, ell) if grid_kind is GridKind.CHEBYSHEV
-             else np.linspace(0.0, ell, n))
-        return cls(ell, np.asarray(func(x), dtype=np.complex128), grid_kind, func)
+    def from_callable(cls, func, ell, n=257):
+        x = np.linspace(0.0, ell, n)
+        return cls(ell, np.asarray(func(x), dtype=np.complex128), func)
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,13 @@ from __future__ import annotations
 import numpy as np
 
 from .dispersion import (DispersionParams, branch_points, branch_sqrt,
-                         mu_factors, omega, omega_prime, symmetries)
+                         mu_factors, omega, omega_prime, symmetry_roots)
 from .fields import Field
 from .linear import global_relation_residual
 from .nonlinear import mvt_gap
 from .presets import plane_wave_data, plane_wave_exact
-from .regions import (DELTA_BOUND_C0, DELTA_BOUND_CPM, RegionLabel, delta_fn,
-                      im_omega, r_delta)
+from .regions import (DELTA_BOUND_C0, DELTA_BOUND_CPM, DOMINANT_ROOT,
+                      RegionLabel, im_omega, r_delta, scaled_delta)
 from .transforms import laplace_transform
 
 # parameter sets spanning the discriminant signs (alpha^2 + 3 beta delta)
@@ -76,23 +76,23 @@ def suite_symmetries(seed: int) -> dict:
     for params in PARAM_SETS:
         k = _sample_off_cut(params, rng, n_per)
         total += len(k)
-        tri = symmetries(params, k)
+        roots = symmetry_roots(params, k)
+        nu0, nup, num = roots
         wk = omega(params, k)
         scale = 1.0 + np.abs(wk)
-        inv = np.maximum(np.abs(omega(params, tri.nu_plus) - wk),
-                         np.abs(omega(params, tri.nu_minus) - wk)) / scale
+        inv = np.maximum(np.abs(omega(params, nup) - wk),
+                         np.abs(omega(params, num) - wk)) / scale
         worst["omega_invariance"] = min(worst["omega_invariance"],
                                         float(np.min(1e-10 - inv)))
-        vieta = np.abs(tri.nu0 + tri.nu_plus + tri.nu_minus
-                       - params.alpha / params.beta)
+        vieta = np.abs(nu0 + nup + num - params.alpha / params.beta)
         worst["vieta_sum"] = min(worst["vieta_sum"],
                                  float(np.min(1e-11 * np.abs(k).max() - vieta)))
-        imsum = np.abs(tri.nu0.imag + tri.nu_plus.imag + tri.nu_minus.imag)
+        imsum = np.abs(nu0.imag + nup.imag + num.imag)
         worst["im_sum_zero"] = min(worst["im_sum_zero"],
                                    float(np.min(1e-11 * np.abs(k).max() - imsum)))
-        mu = mu_factors(tri)
+        _mu0, mu_plus, mu_minus = mu_factors(roots)
         wp = omega_prime(params, k)
-        gap = np.abs(wp + params.beta * mu.mu_plus * mu.mu_minus) / (1.0 + np.abs(wp))
+        gap = np.abs(wp + params.beta * mu_plus * mu_minus) / (1.0 + np.abs(wp))
         worst["omega_prime_mu"] = min(worst["omega_prime_mu"],
                                       float(np.min(1e-10 - gap)))
         rad = ((k - params.center) ** 2
@@ -107,10 +107,10 @@ def suite_symmetries(seed: int) -> dict:
     # Airy scaling: nu_pm(k) = e^{+-2 pi i/3} k exactly for real k >= 0
     airy = PARAM_SETS[0]
     kr = rng.uniform(0.0, 20.0, 2000)
-    tri = symmetries(airy, kr + 0.0j)
+    _nu0, nup, num = symmetry_roots(airy, kr + 0.0j)
     rot = np.exp(2j * np.pi / 3.0)
-    gap = max(float(np.max(np.abs(tri.nu_plus - rot * kr))),
-              float(np.max(np.abs(tri.nu_minus - np.conj(rot) * kr))))
+    gap = max(float(np.max(np.abs(nup - rot * kr))),
+              float(np.max(np.abs(num - np.conj(rot) * kr))))
     props.append(_prop("airy_scaling", 1e-12 * 20.0 - gap, 0.0, len(kr)))
     return _report("symmetries", seed, props)
 
@@ -141,10 +141,6 @@ def _region_samples(params, ell, rng, n_per_region, r_lo=None, r_hi_mult=4.0):
     return {lab: np.asarray(v, dtype=np.complex128) for lab, v in out.items()}
 
 
-_NU_OF = {RegionLabel.D0: "nu0", RegionLabel.DPLUS: "nu_plus",
-          RegionLabel.DMINUS: "nu_minus"}
-
-
 def suite_regions(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     ell = 1.0
@@ -159,8 +155,8 @@ def suite_regions(seed: int) -> dict:
         k = k[np.abs(w) > 1e-6]
         w = w[np.abs(w) > 1e-6]
         total += len(k)
-        tri = symmetries(params, k)
-        prod = tri.nu0.imag * tri.nu_plus.imag * tri.nu_minus.imag
+        nu0, nup, num = symmetry_roots(params, k)
+        prod = nu0.imag * nup.imag * num.imag
         agree = -np.sign(w) * np.sign(prod)  # +1 when the law holds
         worst_sign = min(worst_sign, float(np.min(agree)))
     props.append(_prop("sign_law", worst_sign, 0.0, total))
@@ -172,12 +168,9 @@ def suite_regions(seed: int) -> dict:
         samples = _region_samples(params, ell, rng, 1000)
         for label, k in samples.items():
             total += len(k)
-            tri = symmetries(params, k)
-            ims = {"nu0": tri.nu0.imag, "nu_plus": tri.nu_plus.imag,
-                   "nu_minus": tri.nu_minus.imag}
-            own = ims.pop(_NU_OF[label])
-            margin = np.minimum(own, np.minimum(-list(ims.values())[0],
-                                                -list(ims.values())[1]))
+            ims = [r.imag for r in symmetry_roots(params, k)]
+            own = ims.pop(DOMINANT_ROOT[label])
+            margin = np.minimum(own, np.minimum(-ims[0], -ims[1]))
             worst_excl = min(worst_excl, float(np.min(margin)))
     props.append(_prop("exclusivity", worst_excl, 0.0, total))
 
@@ -190,8 +183,7 @@ def suite_regions(seed: int) -> dict:
         samples = _region_samples(params, ell, rng, 1000)
         for label, k in samples.items():
             total += len(k)
-            tri = symmetries(params, k)
-            own = getattr(tri, _NU_OF[label]).imag
+            own = symmetry_roots(params, k)[DOMINANT_ROOT[label]].imag
             r = np.abs(k - params.center)
             bound = c0_const * r if label is RegionLabel.D0 else 0.25 * r
             worst_lb = min(worst_lb, float(np.min(own - bound)))
@@ -209,9 +201,8 @@ def suite_delta_bounds(seed: int) -> dict:
         samples = _region_samples(params, ell, rng, 1000)
         for label, k in samples.items():
             total += len(k)
-            tri = symmetries(params, k)
-            nu = getattr(tri, _NU_OF[label])
-            val = np.abs(np.exp(1j * nu * ell) * delta_fn(params, ell, k))
+            roots = symmetry_roots(params, k)
+            val = np.abs(scaled_delta(roots, ell, roots[DOMINANT_ROOT[label]]))
             r = np.abs(k - params.center)
             c = DELTA_BOUND_C0 if label is RegionLabel.D0 else DELTA_BOUND_CPM
             worst = min(worst, float(np.min(val - c * r)))

@@ -150,6 +150,22 @@ class TestSolveVerb:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "ExponentialOverflow"
 
+    @pytest.mark.parametrize("budget", [
+        {"real_axis_window": 2.0}, {"arc_radius": 20.0}],
+        ids=["window-inside-arc", "arc-outside-puncture"])
+    def test_invalid_truncation_exit_3(self, tmp_path, budget):
+        # a window below 1.1 rho, or an arc radius outside (0, R_Delta = 9]
+        doc = dict(BASE, data={"preset": "plane_wave", "a": 2.0})
+        doc["solver"] = {"grid": [9, 9], "budget": budget}
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "o6"
+        result = CliRunner().invoke(main, ["solve", "--config", config,
+                                           "--mode", "linear",
+                                           "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "InvalidTruncation"
+
 
 class TestVerifyVerb:
     def test_pass_and_determinism(self, tmp_path):

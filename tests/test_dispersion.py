@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hnls_utm.dispersion import (BranchKind, DispersionParams, branch_points,
                                  branch_sqrt, mu_factors, omega, omega_prime,
-                                 symmetries, symmetry_roots)
+                                 symmetry_roots)
 from hnls_utm.errors import BranchCutPoint
 
 AIRY = DispersionParams(1.0, 0.0, 0.0)
@@ -88,42 +88,42 @@ class TestBranchSqrt:
 
 class TestSymmetries:
     def test_airy_rotation(self):
-        tri = symmetries(AIRY, 1.0 + 0.0j)
-        assert tri.nu_plus == pytest.approx(np.exp(2j * np.pi / 3.0))
-        assert tri.nu_minus == pytest.approx(np.exp(4j * np.pi / 3.0))
+        _nu0, nup, num = symmetry_roots(AIRY, 1.0 + 0.0j)
+        assert nup == pytest.approx(np.exp(2j * np.pi / 3.0))
+        assert num == pytest.approx(np.exp(4j * np.pi / 3.0))
 
     def test_degenerate_origin(self):
-        tri = symmetries(AIRY, 0.0 + 0.0j)
-        assert tri.nu0 == tri.nu_plus == tri.nu_minus == 0.0
+        nu0, nup, num = symmetry_roots(AIRY, 0.0 + 0.0j)
+        assert nu0 == nup == num == 0.0
 
     def test_real_pair_example(self):
         params = DispersionParams(1.0, 0.0, 3.0)
-        tri = symmetries(params, 3.0 + 0.0j)
-        assert tri.nu_plus == pytest.approx(-1.5 + 0.5j * np.sqrt(15.0))
-        assert tri.nu_minus == pytest.approx(-1.5 - 0.5j * np.sqrt(15.0))
-        assert omega(params, tri.nu_plus) == pytest.approx(18.0, abs=1e-10)
+        _nu0, nup, num = symmetry_roots(params, 3.0 + 0.0j)
+        assert nup == pytest.approx(-1.5 + 0.5j * np.sqrt(15.0))
+        assert num == pytest.approx(-1.5 - 0.5j * np.sqrt(15.0))
+        assert omega(params, nup) == pytest.approx(18.0, abs=1e-10)
 
     def test_array_input(self):
         k = np.array([1.0 + 0.5j, -2.0 + 1.0j])
-        tri = symmetries(AIRY, k)
-        assert tri.nu_plus.shape == (2,)
-        np.testing.assert_allclose(omega(AIRY, tri.nu_plus), omega(AIRY, k),
+        _nu0, nup, _num = symmetry_roots(AIRY, k)
+        assert nup.shape == (2,)
+        np.testing.assert_allclose(omega(AIRY, nup), omega(AIRY, k),
                                    rtol=1e-10)
 
 
 class TestMuFactors:
     def test_airy_mu0(self):
-        tri = symmetries(AIRY, 1.0 + 0.0j)
-        assert mu_factors(tri).mu0 == pytest.approx(1j * np.sqrt(3.0))
+        mu0, _mu_plus, _mu_minus = mu_factors(symmetry_roots(AIRY, 1.0 + 0.0j))
+        assert mu0 == pytest.approx(1j * np.sqrt(3.0))
 
     def test_degenerate(self):
-        mu = mu_factors(symmetries(AIRY, 0.0 + 0.0j))
-        assert mu.mu0 == mu.mu_plus == mu.mu_minus == 0.0
+        mu0, mu_plus, mu_minus = mu_factors(symmetry_roots(AIRY, 0.0 + 0.0j))
+        assert mu0 == mu_plus == mu_minus == 0.0
 
     def test_omega_prime_identity_example(self):
         params = DispersionParams(1.0, 0.0, 3.0)
-        mu = mu_factors(symmetries(params, 3.0 + 0.0j))
-        assert -params.beta * mu.mu_plus * mu.mu_minus == pytest.approx(24.0)
+        _mu0, mu_plus, mu_minus = mu_factors(symmetry_roots(params, 3.0 + 0.0j))
+        assert -params.beta * mu_plus * mu_minus == pytest.approx(24.0)
 
 
 @st.composite
@@ -144,16 +144,17 @@ def off_cut_points(draw):
 @settings(max_examples=300, deadline=None)
 def test_root_identities(case):
     params, k = case
-    nu0, nup, num = symmetry_roots(params, k)
+    roots = symmetry_roots(params, k)
+    nu0, nup, num = roots
     wk = omega(params, k)
     scale = 1.0 + abs(wk)
     assert abs(omega(params, nup) - wk) <= 1e-10 * scale
     assert abs(omega(params, num) - wk) <= 1e-10 * scale
     assert abs(nu0 + nup + num - params.alpha / params.beta) <= 1e-10 * (1 + abs(k))
     assert abs(nu0.imag + nup.imag + num.imag) <= 1e-10 * (1 + abs(k))
-    mu = mu_factors(symmetries(params, k))
+    _mu0, mu_plus, mu_minus = mu_factors(roots)
     wp = omega_prime(params, k)
-    assert abs(wp + params.beta * mu.mu_plus * mu.mu_minus) \
+    assert abs(wp + params.beta * mu_plus * mu_minus) \
         <= 1e-10 * (1 + abs(wp))
 
 

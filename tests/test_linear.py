@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hnls_utm.dispersion import DispersionParams, symmetry_roots
-from hnls_utm.errors import ExponentialOverflow, GridTooCoarse
+from hnls_utm.errors import ExponentialOverflow, GridTooCoarse, InvalidTruncation
 from hnls_utm.fields import Field
 from hnls_utm.linear import (OVERFLOW_GUARD, ProblemData, QuadratureBudget,
                              _cumulative_transform, _filon_moments,
@@ -270,6 +270,16 @@ class TestExponentialTables:
         with pytest.raises(ExponentialOverflow, match="panels"):
             solve_full(data, (9, 9), QuadratureBudget())
 
+    @pytest.mark.parametrize("budget", [
+        QuadratureBudget(real_axis_window=2.0),
+        QuadratureBudget(arc_radius=20.0)],
+        ids=["window-inside-arc", "arc-outside-puncture"])
+    def test_invalid_truncation(self, budget):
+        # a window below 1.1 rho, or an arc radius outside (0, R_Delta = 9]
+        data = plane_wave_data(AIRY, 1.0, 0.5, 2.0)
+        with pytest.raises(InvalidTruncation):
+            solve_full(data, (9, 9), budget)
+
 
 class TestFdWeights:
     def test_first_derivative_exact_for_cubic(self):
@@ -342,6 +352,20 @@ class TestPlaneWave:
         with pytest.raises(ValueError):
             global_relation_residual(plane_wave_field(AIRY, 2.0, x, t_grid),
                                      data, ks)
+
+    @pytest.mark.parametrize("t_grid", [
+        0.5 * np.linspace(0.0, 1.0, 97) ** 2,
+        np.linspace(0.1, 0.5, 97)], ids=["squared", "late-start"])
+    def test_traces_need_a_uniform_grid_from_zero(self, t_grid):
+        x = np.linspace(0.0, 1.0, 65)
+        t = np.linspace(0.0, 0.5, 97)
+        traces = evaluate_traces(plane_wave_field(AIRY, 2.0, x, t))
+        # off the grid: the series must place the samples at their times
+        tf = np.linspace(0.0, 0.5, 301)
+        g0 = plane_wave_exact(AIRY, 2.0)(0.0, tf)
+        assert np.max(np.abs(traces["left_dirichlet"](tf) - g0)) <= 1e-6
+        with pytest.raises(ValueError):
+            evaluate_traces(plane_wave_field(AIRY, 2.0, x, t_grid))
 
     def test_initial_condition_row(self):
         # decaying initial transform: the t = 0 row is recovered well within

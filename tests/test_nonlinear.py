@@ -13,8 +13,8 @@ from hnls_utm.nonlinear import (Regime, apply_nonlinearity,
                                 check_compatibility, data_norm_sum,
                                 default_proxies, dissipation_audit,
                                 lifespan_indicator, mvt_gap, picard_solve)
-from hnls_utm.presets import (gaussian_profile, plane_wave_field,
-                              zero_profile, zero_series)
+from hnls_utm.presets import (gaussian_profile, plane_wave_exact,
+                              plane_wave_field, zero_profile, zero_series)
 from hnls_utm.transforms import SpatialProfile, TimeSeries
 
 AIRY = DispersionParams(1.0, 0.0, 0.0)
@@ -217,6 +217,34 @@ class TestPicard:
                                           tol=1e-10)
             ratios.append(report.contraction_ratios[0])
         assert ratios[0] > ratios[1] > ratios[2]
+
+    def test_manufactured_nonlinear_solution(self):
+        # u = (1 + t) P, P the Airy plane wave (a = 2), solves
+        # i u_t + L u = f + kappa |u|^2 u for f = i P - kappa |u|^2 u; kappa is
+        # large enough that an error in the iteration's forcing shows
+        ell, horizon, a, kappa = 1.0, 0.5, 2.0, 0.5
+        wave = plane_wave_exact(AIRY, a)
+
+        def exact(x, t):
+            return (1.0 + np.asarray(t)) * wave(x, t)
+
+        def forcing(x, t):
+            u = exact(x, t)
+            return 1j * wave(x, t) - kappa * np.abs(u) ** 2 * u
+
+        data = ProblemData(
+            AIRY, ell, horizon,
+            SpatialProfile.from_callable(lambda x: exact(x, 0.0), ell),
+            TimeSeries.from_callable(lambda t: exact(0.0, t), horizon),
+            TimeSeries.from_callable(lambda t: exact(ell, t), horizon),
+            TimeSeries.from_callable(lambda t: 1j * a * exact(ell, t), horizon),
+            forcing=Field.from_callable(forcing, np.linspace(0.0, ell, 257),
+                                        np.linspace(0.0, horizon, 129)),
+            kappa=kappa, lam=3.0)
+        field, report = picard_solve(data, (49, 33), QuadratureBudget())
+        assert report.converged
+        want = Field.from_callable(exact, field.x_grid, field.t_grid)
+        assert field.relative_l2_gap(want) <= 1e-3
 
     def test_no_convergence_carries_report(self):
         with pytest.raises(NoConvergence) as err:

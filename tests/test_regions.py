@@ -1,17 +1,16 @@
-"""Region classification, puncture radius, Delta, and the solver's contour:
+"""Im omega, puncture radius, Delta, and the solver's contour:
 the boundary segments of segment_specs and the nodes linear._solver_segments
 places on them."""
 
 import numpy as np
 import pytest
 
-from hnls_utm.dispersion import DispersionParams, symmetries
+from hnls_utm.dispersion import DispersionParams, symmetry_roots
 from hnls_utm.errors import InvalidTruncation
 from hnls_utm.linear import QuadratureBudget, _solver_segments
-from hnls_utm.regions import (DELTA_BOUND_C0, DELTA_BOUND_CPM, RegionLabel,
-                              SegmentKind, arc_half_angle, classification_tol,
-                              classify_region, delta_fn, im_omega, m_delta,
-                              r_delta, segment_specs)
+from hnls_utm.regions import (DELTA_BOUND_C0, DELTA_BOUND_CPM, SegmentKind,
+                              arc_half_angle, im_omega, m_delta, r_delta,
+                              scaled_delta, segment_specs)
 
 AIRY = DispersionParams(1.0, 0.0, 0.0)
 # truncation radius 20 on the unit interval, horizon 1/2
@@ -49,22 +48,6 @@ class TestImOmega:
                                        atol=1e-13 * (1 + np.max(np.abs(direct))))
 
 
-class TestClassify:
-    def test_d0(self):
-        assert classify_region(AIRY, 1j, 1e-12) is RegionLabel.D0
-
-    def test_dplus(self):
-        assert classify_region(AIRY, np.sqrt(3.0) - 1.0j, 1e-9) \
-            is RegionLabel.DPLUS
-
-    def test_boundary(self):
-        assert classify_region(AIRY, 1.0 + 0.0j, 1e-12) is RegionLabel.BOUNDARY
-
-    def test_outside(self):
-        # Im omega(k) > 0 just above the real axis far right of the wedge
-        assert classify_region(AIRY, 5.0 + 0.1j, 1e-12) is RegionLabel.OUTSIDE
-
-
 class TestRadii:
     def test_r_delta_airy(self):
         assert r_delta(AIRY, 1.0) == pytest.approx(9.0)
@@ -98,12 +81,13 @@ class TestRadii:
 
 class TestDelta:
     def test_origin_zero(self):
-        assert delta_fn(AIRY, 1.0, 0.0 + 0.0j) == pytest.approx(0.0)
+        roots = symmetry_roots(AIRY, 0.0 + 0.0j)
+        assert scaled_delta(roots, 1.0, 0.0) == pytest.approx(0.0)
 
     def test_gamma9_point_bound(self):
         k = -9.0 + 0.0j
-        tri = symmetries(AIRY, k)
-        val = np.exp(1j * tri.nu_minus * 1.0) * delta_fn(AIRY, 1.0, k)
+        roots = symmetry_roots(AIRY, k)
+        val = scaled_delta(roots, 1.0, roots[2])
         assert abs(val) >= DELTA_BOUND_CPM * 9.0
 
     def test_frozen_constants(self):
@@ -144,6 +128,3 @@ class TestContourSet:
         with pytest.raises(InvalidTruncation):
             _solver_segments(AIRY, 1.0, 0.5,
                              QuadratureBudget(real_axis_window=2.0))
-
-    def test_classification_tol_scale(self):
-        assert classification_tol(AIRY, 1.0) == pytest.approx(1e-12 * 730.0)

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from hnls_utm.errors import ExponentialOverflow
 from hnls_utm.linear import (_apply_kernel, _cumulative_transform,
                              _factor_forcing, _time_transform, _x_quadrature)
-from hnls_utm.transforms import (GridKind, SpatialProfile, TimeSeries,
-                                 laplace_transform)
+from hnls_utm.transforms import SpatialProfile, TimeSeries, laplace_transform
 
 
 def profile_of(func, ell=1.0, n=257):
@@ -137,13 +136,6 @@ class TestLaplace:
 
 
 class TestProfiles:
-    def test_chebyshev_grid_kind(self):
-        prof = SpatialProfile.from_callable(
-            lambda x: np.sin(x).astype(complex), 1.0, n=33,
-            grid_kind=GridKind.CHEBYSHEV)
-        x = np.array([0.1, 0.73])
-        np.testing.assert_allclose(prof(x), np.sin(x), atol=1e-10)
-
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             SpatialProfile(1.0, np.zeros(3))
