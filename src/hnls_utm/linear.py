@@ -81,7 +81,7 @@ from .errors import ExponentialOverflow, GridTooCoarse, InvalidTruncation, Quadr
 from .fields import Field
 from .regions import (DOMINANT_ROOT, RegionLabel, SegmentKind, arc_half_angle,
                       r_delta, scaled_delta, segment_specs)
-from .transforms import SpatialProfile, TimeSeries
+from .transforms import SpatialProfile, TimeSeries, gauss_panels
 
 TWO_PI = 2.0 * np.pi
 # largest |real part| of an exponent the transforms and the assembly evaluate
@@ -217,12 +217,12 @@ class XQuadrature(NamedTuple):
     off: np.ndarray
 
 
-def _x_quadrature(ell: float, n_nodes: int = 256) -> XQuadrature:
+def _x_quadrature(ell: float) -> XQuadrature:
     """The x-quadrature of every spatial transform: 8-point Gauss-Legendre on
-    n_nodes // 8 uniform panels, with the panel factors that _apply_kernel
-    builds its kernels from."""
+    32 uniform panels, with the panel factors that _apply_kernel builds its
+    kernels from."""
     xg, wg = roots_legendre(8)
-    n_panels = max(4, n_nodes // 8)
+    n_panels = 32
     edges = np.linspace(0.0, ell, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * ell / n_panels
@@ -385,11 +385,20 @@ def _cumulative_transform(series, horizon: float, w, weights,
     return out
 
 
-def _interpolation_matrix(t_from, t_to) -> np.ndarray:
-    """P with CubicSpline(t_from, y, axis=1)(t_to) == y @ P for any row
-    stack y: the spline is linear in its data."""
-    n = len(t_from)
-    return CubicSpline(t_from, np.eye(n), axis=1)(t_to)
+def _forcing_history(series_b, horizon: float, w, weights, t_grid) -> np.ndarray:
+    """-i int_0^t e^{-i w_j s} sum_r weights[j, r] B_r(s) ds at the times t
+    of t_grid, (nw, len(t_grid)): the running transform of the factored
+    forcing A B, weights being A's x-transforms.  The integrals on B's grid
+    linspace(0, horizon, nt) go to t_grid by its cubic spline, linear in the
+    data, so as one (nt, len(t_grid)) matrix that also takes the -i; on B's
+    own grid (every Picard iteration) -i is applied in place.  Neither way
+    forms a second (nodes x times) array."""
+    icum = _cumulative_transform(series_b, horizon, w, weights)
+    tb = np.linspace(0.0, horizon, series_b.shape[1])
+    if np.array_equal(tb, t_grid):
+        icum *= -1j
+        return icum
+    return icum @ (-1j * CubicSpline(tb, np.eye(len(tb)), axis=1)(t_grid))
 
 
 # --------------------------------------------------------------------------
@@ -490,18 +499,9 @@ def _phase_measure(params, gamma, lo, hi, horizon, ell, weight=None, n_fine=2001
 
 
 def _graded_panel_nodes(pf, cum, n_panels):
-    levels = np.linspace(0.0, cum[-1], n_panels + 1)
-    edges = np.interp(levels, cum, pf)
-    edges = np.maximum.accumulate(edges)
-    xg, wg = roots_legendre(8)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * xg)
-        weights.append(half * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+    """Gauss-Legendre panels with equal shares of cum, empty ones dropped."""
+    edges = np.interp(np.linspace(0.0, cum[-1], n_panels + 1), cum, pf)
+    return gauss_panels(np.unique(np.maximum.accumulate(edges)))
 
 
 def _radial_envelope(params, ell, horizon, xquad, samples, r_max, n_r=193):
@@ -663,11 +663,12 @@ def _real_axis_nodes(params, ell, horizon, budget, weight=None):
 # the solvers
 # --------------------------------------------------------------------------
 
-def _forcing_on_quadrature(data: ProblemData, xq):
-    if data.forcing is None:
-        return None
-    f = data.forcing
-    return CubicSpline(f.x_grid, f.values, axis=0)(xq)
+def resample(field: Field, x, t=None) -> np.ndarray:
+    """The field's values splined onto the points x, (len(x), nt), and then
+    onto the times t when given, (len(x), len(t)): the one place a Field is
+    carried off its grid."""
+    vals = CubicSpline(field.x_grid, field.values, axis=0)(x)
+    return vals if t is None else CubicSpline(field.t_grid, vals, axis=1)(t)
 
 
 def _factor_forcing(fq):
@@ -691,14 +692,13 @@ def _is_zero(arr) -> bool:
 
 class _Samples(NamedTuple):
     """The data as the transforms see it, corner blend removed: u0 on the
-    x-quadrature, the (3, NTQ) stack of g0, h0, h1 on the uniform time grid,
-    and the factored forcing (A, B) with B's time grid tf; a part that is
-    identically zero is None.  blend is _corner_blend's result."""
+    x-quadrature, the (3, NTQ) stack of g0, h0, h1 and the factored forcing
+    (A, B), both B and the stack on uniform grids over [0, horizon]; a part
+    that is identically zero is None.  blend is _corner_blend's result."""
 
     u0v: Optional[np.ndarray]
     stack: Optional[np.ndarray]
     forcing: Optional[tuple]
-    tf: Optional[np.ndarray]
     blend: Optional[tuple]
 
 
@@ -711,8 +711,7 @@ def _sample(data: ProblemData, xquad: XQuadrature) -> _Samples:
     ell, horizon = data.ell, data.horizon
     xq = xquad.nodes
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
-    fq = _forcing_on_quadrature(data, xq)
-    tf = data.forcing.t_grid if data.forcing is not None else None
+    fq = None if data.forcing is None else resample(data.forcing, xq)
     tq = np.linspace(0.0, horizon, NTQ)
     stack = np.stack([np.asarray(s(tq), dtype=np.complex128)
                       for s in (data.g0, data.h0, data.h1)])
@@ -722,14 +721,12 @@ def _sample(data: ProblemData, xquad: XQuadrature) -> _Samples:
         u0v = u0v - wfun(xq, 0.0)
         stack = stack - np.stack([wfun(0.0, tq), wfun(ell, tq), wx_right(tq)])
         if fq is None:
-            tf = tq
-            fq = -wforce(xq[:, None], tf[None, :])
+            fq = -wforce(xq[:, None], tq[None, :])
         else:
-            fq = fq - wforce(xq[:, None], np.asarray(tf)[None, :])
-    forcing = _factor_forcing(fq)
+            fq = fq - wforce(xq[:, None], data.forcing.t_grid[None, :])
     return _Samples(None if _is_zero(u0v) else u0v,
                     None if _is_zero(stack) else stack,
-                    forcing, None if forcing is None else tf, blend)
+                    _factor_forcing(fq), blend)
 
 
 def _x_payloads(samples: _Samples):
@@ -862,15 +859,8 @@ class SolvePlan:
         hats = _apply_kernel(k_r + 0j, None, self.xquad, _x_payloads(samples))
         icum = None
         if samples.forcing is not None:
-            icum = _cumulative_transform(samples.forcing[1], self.horizon,
-                                         om_r, hats[-1])
-            # on the output times (every Picard iteration) the interpolation
-            # is the identity; otherwise -i goes into the small matrix, so no
-            # second (nodes x times) array is live during the assembly
-            if np.array_equal(samples.tf, self.t_grid):
-                icum *= -1j
-            else:
-                icum = icum @ (-1j * _interpolation_matrix(samples.tf, self.t_grid))
+            icum = _forcing_history(samples.forcing[1], self.horizon, om_r,
+                                    hats[-1], self.t_grid)
         _assemble(vals, self.x_grid, self.t_grid, self.ell, "in", k_r + 0j,
                   w_r + 0j, om_r + 0j,
                   coef_static=hats[0] if samples.u0v is not None else None,
@@ -950,10 +940,6 @@ def solve_reduced(params: DispersionParams, ell: float, psi0: TimeSeries,
     horizon = psi0.horizon
     base = zero_data(params, ell, horizon)
     data = replace(base, h0=psi0, h1=psi1)
-    if _is_zero(psi0.samples) and _is_zero(psi1.samples) \
-            and psi0.func is None and psi1.func is None:
-        x_grid, t_grid = _output_grids(ell, horizon, grid)
-        return Field.zeros(x_grid, t_grid)
     prev = solve_full(data, grid, budget)
     for factor in (1.6, 2.56):
         refined = replace(budget,
@@ -1024,7 +1010,7 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
 
     xquad = _x_quadrature(ell)
     xq = xquad.nodes
-    vq = CubicSpline(field.x_grid, field.values, axis=0)(xq)
+    vq = resample(field, xq)
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
     uhat, u0hat = _apply_kernel(karr, None, xquad, [vq, u0v])
     lhs = np.exp(-1j * np.outer(om, t)) * uhat
@@ -1047,12 +1033,11 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
         [left, -np.exp(-1j * karr * ell)[:, None] * left], axis=1)
     rhs = u0hat[:, None] + _cumulative_transform(
         np.stack([g0, g1, g2, h0, h1, h2]), th, om, weights)
-    forcing = _factor_forcing(_forcing_on_quadrature(data, xq))
+    forcing = _factor_forcing(None if data.forcing is None
+                              else resample(data.forcing, xq))
     if forcing is not None:
         (ahat,) = _apply_kernel(karr, None, xquad, [forcing[0]])
-        tf = np.linspace(0.0, horizon, forcing[1].shape[1])
-        icum = _cumulative_transform(forcing[1], horizon, om, ahat)
-        rhs = rhs - 1j * (icum @ _interpolation_matrix(tf, t))
+        rhs = rhs + _forcing_history(forcing[1], horizon, om, ahat, t)
 
     scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))))
     if scale == 0.0:

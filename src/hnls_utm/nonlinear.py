@@ -20,15 +20,13 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Dict, List
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import roots_legendre
 
 from .errors import InhomogeneousBoundary, MissingProxy, NoConvergence
 from .fields import Field
 from .linear import (ProblemData, QuadratureBudget, fd_weights, make_plan,
-                     solve_full, zero_data)
+                     resample, solve_full, zero_data)
 from .norms import bessel_norm, ct_l2_distance, sobolev_norm
-from .transforms import SpatialProfile
+from .transforms import SpatialProfile, gauss_panels
 
 HIGH_PROXIES = ("c_s", "c_s_lambda", "c1_sT", "c2_sT")
 LOW_PROXIES = ("c_s_lambda", "c2_sT", "c3_s2T", "c3_spT")
@@ -96,25 +94,14 @@ def mvt_gap(u1: complex, u2: complex, lam: float, tau_nodes: int = 64) -> comple
         return 0.0 + 0.0j
     # |Z|^2 is a real quadratic in tau; its minimizer locates the kink
     tau_star = -((u2.real * d.real + u2.imag * d.imag) / abs(d) ** 2)
-    breaks = [0.0]
-    if 0.0 < tau_star < 1.0:
-        breaks.append(tau_star)
-    breaks.append(1.0)
-    xg, wg = roots_legendre(8)
-    levels = max(8, tau_nodes // 4)
-    taus, wts = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        # geometric grading toward both ends of the subinterval, deep enough
-        # that the panel containing the |Z| minimum is negligibly small
-        rel = 0.5 * 0.3 ** np.arange(levels)
-        edges = np.unique(np.concatenate([rel, 1.0 - rel, [0.0, 0.5, 1.0]]))
-        edges = a + (b - a) * edges
-        hw = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        taus.append((mid[:, None] + hw[:, None] * xg[None, :]).ravel())
-        wts.append((hw[:, None] * wg[None, :]).ravel())
-    tau = np.concatenate(taus)
-    wt = np.concatenate(wts)
+    breaks = [0.0, tau_star, 1.0] if 0.0 < tau_star < 1.0 else [0.0, 1.0]
+    # geometric grading toward both ends of each subinterval, deep enough
+    # that the panel containing the |Z| minimum is negligibly small; the
+    # subintervals share their break, which unique keeps once
+    rel = 0.5 * 0.3 ** np.arange(max(8, tau_nodes // 4))
+    unit = np.unique(np.concatenate([rel, 1.0 - rel, [0.0, 0.5, 1.0]]))
+    tau, wt = gauss_panels(np.unique(np.concatenate(
+        [a + (b - a) * unit for a, b in zip(breaks[:-1], breaks[1:])])))
     z = tau * u1 + (1.0 - tau) * u2
     mag = np.abs(z)
     i1 = np.sum(wt * mag ** (lam - 1.0))
@@ -230,8 +217,7 @@ def lifespan_indicator(data: ProblemData, s: float,
 def _combined_forcing(data: ProblemData, nl: Field) -> Field:
     if data.forcing is None:
         return nl
-    base = CubicSpline(data.forcing.x_grid, data.forcing.values, axis=0)(nl.x_grid)
-    base = CubicSpline(data.forcing.t_grid, base, axis=1)(nl.t_grid)
+    base = resample(data.forcing, nl.x_grid, nl.t_grid)
     return Field(nl.x_grid, nl.t_grid, nl.values + base)
 
 

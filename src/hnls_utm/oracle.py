@@ -20,12 +20,11 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack
 
 from .errors import StepDiverged
 from .fields import Field
-from .linear import ProblemData, fd_weights
+from .linear import ProblemData, fd_weights, resample
 
 _KL, _KU = 3, 4  # band widths of the implicit matrix
 
@@ -140,14 +139,6 @@ def _boundary_series(data: ProblemData, t_grid, bc_mode):
             np.asarray(data.h1(t_grid), dtype=np.complex128))
 
 
-def _forcing_table(data: ProblemData, x_grid, t_grid):
-    if data.forcing is None:
-        return None
-    f = data.forcing
-    on_x = CubicSpline(f.x_grid, f.values, axis=0)(x_grid)
-    return CubicSpline(f.t_grid, on_x, axis=1)(t_grid)
-
-
 def oracle_solve(data: ProblemData, config: OracleConfig) -> Field:
     """Step the interval problem on a uniform grid and return the field."""
     params, ell, horizon = data.params, data.ell, data.horizon
@@ -164,7 +155,7 @@ def oracle_solve(data: ProblemData, config: OracleConfig) -> Field:
         raise StepDiverged("implicit matrix is singular (info=%d)" % info)
 
     g0, h0, h1 = _boundary_series(data, t, config.bc_mode)
-    ftab = _forcing_table(data, x, t)
+    ftab = None if data.forcing is None else resample(data.forcing, x, t)
 
     def q_term(interior, n):
         """-i (f + kappa |u|^{lam-1} u) at the interior points, time index n."""

@@ -59,12 +59,6 @@ def r_delta(params: DispersionParams, ell: float) -> float:
     return max(geo, 9.0 / ell)
 
 
-def m_delta(params: DispersionParams, ell: float) -> float:
-    """Bound M_Delta on |omega| over the puncture disk."""
-    rho = abs(params.center) + r_delta(params, ell)
-    return params.beta * rho ** 3 + abs(params.alpha) * rho ** 2 + abs(params.delta) * rho
-
-
 def scaled_delta(roots, ell: float, sigma):
     """e^{i sigma ell} Delta(k) for roots = (k, nu+, nu-), where
     Delta(k) = (nu+ - nu-) e^{-ik ell} + (nu- - k) e^{-i nu+ ell}

@@ -1,12 +1,14 @@
-"""Data containers and the uniform Gauss-Legendre rule.
+"""Data containers and the Gauss-Legendre panel rule.
 
 SpatialProfile and TimeSeries hold complex samples of the data on [0, ell]
 and [0, horizon]; sampled data are carried off the grid by interpolation,
 while analytic presets attach a callable that is evaluated directly.
-composite_gl is the uniform composite Gauss-Legendre rule of the norm
-integrals and of laplace_transform.  The data transforms of the solution
-formula (the interval Fourier transform and the truncated time transforms)
-live in linear, next to the contours they are evaluated on.
+gauss_panels is the one 8-point Gauss-Legendre panel rule: the phase-graded
+contour nodes, the mean-value identity's tau-quadrature and composite_gl
+(the uniform rule of the norm integrals and of laplace_transform) all take
+it on their own panel edges.  The data transforms of the solution formula
+(the interval Fourier transform and the truncated time transforms) live in
+linear, next to the contours they are evaluated on.
 """
 
 from __future__ import annotations
@@ -89,17 +91,20 @@ class TimeSeries:
         return cls(horizon, np.asarray(func(t), dtype=np.complex128), func)
 
 
-def composite_gl(a: float, b: float, n_samples: int):
-    """Composite 8-point Gauss-Legendre rule with the panel count scaled to
-    the sample resolution of the data being integrated."""
-    n_panels = max(2, (n_samples - 1) // 4)
+def gauss_panels(edges):
+    """Nodes and weights of 8-point Gauss-Legendre on each panel between
+    consecutive entries of the ascending array edges."""
     xg, wg = roots_legendre(8)
-    edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return x, w
+    return ((mid[:, None] + half[:, None] * xg[None, :]).ravel(),
+            (half[:, None] * wg[None, :]).ravel())
+
+
+def composite_gl(a: float, b: float, n_samples: int):
+    """Composite 8-point Gauss-Legendre rule on uniform panels, their count
+    scaled to the sample resolution of the data being integrated."""
+    return gauss_panels(np.linspace(a, b, max(2, (n_samples - 1) // 4) + 1))
 
 
 def laplace_transform(phi_samples: np.ndarray, r_max: float):

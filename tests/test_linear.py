@@ -304,6 +304,16 @@ class TestZeroData:
                               (9, 9), SMALL_BUDGET)
         assert np.max(np.abs(field.values)) <= 1e-14
 
+    @pytest.mark.parametrize("budget", [
+        QuadratureBudget(real_axis_window=2.0),
+        QuadratureBudget(arc_radius=20.0)],
+        ids=["window-inside-arc", "arc-outside-puncture"])
+    def test_solve_reduced_zero_checks_the_budget(self, budget):
+        # zero data take the solve path of any data, budget checks included
+        with pytest.raises(InvalidTruncation):
+            solve_reduced(AIRY, 1.0, zero_series(0.5), zero_series(0.5),
+                          (9, 9), budget)
+
     def test_global_relation_zero(self):
         data = zero_data(AIRY, 1.0, 0.5)
         field = Field.zeros(np.linspace(0, 1, 9), np.linspace(0, 0.5, 9))
@@ -408,6 +418,22 @@ def _forced_plane_wave(params, x_nodes=257, t_nodes=129):
 
 
 class TestForcedSolution:
+    @pytest.mark.parametrize("forcing_times", [97, 129],
+                             ids=["field-times", "interpolated"])
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0), (0.5, 1.0, 1.0)])
+    def test_global_relation_with_forcing(self, coeffs, forcing_times):
+        # the running forcing transform, on the field's times and carried to
+        # them from a finer grid; doubling the forcing must show
+        data, exact = _forced_plane_wave(DispersionParams(*coeffs), 161,
+                                         forcing_times)
+        field = Field.from_callable(exact, np.linspace(0.0, 1.0, 161),
+                                    np.linspace(0.0, 0.5, 97))
+        ks = [1.0, -2.1, 0.45, 1.5 + 0.5j, -2.0 - 0.5j]
+        assert global_relation_residual(field, data, ks) <= 1e-6
+        f = data.forcing
+        doubled = replace(data, forcing=Field(f.x_grid, f.t_grid, 2.0 * f.values))
+        assert global_relation_residual(field, doubled, ks) >= 0.1
+
     @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0), (0.5, 1.0, 1.0)])
     def test_manufactured_forced_plane_wave(self, coeffs):
         data, exact = _forced_plane_wave(DispersionParams(*coeffs))

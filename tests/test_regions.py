@@ -9,8 +9,8 @@ from hnls_utm.dispersion import DispersionParams, symmetry_roots
 from hnls_utm.errors import InvalidTruncation
 from hnls_utm.linear import QuadratureBudget, _solver_segments
 from hnls_utm.regions import (DELTA_BOUND_C0, DELTA_BOUND_CPM, SegmentKind,
-                              arc_half_angle, im_omega, m_delta, r_delta,
-                              scaled_delta, segment_specs)
+                              arc_half_angle, im_omega, r_delta, scaled_delta,
+                              segment_specs)
 
 AIRY = DispersionParams(1.0, 0.0, 0.0)
 # truncation radius 20 on the unit interval, horizon 1/2
@@ -58,25 +58,6 @@ class TestRadii:
     def test_r_delta_short_interval(self):
         assert r_delta(DispersionParams(1.0, 0.0, 3.0), 0.05) == pytest.approx(180.0)
 
-    def test_m_delta_airy(self):
-        assert m_delta(AIRY, 1.0) == pytest.approx(729.0)
-
-    def test_m_delta_with_alpha(self):
-        val = m_delta(DispersionParams(1.0, 1.0, 0.0), 1.0)
-        assert val == pytest.approx((1 / 3 + 9) ** 3 + (1 / 3 + 9) ** 2, rel=1e-12)
-
-    def test_m_delta_bounds_arc(self):
-        segments, rho = solver_segments(AIRY)
-        md = m_delta(AIRY, 1.0)
-        for kind, nodes_k in segments:
-            if kind is SegmentKind.CIRCULAR_ARC:
-                w = (AIRY.beta * nodes_k ** 3
-                     - AIRY.alpha * nodes_k ** 2 - AIRY.delta * nodes_k)
-                # the bound is stated on the puncture circle radius R_Delta
-                on_rd = nodes_k * (r_delta(AIRY, 1.0) / rho)
-                w_rd = AIRY.beta * on_rd ** 3
-                assert np.all(np.abs(w_rd) <= md * (1 + 1e-12))
-                assert np.all(np.isfinite(w))
 
 
 class TestDelta:
@@ -105,7 +86,9 @@ class TestContourSet:
         for params in (AIRY, DispersionParams(1.0, 0.0, 3.0),
                        DispersionParams(1.0, 0.0, -3.0)):
             segments, rho = solver_segments(params)
-            tol = 1e-9 * m_delta(params, 1.0)
+            # 1e-9 of the bound on |omega| over the puncture disk (alpha = 0)
+            rd = r_delta(params, 1.0)
+            tol = 1e-9 * (params.beta * rd ** 3 + abs(params.delta) * rd)
             for kind, nodes_k in segments:
                 if kind is SegmentKind.CIRCULAR_ARC:
                     r = np.abs(nodes_k - params.center)
