@@ -17,9 +17,9 @@ from .nonlinear import (DissipationAudit, LifespanIndicator, PicardReport,
                         Regime, apply_nonlinearity, check_compatibility,
                         data_norm_sum, default_proxies, dissipation_audit,
                         lifespan_indicator, mvt_gap, picard_solve)
-from .norms import (NormKind, NormSpec, bessel_norm, check_admissible_pair,
+from .norms import (NormSpec, bessel_norm, check_admissible_pair,
                     ct_l2_distance, ct_l2_norm, mixed_norm, sobolev_norm)
-from .oracle import BcMode, OracleConfig, oracle_solve
+from .oracle import OracleConfig, oracle_solve
 from .regions import RegionLabel, SegmentKind, im_omega, r_delta, scaled_delta
 from .transforms import SpatialProfile, TimeSeries, laplace_transform
 from .verify import run_suite

@@ -39,8 +39,8 @@ from .linear import (ProblemData, QuadratureBudget, evaluate_traces,
 from .nonlinear import (apply_nonlinearity, check_compatibility,
                         _combined_forcing, _data_norm_terms, data_norm_sum,
                         default_proxies, lifespan_indicator, picard_solve)
-from .norms import NormKind, NormSpec, ct_l2_norm, mixed_norm, sobolev_norm
-from .oracle import BcMode, OracleConfig, oracle_solve
+from .norms import NormSpec, ct_l2_norm, mixed_norm, sobolev_norm
+from .oracle import OracleConfig, oracle_solve
 from .presets import plane_wave_data, profile_from_spec, series_from_spec
 from .verify import SUITES, run_suite
 
@@ -49,9 +49,6 @@ MODES = ("linear", "nonlinear", "reduced", "oracle", "compare")
 
 @dataclass
 class ScenarioConfig:
-    params: DispersionParams
-    ell: float
-    horizon: float
     data: ProblemData
     s: float = 1.0
     proxies: dict = field(default_factory=dict)
@@ -61,17 +58,24 @@ class ScenarioConfig:
     max_iter: int = 12
     tol: float = 1e-6
     out_dir: str = "out"
-    raw: dict = field(default_factory=dict)
+
+
+def _mapping(value, name):
+    """value itself if it is a mapping or None; ConfigInvalid otherwise."""
+    if value is not None and not isinstance(value, dict):
+        raise ConfigInvalid("field %r must be a mapping, got %r" % (name, value))
+    return value
 
 
 def _need(doc: dict, section: str, key: str = None):
-    if section not in doc or doc[section] is None:
+    sec = _mapping(doc.get(section), section)
+    if sec is None:
         raise ConfigInvalid("missing required section %r" % section)
     if key is None:
-        return doc[section]
-    if key not in doc[section]:
+        return sec
+    if key not in sec:
         raise ConfigInvalid("missing required field %r" % (section + "." + key))
-    return doc[section][key]
+    return sec[key]
 
 
 def _number(value, name):
@@ -79,6 +83,13 @@ def _number(value, name):
         return float(value)
     except (TypeError, ValueError):
         raise ConfigInvalid("field %r must be a number, got %r" % (name, value))
+
+
+def _integer(value, name):
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigInvalid("field %r must be an integer, got %r" % (name, value))
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -106,7 +117,7 @@ def load_scenario(path) -> ScenarioConfig:
     if ell <= 0 or horizon <= 0:
         raise ConfigInvalid("geometry.ell and geometry.horizon must be positive")
 
-    non = doc.get("nonlinearity") or {}
+    non = _mapping(doc.get("nonlinearity"), "nonlinearity") or {}
     kappa = complex(_number(non.get("kappa_re", 0.0), "nonlinearity.kappa_re"),
                     _number(non.get("kappa_im", 0.0), "nonlinearity.kappa_im"))
     lam = _number(non.get("lambda", 3.0), "nonlinearity.lambda")
@@ -121,41 +132,46 @@ def load_scenario(path) -> ScenarioConfig:
             data = replace(data, kappa=kappa, lam=lam)
         else:
             forcing = _forcing_from_spec(dsec.get("forcing"), ell, horizon)
+            spec = {name: _mapping(dsec.get(name), "data." + name)
+                    for name in ("u0", "g0", "h0", "h1")}
             data = ProblemData(
                 params, ell, horizon,
-                profile_from_spec(dsec.get("u0"), ell),
-                series_from_spec(dsec.get("g0"), horizon),
-                series_from_spec(dsec.get("h0"), horizon),
-                series_from_spec(dsec.get("h1"), horizon),
+                profile_from_spec(spec["u0"], ell),
+                series_from_spec(spec["g0"], horizon),
+                series_from_spec(spec["h0"], horizon),
+                series_from_spec(spec["h1"], horizon),
                 forcing=forcing, kappa=kappa, lam=lam)
-    except (ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         raise ConfigInvalid("data: %s" % exc)
 
-    sol = doc.get("solver") or {}
-    grid = tuple(int(v) for v in sol.get("grid", (129, 65)))
-    if len(grid) != 2 or min(grid) < 4:
+    sol = _mapping(doc.get("solver"), "solver") or {}
+    grid = sol.get("grid", (129, 65))
+    if isinstance(grid, (list, tuple)):
+        grid = tuple(_integer(v, "solver.grid") for v in grid)
+    if not isinstance(grid, tuple) or len(grid) != 2 or min(grid) < 4:
         raise ConfigInvalid("solver.grid must be two sizes of at least 4")
+    budget = _mapping(sol.get("budget"), "solver.budget") or {}
     try:
-        budget = QuadratureBudget(**(sol.get("budget") or {}))
+        budget = QuadratureBudget(**budget)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid("solver.budget: %s" % exc)
-    osec = dict(sol.get("oracle") or {})
-    if "bc_mode" in osec:
-        osec["bc_mode"] = BcMode(osec["bc_mode"])
+    oracle = _mapping(sol.get("oracle"), "solver.oracle") or {}
     try:
-        oracle = OracleConfig(**osec)
+        oracle = OracleConfig(**oracle)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid("solver.oracle: %s" % exc)
     s = _number(sol.get("s", 1.0), "solver.s")
-    proxies = {str(k): float(v) for k, v in (sol.get("proxies") or {}).items()}
-    max_iter = int(sol.get("max_iter", 12))
+    proxies = {str(k): _number(v, "solver.proxies.%s" % k) for k, v in
+               (_mapping(sol.get("proxies"), "solver.proxies") or {}).items()}
+    max_iter = _integer(sol.get("max_iter", 12), "solver.max_iter")
     tol = _number(sol.get("tol", 1e-6), "solver.tol")
     if max_iter < 1 or tol <= 0:
         raise ConfigInvalid("solver.max_iter must be >= 1 and solver.tol > 0")
 
-    out_dir = (doc.get("outputs") or {}).get("directory", "out")
-    return ScenarioConfig(params, ell, horizon, data, s, proxies, grid,
-                          budget, oracle, max_iter, tol, str(out_dir), doc)
+    outputs = _mapping(doc.get("outputs"), "outputs") or {}
+    out_dir = outputs.get("directory", "out")
+    return ScenarioConfig(data, s, proxies, grid, budget, oracle, max_iter,
+                          tol, str(out_dir))
 
 
 def _forcing_from_spec(spec, ell, horizon):
@@ -164,8 +180,8 @@ def _forcing_from_spec(spec, ell, horizon):
         return None
     if not isinstance(spec, dict) or "x" not in spec or "t" not in spec:
         raise ConfigInvalid("data.forcing must give separable 'x' and 't' specs")
-    prof = profile_from_spec(spec["x"], ell)
-    ser = series_from_spec(spec["t"], horizon)
+    prof = profile_from_spec(_mapping(spec["x"], "data.forcing.x"), ell)
+    ser = series_from_spec(_mapping(spec["t"], "data.forcing.t"), horizon)
     x = np.linspace(0.0, ell, 129)
     t = np.linspace(0.0, horizon, 129)
     return Field(x, t, np.outer(prof(x), ser(t)))
@@ -181,8 +197,7 @@ def _write_norms(path, cfg: ScenarioConfig, field_obj: Field):
         ("field_l2_xt", 0.0, 2.0, 2.0, field_obj.l2_norm_xt()),
         ("field_ct_l2", 0.0, 2.0, float("inf"), ct_l2_norm(field_obj)),
         ("field_ct_hs", s, 2.0, float("inf"),
-         mixed_norm(field_obj,
-                    NormSpec(s, 2.0, float("inf"), NormKind.SOBOLEV_INTERVAL))),
+         mixed_norm(field_obj, NormSpec(s, 2.0, float("inf")))),
         ("u0_hs", s, 2.0, 2.0, sobolev_norm(cfg.data.u0, s)),
         ("data_norm_sum", s, 2.0, 2.0, data_norm_sum(cfg.data, s)),
     ]
@@ -268,7 +283,7 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
             diagnostics["global_relation_residual"] = global_relation_residual(
                 field_obj, effective, _diag_k_samples(cfg))
         elif mode == "reduced":
-            field_obj = solve_reduced(cfg.params, cfg.ell, data.h0, data.h1,
+            field_obj = solve_reduced(data.params, data.ell, data.h0, data.h1,
                                       cfg.grid, cfg.budget)
             diagnostics["trace_recovery_gaps"] = _trace_gaps(field_obj, data)
         elif mode == "oracle":
@@ -291,9 +306,9 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
         return 2
 
     header = {
-        "params": {"beta": cfg.params.beta, "alpha": cfg.params.alpha,
-                   "delta": cfg.params.delta},
-        "ell": cfg.ell, "horizon": cfg.horizon, "mode": mode,
+        "params": {"beta": data.params.beta, "alpha": data.params.alpha,
+                   "delta": data.params.delta},
+        "ell": data.ell, "horizon": data.horizon, "mode": mode,
         "grid": [len(field_obj.x_grid), len(field_obj.t_grid)],
         "budget": asdict(cfg.budget),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -307,7 +322,7 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
 
 
 def _diag_k_samples(cfg: ScenarioConfig):
-    base = max(1.0, 4.0 / cfg.ell)
+    base = max(1.0, 4.0 / cfg.data.ell)
     return [complex(v * base) for v in (-1.7, -0.9, 0.45, 1.1, 1.9)] + \
         [base * (0.6 + 0.3j), base * (-1.2 - 0.2j)]
 

@@ -61,8 +61,3 @@ class Field:
     def from_callable(cls, func, x_grid, t_grid):
         xx, tt = np.meshgrid(np.asarray(x_grid), np.asarray(t_grid), indexing="ij")
         return cls(x_grid, t_grid, func(xx, tt))
-
-    @classmethod
-    def zeros(cls, x_grid, t_grid):
-        return cls(x_grid, t_grid,
-                   np.zeros((len(x_grid), len(t_grid)), dtype=np.complex128))

@@ -102,23 +102,21 @@ class QuadratureBudget:
     whole-line term and all contour segments; keeping it common makes the
     slowly decaying corner tails of the individual terms cancel.
     contour_nodes is the total across the nine contour segments, distributed
-    proportionally to each segment's phase content.  arc_radius optionally
-    overrides the automatic deformed puncture radius.
+    proportionally to each segment's phase content.  The deformed puncture
+    radius is not a budget setting: make_plan picks it where the Delta-margin
+    sweep finds the swept annulus zero-free.
     """
 
     contour_nodes: int = 24000
     real_axis_window: float = 30.0
     real_axis_nodes: int = 12000
     tolerance: float = 1e-3
-    arc_radius: Optional[float] = None
 
     def __post_init__(self):
         if self.contour_nodes <= 0 or self.real_axis_nodes <= 0:
             raise ValueError("node counts must be positive")
         if self.real_axis_window <= 0 or self.tolerance <= 0:
             raise ValueError("window and tolerance must be positive")
-        if self.arc_radius is not None and self.arc_radius <= 0:
-            raise ValueError("arc_radius must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -565,19 +563,16 @@ def _deformation_margin(params, ell, rho, rd, n_rad=9, n_ang=65):
     return margin
 
 
-def _pick_arc_radius(params, ell, horizon, budget):
+def _pick_arc_radius(params, ell, horizon):
+    """The deformed puncture radius rho: the radius whose arc amplification
+    is about e^{ARC_LOG_CAP}, clamped to [rho_lo, R_Delta], then grown until
+    the annulus swept from R_Delta in to rho keeps the Delta margin."""
     rd = r_delta(params, ell)
     d = params.discriminant
     r_cut = (2.0 / (3.0 * params.beta)) * np.sqrt(abs(d))
     rho_lo = max(1.3 * r_cut, 1.5 / ell)
     rho_target = (ARC_LOG_CAP / (params.beta * horizon)) ** (1.0 / 3.0)
     rho = min(max(rho_target, rho_lo), rd)
-    if budget.arc_radius is not None:
-        rho = budget.arc_radius
-        if not (r_cut * 1.05 < rho <= rd):
-            raise InvalidTruncation(
-                "arc_radius must lie in (%.4g, %.4g]" % (1.05 * r_cut, rd))
-        return rho
     while rho < rd and _deformation_margin(params, ell, rho, rd) < MIN_DELTA_MARGIN:
         rho = min(1.35 * rho, rd)
     return rho
@@ -586,7 +581,7 @@ def _pick_arc_radius(params, ell, horizon, budget):
 def _solver_segments(params, ell, horizon, budget, weight=None):
     """Phase-graded quadrature nodes on the nine (deformed) segments,
     grouped as (region, k, dk-weights)."""
-    rho = _pick_arc_radius(params, ell, horizon, budget)
+    rho = _pick_arc_radius(params, ell, horizon)
     r_t = budget.real_axis_window
     if r_t <= 1.1 * rho:
         raise InvalidTruncation(

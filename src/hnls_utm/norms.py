@@ -11,7 +11,6 @@ equivalence constants.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,17 +21,11 @@ from .fields import Field
 from .transforms import SpatialProfile, chebyshev_grid, composite_gl
 
 
-class NormKind(enum.Enum):
-    SOBOLEV_INTERVAL = "SobolevInterval"
-    BESSEL_INTERVAL = "BesselInterval"
-
-
 @dataclass(frozen=True)
 class NormSpec:
     s: float = 0.0
     p: float = 2.0
     q: float = 2.0
-    kind: NormKind = NormKind.SOBOLEV_INTERVAL
 
     def __post_init__(self):
         if self.s < 0:
@@ -156,7 +149,7 @@ def spatial_slice_norm(field: Field, j: int, spec: NormSpec) -> float:
         sq = np.abs(field.values[:, j]) ** 2
         return float(np.sqrt(np.trapezoid(sq, field.x_grid)))
     prof = _slice_profile(field, j)
-    if spec.kind is NormKind.BESSEL_INTERVAL or spec.p != 2:
+    if spec.p != 2:
         return bessel_norm(prof, spec.s, spec.p)
     return sobolev_norm(prof, spec.s)
 

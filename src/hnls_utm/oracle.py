@@ -16,7 +16,6 @@ and reused.  The nonlinearity is handled by a per-step fixed-point sweep.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +28,11 @@ from .linear import ProblemData, fd_weights, resample
 _KL, _KU = 3, 4  # band widths of the implicit matrix
 
 
-class BcMode(enum.Enum):
-    FULL_DATA = "FullData"
-    HOMOGENEOUS = "Homogeneous"
-
-
 @dataclass(frozen=True)
 class OracleConfig:
     nx: int = 256
     nt: int = 256
     theta: float = 0.55
-    bc_mode: BcMode = BcMode.FULL_DATA
 
     def __post_init__(self):
         if self.nx < 16 or self.nt < 16:
@@ -130,15 +123,6 @@ def _apply_l(stencil, state):
     return np.einsum("ij,ij->i", wts, state[idx])
 
 
-def _boundary_series(data: ProblemData, t_grid, bc_mode):
-    if bc_mode is BcMode.HOMOGENEOUS:
-        z = np.zeros(len(t_grid), dtype=np.complex128)
-        return z, z, z
-    return (np.asarray(data.g0(t_grid), dtype=np.complex128),
-            np.asarray(data.h0(t_grid), dtype=np.complex128),
-            np.asarray(data.h1(t_grid), dtype=np.complex128))
-
-
 def oracle_solve(data: ProblemData, config: OracleConfig) -> Field:
     """Step the interval problem on a uniform grid and return the field."""
     params, ell, horizon = data.params, data.ell, data.horizon
@@ -154,7 +138,8 @@ def oracle_solve(data: ProblemData, config: OracleConfig) -> Field:
     if info != 0:
         raise StepDiverged("implicit matrix is singular (info=%d)" % info)
 
-    g0, h0, h1 = _boundary_series(data, t, config.bc_mode)
+    g0, h0, h1 = (np.asarray(series(t), dtype=np.complex128)
+                  for series in (data.g0, data.h0, data.h1))
     ftab = None if data.forcing is None else resample(data.forcing, x, t)
 
     def q_term(interior, n):

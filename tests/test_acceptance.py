@@ -15,7 +15,7 @@ from hnls_utm.linear import (ProblemData, QuadratureBudget, evaluate_traces,
 from hnls_utm.nonlinear import (apply_nonlinearity, _combined_forcing,
                                 default_proxies, dissipation_audit,
                                 lifespan_indicator, picard_solve)
-from hnls_utm.norms import (NormKind, NormSpec, check_admissible_pair,
+from hnls_utm.norms import (NormSpec, check_admissible_pair,
                             ct_l2_norm, mixed_norm, sobolev_norm)
 from hnls_utm.oracle import OracleConfig, oracle_solve
 from hnls_utm.presets import (bump_profile, bump_series, gaussian_profile,
@@ -191,7 +191,7 @@ def test_criterion_11_norm_toolkit():
     x = np.linspace(0, 1, 33)
     t = np.linspace(0, 0.5, 17)
     f = Field.from_callable(lambda xx, tt: np.exp(1j * xx) * (1 + tt), x, t)
-    spec = NormSpec(0.0, 2.0, np.inf, NormKind.SOBOLEV_INTERVAL)
+    spec = NormSpec(0.0, 2.0, np.inf)
     mixed_gap = abs(mixed_norm(f, spec) - ct_l2_norm(f))
     pairs_ok = (check_admissible_pair(np.inf, 2.0)
                 and check_admissible_pair(9.0, 6.0)

@@ -12,6 +12,8 @@ from hnls_utm import cli
 from hnls_utm.cli import load_scenario, main
 from hnls_utm.errors import ConfigInvalid
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 BASE = {
     "dispersion": {"beta": 1.0, "alpha": 0.0, "delta": 0.0},
     "geometry": {"ell": 1.0, "horizon": 0.1},
@@ -38,7 +40,7 @@ def write_config(tmp_path, doc, name="scenario.yaml"):
 class TestLoadScenario:
     def test_minimal_document(self, tmp_path):
         cfg = load_scenario(write_config(tmp_path, BASE))
-        assert cfg.params.beta == 1.0
+        assert cfg.data.params.beta == 1.0
         assert cfg.grid == (33, 17)
         assert cfg.data.horizon == 0.1
 
@@ -52,6 +54,38 @@ class TestLoadScenario:
         doc = dict(BASE, geometry={"ell": "wide", "horizon": 0.1})
         with pytest.raises(ConfigInvalid):
             load_scenario(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("solver", None, 5, "'solver'"),
+        ("solver", "grid", ["abc", 9], "'solver.grid'"),
+        ("solver", "max_iter", "x", "'solver.max_iter'"),
+        ("solver", "proxies", {"c_s": "big"}, "'solver.proxies.c_s'"),
+        ("outputs", None, "out", "'outputs'"),
+        ("data", "u0", "gaussian", "'data.u0'"),
+        ("solver", "budget", {"arc_radius": 9.0}, "solver.budget"),
+    ], ids=["solver", "grid", "max_iter", "proxies", "outputs", "u0",
+            "budget-arc-radius"])
+    def test_malformed_field_exit_2(self, tmp_path, section, key, value,
+                                    named):
+        doc = {k: dict(v) for k, v in BASE.items()}
+        if key is None:
+            doc[section] = value
+        else:
+            doc.setdefault(section, {})[key] = value
+        config = write_config(tmp_path, doc)
+        result = CliRunner().invoke(main, ["solve", "--config", config,
+                                           "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert named in result.output
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")),
+                             ids=lambda p: p.stem)
+    def test_shipped_config_loads(self, path, tmp_path):
+        # the norms verb loads the whole scenario but solves nothing
+        result = CliRunner().invoke(main, ["norms", "--config", str(path),
+                                           "--out", str(tmp_path / "n")])
+        assert result.exit_code == 0, result.output
+        assert "data_norm_sum" in result.output
 
 
 class TestSolveVerb:
@@ -119,13 +153,13 @@ class TestSolveVerb:
         assert diag["error"] == "StepDiverged"
 
     def test_arc_overflow_exit_3(self, tmp_path):
-        # arc radius R_Delta = 9 at T = 1: arc amplification e^{729}
-        doc = dict(BASE, geometry={"ell": 1.0, "horizon": 1.0},
+        # ell = 0.1, T = 0.25: the arc radius is held at 1.5 / ell = 15, an
+        # arc amplification exponent of 843.8
+        doc = dict(BASE, geometry={"ell": 0.1, "horizon": 0.25},
                    data={"preset": "plane_wave", "a": 2.0})
         doc["solver"] = {"grid": [9, 9],
                          "budget": {"contour_nodes": 4000,
-                                    "real_axis_nodes": 2000,
-                                    "arc_radius": 9.0}}
+                                    "real_axis_nodes": 2000}}
         config = write_config(tmp_path, doc)
         out = tmp_path / "o4"
         result = CliRunner().invoke(main, ["solve", "--config", config,
@@ -150,11 +184,10 @@ class TestSolveVerb:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "ExponentialOverflow"
 
-    @pytest.mark.parametrize("budget", [
-        {"real_axis_window": 2.0}, {"arc_radius": 20.0}],
-        ids=["window-inside-arc", "arc-outside-puncture"])
+    @pytest.mark.parametrize("budget", [{"real_axis_window": 2.0}],
+                             ids=["window-inside-arc"])
     def test_invalid_truncation_exit_3(self, tmp_path, budget):
-        # a window below 1.1 rho, or an arc radius outside (0, R_Delta = 9]
+        # a window below 1.1 rho
         doc = dict(BASE, data={"preset": "plane_wave", "a": 2.0})
         doc["solver"] = {"grid": [9, 9], "budget": budget}
         config = write_config(tmp_path, doc)

@@ -254,11 +254,11 @@ class TestExponentialTables:
                                        atol=1e-13 * np.max(np.abs(want)))
 
     def test_arc_amplification_guard(self):
-        # the arc radius R_Delta = 9 at T = 1 amplifies by e^{729}: the arc
-        # panel count would overflow, so the guard raises first
-        data = plane_wave_data(AIRY, 1.0, 1.0, 2.0)
-        budget = QuadratureBudget(contour_nodes=4000, real_axis_nodes=2000,
-                                  arc_radius=r_delta(AIRY, 1.0))
+        # ell = 0.1, T = 0.25: the arc radius is held at 1.5 / ell = 15,
+        # which amplifies by e^{843.8}; the arc panel count would overflow,
+        # so the guard raises first
+        data = plane_wave_data(AIRY, 0.1, 0.25, 2.0)
+        budget = QuadratureBudget(contour_nodes=4000, real_axis_nodes=2000)
         with pytest.raises(ExponentialOverflow, match="arc amplification"):
             solve_full(data, (9, 9), budget)
 
@@ -271,11 +271,9 @@ class TestExponentialTables:
             solve_full(data, (9, 9), QuadratureBudget())
 
     @pytest.mark.parametrize("budget", [
-        QuadratureBudget(real_axis_window=2.0),
-        QuadratureBudget(arc_radius=20.0)],
-        ids=["window-inside-arc", "arc-outside-puncture"])
+        QuadratureBudget(real_axis_window=2.0)], ids=["window-inside-arc"])
     def test_invalid_truncation(self, budget):
-        # a window below 1.1 rho, or an arc radius outside (0, R_Delta = 9]
+        # a window below 1.1 rho
         data = plane_wave_data(AIRY, 1.0, 0.5, 2.0)
         with pytest.raises(InvalidTruncation):
             solve_full(data, (9, 9), budget)
@@ -305,9 +303,7 @@ class TestZeroData:
         assert np.max(np.abs(field.values)) <= 1e-14
 
     @pytest.mark.parametrize("budget", [
-        QuadratureBudget(real_axis_window=2.0),
-        QuadratureBudget(arc_radius=20.0)],
-        ids=["window-inside-arc", "arc-outside-puncture"])
+        QuadratureBudget(real_axis_window=2.0)], ids=["window-inside-arc"])
     def test_solve_reduced_zero_checks_the_budget(self, budget):
         # zero data take the solve path of any data, budget checks included
         with pytest.raises(InvalidTruncation):
@@ -316,7 +312,8 @@ class TestZeroData:
 
     def test_global_relation_zero(self):
         data = zero_data(AIRY, 1.0, 0.5)
-        field = Field.zeros(np.linspace(0, 1, 9), np.linspace(0, 0.5, 9))
+        field = Field(np.linspace(0, 1, 9), np.linspace(0, 0.5, 9),
+                      np.zeros((9, 9)))
         assert global_relation_residual(field, data, [1.0 + 0.0j, 2.0 - 0.5j]) == 0.0
 
 
@@ -594,7 +591,7 @@ class TestTraces:
 
     def test_grid_too_coarse(self):
         x = np.linspace(0, 1, 4)
-        field = Field.zeros(x, np.linspace(0, 1, 5))
+        field = Field(x, np.linspace(0, 1, 5), np.zeros((4, 5)))
         with pytest.raises(GridTooCoarse):
             evaluate_traces(field)
 
@@ -605,6 +602,11 @@ class TestValidation:
             QuadratureBudget(contour_nodes=0)
         with pytest.raises(ValueError):
             QuadratureBudget(real_axis_window=-1.0)
+
+    def test_budget_has_no_arc_radius(self):
+        # the arc radius is picked by the Delta-margin sweep, never set
+        with pytest.raises(TypeError, match="arc_radius"):
+            QuadratureBudget(arc_radius=9.0)
 
     def test_problem_data_consistency(self):
         with pytest.raises(ValueError):

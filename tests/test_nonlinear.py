@@ -264,7 +264,8 @@ class TestPicard:
 
 class TestDissipation:
     def test_zero_field(self):
-        f = Field.zeros(np.linspace(0, 1, 33), np.linspace(0, 0.1, 17))
+        f = Field(np.linspace(0, 1, 33), np.linspace(0, 0.1, 17),
+                  np.zeros((33, 17)))
         audit = dissipation_audit(f, HALF, 0.05)
         assert np.all(audit.mass == 0.0)
         assert audit.monotone()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnls_utm.fields import Field
-from hnls_utm.norms import (NormKind, NormSpec, bessel_norm,
+from hnls_utm.norms import (NormSpec, bessel_norm,
                             check_admissible_pair, ct_l2_norm, mixed_norm,
                             sobolev_norm)
 from hnls_utm.transforms import SpatialProfile
@@ -58,15 +58,15 @@ class TestBessel:
 
 class TestMixed:
     def test_zero_field(self):
-        f = Field.zeros(np.linspace(0, 1, 9), np.linspace(0, 1, 9))
-        spec = NormSpec(0.0, 2.0, 2.0, NormKind.SOBOLEV_INTERVAL)
+        f = Field(np.linspace(0, 1, 9), np.linspace(0, 1, 9), np.zeros((9, 9)))
+        spec = NormSpec(0.0, 2.0, 2.0)
         assert mixed_norm(f, spec) == 0.0
 
     def test_sup_in_time_is_ct_l2(self):
         x = np.linspace(0, 1, 33)
         t = np.linspace(0, 0.5, 17)
         f = Field.from_callable(lambda xx, tt: np.exp(1j * xx) * (1 + tt), x, t)
-        spec = NormSpec(0.0, 2.0, np.inf, NormKind.SOBOLEV_INTERVAL)
+        spec = NormSpec(0.0, 2.0, np.inf)
         assert mixed_norm(f, spec) == pytest.approx(ct_l2_norm(f), rel=1e-9)
 
     def test_time_constant_factorization(self):
@@ -74,10 +74,35 @@ class TestMixed:
         t = np.linspace(0, 2.0, 33)
         f = Field.from_callable(
             lambda xx, tt: np.sin(np.pi * xx) + 0 * tt + 0j, x, t)
-        spec = NormSpec(0.0, 2.0, 4.0, NormKind.SOBOLEV_INTERVAL)
+        spec = NormSpec(0.0, 2.0, 4.0)
         prof = profile_of(lambda xx: np.sin(np.pi * xx).astype(complex))
         want = 2.0 ** (1.0 / 4.0) * sobolev_norm(prof, 0.0)
         assert mixed_norm(f, spec) == pytest.approx(want, rel=1e-4)
+
+    # separable field (1 + t) sin(pi x): each slice norm is (1 + t) times
+    # the norm of sin(pi x), so the mixed norm is known slice by slice
+    X = np.linspace(0, 1, 129)
+    T = np.linspace(0, 0.5, 9)
+    SEPARABLE = Field.from_callable(
+        lambda xx, tt: (1 + tt) * np.sin(np.pi * xx) + 0j, X, T)
+
+    @pytest.mark.parametrize("q", [2.0, np.inf])
+    def test_sampled_h1_slices(self, q):
+        # s = 1 splines the sampled slices, as the CLI's field_ct_hs row
+        # does; ||sin(pi x)||_{H^1} = (1 + pi) / sqrt(2)
+        slices = (1 + self.T) * (1 + np.pi) / np.sqrt(2.0)
+        want = (np.max(slices) if np.isinf(q)
+                else np.trapezoid(slices ** q, self.T) ** (1.0 / q))
+        got = mixed_norm(self.SEPARABLE, NormSpec(1.0, 2.0, q))
+        assert got == pytest.approx(want, rel=1e-6)
+
+    def test_l4_slices(self):
+        # p = 4 takes the Bessel path; at s = 0 it is the L^4 norm,
+        # ||sin(pi x)||_{L^4} = (3/8)^{1/4}
+        slices = (1 + self.T) * (3.0 / 8.0) ** 0.25
+        want = np.trapezoid(slices ** 3, self.T) ** (1.0 / 3.0)
+        got = mixed_norm(self.SEPARABLE, NormSpec(0.0, 4.0, 3.0))
+        assert got == pytest.approx(want, rel=1e-6)
 
 
 class TestAdmissiblePairs:

@@ -9,7 +9,7 @@ from hnls_utm import oracle
 from hnls_utm.dispersion import DispersionParams
 from hnls_utm.errors import StepDiverged
 from hnls_utm.linear import ProblemData, zero_data
-from hnls_utm.oracle import BcMode, OracleConfig, oracle_solve
+from hnls_utm.oracle import OracleConfig, oracle_solve
 from hnls_utm.presets import (gaussian_profile, plane_wave_data,
                               plane_wave_field, zero_profile, zero_series)
 
@@ -59,17 +59,6 @@ class TestPlaneWave:
 
 
 class TestBoundaryModes:
-    def test_homogeneous_mode_ignores_series(self):
-        # nonzero boundary series are discarded in Homogeneous mode
-        horizon = 0.1
-        from hnls_utm.transforms import TimeSeries
-        ones = TimeSeries(horizon, np.ones(16))
-        data = ProblemData(AIRY, 1.0, horizon, zero_profile(1.0),
-                           ones, ones, ones)
-        field = oracle_solve(data, OracleConfig(nx=32, nt=32,
-                                                bc_mode=BcMode.HOMOGENEOUS))
-        assert np.max(np.abs(field.values)) == 0.0
-
     def test_full_data_mode_keeps_series(self):
         horizon = 0.1
         from hnls_utm.transforms import TimeSeries
