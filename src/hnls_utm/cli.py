@@ -41,7 +41,8 @@ from .nonlinear import (apply_nonlinearity, check_compatibility,
                         default_proxies, lifespan_indicator, picard_solve)
 from .norms import NormSpec, ct_l2_norm, mixed_norm, sobolev_norm
 from .oracle import OracleConfig, oracle_solve
-from .presets import plane_wave_data, profile_from_spec, series_from_spec
+from .presets import (named_number, plane_wave_data, profile_from_spec,
+                      series_from_spec)
 from .verify import SUITES, run_suite
 
 MODES = ("linear", "nonlinear", "reduced", "oracle", "compare")
@@ -78,13 +79,6 @@ def _need(doc: dict, section: str, key: str = None):
     return sec[key]
 
 
-def _number(value, name):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigInvalid("field %r must be a number, got %r" % (name, value))
-
-
 def _integer(value, name):
     try:
         return int(value)
@@ -104,31 +98,42 @@ def load_scenario(path) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigInvalid("config root must be a mapping of sections")
 
-    beta = _number(_need(doc, "dispersion", "beta"), "dispersion.beta")
-    alpha = _number(doc["dispersion"].get("alpha", 0.0), "dispersion.alpha")
-    delta = _number(doc["dispersion"].get("delta", 0.0), "dispersion.delta")
+    beta = named_number(_need(doc, "dispersion", "beta"), "dispersion.beta")
+    alpha = named_number(doc["dispersion"].get("alpha", 0.0), "dispersion.alpha")
+    delta = named_number(doc["dispersion"].get("delta", 0.0), "dispersion.delta")
     try:
         params = DispersionParams(beta, alpha, delta)
     except ValueError as exc:
         raise ConfigInvalid("dispersion: %s" % exc)
 
-    ell = _number(_need(doc, "geometry", "ell"), "geometry.ell")
-    horizon = _number(_need(doc, "geometry", "horizon"), "geometry.horizon")
+    ell = named_number(_need(doc, "geometry", "ell"), "geometry.ell")
+    horizon = named_number(_need(doc, "geometry", "horizon"), "geometry.horizon")
     if ell <= 0 or horizon <= 0:
         raise ConfigInvalid("geometry.ell and geometry.horizon must be positive")
 
     non = _mapping(doc.get("nonlinearity"), "nonlinearity") or {}
-    kappa = complex(_number(non.get("kappa_re", 0.0), "nonlinearity.kappa_re"),
-                    _number(non.get("kappa_im", 0.0), "nonlinearity.kappa_im"))
-    lam = _number(non.get("lambda", 3.0), "nonlinearity.lambda")
+    kappa = complex(
+        named_number(non.get("kappa_re", 0.0), "nonlinearity.kappa_re"),
+        named_number(non.get("kappa_im", 0.0), "nonlinearity.kappa_im"))
+    lam = named_number(non.get("lambda", 3.0), "nonlinearity.lambda")
     if not lam > 1:
         raise ConfigInvalid("nonlinearity.lambda must exceed 1")
 
     dsec = _need(doc, "data")
+    preset = dsec.get("preset")
+    if preset not in (None, "plane_wave"):
+        raise ConfigInvalid("field 'data.preset' must be plane_wave, got %r"
+                            % (preset,))
+    # every data field is read: plane_wave and its wavenumber, or the specs
+    read = ("preset", "a") if preset else ("u0", "g0", "h0", "h1", "forcing")
+    for key in dsec:
+        if key not in read:
+            raise ConfigInvalid("field %r is not read %s data.preset" % (
+                "data.%s" % key, "with" if preset else "without"))
     try:
-        if dsec.get("preset") == "plane_wave":
+        if preset:
             data = plane_wave_data(params, ell, horizon,
-                                   _number(dsec.get("a", 2.0), "data.a"))
+                                   named_number(dsec.get("a", 2.0), "data.a"))
             data = replace(data, kappa=kappa, lam=lam)
         else:
             forcing = _forcing_from_spec(dsec.get("forcing"), ell, horizon)
@@ -136,10 +141,10 @@ def load_scenario(path) -> ScenarioConfig:
                     for name in ("u0", "g0", "h0", "h1")}
             data = ProblemData(
                 params, ell, horizon,
-                profile_from_spec(spec["u0"], ell),
-                series_from_spec(spec["g0"], horizon),
-                series_from_spec(spec["h0"], horizon),
-                series_from_spec(spec["h1"], horizon),
+                profile_from_spec(spec["u0"], ell, "data.u0"),
+                series_from_spec(spec["g0"], horizon, "data.g0"),
+                series_from_spec(spec["h0"], horizon, "data.h0"),
+                series_from_spec(spec["h1"], horizon, "data.h1"),
                 forcing=forcing, kappa=kappa, lam=lam)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigInvalid("data: %s" % exc)
@@ -160,11 +165,11 @@ def load_scenario(path) -> ScenarioConfig:
         oracle = OracleConfig(**oracle)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid("solver.oracle: %s" % exc)
-    s = _number(sol.get("s", 1.0), "solver.s")
-    proxies = {str(k): _number(v, "solver.proxies.%s" % k) for k, v in
+    s = named_number(sol.get("s", 1.0), "solver.s")
+    proxies = {str(k): named_number(v, "solver.proxies.%s" % k) for k, v in
                (_mapping(sol.get("proxies"), "solver.proxies") or {}).items()}
     max_iter = _integer(sol.get("max_iter", 12), "solver.max_iter")
-    tol = _number(sol.get("tol", 1e-6), "solver.tol")
+    tol = named_number(sol.get("tol", 1e-6), "solver.tol")
     if max_iter < 1 or tol <= 0:
         raise ConfigInvalid("solver.max_iter must be >= 1 and solver.tol > 0")
 
@@ -180,8 +185,10 @@ def _forcing_from_spec(spec, ell, horizon):
         return None
     if not isinstance(spec, dict) or "x" not in spec or "t" not in spec:
         raise ConfigInvalid("data.forcing must give separable 'x' and 't' specs")
-    prof = profile_from_spec(_mapping(spec["x"], "data.forcing.x"), ell)
-    ser = series_from_spec(_mapping(spec["t"], "data.forcing.t"), horizon)
+    prof = profile_from_spec(_mapping(spec["x"], "data.forcing.x"), ell,
+                             "data.forcing.x")
+    ser = series_from_spec(_mapping(spec["t"], "data.forcing.t"), horizon,
+                           "data.forcing.t")
     x = np.linspace(0.0, ell, 129)
     t = np.linspace(0.0, horizon, 129)
     return Field(x, t, np.outer(prof(x), ser(t)))

@@ -8,6 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def is_uniform(grid) -> bool:
+    """Whether grid ascends with a step that is uniform to a few ulps."""
+    ideal = np.linspace(grid[0], grid[-1], len(grid))
+    ulps = 8 * np.finfo(np.float64).eps * max(abs(grid[0]), abs(grid[-1]))
+    return bool(grid[-1] > grid[0] and np.max(np.abs(grid - ideal)) <= ulps)
+
+
 @dataclass(frozen=True)
 class Field:
     """Complex solution samples on a rectangular grid [0, ell] x [0, T].

@@ -18,7 +18,7 @@ Two numerical choices matter:
   is analytic between the two arcs whenever the exponential-sum denominator
   is zero-free there, so the contour may be pulled in; the deformation is
   validated at runtime by a scaled-denominator margin sweep over the region
-  actually crossed.  rho is chosen so the arc growth stays near e^{24},
+  actually crossed.  rho is chosen so the arc growth stays near e^{12},
   which costs only a modest number of extra arc nodes.  Where rho cannot be
   that small (it is at least 1.5 / ell), an arc that would need more than
   MAX_ARC_PANELS panels raises ExponentialOverflow before any is built.
@@ -44,12 +44,11 @@ spline is ever built per node.
 The dense exponential tables factor exactly into two short tables on uniform
 grids.  The x-quadrature has uniform panels, x = mid_p + off_j, so the
 x-kernel e^{-i k x + s_k} at a node k costs 32 + 8 exponentials for the 256
-nodes; on a uniform grid t_j = t_0 + j dt, with j = a m + b and
-m = ceil(sqrt(n)), the phase e^{-i w t_j} costs about 2 sqrt(n)
-exponentials per w.  The tables are then filled by one broadcast product
-each.  This holds for the time transforms' grid and for the output assembly's
-e^{i k x} and e^{i omega t} whenever the caller's output grids are ascending
-and uniform; other output grids take one exponential per entry.
+nodes; on a uniform grid t_j = j dt, with j = a m + b and m = ceil(sqrt(n)),
+the phase e^{-i w t_j} costs about 2 sqrt(n) exponentials per w.  The tables
+are then filled by one broadcast product each: the time transforms' table
+and the output assembly's e^{i k x} and e^{i omega t}, whose grids are the
+(nx, nt) uniform points of [0, ell] x [0, T].
 
 The three contour regions share one term, SolvePlan._contour_term: a region
 fixes only its dominant symmetry root sigma (k, nu+ or nu-), whether the
@@ -67,6 +66,7 @@ make_plan(...).apply(data).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Tuple
 
@@ -78,7 +78,7 @@ from scipy.special import roots_legendre
 from .dispersion import (DispersionParams, mu_factors, omega, omega_prime,
                          symmetry_roots)
 from .errors import ExponentialOverflow, GridTooCoarse, InvalidTruncation, QuadratureDiverged
-from .fields import Field
+from .fields import Field, is_uniform
 from .regions import (DOMINANT_ROOT, RegionLabel, SegmentKind, arc_half_angle,
                       r_delta, scaled_delta, segment_specs)
 from .transforms import SpatialProfile, TimeSeries, gauss_panels
@@ -186,22 +186,15 @@ def fd_weights(xs: np.ndarray, x0: float, order: int) -> np.ndarray:
 
 
 def _output_grids(ell: float, horizon: float, grid):
-    gx, gt = grid
-    x_grid = (np.linspace(0.0, ell, int(gx)) if np.isscalar(gx)
-              else np.asarray(gx, dtype=np.float64))
-    t_grid = (np.linspace(0.0, horizon, int(gt)) if np.isscalar(gt)
-              else np.asarray(gt, dtype=np.float64))
-    if len(x_grid) < 4 or len(t_grid) < 4:
+    """linspace(0, ell, nx) and linspace(0, horizon, nt) for grid = (nx, nt),
+    two integer point counts of at least 4 each."""
+    try:
+        nx, nt = (operator.index(n) for n in grid)
+    except (TypeError, ValueError):
+        raise ValueError("grid must be two integer point counts (nx, nt)")
+    if nx < 4 or nt < 4:
         raise GridTooCoarse("output grids need at least 4 points each")
-    # the representation holds on [0, ell] x [0, horizon] only; written so
-    # that NaN points fail too
-    if not np.all((x_grid >= -1e-12 * ell) & (x_grid <= ell * (1 + 1e-12))):
-        raise ValueError("output points lie outside [0, ell]")
-    if not np.all(t_grid >= -1e-12 * horizon):
-        raise ValueError("output times precede t = 0")
-    if not np.all(t_grid <= horizon * (1 + 1e-12)):
-        raise ValueError("output times exceed the problem horizon")
-    return x_grid, t_grid
+    return np.linspace(0.0, ell, nx), np.linspace(0.0, horizon, nt)
 
 
 class XQuadrature(NamedTuple):
@@ -262,20 +255,19 @@ def _filon_moments(w: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _phase_table(w, dt, n, start=0.0, scale=None):
-    """scale_w e^{-i w (start + j dt)} for j = 0..n-1, shape (len(w), n);
-    scale defaults to 1.
+def _phase_table(w, dt, n, scale=None):
+    """scale_w e^{-i w j dt} for j = 0..n-1, shape (len(w), n); scale
+    defaults to 1.
 
     With m = ceil(sqrt(n)) and j = a m + b it is the product of the coarse
-    factor scale_w e^{-i w (start + a m dt)} and the fine factor
-    e^{-i w b dt}: about 2 sqrt(n) exponentials per w instead of n.  For
-    start >= 0 both phase factors' exponents have the sign of
-    Im(w) (start + j dt), so neither is larger than the largest phase of the
-    table, and the coarse factor's entries are entries of the table itself.
+    factor scale_w e^{-i w a m dt} and the fine factor e^{-i w b dt}: about
+    2 sqrt(n) exponentials per w instead of n.  Neither factor's phase is
+    larger than the table's largest, and the coarse factor's entries are
+    entries of the table itself.
     """
     m = int(np.ceil(np.sqrt(n)))
     na = -(-n // m)
-    coarse = np.exp(-1j * np.outer(w, start + np.arange(na) * (m * dt)))
+    coarse = np.exp(-1j * np.outer(w, np.arange(na) * (m * dt)))
     if scale is not None:
         coarse *= scale[:, None]
     fine = np.exp(-1j * np.outer(w, np.arange(m) * dt))
@@ -289,38 +281,13 @@ def _phase_table(w, dt, n, start=0.0, scale=None):
     return out
 
 
-def _uniform_step(grid):
-    """The step of an ascending grid that is uniform to a few ulps, else
-    None."""
-    n = len(grid)
-    step = (grid[-1] - grid[0]) / (n - 1)
-    if not step > 0:
-        return None
-    ideal = grid[0] + np.arange(n) * step
-    ulps = 8 * np.finfo(np.float64).eps * max(abs(grid[0]), abs(grid[-1]))
-    return step if np.max(np.abs(grid - ideal)) <= ulps else None
-
-
-def _exp_table(w, grid, scale=None):
-    """scale_w e^{-i w t} at every point t of grid, shape (len(w), len(grid)):
-    from two short factors on an ascending uniform grid, one exponential per
-    entry otherwise."""
-    step = _uniform_step(grid)
-    if step is not None:
-        return _phase_table(w, step, len(grid), start=grid[0], scale=scale)
-    out = np.exp(-1j * np.outer(w, grid))
-    return out if scale is None else out * scale[:, None]
-
-
 def _moment_chunks(horizon, nt, w, chunk):
     """Per chunk of w: the slice, the Filon moments (4, ncw) over one time
     cell and e^{-i w t} at the cell starts (ncw, nt - 1), shared by every
-    series transformed at those w.  The checks run at the first step."""
-    if nt < 4:
-        raise ValueError("need at least 4 time samples")
+    series transformed at those w.  The check runs at the first step."""
     if np.max(w.imag) * horizon > OVERFLOW_GUARD:
         raise ExponentialOverflow("Im w too positive for the time transform")
-    dt = np.linspace(0.0, horizon, nt)[1]
+    dt = horizon / (nt - 1)
     for lo in range(0, len(w), chunk):
         sel = slice(lo, min(lo + chunk, len(w)))
         yield sel, _filon_moments(w[sel], dt), _phase_table(w[sel], dt, nt - 1)
@@ -446,35 +413,37 @@ def _apply_kernel(karr, shift, xquad: XQuadrature, payloads, chunk=2048):
     return outs
 
 
-def _assemble(vals, x_grid, t_grid, ell, basis, karr, warr, om,
+def _assemble(vals, ell, horizon, basis, karr, warr, om,
               coef_static=None, coef_time=None, prefactor=1.0, chunk=4096):
     """vals += prefactor * sum_k w_k basis(x, k) e^{i om_k t}
-                      * (coef_static_k + coef_time[k, t]).
+                      * (coef_static_k + coef_time[k, t]) on the uniform
+    (nx, nt) = vals.shape points of [0, ell] x [0, horizon].
 
     basis(x, k) is e^{i k x} ("in") or e^{-i k (ell - x)} ("out").  The
-    tables come from _exp_table, so on ascending uniform grids they are built
-    from two short factors, with w_k coef_static_k folded into the coarse
+    tables are _phase_tables, with w_k coef_static_k folded into the coarse
     time factor when there is no coef_time.  The "out" table runs over
-    ell - x from ell - x_last upward, where its exponents are nonpositive
-    for Im k <= 0, and its rows are reversed after the product.
+    ell - x from 0 upward, where its exponents are nonpositive for
+    Im k <= 0, and its rows are reversed after the product.
     """
+    nx, nt = vals.shape
+    dx, dt = ell / (nx - 1), horizon / (nt - 1)
     nk = len(karr)
-    growth = np.max(-om.imag) * max(float(np.max(t_grid)), 0.0) if nk else 0.0
+    growth = np.max(-om.imag) * horizon if nk else 0.0
     if growth > OVERFLOW_GUARD:
         raise ExponentialOverflow("contour time factor exceeds the overflow guard")
     for lo in range(0, nk, chunk):
         sel = slice(lo, min(lo + chunk, nk))
         if coef_time is None:
-            tm = _exp_table(-om[sel], t_grid, warr[sel] * coef_static[sel])
+            tm = _phase_table(-om[sel], dt, nt, scale=warr[sel] * coef_static[sel])
         else:
             coef = warr[sel][:, None] * coef_time[sel]
             if coef_static is not None:
                 coef = (warr[sel] * coef_static[sel])[:, None] + coef
-            tm = _exp_table(-om[sel], t_grid) * coef
+            tm = _phase_table(-om[sel], dt, nt) * coef
         if basis == "in":
-            vals += prefactor * (_exp_table(-karr[sel], x_grid).T @ tm)
+            vals += prefactor * (_phase_table(-karr[sel], dx, nx).T @ tm)
         else:
-            ker = _exp_table(karr[sel], ell - x_grid[::-1])
+            ker = _phase_table(karr[sel], dx, nx)
             vals += prefactor * (ker.T @ tm)[::-1]
     return vals
 
@@ -856,7 +825,7 @@ class SolvePlan:
         if samples.forcing is not None:
             icum = _forcing_history(samples.forcing[1], self.horizon, om_r,
                                     hats[-1], self.t_grid)
-        _assemble(vals, self.x_grid, self.t_grid, self.ell, "in", k_r + 0j,
+        _assemble(vals, self.ell, self.horizon, "in", k_r + 0j,
                   w_r + 0j, om_r + 0j,
                   coef_static=hats[0] if samples.u0v is not None else None,
                   coef_time=icum, prefactor=1.0 / TWO_PI)
@@ -896,17 +865,18 @@ class SolvePlan:
         for j, root in enumerate(roots):
             shift = 1j * root * ell if j == dom else None
             payload = payload + c[j] * _transformed(root, shift, xquad, samples, bt)
-        _assemble(vals, self.x_grid, self.t_grid, ell, "in" if in_d0 else "out",
+        _assemble(vals, ell, self.horizon, "in" if in_d0 else "out",
                   k, w, om, coef_static=payload / scaled_delta(roots, ell, roots[dom]),
                   prefactor=1.0 / TWO_PI)
 
 
 def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
     """Choose the output grids, the x-quadrature and the contour and
-    real-axis nodes once for data's (params, ell, horizon).  The nodes are
-    thinned by the radial envelope of data itself, so the plan suits data of
-    similar spectral content; a plan made from identically zero data uses
-    unweighted nodes."""
+    real-axis nodes once for data's (params, ell, horizon); grid = (nx, nt)
+    counts the uniform output points of [0, ell] x [0, horizon].  The nodes
+    are thinned by the radial envelope of data itself, so the plan suits
+    data of similar spectral content; a plan made from identically zero data
+    uses unweighted nodes."""
     params, ell, horizon = data.params, data.ell, data.horizon
     x_grid, t_grid = _output_grids(ell, horizon, grid)
     xquad = _x_quadrature(ell)
@@ -921,15 +891,15 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
 
 def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:
     """Evaluate the solution representation of the forced linear problem on
-    the requested output grid."""
+    grid = (nx, nt) uniform points of [0, ell] x [0, horizon]."""
     return make_plan(data, grid, budget).apply(data)
 
 
 def solve_reduced(params: DispersionParams, ell: float, psi0: TimeSeries,
                   psi1: TimeSeries, grid, budget: QuadratureBudget) -> Field:
     """Solve the companion problem with zero initial datum, zero left
-    Dirichlet datum, and right data (psi0, psi1), verifying convergence
-    under node refinement."""
+    Dirichlet datum, and right data (psi0, psi1) on grid = (nx, nt) as in
+    solve_full, verifying convergence under node refinement."""
     if abs(psi0.horizon - psi1.horizon) > 1e-9 * max(1.0, psi0.horizon):
         raise ValueError("psi0 and psi1 must share a horizon")
     horizon = psi0.horizon
@@ -957,7 +927,7 @@ def solve_reduced(params: DispersionParams, ell: float, psi0: TimeSeries,
 def _check_uniform_from_zero(t):
     """Raise ValueError unless the time grid t is uniform and starts at 0,
     as the TimeSeries and the running transforms built on it assume."""
-    if t[0] != 0.0 or _uniform_step(t) is None:
+    if t[0] != 0.0 or not is_uniform(t):
         raise ValueError("the field's time grid must be uniform from t = 0")
 
 
@@ -998,8 +968,6 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
     params, ell, horizon = data.params, data.ell, data.horizon
     karr = np.asarray(list(k_samples), dtype=np.complex128)
     t = field.t_grid
-    if len(t) < 4:
-        raise GridTooCoarse("need at least 4 time samples")
     _check_uniform_from_zero(t)
     om = omega(params, karr)
 

@@ -223,9 +223,9 @@ def _combined_forcing(data: ProblemData, nl: Field) -> Field:
 
 def picard_solve(data: ProblemData, grid, budget: QuadratureBudget,
                  max_iter: int = 12, tol: float = 1e-6):
-    """Fixed-point iteration of the forced linear solve; returns the
-    converged field and the iteration report.  Raises NoConvergence (with
-    the report attached) when max_iter is exhausted.
+    """Fixed-point iteration of the forced linear solve on grid = (nx, nt)
+    as in solve_full; returns the converged field and the iteration report,
+    or raises NoConvergence (report attached) when max_iter is exhausted.
 
     All solves share one SolvePlan made from data, and the solution map is
     linear, so the data part base = S[data] is solved once and each

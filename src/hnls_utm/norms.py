@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from scipy.interpolate import CubicSpline
 
-from .fields import Field
+from .fields import Field, is_uniform
 from .transforms import SpatialProfile, chebyshev_grid, composite_gl
 
 
@@ -138,6 +138,10 @@ def bessel_norm(profile: SpatialProfile, s: float, p: float) -> float:
 
 
 def _slice_profile(field: Field, j: int) -> SpatialProfile:
+    """The j-th time slice as uniform samples; ValueError unless the field's
+    x grid is uniform."""
+    if not is_uniform(field.x_grid):
+        raise ValueError("Sobolev and Bessel slice norms need a uniform x grid")
     ell = float(field.x_grid[-1] - field.x_grid[0])
     return SpatialProfile(ell, field.values[:, j])
 

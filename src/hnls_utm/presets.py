@@ -135,47 +135,59 @@ def _load_samples(path):
     return raw[:, 0], raw[:, 1] + 1j * raw[:, 2]
 
 
-def profile_from_spec(spec, ell: float) -> SpatialProfile:
-    """Build a SpatialProfile from a preset/path dictionary (None -> zero)."""
+def named_number(value, name):
+    """float(value), or ConfigInvalid naming the configuration field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigInvalid("field %r must be a number, got %r" % (name, value))
+
+
+def _param(spec, key, default, name):
+    """spec[key] (or default) as a named number; None stays None."""
+    value = spec.get(key, default)
+    return None if value is None else named_number(value, "%s.%s" % (name, key))
+
+
+def profile_from_spec(spec, ell: float, name: str = "spec") -> SpatialProfile:
+    """Build a SpatialProfile from a preset/path dictionary (None -> zero);
+    name is the spec's field name in error messages."""
     if spec is None:
         return zero_profile(ell)
     if "path" in spec:
         _coords, vals = _load_samples(spec["path"])
         return SpatialProfile(ell, vals)
-    name = spec.get("preset")
-    if name == "zero":
+    preset = spec.get("preset")
+    if preset == "zero":
         return zero_profile(ell)
-    if name == "gaussian":
-        return gaussian_profile(ell, float(spec.get("center", 0.5 * ell)),
-                                float(spec.get("width", 0.1 * ell)),
-                                float(spec.get("amplitude", 1.0)))
-    if name == "bump":
-        lo = spec.get("lo")
-        hi = spec.get("hi")
-        return bump_profile(ell, None if lo is None else float(lo),
-                            None if hi is None else float(hi),
-                            float(spec.get("amplitude", 1.0)))
-    if name == "plane_wave":
-        a = float(spec.get("a", 2.0))
+    if preset == "gaussian":
+        return gaussian_profile(ell, _param(spec, "center", 0.5 * ell, name),
+                                _param(spec, "width", 0.1 * ell, name),
+                                _param(spec, "amplitude", 1.0, name))
+    if preset == "bump":
+        return bump_profile(ell, _param(spec, "lo", None, name),
+                            _param(spec, "hi", None, name),
+                            _param(spec, "amplitude", 1.0, name))
+    if preset == "plane_wave":
+        a = _param(spec, "a", 2.0, name)
         return SpatialProfile.from_callable(
             lambda x: np.exp(1j * a * np.asarray(x)), ell)
-    raise ConfigInvalid("unknown spatial preset %r" % (name,))
+    raise ConfigInvalid("unknown spatial preset %r in %r" % (preset, name))
 
 
-def series_from_spec(spec, horizon: float) -> TimeSeries:
-    """Build a TimeSeries from a preset/path dictionary (None -> zero)."""
+def series_from_spec(spec, horizon: float, name: str = "spec") -> TimeSeries:
+    """Build a TimeSeries from a preset/path dictionary (None -> zero);
+    name is the spec's field name in error messages."""
     if spec is None:
         return zero_series(horizon)
     if "path" in spec:
         _coords, vals = _load_samples(spec["path"])
         return TimeSeries(horizon, vals)
-    name = spec.get("preset")
-    if name == "zero":
+    preset = spec.get("preset")
+    if preset == "zero":
         return zero_series(horizon)
-    if name == "bump":
-        lo = spec.get("lo")
-        hi = spec.get("hi")
-        return bump_series(horizon, None if lo is None else float(lo),
-                           None if hi is None else float(hi),
-                           float(spec.get("amplitude", 1.0)))
-    raise ConfigInvalid("unknown time-series preset %r" % (name,))
+    if preset == "bump":
+        return bump_series(horizon, _param(spec, "lo", None, name),
+                           _param(spec, "hi", None, name),
+                           _param(spec, "amplitude", 1.0, name))
+    raise ConfigInvalid("unknown time-series preset %r in %r" % (preset, name))

@@ -3,12 +3,10 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from hnls_utm import cli
 from hnls_utm.cli import load_scenario, main
 from hnls_utm.errors import ConfigInvalid
 
@@ -63,8 +61,19 @@ class TestLoadScenario:
         ("outputs", None, "out", "'outputs'"),
         ("data", "u0", "gaussian", "'data.u0'"),
         ("solver", "budget", {"arc_radius": 9.0}, "solver.budget"),
+        ("data", None, {"preset": "planewave"}, "'data.preset'"),
+        ("data", None, {"preset": "plane_wave", "u0": {"preset": "bump"}},
+         "'data.u0'"),
+        ("data", "u0", {"preset": "gaussian", "width": "abc"},
+         "'data.u0.width'"),
+        ("data", "h0", {"preset": "bump", "amplitude": "x"},
+         "'data.h0.amplitude'"),
+        ("data", "forcing", {"x": {"preset": "gaussian", "center": "x"},
+                             "t": {"preset": "bump"}},
+         "'data.forcing.x.center'"),
     ], ids=["solver", "grid", "max_iter", "proxies", "outputs", "u0",
-            "budget-arc-radius"])
+            "budget-arc-radius", "unknown-preset", "spec-beside-plane-wave",
+            "u0-width", "h0-amplitude", "forcing-x-center"])
     def test_malformed_field_exit_2(self, tmp_path, section, key, value,
                                     named):
         doc = {k: dict(v) for k, v in BASE.items()}
@@ -116,23 +125,40 @@ class TestSolveVerb:
                                            "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
 
-    def test_output_points_outside_the_rectangle_exit_2(self, tmp_path,
-                                                        monkeypatch):
-        # config grids are point counts, always inside [0, ell]; the points
-        # are moved past x = ell between the CLI and the solver
-        solve_full = cli.solve_full
+    def test_compare_verb_matches_compare_mode(self, tmp_path):
+        # the one CLI solve whose grid is the oracle's (nx, nt)
+        doc = dict(BASE, solver=dict(BASE["solver"],
+                                     oracle={"nx": 16, "nt": 16}))
+        config = write_config(tmp_path, doc)
+        runs = {"verb": ["compare"], "mode": ["solve", "--mode", "compare"]}
+        diags = {}
+        for name, args in runs.items():
+            out = tmp_path / name
+            result = CliRunner().invoke(main, args + ["--config", config,
+                                                      "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            diags[name] = (out / "diagnostics.json").read_text()
+            header = json.loads((out / "field.csv.json").read_text())
+            assert header["grid"] == [16, 16]
+        assert diags["verb"] == diags["mode"]
+        gap = json.loads(diags["verb"])["ut_vs_oracle_relative_l2"]
+        assert gap == pytest.approx(0.0403, abs=5e-5)
 
-        def past_the_edge(data, grid, budget):
-            xs = np.linspace(0.0, 1.2 * data.ell, grid[0])
-            return solve_full(data, (xs, grid[1]), budget)
-
-        monkeypatch.setattr(cli, "solve_full", past_the_edge)
-        config = write_config(tmp_path, BASE)
+    def test_refine_doubles_budgets_and_oracle_grid(self, tmp_path):
+        doc = dict(BASE, solver=dict(BASE["solver"],
+                                     oracle={"nx": 16, "nt": 16}))
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "o"
         result = CliRunner().invoke(main, ["solve", "--config", config,
-                                           "--mode", "linear",
-                                           "--out", str(tmp_path / "o")])
-        assert result.exit_code == 2
-        assert "outside [0, ell]" in result.output
+                                           "--mode", "oracle", "--refine", "1",
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        header = json.loads((out / "field.csv.json").read_text())
+        assert header["grid"] == [32, 32]
+        assert header["budget"]["contour_nodes"] == 12000
+        assert header["budget"]["real_axis_nodes"] == 6000
+        assert json.loads((out / "diagnostics.json").read_text())[
+            "refine_level"] == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_solver_failure_exit_3(self, tmp_path):

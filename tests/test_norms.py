@@ -104,6 +104,21 @@ class TestMixed:
         got = mixed_norm(self.SEPARABLE, NormSpec(0.0, 4.0, 3.0))
         assert got == pytest.approx(want, rel=1e-6)
 
+    @pytest.mark.parametrize("s, p", [(1.0, 2.0), (0.0, 4.0)],
+                             ids=["sobolev", "bessel"])
+    def test_sampled_slices_need_a_uniform_x_grid(self, s, p):
+        # the sampled-slice paths read the samples as uniform; on
+        # x = linspace(0, 1, 129)^2 they would miss by about 7%
+        x = np.linspace(0, 1, 129) ** 2
+        t = np.linspace(0, 1, 9)
+        f = Field.from_callable(
+            lambda xx, tt: (1 + tt) * np.sin(np.pi * xx) + 0j, x, t)
+        with pytest.raises(ValueError, match="uniform x grid"):
+            mixed_norm(f, NormSpec(s, p, np.inf))
+        # the trapezoid L2 path takes any grid: sup_t (1 + t) / sqrt(2)
+        assert mixed_norm(f, NormSpec(0.0, 2.0, np.inf)) == pytest.approx(
+            np.sqrt(2.0), rel=1e-4)
+
 
 class TestAdmissiblePairs:
     def test_endpoint(self):
