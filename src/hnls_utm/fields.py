@@ -34,7 +34,7 @@ class Field:
             raise ValueError("grids need at least 4 points each")
         if v.shape != (len(x), len(t)):
             raise ValueError("values shape must be (len(x_grid), len(t_grid))")
-        if not np.all(np.isfinite(v.view(np.float64))):
+        if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "x_grid", x)
         object.__setattr__(self, "t_grid", t)

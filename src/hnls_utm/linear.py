@@ -45,10 +45,14 @@ The dense exponential tables factor exactly into two short tables on uniform
 grids.  The x-quadrature has uniform panels, x = mid_p + off_j, so the
 x-kernel e^{-i k x + s_k} at a node k costs 32 + 8 exponentials for the 256
 nodes; on a uniform grid t_j = j dt, with j = a m + b and m = ceil(sqrt(n)),
-the phase e^{-i w t_j} costs about 2 sqrt(n) exponentials per w.  The tables
-are then filled by one broadcast product each: the time transforms' table
-and the output assembly's e^{i k x} and e^{i omega t}, whose grids are the
-(nx, nt) uniform points of [0, ell] x [0, T].
+the phase e^{-i w t_j} costs about 2 sqrt(n) exponentials per w.  The
+x-kernel is never formed: its two factors are contracted with the payloads
+in turn, first the panel factor against the weighted payloads arranged as
+(panel, Gauss point) by one matrix product, then the Gauss-point factor by
+one batched product.  The phase tables are filled by one broadcast product
+each: the time transforms' table and the output assembly's e^{i k x} and
+e^{i omega t}, whose grids are the (nx, nt) uniform points of
+[0, ell] x [0, T].
 
 The three contour regions share one term, SolvePlan._contour_term: a region
 fixes only its dominant symmetry root sigma (k, nu+ or nu-), whether the
@@ -376,10 +380,17 @@ def _apply_kernel(karr, shift, xquad: XQuadrature, payloads, chunk=2048):
 
     The kernel is the product of the panel factors e^{-i k mid_p + shift_k}
     and e^{-i k off_j}: 40 exponentials per k for the 32-panel rule instead
-    of one per node.  All exponents must have (essentially) nonpositive real
-    part; a large positive real part signals a construction error and raises
-    before any exponential is taken.  The real part Im(k) x + Re(shift_k) is
-    linear in x, so its maximum over the nodes is at the first or last node.
+    of one per node.  The kernel itself is never formed.  Every payload
+    column, weighted by w_q, is stacked into one (panels, 8 ncol) matrix P;
+    per chunk of k, one product with the panel factor gives
+    H[k, j, c] = sum_p e^{-i k mid_p + shift_k} P[p, j, c], and one batched
+    product with the Gauss-point factor sums H over j.  The chunk shrinks
+    for more than 32 columns, so H never holds more than chunk x nq values.
+
+    All exponents must have (essentially) nonpositive real part; a large
+    positive real part signals a construction error and raises before any
+    exponential is taken.  The real part Im(k) x + Re(shift_k) is linear in
+    x, so its maximum over the nodes is at the first or last node.
     """
     if not payloads:
         return []
@@ -397,20 +408,23 @@ def _apply_kernel(karr, shift, xquad: XQuadrature, payloads, chunk=2048):
         # e^{-i k off} has exponents of both signs; it must stay finite
         if np.max(np.abs(karr.imag)) * np.max(np.abs(xquad.off)) > OVERFLOW_GUARD:
             raise ExponentialOverflow("Im k too large for the x-quadrature panels")
-    pw = []
-    for p in payloads:
-        p = np.asarray(p, dtype=np.complex128)
-        pw.append(p * (wq[:, None] if p.ndim == 2 else wq))
-    outs = [np.empty((nk,) + p.shape[1:], dtype=np.complex128) for p in pw]
-    for lo in range(0, nk, chunk):
-        sel = slice(lo, min(lo + chunk, nk))
+    payloads = [np.asarray(p, dtype=np.complex128) for p in payloads]
+    cols = np.concatenate([p.reshape(len(wq), -1) for p in payloads], axis=1)
+    npan, nfine, ncol = len(xquad.mid), len(xquad.off), cols.shape[1]
+    panels = (cols * wq[:, None]).reshape(npan, nfine * ncol)
+    out = np.empty((nk, ncol), dtype=np.complex128)
+    # chunk rows of k, fewer past 32 columns so H stays within chunk x nq
+    rows = max(1, chunk * npan // max(ncol, npan))
+    for lo in range(0, nk, rows):
+        sel = slice(lo, min(lo + rows, nk))
         kc = karr[sel]
         coarse = np.exp(-1j * np.outer(kc, xquad.mid) + shift[sel, None])
         fine = np.exp(-1j * np.outer(kc, xquad.off))
-        ker = (coarse[:, :, None] * fine[:, None, :]).reshape(len(kc), -1)
-        for o, p in zip(outs, pw):
-            o[sel] = ker @ p
-    return outs
+        h = (coarse @ panels).reshape(len(kc), nfine, ncol)
+        out[sel] = np.matmul(fine[:, None, :], h)[:, 0]
+    widths = [1 if p.ndim == 1 else p.shape[1] for p in payloads]
+    outs = np.split(out, np.cumsum(widths)[:-1], axis=1)
+    return [o[:, 0] if p.ndim == 1 else o for o, p in zip(outs, payloads)]
 
 
 def _assemble(vals, ell, horizon, basis, karr, warr, om,

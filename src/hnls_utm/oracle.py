@@ -16,6 +16,7 @@ and reused.  The nonlinearity is handled by a per-step fixed-point sweep.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,12 @@ class OracleConfig:
     theta: float = 0.55
 
     def __post_init__(self):
+        for name in ("nx", "nt"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError("%s must be an integer point count, got %r"
+                                 % (name, getattr(self, name)))
         if self.nx < 16 or self.nt < 16:
             raise ValueError("nx and nt must be at least 16")
         if not 0.5 <= self.theta <= 1.0:

@@ -25,6 +25,10 @@ from .linear import ProblemData
 from .transforms import SpatialProfile, TimeSeries
 
 
+# default bump support, as fractions of the interval or horizon
+_BUMP_LO, _BUMP_HI = 0.15, 0.85
+
+
 def bump_callable(lo: float, hi: float, amplitude: float = 1.0):
     """C-infinity bump supported on (lo, hi), normalized to peak amplitude.
 
@@ -65,8 +69,8 @@ def gaussian_profile(ell: float, center: float, width: float,
 
 def bump_profile(ell: float, lo: float = None, hi: float = None,
                  amplitude: float = 1.0, n: int = 257) -> SpatialProfile:
-    lo = 0.15 * ell if lo is None else lo
-    hi = 0.85 * ell if hi is None else hi
+    lo = _BUMP_LO * ell if lo is None else lo
+    hi = _BUMP_HI * ell if hi is None else hi
     return SpatialProfile.from_callable(
         bump_callable(lo, hi, amplitude), ell, n=n)
 
@@ -76,8 +80,8 @@ def bump_series(horizon: float, lo: float = None, hi: float = None,
     """Time bump supported strictly inside (0, horizon); satisfies the
     boundary-data support condition and vanishes with all derivatives at
     t = 0, so the data corners are compatible with any u0 vanishing there."""
-    lo = 0.15 * horizon if lo is None else lo
-    hi = 0.85 * horizon if hi is None else hi
+    lo = _BUMP_LO * horizon if lo is None else lo
+    hi = _BUMP_HI * horizon if hi is None else hi
     return TimeSeries.from_callable(bump_callable(lo, hi, amplitude),
                                     horizon, n=n)
 
@@ -149,6 +153,17 @@ def _param(spec, key, default, name):
     return None if value is None else named_number(value, "%s.%s" % (name, key))
 
 
+def _bump_params(spec, extent, name):
+    """The bump preset's (lo, hi, amplitude) over [0, extent]; ConfigInvalid
+    naming name.hi unless hi > lo."""
+    lo = _param(spec, "lo", _BUMP_LO * extent, name)
+    hi = _param(spec, "hi", _BUMP_HI * extent, name)
+    if not hi > lo:
+        raise ConfigInvalid("field %r must exceed %s.lo = %r, got %r"
+                            % (name + ".hi", name, lo, hi))
+    return lo, hi, _param(spec, "amplitude", 1.0, name)
+
+
 def profile_from_spec(spec, ell: float, name: str = "spec") -> SpatialProfile:
     """Build a SpatialProfile from a preset/path dictionary (None -> zero);
     name is the spec's field name in error messages."""
@@ -161,13 +176,14 @@ def profile_from_spec(spec, ell: float, name: str = "spec") -> SpatialProfile:
     if preset == "zero":
         return zero_profile(ell)
     if preset == "gaussian":
+        width = _param(spec, "width", 0.1 * ell, name)
+        if not width > 0:
+            raise ConfigInvalid("field %r must be positive, got %r"
+                                % (name + ".width", width))
         return gaussian_profile(ell, _param(spec, "center", 0.5 * ell, name),
-                                _param(spec, "width", 0.1 * ell, name),
-                                _param(spec, "amplitude", 1.0, name))
+                                width, _param(spec, "amplitude", 1.0, name))
     if preset == "bump":
-        return bump_profile(ell, _param(spec, "lo", None, name),
-                            _param(spec, "hi", None, name),
-                            _param(spec, "amplitude", 1.0, name))
+        return bump_profile(ell, *_bump_params(spec, ell, name))
     if preset == "plane_wave":
         a = _param(spec, "a", 2.0, name)
         return SpatialProfile.from_callable(
@@ -187,7 +203,5 @@ def series_from_spec(spec, horizon: float, name: str = "spec") -> TimeSeries:
     if preset == "zero":
         return zero_series(horizon)
     if preset == "bump":
-        return bump_series(horizon, _param(spec, "lo", None, name),
-                           _param(spec, "hi", None, name),
-                           _param(spec, "amplitude", 1.0, name))
+        return bump_series(horizon, *_bump_params(spec, horizon, name))
     raise ConfigInvalid("unknown time-series preset %r in %r" % (preset, name))

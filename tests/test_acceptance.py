@@ -140,7 +140,7 @@ def test_criterion_07_trace_and_initial_recovery():
     }
     ok = all(v <= 1e-3 for v in sups.values())
     report(7, ["sup errors (tol 1e-3): " + " ".join(
-        "%s %.3e" % kv for kv in sorted(sups.items()))], ok)
+        "%s %.2e" % kv for kv in sorted(sups.items()))], ok)
 
 
 def test_criterion_08_hardy_bound():

@@ -71,9 +71,15 @@ class TestLoadScenario:
         ("data", "forcing", {"x": {"preset": "gaussian", "center": "x"},
                              "t": {"preset": "bump"}},
          "'data.forcing.x.center'"),
+        ("data", "u0", {"preset": "gaussian", "width": -1}, "'data.u0.width'"),
+        ("data", "h0", {"preset": "bump", "lo": 0.05, "hi": 0.01},
+         "'data.h0.hi'"),
+        ("data", "g0", {"preset": "bump", "hi": 0.01}, "'data.g0.hi'"),
+        ("solver", "oracle", {"nx": 16.5}, "solver.oracle: nx"),
     ], ids=["solver", "grid", "max_iter", "proxies", "outputs", "u0",
             "budget-arc-radius", "unknown-preset", "spec-beside-plane-wave",
-            "u0-width", "h0-amplitude", "forcing-x-center"])
+            "u0-width", "h0-amplitude", "forcing-x-center", "u0-width-range",
+            "h0-bump-range", "g0-bump-default-lo", "oracle-nx"])
     def test_malformed_field_exit_2(self, tmp_path, section, key, value,
                                     named):
         doc = {k: dict(v) for k, v in BASE.items()}

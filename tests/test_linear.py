@@ -130,12 +130,58 @@ class TestExponentialTables:
         dpm_k = np.linspace(3.0, 60.0, 77) * np.exp(-1j * np.linspace(0.2, 2.9, 77))
         for k, shift in ((real_k, np.zeros(161)), (d0_k, 1j * (d0_k - nup)),
                          (dpm_k, np.zeros(77))):
-            got_2d, got_1d = _kernel(k, shift, [p, p[:, 0]])
-            want = self.dense_kernel(k, shift, p)
-            np.testing.assert_allclose(got_2d, want, rtol=1e-12,
+            self.assert_kernels_match(k, shift, [p, p[:, 0]],
+                                      _kernel(k, shift, [p, p[:, 0]]))
+
+    def assert_kernels_match(self, k, shift, payloads, got):
+        assert len(got) == len(payloads)
+        for g, p in zip(got, payloads):
+            assert g.shape == (len(k),) + p.shape[1:]
+            want = self.dense_kernel(k, shift, p.reshape(len(p), -1))
+            want = want.reshape(g.shape)
+            np.testing.assert_allclose(g, want, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(want)))
-            np.testing.assert_allclose(got_1d, want[:, 0], rtol=1e-12,
-                                       atol=1e-12 * np.max(np.abs(want)))
+
+    def test_kernel_mixed_payloads_match_dense_exp(self):
+        # 1-D and 2-D payloads in one call, 43 columns in all: more than the
+        # 32 panels, so the chunk of k shrinks to 2048 * 32 // 43 = 1524 and
+        # 2000 nodes take a whole and a partial chunk
+        xq = XQUAD.nodes
+        rng = np.random.default_rng(11)
+        wide = (rng.standard_normal((len(xq), 40))
+                + 1j * rng.standard_normal((len(xq), 40)))
+        pair = np.stack([np.exp(2j * xq), np.cos(7 * xq) - 0.3j], axis=1)
+        payloads = [np.sin(3 * xq) + 0.5j, wide, pair]
+        k = np.linspace(-60.0, 60.0, 2000) - 1j * np.linspace(0.0, 4.0, 2000)
+        shift = np.zeros(2000)
+        self.assert_kernels_match(k, shift, payloads,
+                                  _kernel(k, shift, payloads))
+
+    def test_kernel_chunk_not_dividing_nodes(self):
+        xq = XQUAD.nodes
+        payloads = [np.stack([np.exp(2j * xq) * (1 + xq ** 2), xq + 0j], axis=1),
+                    np.cos(7 * xq) - 0.3j]
+        k = np.linspace(-80.0, 80.0, 301) + 1j * np.linspace(-3.0, 1.0, 301)
+        shift = -np.maximum(k.imag, 0.0) + 0j
+        got = linear._apply_kernel(k, shift, XQUAD, payloads, chunk=7)
+        self.assert_kernels_match(k, shift, payloads, got)
+
+    def test_kernel_of_no_nodes(self):
+        p = np.ones((len(XQUAD.nodes), 3))
+        got_2d, got_1d = _kernel(np.array([], dtype=complex), None, [p, p[:, 0]])
+        assert got_2d.shape == (0, 3) and got_1d.shape == (0,)
+
+    def test_kernel_large_imaginary_k_with_compensating_shift(self):
+        # e^{-i k x + shift} = e^{1000 (x - 1)} stays at most 1, and the
+        # panel factor e^{-i k off} stays finite, so both guards admit it; a
+        # panel factor taken before the shift, e^{1000 mid}, would overflow
+        xq = XQUAD.nodes
+        k = np.array([1000j, 1000j + 5.0])
+        shift = np.full(2, -1000.0 + 0j)
+        payloads = [np.exp(2j * xq) * (1 + xq ** 2)]
+        got = _kernel(k, shift, payloads)
+        assert np.all(np.isfinite(got[0]))
+        self.assert_kernels_match(k, shift, payloads, got)
 
     @pytest.mark.parametrize("cells", [3, 10, 128, 256])
     def test_phase_table_matches_dense_exp(self, cells):
@@ -580,6 +626,14 @@ class TestValidation:
         # the arc radius is picked by the Delta-margin sweep, never set
         with pytest.raises(TypeError, match="arc_radius"):
             QuadratureBudget(arc_radius=9.0)
+
+    def test_field_of_transposed_values(self):
+        values = (np.arange(45.0) + 1j).reshape(5, 9)
+        field = Field(np.linspace(0, 1, 9), np.linspace(0, 0.5, 5), values.T)
+        np.testing.assert_array_equal(field.values, values.T)
+        values[2, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Field(np.linspace(0, 1, 9), np.linspace(0, 0.5, 5), values.T)
 
     def test_problem_data_consistency(self):
         with pytest.raises(ValueError):
