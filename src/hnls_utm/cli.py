@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import operator
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -81,8 +82,8 @@ def _need(doc: dict, section: str, key: str = None):
 
 def _integer(value, name):
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
+        return operator.index(value)
+    except TypeError:
         raise ConfigInvalid("field %r must be an integer, got %r" % (name, value))
 
 
@@ -348,7 +349,7 @@ def main():
 @click.option("--mode", default="linear",
               type=click.Choice(MODES, case_sensitive=False))
 @click.option("--out", "out_dir", default=None, type=click.Path())
-@click.option("--refine", default=0, type=int,
+@click.option("--refine", default=0, type=click.IntRange(min=0),
               help="joint refinement level (doubles budgets per level)")
 def solve(config_path, mode, out_dir, refine):
     """Run one scenario and write field/norms/diagnostics artifacts."""
@@ -358,7 +359,7 @@ def solve(config_path, mode, out_dir, refine):
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", "out_dir", default=None, type=click.Path())
-@click.option("--refine", default=0, type=int)
+@click.option("--refine", default=0, type=click.IntRange(min=0))
 def compare(config_path, out_dir, refine):
     """Solve with both routes and report their relative L2 gap."""
     sys.exit(run_scenario(config_path, "compare", out_dir, refine))
@@ -367,7 +368,7 @@ def compare(config_path, out_dir, refine):
 @main.command()
 @click.option("--suite", default="all",
               type=click.Choice(sorted(SUITES) + ["all"]))
-@click.option("--seed", default=0, type=int)
+@click.option("--seed", default=0, type=click.IntRange(min=0))
 @click.option("--out", "out_dir", default=None, type=click.Path())
 def verify(suite, seed, out_dir):
     """Run a seeded property suite; exit 0 iff every property passes."""

@@ -36,10 +36,14 @@ A(x) B(t) of rank r (1 for an affine blend forcing).  The x-kernels then act
 on the r columns of A, and only the r rows of B are splined in time: all time
 transforms go through one shared-series transform that computes the moments
 and e^{-i w t} once per chunk of w and contracts every series with them by
-matrix products.  A forcing term at a node k is the row-wise dot
-sum_r Ahat_r(k) Btilde_r(omega(k)), and the running transform on the real
-axis combines B's spline coefficients with the node's weights Ahat(k), so no
-spline is ever built per node.
+matrix products.  Each term of the representation sums, over its nodes,
+w_k e^{i k x} e^{i omega t} (e^{-i k (ell - x)} on D+/-) times one
+coefficient array, constant in time or on the output times; _assemble takes
+it and applies the 1/(2 pi).  _x_transforms returns the data's x-transforms
+u0hat and Ahat by name.  A contour group's coefficient is its payload over
+Delta, the data entering as u0hat - i Ahat . Btilde; the real axis's is u0hat
+plus the forcing history, a running transform of B's splines with the node
+weights -i Ahat(k): -i is applied once, and no spline is built per node.
 
 The dense exponential tables factor exactly into two short tables on uniform
 grids.  The x-quadrature has uniform panels, x = mid_p + off_j, so the
@@ -49,10 +53,9 @@ the phase e^{-i w t_j} costs about 2 sqrt(n) exponentials per w.  The
 x-kernel is never formed: its two factors are contracted with the payloads
 in turn, first the panel factor against the weighted payloads arranged as
 (panel, Gauss point) by one matrix product, then the Gauss-point factor by
-one batched product.  The phase tables are filled by one broadcast product
-each: the time transforms' table and the output assembly's e^{i k x} and
-e^{i omega t}, whose grids are the (nx, nt) uniform points of
-[0, ell] x [0, T].
+one batched product.  Each phase table, the time transforms' and the
+assembly's e^{i k x} and e^{i omega t} on the uniform output grid, is
+filled by one broadcast product.
 
 The three contour regions share one term, SolvePlan._contour_term: a region
 fixes only its dominant symmetry root sigma (k, nu+ or nu-), whether the
@@ -105,8 +108,9 @@ class QuadratureBudget:
     real_axis_window is the common truncation radius |k - c0| <= R for the
     whole-line term and all contour segments; keeping it common makes the
     slowly decaying corner tails of the individual terms cancel.
-    contour_nodes is the total across the nine contour segments, distributed
-    proportionally to each segment's phase content.  The deformed puncture
+    contour_nodes is shared among the six contour segments other than the
+    puncture arcs, in proportion to each one's phase content; each arc takes
+    its own count from its amplification bound.  The deformed puncture
     radius is not a budget setting: make_plan picks it where the Delta-margin
     sweep finds the swept annulus zero-free.
     """
@@ -117,7 +121,12 @@ class QuadratureBudget:
     tolerance: float = 1e-3
 
     def __post_init__(self):
-        if self.contour_nodes <= 0 or self.real_axis_nodes <= 0:
+        counts = (self.contour_nodes, self.real_axis_nodes)
+        try:
+            positive = min(operator.index(n) for n in counts) > 0
+        except TypeError:
+            raise ValueError("node counts must be integers, got %r, %r" % counts)
+        if not positive:
             raise ValueError("node counts must be positive")
         if self.real_axis_window <= 0 or self.tolerance <= 0:
             raise ValueError("window and tolerance must be positive")
@@ -357,17 +366,16 @@ def _cumulative_transform(series, horizon: float, w, weights,
 def _forcing_history(series_b, horizon: float, w, weights, t_grid) -> np.ndarray:
     """-i int_0^t e^{-i w_j s} sum_r weights[j, r] B_r(s) ds at the times t
     of t_grid, (nw, len(t_grid)): the running transform of the factored
-    forcing A B, weights being A's x-transforms.  The integrals on B's grid
-    linspace(0, horizon, nt) go to t_grid by its cubic spline, linear in the
-    data, so as one (nt, len(t_grid)) matrix that also takes the -i; on B's
-    own grid (every Picard iteration) -i is applied in place.  Neither way
-    forms a second (nodes x times) array."""
-    icum = _cumulative_transform(series_b, horizon, w, weights)
+    forcing A B, weights being A's x-transforms, with -i applied to the
+    (nw, r) weights.  The integrals on B's grid linspace(0, horizon, nt) go
+    to t_grid by its cubic spline, linear in the data, so as one
+    (nt, len(t_grid)) matrix; on B's own grid (every Picard iteration) they
+    are returned as they are."""
+    icum = _cumulative_transform(series_b, horizon, w, -1j * weights)
     tb = np.linspace(0.0, horizon, series_b.shape[1])
     if np.array_equal(tb, t_grid):
-        icum *= -1j
         return icum
-    return icum @ (-1j * CubicSpline(tb, np.eye(len(tb)), axis=1)(t_grid))
+    return icum @ CubicSpline(tb, np.eye(len(tb)), axis=1)(t_grid)
 
 
 # --------------------------------------------------------------------------
@@ -427,17 +435,16 @@ def _apply_kernel(karr, shift, xquad: XQuadrature, payloads, chunk=2048):
     return [o[:, 0] if p.ndim == 1 else o for o, p in zip(outs, payloads)]
 
 
-def _assemble(vals, ell, horizon, basis, karr, warr, om,
-              coef_static=None, coef_time=None, prefactor=1.0, chunk=4096):
-    """vals += prefactor * sum_k w_k basis(x, k) e^{i om_k t}
-                      * (coef_static_k + coef_time[k, t]) on the uniform
-    (nx, nt) = vals.shape points of [0, ell] x [0, horizon].
+def _assemble(vals, ell, horizon, basis, karr, warr, om, coef, chunk=4096):
+    """vals += 1/(2 pi) sum_k w_k basis(x, k) e^{i om_k t} coef_k(t) on the
+    uniform (nx, nt) = vals.shape points of [0, ell] x [0, horizon].
 
+    coef is (nk,), constant in time, or (nk, nt) on the output times.
     basis(x, k) is e^{i k x} ("in") or e^{-i k (ell - x)} ("out").  The
-    tables are _phase_tables, with w_k coef_static_k folded into the coarse
-    time factor when there is no coef_time.  The "out" table runs over
-    ell - x from 0 upward, where its exponents are nonpositive for
-    Im k <= 0, and its rows are reversed after the product.
+    tables are _phase_tables, with w_k coef_k folded into the coarse time
+    factor when coef is constant.  The "out" table runs over ell - x from 0
+    upward, where its exponents are nonpositive for Im k <= 0, and its rows
+    are reversed after the product.
     """
     nx, nt = vals.shape
     dx, dt = ell / (nx - 1), horizon / (nt - 1)
@@ -447,18 +454,15 @@ def _assemble(vals, ell, horizon, basis, karr, warr, om,
         raise ExponentialOverflow("contour time factor exceeds the overflow guard")
     for lo in range(0, nk, chunk):
         sel = slice(lo, min(lo + chunk, nk))
-        if coef_time is None:
-            tm = _phase_table(-om[sel], dt, nt, scale=warr[sel] * coef_static[sel])
+        if coef.ndim == 1:
+            tm = _phase_table(-om[sel], dt, nt, scale=warr[sel] * coef[sel])
         else:
-            coef = warr[sel][:, None] * coef_time[sel]
-            if coef_static is not None:
-                coef = (warr[sel] * coef_static[sel])[:, None] + coef
-            tm = _phase_table(-om[sel], dt, nt) * coef
+            tm = _phase_table(-om[sel], dt, nt) * (warr[sel, None] * coef[sel])
         if basis == "in":
-            vals += prefactor * (_phase_table(-karr[sel], dx, nx).T @ tm)
+            part = _phase_table(-karr[sel], dx, nx).T @ tm
         else:
-            ker = _phase_table(karr[sel], dx, nx)
-            vals += prefactor * (ker.T @ tm)[::-1]
+            part = (_phase_table(karr[sel], dx, nx).T @ tm)[::-1]
+        vals += (1.0 / TWO_PI) * part
     return vals
 
 
@@ -499,13 +503,13 @@ def _radial_envelope(params, ell, horizon, xquad, samples, r_max, n_r=193):
     ks = np.concatenate([params.center + rs, params.center - rs]) + 0j
     om = omega(params, ks).real
     omp = np.abs(omega_prime(params, ks))
-    hats = _apply_kernel(ks, None, xquad, _x_payloads(samples))
+    u0hat, ahat = _x_transforms(ks, None, xquad, samples)
     st, bt = _data_time_transforms(samples, horizon, om)
-    env = np.abs(hats[0]) if samples.u0v is not None else np.zeros(2 * n_r)
+    env = np.zeros(2 * n_r) if u0hat is None else np.abs(u0hat)
     if st is not None:
         env += omp * np.sum(np.abs(st), axis=1)
     if bt is not None:
-        env += np.abs(np.sum(hats[-1] * bt, axis=1))
+        env += np.abs(np.sum(ahat * bt, axis=1))
     env = np.maximum(env[:n_r], env[n_r:])
     env = np.maximum.accumulate(env[::-1])[::-1]
     emax = float(env[0])
@@ -707,10 +711,12 @@ def _sample(data: ProblemData, xquad: XQuadrature) -> _Samples:
                     _factor_forcing(fq), blend)
 
 
-def _x_payloads(samples: _Samples):
-    """The x-kernel payloads: u0 and the columns of A, where present."""
-    forcing_a = None if samples.forcing is None else samples.forcing[0]
-    return [p for p in (samples.u0v, forcing_a) if p is not None]
+def _x_transforms(k, shift, xquad, samples: _Samples):
+    """(u0hat, ahat): the x-transforms at k, with the kernel shift, of u0,
+    (nk,), and of A's columns, (nk, r), by one kernel call; None if absent."""
+    parts = (samples.u0v, None if samples.forcing is None else samples.forcing[0])
+    hats = iter(_apply_kernel(k, shift, xquad, [p for p in parts if p is not None]))
+    return tuple(None if p is None else next(hats) for p in parts)
 
 
 def _data_time_transforms(samples: _Samples, horizon, w):
@@ -726,17 +732,6 @@ def _data_time_transforms(samples: _Samples, horizon, w):
         return both[:, :3], both[:, 3:]
     return (None if stack is None else _time_transform(stack, horizon, w),
             None if series_b is None else _time_transform(series_b, horizon, w))
-
-
-def _transformed(k, shift, xquad, samples: _Samples, bt):
-    """u0 transform minus i times the forcing transform at the nodes k, with
-    the kernel shift; 0.0 when both parts are absent.  The forcing term is
-    the row-wise dot of A's kernel outputs and B's time transforms bt."""
-    hats = _apply_kernel(k, shift, xquad, _x_payloads(samples))
-    out = hats[0] if samples.u0v is not None else 0.0
-    if samples.forcing is not None:
-        out = out - 1j * np.sum(hats[-1] * bt, axis=1)
-    return out
 
 
 def _corner_blend(data: ProblemData):
@@ -831,18 +826,18 @@ class SolvePlan:
         return Field(x_grid, t_grid, vals)
 
     def _real_axis_term(self, vals, samples):
-        """The whole-line term over the truncated real window."""
+        """The whole-line term over the truncated real window; its
+        coefficient is u0hat plus, added in place, the forcing history."""
         k_r, w_r = self.real_axis
         om_r = omega(self.params, k_r + 0j).real
-        hats = _apply_kernel(k_r + 0j, None, self.xquad, _x_payloads(samples))
-        icum = None
-        if samples.forcing is not None:
-            icum = _forcing_history(samples.forcing[1], self.horizon, om_r,
-                                    hats[-1], self.t_grid)
-        _assemble(vals, self.ell, self.horizon, "in", k_r + 0j,
-                  w_r + 0j, om_r + 0j,
-                  coef_static=hats[0] if samples.u0v is not None else None,
-                  coef_time=icum, prefactor=1.0 / TWO_PI)
+        coef, ahat = _x_transforms(k_r, None, self.xquad, samples)
+        if ahat is not None:
+            history = _forcing_history(samples.forcing[1], self.horizon, om_r,
+                                       ahat, self.t_grid)
+            if coef is not None:
+                history += coef[:, None]
+            coef = history
+        _assemble(vals, self.ell, self.horizon, "in", k_r, w_r, om_r, coef)
 
     def _contour_term(self, vals, samples, region, k, w):
         """One contour group's term: payload / Delta_s in the region's basis.
@@ -854,7 +849,7 @@ class SolvePlan:
         mu = mu_factors(roots),
             payload = -omega'(k) [mu_0 z g0~ + (nu- f+ - nu+ f-) h0~
                                   + i (f+ - f-) h1~] + sum_j c_j T_j,
-        T_j the transformed u0 and forcing at roots_j, shifted by
+        T_j = u0hat - i sum_r Ahat_r Btilde_r at roots_j, shifted by
         e^{i sigma ell} at sigma, c_j = mu_j z at the other two roots and
         c_sigma = mu_sigma on D+/-, -(mu+ f+ + mu- f-) on D0.  Grouped so,
         every exponent has nonpositive real part.
@@ -878,10 +873,13 @@ class SolvePlan:
         c[dom] = -(mu[1] * fp + mu[2] * fm) if in_d0 else mu[dom]
         for j, root in enumerate(roots):
             shift = 1j * root * ell if j == dom else None
-            payload = payload + c[j] * _transformed(root, shift, xquad, samples, bt)
-        _assemble(vals, ell, self.horizon, "in" if in_d0 else "out",
-                  k, w, om, coef_static=payload / scaled_delta(roots, ell, roots[dom]),
-                  prefactor=1.0 / TWO_PI)
+            u0hat, ahat = _x_transforms(root, shift, xquad, samples)
+            hat = 0.0 if u0hat is None else u0hat
+            if ahat is not None:
+                hat = hat - 1j * np.sum(ahat * bt, axis=1)
+            payload = payload + c[j] * hat
+        _assemble(vals, ell, self.horizon, "in" if in_d0 else "out", k, w, om,
+                  payload / scaled_delta(roots, ell, roots[dom]))
 
 
 def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:

@@ -76,10 +76,17 @@ class TestLoadScenario:
          "'data.h0.hi'"),
         ("data", "g0", {"preset": "bump", "hi": 0.01}, "'data.g0.hi'"),
         ("solver", "oracle", {"nx": 16.5}, "solver.oracle: nx"),
+        ("solver", "grid", [17.9, 9], "'solver.grid'"),
+        ("solver", "grid", ["33", 17], "'solver.grid'"),
+        ("solver", "max_iter", 2.9, "'solver.max_iter'"),
+        ("solver", "budget", {"real_axis_nodes": 6000.5}, "solver.budget: node"),
+        ("solver", "budget", {"contour_nodes": 24000.5}, "solver.budget: node"),
     ], ids=["solver", "grid", "max_iter", "proxies", "outputs", "u0",
             "budget-arc-radius", "unknown-preset", "spec-beside-plane-wave",
             "u0-width", "h0-amplitude", "forcing-x-center", "u0-width-range",
-            "h0-bump-range", "g0-bump-default-lo", "oracle-nx"])
+            "h0-bump-range", "g0-bump-default-lo", "oracle-nx", "grid-fraction",
+            "grid-quoted", "max_iter-fraction", "budget-real-axis-fraction",
+            "budget-contour-fraction"])
     def test_malformed_field_exit_2(self, tmp_path, section, key, value,
                                     named):
         doc = {k: dict(v) for k, v in BASE.items()}
@@ -166,6 +173,16 @@ class TestSolveVerb:
         assert json.loads((out / "diagnostics.json").read_text())[
             "refine_level"] == 1
 
+    @pytest.mark.parametrize("verb", ["solve", "compare"])
+    def test_negative_refine_exit_2(self, tmp_path, verb):
+        config = write_config(tmp_path, BASE)
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, [verb, "--config", config,
+                                           "--refine", "-1", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--refine" in result.output
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_solver_failure_exit_3(self, tmp_path):
         doc = dict(BASE)
@@ -248,6 +265,12 @@ class TestVerifyVerb:
         assert result.exit_code == 0
         report = json.loads((out / "verify_rtotau.json").read_text())
         assert report["passed"]
+
+    def test_negative_seed_exit_2(self):
+        result = CliRunner().invoke(main, ["verify", "--suite", "mvt",
+                                           "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
 
 
 class TestNormsVerb:

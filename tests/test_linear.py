@@ -15,7 +15,7 @@ from hnls_utm.linear import (OVERFLOW_GUARD, ProblemData, QuadratureBudget,
                              global_relation_residual, make_plan, solve_full,
                              solve_reduced, zero_data)
 from hnls_utm import linear, verify
-from hnls_utm.regions import r_delta
+from hnls_utm.regions import SegmentKind, r_delta, segment_specs
 from hnls_utm.presets import (bump_profile, bump_series, plane_wave_data,
                               plane_wave_exact, plane_wave_field, zero_profile,
                               zero_series)
@@ -241,7 +241,9 @@ class TestExponentialTables:
             ker = np.exp(1j * np.outer(x_grid, k))
         else:
             ker = np.exp(-1j * (ell - x_grid[:, None]) * k[None, :])
-        return ker @ (np.exp(1j * np.outer(om, t_grid)) * (w * coef)[:, None])
+        coef = coef if coef.ndim == 2 else coef[:, None]
+        tm = np.exp(1j * np.outer(om, t_grid)) * w[:, None] * coef
+        return ker @ tm / (2.0 * np.pi)
 
     @staticmethod
     def assembly_nodes():
@@ -259,18 +261,45 @@ class TestExponentialTables:
         dpm_k = radius * np.exp(-1j * np.linspace(0.2, 2.9, n))
         return (("in", d0_k), ("out", dpm_k)), w, om, coef
 
-    def test_assembly_matches_dense_exp(self):
+    def assert_assembly_matches(self, coef_on_times):
         ell, horizon = 1.0, 0.5
         (bases, w, om, coef) = self.assembly_nodes()
         x_grid, t_grid = np.linspace(0.0, ell, 33), np.linspace(0.0, horizon, 17)
+        coef = coef_on_times(coef, t_grid)
         for basis, k in bases:
             got = linear._assemble(
                 np.zeros((len(x_grid), len(t_grid)), dtype=complex),
-                ell, horizon, basis, k, w, om, coef_static=coef, chunk=16)
+                ell, horizon, basis, k, w, om, coef, chunk=16)
             want = self.dense_assembly(x_grid, t_grid, ell, basis, k, w,
                                        om, coef)
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(want)))
+
+    def test_assembly_matches_dense_exp(self):
+        self.assert_assembly_matches(lambda coef, t: coef)
+
+    def test_assembly_of_a_time_dependent_coefficient_matches_dense_exp(self):
+        # as on the real axis with forcing: u0hat plus a history on the
+        # output times, (nk, nt), split over whole and partial chunks
+        self.assert_assembly_matches(
+            lambda coef, t: coef[:, None] + np.outer(1j * coef.conj(),
+                                                     np.sin(9.0 * t) + t))
+
+    def test_contour_nodes_exclude_the_arcs(self):
+        # contour_nodes is shared among the six non-arc segments, rounded to
+        # whole 8-point panels per share; each arc's count comes from its
+        # amplification bound, on top of the budget
+        data = plane_wave_data(AIRY, 1.0, 0.5, 2.0)
+        arcs = []
+        for budget in (QuadratureBudget(), QuadratureBudget(contour_nodes=48000)):
+            plan = make_plan(data, (9, 9), budget)
+            specs = segment_specs(AIRY, 1.0, plan.rho, budget.real_axis_window)
+            is_arc = [kind is SegmentKind.CIRCULAR_ARC for kind, *_ in specs]
+            assert sum(is_arc) == 3
+            free = sum(n for n, a in zip(plan.node_counts, is_arc) if not a)
+            assert abs(free - budget.contour_nodes) <= 6 * 4
+            arcs.append([n for n, a in zip(plan.node_counts, is_arc) if a])
+        assert min(arcs[0]) > 0 and arcs[0] == arcs[1]
 
     def test_arc_amplification_guard(self):
         # ell = 0.1, T = 0.25: the arc radius is held at 1.5 / ell = 15,
@@ -621,6 +650,10 @@ class TestValidation:
             QuadratureBudget(contour_nodes=0)
         with pytest.raises(ValueError):
             QuadratureBudget(real_axis_window=-1.0)
+        # a fractional node count is neither floored nor passed on
+        for counts in ({"real_axis_nodes": 6000.5}, {"contour_nodes": 24000.5}):
+            with pytest.raises(ValueError, match="integers"):
+                QuadratureBudget(**counts)
 
     def test_budget_has_no_arc_radius(self):
         # the arc radius is picked by the Delta-margin sweep, never set
