@@ -45,17 +45,12 @@ Delta, the data entering as u0hat - i Ahat . Btilde; the real axis's is u0hat
 plus the forcing history, a running transform of B's splines with the node
 weights -i Ahat(k): -i is applied once, and no spline is built per node.
 
-The dense exponential tables factor exactly into two short tables on uniform
-grids.  The x-quadrature has uniform panels, x = mid_p + off_j, so the
-x-kernel e^{-i k x + s_k} at a node k costs 32 + 8 exponentials for the 256
-nodes; on a uniform grid t_j = j dt, with j = a m + b and m = ceil(sqrt(n)),
-the phase e^{-i w t_j} costs about 2 sqrt(n) exponentials per w.  The
-x-kernel is never formed: its two factors are contracted with the payloads
-in turn, first the panel factor against the weighted payloads arranged as
-(panel, Gauss point) by one matrix product, then the Gauss-point factor by
-one batched product.  Each phase table, the time transforms' and the
-assembly's e^{i k x} and e^{i omega t} on the uniform output grid, is
-filled by one broadcast product.
+Every exponential table is on a uniform grid, and its rows are running
+products of step exponentials: 6 per k for the x-kernel e^{-i k x + s_k} on
+the panels x = mid_p + off_j, 2 per w for each _phase_table e^{-i w j dt}
+(time transforms and assembly).  The x-kernel is never formed: one matrix
+product contracts its panel factor with the weighted payloads, arranged as
+(panel, Gauss point), and one batched product its Gauss-point factor.
 
 The three contour regions share one term, SolvePlan._contour_term: a region
 fixes only its dominant symmetry root sigma (k, nu+ or nu-), whether the
@@ -128,8 +123,8 @@ class QuadratureBudget:
             raise ValueError("node counts must be integers, got %r, %r" % counts)
         if not positive:
             raise ValueError("node counts must be positive")
-        if self.real_axis_window <= 0 or self.tolerance <= 0:
-            raise ValueError("window and tolerance must be positive")
+        if not all(0 < v < np.inf for v in (self.real_axis_window, self.tolerance)):
+            raise ValueError("window and tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -272,26 +267,23 @@ def _phase_table(w, dt, n, scale=None):
     """scale_w e^{-i w j dt} for j = 0..n-1, shape (len(w), n); scale
     defaults to 1.
 
-    With m = ceil(sqrt(n)) and j = a m + b it is the product of the coarse
-    factor scale_w e^{-i w a m dt} and the fine factor e^{-i w b dt}: about
-    2 sqrt(n) exponentials per w instead of n.  Neither factor's phase is
-    larger than the table's largest, and the coarse factor's entries are
-    entries of the table itself.
+    Two exponentials per w, the steps e^{-i w dt} and e^{-i w m dt} with
+    m = ceil(sqrt(n)): entries j < m are running products of the first, and
+    entry j >= m is entry j - m times the second, so entry a m + b carries
+    a + b < m + n / m rounded products (one chain: up to n roundings of the
+    first step).  Rows are monotone in modulus, so no product exceeds the
+    largest entry.  Filled as the (n, len(w)) transpose, m rows per product.
     """
     m = int(np.ceil(np.sqrt(n)))
-    na = -(-n // m)
-    coarse = np.exp(-1j * np.outer(w, np.arange(na) * (m * dt)))
-    if scale is not None:
-        coarse *= scale[:, None]
-    fine = np.exp(-1j * np.outer(w, np.arange(m) * dt))
-    # the rows a < na - 1 are whole; the last one stops at j = n - 1, so no
-    # entry past the grid (which could overflow) is formed
-    full = (na - 1) * m
-    out = np.empty((len(w), n), dtype=np.complex128)
-    np.multiply(coarse[:, :-1, None], fine[:, None, :],
-                out=out[:, :full].reshape(len(w), na - 1, m))
-    np.multiply(coarse[:, -1:], fine[:, :n - full], out=out[:, full:])
-    return out
+    out = np.empty((n, len(w)), dtype=np.complex128)
+    out[0] = 1.0 if scale is None else scale
+    step = np.exp(-1j * w * dt)
+    for j in range(1, m):
+        np.multiply(out[j - 1], step, out=out[j])
+    step = np.exp(-1j * w * (m * dt))
+    for lo in range(m, n, m):
+        np.multiply(out[lo - m:min(lo, n - m)], step, out=out[lo:lo + m])
+    return out.T
 
 
 def _moment_chunks(horizon, nt, w, chunk):
@@ -386,11 +378,14 @@ def _apply_kernel(karr, shift, xquad: XQuadrature, payloads, chunk=2048):
     """For each payload p (shape (nq,) or (nq, c)) return
     sum_q exp(-i k x_q + shift_k) w_q p[q] as an array over k.
 
-    The kernel is the product of the panel factors e^{-i k mid_p + shift_k}
-    and e^{-i k off_j}: 40 exponentials per k for the 32-panel rule instead
-    of one per node.  The kernel itself is never formed.  Every payload
-    column, weighted by w_q, is stacked into one (panels, 8 ncol) matrix P;
-    per chunk of k, one product with the panel factor gives
+    The kernel is the product of the panel factor e^{-i k mid_p + shift_k},
+    running products by a step of modulus <= 1 from the panel where it is
+    largest (the first for Im k <= 0, else the last; the other end may
+    underflow), and the Gauss-point factor e^{-i k off_j}, 4 exponentials and
+    their reciprocals as off[7 - j] = -off[j]: 6 exponentials per k.
+    The kernel itself is never formed.  Every payload column, weighted by
+    w_q, is stacked into one (panels, 8 ncol) matrix P; per chunk of k, one
+    product with the panel factor gives
     H[k, j, c] = sum_p e^{-i k mid_p + shift_k} P[p, j, c], and one batched
     product with the Gauss-point factor sums H over j.  The chunk shrinks
     for more than 32 columns, so H never holds more than chunk x nq values.
@@ -418,7 +413,8 @@ def _apply_kernel(karr, shift, xquad: XQuadrature, payloads, chunk=2048):
             raise ExponentialOverflow("Im k too large for the x-quadrature panels")
     payloads = [np.asarray(p, dtype=np.complex128) for p in payloads]
     cols = np.concatenate([p.reshape(len(wq), -1) for p in payloads], axis=1)
-    npan, nfine, ncol = len(xquad.mid), len(xquad.off), cols.shape[1]
+    mid, off = xquad.mid, xquad.off
+    npan, nfine, ncol = len(mid), len(off), cols.shape[1]
     panels = (cols * wq[:, None]).reshape(npan, nfine * ncol)
     out = np.empty((nk, ncol), dtype=np.complex128)
     # chunk rows of k, fewer past 32 columns so H stays within chunk x nq
@@ -426,9 +422,16 @@ def _apply_kernel(karr, shift, xquad: XQuadrature, payloads, chunk=2048):
     for lo in range(0, nk, rows):
         sel = slice(lo, min(lo + rows, nk))
         kc = karr[sel]
-        coarse = np.exp(-1j * np.outer(kc, xquad.mid) + shift[sel, None])
-        fine = np.exp(-1j * np.outer(kc, xquad.off))
-        h = (coarse @ panels).reshape(len(kc), nfine, ncol)
+        up = kc.imag > 0
+        coarse = np.empty((npan, len(kc)), dtype=np.complex128)
+        coarse[0] = np.exp(-1j * kc * np.where(up, mid[-1], mid[0]) + shift[sel])
+        step = np.exp(-1j * kc * np.where(up, -1.0, 1.0) * (mid[1] - mid[0]))
+        for p in range(1, npan):
+            np.multiply(coarse[p - 1], step, out=coarse[p])
+        coarse[:, up] = coarse[::-1, up]
+        fine = np.exp(-1j * np.outer(kc, off[:nfine // 2]))
+        fine = np.concatenate([fine, 1.0 / fine[:, ::-1]], axis=1)
+        h = (coarse.T @ panels).reshape(len(kc), nfine, ncol)
         out[sel] = np.matmul(fine[:, None, :], h)[:, 0]
     widths = [1 if p.ndim == 1 else p.shape[1] for p in payloads]
     outs = np.split(out, np.cumsum(widths)[:-1], axis=1)
@@ -441,10 +444,11 @@ def _assemble(vals, ell, horizon, basis, karr, warr, om, coef, chunk=4096):
 
     coef is (nk,), constant in time, or (nk, nt) on the output times.
     basis(x, k) is e^{i k x} ("in") or e^{-i k (ell - x)} ("out").  The
-    tables are _phase_tables, with w_k coef_k folded into the coarse time
-    factor when coef is constant.  The "out" table runs over ell - x from 0
-    upward, where its exponents are nonpositive for Im k <= 0, and its rows
-    are reversed after the product.
+    tables are _phase_tables, 2 exponentials per k each, with w_k coef_k the
+    first time entry when coef is constant; no product exceeds a table's
+    largest entry, and the growth guard bounds the time table's.  The "out"
+    table runs over ell - x from 0 upward, where its exponents are
+    nonpositive for Im k <= 0, and its rows are reversed after the product.
     """
     nx, nt = vals.shape
     dx, dt = ell / (nx - 1), horizon / (nt - 1)
@@ -457,7 +461,9 @@ def _assemble(vals, ell, horizon, basis, karr, warr, om, coef, chunk=4096):
         if coef.ndim == 1:
             tm = _phase_table(-om[sel], dt, nt, scale=warr[sel] * coef[sel])
         else:
-            tm = _phase_table(-om[sel], dt, nt) * (warr[sel, None] * coef[sel])
+            tm = _phase_table(-om[sel], dt, nt, scale=warr[sel])
+            # in the table's own (nt, nk) order: twice as fast as tm *= coef
+            np.multiply(tm.T, coef[sel].T, out=tm.T)
         if basis == "in":
             part = _phase_table(-karr[sel], dx, nx).T @ tm
         else:
@@ -988,7 +994,7 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
     vq = resample(field, xq)
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
     uhat, u0hat = _apply_kernel(karr, None, xquad, [vq, u0v])
-    lhs = np.exp(-1j * np.outer(om, t)) * uhat
+    lhs = _phase_table(om, t[1], len(t)) * uhat
 
     th = float(t[-1])
     g0 = np.asarray(data.g0(t), dtype=np.complex128)

@@ -81,12 +81,16 @@ class TestLoadScenario:
         ("solver", "max_iter", 2.9, "'solver.max_iter'"),
         ("solver", "budget", {"real_axis_nodes": 6000.5}, "solver.budget: node"),
         ("solver", "budget", {"contour_nodes": 24000.5}, "solver.budget: node"),
+        ("solver", "budget", {"real_axis_window": float("nan")},
+         "solver.budget: window"),
+        ("solver", "budget", {"tolerance": float("inf")}, "solver.budget: window"),
     ], ids=["solver", "grid", "max_iter", "proxies", "outputs", "u0",
             "budget-arc-radius", "unknown-preset", "spec-beside-plane-wave",
             "u0-width", "h0-amplitude", "forcing-x-center", "u0-width-range",
             "h0-bump-range", "g0-bump-default-lo", "oracle-nx", "grid-fraction",
             "grid-quoted", "max_iter-fraction", "budget-real-axis-fraction",
-            "budget-contour-fraction"])
+            "budget-contour-fraction", "budget-window-nan",
+            "budget-tolerance-inf"])
     def test_malformed_field_exit_2(self, tmp_path, section, key, value,
                                     named):
         doc = {k: dict(v) for k, v in BASE.items()}

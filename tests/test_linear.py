@@ -183,6 +183,21 @@ class TestExponentialTables:
         assert np.all(np.isfinite(got[0]))
         self.assert_kernels_match(k, shift, payloads, got)
 
+    def test_kernel_rows_of_both_signs_of_imaginary_k_in_one_chunk(self):
+        # each row is shifted so that its largest entry, at the last node for
+        # Im k > 0 and at the first for Im k < 0, is e^0; across [0, 1] it
+        # falls by e^{-790} or more, so its panel factor underflows to zero at
+        # the small end, and a chain started there would be zero throughout
+        xq = XQUAD.nodes
+        rng = np.random.default_rng(7)
+        im = rng.uniform(800.0, 1000.0, 40) * np.tile([1.0, -1.0], 20)
+        k = rng.uniform(-50.0, 50.0, 40) + 1j * im
+        shift = -np.maximum(im * xq[0], im * xq[-1]) + 0j
+        payloads = [np.exp(2j * xq) * (1 + xq ** 2), np.cos(7 * xq) - 0.3j]
+        got = _kernel(k, shift, payloads)
+        assert np.all(np.abs(got[0]) > 0)
+        self.assert_kernels_match(k, shift, payloads, got)
+
     @pytest.mark.parametrize("cells", [3, 10, 128, 256])
     def test_phase_table_matches_dense_exp(self, cells):
         horizon = 0.5
@@ -200,6 +215,28 @@ class TestExponentialTables:
         tol = 8 * np.finfo(float).eps * (1.0 + np.abs(w)[:, None] * horizon)
         assert np.all(np.abs(eph - dense) <= tol * np.abs(dense) + 1e-300)
         assert np.any(dense == 0.0)
+
+    @pytest.mark.parametrize("n", [129, 1024])
+    def test_phase_table_matches_long_double_exp(self, n):
+        # small |w| T <= 1, arc-like w with |Im w| T = 12 and large real w,
+        # against e^{-i w j dt} in long double precision
+        horizon = 0.5
+        dt = horizon / n
+        rng = np.random.default_rng(5)
+        w = np.concatenate([
+            rng.uniform(-1.4, 1.4, 16) + 1j * rng.uniform(-1.4, 1.4, 16),
+            rng.uniform(-400.0, 400.0, 16) + 24j * rng.choice([-1.0, 1.0], 16),
+            rng.uniform(-4000.0, 4000.0, 16) + 0j])
+        want = np.exp(-1j * w.astype(np.clongdouble)[:, None]
+                      * (np.arange(n) * np.longdouble(dt)))
+        got = linear._phase_table(w, dt, n)
+        # entry a m + b carries b + a < m + n / m rounded products, and the
+        # rounded step phases w dt and w m dt add a few ulps of |w| t; one
+        # chain of n products would carry up to n roundings of its step
+        m = int(np.ceil(np.sqrt(n)))
+        eps = np.finfo(float).eps
+        tol = eps * (2.0 * (m + n / m) + 2.0 * np.abs(w)[:, None] * horizon)
+        assert np.all(np.abs(got - want) <= tol * np.abs(want))
 
     def test_kernel_guard_on_shift(self):
         k = np.array([0.0, 5.0, -3.0]) + 0j
@@ -650,6 +687,11 @@ class TestValidation:
             QuadratureBudget(contour_nodes=0)
         with pytest.raises(ValueError):
             QuadratureBudget(real_axis_window=-1.0)
+        # NaN and inf pass a "<= 0" test; both must be rejected
+        for bad in (float("nan"), float("inf")):
+            for name in ("real_axis_window", "tolerance"):
+                with pytest.raises(ValueError, match="finite"):
+                    QuadratureBudget(**{name: bad})
         # a fractional node count is neither floored nor passed on
         for counts in ({"real_axis_nodes": 6000.5}, {"contour_nodes": 24000.5}):
             with pytest.raises(ValueError, match="integers"):
