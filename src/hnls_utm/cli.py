@@ -109,8 +109,10 @@ def load_scenario(path) -> ScenarioConfig:
 
     ell = named_number(_need(doc, "geometry", "ell"), "geometry.ell")
     horizon = named_number(_need(doc, "geometry", "horizon"), "geometry.horizon")
-    if ell <= 0 or horizon <= 0:
-        raise ConfigInvalid("geometry.ell and geometry.horizon must be positive")
+    for name, value in (("geometry.ell", ell), ("geometry.horizon", horizon)):
+        if not 0 < value < np.inf:
+            raise ConfigInvalid("field %r must be finite and positive, got %r"
+                                % (name, value))
 
     non = _mapping(doc.get("nonlinearity"), "nonlinearity") or {}
     kappa = complex(

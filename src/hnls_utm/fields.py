@@ -46,8 +46,15 @@ class Field:
         inner = np.trapezoid(sq, self.x_grid, axis=0)
         return float(np.sqrt(np.trapezoid(inner, self.t_grid)))
 
+    def __sub__(self, other: "Field") -> "Field":
+        """The pointwise difference; ValueError unless both grids are equal."""
+        if not (np.array_equal(self.x_grid, other.x_grid)
+                and np.array_equal(self.t_grid, other.t_grid)):
+            raise ValueError("fields on different grids do not compare pointwise")
+        return Field(self.x_grid, self.t_grid, self.values - other.values)
+
     def relative_l2_gap(self, other: "Field") -> float:
-        diff = Field(self.x_grid, self.t_grid, self.values - other.values)
+        diff = self - other
         ref = other.l2_norm_xt()
         return diff.l2_norm_xt() / ref if ref > 0 else diff.l2_norm_xt()
 

@@ -32,8 +32,9 @@ Two numerical choices matter:
 
 The forcing is factored once per solve.  Its samples on the x-quadrature,
 corner-blend forcing included, are split by an SVD cut at rounding level as
-A(x) B(t) of rank r (1 for an affine blend forcing).  The x-kernels then act
-on the r columns of A, and only the r rows of B are splined in time: all time
+A(x) B(t) of rank r (1 for an affine blend forcing), B on the given forcing's
+time grid or, for the blend alone, on the output times.  The x-kernels act on
+the r columns of A, and only the r rows of B are splined in time: all time
 transforms go through one shared-series transform that computes the moments
 and e^{-i w t} once per chunk of w and contracts every series with them by
 matrix products.  Each term of the representation sums, over its nodes,
@@ -145,8 +146,8 @@ class ProblemData:
     lam: float = 3.0
 
     def __post_init__(self):
-        if self.ell <= 0 or self.horizon <= 0:
-            raise ValueError("ell and horizon must be positive")
+        if not (0 < self.ell < np.inf and 0 < self.horizon < np.inf):
+            raise ValueError("ell and horizon must be finite and positive")
         if abs(self.u0.ell - self.ell) > 1e-9 * max(1.0, self.ell):
             raise ValueError("u0 is not sampled on [0, ell]")
         for name in ("g0", "h0", "h1"):
@@ -332,26 +333,26 @@ def _cumulative_transform(series, horizon: float, w, weights,
     """Running integrals int_0^{t_i} e^{-i w_j t} sum_s weights[j, s] phi_s(t) dt
     at every grid time t_i, against cubic splines of the series.
 
-    series is (S, nt) as in _time_transform and weights is (nw, S).  The
-    spline of each per-w combination is the same combination of the series'
-    splines, so only the S series are splined, and one matrix product per
-    chunk forms every combination's four cell polynomial coefficients.  That
-    product holds (chunk, 4, nt - 1) values, which sets the smaller chunk.
-    Returns (nw, nt).
+    series is (S, nt) on linspace(0, horizon, nt), B's grid for the forcing
+    history, and weights is (nw, S).  Only the S series are splined: per
+    chunk the moments are folded into the weights as one (chunk, 4 S)
+    matrix, one product with the (4 S, nt - 1) spline coefficients gives
+    every cell integral, and the phase table multiplies it in place before
+    the running sum.  Returns (nw, nt).
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     vals = np.asarray(series, dtype=np.complex128)
     weights = np.asarray(weights, dtype=np.complex128)
     nt = vals.shape[1]
     coef = _spline_coefficients(vals, horizon)
-    # (S, 4 (nt - 1)): per series, the cells' coefficients grouped by power
-    coef = coef.transpose(2, 0, 1).reshape(len(vals), -1)
+    # (4 S, nt - 1): row m S + s holds series s's power-m coefficients
+    coef = coef.transpose(0, 2, 1).reshape(-1, nt - 1)
     out = np.empty((len(w), nt), dtype=np.complex128)
+    out[:, 0] = 0.0
     for sel, mom, eph in _moment_chunks(horizon, nt, w, chunk):
-        comb = (weights[sel] @ coef).reshape(len(mom[0]), 4, nt - 1)
-        cell = eph * sum(mom[m][:, None] * comb[:, m] for m in range(4))
-        out[sel, 0] = 0.0
-        out[sel, 1:] = np.cumsum(cell, axis=1)
+        folded = mom.T[:, :, None] * weights[sel][:, None, :]
+        cell = folded.reshape(len(eph), -1) @ coef
+        np.cumsum(np.multiply(cell, eph, out=cell), axis=1, out=out[sel, 1:])
     return out
 
 
@@ -361,8 +362,8 @@ def _forcing_history(series_b, horizon: float, w, weights, t_grid) -> np.ndarray
     forcing A B, weights being A's x-transforms, with -i applied to the
     (nw, r) weights.  The integrals on B's grid linspace(0, horizon, nt) go
     to t_grid by its cubic spline, linear in the data, so as one
-    (nt, len(t_grid)) matrix; on B's own grid (every Picard iteration) they
-    are returned as they are."""
+    (nt, len(t_grid)) matrix.  On B's own grid they are returned as they
+    are: every Picard iteration, and every solve forced by the blend alone."""
     icum = _cumulative_transform(series_b, horizon, w, -1j * weights)
     tb = np.linspace(0.0, horizon, series_b.shape[1])
     if np.array_equal(tb, t_grid):
@@ -681,7 +682,7 @@ def _is_zero(arr) -> bool:
 class _Samples(NamedTuple):
     """The data as the transforms see it, corner blend removed: u0 on the
     x-quadrature, the (3, NTQ) stack of g0, h0, h1 and the factored forcing
-    (A, B), both B and the stack on uniform grids over [0, horizon]; a part
+    (A, B), B on the given forcing's time grid or on the output times; a part
     that is identically zero is None.  blend is _corner_blend's result."""
 
     u0v: Optional[np.ndarray]
@@ -694,8 +695,10 @@ class _Samples(NamedTuple):
 NTQ = 257
 
 
-def _sample(data: ProblemData, xquad: XQuadrature) -> _Samples:
-    """Sample the data, remove the corner blend and factor the forcing."""
+def _sample(data: ProblemData, xquad: XQuadrature, t_grid) -> _Samples:
+    """Sample the data, remove the corner blend and factor the forcing, with
+    B on the output times t_grid when the blend forcing, affine in t and so
+    splined exactly, is the only forcing."""
     ell, horizon = data.ell, data.horizon
     xq = xquad.nodes
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
@@ -709,7 +712,7 @@ def _sample(data: ProblemData, xquad: XQuadrature) -> _Samples:
         u0v = u0v - wfun(xq, 0.0)
         stack = stack - np.stack([wfun(0.0, tq), wfun(ell, tq), wx_right(tq)])
         if fq is None:
-            fq = -wforce(xq[:, None], tq[None, :])
+            fq = -wforce(xq[:, None], t_grid[None, :])
         else:
             fq = fq - wforce(xq[:, None], data.forcing.t_grid[None, :])
     return _Samples(None if _is_zero(u0v) else u0v,
@@ -727,17 +730,11 @@ def _x_transforms(k, shift, xquad, samples: _Samples):
 
 def _data_time_transforms(samples: _Samples, horizon, w):
     """Time transforms at w of the g0/h0/h1 stack, (nw, 3), and of the
-    forcing series B, (nw, r); None for an absent part.  When B lies on the
-    stack's grid both go through one _time_transform call, so the moments
-    and phase tables are built once."""
-    stack = samples.stack
+    forcing series B, (nw, r), each on its own time grid; None for an absent
+    part."""
     series_b = None if samples.forcing is None else samples.forcing[1]
-    if stack is not None and series_b is not None \
-            and series_b.shape[1] == stack.shape[1]:
-        both = _time_transform(np.concatenate([stack, series_b]), horizon, w)
-        return both[:, :3], both[:, 3:]
-    return (None if stack is None else _time_transform(stack, horizon, w),
-            None if series_b is None else _time_transform(series_b, horizon, w))
+    return tuple(None if s is None else _time_transform(s, horizon, w)
+                 for s in (samples.stack, series_b))
 
 
 def _corner_blend(data: ProblemData):
@@ -818,7 +815,7 @@ class SolvePlan:
                                                      self.horizon):
             raise ValueError("data params, ell or horizon differ from the plan's")
         samples = (self.source_samples if data is self.source
-                   else _sample(data, self.xquad))
+                   else _sample(data, self.xquad, self.t_grid))
         x_grid, t_grid = self.x_grid, self.t_grid
         vals = np.zeros((len(x_grid), len(t_grid)), dtype=np.complex128)
         spatial = samples.u0v is not None or samples.forcing is not None
@@ -898,7 +895,7 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
     params, ell, horizon = data.params, data.ell, data.horizon
     x_grid, t_grid = _output_grids(ell, horizon, grid)
     xquad = _x_quadrature(ell)
-    samples = _sample(data, xquad)
+    samples = _sample(data, xquad, t_grid)
     weight = _radial_envelope(params, ell, horizon, xquad, samples,
                               budget.real_axis_window)
     real_axis = _real_axis_nodes(params, ell, horizon, budget, weight=weight)
@@ -930,7 +927,7 @@ def solve_reduced(params: DispersionParams, ell: float, psi0: TimeSeries,
                           real_axis_nodes=int(budget.real_axis_nodes * factor))
         cur = solve_full(data, grid, refined)
         scale = max(cur.l2_norm_xt(), 1e-300)
-        gap = Field(cur.x_grid, cur.t_grid, cur.values - prev.values).l2_norm_xt()
+        gap = (cur - prev).l2_norm_xt()
         if gap <= budget.tolerance * max(1.0, scale):
             return cur
         prev = cur

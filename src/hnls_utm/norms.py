@@ -175,4 +175,4 @@ def ct_l2_norm(field: Field) -> float:
 
 
 def ct_l2_distance(a: Field, b: Field) -> float:
-    return ct_l2_norm(Field(a.x_grid, a.t_grid, a.values - b.values))
+    return ct_l2_norm(a - b)

@@ -40,8 +40,8 @@ class SpatialProfile:
     func: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.ell <= 0:
-            raise ValueError("ell must be positive")
+        if not 0 < self.ell < np.inf:
+            raise ValueError("ell must be finite and positive")
         if len(self.samples) < 4:
             raise ValueError("need at least 4 samples")
         object.__setattr__(self, "samples",
@@ -70,8 +70,8 @@ class TimeSeries:
     func: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon must be finite and positive")
         if len(self.samples) < 4:
             raise ValueError("need at least 4 samples")
         object.__setattr__(self, "samples",

@@ -84,13 +84,17 @@ class TestLoadScenario:
         ("solver", "budget", {"real_axis_window": float("nan")},
          "solver.budget: window"),
         ("solver", "budget", {"tolerance": float("inf")}, "solver.budget: window"),
+        ("geometry", "ell", float("inf"), "'geometry.ell'"),
+        ("geometry", "horizon", float("nan"), "'geometry.horizon'"),
+        ("geometry", "ell", -1.0, "'geometry.ell'"),
     ], ids=["solver", "grid", "max_iter", "proxies", "outputs", "u0",
             "budget-arc-radius", "unknown-preset", "spec-beside-plane-wave",
             "u0-width", "h0-amplitude", "forcing-x-center", "u0-width-range",
             "h0-bump-range", "g0-bump-default-lo", "oracle-nx", "grid-fraction",
             "grid-quoted", "max_iter-fraction", "budget-real-axis-fraction",
             "budget-contour-fraction", "budget-window-nan",
-            "budget-tolerance-inf"])
+            "budget-tolerance-inf", "geometry-ell-inf", "geometry-horizon-nan",
+            "geometry-ell-negative"])
     def test_malformed_field_exit_2(self, tmp_path, section, key, value,
                                     named):
         doc = {k: dict(v) for k, v in BASE.items()}

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.special import roots_legendre
 
 from hnls_utm.dispersion import DispersionParams, symmetry_roots
 from hnls_utm.errors import ExponentialOverflow, GridTooCoarse, InvalidTruncation
@@ -98,6 +100,29 @@ class TestTimeTransform:
         cum = _cumulative_transform(rows, horizon, w, weights, chunk=2)
         np.testing.assert_allclose(cum[:, -1], np.sum(weights * stacked, axis=1),
                                    rtol=1e-12, atol=1e-14)
+
+    def test_running_stack_at_every_time(self):
+        # the moments are folded into the weights by (power, series): every
+        # column must match the prefix integrals of the same splines, taken
+        # by 24-point Gauss-Legendre on each cell, with S = 3 series, complex
+        # weights and a chunk of 2 that does not divide nw = 5
+        horizon = 0.7
+        t = np.linspace(0.0, horizon, 29)
+        rows = np.stack([np.exp(1j * 2 * t), np.cos(5 * t) + 1j * t,
+                         t ** 3 - 0.5j])
+        w = np.array([0.0, 0.3, 9.0, 250.0 - 2.0j, -40.0], dtype=complex)
+        weights = (np.arange(15.0).reshape(5, 3) - 6.0) * (1.0 - 0.5j) + 2.0j
+        cum = _cumulative_transform(rows, horizon, w, weights, chunk=2)
+        xg, wg = roots_legendre(24)
+        half = 0.5 * (t[1] - t[0])
+        s = (0.5 * (t[1:] + t[:-1]))[:, None] + half * xg
+        spl = CubicSpline(t, rows, axis=1)(s)
+        cells = np.einsum("wcg,rcg,g->wrc", np.exp(-1j * w[:, None, None] * s),
+                          spl, half * wg)
+        want = np.einsum("wr,wrc->wc", weights, np.cumsum(cells, axis=2))
+        assert np.all(cum[:, 0] == 0.0)
+        np.testing.assert_allclose(cum[:, 1:], want, rtol=1e-11,
+                                   atol=1e-13 * np.max(np.abs(want)))
 
 
 XQUAD = linear._x_quadrature(1.0)
@@ -432,6 +457,16 @@ class TestPlaneWave:
         exact = plane_wave_field(params, 2.0, field.x_grid, field.t_grid)
         assert field.relative_l2_gap(exact) <= 1e-3
 
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0), (0.5, 1.0, 1.0)])
+    def test_output_times_do_not_change_the_field(self, coeffs):
+        # the corner-blend forcing is sampled on the output times; with
+        # delta != 0 it depends on t, and either grid must give one field
+        data = plane_wave_data(DispersionParams(*coeffs), 1.0, 0.5, 2.0)
+        coarse = solve_full(data, (33, 17), QuadratureBudget())
+        fine = solve_full(data, (33, 33), QuadratureBudget())
+        gap = np.max(np.abs(fine.values[:, ::2] - coarse.values))
+        assert gap <= 1e-10 * np.max(np.abs(coarse.values))
+
     @pytest.mark.parametrize("t_grid", [
         0.5 * np.linspace(0.0, 1.0, 97) ** 2,
         np.linspace(0.1, 0.5, 97)], ids=["squared", "late-start"])
@@ -709,6 +744,17 @@ class TestValidation:
         values[2, 3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             Field(np.linspace(0, 1, 9), np.linspace(0, 0.5, 5), values.T)
+
+    def test_non_finite_geometry(self):
+        # NaN and inf pass a "<= 0" test; each container must reject them
+        base = zero_data(AIRY, 1.0, 0.5)
+        for bad in (float("nan"), float("inf")):
+            for make in (lambda: SpatialProfile(bad, np.zeros(8)),
+                         lambda: TimeSeries(bad, np.zeros(8)),
+                         lambda: replace(base, ell=bad),
+                         lambda: replace(base, horizon=bad)):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    make()
 
     def test_problem_data_consistency(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hnls_utm.fields import Field
 from hnls_utm.norms import (NormSpec, bessel_norm,
-                            check_admissible_pair, ct_l2_norm, mixed_norm,
-                            sobolev_norm)
+                            check_admissible_pair, ct_l2_distance, ct_l2_norm,
+                            mixed_norm, sobolev_norm)
 from hnls_utm.transforms import SpatialProfile
 
 
@@ -68,6 +68,17 @@ class TestMixed:
         f = Field.from_callable(lambda xx, tt: np.exp(1j * xx) * (1 + tt), x, t)
         spec = NormSpec(0.0, 2.0, np.inf)
         assert mixed_norm(f, spec) == pytest.approx(ct_l2_norm(f), rel=1e-9)
+
+    def test_fields_on_different_grids_do_not_compare(self):
+        # equal shapes on different grids used to give a gap silently
+        x, t = np.linspace(0, 1, 9), np.linspace(0, 0.5, 5)
+        f = Field.from_callable(lambda xx, tt: 1 + xx * tt + 0j, x, t)
+        for other in (Field(x ** 2, t, f.values), Field(x, 2 * t, f.values)):
+            with pytest.raises(ValueError, match="different grids"):
+                f.relative_l2_gap(other)
+            with pytest.raises(ValueError, match="different grids"):
+                ct_l2_distance(f, other)
+        assert f.relative_l2_gap(f) == 0.0 and ct_l2_distance(f, f) == 0.0
 
     def test_time_constant_factorization(self):
         x = np.linspace(0, 1, 65)
