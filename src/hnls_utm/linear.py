@@ -306,7 +306,7 @@ def _spline_coefficients(series, horizon):
     return CubicSpline(t, series, axis=1).c[::-1]
 
 
-def _time_transform(series, horizon: float, w, chunk: int = 2048) -> np.ndarray:
+def _time_transform(series, horizon: float, w, chunk: int = 256) -> np.ndarray:
     """int_0^horizon e^{-i w t} phi_s(t) dt against a cubic spline of each
     series phi_s, for every w.
 
@@ -314,7 +314,9 @@ def _time_transform(series, horizon: float, w, chunk: int = 2048) -> np.ndarray:
     by all w, or one series (nt,).  Returns (nw, S), or (nw,) for one series.
     The moments and exponentials are computed once per chunk of w, and one
     matrix product contracts them with every series' four cell polynomial
-    coefficients.
+    coefficients.  The chunk holds the 257-point stack's phase table to 1 MiB,
+    reused from the heap and cached, not mapped afresh (past 4 MiB, as huge
+    pages when the kernel has them) for every chunk.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     vals = np.atleast_2d(np.asarray(series, dtype=np.complex128))

@@ -124,6 +124,17 @@ class TestTimeTransform:
         np.testing.assert_allclose(cum[:, 1:], want, rtol=1e-11,
                                    atol=1e-13 * np.max(np.abs(want)))
 
+    def test_default_chunks_match_one_chunk(self):
+        # 700 nodes on the 257-point stack take whole and partial default
+        # chunks; splitting w must not change any transform
+        horizon = 0.5
+        t = np.linspace(0.0, horizon, 257)
+        rows = np.stack([np.sin(3 * t), np.exp(-1j * t), t ** 2 + 0.5j])
+        w = np.linspace(-300.0, 300.0, 700) - 1j * np.linspace(0.0, 2.0, 700)
+        np.testing.assert_allclose(_time_transform(rows, horizon, w),
+                                   _time_transform(rows, horizon, w, chunk=700),
+                                   rtol=1e-14, atol=1e-16)
+
 
 XQUAD = linear._x_quadrature(1.0)
 
