@@ -173,8 +173,12 @@ def load_scenario(path) -> ScenarioConfig:
                (_mapping(sol.get("proxies"), "solver.proxies") or {}).items()}
     max_iter = _integer(sol.get("max_iter", 12), "solver.max_iter")
     tol = named_number(sol.get("tol", 1e-6), "solver.tol")
-    if max_iter < 1 or tol <= 0:
-        raise ConfigInvalid("solver.max_iter must be >= 1 and solver.tol > 0")
+    if max_iter < 1:
+        raise ConfigInvalid("field 'solver.max_iter' must be >= 1, got %r"
+                            % max_iter)
+    if not 0 < tol < np.inf:
+        raise ConfigInvalid("field 'solver.tol' must be finite and positive, "
+                            "got %r" % tol)
 
     outputs = _mapping(doc.get("outputs"), "outputs") or {}
     out_dir = outputs.get("directory", "out")

@@ -30,28 +30,33 @@ Two numerical choices matter:
   spline of the data (stable for arbitrarily large |w|, with a Taylor
   fallback for small |w|).
 
-The forcing is factored once per solve.  Its samples on the x-quadrature,
-corner-blend forcing included, are split by an SVD cut at rounding level as
-A(x) B(t) of rank r (1 for an affine blend forcing), B on the given forcing's
-time grid or, for the blend alone, on the output times.  The x-kernels act on
-the r columns of A, and only the r rows of B are splined in time: all time
-transforms go through one shared-series transform that computes the moments
-and e^{-i w t} once per chunk of w and contracts every series with them by
-matrix products.  Each term of the representation sums, over its nodes,
-w_k e^{i k x} e^{i omega t} (e^{-i k (ell - x)} on D+/-) times one
-coefficient array, constant in time or on the output times; _assemble takes
-it and applies the 1/(2 pi).  _x_transforms returns the data's x-transforms
-u0hat and Ahat by name.  A contour group's coefficient is its payload over
-Delta, the data entering as u0hat - i Ahat . Btilde; the real axis's is u0hat
-plus the forcing history, a running transform of B's splines with the node
-weights -i Ahat(k): -i is applied once, and no spline is built per node.
+The forcing is factored once per solve as A(x) B(t) of rank r.  The
+corner-blend forcing is (a0 + a1 x) 1 + 1 (a2 t) and comes factored, with B
+on the output times when it is the only forcing; a given forcing, less the
+blend's, is sampled on the x-quadrature and split by an SVD cut at rounding
+level, B on its own time grid.  The x-kernels act on the r columns of A,
+and only the r rows of B are splined in time: all time transforms go through
+one shared-series transform that computes the moments and e^{-i w t} once per
+chunk of w and contracts every series with them by matrix products.  Each
+term of the representation sums, over its nodes, w_k e^{i k x} e^{i omega t}
+(e^{-i k (ell - x)} on D+/-) times one coefficient array, constant in time
+or on the output times; _assemble takes it and applies the 1/(2 pi).
+_x_transforms returns the data's x-transforms u0hat and Ahat by name.  A
+contour group's coefficient is its payload over Delta, the data entering as
+u0hat - i Ahat . Btilde; the real axis's is u0hat plus the forcing history,
+a running transform of B's splines with the node weights -i Ahat(k): -i is
+applied once, and no spline is built per node.
 
-Every exponential table is on a uniform grid, and its rows are running
-products of step exponentials: 6 per k for the x-kernel e^{-i k x + s_k} on
-the panels x = mid_p + off_j, 2 per w for each _phase_table e^{-i w j dt}
-(time transforms and assembly).  The x-kernel is never formed: one matrix
-product contracts its panel factor with the weighted payloads, arranged as
-(panel, Gauss point), and one batched product its Gauss-point factor.
+The x-factors e^{-i k x} of the data's x-transforms and e^{i k x} of the
+assembly are summed by Taylor cells in k: the nodes are grouped into squares
+of side 2 sqrt(2) / ell, and about a cell's centre c each factor is
+e^{i c (x - x0)} times a TAYLOR_TERMS-term series in (k - c)(x - x0), exact to
+rounding because |k - c| |x - x0| <= 2.  So the x-kernel needs one product
+for the moments of every cell and one (nodes x TAYLOR_TERMS) product per
+cell, and the assembly one (TAYLOR_TERMS x nt) contraction per cell and one
+(nx x TAYLOR_TERMS) product with the cell's x-table; no per-node x-table is
+built.  The time tables are _phase_tables on the uniform output or spline
+grid, rows of running products of 2 step exponentials per w.
 
 The three contour regions share one term, SolvePlan._contour_term: a region
 fixes only its dominant symmetry root sigma (k, nu+ or nu-), whether the
@@ -69,6 +74,7 @@ make_plan(...).apply(data).
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Tuple
@@ -207,20 +213,20 @@ def _output_grids(ell: float, horizon: float, grid):
 
 
 class XQuadrature(NamedTuple):
-    """Composite Gauss-Legendre rule on uniform panels of [0, ell]: nodes
-    and weights, and the panel factors with nodes[p * 8 + j] = mid[p] + off[j]
-    (panel midpoints and the scaled Gauss points shared by every panel)."""
+    """Composite Gauss-Legendre rule on uniform panels of [0, ell]: nodes,
+    weights, the interval length ell (the scale of _apply_kernel's Taylor
+    cells) and the scaled Gauss points off shared by every panel, which
+    bound the kernel's exponents within a panel."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    mid: np.ndarray
+    ell: float
     off: np.ndarray
 
 
 def _x_quadrature(ell: float) -> XQuadrature:
     """The x-quadrature of every spatial transform: 8-point Gauss-Legendre on
-    32 uniform panels, with the panel factors that _apply_kernel builds its
-    kernels from."""
+    32 uniform panels."""
     xg, wg = roots_legendre(8)
     n_panels = 32
     edges = np.linspace(0.0, ell, n_panels + 1)
@@ -228,7 +234,7 @@ def _x_quadrature(ell: float) -> XQuadrature:
     half = 0.5 * ell / n_panels
     off = half * xg
     return XQuadrature((mid[:, None] + off[None, :]).ravel(),
-                       np.tile(half * wg, n_panels), mid, off)
+                       np.tile(half * wg, n_panels), ell, off)
 
 
 # --------------------------------------------------------------------------
@@ -374,24 +380,75 @@ def _forcing_history(series_b, horizon: float, w, weights, t_grid) -> np.ndarray
 
 
 # --------------------------------------------------------------------------
-# exponential kernels with guarded exponents
+# exponential kernels with guarded exponents, by Taylor cells in k
 # --------------------------------------------------------------------------
+
+# A Taylor cell is a square of side 2 sqrt(2) / ell in k.  About its centre
+# c, e^{i k (x - x0)} = e^{i c (x - x0)} sum_n (i z u)^n / n! with
+# z = (k - c) ell and u = (x - x0) / ell, and |z| <= TAYLOR_RADIUS = 2,
+# |u| <= 1: after TAYLOR_TERMS terms the remainder is below
+# 2^25 / 25! ~ 2e-18 times the cell factor e^{i c (x - x0)}.
+TAYLOR_TERMS = 25
+TAYLOR_RADIUS = 2.0
+# 1 / n! as float64 (a Python-int factorial would make an object array)
+INV_FACTORIAL = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, TAYLOR_TERMS)])
+
+
+def _taylor_cells(k, ell, chunk):
+    """Group the nodes k into square Taylor cells of side
+    sqrt(2) TAYLOR_RADIUS / ell, so |k - c| <= TAYLOR_RADIUS / ell from the
+    cell's centre c, whatever the order of the nodes.
+
+    Returns the cell centres (ncells,) and a list of blocks of at most chunk
+    nodes taken in cell order: per block, the node indices, the cell of each
+    node and the runs, slices of the block, of nodes sharing a cell.
+    """
+    side = np.sqrt(2.0) * TAYLOR_RADIUS / ell
+    ij = np.floor(np.stack([k.imag, k.real]) / side)
+    # by column of cells, then by row; stable, so a cell keeps node order
+    order = np.lexsort(ij)
+    ij = ij[:, order]
+    new = np.ones(len(k), dtype=bool)
+    new[1:] = np.any(ij[:, 1:] != ij[:, :-1], axis=0)
+    cell = np.cumsum(new) - 1
+    centres = side * (ij[1, new] + 0.5 + 1j * (ij[0, new] + 0.5))
+    blocks = []
+    for lo in range(0, len(k), chunk):
+        cb = cell[lo:lo + chunk]
+        cuts = np.concatenate([[0], np.flatnonzero(np.diff(cb)) + 1, [len(cb)]])
+        blocks.append((order[lo:lo + chunk], cb,
+                       [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]))
+    return centres, blocks
+
+
+def _taylor_powers(z):
+    """z^n for n < TAYLOR_TERMS, (TAYLOR_TERMS, len(z)), filled by rows."""
+    out = np.empty((TAYLOR_TERMS, len(z)), dtype=np.result_type(z, 1.0))
+    out[0] = 1.0
+    for n in range(1, TAYLOR_TERMS):
+        np.multiply(out[n - 1], z, out=out[n])
+    return out
+
+
+def _taylor_basis(u):
+    """u^n / n! for n < TAYLOR_TERMS, (len(u), TAYLOR_TERMS)."""
+    return _taylor_powers(u).T * INV_FACTORIAL
+
 
 def _apply_kernel(karr, shift, xquad: XQuadrature, payloads, chunk=2048):
     """For each payload p (shape (nq,) or (nq, c)) return
     sum_q exp(-i k x_q + shift_k) w_q p[q] as an array over k.
 
-    The kernel is the product of the panel factor e^{-i k mid_p + shift_k},
-    running products by a step of modulus <= 1 from the panel where it is
-    largest (the first for Im k <= 0, else the last; the other end may
-    underflow), and the Gauss-point factor e^{-i k off_j}, 4 exponentials and
-    their reciprocals as off[7 - j] = -off[j]: 6 exponentials per k.
-    The kernel itself is never formed.  Every payload column, weighted by
-    w_q, is stacked into one (panels, 8 ncol) matrix P; per chunk of k, one
-    product with the panel factor gives
-    H[k, j, c] = sum_p e^{-i k mid_p + shift_k} P[p, j, c], and one batched
-    product with the Gauss-point factor sums H over j.  The chunk shrinks
-    for more than 32 columns, so H never holds more than chunk x nq values.
+    The nodes are grouped into _taylor_cells.  About a cell's centre c,
+    e^{-i k (x - x0)} = e^{-i c (x - x0)} sum_n z^n u^n / n! with
+    z = -i (k - c) ell and u = (x - x0) / ell, so one product with every
+    payload column, weighted by w_q, gives the moments of every cell,
+        M_n(c) = sum_q w_q p_q e^{-i c (x_q - x0)} u_q^n / n!,
+    and each cell's nodes take one (nodes x TAYLOR_TERMS) product with them,
+    scaled by the node factor e^{-i k x0 + shift_k}.  The reference end x0
+    is ell above the real axis and 0 below, so the cell factor is at most 1
+    and the node factor carries the row's largest entry.  Nodes are taken in
+    blocks of chunk.
 
     All exponents must have (essentially) nonpositive real part; a large
     positive real part signals a construction error and raises before any
@@ -404,38 +461,39 @@ def _apply_kernel(karr, shift, xquad: XQuadrature, payloads, chunk=2048):
     nk = len(karr)
     shift = (np.zeros(nk) if shift is None
              else np.asarray(shift, dtype=np.complex128))
-    xq, wq = xquad.nodes, xquad.weights
+    xq, wq, ell = xquad.nodes, xquad.weights, xquad.ell
     if nk:
         worst = float(np.max(np.maximum(karr.imag * xq[0], karr.imag * xq[-1])
                              + shift.real))
         if worst > 2.0:
             raise ExponentialOverflow(
                 "kernel exponent has positive real part %.3g" % worst)
-        # e^{-i k off} has exponents of both signs; it must stay finite
+        # e^{-i k x} grows by e^{|Im k| off} within half a panel; past the
+        # guard the panel's 8 Gauss points cannot resolve it
         if np.max(np.abs(karr.imag)) * np.max(np.abs(xquad.off)) > OVERFLOW_GUARD:
             raise ExponentialOverflow("Im k too large for the x-quadrature panels")
     payloads = [np.asarray(p, dtype=np.complex128) for p in payloads]
     cols = np.concatenate([p.reshape(len(wq), -1) for p in payloads], axis=1)
-    mid, off = xquad.mid, xquad.off
-    npan, nfine, ncol = len(mid), len(off), cols.shape[1]
-    panels = (cols * wq[:, None]).reshape(npan, nfine * ncol)
+    weighted = cols * wq[:, None]
+    ncol = cols.shape[1]
+    centres, blocks = _taylor_cells(karr, ell, chunk)
+    up = centres.imag > 0
+    moments = np.empty((len(centres), TAYLOR_TERMS, ncol), dtype=np.complex128)
+    for sel, x0 in ((up, ell), (~up, 0.0)):
+        dx = xq - x0
+        rhs = _taylor_basis(dx / ell)[:, :, None] * weighted[:, None, :]
+        cell_factor = np.exp(-1j * np.outer(centres[sel], dx))
+        moments[sel] = (cell_factor @ rhs.reshape(len(xq), -1)).reshape(
+            -1, TAYLOR_TERMS, ncol)
     out = np.empty((nk, ncol), dtype=np.complex128)
-    # chunk rows of k, fewer past 32 columns so H stays within chunk x nq
-    rows = max(1, chunk * npan // max(ncol, npan))
-    for lo in range(0, nk, rows):
-        sel = slice(lo, min(lo + rows, nk))
-        kc = karr[sel]
-        up = kc.imag > 0
-        coarse = np.empty((npan, len(kc)), dtype=np.complex128)
-        coarse[0] = np.exp(-1j * kc * np.where(up, mid[-1], mid[0]) + shift[sel])
-        step = np.exp(-1j * kc * np.where(up, -1.0, 1.0) * (mid[1] - mid[0]))
-        for p in range(1, npan):
-            np.multiply(coarse[p - 1], step, out=coarse[p])
-        coarse[:, up] = coarse[::-1, up]
-        fine = np.exp(-1j * np.outer(kc, off[:nfine // 2]))
-        fine = np.concatenate([fine, 1.0 / fine[:, ::-1]], axis=1)
-        h = (coarse.T @ panels).reshape(len(kc), nfine, ncol)
-        out[sel] = np.matmul(fine[:, None, :], h)[:, 0]
+    for idx, cell, runs in blocks:
+        kc = karr[idx]
+        powers = _taylor_powers(-1j * ell * (kc - centres[cell]))
+        part = np.empty((len(idx), ncol), dtype=np.complex128)
+        for run in runs:
+            np.matmul(powers[:, run].T, moments[cell[run.start]], out=part[run])
+        x0 = np.where(up[cell], ell, 0.0)
+        out[idx] = part * np.exp(-1j * kc * x0 + shift[idx])[:, None]
     widths = [1 if p.ndim == 1 else p.shape[1] for p in payloads]
     outs = np.split(out, np.cumsum(widths)[:-1], axis=1)
     return [o[:, 0] if p.ndim == 1 else o for o, p in zip(outs, payloads)]
@@ -446,32 +504,54 @@ def _assemble(vals, ell, horizon, basis, karr, warr, om, coef, chunk=4096):
     uniform (nx, nt) = vals.shape points of [0, ell] x [0, horizon].
 
     coef is (nk,), constant in time, or (nk, nt) on the output times.
-    basis(x, k) is e^{i k x} ("in") or e^{-i k (ell - x)} ("out").  The
-    tables are _phase_tables, 2 exponentials per k each, with w_k coef_k the
-    first time entry when coef is constant; no product exceeds a table's
-    largest entry, and the growth guard bounds the time table's.  The "out"
-    table runs over ell - x from 0 upward, where its exponents are
-    nonpositive for Im k <= 0, and its rows are reversed after the product.
+    basis(x, k) is e^{i k x} ("in") or e^{-i k (ell - x)} ("out"), that is
+    e^{i s y} with s = k, y = x, or s = -k, y = ell - x, whose rows are
+    reversed.  The nodes s are grouped into _taylor_cells and taken in
+    blocks of chunk, or of chunk x 128 / (nt - 1) past 129 times, so the
+    time table stays near chunk x 128 entries.  Per block, the time table is
+    a _phase_table scaled by w_k coef_k (or by w_k, with coef_k(t)
+    multiplied in) and by the node factor e^{i s y0}; per cell, one product
+    contracts its rows with the node powers (i (s - c) ell)^n into a
+    (TAYLOR_TERMS, nt) array, and once the cell's last block is done, one
+    product applies the cell's x-table e^{i c (y - y0)} ((y - y0) / ell)^n / n!.
+    The reference end y0 is 0 above the real axis and ell below, so the cell
+    factor is at most 1 and the node factor carries the row's largest entry;
+    the growth guard bounds the time table's.
     """
     nx, nt = vals.shape
-    dx, dt = ell / (nx - 1), horizon / (nt - 1)
+    dt = horizon / (nt - 1)
     nk = len(karr)
     growth = np.max(-om.imag) * horizon if nk else 0.0
     if growth > OVERFLOW_GUARD:
         raise ExponentialOverflow("contour time factor exceeds the overflow guard")
-    for lo in range(0, nk, chunk):
-        sel = slice(lo, min(lo + chunk, nk))
-        if coef.ndim == 1:
-            tm = _phase_table(-om[sel], dt, nt, scale=warr[sel] * coef[sel])
-        else:
-            tm = _phase_table(-om[sel], dt, nt, scale=warr[sel])
-            # in the table's own (nt, nk) order: twice as fast as tm *= coef
-            np.multiply(tm.T, coef[sel].T, out=tm.T)
-        if basis == "in":
-            part = _phase_table(-karr[sel], dx, nx).T @ tm
-        else:
-            part = (_phase_table(karr[sel], dx, nx).T @ tm)[::-1]
-        vals += (1.0 / TWO_PI) * part
+    s = karr if basis == "in" else -karr
+    rows = max(1, chunk * 128 // max(nt - 1, 128))
+    centres, blocks = _taylor_cells(s, ell, rows)
+    up = centres.imag > 0
+
+    def contracted():
+        """(cell, node powers . time table) per run of each block."""
+        for idx, cell, runs in blocks:
+            sc = s[idx]
+            scale = warr[idx] * np.exp(1j * sc * np.where(up[cell], 0.0, ell))
+            if coef.ndim == 1:
+                tm = _phase_table(-om[idx], dt, nt, scale=scale * coef[idx])
+            else:
+                tm = _phase_table(-om[idx], dt, nt, scale=scale)
+                # in the table's own (nt, nk) order: twice as fast as tm *= coef
+                np.multiply(tm.T, coef[idx].T, out=tm.T)
+            powers = _taylor_powers(1j * ell * (sc - centres[cell]))
+            for run in runs:
+                yield cell[run.start], powers[:, run] @ tm[run]
+
+    y = np.linspace(0.0, ell, nx)
+    sides = {True: (y, _taylor_basis(y / ell)),
+             False: (y - ell, _taylor_basis((y - ell) / ell))}
+    target = vals if basis == "in" else vals[::-1]
+    for c, parts in itertools.groupby(contracted(), key=lambda part: part[0]):
+        dy, table = sides[bool(up[c])]
+        factor = np.exp(1j * centres[c] * dy) * (1.0 / TWO_PI)
+        target += (factor[:, None] * table) @ sum(g for _c, g in parts)
     return vals
 
 
@@ -698,9 +778,10 @@ NTQ = 257
 
 
 def _sample(data: ProblemData, xquad: XQuadrature, t_grid) -> _Samples:
-    """Sample the data, remove the corner blend and factor the forcing, with
-    B on the output times t_grid when the blend forcing, affine in t and so
-    splined exactly, is the only forcing."""
+    """Sample the data, remove the corner blend and factor the forcing.  The
+    blend forcing comes factored, with B on the output times t_grid when it
+    is the only forcing; a given forcing has the blend's factors subtracted
+    on its own time grid and is factored by _factor_forcing."""
     ell, horizon = data.ell, data.horizon
     xq = xquad.nodes
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
@@ -708,18 +789,22 @@ def _sample(data: ProblemData, xquad: XQuadrature, t_grid) -> _Samples:
     tq = np.linspace(0.0, horizon, NTQ)
     stack = np.stack([np.asarray(s(tq), dtype=np.complex128)
                       for s in (data.g0, data.h0, data.h1)])
+    forcing = None
     blend = _corner_blend(data)
     if blend is not None:
         wfun, wforce, wx_right = blend
         u0v = u0v - wfun(xq, 0.0)
         stack = stack - np.stack([wfun(0.0, tq), wfun(ell, tq), wx_right(tq)])
         if fq is None:
-            fq = -wforce(xq[:, None], t_grid[None, :])
+            a, b = wforce(xq, t_grid)
+            forcing = (-a, b) if len(b) else None
         else:
-            fq = fq - wforce(xq[:, None], data.forcing.t_grid[None, :])
+            a, b = wforce(xq, data.forcing.t_grid)
+            fq = fq - a @ b
+    if fq is not None:
+        forcing = _factor_forcing(fq)
     return _Samples(None if _is_zero(u0v) else u0v,
-                    None if _is_zero(stack) else stack,
-                    _factor_forcing(fq), blend)
+                    None if _is_zero(stack) else stack, forcing, blend)
 
 
 def _x_transforms(k, shift, xquad, samples: _Samples):
@@ -742,7 +827,7 @@ def _data_time_transforms(samples: _Samples, horizon, w):
 def _corner_blend(data: ProblemData):
     """Bilinear function w(x, t) matching the data's rectangle-corner values
     u0(0), u0(ell), g0(T), h0(T), together with its trace data and the
-    forcing it generates under the equation operator.
+    forcing it generates under the equation operator, as factors on x and t.
 
     Subtracting w from the problem (by linearity, with the compensating
     forcing) removes the 1/k corner terms of the data transforms, which are
@@ -766,12 +851,18 @@ def _corner_blend(data: ProblemData):
         tt = np.asarray(t) / horizon
         return c00 + cx * xx + ct * tt + cxt * xx * tt
 
+    # the forcing i w_t + i delta w_x = (a0 + a1 x) 1 + 1 (a2 t), of rank <= 2
+    a0 = 1j * (ct / horizon + delta * cx / ell)
+    a1 = 1j * cxt / (ell * horizon)
+    a2 = delta * a1
+
     def forcing(x, t):
-        xx = np.asarray(x) / ell
-        tt = np.asarray(t) / horizon
-        wt = (ct + cxt * xx) / horizon
-        wx = (cx + cxt * tt) / ell
-        return 1j * wt + 1j * delta * wx
+        """The forcing as factors A(x) (len(x), r) and B(t) (r, len(t)),
+        terms with zero coefficients dropped."""
+        x, t = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64)
+        keep = np.array([a0 != 0 or a1 != 0, a2 != 0])
+        return (np.stack([a0 + a1 * x, np.ones(len(x))], axis=1)[:, keep],
+                np.stack([np.ones(len(t)), a2 * t + 0j])[keep])
 
     def wx_right(t):
         return (cx + cxt * np.asarray(t) / horizon) / ell
@@ -839,6 +930,8 @@ class SolvePlan:
         if ahat is not None:
             history = _forcing_history(samples.forcing[1], self.horizon, om_r,
                                        ahat, self.t_grid)
+            # freed before the assembly, where a forced solve peaks in memory
+            del ahat
             if coef is not None:
                 history += coef[:, None]
             coef = history

@@ -15,6 +15,7 @@ argument.
 from __future__ import annotations
 
 import enum
+import operator
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Dict, List
@@ -230,10 +231,14 @@ def picard_solve(data: ProblemData, grid, budget: QuadratureBudget,
     All solves share one SolvePlan made from data, and the solution map is
     linear, so the data part base = S[data] is solved once and each
     iteration solves only the forcing: u <- base + S[0; N(u)]."""
+    try:
+        max_iter = operator.index(max_iter)
+    except TypeError:
+        raise ValueError("max_iter must be an integer, got %r" % (max_iter,))
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive, got %r" % (tol,))
     report = PicardReport()
     if data.kappa == 0:
         report.converged = True

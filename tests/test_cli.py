@@ -87,6 +87,9 @@ class TestLoadScenario:
         ("geometry", "ell", float("inf"), "'geometry.ell'"),
         ("geometry", "horizon", float("nan"), "'geometry.horizon'"),
         ("geometry", "ell", -1.0, "'geometry.ell'"),
+        ("solver", "tol", float("nan"), "'solver.tol'"),
+        ("solver", "tol", float("inf"), "'solver.tol'"),
+        ("solver", "tol", 0.0, "'solver.tol'"),
     ], ids=["solver", "grid", "max_iter", "proxies", "outputs", "u0",
             "budget-arc-radius", "unknown-preset", "spec-beside-plane-wave",
             "u0-width", "h0-amplitude", "forcing-x-center", "u0-width-range",
@@ -94,7 +97,7 @@ class TestLoadScenario:
             "grid-quoted", "max_iter-fraction", "budget-real-axis-fraction",
             "budget-contour-fraction", "budget-window-nan",
             "budget-tolerance-inf", "geometry-ell-inf", "geometry-horizon-nan",
-            "geometry-ell-negative"])
+            "geometry-ell-negative", "tol-nan", "tol-inf", "tol-zero"])
     def test_malformed_field_exit_2(self, tmp_path, section, key, value,
                                     named):
         doc = {k: dict(v) for k, v in BASE.items()}

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+private function or class it defines is used somewhere else in the package."""
 
 import ast
 import pathlib
@@ -25,3 +26,39 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, "%s imports unused names %s" % (path.name, unused)
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            yield node
+
+
+def _referenced_names(nodes):
+    names = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+    return names
+
+
+TREES = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_private_definitions_are_used_in_the_package(path):
+    # a private function or class that only tests reach is dead code
+    unused = []
+    for definition in _private_definitions(TREES[path]):
+        elsewhere = [top for p, tree in TREES.items() for top in tree.body
+                     if top is not definition]
+        if definition.name not in _referenced_names(elsewhere):
+            unused.append(definition.name)
+    assert not unused, "%s defines %s, used nowhere else in the package" % (
+        path.name, unused)

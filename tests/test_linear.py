@@ -179,9 +179,8 @@ class TestExponentialTables:
                                        atol=1e-12 * np.max(np.abs(want)))
 
     def test_kernel_mixed_payloads_match_dense_exp(self):
-        # 1-D and 2-D payloads in one call, 43 columns in all: more than the
-        # 32 panels, so the chunk of k shrinks to 2048 * 32 // 43 = 1524 and
-        # 2000 nodes take a whole and a partial chunk
+        # 1-D and 2-D payloads in one call, 43 columns in all, split back
+        # into their own shapes
         xq = XQUAD.nodes
         rng = np.random.default_rng(11)
         wide = (rng.standard_normal((len(xq), 40))
@@ -208,9 +207,9 @@ class TestExponentialTables:
         assert got_2d.shape == (0, 3) and got_1d.shape == (0,)
 
     def test_kernel_large_imaginary_k_with_compensating_shift(self):
-        # e^{-i k x + shift} = e^{1000 (x - 1)} stays at most 1, and the
-        # panel factor e^{-i k off} stays finite, so both guards admit it; a
-        # panel factor taken before the shift, e^{1000 mid}, would overflow
+        # e^{-i k x + shift} = e^{1000 (x - 1)} stays at most 1, and
+        # 1000 off stays below the guard, so both guards admit it; a factor
+        # taken before the shift, e^{1000 x}, would overflow
         xq = XQUAD.nodes
         k = np.array([1000j, 1000j + 5.0])
         shift = np.full(2, -1000.0 + 0j)
@@ -222,8 +221,8 @@ class TestExponentialTables:
     def test_kernel_rows_of_both_signs_of_imaginary_k_in_one_chunk(self):
         # each row is shifted so that its largest entry, at the last node for
         # Im k > 0 and at the first for Im k < 0, is e^0; across [0, 1] it
-        # falls by e^{-790} or more, so its panel factor underflows to zero at
-        # the small end, and a chain started there would be zero throughout
+        # falls by e^{-790} or more, so it underflows to zero at the small
+        # end, and a node factor taken there would be zero throughout
         xq = XQUAD.nodes
         rng = np.random.default_rng(7)
         im = rng.uniform(800.0, 1000.0, 40) * np.tile([1.0, -1.0], 20)
@@ -398,6 +397,119 @@ class TestExponentialTables:
         data = plane_wave_data(AIRY, 1.0, 0.5, 2.0)
         with pytest.raises(InvalidTruncation):
             solve_full(data, (9, 9), budget)
+
+
+class TestTaylorCells:
+    """The x-kernel and the assembly, both summed by Taylor series about the
+    centres of cells in k, against one dense exponential per entry."""
+
+    dense_assembly = staticmethod(TestExponentialTables.dense_assembly)
+
+    @staticmethod
+    def kernel_shift(k):
+        # as in the solver: every exponent of e^{-i k x + shift} at most 0
+        xq = XQUAD.nodes
+        return -np.maximum(k.imag * xq[0], k.imag * xq[-1]) + 0j
+
+    @staticmethod
+    def cell_points(ell):
+        """Nodes on cell corners and edge midpoints, where |k - c| reaches
+        2 / ell or sqrt(2) / ell, and at cell centres, where k - c = 0."""
+        side = 2.0 * np.sqrt(2.0) / ell
+        m = np.arange(-3.0, 4.0)
+        j = np.arange(-2.0, 3.0)
+        grid = side * (m[:, None] + 1j * j[None, :])
+        half = 0.5 * side
+        return np.concatenate([grid.ravel(), (grid + half).ravel(),
+                               (grid + 1j * half).ravel(),
+                               (grid + half + 1j * half).ravel()])
+
+    def test_cells_group_shuffled_nodes(self):
+        rng = np.random.default_rng(23)
+        ell = 0.7
+        k = np.concatenate([self.cell_points(ell),
+                            rng.uniform(-40, 40, 300) + 1j * rng.uniform(-20, 20, 300)])
+        k = k[rng.permutation(len(k))]
+        centres, blocks = linear._taylor_cells(k, ell, len(k))
+        ((idx, cell, runs),) = blocks
+        assert sorted(idx) == list(range(len(k)))
+        # one run per cell, every node within 2 / ell of its centre
+        assert len(runs) == len(centres) == len(set(cell))
+        assert np.all(np.abs(k[idx] - centres[cell]) <= 2.0 / ell * (1 + 1e-12))
+
+    @pytest.mark.parametrize("ell", [1.0, 0.3])
+    def test_kernel_on_cell_edges_and_centres(self, ell):
+        # the identity payload returns every kernel entry w_q e^{-i k x_q + s}:
+        # each must match its dense value to 1e-13 of itself
+        xquad = linear._x_quadrature(ell)
+        k = self.cell_points(ell)
+        xq = xquad.nodes
+        shift = -np.maximum(k.imag * xq[0], k.imag * xq[-1]) + 0j
+        (got,) = linear._apply_kernel(k, shift, xquad, [np.eye(len(xq))])
+        want = np.exp(-1j * np.outer(k, xq) + shift[:, None]) * xquad.weights
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("basis", ["in", "out"])
+    def test_assembly_on_cell_edges_and_centres(self, basis):
+        # one node per call, so every output point is one entry
+        ell, horizon = 0.5, 0.5
+        x_grid, t_grid = np.linspace(0.0, ell, 65), np.linspace(0.0, horizon, 5)
+        for k in self.cell_points(ell):
+            args = (np.array([k]), np.array([0.3 - 0.2j]), np.array([40.0 + 2.0j]),
+                    np.array([1.0 + 0.5j]))
+            got = linear._assemble(np.zeros((65, 5), dtype=complex), ell,
+                                   horizon, basis, *args)
+            want = self.dense_assembly(x_grid, t_grid, ell, basis, *args)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("basis, im_sign", [
+        ("in", 1.0), ("in", -1.0), ("out", -1.0)],
+        ids=["in-upper", "in-lower-growing", "out-lower"])
+    @pytest.mark.parametrize("on_times", [False, True],
+                             ids=["constant", "on-times"])
+    def test_fine_grid_assembly_matches_dense_exp(self, basis, im_sign,
+                                                  on_times):
+        # criterion 09's 513 x points with |Im k| up to 52; "in" rows with
+        # Im k < 0 grow along x.  A chunk of 16 splits cells over blocks.
+        ell, horizon = 1.0, 0.5
+        x_grid, t_grid = np.linspace(0.0, ell, 513), np.linspace(0.0, horizon, 129)
+        rng = np.random.default_rng(31)
+        n = 300
+        k = rng.uniform(-60.0, 60.0, n) + 1j * im_sign * rng.uniform(0.0, 52.0, n)
+        om = rng.uniform(-900.0, 900.0, n) + 1j * rng.uniform(-48.0, 400.0, n)
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        coef = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if on_times:
+            coef = coef[:, None] + np.outer(1j * coef.conj(), np.sin(9.0 * t_grid))
+        got = linear._assemble(np.zeros((513, 129), dtype=complex), ell,
+                               horizon, basis, k, w, om, coef, chunk=16)
+        want = self.dense_assembly(x_grid, t_grid, ell, basis, k, w, om, coef)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+    def test_node_order_does_not_matter(self):
+        rng = np.random.default_rng(37)
+        n = 500
+        k = rng.uniform(-60.0, 60.0, n) + 1j * rng.uniform(-30.0, 30.0, n)
+        perm = rng.permutation(n)
+        shift = self.kernel_shift(k)
+        xq = XQUAD.nodes
+        payloads = [np.exp(2j * xq) * (1 + xq ** 2),
+                    np.stack([np.cos(7 * xq) - 0.3j, xq + 0j], axis=1)]
+        for got, want in zip(_kernel(k[perm], shift[perm], payloads),
+                             _kernel(k, shift, payloads)):
+            np.testing.assert_allclose(got, want[perm], rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(want)))
+        om = rng.uniform(-900.0, 900.0, n) + 1j * rng.uniform(-48.0, 400.0, n)
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        upper = np.abs(k.real) + 1j * np.abs(k.imag)
+        for basis, nodes in (("in", upper), ("out", upper.conj())):
+            fields = [linear._assemble(np.zeros((129, 33), dtype=complex), 1.0,
+                                       0.5, basis, nodes[p], w[p], om[p],
+                                       np.ones(n, dtype=complex), chunk=64)
+                      for p in (perm, np.arange(n))]
+            np.testing.assert_allclose(fields[0], fields[1], rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(fields[1])))
 
 
 class TestFdWeights:
@@ -601,6 +713,40 @@ class TestForcedSolution:
             solve_full(data, (9, 9), budget)
             counts.append(sum(rows))
         assert 0 < counts[1] <= counts[0]
+
+
+class TestCornerBlend:
+    @pytest.mark.parametrize("delta, corners, rank", [
+        (0.0, (1.0, 2.0 - 1.0j, 0.5j, -1.0), 1),
+        (0.7, (1.0, 2.0 - 1.0j, 0.5j, -1.0), 2),
+        (0.7, (1.0, 2.0, 3.0, 4.0), 1),
+        (0.7, (1.5j, 1.5j, 1.5j, 1.5j), 0),
+    ], ids=["delta-0", "delta-nonzero", "cxt-0", "constant"])
+    def test_forcing_factors(self, delta, corners, rank):
+        # corners (u0(0), u0(ell), g0(T), h0(T)); c_xt = 0 in "cxt-0"
+        c00, c10, c01, c11 = corners
+        ell, horizon = 0.8, 0.3
+        data = ProblemData(
+            DispersionParams(1.0, 0.0, delta), ell, horizon,
+            SpatialProfile.from_callable(
+                lambda x: c00 + (c10 - c00) * x / ell + 0j, ell),
+            TimeSeries.from_callable(
+                lambda t: c00 + (c01 - c00) * t / horizon + 0j, horizon),
+            TimeSeries.from_callable(
+                lambda t: c10 + (c11 - c10) * t / horizon + 0j, horizon),
+            zero_series(horizon))
+        _w, forcing, _wx = linear._corner_blend(data)
+        x, t = np.linspace(0.0, ell, 17), np.linspace(0.0, horizon, 9)
+        a, b = forcing(x, t)
+        assert a.shape == (17, rank) and b.shape == (rank, 9)
+        # the blend's forcing i w_t + i delta w_x, written out
+        cx, ct, cxt = c10 - c00, c01 - c00, c11 - c01 - c10 + c00
+        xx, tt = x[:, None] / ell, t[None, :] / horizon
+        want = 1j * (ct + cxt * xx) / horizon + 1j * delta * (cx + cxt * tt) / ell
+        np.testing.assert_allclose(a @ b, want, rtol=1e-14,
+                                   atol=1e-14 * np.max(np.abs(want)))
+        samples = linear._sample(data, XQUAD, t)
+        assert (samples.forcing is None) == (rank == 0)
 
 
 class TestSolvePlan:

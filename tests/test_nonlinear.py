@@ -261,6 +261,16 @@ class TestPicard:
             picard_solve(self.gaussian_data(0.0), (33, 17), self.budget,
                          tol=0.0)
 
+    @pytest.mark.parametrize("settings", [
+        {"tol": float("nan")}, {"tol": float("inf")}, {"max_iter": 2.5}],
+        ids=["tol-nan", "tol-inf", "max_iter-fraction"])
+    def test_non_finite_tol_and_fractional_max_iter(self, settings):
+        # rejected before any solve: a NaN tol never converges and an
+        # infinite one accepts the first iterate
+        with pytest.raises(ValueError, match="tol|max_iter"):
+            picard_solve(self.gaussian_data(0.05), (33, 17), self.budget,
+                         **settings)
+
 
 class TestDissipation:
     def test_zero_field(self):
