@@ -263,6 +263,8 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
             raise ConfigInvalid("unknown mode %r; choose from %s"
                                 % (mode, ", ".join(MODES)))
         cfg = _refined(load_scenario(config_path), refine)
+        if mode == "reduced":
+            _check_reduced(cfg.data)
     except ConfigInvalid as exc:
         click.echo("config error: %s" % exc, err=True)
         return 2
@@ -333,6 +335,17 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
     _json_dump(out / "diagnostics.json", diagnostics)
     click.echo("wrote %s" % out)
     return 0
+
+
+def _check_reduced(data: ProblemData):
+    """ConfigInvalid naming u0, g0 or the forcing if nonzero: the reduced
+    problem reads only h0 and h1 and would drop them."""
+    forcing = None if data.forcing is None else data.forcing.values
+    for name, values in (("data.u0", data.u0.samples),
+                         ("data.g0", data.g0.samples), ("data.forcing", forcing)):
+        if values is not None and np.any(values != 0):
+            raise ConfigInvalid("field %r must be zero in reduced mode, which "
+                                "solves with zero u0, g0 and forcing" % name)
 
 
 def _diag_k_samples(cfg: ScenarioConfig):

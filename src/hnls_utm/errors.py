@@ -11,18 +11,19 @@ class BranchCutPoint(SolverError):
 
 
 class InvalidTruncation(SolverError):
-    """Raised when a requested contour truncation radius is smaller than the
-    puncture radius R_Delta."""
+    """Raised when the budget's truncation window is at most 1.1 times the
+    deformed puncture radius rho."""
 
 
 class ExponentialOverflow(SolverError):
     """Raised when a transform exponent exceeds the overflow guard (|exponent|
-    above 700 in natural-log units); indicates a misconfigured contour."""
+    above 700 in natural-log units) or a puncture arc would need more than
+    linear.MAX_ARC_PANELS panels: a misconfigured contour or arc radius."""
 
 
 class QuadratureDiverged(SolverError):
-    """Raised when successive node-count refinements fail to converge below
-    the requested tolerance."""
+    """Raised when node-count refinements fail to converge below the requested
+    tolerance, or contour nodes come within the Delta margin of a zero."""
 
 
 class GridTooCoarse(SolverError):

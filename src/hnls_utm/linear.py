@@ -8,6 +8,14 @@ grouped so that every evaluated exponent has nonpositive real part (up to
 the controlled arc growth described below), which keeps the assembly free of
 overflow and catastrophic cancellation.
 
+Every problem is solved on [0, 1].  x = ell xi, t = ell^3 s and k = k~ / ell
+map i u_t + i beta u_xxx + alpha u_xx + i delta u_x = f on [0, ell] x [0, T]
+exactly onto its twin on [0, 1] x [0, T / ell^3] (_unit_twin), which
+make_plan and SolvePlan.apply solve and hand back on the caller's grids;
+every helper below them works on [0, 1].  The budget keeps the caller's
+units: make_plan reads its window R as R ell, the |dk| floor of the phase
+density as 2 / ell, and weighs the Neumann datum of the envelope by 1 / ell.
+
 Two numerical choices matter:
 
 * The puncture arcs are deformed inward from R_Delta to a smaller radius
@@ -20,55 +28,45 @@ Two numerical choices matter:
   validated at runtime by a scaled-denominator margin sweep over the region
   actually crossed.  rho is chosen so the arc growth stays near e^{12},
   which costs only a modest number of extra arc nodes.  Where rho cannot be
-  that small (it is at least 1.5 / ell), an arc that would need more than
+  that small (it is at least 1.5), an arc that would need more than
   MAX_ARC_PANELS panels raises ExponentialOverflow before any is built.
 
 * Quadrature panels are graded in phase: panel edges are placed so each
   8-point Gauss-Legendre panel spans a bounded amount of the worst-case
-  oscillation |omega| * T + |k| * ell, and the truncated time transforms are
+  oscillation |omega| * T + |k|, and the truncated time transforms are
   evaluated through exact polynomial moments of e^{-i w t} against a cubic
   spline of the data (stable for arbitrarily large |w|, with a Taylor
   fallback for small |w|).
 
-The forcing is factored once per solve as A(x) B(t) of rank r.  The
-corner-blend forcing is (a0 + a1 x) 1 + 1 (a2 t) and comes factored, with B
-on the output times when it is the only forcing; a given forcing, less the
-blend's, is sampled on the x-quadrature and split by an SVD cut at rounding
-level, B on its own time grid.  The x-kernels act on the r columns of A,
-and only the r rows of B are splined in time: all time transforms go through
-one shared-series transform that computes the moments and e^{-i w t} once per
-chunk of w and contracts every series with them by matrix products.  Each
+The forcing is factored once per solve as A(x) B(t) of rank r (_sample):
+the x-kernels act on the r columns of A, and only the r rows of B are
+splined in time.  All time transforms share the moments and e^{-i w t} of a
+chunk of w and contract every series with them by matrix products.  Each
 term of the representation sums, over its nodes, w_k e^{i k x} e^{i omega t}
-(e^{-i k (ell - x)} on D+/-) times one coefficient array, constant in time
-or on the output times; _assemble takes it and applies the 1/(2 pi).
-_x_transforms returns the data's x-transforms u0hat and Ahat by name.  A
-contour group's coefficient is its payload over Delta, the data entering as
+(e^{-i k (1 - x)} on D+/-) times one coefficient array, constant in time or
+on the output times; _assemble takes it and applies the 1/(2 pi).  A contour
+group's coefficient is its payload over Delta, the data entering as
 u0hat - i Ahat . Btilde; the real axis's is u0hat plus the forcing history,
-a running transform of B's splines with the node weights -i Ahat(k): -i is
-applied once, and no spline is built per node.
+a running transform of B's splines with the node weights -i Ahat(k).
 
 The x-factors e^{-i k x} of the data's x-transforms and e^{i k x} of the
 assembly are summed by Taylor cells in k: the nodes are grouped into squares
-of side 2 sqrt(2) / ell, and about a cell's centre c each factor is
+of side 2 sqrt(2), and about a cell's centre c each factor is
 e^{i c (x - x0)} times a TAYLOR_TERMS-term series in (k - c)(x - x0), exact to
-rounding because |k - c| |x - x0| <= 2.  So the x-kernel needs one product
-for the moments of every cell and one (nodes x TAYLOR_TERMS) product per
-cell, and the assembly one (TAYLOR_TERMS x nt) contraction per cell and one
-(nx x TAYLOR_TERMS) product with the cell's x-table; no per-node x-table is
-built.  The time tables are _phase_tables on the uniform output or spline
-grid, rows of running products of 2 step exponentials per w.
+rounding because |k - c| |x - x0| <= 2; no per-node x-table is built.  The
+time tables are _phase_tables, rows of running products of 2 step
+exponentials per w.
 
 The three contour regions share one term, SolvePlan._contour_term: a region
 fixes only its dominant symmetry root sigma (k, nu+ or nu-), whether the
-data are scaled by e^{i sigma ell}, and the assembly basis.  Each group takes
-one x-kernel application per symmetry root and divides by
-regions.scaled_delta, the one place the Delta formula lives.
+data are scaled by e^{i sigma}, and the assembly basis.  Each group divides
+by regions.scaled_delta, the one place the Delta formula lives.
 
-The data-independent part of a solve is a SolvePlan: output grids,
-x-quadrature, real-axis and contour nodes (thinned by the radial envelope of
-the data the plan is made from) and the deformed arc radius rho.
-SolvePlan.apply(data) does the data transforms and the assembly only, and
-skips the transforms of identically zero data; solve_full is
+The data-independent part of a solve is a SolvePlan: the twin's parameters
+and output grids, real-axis and contour nodes (thinned by the radial
+envelope of the data the plan is made from) and the deformed arc radius
+rho.  SolvePlan.apply(data) does the data transforms and the assembly only,
+and skips the transforms of identically zero data; solve_full is
 make_plan(...).apply(data).
 """
 
@@ -161,16 +159,21 @@ class ProblemData:
             if abs(series.horizon - self.horizon) > 1e-9 * max(1.0, self.horizon):
                 raise ValueError("%s horizon does not match the problem horizon" % name)
         if self.forcing is not None:
-            f = self.forcing
-            if (abs(f.x_grid[0]) > 1e-9 or abs(f.x_grid[-1] - self.ell) > 1e-9 * max(1.0, self.ell)
-                    or abs(f.t_grid[0]) > 1e-9
-                    or abs(f.t_grid[-1] - self.horizon) > 1e-9 * max(1.0, self.horizon)):
+            t = self.forcing.t_grid
+            if not _spans(self.forcing, self.ell, self.horizon):
                 raise ValueError("forcing grids must span [0, ell] x [0, horizon]")
-            uniform = np.linspace(0.0, self.horizon, len(f.t_grid))
-            if not np.allclose(f.t_grid, uniform, atol=1e-9 * max(1.0, self.horizon)):
+            uniform = np.linspace(0.0, self.horizon, len(t))
+            if not np.allclose(t, uniform, atol=1e-9 * max(1.0, self.horizon)):
                 raise ValueError("forcing time grid must be uniform")
         if not self.lam > 1:
             raise ValueError("lambda must exceed 1")
+
+
+def _spans(field: Field, length, horizon) -> bool:
+    """Whether the field spans [0, length] x [0, horizon] to 1e-9 of each
+    extent, so that its _unit_twin spans [0, 1] x [0, horizon / ell^3]."""
+    return all(abs(g[0]) <= 1e-9 * end and abs(g[-1] - end) <= 1e-9 * end
+               for g, end in ((field.x_grid, length), (field.t_grid, horizon)))
 
 
 def zero_data(params: DispersionParams, ell: float, horizon: float) -> ProblemData:
@@ -200,41 +203,11 @@ def fd_weights(xs: np.ndarray, x0: float, order: int) -> np.ndarray:
     return w / scale ** order
 
 
-def _output_grids(ell: float, horizon: float, grid):
-    """linspace(0, ell, nx) and linspace(0, horizon, nt) for grid = (nx, nt),
-    two integer point counts of at least 4 each."""
-    try:
-        nx, nt = (operator.index(n) for n in grid)
-    except (TypeError, ValueError):
-        raise ValueError("grid must be two integer point counts (nx, nt)")
-    if nx < 4 or nt < 4:
-        raise GridTooCoarse("output grids need at least 4 points each")
-    return np.linspace(0.0, ell, nx), np.linspace(0.0, horizon, nt)
-
-
-class XQuadrature(NamedTuple):
-    """Composite Gauss-Legendre rule on uniform panels of [0, ell]: nodes,
-    weights, the interval length ell (the scale of _apply_kernel's Taylor
-    cells) and the scaled Gauss points off shared by every panel, which
-    bound the kernel's exponents within a panel."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    ell: float
-    off: np.ndarray
-
-
-def _x_quadrature(ell: float) -> XQuadrature:
-    """The x-quadrature of every spatial transform: 8-point Gauss-Legendre on
-    32 uniform panels."""
-    xg, wg = roots_legendre(8)
-    n_panels = 32
-    edges = np.linspace(0.0, ell, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * ell / n_panels
-    off = half * xg
-    return XQuadrature((mid[:, None] + off[None, :]).ravel(),
-                       np.tile(half * wg, n_panels), ell, off)
+# the x-quadrature of every spatial transform: 8-point Gauss-Legendre on 32
+# uniform panels of [0, 1]; XQ_REACH, the largest offset of a Gauss point from
+# its panel's midpoint, bounds the kernel's exponents within a panel
+XQ_NODES, XQ_WEIGHTS = gauss_panels(np.linspace(0.0, 1.0, 33))
+XQ_REACH = 0.5 / 32 * float(np.max(np.abs(roots_legendre(8)[0])))
 
 
 # --------------------------------------------------------------------------
@@ -383,35 +356,35 @@ def _forcing_history(series_b, horizon: float, w, weights, t_grid) -> np.ndarray
 # exponential kernels with guarded exponents, by Taylor cells in k
 # --------------------------------------------------------------------------
 
-# A Taylor cell is a square of side 2 sqrt(2) / ell in k.  About its centre
-# c, e^{i k (x - x0)} = e^{i c (x - x0)} sum_n (i z u)^n / n! with
-# z = (k - c) ell and u = (x - x0) / ell, and |z| <= TAYLOR_RADIUS = 2,
-# |u| <= 1: after TAYLOR_TERMS terms the remainder is below
-# 2^25 / 25! ~ 2e-18 times the cell factor e^{i c (x - x0)}.
+# A Taylor cell is a square of side TAYLOR_SIDE = 2 sqrt(2) in k.  About its
+# centre c, e^{i k (x - x0)} = e^{i c (x - x0)} sum_n (i z u)^n / n! with
+# z = k - c and u = x - x0, and |z| <= TAYLOR_RADIUS = 2, |u| <= 1 on [0, 1]:
+# after TAYLOR_TERMS terms the remainder is below 2^25 / 25! ~ 2e-18 times
+# the cell factor e^{i c (x - x0)}.
 TAYLOR_TERMS = 25
 TAYLOR_RADIUS = 2.0
+TAYLOR_SIDE = np.sqrt(2.0) * TAYLOR_RADIUS
 # 1 / n! as float64 (a Python-int factorial would make an object array)
 INV_FACTORIAL = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, TAYLOR_TERMS)])
 
 
-def _taylor_cells(k, ell, chunk):
-    """Group the nodes k into square Taylor cells of side
-    sqrt(2) TAYLOR_RADIUS / ell, so |k - c| <= TAYLOR_RADIUS / ell from the
-    cell's centre c, whatever the order of the nodes.
+def _taylor_cells(k, chunk):
+    """Group the nodes k into square Taylor cells of side TAYLOR_SIDE, so
+    |k - c| <= TAYLOR_RADIUS from the cell's centre c, whatever the order of
+    the nodes.
 
     Returns the cell centres (ncells,) and a list of blocks of at most chunk
     nodes taken in cell order: per block, the node indices, the cell of each
     node and the runs, slices of the block, of nodes sharing a cell.
     """
-    side = np.sqrt(2.0) * TAYLOR_RADIUS / ell
-    ij = np.floor(np.stack([k.imag, k.real]) / side)
+    ij = np.floor(np.stack([k.imag, k.real]) / TAYLOR_SIDE)
     # by column of cells, then by row; stable, so a cell keeps node order
     order = np.lexsort(ij)
     ij = ij[:, order]
     new = np.ones(len(k), dtype=bool)
     new[1:] = np.any(ij[:, 1:] != ij[:, :-1], axis=0)
     cell = np.cumsum(new) - 1
-    centres = side * (ij[1, new] + 0.5 + 1j * (ij[0, new] + 0.5))
+    centres = TAYLOR_SIDE * (ij[1, new] + 0.5 + 1j * (ij[0, new] + 0.5))
     blocks = []
     for lo in range(0, len(k), chunk):
         cb = cell[lo:lo + chunk]
@@ -435,18 +408,19 @@ def _taylor_basis(u):
     return _taylor_powers(u).T * INV_FACTORIAL
 
 
-def _apply_kernel(karr, shift, xquad: XQuadrature, payloads, chunk=2048):
+def _apply_kernel(karr, shift, payloads, chunk=2048):
     """For each payload p (shape (nq,) or (nq, c)) return
-    sum_q exp(-i k x_q + shift_k) w_q p[q] as an array over k.
+    sum_q exp(-i k x_q + shift_k) w_q p[q] as an array over k, on the unit
+    x-quadrature (x_q, w_q) = (XQ_NODES, XQ_WEIGHTS).
 
     The nodes are grouped into _taylor_cells.  About a cell's centre c,
     e^{-i k (x - x0)} = e^{-i c (x - x0)} sum_n z^n u^n / n! with
-    z = -i (k - c) ell and u = (x - x0) / ell, so one product with every
-    payload column, weighted by w_q, gives the moments of every cell,
+    z = -i (k - c) and u = x - x0, so one product with every payload column,
+    weighted by w_q, gives the moments of every cell,
         M_n(c) = sum_q w_q p_q e^{-i c (x_q - x0)} u_q^n / n!,
     and each cell's nodes take one (nodes x TAYLOR_TERMS) product with them,
     scaled by the node factor e^{-i k x0 + shift_k}.  The reference end x0
-    is ell above the real axis and 0 below, so the cell factor is at most 1
+    is 1 above the real axis and 0 below, so the cell factor is at most 1
     and the node factor carries the row's largest entry.  Nodes are taken in
     blocks of chunk.
 
@@ -461,60 +435,60 @@ def _apply_kernel(karr, shift, xquad: XQuadrature, payloads, chunk=2048):
     nk = len(karr)
     shift = (np.zeros(nk) if shift is None
              else np.asarray(shift, dtype=np.complex128))
-    xq, wq, ell = xquad.nodes, xquad.weights, xquad.ell
+    xq, wq = XQ_NODES, XQ_WEIGHTS
     if nk:
         worst = float(np.max(np.maximum(karr.imag * xq[0], karr.imag * xq[-1])
                              + shift.real))
         if worst > 2.0:
             raise ExponentialOverflow(
                 "kernel exponent has positive real part %.3g" % worst)
-        # e^{-i k x} grows by e^{|Im k| off} within half a panel; past the
-        # guard the panel's 8 Gauss points cannot resolve it
-        if np.max(np.abs(karr.imag)) * np.max(np.abs(xquad.off)) > OVERFLOW_GUARD:
+        # e^{-i k x} grows by e^{|Im k| XQ_REACH} within half a panel; past
+        # the guard the panel's 8 Gauss points cannot resolve it
+        if np.max(np.abs(karr.imag)) * XQ_REACH > OVERFLOW_GUARD:
             raise ExponentialOverflow("Im k too large for the x-quadrature panels")
     payloads = [np.asarray(p, dtype=np.complex128) for p in payloads]
     cols = np.concatenate([p.reshape(len(wq), -1) for p in payloads], axis=1)
     weighted = cols * wq[:, None]
     ncol = cols.shape[1]
-    centres, blocks = _taylor_cells(karr, ell, chunk)
+    centres, blocks = _taylor_cells(karr, chunk)
     up = centres.imag > 0
     moments = np.empty((len(centres), TAYLOR_TERMS, ncol), dtype=np.complex128)
-    for sel, x0 in ((up, ell), (~up, 0.0)):
+    for sel, x0 in ((up, 1.0), (~up, 0.0)):
         dx = xq - x0
-        rhs = _taylor_basis(dx / ell)[:, :, None] * weighted[:, None, :]
+        rhs = _taylor_basis(dx)[:, :, None] * weighted[:, None, :]
         cell_factor = np.exp(-1j * np.outer(centres[sel], dx))
         moments[sel] = (cell_factor @ rhs.reshape(len(xq), -1)).reshape(
             -1, TAYLOR_TERMS, ncol)
     out = np.empty((nk, ncol), dtype=np.complex128)
     for idx, cell, runs in blocks:
         kc = karr[idx]
-        powers = _taylor_powers(-1j * ell * (kc - centres[cell]))
+        powers = _taylor_powers(-1j * (kc - centres[cell]))
         part = np.empty((len(idx), ncol), dtype=np.complex128)
         for run in runs:
             np.matmul(powers[:, run].T, moments[cell[run.start]], out=part[run])
-        x0 = np.where(up[cell], ell, 0.0)
+        x0 = np.where(up[cell], 1.0, 0.0)
         out[idx] = part * np.exp(-1j * kc * x0 + shift[idx])[:, None]
     widths = [1 if p.ndim == 1 else p.shape[1] for p in payloads]
     outs = np.split(out, np.cumsum(widths)[:-1], axis=1)
     return [o[:, 0] if p.ndim == 1 else o for o, p in zip(outs, payloads)]
 
 
-def _assemble(vals, ell, horizon, basis, karr, warr, om, coef, chunk=4096):
+def _assemble(vals, horizon, basis, karr, warr, om, coef, chunk=4096):
     """vals += 1/(2 pi) sum_k w_k basis(x, k) e^{i om_k t} coef_k(t) on the
-    uniform (nx, nt) = vals.shape points of [0, ell] x [0, horizon].
+    uniform (nx, nt) = vals.shape points of [0, 1] x [0, horizon].
 
     coef is (nk,), constant in time, or (nk, nt) on the output times.
-    basis(x, k) is e^{i k x} ("in") or e^{-i k (ell - x)} ("out"), that is
-    e^{i s y} with s = k, y = x, or s = -k, y = ell - x, whose rows are
+    basis(x, k) is e^{i k x} ("in") or e^{-i k (1 - x)} ("out"), that is
+    e^{i s y} with s = k, y = x, or s = -k, y = 1 - x, whose rows are
     reversed.  The nodes s are grouped into _taylor_cells and taken in
     blocks of chunk, or of chunk x 128 / (nt - 1) past 129 times, so the
     time table stays near chunk x 128 entries.  Per block, the time table is
     a _phase_table scaled by w_k coef_k (or by w_k, with coef_k(t)
     multiplied in) and by the node factor e^{i s y0}; per cell, one product
-    contracts its rows with the node powers (i (s - c) ell)^n into a
+    contracts its rows with the node powers (i (s - c))^n into a
     (TAYLOR_TERMS, nt) array, and once the cell's last block is done, one
-    product applies the cell's x-table e^{i c (y - y0)} ((y - y0) / ell)^n / n!.
-    The reference end y0 is 0 above the real axis and ell below, so the cell
+    product applies the cell's x-table e^{i c (y - y0)} (y - y0)^n / n!.
+    The reference end y0 is 0 above the real axis and 1 below, so the cell
     factor is at most 1 and the node factor carries the row's largest entry;
     the growth guard bounds the time table's.
     """
@@ -526,27 +500,26 @@ def _assemble(vals, ell, horizon, basis, karr, warr, om, coef, chunk=4096):
         raise ExponentialOverflow("contour time factor exceeds the overflow guard")
     s = karr if basis == "in" else -karr
     rows = max(1, chunk * 128 // max(nt - 1, 128))
-    centres, blocks = _taylor_cells(s, ell, rows)
+    centres, blocks = _taylor_cells(s, rows)
     up = centres.imag > 0
 
     def contracted():
         """(cell, node powers . time table) per run of each block."""
         for idx, cell, runs in blocks:
             sc = s[idx]
-            scale = warr[idx] * np.exp(1j * sc * np.where(up[cell], 0.0, ell))
+            scale = warr[idx] * np.exp(1j * sc * np.where(up[cell], 0.0, 1.0))
             if coef.ndim == 1:
                 tm = _phase_table(-om[idx], dt, nt, scale=scale * coef[idx])
             else:
                 tm = _phase_table(-om[idx], dt, nt, scale=scale)
                 # in the table's own (nt, nk) order: twice as fast as tm *= coef
                 np.multiply(tm.T, coef[idx].T, out=tm.T)
-            powers = _taylor_powers(1j * ell * (sc - centres[cell]))
+            powers = _taylor_powers(1j * (sc - centres[cell]))
             for run in runs:
                 yield cell[run.start], powers[:, run] @ tm[run]
 
-    y = np.linspace(0.0, ell, nx)
-    sides = {True: (y, _taylor_basis(y / ell)),
-             False: (y - ell, _taylor_basis((y - ell) / ell))}
+    y = np.linspace(0.0, 1.0, nx)
+    sides = {True: (y, _taylor_basis(y)), False: (y - 1.0, _taylor_basis(y - 1.0))}
     target = vals if basis == "in" else vals[::-1]
     for c, parts in itertools.groupby(contracted(), key=lambda part: part[0]):
         dy, table = sides[bool(up[c])]
@@ -559,13 +532,16 @@ def _assemble(vals, ell, horizon, basis, karr, warr, om, coef, chunk=4096):
 # phase-graded contour nodes
 # --------------------------------------------------------------------------
 
-def _phase_measure(params, gamma, lo, hi, horizon, ell, weight=None, n_fine=2001):
-    pf = np.linspace(lo, hi, n_fine)
+def _phase_measure(params, gamma, lo, hi, horizon, dk_weight, weight=None):
+    """The phase a segment's nodes must resolve, cumulated along its parameter
+    p on 2001 points: density (|d omega| horizon + |dk| dk_weight) / 2 pi,
+    times the envelope weight at |k - c0| when given."""
+    pf = np.linspace(lo, hi, 2001)
     kf = np.asarray(gamma(pf), dtype=np.complex128)
     omf = omega(params, kf)
     dk = np.gradient(kf, pf)
     dom = np.gradient(omf, pf)
-    dens = (np.abs(dom) * horizon + np.abs(dk) * (ell + 2.0)) / TWO_PI + 1e-9
+    dens = (np.abs(dom) * horizon + np.abs(dk) * dk_weight) / TWO_PI + 1e-9
     if weight is not None:
         dens = dens * weight(np.abs(kf - params.center))
     cum = cumulative_trapezoid(dens, pf, initial=0.0)
@@ -578,7 +554,7 @@ def _graded_panel_nodes(pf, cum, n_panels):
     return gauss_panels(np.unique(np.maximum.accumulate(edges)))
 
 
-def _radial_envelope(params, ell, horizon, xquad, samples, r_max, n_r=193):
+def _radial_envelope(params, horizon, samples, r_max, h1_weight, n_r=193):
     """Radial proxy for the magnitude of the transformed data at distance r
     from the dispersion center, used to thin the quadrature where the
     integrand is negligible.
@@ -586,17 +562,18 @@ def _radial_envelope(params, ell, horizon, xquad, samples, r_max, n_r=193):
     The proxy is evaluated on the real axis at c0 +/- r (where the data
     transforms are largest among the admissible directions), made
     nonincreasing, and normalized; the returned callable maps |k - c0| to a
-    density weight in [1e-2, 1], or None for identically zero data.
+    density weight in [1e-2, 1], or None for identically zero data.  The
+    boundary part sums |omega'| (|g0~| + |h0~| + h1_weight |h1~|).
     """
     rs = np.linspace(0.0, r_max, n_r)
     ks = np.concatenate([params.center + rs, params.center - rs]) + 0j
     om = omega(params, ks).real
     omp = np.abs(omega_prime(params, ks))
-    u0hat, ahat = _x_transforms(ks, None, xquad, samples)
+    u0hat, ahat = _x_transforms(ks, None, samples)
     st, bt = _data_time_transforms(samples, horizon, om)
     env = np.zeros(2 * n_r) if u0hat is None else np.abs(u0hat)
     if st is not None:
-        env += omp * np.sum(np.abs(st), axis=1)
+        env += omp * np.sum(np.abs(st) * [1.0, 1.0, h1_weight], axis=1)
     if bt is not None:
         env += np.abs(np.sum(ahat * bt, axis=1))
     env = np.maximum(env[:n_r], env[n_r:])
@@ -613,14 +590,14 @@ def _radial_envelope(params, ell, horizon, xquad, samples, r_max, n_r=193):
     return wfun
 
 
-def _delta_margin(params, ell, k, region):
+def _delta_margin(params, k, region):
     """min |Delta_s| / |k - c0| over the points k of one region's boundary."""
     roots = symmetry_roots(params, k)
-    ds = scaled_delta(roots, ell, roots[DOMINANT_ROOT[region]])
+    ds = scaled_delta(roots, 1.0, roots[DOMINANT_ROOT[region]])
     return float(np.min(np.abs(ds) / np.abs(k - params.center)))
 
 
-def _deformation_margin(params, ell, rho, rd, n_rad=9, n_ang=65):
+def _deformation_margin(params, rho, rd, n_rad=9, n_ang=65):
     """Minimum scaled-denominator margin |Delta_s| / |k - c0| over the
     annular region sectors swept when the puncture arcs move from rd in to
     rho."""
@@ -635,45 +612,45 @@ def _deformation_margin(params, ell, rho, rd, n_rad=9, n_ang=65):
         for region, (a, b) in spans.items():
             theta = np.linspace(a, b, n_ang)
             k = params.center + r * np.exp(1j * theta)
-            margin = min(margin, _delta_margin(params, ell, k, region))
+            margin = min(margin, _delta_margin(params, k, region))
     return margin
 
 
-def _pick_arc_radius(params, ell, horizon):
+def _pick_arc_radius(params, horizon):
     """The deformed puncture radius rho: the radius whose arc amplification
     is about e^{ARC_LOG_CAP}, clamped to [rho_lo, R_Delta], then grown until
     the annulus swept from R_Delta in to rho keeps the Delta margin."""
-    rd = r_delta(params, ell)
+    rd = r_delta(params, 1.0)
     d = params.discriminant
     r_cut = (2.0 / (3.0 * params.beta)) * np.sqrt(abs(d))
-    rho_lo = max(1.3 * r_cut, 1.5 / ell)
+    rho_lo = max(1.3 * r_cut, 1.5)
     rho_target = (ARC_LOG_CAP / (params.beta * horizon)) ** (1.0 / 3.0)
     rho = min(max(rho_target, rho_lo), rd)
-    while rho < rd and _deformation_margin(params, ell, rho, rd) < MIN_DELTA_MARGIN:
+    while rho < rd and _deformation_margin(params, rho, rd) < MIN_DELTA_MARGIN:
         rho = min(1.35 * rho, rd)
     return rho
 
 
-def _solver_segments(params, ell, horizon, budget, weight=None):
+def _solver_segments(params, horizon, budget, dk_weight, weight=None):
     """Phase-graded quadrature nodes on the nine (deformed) segments,
-    grouped as (region, k, dk-weights)."""
-    rho = _pick_arc_radius(params, ell, horizon)
+    grouped as (region, k, dk-weights), and the arc radius rho."""
+    rho = _pick_arc_radius(params, horizon)
     r_t = budget.real_axis_window
     if r_t <= 1.1 * rho:
         raise InvalidTruncation(
-            "real_axis_window %.4g too small for the puncture radius %.4g"
-            % (r_t, rho))
-    specs = segment_specs(params, ell, rho, r_t)
-    measures = []
-    arc_panels = []
+            "real_axis_window %.4g too small for the puncture radius %.4g, "
+            "both in the unit interval's k" % (r_t, rho))
+    specs = segment_specs(params, rho, r_t)
+    measures, panel_counts = [], []
     for (kind, _region, lo, hi, _ori, gamma, _dg) in specs:
+        arc = kind is SegmentKind.CIRCULAR_ARC
         # arcs keep the unweighted phase measure: their panel count is set
         # by the amplification bound, not by the data amplitude
-        seg_weight = None if kind is SegmentKind.CIRCULAR_ARC else weight
-        pf, cum = _phase_measure(params, gamma, lo, hi, horizon, ell,
-                                 weight=seg_weight)
+        pf, cum = _phase_measure(params, gamma, lo, hi, horizon, dk_weight,
+                                 weight=None if arc else weight)
         measures.append((pf, cum))
-        if kind is SegmentKind.CIRCULAR_ARC:
+        panel_counts.append(None)
+        if arc:
             # the arc integrand is amplified by e^{A}; Gauss-Legendre error
             # must be driven below e^{-A}, which sets the phase per panel
             kf = np.asarray(gamma(pf), dtype=np.complex128)
@@ -687,18 +664,15 @@ def _solver_segments(params, ell, horizon, budget, weight=None):
             n_arc = np.ceil(cum[-1] * TWO_PI / theta_max)
             if n_arc > MAX_ARC_PANELS:
                 raise ExponentialOverflow(
-                    "arc at rho = %.4g with amplification exponent %.4g needs "
-                    "%.3g panels, more than %d; the arc radius is too large "
-                    "for the horizon" % (rho, amp, n_arc, MAX_ARC_PANELS))
-            arc_panels.append(max(24, int(n_arc)))
-        else:
-            arc_panels.append(None)
-    free = [i for i, ap in enumerate(arc_panels) if ap is None]
+                    "arc at rho = %.4g (in the unit interval's k) with "
+                    "amplification exponent %.4g needs %.3g panels, more than "
+                    "%d; the arc radius is too large for the horizon"
+                    % (rho, amp, n_arc, MAX_ARC_PANELS))
+            panel_counts[-1] = max(24, int(n_arc))
+    free = [i for i, n in enumerate(panel_counts) if n is None]
     totals = np.array([measures[i][1][-1] for i in free])
-    shares = totals / np.sum(totals)
     n_free_panels = max(12, budget.contour_nodes // 8)
-    panel_counts = list(arc_panels)
-    for i, share in zip(free, shares):
+    for i, share in zip(free, totals / np.sum(totals)):
         panel_counts[i] = max(2, int(round(n_free_panels * share)))
     groups = []
     for (_kind, region, lo, hi, ori, gamma, dgamma), (pf, cum), n_panels in zip(
@@ -708,7 +682,7 @@ def _solver_segments(params, ell, horizon, budget, weight=None):
         weights = ori * w * np.asarray(dgamma(p), dtype=np.complex128)
         groups.append((region, k, weights))
     # denominator margin on the actual nodes
-    margin = min(_delta_margin(params, ell, k, region) for region, k, _w in groups)
+    margin = min(_delta_margin(params, k, region) for region, k, _w in groups)
     if margin < MIN_DELTA_MARGIN:
         raise QuadratureDiverged(
             "denominator margin %.3g on the contour nodes; the deformed "
@@ -716,15 +690,11 @@ def _solver_segments(params, ell, horizon, budget, weight=None):
     return groups, rho
 
 
-def _real_axis_nodes(params, ell, horizon, budget, weight=None):
-    c0 = params.center
-    r = budget.real_axis_window
-
-    def gamma(p):
-        return p + 0j * np.asarray(p)
-
-    pf, cum = _phase_measure(params, gamma, c0 - r, c0 + r, horizon, ell,
-                             weight=weight)
+def _real_axis_nodes(params, horizon, budget, dk_weight, weight=None):
+    """Phase-graded nodes and weights on the real window |k - c0| <= R."""
+    c0, r = params.center, budget.real_axis_window
+    pf, cum = _phase_measure(params, lambda p: p + 0j, c0 - r, c0 + r, horizon,
+                             dk_weight, weight=weight)
     n_panels = max(4, budget.real_axis_nodes // 8)
     p, w = _graded_panel_nodes(pf, cum, n_panels)
     return p.astype(np.float64), w
@@ -757,10 +727,6 @@ def _factor_forcing(fq):
     return u[:, :rank] * s[:rank], vh[:rank]
 
 
-def _is_zero(arr) -> bool:
-    return bool(np.all(arr == 0))
-
-
 class _Samples(NamedTuple):
     """The data as the transforms see it, corner blend removed: u0 on the
     x-quadrature, the (3, NTQ) stack of g0, h0, h1 and the factored forcing
@@ -777,16 +743,16 @@ class _Samples(NamedTuple):
 NTQ = 257
 
 
-def _sample(data: ProblemData, xquad: XQuadrature, t_grid) -> _Samples:
-    """Sample the data, remove the corner blend and factor the forcing.  The
-    blend forcing comes factored, with B on the output times t_grid when it
-    is the only forcing; a given forcing has the blend's factors subtracted
-    on its own time grid and is factored by _factor_forcing."""
-    ell, horizon = data.ell, data.horizon
-    xq = xquad.nodes
+def _sample(data: ProblemData, t_grid) -> _Samples:
+    """Sample data on [0, 1] (a _unit_twin), remove the corner blend and
+    factor the forcing.  The blend forcing comes factored, with B on the
+    output times t_grid when it is the only forcing; a given forcing has the
+    blend's factors subtracted on its own time grid and is factored by
+    _factor_forcing."""
+    xq = XQ_NODES
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
     fq = None if data.forcing is None else resample(data.forcing, xq)
-    tq = np.linspace(0.0, horizon, NTQ)
+    tq = np.linspace(0.0, data.horizon, NTQ)
     stack = np.stack([np.asarray(s(tq), dtype=np.complex128)
                       for s in (data.g0, data.h0, data.h1)])
     forcing = None
@@ -794,7 +760,7 @@ def _sample(data: ProblemData, xquad: XQuadrature, t_grid) -> _Samples:
     if blend is not None:
         wfun, wforce, wx_right = blend
         u0v = u0v - wfun(xq, 0.0)
-        stack = stack - np.stack([wfun(0.0, tq), wfun(ell, tq), wx_right(tq)])
+        stack = stack - np.stack([wfun(0.0, tq), wfun(1.0, tq), wx_right(tq)])
         if fq is None:
             a, b = wforce(xq, t_grid)
             forcing = (-a, b) if len(b) else None
@@ -803,15 +769,15 @@ def _sample(data: ProblemData, xquad: XQuadrature, t_grid) -> _Samples:
             fq = fq - a @ b
     if fq is not None:
         forcing = _factor_forcing(fq)
-    return _Samples(None if _is_zero(u0v) else u0v,
-                    None if _is_zero(stack) else stack, forcing, blend)
+    return _Samples(u0v if np.any(u0v) else None,
+                    stack if np.any(stack) else None, forcing, blend)
 
 
-def _x_transforms(k, shift, xquad, samples: _Samples):
+def _x_transforms(k, shift, samples: _Samples):
     """(u0hat, ahat): the x-transforms at k, with the kernel shift, of u0,
     (nk,), and of A's columns, (nk, r), by one kernel call; None if absent."""
     parts = (samples.u0v, None if samples.forcing is None else samples.forcing[0])
-    hats = iter(_apply_kernel(k, shift, xquad, [p for p in parts if p is not None]))
+    hats = iter(_apply_kernel(k, shift, [p for p in parts if p is not None]))
     return tuple(None if p is None else next(hats) for p in parts)
 
 
@@ -825,18 +791,19 @@ def _data_time_transforms(samples: _Samples, horizon, w):
 
 
 def _corner_blend(data: ProblemData):
-    """Bilinear function w(x, t) matching the data's rectangle-corner values
-    u0(0), u0(ell), g0(T), h0(T), together with its trace data and the
-    forcing it generates under the equation operator, as factors on x and t.
+    """Bilinear function w(x, t) matching the rectangle-corner values u0(0),
+    u0(1), g0(T), h0(T) of data on [0, 1] (a _unit_twin), together with its
+    trace data and the forcing it generates under the equation operator, as
+    factors on x and t.
 
     Subtracting w from the problem (by linearity, with the compensating
     forcing) removes the 1/k corner terms of the data transforms, which are
     what make the truncated representation converge slowly near the corners
     of the space-time rectangle.
     """
-    ell, horizon = data.ell, data.horizon
+    horizon = data.horizon
     c00 = complex(np.asarray(data.u0(np.array([0.0])))[0])
-    c10 = complex(np.asarray(data.u0(np.array([ell])))[0])
+    c10 = complex(np.asarray(data.u0(np.array([1.0])))[0])
     c01 = complex(np.asarray(data.g0(np.array([horizon])))[0])
     c11 = complex(np.asarray(data.h0(np.array([horizon])))[0])
     if c00 == 0 and c10 == 0 and c01 == 0 and c11 == 0:
@@ -847,13 +814,12 @@ def _corner_blend(data: ProblemData):
     delta = data.params.delta
 
     def w(x, t):
-        xx = np.asarray(x) / ell
         tt = np.asarray(t) / horizon
-        return c00 + cx * xx + ct * tt + cxt * xx * tt
+        return c00 + cx * x + ct * tt + cxt * x * tt
 
     # the forcing i w_t + i delta w_x = (a0 + a1 x) 1 + 1 (a2 t), of rank <= 2
-    a0 = 1j * (ct / horizon + delta * cx / ell)
-    a1 = 1j * cxt / (ell * horizon)
+    a0 = 1j * (ct / horizon + delta * cx)
+    a1 = 1j * cxt / horizon
     a2 = delta * a1
 
     def forcing(x, t):
@@ -865,33 +831,55 @@ def _corner_blend(data: ProblemData):
                 np.stack([np.ones(len(t)), a2 * t + 0j])[keep])
 
     def wx_right(t):
-        return (cx + cxt * np.asarray(t) / horizon) / ell
+        return cx + cxt * np.asarray(t) / horizon
 
     return w, forcing, wx_right
+
+
+def _unit_twin(data: ProblemData) -> ProblemData:
+    """data's problem restated on [0, 1] by x = ell xi, t = ell^3 s, solved by
+    u(ell xi, ell^3 s): the parameters (beta, alpha ell, delta ell^2), the
+    horizon T / ell^3, the same u0, g0 and h0, the Neumann datum ell h1 and
+    the forcing ell^3 f on the grids (x / ell, t / ell^3)."""
+    ell, p, f = data.ell, data.params, data.forcing
+    cube = ell ** 3
+
+    def series(ts, scale=1.0):
+        return TimeSeries(data.horizon / cube, scale * ts.samples,
+                          lambda s: scale * ts(cube * s))
+
+    return ProblemData(
+        DispersionParams(p.beta, p.alpha * ell, p.delta * ell * ell), 1.0,
+        data.horizon / cube,
+        SpatialProfile(1.0, data.u0.samples, lambda xi: data.u0(ell * xi)),
+        series(data.g0), series(data.h0), series(data.h1, ell),
+        None if f is None else Field(f.x_grid / ell, f.t_grid / cube,
+                                     cube * f.values),
+        cube * data.kappa, data.lam)
 
 
 @dataclass(frozen=True, eq=False)
 class SolvePlan:
     """Everything a solve needs that its data does not change, for one
-    (params, ell, horizon), output grid and budget: the output grids, the
-    x-quadrature, the real-axis nodes (k_r, w_r), the nine contour node
-    groups (region, k, dk-weights) and the deformed arc radius rho.  The
-    nodes are thinned by the radial envelope of the data the plan was made
-    from.  Build one with make_plan; apply(data) solves for any data on the
-    same (params, ell, horizon), all on the same nodes, so the solution map
-    it evaluates is linear in the data."""
+    (params, ell, horizon), output grid and budget: its _unit_twin's
+    parameters unit_params, horizon tau and output grids unit_grids, and in
+    the twin's k the real-axis nodes (k_r, w_r), the nine contour node groups
+    (region, k, dk-weights) and the deformed arc radius rho.  The nodes are
+    thinned by the radial envelope of the data the plan was made from.  Build
+    one with make_plan; apply(data) solves for any data on the same
+    (params, ell, horizon), all on the same nodes, so it is linear in data."""
 
     params: DispersionParams
     ell: float
     horizon: float
-    x_grid: np.ndarray
-    t_grid: np.ndarray
-    xquad: XQuadrature
+    unit_params: DispersionParams
+    tau: float
+    unit_grids: Tuple[np.ndarray, np.ndarray]
     real_axis: Tuple[np.ndarray, np.ndarray]
     groups: list
     rho: float
-    # the data the plan was made from and its samples, which apply reuses
-    # when given that same data object
+    # the data the plan was made from and its twin's samples, which apply
+    # reuses when given that same data object
     source: ProblemData
     source_samples: _Samples
 
@@ -907,10 +895,10 @@ class SolvePlan:
         if (data.params, data.ell, data.horizon) != (self.params, self.ell,
                                                      self.horizon):
             raise ValueError("data params, ell or horizon differ from the plan's")
+        xi, s = self.unit_grids
         samples = (self.source_samples if data is self.source
-                   else _sample(data, self.xquad, self.t_grid))
-        x_grid, t_grid = self.x_grid, self.t_grid
-        vals = np.zeros((len(x_grid), len(t_grid)), dtype=np.complex128)
+                   else _sample(_unit_twin(data), s))
+        vals = np.zeros((len(xi), len(s)), dtype=np.complex128)
         spatial = samples.u0v is not None or samples.forcing is not None
         if spatial:
             self._real_axis_term(vals, samples)
@@ -918,84 +906,95 @@ class SolvePlan:
             for region, k, w in self.groups:
                 self._contour_term(vals, samples, region, k, w)
         if samples.blend is not None:
-            vals = vals + samples.blend[0](x_grid[:, None], t_grid[None, :])
-        return Field(x_grid, t_grid, vals)
+            vals = vals + samples.blend[0](xi[:, None], s[None, :])
+        return Field(np.linspace(0.0, self.ell, len(xi)),
+                     np.linspace(0.0, self.horizon, len(s)), vals)
 
     def _real_axis_term(self, vals, samples):
         """The whole-line term over the truncated real window; its
         coefficient is u0hat plus, added in place, the forcing history."""
         k_r, w_r = self.real_axis
-        om_r = omega(self.params, k_r + 0j).real
-        coef, ahat = _x_transforms(k_r, None, self.xquad, samples)
+        om_r = omega(self.unit_params, k_r + 0j).real
+        coef, ahat = _x_transforms(k_r, None, samples)
         if ahat is not None:
-            history = _forcing_history(samples.forcing[1], self.horizon, om_r,
-                                       ahat, self.t_grid)
+            history = _forcing_history(samples.forcing[1], self.tau, om_r,
+                                       ahat, self.unit_grids[1])
             # freed before the assembly, where a forced solve peaks in memory
             del ahat
             if coef is not None:
                 history += coef[:, None]
             coef = history
-        _assemble(vals, self.ell, self.horizon, "in", k_r, w_r, om_r, coef)
+        _assemble(vals, self.tau, "in", k_r, w_r, om_r, coef)
 
     def _contour_term(self, vals, samples, region, k, w):
         """One contour group's term: payload / Delta_s in the region's basis.
 
         The region fixes its dominant root sigma = roots[dom] of roots =
         (k, nu+, nu-), the data-scaling root s (0 on D0, sigma on D+/-) and
-        the basis (e^{ikx} on D0, e^{-ik(ell - x)} on D+/-).  With
-        z = e^{i s ell}, f+/- = e^{i (s - nu+/-) ell} and
-        mu = mu_factors(roots),
+        the basis (e^{ikx} on D0, e^{-ik(1 - x)} on D+/-).  With z = e^{i s},
+        f+/- = e^{i (s - nu+/-)} and mu = mu_factors(roots),
             payload = -omega'(k) [mu_0 z g0~ + (nu- f+ - nu+ f-) h0~
                                   + i (f+ - f-) h1~] + sum_j c_j T_j,
         T_j = u0hat - i sum_r Ahat_r Btilde_r at roots_j, shifted by
-        e^{i sigma ell} at sigma, c_j = mu_j z at the other two roots and
+        e^{i sigma} at sigma, c_j = mu_j z at the other two roots and
         c_sigma = mu_sigma on D+/-, -(mu+ f+ + mu- f-) on D0.  Grouped so,
         every exponent has nonpositive real part.
         """
-        params, ell, xquad = self.params, self.ell, self.xquad
+        params = self.unit_params
         roots = symmetry_roots(params, k)
         mu = mu_factors(roots)
         dom = DOMINANT_ROOT[region]
         in_d0 = region is RegionLabel.D0
         s = 0.0 if in_d0 else roots[dom]
-        z = np.exp(1j * s * ell)
-        fp = np.exp(1j * (s - roots[1]) * ell)
-        fm = np.exp(1j * (s - roots[2]) * ell)
+        z = np.exp(1j * s)
+        fp = np.exp(1j * (s - roots[1]))
+        fm = np.exp(1j * (s - roots[2]))
         om = omega(params, k)
         omp = omega_prime(params, k)
-        st, bt = _data_time_transforms(samples, self.horizon, om)
+        st, bt = _data_time_transforms(samples, self.tau, om)
         g0t, h0t, h1t = (0.0, 0.0, 0.0) if st is None else st.T
         payload = -omp * (mu[0] * z * g0t + (roots[2] * fp - roots[1] * fm) * h0t
                           + 1j * (fp - fm) * h1t)
         c = [m * z for m in mu]
         c[dom] = -(mu[1] * fp + mu[2] * fm) if in_d0 else mu[dom]
         for j, root in enumerate(roots):
-            shift = 1j * root * ell if j == dom else None
-            u0hat, ahat = _x_transforms(root, shift, xquad, samples)
+            shift = 1j * root if j == dom else None
+            u0hat, ahat = _x_transforms(root, shift, samples)
             hat = 0.0 if u0hat is None else u0hat
             if ahat is not None:
                 hat = hat - 1j * np.sum(ahat * bt, axis=1)
             payload = payload + c[j] * hat
-        _assemble(vals, ell, self.horizon, "in" if in_d0 else "out", k, w, om,
-                  payload / scaled_delta(roots, ell, roots[dom]))
+        _assemble(vals, self.tau, "in" if in_d0 else "out", k, w, om,
+                  payload / scaled_delta(roots, 1.0, roots[dom]))
 
 
 def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
-    """Choose the output grids, the x-quadrature and the contour and
-    real-axis nodes once for data's (params, ell, horizon); grid = (nx, nt)
-    counts the uniform output points of [0, ell] x [0, horizon].  The nodes
-    are thinned by the radial envelope of data itself, so the plan suits
-    data of similar spectral content; a plan made from identically zero data
-    uses unweighted nodes."""
-    params, ell, horizon = data.params, data.ell, data.horizon
-    x_grid, t_grid = _output_grids(ell, horizon, grid)
-    xquad = _x_quadrature(ell)
-    samples = _sample(data, xquad, t_grid)
-    weight = _radial_envelope(params, ell, horizon, xquad, samples,
-                              budget.real_axis_window)
-    real_axis = _real_axis_nodes(params, ell, horizon, budget, weight=weight)
-    groups, rho = _solver_segments(params, ell, horizon, budget, weight=weight)
-    return SolvePlan(params, ell, horizon, x_grid, t_grid, xquad,
+    """Choose the output grids and the contour and real-axis nodes once for
+    data's (params, ell, horizon); grid = (nx, nt) counts the uniform output
+    points of [0, ell] x [0, horizon].  The nodes are placed for the
+    problem's _unit_twin and thinned by the radial envelope of data itself,
+    so the plan suits data of similar spectral content; a plan made from
+    identically zero data uses unweighted nodes."""
+    try:
+        nx, nt = (operator.index(n) for n in grid)
+    except (TypeError, ValueError):
+        raise ValueError("grid must be two integer point counts (nx, nt)")
+    if nx < 4 or nt < 4:
+        raise GridTooCoarse("output grids need at least 4 points each")
+    ell = data.ell
+    twin = _unit_twin(data)
+    params, tau = twin.params, twin.horizon
+    unit_grids = np.linspace(0.0, 1.0, nx), np.linspace(0.0, tau, nt)
+    samples = _sample(twin, unit_grids[1])
+    # the budget in the caller's units: window R ell in the twin's k, density
+    # floor 2 |dk~| / ell, and the envelope's Neumann datum h1 = (ell h1) / ell
+    unit_budget = replace(budget, real_axis_window=budget.real_axis_window * ell)
+    dk_weight = 1.0 + 2.0 / ell
+    weight = _radial_envelope(params, tau, samples, unit_budget.real_axis_window,
+                              1.0 / ell)
+    real_axis = _real_axis_nodes(params, tau, unit_budget, dk_weight, weight)
+    groups, rho = _solver_segments(params, tau, unit_budget, dk_weight, weight)
+    return SolvePlan(data.params, ell, data.horizon, params, tau, unit_grids,
                      real_axis, groups, rho, data, samples)
 
 
@@ -1060,38 +1059,37 @@ def evaluate_traces(field: Field) -> dict:
 
 
 def _trace_derivative(field: Field, side: str, order: int) -> np.ndarray:
-    x = field.x_grid
-    npts = min(len(x), order + 5)
-    if side == "left":
-        w = fd_weights(x[:npts], x[0], order)
-        return w @ field.values[:npts, :]
-    w = fd_weights(x[-npts:], x[-1], order)
-    return w @ field.values[-npts:, :]
+    npts = min(len(field.x_grid), order + 5)
+    rows = slice(None, npts) if side == "left" else slice(-npts, None)
+    x = field.x_grid[rows]
+    w = fd_weights(x, x[0 if side == "left" else -1], order)
+    return w @ field.values[rows, :]
 
 
 def global_relation_residual(field: Field, data: ProblemData, k_samples) -> float:
     """Max over sampled (k, t) of the defect in the transform-side identity
     linking the evolving spatial transform of the field to the transformed
-    data, normalized by the magnitude of the identity's terms.  The boundary
-    series are integrated on the field's time grid, which must be uniform
-    and start at t = 0."""
+    data, normalized by the magnitude of the identity's terms.  The field
+    must span the data's [0, ell] x [0, horizon], and the boundary series are
+    integrated on its time grid, which must be uniform.  The x-transforms
+    at k are the unit x-kernel's at k ell, with the weights scaled by ell."""
     params, ell, horizon = data.params, data.ell, data.horizon
     karr = np.asarray(list(k_samples), dtype=np.complex128)
     t = field.t_grid
     _check_uniform_from_zero(t)
+    if not _spans(field, ell, horizon):
+        raise ValueError("the field does not span the data's [0, ell] x [0, horizon]")
     om = omega(params, karr)
 
-    xquad = _x_quadrature(ell)
-    xq = xquad.nodes
+    xq = ell * XQ_NODES
     vq = resample(field, xq)
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
-    uhat, u0hat = _apply_kernel(karr, None, xquad, [vq, u0v])
+    uhat, u0hat = _apply_kernel(ell * karr, None, [ell * vq, ell * u0v])
     lhs = _phase_table(om, t[1], len(t)) * uhat
 
     th = float(t[-1])
-    g0 = np.asarray(data.g0(t), dtype=np.complex128)
-    h0 = np.asarray(data.h0(t), dtype=np.complex128)
-    h1 = np.asarray(data.h1(t), dtype=np.complex128)
+    g0, h0, h1 = (np.asarray(s(t), dtype=np.complex128)
+                  for s in (data.g0, data.h0, data.h1))
     g1 = _trace_derivative(field, "left", 1)
     g2 = _trace_derivative(field, "left", 2)
     h2 = _trace_derivative(field, "right", 2)
@@ -1109,7 +1107,7 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
     forcing = _factor_forcing(None if data.forcing is None
                               else resample(data.forcing, xq))
     if forcing is not None:
-        (ahat,) = _apply_kernel(karr, None, xquad, [forcing[0]])
+        (ahat,) = _apply_kernel(ell * karr, None, [ell * forcing[0]])
         rhs = rhs + _forcing_history(forcing[1], horizon, om, ahat, t)
 
     scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))))

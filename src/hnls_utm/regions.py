@@ -88,7 +88,7 @@ def arc_half_angle(params: DispersionParams, radius: float) -> float:
     return float(np.arcsin(np.sqrt(val)))
 
 
-def segment_specs(params: DispersionParams, ell: float, puncture_radius: float,
+def segment_specs(params: DispersionParams, puncture_radius: float,
                   truncation_radius: float):
     """Geometric descriptions of the nine boundary segments.
 

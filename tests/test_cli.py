@@ -135,6 +135,24 @@ class TestSolveVerb:
         assert diag["mode"] == "reduced"
         assert "trace_recovery_gaps" in diag
 
+    @pytest.mark.parametrize("name, spec", [
+        ("u0", {"preset": "gaussian", "center": 0.5, "width": 0.15,
+                "amplitude": 5.0}),
+        ("g0", {"preset": "bump"}),
+        ("forcing", {"x": {"preset": "gaussian"}, "t": {"preset": "bump"}}),
+    ], ids=["u0", "g0", "forcing"])
+    def test_reduced_mode_rejects_data_it_would_drop(self, tmp_path, name, spec):
+        # the reduced problem reads only h0 and h1: other nonzero data would
+        # be solved as zero, so the run exits 2 and names the field
+        doc = dict(BASE, data=dict(BASE["data"], **{name: spec}))
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--config",
+                                           write_config(tmp_path, doc),
+                                           "--mode", "reduced", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "'data.%s'" % name in result.output
+        assert not (out / "field.csv").exists()
+
     def test_config_error_exit_2(self, tmp_path):
         doc = {k: v for k, v in BASE.items() if k != "dispersion"}
         config = write_config(tmp_path, doc)

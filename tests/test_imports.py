@@ -62,3 +62,17 @@ def test_private_definitions_are_used_in_the_package(path):
             unused.append(definition.name)
     assert not unused, "%s defines %s, used nowhere else in the package" % (
         path.name, unused)
+
+
+def test_no_private_function_in_linear_takes_ell():
+    # every problem is solved as its twin on [0, 1]: the interval length is
+    # read only where make_plan and SolvePlan.apply map a problem there and
+    # back, never passed below them
+    takes_ell = []
+    for node in ast.walk(TREES[PACKAGE / "linear.py"]):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            args = node.args
+            if "ell" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                takes_ell.append(node.name)
+    assert not takes_ell, "linear.py: %s take ell" % sorted(takes_ell)

@@ -136,11 +136,8 @@ class TestTimeTransform:
                                    rtol=1e-14, atol=1e-16)
 
 
-XQUAD = linear._x_quadrature(1.0)
-
-
-def _kernel(k, shift, payloads):
-    return linear._apply_kernel(k, shift, XQUAD, payloads)
+XQ, WQ = linear.XQ_NODES, linear.XQ_WEIGHTS
+_kernel = linear._apply_kernel
 
 
 class TestExponentialTables:
@@ -149,12 +146,12 @@ class TestExponentialTables:
 
     @staticmethod
     def dense_kernel(k, shift, p):
-        xq, wq = XQUAD.nodes, XQUAD.weights
+        xq, wq = XQ, WQ
         expo = -1j * np.outer(k, xq) + np.asarray(shift)[:, None]
         return np.exp(expo) @ (wq[:, None] * p)
 
     def test_kernel_matches_dense_exp(self):
-        xq = XQUAD.nodes
+        xq = XQ
         p = np.stack([np.exp(2j * xq) * (1 + xq ** 2), np.cos(7 * xq) - 0.3j],
                      axis=1)
         real_k = np.linspace(-80.0, 80.0, 161) + 0j
@@ -181,7 +178,7 @@ class TestExponentialTables:
     def test_kernel_mixed_payloads_match_dense_exp(self):
         # 1-D and 2-D payloads in one call, 43 columns in all, split back
         # into their own shapes
-        xq = XQUAD.nodes
+        xq = XQ
         rng = np.random.default_rng(11)
         wide = (rng.standard_normal((len(xq), 40))
                 + 1j * rng.standard_normal((len(xq), 40)))
@@ -193,16 +190,16 @@ class TestExponentialTables:
                                   _kernel(k, shift, payloads))
 
     def test_kernel_chunk_not_dividing_nodes(self):
-        xq = XQUAD.nodes
+        xq = XQ
         payloads = [np.stack([np.exp(2j * xq) * (1 + xq ** 2), xq + 0j], axis=1),
                     np.cos(7 * xq) - 0.3j]
         k = np.linspace(-80.0, 80.0, 301) + 1j * np.linspace(-3.0, 1.0, 301)
         shift = -np.maximum(k.imag, 0.0) + 0j
-        got = linear._apply_kernel(k, shift, XQUAD, payloads, chunk=7)
+        got = linear._apply_kernel(k, shift, payloads, chunk=7)
         self.assert_kernels_match(k, shift, payloads, got)
 
     def test_kernel_of_no_nodes(self):
-        p = np.ones((len(XQUAD.nodes), 3))
+        p = np.ones((len(XQ), 3))
         got_2d, got_1d = _kernel(np.array([], dtype=complex), None, [p, p[:, 0]])
         assert got_2d.shape == (0, 3) and got_1d.shape == (0,)
 
@@ -210,7 +207,7 @@ class TestExponentialTables:
         # e^{-i k x + shift} = e^{1000 (x - 1)} stays at most 1, and
         # 1000 off stays below the guard, so both guards admit it; a factor
         # taken before the shift, e^{1000 x}, would overflow
-        xq = XQUAD.nodes
+        xq = XQ
         k = np.array([1000j, 1000j + 5.0])
         shift = np.full(2, -1000.0 + 0j)
         payloads = [np.exp(2j * xq) * (1 + xq ** 2)]
@@ -223,7 +220,7 @@ class TestExponentialTables:
         # Im k > 0 and at the first for Im k < 0, is e^0; across [0, 1] it
         # falls by e^{-790} or more, so it underflows to zero at the small
         # end, and a node factor taken there would be zero throughout
-        xq = XQUAD.nodes
+        xq = XQ
         rng = np.random.default_rng(7)
         im = rng.uniform(800.0, 1000.0, 40) * np.tile([1.0, -1.0], 20)
         k = rng.uniform(-50.0, 50.0, 40) + 1j * im
@@ -275,14 +272,14 @@ class TestExponentialTables:
 
     def test_kernel_guard_on_shift(self):
         k = np.array([0.0, 5.0, -3.0]) + 0j
-        p = np.ones(len(XQUAD.nodes))
+        p = np.ones(len(XQ))
         with pytest.raises(ExponentialOverflow):
             _kernel(k, np.array([0.0, 2.01, 0.0]), [p])
         _kernel(k, np.array([0.0, 1.99, 0.0]), [p])
 
     def test_kernel_guard_on_imaginary_k(self):
-        x_first, x_last = XQUAD.nodes[0], XQUAD.nodes[-1]
-        p = np.ones(len(XQUAD.nodes))
+        x_first, x_last = XQ[0], XQ[-1]
+        p = np.ones(len(XQ))
         # Im k > 0: the exponent's real part is largest at the last node
         with pytest.raises(ExponentialOverflow):
             _kernel(np.array([1.0 + 2.01j / x_last]), None, [p])
@@ -294,7 +291,7 @@ class TestExponentialTables:
 
     def test_kernel_guard_on_panel_factor(self):
         # the shift cancels the growth, but e^{-i k off} would overflow
-        p = np.ones(len(XQUAD.nodes))
+        p = np.ones(len(XQ))
         with pytest.raises(ExponentialOverflow):
             _kernel(np.array([5e4j]), np.array([-5e4 + 0j]), [p])
 
@@ -341,7 +338,7 @@ class TestExponentialTables:
         for basis, k in bases:
             got = linear._assemble(
                 np.zeros((len(x_grid), len(t_grid)), dtype=complex),
-                ell, horizon, basis, k, w, om, coef, chunk=16)
+                horizon, basis, k, w, om, coef, chunk=16)
             want = self.dense_assembly(x_grid, t_grid, ell, basis, k, w,
                                        om, coef)
             np.testing.assert_allclose(got, want, rtol=1e-12,
@@ -365,7 +362,7 @@ class TestExponentialTables:
         arcs = []
         for budget in (QuadratureBudget(), QuadratureBudget(contour_nodes=48000)):
             plan = make_plan(data, (9, 9), budget)
-            specs = segment_specs(AIRY, 1.0, plan.rho, budget.real_axis_window)
+            specs = segment_specs(AIRY, plan.rho, budget.real_axis_window)
             is_arc = [kind is SegmentKind.CIRCULAR_ARC for kind, *_ in specs]
             assert sum(is_arc) == 3
             free = sum(n for n, a in zip(plan.node_counts, is_arc) if not a)
@@ -408,14 +405,14 @@ class TestTaylorCells:
     @staticmethod
     def kernel_shift(k):
         # as in the solver: every exponent of e^{-i k x + shift} at most 0
-        xq = XQUAD.nodes
+        xq = XQ
         return -np.maximum(k.imag * xq[0], k.imag * xq[-1]) + 0j
 
     @staticmethod
-    def cell_points(ell):
+    def cell_points():
         """Nodes on cell corners and edge midpoints, where |k - c| reaches
-        2 / ell or sqrt(2) / ell, and at cell centres, where k - c = 0."""
-        side = 2.0 * np.sqrt(2.0) / ell
+        2 or sqrt(2), and at cell centres, where k - c = 0."""
+        side = 2.0 * np.sqrt(2.0)
         m = np.arange(-3.0, 4.0)
         j = np.arange(-2.0, 3.0)
         grid = side * (m[:, None] + 1j * j[None, :])
@@ -425,41 +422,44 @@ class TestTaylorCells:
                                (grid + half + 1j * half).ravel()])
 
     def test_cells_group_shuffled_nodes(self):
+        # the nodes of an interval of length 0.7, in the unit interval's k
         rng = np.random.default_rng(23)
         ell = 0.7
-        k = np.concatenate([self.cell_points(ell),
-                            rng.uniform(-40, 40, 300) + 1j * rng.uniform(-20, 20, 300)])
+        k = np.concatenate([self.cell_points(),
+                            ell * (rng.uniform(-40, 40, 300)
+                                   + 1j * rng.uniform(-20, 20, 300))])
         k = k[rng.permutation(len(k))]
-        centres, blocks = linear._taylor_cells(k, ell, len(k))
+        centres, blocks = linear._taylor_cells(k, len(k))
         ((idx, cell, runs),) = blocks
         assert sorted(idx) == list(range(len(k)))
-        # one run per cell, every node within 2 / ell of its centre
+        # one run per cell, every node within 2 of its centre
         assert len(runs) == len(centres) == len(set(cell))
-        assert np.all(np.abs(k[idx] - centres[cell]) <= 2.0 / ell * (1 + 1e-12))
+        assert np.all(np.abs(k[idx] - centres[cell]) <= 2.0 * (1 + 1e-12))
 
     @pytest.mark.parametrize("ell", [1.0, 0.3])
     def test_kernel_on_cell_edges_and_centres(self, ell):
-        # the identity payload returns every kernel entry w_q e^{-i k x_q + s}:
-        # each must match its dense value to 1e-13 of itself
-        xquad = linear._x_quadrature(ell)
-        k = self.cell_points(ell)
-        xq = xquad.nodes
+        # the identity payload returns every kernel entry w_q e^{-i k x_q + s}
+        # of [0, ell], x_q = ell XQ and w_q = ell WQ, as the unit kernel at
+        # k ell with its weights scaled by ell: each must match its dense
+        # value to 1e-13 of itself
+        k = self.cell_points() / ell
+        xq = ell * XQ
         shift = -np.maximum(k.imag * xq[0], k.imag * xq[-1]) + 0j
-        (got,) = linear._apply_kernel(k, shift, xquad, [np.eye(len(xq))])
-        want = np.exp(-1j * np.outer(k, xq) + shift[:, None]) * xquad.weights
+        (got,) = linear._apply_kernel(ell * k, shift, [ell * np.eye(len(xq))])
+        want = np.exp(-1j * np.outer(k, xq) + shift[:, None]) * (ell * WQ)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("basis", ["in", "out"])
     def test_assembly_on_cell_edges_and_centres(self, basis):
         # one node per call, so every output point is one entry
-        ell, horizon = 0.5, 0.5
-        x_grid, t_grid = np.linspace(0.0, ell, 65), np.linspace(0.0, horizon, 5)
-        for k in self.cell_points(ell):
+        horizon = 0.5
+        x_grid, t_grid = np.linspace(0.0, 1.0, 65), np.linspace(0.0, horizon, 5)
+        for k in self.cell_points():
             args = (np.array([k]), np.array([0.3 - 0.2j]), np.array([40.0 + 2.0j]),
                     np.array([1.0 + 0.5j]))
-            got = linear._assemble(np.zeros((65, 5), dtype=complex), ell,
+            got = linear._assemble(np.zeros((65, 5), dtype=complex),
                                    horizon, basis, *args)
-            want = self.dense_assembly(x_grid, t_grid, ell, basis, *args)
+            want = self.dense_assembly(x_grid, t_grid, 1.0, basis, *args)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("basis, im_sign", [
@@ -481,7 +481,7 @@ class TestTaylorCells:
         coef = rng.normal(size=n) + 1j * rng.normal(size=n)
         if on_times:
             coef = coef[:, None] + np.outer(1j * coef.conj(), np.sin(9.0 * t_grid))
-        got = linear._assemble(np.zeros((513, 129), dtype=complex), ell,
+        got = linear._assemble(np.zeros((513, 129), dtype=complex),
                                horizon, basis, k, w, om, coef, chunk=16)
         want = self.dense_assembly(x_grid, t_grid, ell, basis, k, w, om, coef)
         np.testing.assert_allclose(got, want, rtol=1e-12,
@@ -493,7 +493,7 @@ class TestTaylorCells:
         k = rng.uniform(-60.0, 60.0, n) + 1j * rng.uniform(-30.0, 30.0, n)
         perm = rng.permutation(n)
         shift = self.kernel_shift(k)
-        xq = XQUAD.nodes
+        xq = XQ
         payloads = [np.exp(2j * xq) * (1 + xq ** 2),
                     np.stack([np.cos(7 * xq) - 0.3j, xq + 0j], axis=1)]
         for got, want in zip(_kernel(k[perm], shift[perm], payloads),
@@ -504,7 +504,7 @@ class TestTaylorCells:
         w = rng.normal(size=n) + 1j * rng.normal(size=n)
         upper = np.abs(k.real) + 1j * np.abs(k.imag)
         for basis, nodes in (("in", upper), ("out", upper.conj())):
-            fields = [linear._assemble(np.zeros((129, 33), dtype=complex), 1.0,
+            fields = [linear._assemble(np.zeros((129, 33), dtype=complex),
                                        0.5, basis, nodes[p], w[p], om[p],
                                        np.ones(n, dtype=complex), chunk=64)
                       for p in (perm, np.arange(n))]
@@ -550,18 +550,27 @@ class TestZeroData:
         assert global_relation_residual(field, data, [1.0 + 0.0j, 2.0 - 0.5j]) == 0.0
 
 
-def _family_case(params):
-    case_id = "%g,%g,%g" % (params.beta, params.alpha, params.delta)
-    if (params.beta, params.alpha, params.delta) == (2.0, 1.0, -1.0):
-        # 4.6e-3: the fixed default budget is short of nodes here
-        return pytest.param(params, id=case_id, marks=pytest.mark.xfail(
+def _params_id(params):
+    return "%g,%g,%g" % (params.beta, params.alpha, params.delta)
+
+
+def _family_case(params, ell, horizon):
+    case_id = _params_id(params)
+    if (ell, horizon) != (1.0, 0.5):
+        case_id += "@%g,%g" % (ell, horizon)
+    if (params.beta, params.alpha, params.delta) == (2.0, 1.0, -1.0) and ell != 0.5:
+        # 4.6e-3 at ell = 1 and 6.5e-3 at ell = 2: the fixed default budget
+        # is short of nodes here
+        return pytest.param(params, ell, horizon, id=case_id, marks=pytest.mark.xfail(
             strict=True, reason="default budget short of nodes; ROADMAP item 2"))
-    return pytest.param(params, id=case_id)
+    return pytest.param(params, ell, horizon, id=case_id)
 
 
 # every discriminant sign, and (1, 2, 0): zero discriminant, nonzero centre
-FAMILY = [_family_case(p)
-          for p in verify.PARAM_SETS + (DispersionParams(1.0, 2.0, 0.0),)]
+FAMILY_PARAMS = verify.PARAM_SETS + (DispersionParams(1.0, 2.0, 0.0),)
+# (ell, T) = (1, 0.5), and an interval of each side of 1 (tau = 2 and 1/16)
+FAMILY = [_family_case(p, ell, horizon) for p in FAMILY_PARAMS
+          for ell, horizon in ((1.0, 0.5), (0.5, 0.25), (2.0, 0.5))]
 
 
 class TestPlaneWave:
@@ -571,14 +580,24 @@ class TestPlaneWave:
         exact = plane_wave_field(AIRY, 2.0, field.x_grid, field.t_grid)
         assert field.relative_l2_gap(exact) <= 1e-3
 
-    @pytest.mark.parametrize("params", FAMILY)
-    def test_family_default_budget_recovery(self, params):
+    @pytest.mark.parametrize("params, ell, horizon", FAMILY)
+    def test_family_default_budget_recovery(self, params, ell, horizon):
         # the D0 and D+- contour terms share one formula; this checks it
-        # across the family, away from alpha = delta = 0
-        data = plane_wave_data(params, 1.0, 0.5, 2.0)
+        # across the family, away from alpha = delta = 0, and the map of
+        # every interval onto [0, 1]
+        data = plane_wave_data(params, ell, horizon, 2.0)
         field = solve_full(data, (49, 17), QuadratureBudget())
         exact = plane_wave_field(params, 2.0, field.x_grid, field.t_grid)
         assert field.relative_l2_gap(exact) <= 1e-3
+
+    def test_budget_in_the_callers_units(self):
+        # (ell, T) = (0.5, 1), tau = 8: 4.7e-3 with the window, the phase
+        # density's |dk| floor and the envelope's h1 weight in the caller's
+        # units; a floor or an h1 weight in the twin's units gives about 1e-2
+        data = plane_wave_data(AIRY, 0.5, 1.0, 2.0)
+        field = solve_full(data, (33, 17), QuadratureBudget())
+        exact = plane_wave_field(AIRY, 2.0, field.x_grid, field.t_grid)
+        assert field.relative_l2_gap(exact) <= 5e-3
 
     @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0), (0.5, 1.0, 1.0)])
     def test_output_times_do_not_change_the_field(self, coeffs):
@@ -590,17 +609,20 @@ class TestPlaneWave:
         gap = np.max(np.abs(fine.values[:, ::2] - coarse.values))
         assert gap <= 1e-10 * np.max(np.abs(coarse.values))
 
-    @pytest.mark.parametrize("t_grid", [
-        0.5 * np.linspace(0.0, 1.0, 97) ** 2,
-        np.linspace(0.1, 0.5, 97)], ids=["squared", "late-start"])
-    def test_global_relation_needs_a_uniform_grid_from_zero(self, t_grid):
+    @pytest.mark.parametrize("x_grid, t_grid", [
+        (np.linspace(0.0, 1.0, 65), 0.5 * np.linspace(0.0, 1.0, 97) ** 2),
+        (np.linspace(0.0, 1.0, 65), np.linspace(0.1, 0.5, 97)),
+        (np.linspace(0.0, 2.0, 65), np.linspace(0.0, 1.0, 97))],
+        ids=["squared", "late-start", "other-rectangle"])
+    def test_global_relation_needs_a_uniform_grid_from_zero(self, x_grid, t_grid):
+        # and a field over the data's own rectangle [0, ell] x [0, T]
         data = plane_wave_data(AIRY, 1.0, 0.5, 2.0)
         ks = [0.9 + 0.0j, -2.1 + 0.0j, 1.5 + 0.5j]
         x = np.linspace(0.0, 1.0, 65)
         uniform = plane_wave_field(AIRY, 2.0, x, np.linspace(0.0, 0.5, 97))
         assert global_relation_residual(uniform, data, ks) <= 1e-6
         with pytest.raises(ValueError):
-            global_relation_residual(plane_wave_field(AIRY, 2.0, x, t_grid),
+            global_relation_residual(plane_wave_field(AIRY, 2.0, x_grid, t_grid),
                                      data, ks)
 
     @pytest.mark.parametrize("t_grid", [
@@ -635,10 +657,36 @@ class TestPlaneWave:
         assert err <= budget.tolerance * norm
 
 
-def _forced_plane_wave(params, x_nodes=257, t_nodes=129):
-    """Problem solved by u = (1 + t) P with P the plane wave (a = 2, ell = 1,
-    T = 0.5): i u_t + L u = i P, a rank-1 forcing."""
-    ell, horizon, a = 1.0, 0.5, 2.0
+class TestUnitTwin:
+    """A problem on [0, ell] and its twin on [0, 1]: the parameters
+    (beta, alpha ell, delta ell^2), the horizon T / ell^3 and, for a plane
+    wave of wavenumber a, the wavenumber a ell."""
+
+    @pytest.mark.parametrize("ell, horizon", [(0.5, 0.25), (2.0, 0.5)])
+    @pytest.mark.parametrize("params", FAMILY_PARAMS, ids=_params_id)
+    def test_twin_on_the_same_nodes_gives_the_same_field(self, params, ell,
+                                                         horizon):
+        # the plan's nodes are the twin's, for the window R ell; made afresh
+        # for the twin, they would differ by the budget's two terms in the
+        # caller's units, the phase floor and the envelope's h1 weight
+        a = 2.0
+        data = plane_wave_data(params, ell, horizon, a)
+        plan = make_plan(data, (33, 17), QuadratureBudget())
+        twin = plane_wave_data(
+            DispersionParams(params.beta, params.alpha * ell,
+                             params.delta * ell ** 2),
+            1.0, horizon / ell ** 3, a * ell)
+        twin_plan = replace(plan, params=twin.params, ell=1.0,
+                            horizon=twin.horizon)
+        want = twin_plan.apply(twin).values
+        got = plan.apply(data).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _forced_plane_wave(params, x_nodes=257, t_nodes=129, ell=1.0, horizon=0.5):
+    """Problem solved by u = (1 + t) P with P the plane wave (a = 2), on
+    [0, ell] x [0, horizon]: i u_t + L u = i P, a rank-1 forcing."""
+    a = 2.0
     wave = plane_wave_exact(params, a)
 
     def exact(x, t):
@@ -677,6 +725,16 @@ class TestForcedSolution:
     @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0), (0.5, 1.0, 1.0)])
     def test_manufactured_forced_plane_wave(self, coeffs):
         data, exact = _forced_plane_wave(DispersionParams(*coeffs))
+        field = solve_full(data, (49, 17), QuadratureBudget())
+        want = Field.from_callable(exact, field.x_grid, field.t_grid)
+        assert field.relative_l2_gap(want) <= 1e-3
+
+    @pytest.mark.parametrize("ell, horizon", [(0.5, 0.25), (2.0, 0.5)])
+    def test_manufactured_forced_plane_wave_off_the_unit_interval(self, ell,
+                                                                  horizon):
+        # the twin's forcing is ell^3 f on the grids (x / ell, t / ell^3)
+        data, exact = _forced_plane_wave(DispersionParams(0.5, 1.0, 1.0),
+                                         ell=ell, horizon=horizon)
         field = solve_full(data, (49, 17), QuadratureBudget())
         want = Field.from_callable(exact, field.x_grid, field.t_grid)
         assert field.relative_l2_gap(want) <= 1e-3
@@ -735,17 +793,21 @@ class TestCornerBlend:
             TimeSeries.from_callable(
                 lambda t: c10 + (c11 - c10) * t / horizon + 0j, horizon),
             zero_series(horizon))
-        _w, forcing, _wx = linear._corner_blend(data)
+        # the blend is taken on the unit twin, whose forcing is ell^3 times
+        # the problem's at (x / ell, t / ell^3)
+        twin = linear._unit_twin(data)
+        _w, forcing, _wx = linear._corner_blend(twin)
         x, t = np.linspace(0.0, ell, 17), np.linspace(0.0, horizon, 9)
-        a, b = forcing(x, t)
+        a, b = forcing(x / ell, t / ell ** 3)
         assert a.shape == (17, rank) and b.shape == (rank, 9)
         # the blend's forcing i w_t + i delta w_x, written out
         cx, ct, cxt = c10 - c00, c01 - c00, c11 - c01 - c10 + c00
         xx, tt = x[:, None] / ell, t[None, :] / horizon
-        want = 1j * (ct + cxt * xx) / horizon + 1j * delta * (cx + cxt * tt) / ell
+        want = ell ** 3 * (1j * (ct + cxt * xx) / horizon
+                           + 1j * delta * (cx + cxt * tt) / ell)
         np.testing.assert_allclose(a @ b, want, rtol=1e-14,
                                    atol=1e-14 * np.max(np.abs(want)))
-        samples = linear._sample(data, XQUAD, t)
+        samples = linear._sample(twin, t / ell ** 3)
         assert (samples.forcing is None) == (rank == 0)
 
 
@@ -920,6 +982,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProblemData(AIRY, 1.0, 0.5, zero_profile(1.0),
                         zero_series(1.0), zero_series(0.5), zero_series(0.5))
+
+    def test_forcing_grid_tolerance_is_relative(self):
+        # a forcing grid may miss the interval's end by 1e-9 of its length:
+        # then its twin's grid on [0, 1] misses 1 by 1e-9 too, and solves
+        data = plane_wave_data(AIRY, 0.1, 0.02, 2.0)
+        t = np.linspace(0.0, 0.02, 17)
+        for miss, accepted in ((5e-11, True), (5e-10, False)):
+            x = np.linspace(0.0, 0.1, 33)
+            x[-1] += miss
+            forcing = Field(x, t, np.zeros((33, 17)))
+            if accepted:
+                make_plan(replace(data, forcing=forcing), (9, 9),
+                          QuadratureBudget(contour_nodes=4000, real_axis_nodes=2000))
+            else:
+                with pytest.raises(ValueError, match="span"):
+                    replace(data, forcing=forcing)
 
     @pytest.mark.parametrize("x_grid, t_grid", [
         (np.linspace(0.0, 1.2, 9), np.linspace(0.0, 0.5, 5)),

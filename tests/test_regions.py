@@ -15,12 +15,14 @@ from hnls_utm.regions import (DELTA_BOUND_C0, DELTA_BOUND_CPM, SegmentKind,
 AIRY = DispersionParams(1.0, 0.0, 0.0)
 # truncation radius 20 on the unit interval, horizon 1/2
 BUDGET = QuadratureBudget(contour_nodes=4000, real_axis_window=20.0)
+# the |dk| weight of the phase density make_plan gives the unit interval
+DK_WEIGHT = 3.0
 
 
-def solver_segments(params, ell=1.0, horizon=0.5, budget=BUDGET):
+def solver_segments(params, horizon=0.5, budget=BUDGET):
     """The solver's contour nodes as (kind, k) per segment, and rho."""
-    groups, rho = _solver_segments(params, ell, horizon, budget)
-    specs = segment_specs(params, ell, rho, budget.real_axis_window)
+    groups, rho = _solver_segments(params, horizon, budget, DK_WEIGHT)
+    specs = segment_specs(params, rho, budget.real_axis_window)
     return [(spec[0], k) for spec, (_region, k, _w) in zip(specs, groups)], rho
 
 
@@ -99,7 +101,7 @@ class TestContourSet:
     def test_segments_close_up(self):
         _segments, rho = solver_segments(AIRY)
         ends = [segment_endpoints(spec)
-                for spec in segment_specs(AIRY, 1.0, rho, 20.0)]
+                for spec in segment_specs(AIRY, rho, 20.0)]
         # consecutive segments within each region boundary share endpoints
         gaps = []
         for (a_start, a_end), (b_start, b_end) in zip(ends[:-1], ends[1:]):
@@ -109,5 +111,5 @@ class TestContourSet:
 
     def test_invalid_truncation(self):
         with pytest.raises(InvalidTruncation):
-            _solver_segments(AIRY, 1.0, 0.5,
-                             QuadratureBudget(real_axis_window=2.0))
+            _solver_segments(AIRY, 0.5, QuadratureBudget(real_axis_window=2.0),
+                             DK_WEIGHT)

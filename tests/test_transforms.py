@@ -1,5 +1,5 @@
 """Closed forms of the solver's transforms: the finite-interval Fourier
-transform (linear._apply_kernel on linear._x_quadrature), the truncated time
+transform (linear._apply_kernel on the unit x-quadrature), the truncated time
 transforms (linear._time_transform, linear._cumulative_transform) and the
 factored forcing transform (linear._factor_forcing); the Laplace transform
 and the data containers."""
@@ -10,21 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnls_utm.errors import ExponentialOverflow
-from hnls_utm.linear import (_apply_kernel, _cumulative_transform,
-                             _factor_forcing, _time_transform, _x_quadrature)
+from hnls_utm.linear import (XQ_NODES, _apply_kernel, _cumulative_transform,
+                             _factor_forcing, _time_transform)
 from hnls_utm.transforms import SpatialProfile, TimeSeries, laplace_transform
 
 
-def profile_of(func, ell=1.0, n=257):
-    return SpatialProfile.from_callable(func, ell, n=n)
+def profile_of(func, n=257):
+    return SpatialProfile.from_callable(func, 1.0, n=n)
 
 
 def interval_fourier(prof, k):
-    """phi_hat(k) = int_0^ell e^{-i k x} phi(x) dx as the solver computes it:
+    """phi_hat(k) = int_0^1 e^{-i k x} phi(x) dx as the solver computes it:
     the x-kernel applied to the profile on the x-quadrature."""
-    xq = _x_quadrature(prof.ell)
     karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-    (out,) = _apply_kernel(karr, None, xq, [prof(xq.nodes)])
+    (out,) = _apply_kernel(karr, None, [prof(XQ_NODES)])
     return complex(out[0]) if np.isscalar(k) else out
 
 
@@ -33,18 +32,17 @@ def tilde_transform(ser, w):
     return complex(_time_transform(ser.samples, ser.horizon, np.array([w]))[0])
 
 
-def forcing_transform(func, ell, horizon, k, w, nt=257):
-    """int_0^horizon e^{-i w t} int_0^ell e^{-i k x} f(x, t) dx dt as the
+def forcing_transform(func, horizon, k, w, nt=257):
+    """int_0^horizon e^{-i w t} int_0^1 e^{-i k x} f(x, t) dx dt as the
     solver computes it: the forcing sampled on the x-quadrature and a uniform
     time grid, factored as A(x) B(t), the x-kernel on the columns of A and
     the time transform of the rows of B."""
-    xq = _x_quadrature(ell)
     t = np.linspace(0.0, horizon, nt)
-    factored = _factor_forcing(func(xq.nodes[:, None], t[None, :]))
+    factored = _factor_forcing(func(XQ_NODES[:, None], t[None, :]))
     if factored is None:
         return 0.0
     a, b = factored
-    (ahat,) = _apply_kernel(np.array([k], dtype=np.complex128), None, xq, [a])
+    (ahat,) = _apply_kernel(np.array([k], dtype=np.complex128), None, [a])
     bt = _time_transform(b, horizon, np.array([w], dtype=np.complex128))
     return complex(np.sum(ahat * bt, axis=1)[0])
 
@@ -102,17 +100,17 @@ class TestTildeTransform:
 class TestForcingTransform:
     def test_zero(self):
         zero = lambda x, t: np.zeros(np.broadcast(x, t).shape, dtype=complex)
-        assert forcing_transform(zero, 1.0, 1.0, 1.0 + 0.0j, 1.0 + 0.0j, nt=65) == 0.0
+        assert forcing_transform(zero, 1.0, 1.0 + 0.0j, 1.0 + 0.0j, nt=65) == 0.0
 
     def test_separable_product(self):
         # f(x, t) = phi(x) psi(t): the transform factorizes
-        ell, horizon = 1.0, 1.0
-        prof = profile_of(lambda x: np.exp(1j * x), ell)
+        horizon = 1.0
+        prof = profile_of(lambda x: np.exp(1j * x))
         psi = lambda t: np.exp(2j * t)
         k, w = 4.0 + 0.0j, 3.0 + 0.0j
         ser = TimeSeries.from_callable(lambda tt: psi(tt).astype(complex), horizon)
         want = interval_fourier(prof, k) * tilde_transform(ser, w)
-        got = forcing_transform(lambda x, t: prof(x) * psi(t), ell, horizon, k, w)
+        got = forcing_transform(lambda x, t: prof(x) * psi(t), horizon, k, w)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_exponential_closed_form(self):
@@ -121,7 +119,7 @@ class TestForcingTransform:
         x_part = (1 - np.exp(-1j * (k - a))) / (1j * (k - a))
         t_part = (np.exp(1j * (b - w)) - 1) / (1j * (b - w))
         got = forcing_transform(lambda x, t: np.exp(1j * a * x + 1j * b * t),
-                                1.0, 1.0, k, w)
+                                1.0, k, w)
         assert got == pytest.approx(x_part * t_part, rel=1e-9)
 
 
