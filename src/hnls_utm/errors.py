@@ -17,8 +17,10 @@ class InvalidTruncation(SolverError):
 
 class ExponentialOverflow(SolverError):
     """Raised when a transform exponent exceeds the overflow guard (|exponent|
-    above 700 in natural-log units) or a puncture arc would need more than
-    linear.MAX_ARC_PANELS panels: a misconfigured contour or arc radius."""
+    above 700 in natural-log units), a puncture arc would need more than
+    linear.MAX_ARC_PANELS panels, or a puncture arc's amplification exponent
+    passes the precision cap ln(tolerance / eps), where rounding alone would
+    exceed the budget's tolerance: an arc radius too large for the horizon."""
 
 
 class QuadratureDiverged(SolverError):

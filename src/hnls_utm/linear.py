@@ -1,12 +1,11 @@
 """Contour-integral evaluation of the linear interval problem.
 
-solve_full assembles the four-part solution representation: a truncated
-whole-line Fourier term, a term over the boundary of the punctured upper
-region, a term over the boundaries of the punctured lower regions, and the
-joint contour term carrying the transformed data.  All exponentials are
-grouped so that every evaluated exponent has nonpositive real part (up to
-the controlled arc growth described below), which keeps the assembly free of
-overflow and catastrophic cancellation.
+solve_full evaluates the solution formula's four contour integrals: one over
+the truncated real line, and one over the boundary of each punctured region
+D0, D+ and D-, which joins the region's three deformed segments.  All
+exponentials are grouped so that every evaluated exponent has nonpositive
+real part (up to the controlled arc growth described below), which keeps the
+assembly free of overflow and catastrophic cancellation.
 
 Every problem is solved on [0, 1].  x = ell xi, t = ell^3 s and k = k~ / ell
 map i u_t + i beta u_xxx + alpha u_xx + i delta u_x = f on [0, ell] x [0, T]
@@ -29,7 +28,9 @@ Two numerical choices matter:
   actually crossed.  rho is chosen so the arc growth stays near e^{12},
   which costs only a modest number of extra arc nodes.  Where rho cannot be
   that small (it is at least 1.5), an arc that would need more than
-  MAX_ARC_PANELS panels raises ExponentialOverflow before any is built.
+  MAX_ARC_PANELS panels raises ExponentialOverflow before any is built, and
+  so does an arc whose growth e^{amp} times eps would pass the budget's
+  tolerance (amp > ln(tolerance / eps), 29.1 at the default).
 
 * Quadrature panels are graded in phase: panel edges are placed so each
   8-point Gauss-Legendre panel spans a bounded amount of the worst-case
@@ -44,8 +45,8 @@ splined in time.  All time transforms share the moments and e^{-i w t} of a
 chunk of w and contract every series with them by matrix products.  Each
 term of the representation sums, over its nodes, w_k e^{i k x} e^{i omega t}
 (e^{-i k (1 - x)} on D+/-) times one coefficient array, constant in time or
-on the output times; _assemble takes it and applies the 1/(2 pi).  A contour
-group's coefficient is its payload over Delta, the data entering as
+on the output times; _assemble takes it and applies the 1/(2 pi).  A region's
+coefficient is its payload over Delta, the data entering as
 u0hat - i Ahat . Btilde; the real axis's is u0hat plus the forcing history,
 a running transform of B's splines with the node weights -i Ahat(k).
 
@@ -57,16 +58,17 @@ rounding because |k - c| |x - x0| <= 2; no per-node x-table is built.  The
 time tables are _phase_tables, rows of running products of 2 step
 exponentials per w.
 
-The three contour regions share one term, SolvePlan._contour_term: a region
-fixes only its dominant symmetry root sigma (k, nu+ or nu-), whether the
-data are scaled by e^{i sigma}, and the assembly basis.  Each group divides
-by regions.scaled_delta, the one place the Delta formula lives.
+The three regions share one term, SolvePlan._contour_term: a region fixes
+only its dominant symmetry root sigma (k, nu+ or nu-), whether the data are
+scaled by e^{i sigma}, and the assembly basis.  Each region's term divides by
+regions.scaled_delta, the one place the Delta formula lives.
 
 The data-independent part of a solve is a SolvePlan: the twin's parameters
-and output grids, real-axis and contour nodes (thinned by the radial
-envelope of the data the plan is made from) and the deformed arc radius
-rho.  SolvePlan.apply(data) does the data transforms and the assembly only,
-and skips the transforms of identically zero data; solve_full is
+and output grids, the nodes of the four contours, all placed by
+_solver_segments (thinned by the radial envelope of the data the plan is
+made from), and the deformed arc radius rho; it keeps no data.
+SolvePlan.apply(data) samples the data, skips the transforms of identically
+zero parts, and evaluates one term per contour; solve_full is
 make_plan(...).apply(data).
 """
 
@@ -99,6 +101,9 @@ MIN_DELTA_MARGIN = 1e-4
 # most Gauss-Legendre panels one arc may take; more means the arc radius is
 # too large for the horizon, and the panels would exhaust memory
 MAX_ARC_PANELS = 100000
+# radii of the radial envelope on [0, R]; radii, and angles per region
+# sector, of the deformation-margin sweep
+ENVELOPE_RADII, SWEEP_RADII, SWEEP_ANGLES = 193, 9, 65
 
 
 @dataclass(frozen=True)
@@ -554,7 +559,7 @@ def _graded_panel_nodes(pf, cum, n_panels):
     return gauss_panels(np.unique(np.maximum.accumulate(edges)))
 
 
-def _radial_envelope(params, horizon, samples, r_max, h1_weight, n_r=193):
+def _radial_envelope(params, horizon, samples, r_max, h1_weight):
     """Radial proxy for the magnitude of the transformed data at distance r
     from the dispersion center, used to thin the quadrature where the
     integrand is negligible.
@@ -565,18 +570,18 @@ def _radial_envelope(params, horizon, samples, r_max, h1_weight, n_r=193):
     density weight in [1e-2, 1], or None for identically zero data.  The
     boundary part sums |omega'| (|g0~| + |h0~| + h1_weight |h1~|).
     """
-    rs = np.linspace(0.0, r_max, n_r)
+    rs = np.linspace(0.0, r_max, ENVELOPE_RADII)
     ks = np.concatenate([params.center + rs, params.center - rs]) + 0j
     om = omega(params, ks).real
     omp = np.abs(omega_prime(params, ks))
     u0hat, ahat = _x_transforms(ks, None, samples)
     st, bt = _data_time_transforms(samples, horizon, om)
-    env = np.zeros(2 * n_r) if u0hat is None else np.abs(u0hat)
+    env = np.zeros(2 * ENVELOPE_RADII) if u0hat is None else np.abs(u0hat)
     if st is not None:
         env += omp * np.sum(np.abs(st) * [1.0, 1.0, h1_weight], axis=1)
     if bt is not None:
         env += np.abs(np.sum(ahat * bt, axis=1))
-    env = np.maximum(env[:n_r], env[n_r:])
+    env = np.maximum(env[:ENVELOPE_RADII], env[ENVELOPE_RADII:])
     env = np.maximum.accumulate(env[::-1])[::-1]
     emax = float(env[0])
     if emax <= 0.0:
@@ -597,12 +602,12 @@ def _delta_margin(params, k, region):
     return float(np.min(np.abs(ds) / np.abs(k - params.center)))
 
 
-def _deformation_margin(params, rho, rd, n_rad=9, n_ang=65):
+def _deformation_margin(params, rho, rd):
     """Minimum scaled-denominator margin |Delta_s| / |k - c0| over the
     annular region sectors swept when the puncture arcs move from rd in to
     rho."""
     margin = np.inf
-    for r in np.linspace(rho, rd, n_rad):
+    for r in np.linspace(rho, rd, SWEEP_RADII):
         phi0 = arc_half_angle(params, r)
         spans = {
             RegionLabel.D0: (0.5 * np.pi - phi0, 0.5 * np.pi + phi0),
@@ -610,7 +615,7 @@ def _deformation_margin(params, rho, rd, n_rad=9, n_ang=65):
             RegionLabel.DMINUS: (-np.pi, -(0.5 * np.pi + phi0)),
         }
         for region, (a, b) in spans.items():
-            theta = np.linspace(a, b, n_ang)
+            theta = np.linspace(a, b, SWEEP_ANGLES)
             k = params.center + r * np.exp(1j * theta)
             margin = min(margin, _delta_margin(params, k, region))
     return margin
@@ -632,14 +637,18 @@ def _pick_arc_radius(params, horizon):
 
 
 def _solver_segments(params, horizon, budget, dk_weight, weight=None):
-    """Phase-graded quadrature nodes on the nine (deformed) segments,
-    grouped as (region, k, dk-weights), and the arc radius rho."""
+    """Phase-graded quadrature nodes on the formula's four contours: the real
+    window |k - c0| <= R as (k, w) and each region's boundary as
+    (region, k, dk-weights), its three (deformed) segments joined in
+    segment_specs order; the nine segments' node counts; and the arc radius."""
     rho = _pick_arc_radius(params, horizon)
-    r_t = budget.real_axis_window
+    c0, r_t = params.center, budget.real_axis_window
     if r_t <= 1.1 * rho:
         raise InvalidTruncation(
             "real_axis_window %.4g too small for the puncture radius %.4g, "
             "both in the unit interval's k" % (r_t, rho))
+    # past this cap, rounding on an arc (e^{amp} eps) passes the tolerance
+    precision_cap = np.log(budget.tolerance / np.finfo(np.float64).eps)
     specs = segment_specs(params, rho, r_t)
     measures, panel_counts = [], []
     for (kind, _region, lo, hi, _ori, gamma, _dg) in specs:
@@ -668,36 +677,36 @@ def _solver_segments(params, horizon, budget, dk_weight, weight=None):
                     "amplification exponent %.4g needs %.3g panels, more than "
                     "%d; the arc radius is too large for the horizon"
                     % (rho, amp, n_arc, MAX_ARC_PANELS))
+            if amp > precision_cap:
+                raise ExponentialOverflow(
+                    "arc amplification exponent %.4g exceeds the precision cap "
+                    "ln(tolerance / eps) = %.4g; the horizon is too long for "
+                    "the interval" % (amp, precision_cap))
             panel_counts[-1] = max(24, int(n_arc))
     free = [i for i, n in enumerate(panel_counts) if n is None]
     totals = np.array([measures[i][1][-1] for i in free])
     n_free_panels = max(12, budget.contour_nodes // 8)
     for i, share in zip(free, totals / np.sum(totals)):
         panel_counts[i] = max(2, int(round(n_free_panels * share)))
-    groups = []
-    for (_kind, region, lo, hi, ori, gamma, dgamma), (pf, cum), n_panels in zip(
+    ks, ws = [], []
+    for (_kind, _region, lo, hi, ori, gamma, dgamma), (pf, cum), n_panels in zip(
             specs, measures, panel_counts):
         p, w = _graded_panel_nodes(pf, cum, n_panels)
-        k = np.asarray(gamma(p), dtype=np.complex128)
-        weights = ori * w * np.asarray(dgamma(p), dtype=np.complex128)
-        groups.append((region, k, weights))
+        ks.append(np.asarray(gamma(p), dtype=np.complex128))
+        ws.append(ori * w * np.asarray(dgamma(p), dtype=np.complex128))
+    # each region's three segments are consecutive in specs
+    contours = [(specs[i][1], np.concatenate(ks[i:i + 3]),
+                 np.concatenate(ws[i:i + 3])) for i in (0, 3, 6)]
     # denominator margin on the actual nodes
-    margin = min(_delta_margin(params, k, region) for region, k, _w in groups)
+    margin = min(_delta_margin(params, k, region) for region, k, _w in contours)
     if margin < MIN_DELTA_MARGIN:
         raise QuadratureDiverged(
             "denominator margin %.3g on the contour nodes; the deformed "
             "contour passes too close to a zero" % margin)
-    return groups, rho
-
-
-def _real_axis_nodes(params, horizon, budget, dk_weight, weight=None):
-    """Phase-graded nodes and weights on the real window |k - c0| <= R."""
-    c0, r = params.center, budget.real_axis_window
-    pf, cum = _phase_measure(params, lambda p: p + 0j, c0 - r, c0 + r, horizon,
-                             dk_weight, weight=weight)
-    n_panels = max(4, budget.real_axis_nodes // 8)
-    p, w = _graded_panel_nodes(pf, cum, n_panels)
-    return p.astype(np.float64), w
+    pf, cum = _phase_measure(params, lambda p: p + 0j, c0 - r_t, c0 + r_t,
+                             horizon, dk_weight, weight=weight)
+    p, w = _graded_panel_nodes(pf, cum, max(4, budget.real_axis_nodes // 8))
+    return (p.astype(np.float64), w), contours, tuple(map(len, ks)), rho
 
 
 # --------------------------------------------------------------------------
@@ -863,8 +872,9 @@ class SolvePlan:
     """Everything a solve needs that its data does not change, for one
     (params, ell, horizon), output grid and budget: its _unit_twin's
     parameters unit_params, horizon tau and output grids unit_grids, and in
-    the twin's k the real-axis nodes (k_r, w_r), the nine contour node groups
-    (region, k, dk-weights) and the deformed arc radius rho.  The nodes are
+    the twin's k the four contours' nodes, real_axis (k_r, w_r) and groups,
+    one (region, k, dk-weights) per region boundary, the node_counts of its
+    nine segments and the deformed arc radius rho; no data.  The nodes are
     thinned by the radial envelope of the data the plan was made from.  Build
     one with make_plan; apply(data) solves for any data on the same
     (params, ell, horizon), all on the same nodes, so it is linear in data."""
@@ -877,16 +887,8 @@ class SolvePlan:
     unit_grids: Tuple[np.ndarray, np.ndarray]
     real_axis: Tuple[np.ndarray, np.ndarray]
     groups: list
+    node_counts: Tuple[int, ...]
     rho: float
-    # the data the plan was made from and its twin's samples, which apply
-    # reuses when given that same data object
-    source: ProblemData
-    source_samples: _Samples
-
-    @property
-    def node_counts(self) -> Tuple[int, ...]:
-        """Node count of each contour group."""
-        return tuple(len(k) for _region, k, _w in self.groups)
 
     def apply(self, data: ProblemData) -> Field:
         """Evaluate the solution representation of the forced linear problem
@@ -896,8 +898,7 @@ class SolvePlan:
                                                      self.horizon):
             raise ValueError("data params, ell or horizon differ from the plan's")
         xi, s = self.unit_grids
-        samples = (self.source_samples if data is self.source
-                   else _sample(_unit_twin(data), s))
+        samples = _sample(_unit_twin(data), s)
         vals = np.zeros((len(xi), len(s)), dtype=np.complex128)
         spatial = samples.u0v is not None or samples.forcing is not None
         if spatial:
@@ -927,7 +928,7 @@ class SolvePlan:
         _assemble(vals, self.tau, "in", k_r, w_r, om_r, coef)
 
     def _contour_term(self, vals, samples, region, k, w):
-        """One contour group's term: payload / Delta_s in the region's basis.
+        """A region's boundary term: payload / Delta_s in the region's basis.
 
         The region fixes its dominant root sigma = roots[dom] of roots =
         (k, nu+, nu-), the data-scaling root s (0 on D0, sigma on D+/-) and
@@ -992,10 +993,10 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
     dk_weight = 1.0 + 2.0 / ell
     weight = _radial_envelope(params, tau, samples, unit_budget.real_axis_window,
                               1.0 / ell)
-    real_axis = _real_axis_nodes(params, tau, unit_budget, dk_weight, weight)
-    groups, rho = _solver_segments(params, tau, unit_budget, dk_weight, weight)
+    real_axis, groups, counts, rho = _solver_segments(params, tau, unit_budget,
+                                                      dk_weight, weight)
     return SolvePlan(data.params, ell, data.horizon, params, tau, unit_grids,
-                     real_axis, groups, rho, data, samples)
+                     real_axis, groups, counts, rho)
 
 
 def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:

@@ -12,7 +12,8 @@ Their boundaries are nine oriented segments: hyperbola branches of the
 Im omega = 0 locus, circular arcs of the puncture disk, and real-axis rays,
 each truncated at a common radius.  segment_specs describes them
 geometrically; the solver (linear._solver_segments) places its phase-graded
-quadrature nodes on them.
+quadrature nodes on them and joins each region's three segments into one
+contour, so the solution formula has one term per region.
 """
 
 from __future__ import annotations

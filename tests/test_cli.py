@@ -231,21 +231,24 @@ class TestSolveVerb:
         assert diag["error"] == "StepDiverged"
 
     def test_arc_overflow_exit_3(self, tmp_path):
-        # ell = 0.1, T = 0.25: the arc radius is held at 1.5 / ell = 15, an
-        # arc amplification exponent of 843.8
-        doc = dict(BASE, geometry={"ell": 0.1, "horizon": 0.25},
-                   data={"preset": "plane_wave", "a": 2.0})
-        doc["solver"] = {"grid": [9, 9],
-                         "budget": {"contour_nodes": 4000,
-                                    "real_axis_nodes": 2000}}
-        config = write_config(tmp_path, doc)
-        out = tmp_path / "o4"
-        result = CliRunner().invoke(main, ["solve", "--config", config,
-                                           "--mode", "linear",
-                                           "--out", str(out)])
-        assert result.exit_code == 3, result.output
-        diag = json.loads((out / "diagnostics.json").read_text())
-        assert diag["error"] == "ExponentialOverflow"
+        # (ell, T) = (0.1, 0.25): the arc radius is held at 1.5 / ell = 15, an
+        # arc amplification exponent of 843.8, past the overflow guard; the
+        # other rows' 54, 81 and 42.2 pass the precision cap 29.1
+        for i, (ell, horizon) in enumerate(
+                ((0.1, 0.25), (0.5, 2.0), (0.5, 3.0), (0.2, 0.1))):
+            doc = dict(BASE, geometry={"ell": ell, "horizon": horizon},
+                       data={"preset": "plane_wave", "a": 2.0})
+            doc["solver"] = {"grid": [9, 9],
+                             "budget": {"contour_nodes": 4000,
+                                        "real_axis_nodes": 2000}}
+            config = write_config(tmp_path, doc)
+            out = tmp_path / ("o4-%d" % i)
+            result = CliRunner().invoke(main, ["solve", "--config", config,
+                                               "--mode", "linear",
+                                               "--out", str(out)])
+            assert result.exit_code == 3, result.output
+            diag = json.loads((out / "diagnostics.json").read_text())
+            assert diag["error"] == "ExponentialOverflow"
 
     def test_arc_panel_cap_exit_3(self, tmp_path):
         # ell = 0.2, T = 1 at the default budget: the arc would need about

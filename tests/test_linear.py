@@ -1,6 +1,6 @@
 """Contour-integral evaluator: time transforms, solves, traces, residual."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -371,13 +371,17 @@ class TestExponentialTables:
         assert min(arcs[0]) > 0 and arcs[0] == arcs[1]
 
     def test_arc_amplification_guard(self):
-        # ell = 0.1, T = 0.25: the arc radius is held at 1.5 / ell = 15,
+        # (ell, T) = (0.1, 0.25): the arc radius is held at 1.5 / ell = 15,
         # which amplifies by e^{843.8}; the arc panel count would overflow,
-        # so the guard raises first
-        data = plane_wave_data(AIRY, 0.1, 0.25, 2.0)
+        # so the overflow guard raises first.  The other rows amplify by
+        # e^{54}, e^{81} and e^{42.2}, past the precision cap
+        # ln(tolerance / eps) = 29.1; below it they returned errors of 5e4,
+        # 3e16 and 0.1
         budget = QuadratureBudget(contour_nodes=4000, real_axis_nodes=2000)
-        with pytest.raises(ExponentialOverflow, match="arc amplification"):
-            solve_full(data, (9, 9), budget)
+        for ell, horizon in ((0.1, 0.25), (0.5, 2.0), (0.5, 3.0), (0.2, 0.1)):
+            data = plane_wave_data(AIRY, ell, horizon, 2.0)
+            with pytest.raises(ExponentialOverflow, match="arc amplification"):
+                solve_full(data, (9, 9), budget)
 
     def test_arc_panel_cap(self):
         # on a short interval the arc radius is held at 1.5 / ell = 7.5: at
@@ -819,8 +823,36 @@ class TestSolvePlan:
         np.testing.assert_array_equal(plan.apply(data).values, want)
         # an equal data object is sampled afresh, to the same field
         np.testing.assert_array_equal(plan.apply(replace(data)).values, want)
-        assert len(plan.groups) == len(plan.node_counts) == 9
+        assert len(plan.groups) == 3 and len(plan.node_counts) == 9
         assert 0 < plan.rho <= r_delta(AIRY, 1.0)
+
+    def test_one_term_per_contour(self, monkeypatch):
+        # a forced plane wave has u0, boundary data and forcing: the real
+        # window takes one kernel call and one assembly, and each of the
+        # three region contours one kernel call per symmetry root and one
+        # assembly
+        data, _exact = _forced_plane_wave(AIRY, 33, 17)
+        plan = make_plan(data, (9, 9), SMALL_BUDGET)
+        calls = []
+
+        def counted(name):
+            inner = getattr(linear, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in ("_assemble", "_apply_kernel"):
+            monkeypatch.setattr(linear, name, counted(name))
+        plan.apply(data)
+        assert (calls.count("_assemble"), calls.count("_apply_kernel")) == (4, 10)
+        # each region contour joins its three segments, in segment order
+        for i, (_region, k, w) in enumerate(plan.groups):
+            assert len(k) == len(w) == sum(plan.node_counts[3 * i:3 * i + 3])
+        # the plan keeps no data
+        kept = [getattr(plan, f.name) for f in fields(plan)]
+        assert not any(isinstance(v, (ProblemData, linear._Samples)) for v in kept)
 
     def test_data_and_forcing_parts_add_up(self):
         # the solution map on one plan is linear: the split picard_solve uses
@@ -986,8 +1018,8 @@ class TestValidation:
     def test_forcing_grid_tolerance_is_relative(self):
         # a forcing grid may miss the interval's end by 1e-9 of its length:
         # then its twin's grid on [0, 1] misses 1 by 1e-9 too, and solves
-        data = plane_wave_data(AIRY, 0.1, 0.02, 2.0)
-        t = np.linspace(0.0, 0.02, 17)
+        data = plane_wave_data(AIRY, 0.1, 2e-3, 2.0)
+        t = np.linspace(0.0, 2e-3, 17)
         for miss, accepted in ((5e-11, True), (5e-10, False)):
             x = np.linspace(0.0, 0.1, 33)
             x[-1] += miss

@@ -20,10 +20,15 @@ DK_WEIGHT = 3.0
 
 
 def solver_segments(params, horizon=0.5, budget=BUDGET):
-    """The solver's contour nodes as (kind, k) per segment, and rho."""
-    groups, rho = _solver_segments(params, horizon, budget, DK_WEIGHT)
+    """The solver's region contour nodes as (kind, k) per segment, split by
+    the per-segment node counts, and rho."""
+    _real, contours, counts, rho = _solver_segments(params, horizon, budget,
+                                                    DK_WEIGHT)
     specs = segment_specs(params, rho, budget.real_axis_window)
-    return [(spec[0], k) for spec, (_region, k, _w) in zip(specs, groups)], rho
+    nodes = []
+    for i, (_region, k, _w) in enumerate(contours):
+        nodes += np.split(k, np.cumsum(counts[3 * i:3 * i + 2]))
+    return [(spec[0], k) for spec, k in zip(specs, nodes)], rho
 
 
 def segment_endpoints(spec):
