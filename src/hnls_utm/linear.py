@@ -41,14 +41,17 @@ Two numerical choices matter:
 
 The forcing is factored once per solve as A(x) B(t) of rank r (_sample):
 the x-kernels act on the r columns of A, and only the r rows of B are
-splined in time.  All time transforms share the moments and e^{-i w t} of a
-chunk of w and contract every series with them by matrix products.  Each
-term of the representation sums, over its nodes, w_k e^{i k x} e^{i omega t}
-(e^{-i k (1 - x)} on D+/-) times one coefficient array, constant in time or
-on the output times; _assemble takes it and applies the 1/(2 pi).  A region's
-coefficient is its payload over Delta, the data entering as
-u0hat - i Ahat . Btilde; the real axis's is u0hat plus the forcing history,
-a running transform of B's splines with the node weights -i Ahat(k).
+splined in time.  The data enter the formula only through truncated time
+transforms, and one routine, _time_transform, takes them all: a weighted
+sum over a few shared series of int_0^t e^{-i w u} phi(u) du, at the
+horizon on the region boundaries and at every output time in the real
+axis's forcing history.  Each term of the representation sums, over its
+nodes, w_k e^{i k x} e^{i omega t} (e^{-i k (1 - x)} on D+/-) times one
+coefficient array, constant in time or on the output times; _assemble takes
+it and applies the 1/(2 pi).  A region's coefficient is its payload over
+Delta, weights times transforms of the g0/h0/h1 stack and of B; the real
+axis's is u0hat plus the forcing history, B's running transform with the
+node weights -i Ahat(k).
 
 The x-factors e^{-i k x} of the data's x-transforms and e^{i k x} of the
 assembly are summed by Taylor cells in k: the nodes are grouped into squares
@@ -271,90 +274,59 @@ def _phase_table(w, dt, n, scale=None):
     return out.T
 
 
-def _moment_chunks(horizon, nt, w, chunk):
-    """Per chunk of w: the slice, the Filon moments (4, ncw) over one time
-    cell and e^{-i w t} at the cell starts (ncw, nt - 1), shared by every
-    series transformed at those w.  The check runs at the first step."""
-    if np.max(w.imag) * horizon > OVERFLOW_GUARD:
-        raise ExponentialOverflow("Im w too positive for the time transform")
-    dt = horizon / (nt - 1)
-    for lo in range(0, len(w), chunk):
-        sel = slice(lo, min(lo + chunk, len(w)))
-        yield sel, _filon_moments(w[sel], dt), _phase_table(w[sel], dt, nt - 1)
+def _time_transform(series, horizon: float, w, weights, times=None,
+                    chunk: Optional[int] = None) -> np.ndarray:
+    """sum_s weights[j, s] int_0^t e^{-i w_j u} phi_s(u) du against the cubic
+    spline phi_s of each row of series, (S, nt) on linspace(0, horizon, nt):
+    at t = horizon, (nw,), or at every time of times, (nw, len(times)).
 
-
-def _spline_coefficients(series, horizon):
-    """Cubic-spline coefficients (4, nt - 1, S) of a stack of S series on a
-    uniform grid over [0, horizon], lowest power first."""
-    t = np.linspace(0.0, horizon, series.shape[1])
-    return CubicSpline(t, series, axis=1).c[::-1]
-
-
-def _time_transform(series, horizon: float, w, chunk: int = 256) -> np.ndarray:
-    """int_0^horizon e^{-i w t} phi_s(t) dt against a cubic spline of each
-    series phi_s, for every w.
-
-    series is (S, nt), a stack of series sampled on a uniform grid and shared
-    by all w, or one series (nt,).  Returns (nw, S), or (nw,) for one series.
-    The moments and exponentials are computed once per chunk of w, and one
-    matrix product contracts them with every series' four cell polynomial
-    coefficients.  The chunk holds the 257-point stack's phase table to 1 MiB,
-    reused from the heap and cached, not mapped afresh (past 4 MiB, as huge
-    pages when the kernel has them) for every chunk.
-    """
-    w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
-    vals = np.atleast_2d(np.asarray(series, dtype=np.complex128))
-    coef = _spline_coefficients(vals, horizon)
-    # (nt - 1, 4 S): cell rows, columns grouped by power
-    coef = coef.transpose(1, 0, 2).reshape(coef.shape[1], -1)
-    out = np.empty((len(w), len(vals)), dtype=np.complex128)
-    for sel, mom, eph in _moment_chunks(horizon, vals.shape[1], w, chunk):
-        prod = (eph @ coef).reshape(len(mom[0]), 4, -1)
-        out[sel] = sum(mom[m][:, None] * prod[:, m] for m in range(4))
-    return out[:, 0] if np.ndim(series) == 1 else out
-
-
-def _cumulative_transform(series, horizon: float, w, weights,
-                          chunk: int = 512) -> np.ndarray:
-    """Running integrals int_0^{t_i} e^{-i w_j t} sum_s weights[j, s] phi_s(t) dt
-    at every grid time t_i, against cubic splines of the series.
-
-    series is (S, nt) on linspace(0, horizon, nt), B's grid for the forcing
-    history, and weights is (nw, S).  Only the S series are splined: per
-    chunk the moments are folded into the weights as one (chunk, 4 S)
-    matrix, one product with the (4 S, nt - 1) spline coefficients gives
-    every cell integral, and the phase table multiplies it in place before
-    the running sum.  Returns (nw, nt).
+    weights is (nw, S), or (S,) shared by every w.  Per chunk of w, the Filon
+    moments over one time cell are folded into the weights as one (chunk, 4 S)
+    matrix.  At the horizon, the phase table e^{-i w t} at the cell starts is
+    first multiplied by the (nt - 1, 4 S) spline coefficients and then
+    contracted with it; at the times, one product with the coefficients gives
+    every cell integral, which the phase table multiplies in place before the
+    running sum.  The integrals on the series' grid go to other times by its
+    cubic spline, linear in the data, so as one (nt, len(times)) matrix.  The
+    chunk defaults to 2^16 / (nt - 1) rows, which holds the phase table to
+    1 MiB, reused from the heap and cached rather than mapped afresh (past
+    4 MiB, as huge pages when the kernel has them) for every chunk.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     vals = np.asarray(series, dtype=np.complex128)
-    weights = np.asarray(weights, dtype=np.complex128)
     nt = vals.shape[1]
-    coef = _spline_coefficients(vals, horizon)
-    # (4 S, nt - 1): row m S + s holds series s's power-m coefficients
-    coef = coef.transpose(0, 2, 1).reshape(-1, nt - 1)
-    out = np.empty((len(w), nt), dtype=np.complex128)
-    out[:, 0] = 0.0
-    for sel, mom, eph in _moment_chunks(horizon, nt, w, chunk):
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.complex128),
+                              (len(w), len(vals)))
+    if np.max(w.imag) * horizon > OVERFLOW_GUARD:
+        raise ExponentialOverflow("Im w too positive for the time transform")
+    grid = np.linspace(0.0, horizon, nt)
+    # (4, nt - 1, S): cell polynomial coefficients, lowest power first
+    coef = CubicSpline(grid, vals, axis=1).c[::-1]
+    if times is None:
+        # (nt - 1, 4 S): cell rows, columns grouped by power
+        coef = coef.transpose(1, 0, 2).reshape(nt - 1, -1)
+        out = np.empty(len(w), dtype=np.complex128)
+    else:
+        # (4 S, nt - 1): row m S + s holds series s's power-m coefficients
+        coef = coef.transpose(0, 2, 1).reshape(-1, nt - 1)
+        out = np.empty((len(w), nt), dtype=np.complex128)
+        out[:, 0] = 0.0
+    dt = horizon / (nt - 1)
+    chunk = chunk or max(1, 2 ** 16 // (nt - 1))
+    for lo in range(0, len(w), chunk):
+        sel = slice(lo, lo + chunk)
+        mom = _filon_moments(w[sel], dt)
+        eph = _phase_table(w[sel], dt, nt - 1)
         folded = mom.T[:, :, None] * weights[sel][:, None, :]
-        cell = folded.reshape(len(eph), -1) @ coef
-        np.cumsum(np.multiply(cell, eph, out=cell), axis=1, out=out[sel, 1:])
-    return out
-
-
-def _forcing_history(series_b, horizon: float, w, weights, t_grid) -> np.ndarray:
-    """-i int_0^t e^{-i w_j s} sum_r weights[j, r] B_r(s) ds at the times t
-    of t_grid, (nw, len(t_grid)): the running transform of the factored
-    forcing A B, weights being A's x-transforms, with -i applied to the
-    (nw, r) weights.  The integrals on B's grid linspace(0, horizon, nt) go
-    to t_grid by its cubic spline, linear in the data, so as one
-    (nt, len(t_grid)) matrix.  On B's own grid they are returned as they
-    are: every Picard iteration, and every solve forced by the blend alone."""
-    icum = _cumulative_transform(series_b, horizon, w, -1j * weights)
-    tb = np.linspace(0.0, horizon, series_b.shape[1])
-    if np.array_equal(tb, t_grid):
-        return icum
-    return icum @ CubicSpline(tb, np.eye(len(tb)), axis=1)(t_grid)
+        folded = folded.reshape(len(eph), -1)
+        if times is None:
+            out[sel] = np.einsum("ij,ij->i", eph @ coef, folded)
+        else:
+            cell = folded @ coef
+            np.cumsum(np.multiply(cell, eph, out=cell), axis=1, out=out[sel, 1:])
+    if times is None or np.array_equal(grid, times):
+        return out
+    return out @ CubicSpline(grid, np.eye(nt), axis=1)(times)
 
 
 # --------------------------------------------------------------------------
@@ -575,12 +547,13 @@ def _radial_envelope(params, horizon, samples, r_max, h1_weight):
     om = omega(params, ks).real
     omp = np.abs(omega_prime(params, ks))
     u0hat, ahat = _x_transforms(ks, None, samples)
-    st, bt = _data_time_transforms(samples, horizon, om)
     env = np.zeros(2 * ENVELOPE_RADII) if u0hat is None else np.abs(u0hat)
-    if st is not None:
-        env += omp * np.sum(np.abs(st) * [1.0, 1.0, h1_weight], axis=1)
-    if bt is not None:
-        env += np.abs(np.sum(ahat * bt, axis=1))
+    if samples.stack is not None:
+        g0t, h0t, h1t = (np.abs(_time_transform(row[None], horizon, om, 1.0))
+                         for row in samples.stack)
+        env += omp * (g0t + h0t + h1_weight * h1t)
+    if ahat is not None:
+        env += np.abs(_time_transform(samples.forcing[1], horizon, om, ahat))
     env = np.maximum(env[:ENVELOPE_RADII], env[ENVELOPE_RADII:])
     env = np.maximum.accumulate(env[::-1])[::-1]
     emax = float(env[0])
@@ -645,8 +618,8 @@ def _solver_segments(params, horizon, budget, dk_weight, weight=None):
     c0, r_t = params.center, budget.real_axis_window
     if r_t <= 1.1 * rho:
         raise InvalidTruncation(
-            "real_axis_window %.4g too small for the puncture radius %.4g, "
-            "both in the unit interval's k" % (r_t, rho))
+            "real_axis_window too small for the puncture radius rho: it must "
+            "exceed 1.1 rho, so be more than %.4g times wider" % (1.1 * rho / r_t))
     # past this cap, rounding on an arc (e^{amp} eps) passes the tolerance
     precision_cap = np.log(budget.tolerance / np.finfo(np.float64).eps)
     specs = segment_specs(params, rho, r_t)
@@ -790,15 +763,6 @@ def _x_transforms(k, shift, samples: _Samples):
     return tuple(None if p is None else next(hats) for p in parts)
 
 
-def _data_time_transforms(samples: _Samples, horizon, w):
-    """Time transforms at w of the g0/h0/h1 stack, (nw, 3), and of the
-    forcing series B, (nw, r), each on its own time grid; None for an absent
-    part."""
-    series_b = None if samples.forcing is None else samples.forcing[1]
-    return tuple(None if s is None else _time_transform(s, horizon, w)
-                 for s in (samples.stack, series_b))
-
-
 def _corner_blend(data: ProblemData):
     """Bilinear function w(x, t) matching the rectangle-corner values u0(0),
     u0(1), g0(T), h0(T) of data on [0, 1] (a _unit_twin), together with its
@@ -918,8 +882,8 @@ class SolvePlan:
         om_r = omega(self.unit_params, k_r + 0j).real
         coef, ahat = _x_transforms(k_r, None, samples)
         if ahat is not None:
-            history = _forcing_history(samples.forcing[1], self.tau, om_r,
-                                       ahat, self.unit_grids[1])
+            history = _time_transform(samples.forcing[1], self.tau, om_r,
+                                      -1j * ahat, self.unit_grids[1])
             # freed before the assembly, where a forced solve peaks in memory
             del ahat
             if coef is not None:
@@ -939,7 +903,10 @@ class SolvePlan:
         T_j = u0hat - i sum_r Ahat_r Btilde_r at roots_j, shifted by
         e^{i sigma} at sigma, c_j = mu_j z at the other two roots and
         c_sigma = mu_sigma on D+/-, -(mu+ f+ + mu- f-) on D0.  Grouped so,
-        every exponent has nonpositive real part.
+        every exponent has nonpositive real part.  The payload is built as
+        weights times transforms: one _time_transform of the g0/h0/h1 stack
+        with the weights in brackets, times -omega', one of B with the
+        weights -i sum_j c_j Ahat_j, and the u0 terms sum_j c_j u0hat_j.
         """
         params = self.unit_params
         roots = symmetry_roots(params, k)
@@ -951,20 +918,24 @@ class SolvePlan:
         fp = np.exp(1j * (s - roots[1]))
         fm = np.exp(1j * (s - roots[2]))
         om = omega(params, k)
-        omp = omega_prime(params, k)
-        st, bt = _data_time_transforms(samples, self.tau, om)
-        g0t, h0t, h1t = (0.0, 0.0, 0.0) if st is None else st.T
-        payload = -omp * (mu[0] * z * g0t + (roots[2] * fp - roots[1] * fm) * h0t
-                          + 1j * (fp - fm) * h1t)
+        payload = 0.0
+        if samples.stack is not None:
+            boundary = -omega_prime(params, k)[:, None] * np.stack(
+                [mu[0] * z, roots[2] * fp - roots[1] * fm, 1j * (fp - fm)], axis=1)
+            payload = _time_transform(samples.stack, self.tau, om, boundary)
         c = [m * z for m in mu]
         c[dom] = -(mu[1] * fp + mu[2] * fm) if in_d0 else mu[dom]
+        forcing = 0.0
         for j, root in enumerate(roots):
             shift = 1j * root if j == dom else None
             u0hat, ahat = _x_transforms(root, shift, samples)
-            hat = 0.0 if u0hat is None else u0hat
+            if u0hat is not None:
+                payload = payload + c[j] * u0hat
             if ahat is not None:
-                hat = hat - 1j * np.sum(ahat * bt, axis=1)
-            payload = payload + c[j] * hat
+                forcing = forcing + c[j][:, None] * ahat
+        if samples.forcing is not None:
+            payload = payload + _time_transform(samples.forcing[1], self.tau, om,
+                                                -1j * forcing)
         _assemble(vals, self.tau, "in" if in_d0 else "out", k, w, om,
                   payload / scaled_delta(roots, 1.0, roots[dom]))
 
@@ -1103,13 +1074,13 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
     left = np.stack([-poly0, 1j * poly1, np.full_like(karr, beta)], axis=1)
     weights = np.concatenate(
         [left, -np.exp(-1j * karr * ell)[:, None] * left], axis=1)
-    rhs = u0hat[:, None] + _cumulative_transform(
-        np.stack([g0, g1, g2, h0, h1, h2]), th, om, weights)
+    rhs = u0hat[:, None] + _time_transform(
+        np.stack([g0, g1, g2, h0, h1, h2]), th, om, weights, t)
     forcing = _factor_forcing(None if data.forcing is None
                               else resample(data.forcing, xq))
     if forcing is not None:
         (ahat,) = _apply_kernel(ell * karr, None, [ell * forcing[0]])
-        rhs = rhs + _forcing_history(forcing[1], horizon, om, ahat, t)
+        rhs = rhs + _time_transform(forcing[1], horizon, om, -1j * ahat, t)
 
     scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))))
     if scale == 0.0:

@@ -11,8 +11,7 @@ from hnls_utm.dispersion import DispersionParams, symmetry_roots
 from hnls_utm.errors import ExponentialOverflow, GridTooCoarse, InvalidTruncation
 from hnls_utm.fields import Field
 from hnls_utm.linear import (OVERFLOW_GUARD, ProblemData, QuadratureBudget,
-                             _cumulative_transform, _filon_moments,
-                             _time_transform, evaluate_traces,
+                             _filon_moments, _time_transform, evaluate_traces,
                              fd_weights,
                              global_relation_residual, make_plan, solve_full,
                              solve_reduced, zero_data)
@@ -55,7 +54,7 @@ class TestTimeTransform:
         t = np.linspace(0.0, horizon, 257)
         vals = np.exp(1j * a * t)
         w = np.array([0.0, 1.0, 37.0, 300.0, -150.0], dtype=complex)
-        got = _time_transform(vals, horizon, w)
+        got = _time_transform(vals[None], horizon, w, [1.0])
         want = (np.exp(1j * (a - w) * horizon) - 1.0) / (1j * (a - w))
         np.testing.assert_allclose(got, want, rtol=1e-7)
 
@@ -64,18 +63,19 @@ class TestTimeTransform:
         t = np.linspace(0.0, horizon, 65)
         vals = np.sin(3 * t) + 1j * t ** 2
         w = np.array([11.0 + 0.0j])
-        cum = _cumulative_transform(vals[None, :], horizon, w, np.ones((1, 1)))[0]
+        cum = _time_transform(vals[None, :], horizon, w, [1.0], t)[0]
         for j in (10, 32, 64):
-            direct = _time_transform(vals[: j + 1], t[j], w)[0]
+            direct = _time_transform(vals[None, : j + 1], t[j], w, [1.0])[0]
             assert cum[j] == pytest.approx(direct, rel=1e-6, abs=1e-12)
 
     def test_rowwise_values(self):
-        # a stack of series is transformed at every w: (nw, S)
+        # a stack of series with one-hot weights picks out each series
         horizon = 1.0
         t = np.linspace(0.0, horizon, 129)
         w = np.array([3.0 + 0.0j, 80.0 + 0.0j])
         rows = np.stack([np.exp(1j * 2 * t), t.astype(complex)])
-        got = _time_transform(rows, horizon, w)
+        got = np.stack([_time_transform(rows, horizon, w, e) for e in np.eye(2)],
+                       axis=1)
         assert got.shape == (2, 2)
         want0 = (np.exp(1j * (2 - w[0])) - 1.0) / (1j * (2 - w[0]))
         assert got[0, 0] == pytest.approx(want0, rel=1e-8)
@@ -91,15 +91,22 @@ class TestTimeTransform:
         rows = np.stack([np.exp(1j * 2 * t), np.cos(5 * t) + 1j * t,
                          t ** 3 - 0.5j])
         w = np.array([0.0, 0.3, 9.0, 250.0 - 2.0j, -40.0], dtype=complex)
-        stacked = _time_transform(rows, horizon, w, chunk=2)
-        for s, row in enumerate(rows):
-            np.testing.assert_allclose(stacked[:, s],
-                                       _time_transform(row, horizon, w),
-                                       rtol=1e-13, atol=1e-15)
-        weights = np.arange(15.0).reshape(5, 3) * (1.0 - 0.5j)
-        cum = _cumulative_transform(rows, horizon, w, weights, chunk=2)
-        np.testing.assert_allclose(cum[:, -1], np.sum(weights * stacked, axis=1),
-                                   rtol=1e-12, atol=1e-14)
+        single = np.stack([_time_transform(row[None], horizon, w, [1.0])
+                           for row in rows], axis=1)
+        for s in range(3):
+            np.testing.assert_allclose(
+                _time_transform(rows, horizon, w, np.eye(3)[s], chunk=2),
+                single[:, s], rtol=1e-13, atol=1e-15)
+        # per-w and shared weights; at the horizon, on the series' grid and
+        # at times off it, which end at the horizon
+        off = np.linspace(0.0, horizon, 11)
+        for weights in (np.arange(15.0).reshape(5, 3) * (1.0 - 0.5j),
+                        np.array([1.5, -0.5j, 2.0 - 1.0j])):
+            want = np.sum(weights * single, axis=1)
+            for times, last in ((None, ...), (t, -1), (off, -1)):
+                got = _time_transform(rows, horizon, w, weights, times, chunk=2)
+                np.testing.assert_allclose(got[:, last], want,
+                                           rtol=1e-12, atol=1e-14)
 
     def test_running_stack_at_every_time(self):
         # the moments are folded into the weights by (power, series): every
@@ -111,18 +118,27 @@ class TestTimeTransform:
         rows = np.stack([np.exp(1j * 2 * t), np.cos(5 * t) + 1j * t,
                          t ** 3 - 0.5j])
         w = np.array([0.0, 0.3, 9.0, 250.0 - 2.0j, -40.0], dtype=complex)
-        weights = (np.arange(15.0).reshape(5, 3) - 6.0) * (1.0 - 0.5j) + 2.0j
-        cum = _cumulative_transform(rows, horizon, w, weights, chunk=2)
         xg, wg = roots_legendre(24)
         half = 0.5 * (t[1] - t[0])
         s = (0.5 * (t[1:] + t[:-1]))[:, None] + half * xg
         spl = CubicSpline(t, rows, axis=1)(s)
         cells = np.einsum("wcg,rcg,g->wrc", np.exp(-1j * w[:, None, None] * s),
                           spl, half * wg)
-        want = np.einsum("wr,wrc->wc", weights, np.cumsum(cells, axis=2))
-        assert np.all(cum[:, 0] == 0.0)
-        np.testing.assert_allclose(cum[:, 1:], want, rtol=1e-11,
-                                   atol=1e-13 * np.max(np.abs(want)))
+        # per-w and shared weights
+        for weights in ((np.arange(15.0).reshape(5, 3) - 6.0) * (1.0 - 0.5j) + 2.0j,
+                        np.array([0.5 - 1.0j, -2.0, 3.0j])):
+            cum = _time_transform(rows, horizon, w, weights, t, chunk=2)
+            want = np.einsum("wr,wrc->wc", np.broadcast_to(weights, (5, 3)),
+                             np.cumsum(cells, axis=2))
+            assert np.all(cum[:, 0] == 0.0)
+            np.testing.assert_allclose(cum[:, 1:], want, rtol=1e-11,
+                                       atol=1e-13 * np.max(np.abs(want)))
+            # off the series' grid, the running integrals are splined in time
+            off = np.linspace(0.0, horizon, 12)[1:-1]
+            want = CubicSpline(t, np.pad(want, ((0, 0), (1, 0))), axis=1)(off)
+            np.testing.assert_allclose(
+                _time_transform(rows, horizon, w, weights, off, chunk=2), want,
+                rtol=1e-11, atol=1e-13 * np.max(np.abs(want)))
 
     def test_default_chunks_match_one_chunk(self):
         # 700 nodes on the 257-point stack take whole and partial default
@@ -131,9 +147,12 @@ class TestTimeTransform:
         t = np.linspace(0.0, horizon, 257)
         rows = np.stack([np.sin(3 * t), np.exp(-1j * t), t ** 2 + 0.5j])
         w = np.linspace(-300.0, 300.0, 700) - 1j * np.linspace(0.0, 2.0, 700)
-        np.testing.assert_allclose(_time_transform(rows, horizon, w),
-                                   _time_transform(rows, horizon, w, chunk=700),
-                                   rtol=1e-14, atol=1e-16)
+        for e in np.eye(3):
+            for times in (None, t):
+                np.testing.assert_allclose(
+                    _time_transform(rows, horizon, w, e, times),
+                    _time_transform(rows, horizon, w, e, times, chunk=700),
+                    rtol=1e-14, atol=1e-16)
 
 
 XQ, WQ = linear.XQ_NODES, linear.XQ_WEIGHTS
@@ -239,8 +258,7 @@ class TestExponentialTables:
             np.linspace(-300.0, 300.0, 7) + 1j * np.linspace(1.0, 1300.0, 7),
             np.linspace(-300.0, 300.0, 7) - 1j * np.array(
                 [1e3, 1.4e3, 1.5e3, 1.6e3, 3e3, 5e4, 1e6])])
-        eph = np.concatenate([e for _sel, _mom, e in
-                              linear._moment_chunks(horizon, cells + 1, w, 16)])
+        eph = linear._phase_table(w, horizon / cells, cells)
         dense = np.exp(-1j * np.outer(w, t[:-1]))
         # both round the phase w t, so they agree to a few ulps of |w| T;
         # entries that underflow in one underflow in the other
@@ -300,9 +318,11 @@ class TestExponentialTables:
         vals = np.linspace(0.0, 1.0, 33) + 0j
         w_max = OVERFLOW_GUARD / horizon
         with pytest.raises(ExponentialOverflow):
-            _time_transform(vals, horizon, np.array([3.0, 1.01j * w_max]))
+            _time_transform(vals[None], horizon, np.array([3.0, 1.01j * w_max]),
+                            [1.0])
         assert np.all(np.isfinite(
-            _time_transform(vals, horizon, np.array([3.0, 0.99j * w_max]))))
+            _time_transform(vals[None], horizon, np.array([3.0, 0.99j * w_max]),
+                            [1.0])))
 
     @staticmethod
     def dense_assembly(x_grid, t_grid, ell, basis, k, w, om, coef):
@@ -398,6 +418,23 @@ class TestExponentialTables:
         data = plane_wave_data(AIRY, 1.0, 0.5, 2.0)
         with pytest.raises(InvalidTruncation):
             solve_full(data, (9, 9), budget)
+
+    def test_invalid_truncation_names_the_factor(self):
+        # at ell = 0.1 the default window R = 30 is 3 in the unit twin's k,
+        # below 1.1 rho; the message names the factor 1.1 rho / 3, without
+        # units, and a window that factor wider plans and solves
+        data = plane_wave_data(AIRY, 0.1, 2e-4, 2.0)
+        with pytest.raises(InvalidTruncation) as raised:
+            make_plan(data, (33, 17), QuadratureBudget())
+        with pytest.raises(InvalidTruncation):
+            make_plan(data, (33, 17), QuadratureBudget(real_axis_window=43.0))
+        plan = make_plan(data, (33, 17), QuadratureBudget(real_axis_window=44.0))
+        factor = 1.1 * plan.rho / (30.0 * 0.1)
+        assert 1.4 < factor < 44.0 / 30.0
+        assert "%.4g times wider" % factor in str(raised.value)
+        field = plan.apply(data)
+        exact = plane_wave_field(AIRY, 2.0, field.x_grid, field.t_grid)
+        assert field.relative_l2_gap(exact) <= 1e-3
 
 
 class TestTaylorCells:
@@ -843,10 +880,16 @@ class TestSolvePlan:
                 return inner(*args, **kwargs)
             return wrapper
 
-        for name in ("_assemble", "_apply_kernel"):
+        for name in ("_assemble", "_apply_kernel", "_time_transform"):
             monkeypatch.setattr(linear, name, counted(name))
         plan.apply(data)
         assert (calls.count("_assemble"), calls.count("_apply_kernel")) == (4, 10)
+        # one time transform of the g0/h0/h1 stack and one of B per region,
+        # and the forcing history on the real window, all by one routine
+        assert calls.count("_time_transform") == 7
+        assert not any(hasattr(linear, name) for name in (
+            "_cumulative_transform", "_forcing_history", "_data_time_transforms",
+            "_spline_coefficients", "_moment_chunks"))
         # each region contour joins its three segments, in segment order
         for i, (_region, k, w) in enumerate(plan.groups):
             assert len(k) == len(w) == sum(plan.node_counts[3 * i:3 * i + 3])

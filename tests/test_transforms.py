@@ -1,8 +1,8 @@
 """Closed forms of the solver's transforms: the finite-interval Fourier
 transform (linear._apply_kernel on the unit x-quadrature), the truncated time
-transforms (linear._time_transform, linear._cumulative_transform) and the
-factored forcing transform (linear._factor_forcing); the Laplace transform
-and the data containers."""
+transforms, at the horizon and running (linear._time_transform, the one
+weighted Filon-spline routine) and the factored forcing transform
+(linear._factor_forcing); the Laplace transform and the data containers."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnls_utm.errors import ExponentialOverflow
-from hnls_utm.linear import (XQ_NODES, _apply_kernel, _cumulative_transform,
-                             _factor_forcing, _time_transform)
+from hnls_utm.linear import (XQ_NODES, _apply_kernel, _factor_forcing,
+                             _time_transform)
 from hnls_utm.transforms import SpatialProfile, TimeSeries, laplace_transform
 
 
@@ -29,22 +29,23 @@ def interval_fourier(prof, k):
 
 def tilde_transform(ser, w):
     """int_0^horizon e^{-i w t} phi(t) dt as the solver computes it."""
-    return complex(_time_transform(ser.samples, ser.horizon, np.array([w]))[0])
+    return complex(_time_transform(ser.samples[None], ser.horizon, np.array([w]),
+                                   [1.0])[0])
 
 
 def forcing_transform(func, horizon, k, w, nt=257):
     """int_0^horizon e^{-i w t} int_0^1 e^{-i k x} f(x, t) dx dt as the
     solver computes it: the forcing sampled on the x-quadrature and a uniform
     time grid, factored as A(x) B(t), the x-kernel on the columns of A and
-    the time transform of the rows of B."""
+    the time transform of the rows of B weighted by A's x-transforms."""
     t = np.linspace(0.0, horizon, nt)
     factored = _factor_forcing(func(XQ_NODES[:, None], t[None, :]))
     if factored is None:
         return 0.0
     a, b = factored
     (ahat,) = _apply_kernel(np.array([k], dtype=np.complex128), None, [a])
-    bt = _time_transform(b, horizon, np.array([w], dtype=np.complex128))
-    return complex(np.sum(ahat * bt, axis=1)[0])
+    return complex(_time_transform(b, horizon, np.array([w], dtype=np.complex128),
+                                   ahat)[0])
 
 
 class TestIntervalFourier:
@@ -91,8 +92,8 @@ class TestTildeTransform:
     def test_truncated_upper_limit(self):
         ser = TimeSeries.from_callable(lambda t: np.ones_like(t, dtype=complex), 2.0)
         # the running transform at the grid time t = 0.5
-        running = _cumulative_transform(ser.samples[None, :], ser.horizon,
-                                        np.array([0.0 + 0.0j]), np.ones((1, 1)))
+        running = _time_transform(ser.samples[None, :], ser.horizon,
+                                  np.array([0.0 + 0.0j]), [1.0], ser.grid())
         j = int(np.flatnonzero(ser.grid() == 0.5)[0])
         assert running[0, j] == pytest.approx(0.5)
 
