@@ -36,8 +36,8 @@ Two numerical choices matter:
   8-point Gauss-Legendre panel spans a bounded amount of the worst-case
   oscillation |omega| * T + |k|, and the truncated time transforms are
   evaluated through exact polynomial moments of e^{-i w t} against a cubic
-  spline of the data (stable for arbitrarily large |w|, with a Taylor
-  fallback for small |w|).
+  spline of the data (stable for arbitrarily large |w|; for small |w| by
+  the Taylor cells' series).
 
 The forcing is factored once per solve as A(x) B(t) of rank r (_sample):
 the x-kernels act on the r columns of A, and only the r rows of B are
@@ -46,24 +46,24 @@ transforms, and one routine, _time_transform, takes them all: a weighted
 sum over a few shared series of int_0^t e^{-i w u} phi(u) du, at the
 horizon on the region boundaries and at every output time in the real
 axis's forcing history.  Each term of the representation sums, over its
-nodes, w_k e^{i k x} e^{i omega t} (e^{-i k (1 - x)} on D+/-) times one
-coefficient array, constant in time or on the output times; _assemble takes
-it and applies the 1/(2 pi).  A region's coefficient is its payload over
-Delta, weights times transforms of the g0/h0/h1 stack and of B; the real
-axis's is u0hat plus the forcing history, B's running transform with the
-node weights -i Ahat(k).
+nodes, w_k e^{i k x + shift_k} e^{i omega t} times one coefficient array,
+constant in time or on the output times, with shift_k = -i k on D+/- for
+e^{-i k (1 - x)} and none elsewhere; _assemble takes it and applies the
+1/(2 pi).  A region's coefficient is its payload over Delta, weights times
+transforms of the g0/h0/h1 stack and of B; the real axis's is u0hat plus the
+forcing history, B's running transform with the node weights -i Ahat(k).
 
-The x-factors e^{-i k x} of the data's x-transforms and e^{i k x} of the
-assembly are summed by Taylor cells in k: the nodes are grouped into squares
-of side 2 sqrt(2), and about a cell's centre c each factor is
-e^{i c (x - x0)} times a TAYLOR_TERMS-term series in (k - c)(x - x0), exact to
-rounding because |k - c| |x - x0| <= 2; no per-node x-table is built.  The
-time tables are _phase_tables, rows of running products of 2 step
-exponentials per w.
+The x-factors of the data's x-transforms, e^{-i k x + shift_k}, and of the
+assembly, e^{i k x + shift_k}, are summed by Taylor cells in k: the nodes
+are grouped into squares of side 2 sqrt(2), and about a cell's centre c each
+factor is e^{i c (x - x0)} times a TAYLOR_TERMS-term series in (k - c)(x - x0)
+and a node factor, exact to rounding because |k - c| |x - x0| <= 2; no
+per-node x-table is built.  The time tables are _phase_tables, rows of
+running products of 2 step exponentials per w.
 
 The three regions share one term, SolvePlan._contour_term: a region fixes
 only its dominant symmetry root sigma (k, nu+ or nu-), whether the data are
-scaled by e^{i sigma}, and the assembly basis.  Each region's term divides by
+scaled by e^{i sigma}, and the assembly shift.  Each region's term divides by
 regions.scaled_delta, the one place the Delta formula lives.
 
 The data-independent part of a solve is a SolvePlan: the twin's parameters
@@ -83,9 +83,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
-from scipy.special import roots_legendre
 
 from .dispersion import (DispersionParams, mu_factors, omega, omega_prime,
                          symmetry_roots)
@@ -93,7 +91,7 @@ from .errors import ExponentialOverflow, GridTooCoarse, InvalidTruncation, Quadr
 from .fields import Field, is_uniform
 from .regions import (DOMINANT_ROOT, RegionLabel, SegmentKind, arc_half_angle,
                       r_delta, scaled_delta, segment_specs)
-from .transforms import SpatialProfile, TimeSeries, gauss_panels
+from .transforms import GL8_NODES, SpatialProfile, TimeSeries, gauss_panels
 
 TWO_PI = 2.0 * np.pi
 # largest |real part| of an exponent the transforms and the assembly evaluate
@@ -215,7 +213,7 @@ def fd_weights(xs: np.ndarray, x0: float, order: int) -> np.ndarray:
 # uniform panels of [0, 1]; XQ_REACH, the largest offset of a Gauss point from
 # its panel's midpoint, bounds the kernel's exponents within a panel
 XQ_NODES, XQ_WEIGHTS = gauss_panels(np.linspace(0.0, 1.0, 33))
-XQ_REACH = 0.5 / 32 * float(np.max(np.abs(roots_legendre(8)[0])))
+XQ_REACH = 0.5 / 32 * float(np.max(np.abs(GL8_NODES)))
 
 
 # --------------------------------------------------------------------------
@@ -231,23 +229,13 @@ def _filon_moments(w: np.ndarray, h: float) -> np.ndarray:
     # upward recurrence where |w| h is not small
     iw = np.where(small, 1.0, 1j * w)
     expz = np.exp(z)
-    prev = (1.0 - expz) / iw
-    out[0] = prev
+    out[0] = (1.0 - expz) / iw
     for m in range(1, 4):
-        prev = (m * prev - h ** m * expz) / iw
-        out[m] = prev
+        out[m] = (m * out[m - 1] - h ** m * expz) / iw
     if np.any(small):
-        zs = z[small]
-        for m in range(4):
-            acc = np.zeros_like(zs)
-            term = np.ones_like(zs)
-            fact = 1.0
-            for j in range(24):
-                if j > 0:
-                    term = term * zs
-                    fact *= j
-                acc = acc + term / (fact * (m + j + 1))
-            out[m][small] = h ** (m + 1) * acc
+        # M_m = h^{m+1} sum_n z^n / (n! (m + n + 1)); term 25 is below 1e-31
+        scale = (h ** np.arange(1, 5))[:, None] * FILON_TAYLOR
+        out[:, small] = scale @ _taylor_powers(z[small])
     return out
 
 
@@ -288,9 +276,10 @@ def _time_transform(series, horizon: float, w, weights, times=None,
     every cell integral, which the phase table multiplies in place before the
     running sum.  The integrals on the series' grid go to other times by its
     cubic spline, linear in the data, so as one (nt, len(times)) matrix.  The
-    chunk defaults to 2^16 / (nt - 1) rows, which holds the phase table to
-    1 MiB, reused from the heap and cached rather than mapped afresh (past
-    4 MiB, as huge pages when the kernel has them) for every chunk.
+    chunk defaults to 2^16 / (nt - 1) rows, at least 128: the phase table
+    stays within 1 MiB up to 513 times (2 MiB at 1025), reused from the heap
+    and cached rather than mapped afresh (past 4 MiB, as huge pages when the
+    kernel has them) for every chunk.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     vals = np.asarray(series, dtype=np.complex128)
@@ -312,7 +301,7 @@ def _time_transform(series, horizon: float, w, weights, times=None,
         out = np.empty((len(w), nt), dtype=np.complex128)
         out[:, 0] = 0.0
     dt = horizon / (nt - 1)
-    chunk = chunk or max(1, 2 ** 16 // (nt - 1))
+    chunk = chunk or max(128, 2 ** 16 // (nt - 1))
     for lo in range(0, len(w), chunk):
         sel = slice(lo, lo + chunk)
         mom = _filon_moments(w[sel], dt)
@@ -343,6 +332,8 @@ TAYLOR_RADIUS = 2.0
 TAYLOR_SIDE = np.sqrt(2.0) * TAYLOR_RADIUS
 # 1 / n! as float64 (a Python-int factorial would make an object array)
 INV_FACTORIAL = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, TAYLOR_TERMS)])
+# 1 / (n! (m + n + 1)), m = 0..3: _filon_moments' series for small |w| h
+FILON_TAYLOR = INV_FACTORIAL / np.add.outer(np.arange(1, 5), np.arange(TAYLOR_TERMS))
 
 
 def _taylor_cells(k, chunk):
@@ -450,24 +441,23 @@ def _apply_kernel(karr, shift, payloads, chunk=2048):
     return [o[:, 0] if p.ndim == 1 else o for o, p in zip(outs, payloads)]
 
 
-def _assemble(vals, horizon, basis, karr, warr, om, coef, chunk=4096):
-    """vals += 1/(2 pi) sum_k w_k basis(x, k) e^{i om_k t} coef_k(t) on the
-    uniform (nx, nt) = vals.shape points of [0, 1] x [0, horizon].
+def _assemble(vals, horizon, karr, warr, om, coef, shift=None, chunk=4096):
+    """vals += 1/(2 pi) sum_k w_k e^{i k x + shift_k} e^{i om_k t} coef_k(t)
+    on the uniform (nx, nt) = vals.shape points of [0, 1] x [0, horizon].
 
-    coef is (nk,), constant in time, or (nk, nt) on the output times.
-    basis(x, k) is e^{i k x} ("in") or e^{-i k (1 - x)} ("out"), that is
-    e^{i s y} with s = k, y = x, or s = -k, y = 1 - x, whose rows are
-    reversed.  The nodes s are grouped into _taylor_cells and taken in
-    blocks of chunk, or of chunk x 128 / (nt - 1) past 129 times, so the
-    time table stays near chunk x 128 entries.  Per block, the time table is
-    a _phase_table scaled by w_k coef_k (or by w_k, with coef_k(t)
-    multiplied in) and by the node factor e^{i s y0}; per cell, one product
-    contracts its rows with the node powers (i (s - c))^n into a
-    (TAYLOR_TERMS, nt) array, and once the cell's last block is done, one
-    product applies the cell's x-table e^{i c (y - y0)} (y - y0)^n / n!.
-    The reference end y0 is 0 above the real axis and 1 below, so the cell
-    factor is at most 1 and the node factor carries the row's largest entry;
-    the growth guard bounds the time table's.
+    coef is (nk,), constant in time, or (nk, nt) on the output times; shift
+    is as in _apply_kernel, -i k on D+/- for e^{-i k (1 - x)}.  The nodes are
+    grouped into _taylor_cells and taken in blocks of chunk, or of
+    chunk x 128 / (nt - 1) past 129 times, so the time table stays near
+    chunk x 128 entries.  Per block, the time table is a _phase_table scaled
+    by w_k coef_k (or by w_k, with coef_k(t) multiplied in) and by the node
+    factor e^{i k x0 + shift_k}; per cell, one product contracts its rows
+    with the node powers (i (k - c))^n into a (TAYLOR_TERMS, nt) array, and
+    once the cell's last block is done, one product applies the cell's
+    x-table e^{i c (x - x0)} (x - x0)^n / n!.  The reference end x0 of a
+    cell is 0 above the real axis and 1 below, so the cell factor is at most
+    1 and the node factor carries the row's largest entry; the growth guard
+    bounds the time table's.
     """
     nx, nt = vals.shape
     dt = horizon / (nt - 1)
@@ -475,33 +465,33 @@ def _assemble(vals, horizon, basis, karr, warr, om, coef, chunk=4096):
     growth = np.max(-om.imag) * horizon if nk else 0.0
     if growth > OVERFLOW_GUARD:
         raise ExponentialOverflow("contour time factor exceeds the overflow guard")
-    s = karr if basis == "in" else -karr
+    shift = np.zeros(nk) if shift is None else shift
     rows = max(1, chunk * 128 // max(nt - 1, 128))
-    centres, blocks = _taylor_cells(s, rows)
+    centres, blocks = _taylor_cells(karr, rows)
     up = centres.imag > 0
 
     def contracted():
         """(cell, node powers . time table) per run of each block."""
         for idx, cell, runs in blocks:
-            sc = s[idx]
-            scale = warr[idx] * np.exp(1j * sc * np.where(up[cell], 0.0, 1.0))
+            kc = karr[idx]
+            x0 = np.where(up[cell], 0.0, 1.0)
+            scale = warr[idx] * np.exp(1j * kc * x0 + shift[idx])
             if coef.ndim == 1:
                 tm = _phase_table(-om[idx], dt, nt, scale=scale * coef[idx])
             else:
                 tm = _phase_table(-om[idx], dt, nt, scale=scale)
                 # in the table's own (nt, nk) order: twice as fast as tm *= coef
                 np.multiply(tm.T, coef[idx].T, out=tm.T)
-            powers = _taylor_powers(1j * (sc - centres[cell]))
+            powers = _taylor_powers(1j * (kc - centres[cell]))
             for run in runs:
                 yield cell[run.start], powers[:, run] @ tm[run]
 
-    y = np.linspace(0.0, 1.0, nx)
-    sides = {True: (y, _taylor_basis(y)), False: (y - 1.0, _taylor_basis(y - 1.0))}
-    target = vals if basis == "in" else vals[::-1]
+    x = np.linspace(0.0, 1.0, nx)
+    sides = {True: (x, _taylor_basis(x)), False: (x - 1.0, _taylor_basis(x - 1.0))}
     for c, parts in itertools.groupby(contracted(), key=lambda part: part[0]):
-        dy, table = sides[bool(up[c])]
-        factor = np.exp(1j * centres[c] * dy) * (1.0 / TWO_PI)
-        target += (factor[:, None] * table) @ sum(g for _c, g in parts)
+        dx, table = sides[bool(up[c])]
+        factor = np.exp(1j * centres[c] * dx) * (1.0 / TWO_PI)
+        vals += (factor[:, None] * table) @ sum(g for _c, g in parts)
     return vals
 
 
@@ -521,7 +511,7 @@ def _phase_measure(params, gamma, lo, hi, horizon, dk_weight, weight=None):
     dens = (np.abs(dom) * horizon + np.abs(dk) * dk_weight) / TWO_PI + 1e-9
     if weight is not None:
         dens = dens * weight(np.abs(kf - params.center))
-    cum = cumulative_trapezoid(dens, pf, initial=0.0)
+    cum = np.cumsum(np.r_[0.0, np.diff(pf) * (dens[1:] + dens[:-1]) / 2.0])
     return pf, cum
 
 
@@ -889,15 +879,15 @@ class SolvePlan:
             if coef is not None:
                 history += coef[:, None]
             coef = history
-        _assemble(vals, self.tau, "in", k_r, w_r, om_r, coef)
+        _assemble(vals, self.tau, k_r, w_r, om_r, coef)
 
     def _contour_term(self, vals, samples, region, k, w):
-        """A region's boundary term: payload / Delta_s in the region's basis.
+        """A region's boundary term: payload / Delta_s, assembled with shift.
 
         The region fixes its dominant root sigma = roots[dom] of roots =
         (k, nu+, nu-), the data-scaling root s (0 on D0, sigma on D+/-) and
-        the basis (e^{ikx} on D0, e^{-ik(1 - x)} on D+/-).  With z = e^{i s},
-        f+/- = e^{i (s - nu+/-)} and mu = mu_factors(roots),
+        the assembly shift (none on D0, -i k on D+/- for e^{-ik(1 - x)}).
+        With z = e^{i s}, f+/- = e^{i (s - nu+/-)} and mu = mu_factors(roots),
             payload = -omega'(k) [mu_0 z g0~ + (nu- f+ - nu+ f-) h0~
                                   + i (f+ - f-) h1~] + sum_j c_j T_j,
         T_j = u0hat - i sum_r Ahat_r Btilde_r at roots_j, shifted by
@@ -936,8 +926,9 @@ class SolvePlan:
         if samples.forcing is not None:
             payload = payload + _time_transform(samples.forcing[1], self.tau, om,
                                                 -1j * forcing)
-        _assemble(vals, self.tau, "in" if in_d0 else "out", k, w, om,
-                  payload / scaled_delta(roots, 1.0, roots[dom]))
+        _assemble(vals, self.tau, k, w, om,
+                  payload / scaled_delta(roots, 1.0, roots[dom]),
+                  None if in_d0 else -1j * k)
 
 
 def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:

@@ -18,7 +18,9 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import roots_legendre
+
+# the 8-point Gauss-Legendre rule on [-1, 1], computed once
+GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def chebyshev_grid(n: int, ell: float) -> np.ndarray:
@@ -94,11 +96,10 @@ class TimeSeries:
 def gauss_panels(edges):
     """Nodes and weights of 8-point Gauss-Legendre on each panel between
     consecutive entries of the ascending array edges."""
-    xg, wg = roots_legendre(8)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    return ((mid[:, None] + half[:, None] * xg[None, :]).ravel(),
-            (half[:, None] * wg[None, :]).ravel())
+    return ((mid[:, None] + half[:, None] * GL8_NODES[None, :]).ravel(),
+            (half[:, None] * GL8_WEIGHTS[None, :]).ravel())
 
 
 def composite_gl(a: float, b: float, n_samples: int):

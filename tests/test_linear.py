@@ -1,5 +1,6 @@
 """Contour-integral evaluator: time transforms, solves, traces, residual."""
 
+import inspect
 from dataclasses import fields, replace
 
 import numpy as np
@@ -37,6 +38,19 @@ class TestFilonMoments:
             for m in range(4):
                 dense = np.trapezoid(s ** m * np.exp(-1j * w * s), s)
                 assert mom[m] == pytest.approx(dense, rel=1e-6, abs=1e-16)
+
+    @pytest.mark.parametrize("wh", [1e-6, 0.1, 0.3, 0.499])
+    def test_small_argument_series_matches_gauss_legendre(self, wh):
+        # |w| h < 1/2 takes the Taylor-cell series; all four moments against
+        # a 32-point Gauss-Legendre rule on [0, h], in four directions of w
+        h = 0.01
+        w = wh / h * np.exp(1j * np.array([0.0, 0.7, np.pi, -2.0]))
+        xg, wg = roots_legendre(32)
+        s = 0.5 * h * (xg + 1.0)
+        want = np.stack([(0.5 * h * wg * s ** m) @ np.exp(-1j * np.outer(s, w))
+                         for m in range(4)])
+        np.testing.assert_allclose(_filon_moments(w, h), want, rtol=1e-14,
+                                   atol=0.0)
 
     def test_small_argument_branch(self):
         # |w| h < 0.5 goes through the Taylor series; check continuity
@@ -140,23 +154,37 @@ class TestTimeTransform:
                 _time_transform(rows, horizon, w, weights, off, chunk=2), want,
                 rtol=1e-11, atol=1e-13 * np.max(np.abs(want)))
 
-    def test_default_chunks_match_one_chunk(self):
-        # 700 nodes on the 257-point stack take whole and partial default
-        # chunks; splitting w must not change any transform
+    def test_default_chunks_match_one_chunk(self, monkeypatch):
+        # 700 nodes on the 257-point stack, and on a series on 1025 times,
+        # where the default chunk is held at 128 rows, take whole and partial
+        # default chunks; splitting w must not change any transform
         horizon = 0.5
-        t = np.linspace(0.0, horizon, 257)
-        rows = np.stack([np.sin(3 * t), np.exp(-1j * t), t ** 2 + 0.5j])
         w = np.linspace(-300.0, 300.0, 700) - 1j * np.linspace(0.0, 2.0, 700)
-        for e in np.eye(3):
-            for times in (None, t):
-                np.testing.assert_allclose(
-                    _time_transform(rows, horizon, w, e, times),
-                    _time_transform(rows, horizon, w, e, times, chunk=700),
-                    rtol=1e-14, atol=1e-16)
+        sizes = []
+        moments = linear._filon_moments
+        monkeypatch.setattr(linear, "_filon_moments",
+                            lambda w, h: sizes.append(len(w)) or moments(w, h))
+        for nt, chunks in ((257, [256, 256, 188]), (1025, [128] * 5 + [60])):
+            t = np.linspace(0.0, horizon, nt)
+            rows = np.stack([np.sin(3 * t), np.exp(-1j * t), t ** 2 + 0.5j])
+            for e in np.eye(3):
+                for times in (None, t):
+                    sizes.clear()
+                    got = _time_transform(rows, horizon, w, e, times)
+                    assert sizes == chunks
+                    np.testing.assert_allclose(
+                        got, _time_transform(rows, horizon, w, e, times, chunk=700),
+                        rtol=1e-14, atol=1e-16)
 
 
 XQ, WQ = linear.XQ_NODES, linear.XQ_WEIGHTS
 _kernel = linear._apply_kernel
+
+
+def assembly_shift(basis, k):
+    """_assemble's shift for the basis e^{i k x} ("in") or e^{-i k (1 - x)}
+    ("out") = e^{i k x - i k}."""
+    return None if basis == "in" else -1j * k
 
 
 class TestExponentialTables:
@@ -358,7 +386,7 @@ class TestExponentialTables:
         for basis, k in bases:
             got = linear._assemble(
                 np.zeros((len(x_grid), len(t_grid)), dtype=complex),
-                horizon, basis, k, w, om, coef, chunk=16)
+                horizon, k, w, om, coef, assembly_shift(basis, k), chunk=16)
             want = self.dense_assembly(x_grid, t_grid, ell, basis, k, w,
                                        om, coef)
             np.testing.assert_allclose(got, want, rtol=1e-12,
@@ -498,8 +526,8 @@ class TestTaylorCells:
         for k in self.cell_points():
             args = (np.array([k]), np.array([0.3 - 0.2j]), np.array([40.0 + 2.0j]),
                     np.array([1.0 + 0.5j]))
-            got = linear._assemble(np.zeros((65, 5), dtype=complex),
-                                   horizon, basis, *args)
+            got = linear._assemble(np.zeros((65, 5), dtype=complex), horizon,
+                                   *args, assembly_shift(basis, args[0]))
             want = self.dense_assembly(x_grid, t_grid, 1.0, basis, *args)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -522,8 +550,8 @@ class TestTaylorCells:
         coef = rng.normal(size=n) + 1j * rng.normal(size=n)
         if on_times:
             coef = coef[:, None] + np.outer(1j * coef.conj(), np.sin(9.0 * t_grid))
-        got = linear._assemble(np.zeros((513, 129), dtype=complex),
-                               horizon, basis, k, w, om, coef, chunk=16)
+        got = linear._assemble(np.zeros((513, 129), dtype=complex), horizon,
+                               k, w, om, coef, assembly_shift(basis, k), chunk=16)
         want = self.dense_assembly(x_grid, t_grid, ell, basis, k, w, om, coef)
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
@@ -546,8 +574,9 @@ class TestTaylorCells:
         upper = np.abs(k.real) + 1j * np.abs(k.imag)
         for basis, nodes in (("in", upper), ("out", upper.conj())):
             fields = [linear._assemble(np.zeros((129, 33), dtype=complex),
-                                       0.5, basis, nodes[p], w[p], om[p],
-                                       np.ones(n, dtype=complex), chunk=64)
+                                       0.5, nodes[p], w[p], om[p],
+                                       np.ones(n, dtype=complex),
+                                       assembly_shift(basis, nodes[p]), chunk=64)
                       for p in (perm, np.arange(n))]
             np.testing.assert_allclose(fields[0], fields[1], rtol=1e-13,
                                        atol=1e-13 * np.max(np.abs(fields[1])))
@@ -871,6 +900,8 @@ class TestSolvePlan:
         data, _exact = _forced_plane_wave(AIRY, 33, 17)
         plan = make_plan(data, (9, 9), SMALL_BUDGET)
         calls = []
+        # D+/- take e^{-i k (1 - x)} as the kernel's shift -i k, not a basis
+        assert "basis" not in inspect.signature(linear._assemble).parameters
 
         def counted(name):
             inner = getattr(linear, name)
