@@ -16,11 +16,12 @@ class InvalidTruncation(SolverError):
 
 
 class ExponentialOverflow(SolverError):
-    """Raised when a transform exponent exceeds the overflow guard (|exponent|
-    above 700 in natural-log units), a puncture arc would need more than
-    linear.MAX_ARC_PANELS panels, or a puncture arc's amplification exponent
-    passes the precision cap ln(tolerance / eps), where rounding alone would
-    exceed the budget's tolerance: an arc radius too large for the horizon."""
+    """Raised when a transform or assembly exponent exceeds the overflow guard
+    (|exponent| above 700 in natural-log units), or when a puncture arc's
+    radius is too large for the horizon: its amplification exponent passes
+    the precision cap ln(tolerance / eps), where rounding alone would exceed
+    the budget's tolerance, or it would need more than linear.MAX_ARC_PANELS
+    panels."""
 
 
 class QuadratureDiverged(SolverError):

@@ -27,10 +27,10 @@ Two numerical choices matter:
   validated at runtime by a scaled-denominator margin sweep over the region
   actually crossed.  rho is chosen so the arc growth stays near e^{12},
   which costs only a modest number of extra arc nodes.  Where rho cannot be
-  that small (it is at least 1.5), an arc that would need more than
-  MAX_ARC_PANELS panels raises ExponentialOverflow before any is built, and
-  so does an arc whose growth e^{amp} times eps would pass the budget's
-  tolerance (amp > ln(tolerance / eps), 29.1 at the default).
+  that small (it is at least 1.5), an arc whose growth e^{amp} times eps
+  would pass the budget's tolerance (amp > ln(tolerance / eps), 29.1 at the
+  default) raises ExponentialOverflow before any panel is built, and so does
+  an arc that would need more than MAX_ARC_PANELS panels.
 
 * Quadrature panels are graded in phase: panel edges are placed so each
   8-point Gauss-Legendre panel spans a bounded amount of the worst-case
@@ -262,8 +262,7 @@ def _phase_table(w, dt, n, scale=None):
     return out.T
 
 
-def _time_transform(series, horizon: float, w, weights, times=None,
-                    chunk: Optional[int] = None) -> np.ndarray:
+def _time_transform(series, horizon: float, w, weights, times=None) -> np.ndarray:
     """sum_s weights[j, s] int_0^t e^{-i w_j u} phi_s(u) du against the cubic
     spline phi_s of each row of series, (S, nt) on linspace(0, horizon, nt):
     at t = horizon, (nw,), or at every time of times, (nw, len(times)).
@@ -275,10 +274,10 @@ def _time_transform(series, horizon: float, w, weights, times=None,
     contracted with it; at the times, one product with the coefficients gives
     every cell integral, which the phase table multiplies in place before the
     running sum.  The integrals on the series' grid go to other times by its
-    cubic spline, linear in the data, so as one (nt, len(times)) matrix.  The
-    chunk defaults to 2^16 / (nt - 1) rows, at least 128: the phase table
-    stays within 1 MiB up to 513 times (2 MiB at 1025), reused from the heap
-    and cached rather than mapped afresh (past 4 MiB, as huge pages when the
+    cubic spline, linear in the data, so as one (nt, len(times)) matrix.  A
+    chunk holds 2^16 / (nt - 1) rows, at least 128: the phase table stays
+    within 1 MiB up to 513 times (2 MiB at 1025), reused from the heap and
+    cached rather than mapped afresh (past 4 MiB, as huge pages when the
     kernel has them) for every chunk.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
@@ -301,7 +300,7 @@ def _time_transform(series, horizon: float, w, weights, times=None,
         out = np.empty((len(w), nt), dtype=np.complex128)
         out[:, 0] = 0.0
     dt = horizon / (nt - 1)
-    chunk = chunk or max(128, 2 ** 16 // (nt - 1))
+    chunk = max(128, 2 ** 16 // (nt - 1))
     for lo in range(0, len(w), chunk):
         sel = slice(lo, lo + chunk)
         mom = _filon_moments(w[sel], dt)
@@ -376,7 +375,7 @@ def _taylor_basis(u):
     return _taylor_powers(u).T * INV_FACTORIAL
 
 
-def _apply_kernel(karr, shift, payloads, chunk=2048):
+def _apply_kernel(karr, shift, payloads):
     """For each payload p (shape (nq,) or (nq, c)) return
     sum_q exp(-i k x_q + shift_k) w_q p[q] as an array over k, on the unit
     x-quadrature (x_q, w_q) = (XQ_NODES, XQ_WEIGHTS).
@@ -390,7 +389,7 @@ def _apply_kernel(karr, shift, payloads, chunk=2048):
     scaled by the node factor e^{-i k x0 + shift_k}.  The reference end x0
     is 1 above the real axis and 0 below, so the cell factor is at most 1
     and the node factor carries the row's largest entry.  Nodes are taken in
-    blocks of chunk.
+    blocks of 2048.
 
     All exponents must have (essentially) nonpositive real part; a large
     positive real part signals a construction error and raises before any
@@ -418,7 +417,7 @@ def _apply_kernel(karr, shift, payloads, chunk=2048):
     cols = np.concatenate([p.reshape(len(wq), -1) for p in payloads], axis=1)
     weighted = cols * wq[:, None]
     ncol = cols.shape[1]
-    centres, blocks = _taylor_cells(karr, chunk)
+    centres, blocks = _taylor_cells(karr, 2048)
     up = centres.imag > 0
     moments = np.empty((len(centres), TAYLOR_TERMS, ncol), dtype=np.complex128)
     for sel, x0 in ((up, 1.0), (~up, 0.0)):
@@ -441,15 +440,15 @@ def _apply_kernel(karr, shift, payloads, chunk=2048):
     return [o[:, 0] if p.ndim == 1 else o for o, p in zip(outs, payloads)]
 
 
-def _assemble(vals, horizon, karr, warr, om, coef, shift=None, chunk=4096):
+def _assemble(vals, horizon, karr, warr, om, coef, shift=None):
     """vals += 1/(2 pi) sum_k w_k e^{i k x + shift_k} e^{i om_k t} coef_k(t)
     on the uniform (nx, nt) = vals.shape points of [0, 1] x [0, horizon].
 
     coef is (nk,), constant in time, or (nk, nt) on the output times; shift
     is as in _apply_kernel, -i k on D+/- for e^{-i k (1 - x)}.  The nodes are
-    grouped into _taylor_cells and taken in blocks of chunk, or of
-    chunk x 128 / (nt - 1) past 129 times, so the time table stays near
-    chunk x 128 entries.  Per block, the time table is a _phase_table scaled
+    grouped into _taylor_cells and taken in blocks of 4096, or of
+    2^19 / (nt - 1) past 129 times, so the time table stays near 2^19
+    entries.  Per block, the time table is a _phase_table scaled
     by w_k coef_k (or by w_k, with coef_k(t) multiplied in) and by the node
     factor e^{i k x0 + shift_k}; per cell, one product contracts its rows
     with the node powers (i (k - c))^n into a (TAYLOR_TERMS, nt) array, and
@@ -466,7 +465,7 @@ def _assemble(vals, horizon, karr, warr, om, coef, shift=None, chunk=4096):
     if growth > OVERFLOW_GUARD:
         raise ExponentialOverflow("contour time factor exceeds the overflow guard")
     shift = np.zeros(nk) if shift is None else shift
-    rows = max(1, chunk * 128 // max(nt - 1, 128))
+    rows = max(1, 2 ** 19 // max(nt - 1, 128))
     centres, blocks = _taylor_cells(karr, rows)
     up = centres.imag > 0
 
@@ -539,8 +538,10 @@ def _radial_envelope(params, horizon, samples, r_max, h1_weight):
     u0hat, ahat = _x_transforms(ks, None, samples)
     env = np.zeros(2 * ENVELOPE_RADII) if u0hat is None else np.abs(u0hat)
     if samples.stack is not None:
-        g0t, h0t, h1t = (np.abs(_time_transform(row[None], horizon, om, 1.0))
-                         for row in samples.stack)
+        # one call for the three series: om thrice, one-hot weights
+        g0t, h0t, h1t = np.abs(_time_transform(
+            samples.stack, horizon, np.tile(om, 3),
+            np.repeat(np.eye(3), len(om), axis=0))).reshape(3, -1)
         env += omp * (g0t + h0t + h1_weight * h1t)
     if ahat is not None:
         env += np.abs(_time_transform(samples.forcing[1], horizon, om, ahat))
@@ -561,7 +562,7 @@ def _radial_envelope(params, horizon, samples, r_max, h1_weight):
 def _delta_margin(params, k, region):
     """min |Delta_s| / |k - c0| over the points k of one region's boundary."""
     roots = symmetry_roots(params, k)
-    ds = scaled_delta(roots, 1.0, roots[DOMINANT_ROOT[region]])
+    ds = scaled_delta(roots, roots[DOMINANT_ROOT[region]])
     return float(np.min(np.abs(ds) / np.abs(k - params.center)))
 
 
@@ -588,7 +589,7 @@ def _pick_arc_radius(params, horizon):
     """The deformed puncture radius rho: the radius whose arc amplification
     is about e^{ARC_LOG_CAP}, clamped to [rho_lo, R_Delta], then grown until
     the annulus swept from R_Delta in to rho keeps the Delta margin."""
-    rd = r_delta(params, 1.0)
+    rd = r_delta(params)
     d = params.discriminant
     r_cut = (2.0 / (3.0 * params.beta)) * np.sqrt(abs(d))
     rho_lo = max(1.3 * r_cut, 1.5)
@@ -626,12 +627,12 @@ def _solver_segments(params, horizon, budget, dk_weight, weight=None):
             # the arc integrand is amplified by e^{A}; Gauss-Legendre error
             # must be driven below e^{-A}, which sets the phase per panel
             kf = np.asarray(gamma(pf), dtype=np.complex128)
-            amp = float(np.max(-omega(params, kf).imag)) * horizon
-            amp = max(amp, 0.0)
-            if amp > OVERFLOW_GUARD:
+            amp = max(float(np.max(-omega(params, kf).imag)) * horizon, 0.0)
+            if amp > precision_cap:
                 raise ExponentialOverflow(
-                    "arc amplification exponent %.4g exceeds the overflow "
-                    "guard; the arc radius is too large for the horizon" % amp)
+                    "arc amplification exponent %.4g exceeds the precision cap "
+                    "ln(tolerance / eps) = %.4g; the horizon is too long for "
+                    "the interval" % (amp, precision_cap))
             theta_max = 2.6 * (1e-8 * np.exp(-amp)) ** (1.0 / 16.0)
             n_arc = np.ceil(cum[-1] * TWO_PI / theta_max)
             if n_arc > MAX_ARC_PANELS:
@@ -640,11 +641,6 @@ def _solver_segments(params, horizon, budget, dk_weight, weight=None):
                     "amplification exponent %.4g needs %.3g panels, more than "
                     "%d; the arc radius is too large for the horizon"
                     % (rho, amp, n_arc, MAX_ARC_PANELS))
-            if amp > precision_cap:
-                raise ExponentialOverflow(
-                    "arc amplification exponent %.4g exceeds the precision cap "
-                    "ln(tolerance / eps) = %.4g; the horizon is too long for "
-                    "the interval" % (amp, precision_cap))
             panel_counts[-1] = max(24, int(n_arc))
     free = [i for i, n in enumerate(panel_counts) if n is None]
     totals = np.array([measures[i][1][-1] for i in free])
@@ -927,7 +923,7 @@ class SolvePlan:
             payload = payload + _time_transform(samples.forcing[1], self.tau, om,
                                                 -1j * forcing)
         _assemble(vals, self.tau, k, w, om,
-                  payload / scaled_delta(roots, 1.0, roots[dom]),
+                  payload / scaled_delta(roots, roots[dom]),
                   None if in_d0 else -1j * k)
 
 
@@ -1034,20 +1030,24 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
     linking the evolving spatial transform of the field to the transformed
     data, normalized by the magnitude of the identity's terms.  The field
     must span the data's [0, ell] x [0, horizon], and the boundary series are
-    integrated on its time grid, which must be uniform.  The x-transforms
-    at k are the unit x-kernel's at k ell, with the weights scaled by ell."""
-    params, ell, horizon = data.params, data.ell, data.horizon
-    karr = np.asarray(list(k_samples), dtype=np.complex128)
-    t = field.t_grid
-    _check_uniform_from_zero(t)
-    if not _spans(field, ell, horizon):
+    integrated on its time grid, which must be uniform.  The identity is
+    checked on the _unit_twin at k ell, with the field on (x / ell, t / ell^3):
+    there each of its terms is 1 / ell times the caller's, so the normalized
+    defect is the same."""
+    _check_uniform_from_zero(field.t_grid)
+    if not _spans(field, data.ell, data.horizon):
         raise ValueError("the field does not span the data's [0, ell] x [0, horizon]")
+    ell = data.ell
+    karr = ell * np.asarray(list(k_samples), dtype=np.complex128)
+    field = Field(field.x_grid / ell, field.t_grid / ell ** 3, field.values)
+    data = _unit_twin(data)
+    params, horizon, t = data.params, data.horizon, field.t_grid
     om = omega(params, karr)
 
-    xq = ell * XQ_NODES
+    xq = XQ_NODES
     vq = resample(field, xq)
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
-    uhat, u0hat = _apply_kernel(ell * karr, None, [ell * vq, ell * u0v])
+    uhat, u0hat = _apply_kernel(karr, None, [vq, u0v])
     lhs = _phase_table(om, t[1], len(t)) * uhat
 
     th = float(t[-1])
@@ -1058,19 +1058,18 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
     h2 = _trace_derivative(field, "right", 2)
 
     # the left traces enter as beta g2 + i p1 g1 - p0 g0 and the right ones as
-    # -e^{-ik ell} times the same combination: one weighted running transform
+    # -e^{-ik} times the same combination: one weighted running transform
     beta, alpha, delta = params.beta, params.alpha, params.delta
     poly1 = beta * karr - alpha
     poly0 = beta * karr ** 2 - alpha * karr - delta
     left = np.stack([-poly0, 1j * poly1, np.full_like(karr, beta)], axis=1)
-    weights = np.concatenate(
-        [left, -np.exp(-1j * karr * ell)[:, None] * left], axis=1)
+    weights = np.concatenate([left, -np.exp(-1j * karr)[:, None] * left], axis=1)
     rhs = u0hat[:, None] + _time_transform(
         np.stack([g0, g1, g2, h0, h1, h2]), th, om, weights, t)
     forcing = _factor_forcing(None if data.forcing is None
                               else resample(data.forcing, xq))
     if forcing is not None:
-        (ahat,) = _apply_kernel(ell * karr, None, [ell * forcing[0]])
+        (ahat,) = _apply_kernel(karr, None, [forcing[0]])
         rhs = rhs + _time_transform(forcing[1], horizon, om, -1j * ahat, t)
 
     scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))))

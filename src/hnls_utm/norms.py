@@ -43,11 +43,12 @@ def check_admissible_pair(q: float, p: float) -> bool:
     return abs(3.0 * inv_q + inv_p - 0.5) <= 1e-12
 
 
-def _cheb_interpolant(profile: SpatialProfile, deg: int = 128):
-    """Chebyshev-series representation of the profile's analytic source on
-    [0, ell], or None for sampled profiles."""
+def _cheb_interpolant(profile: SpatialProfile):
+    """Degree-128 Chebyshev-series representation of the profile's analytic
+    source on [0, ell], or None for sampled profiles."""
     if profile.func is None:
         return None
+    deg = 128
     x = chebyshev_grid(deg + 1, profile.ell)
     y = np.asarray(profile.func(x), dtype=np.complex128)
     re = npcheb.Chebyshev.fit(x, y.real, deg, domain=[0.0, profile.ell])
@@ -93,8 +94,9 @@ def _smoothstep(s: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def _periodic_extension(profile: SpatialProfile, n_base: int = 1024):
-    """Samples of the period-4*ell reflect-and-taper extension.
+def _periodic_extension(profile: SpatialProfile):
+    """Samples of the period-4*ell reflect-and-taper extension, 1024 per
+    quarter period.
 
     Layout over one period [0, 4*ell): the profile itself on [0, ell], a
     tapered reflection about x = ell on [ell, 2*ell], zeros on [2*ell, 3*ell],
@@ -102,7 +104,7 @@ def _periodic_extension(profile: SpatialProfile, n_base: int = 1024):
     [3*ell, 4*ell).
     """
     ell = profile.ell
-    n = n_base
+    n = 1024
     h = ell / n
     x = np.arange(n) * h  # one quarter period
     core = np.asarray(profile(x), dtype=np.complex128)

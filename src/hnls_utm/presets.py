@@ -62,28 +62,27 @@ def gaussian_callable(center: float, width: float, amplitude: float = 1.0):
 
 
 def gaussian_profile(ell: float, center: float, width: float,
-                     amplitude: float = 1.0, n: int = 257) -> SpatialProfile:
+                     amplitude: float = 1.0) -> SpatialProfile:
     return SpatialProfile.from_callable(
-        gaussian_callable(center, width, amplitude), ell, n=n)
+        gaussian_callable(center, width, amplitude), ell)
 
 
 def bump_profile(ell: float, lo: float = None, hi: float = None,
-                 amplitude: float = 1.0, n: int = 257) -> SpatialProfile:
+                 amplitude: float = 1.0) -> SpatialProfile:
     lo = _BUMP_LO * ell if lo is None else lo
     hi = _BUMP_HI * ell if hi is None else hi
     return SpatialProfile.from_callable(
-        bump_callable(lo, hi, amplitude), ell, n=n)
+        bump_callable(lo, hi, amplitude), ell)
 
 
 def bump_series(horizon: float, lo: float = None, hi: float = None,
-                amplitude: float = 1.0, n: int = 257) -> TimeSeries:
+                amplitude: float = 1.0) -> TimeSeries:
     """Time bump supported strictly inside (0, horizon); satisfies the
     boundary-data support condition and vanishes with all derivatives at
     t = 0, so the data corners are compatible with any u0 vanishing there."""
     lo = _BUMP_LO * horizon if lo is None else lo
     hi = _BUMP_HI * horizon if hi is None else hi
-    return TimeSeries.from_callable(bump_callable(lo, hi, amplitude),
-                                    horizon, n=n)
+    return TimeSeries.from_callable(bump_callable(lo, hi, amplitude), horizon)
 
 
 def zero_profile(ell: float) -> SpatialProfile:
@@ -105,18 +104,17 @@ def plane_wave_exact(params: DispersionParams, a: float):
 
 
 def plane_wave_data(params: DispersionParams, ell: float, horizon: float,
-                    a: float, n: int = 257) -> ProblemData:
+                    a: float) -> ProblemData:
     """ProblemData whose initial/boundary data are read off the plane wave."""
     wa = omega(params, complex(a))
     u0 = SpatialProfile.from_callable(
-        lambda x: np.exp(1j * a * np.asarray(x)), ell, n=n)
+        lambda x: np.exp(1j * a * np.asarray(x)), ell)
     g0 = TimeSeries.from_callable(
-        lambda t: np.exp(1j * wa * np.asarray(t)), horizon, n=n)
+        lambda t: np.exp(1j * wa * np.asarray(t)), horizon)
     h0 = TimeSeries.from_callable(
-        lambda t: np.exp(1j * (a * ell + wa * np.asarray(t))), horizon, n=n)
+        lambda t: np.exp(1j * (a * ell + wa * np.asarray(t))), horizon)
     h1 = TimeSeries.from_callable(
-        lambda t: 1j * a * np.exp(1j * (a * ell + wa * np.asarray(t))),
-        horizon, n=n)
+        lambda t: 1j * a * np.exp(1j * (a * ell + wa * np.asarray(t))), horizon)
     return ProblemData(params, ell, horizon, u0, g0, h0, h1)
 
 

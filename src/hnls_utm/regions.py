@@ -1,5 +1,6 @@
 """Solution-formula regions, the denominator Delta, and the boundary
-segments in the complex k-plane.
+segments in the complex k-plane, all for [0, 1]: every problem is solved
+as its twin there (linear._unit_twin).
 
 The sign of Im omega(k) splits the plane into the solution-formula regions:
 D0 (Im omega < 0 above the real axis) and D+/D- (Im omega < 0 below the real
@@ -52,25 +53,23 @@ def im_omega(params: DispersionParams, k):
     return float(val) if val.ndim == 0 else val
 
 
-def r_delta(params: DispersionParams, ell: float) -> float:
-    """Puncture radius R_Delta = max{(2 sqrt2/(sqrt3 beta)) sqrt|disc|, 9/ell}."""
-    if ell <= 0:
-        raise ValueError("ell must be positive")
+def r_delta(params: DispersionParams) -> float:
+    """Puncture radius R_Delta = max{(2 sqrt2/(sqrt3 beta)) sqrt|disc|, 9} on
+    [0, 1]; on [0, ell] the radius is r_delta(beta, alpha ell, delta ell^2) / ell."""
     geo = (2.0 * np.sqrt(2.0) / (np.sqrt(3.0) * params.beta)) * np.sqrt(abs(params.discriminant))
-    return max(geo, 9.0 / ell)
+    return max(geo, 9.0)
 
 
-def scaled_delta(roots, ell: float, sigma):
-    """e^{i sigma ell} Delta(k) for roots = (k, nu+, nu-), where
-    Delta(k) = (nu+ - nu-) e^{-ik ell} + (nu- - k) e^{-i nu+ ell}
-             + (k - nu+) e^{-i nu- ell};
+def scaled_delta(roots, sigma):
+    """e^{i sigma} Delta(k) for roots = (k, nu+, nu-), where on [0, 1]
+    Delta(k) = (nu+ - nu-) e^{-ik} + (nu- - k) e^{-i nu+} + (k - nu+) e^{-i nu-};
     sigma = 0 gives Delta itself.  With sigma a region's dominant root every
     exponent has nonpositive real part."""
-    return sum(m * np.exp(1j * (sigma - r) * ell)
+    return sum(m * np.exp(1j * (sigma - r))
                for m, r in zip(mu_factors(roots), roots))
 
 
-# explicit lower-bound constants for |e^{i nu_n ell} Delta(k)| >= c_n |k - c0|
+# explicit lower-bound constants for |e^{i nu_n} Delta(k)| >= c_n |k - c0|
 DELTA_BOUND_C0 = (np.sqrt(5.0) / np.sqrt(2.0)
                   - (3.0 + np.sqrt(7.0) / np.sqrt(2.0))
                   * np.exp(-9.0 * np.sqrt(23.0) / (4.0 * np.sqrt(2.0))))

@@ -115,16 +115,16 @@ def suite_symmetries(seed: int) -> dict:
     return _report("symmetries", seed, props)
 
 
-def _region_samples(params, ell, rng, n_per_region, r_lo=None, r_hi_mult=4.0):
-    """n points of each of closure(D0), closure(D+), closure(D-) with
-    |k - c0| >= r_lo (default R_Delta)."""
-    rd = r_delta(params, ell)
-    r_lo = rd if r_lo is None else r_lo
+def _region_samples(params, rng):
+    """1000 points of each of closure(D0), closure(D+), closure(D-) with
+    R_Delta <= |k - c0| <= 4 R_Delta."""
+    n_per_region = 1000
+    rd = r_delta(params)
     out = {RegionLabel.D0: [], RegionLabel.DPLUS: [], RegionLabel.DMINUS: []}
     for _ in range(200):
         if all(len(v) >= n_per_region for v in out.values()):
             break
-        r = rng.uniform(r_lo, r_hi_mult * r_lo, 4 * n_per_region)
+        r = rng.uniform(rd, 4.0 * rd, 4 * n_per_region)
         th = rng.uniform(0.0, 2.0 * np.pi, 4 * n_per_region)
         k = params.center + r * np.exp(1j * th)
         w = im_omega(params, k)
@@ -143,7 +143,6 @@ def _region_samples(params, ell, rng, n_per_region, r_lo=None, r_hi_mult=4.0):
 
 def suite_regions(seed: int) -> dict:
     rng = np.random.default_rng(seed)
-    ell = 1.0
     props = []
 
     # sign law: sign(Im nu0 * Im nu+ * Im nu-) = -sign(Im omega)
@@ -165,7 +164,7 @@ def suite_regions(seed: int) -> dict:
     worst_excl = np.inf
     total = 0
     for params in REGION_PARAM_SETS:
-        samples = _region_samples(params, ell, rng, 1000)
+        samples = _region_samples(params, rng)
         for label, k in samples.items():
             total += len(k)
             ims = [r.imag for r in symmetry_roots(params, k)]
@@ -180,7 +179,7 @@ def suite_regions(seed: int) -> dict:
     worst_lb = np.inf
     total = 0
     for params in REGION_PARAM_SETS:
-        samples = _region_samples(params, ell, rng, 1000)
+        samples = _region_samples(params, rng)
         for label, k in samples.items():
             total += len(k)
             own = symmetry_roots(params, k)[DOMINANT_ROOT[label]].imag
@@ -193,16 +192,15 @@ def suite_regions(seed: int) -> dict:
 
 def suite_delta_bounds(seed: int) -> dict:
     rng = np.random.default_rng(seed)
-    ell = 1.0
     props = []
     worst = np.inf
     total = 0
     for params in REGION_PARAM_SETS:
-        samples = _region_samples(params, ell, rng, 1000)
+        samples = _region_samples(params, rng)
         for label, k in samples.items():
             total += len(k)
             roots = symmetry_roots(params, k)
-            val = np.abs(scaled_delta(roots, ell, roots[DOMINANT_ROOT[label]]))
+            val = np.abs(scaled_delta(roots, roots[DOMINANT_ROOT[label]]))
             r = np.abs(k - params.center)
             c = DELTA_BOUND_C0 if label is RegionLabel.D0 else DELTA_BOUND_CPM
             worst = min(worst, float(np.min(val - c * r)))
@@ -212,10 +210,11 @@ def suite_delta_bounds(seed: int) -> dict:
     return _report("delta_bounds", seed, props)
 
 
-def _l2_halfline(func, x_lo=1e-6, x_hi=1e5, n=4001):
-    """L2(0, inf) norm of a decaying function via log-graded quadrature."""
-    x = np.geomspace(x_lo, x_hi, n)
-    x = np.concatenate([np.linspace(0.0, x_lo, 64, endpoint=False), x])
+def _l2_halfline(func):
+    """L2(0, inf) norm of a decaying function via log-graded quadrature: 64
+    uniform points on [0, 1e-6), 4001 geometric ones on [1e-6, 1e5]."""
+    x = np.concatenate([np.linspace(0.0, 1e-6, 64, endpoint=False),
+                        np.geomspace(1e-6, 1e5, 4001)])
     vals = np.abs(func(x)) ** 2
     return float(np.sqrt(np.trapezoid(vals, x)))
 
@@ -283,9 +282,9 @@ def suite_mvt(seed: int) -> dict:
 def suite_global_relation(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     params = DispersionParams(1.0, 0.0, 0.0)
-    ell, horizon, a = 1.0, 0.5, 2.0
-    data = plane_wave_data(params, ell, horizon, a)
-    x = np.linspace(0.0, ell, 161)
+    horizon, a = 0.5, 2.0
+    data = plane_wave_data(params, 1.0, horizon, a)
+    x = np.linspace(0.0, 1.0, 161)
     t = np.linspace(0.0, horizon, 97)
     field = Field.from_callable(plane_wave_exact(params, a), x, t)
     k_samples = [complex(v) for v in rng.uniform(-4.0, 4.0, 6)]

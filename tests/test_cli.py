@@ -232,8 +232,8 @@ class TestSolveVerb:
 
     def test_arc_overflow_exit_3(self, tmp_path):
         # (ell, T) = (0.1, 0.25): the arc radius is held at 1.5 / ell = 15, an
-        # arc amplification exponent of 843.8, past the overflow guard; the
-        # other rows' 54, 81 and 42.2 pass the precision cap 29.1
+        # arc amplification exponent of 843.8; it and the other rows' 54, 81
+        # and 42.2 pass the precision cap 29.1
         for i, (ell, horizon) in enumerate(
                 ((0.1, 0.25), (0.5, 2.0), (0.5, 3.0), (0.2, 0.1))):
             doc = dict(BASE, geometry={"ell": ell, "horizon": horizon},
@@ -249,13 +249,15 @@ class TestSolveVerb:
             assert result.exit_code == 3, result.output
             diag = json.loads((out / "diagnostics.json").read_text())
             assert diag["error"] == "ExponentialOverflow"
+            assert "arc amplification" in diag["message"]
 
     def test_arc_panel_cap_exit_3(self, tmp_path):
-        # ell = 0.2, T = 1 at the default budget: the arc would need about
-        # 4.6e14 panels
-        doc = dict(BASE, geometry={"ell": 0.2, "horizon": 1.0},
+        # (ell, T) = (4e-4, 1e-12) with the window 3e4: amplification 11.4,
+        # below the precision cap, but 1.17e5 panels per arc
+        doc = dict(BASE, geometry={"ell": 4e-4, "horizon": 1e-12},
                    data={"preset": "plane_wave", "a": 2.0},
-                   solver={"grid": [9, 9]})
+                   solver={"grid": [9, 9],
+                           "budget": {"real_axis_window": 3e4}})
         config = write_config(tmp_path, doc)
         out = tmp_path / "o5"
         result = CliRunner().invoke(main, ["solve", "--config", config,
@@ -264,6 +266,7 @@ class TestSolveVerb:
         assert result.exit_code == 3, result.output
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "ExponentialOverflow"
+        assert "panels" in diag["message"]
 
     @pytest.mark.parametrize("budget", [{"real_axis_window": 2.0}],
                              ids=["window-inside-arc"])

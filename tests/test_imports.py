@@ -67,12 +67,16 @@ def test_private_definitions_are_used_in_the_package(path):
 def test_no_private_function_in_linear_takes_ell():
     # every problem is solved as its twin on [0, 1]: the interval length is
     # read only where make_plan and SolvePlan.apply map a problem there and
-    # back, never passed below them
+    # back, never passed below them, nor to any function of the region
+    # geometry, which is the unit interval's
     takes_ell = []
-    for node in ast.walk(TREES[PACKAGE / "linear.py"]):
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name.startswith("_") and not node.name.startswith("__")):
+    for name in ("linear.py", "regions.py"):
+        for node in ast.walk(TREES[PACKAGE / name]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            private = node.name.startswith("_") and not node.name.startswith("__")
             args = node.args
-            if "ell" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
-                takes_ell.append(node.name)
-    assert not takes_ell, "linear.py: %s take ell" % sorted(takes_ell)
+            names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            if "ell" in names and (private or name == "regions.py"):
+                takes_ell.append("%s: %s" % (name, node.name))
+    assert not takes_ell, "%s take ell" % sorted(takes_ell)

@@ -62,6 +62,13 @@ class TestFilonMoments:
         assert lo[0, 0] == pytest.approx(exact0, rel=1e-12)
 
 
+def across_chunk_edge(w):
+    """w among 128 further nodes, at rows 126 onwards: on a series of 1025
+    times _time_transform takes chunks of 128 rows, so len(w) = 5 gives 133
+    rows, which no chunk divides, and puts w across the first chunk's edge."""
+    return np.concatenate([np.linspace(-300.0, 300.0, 126), w, [7.5, -0.25]])
+
+
 class TestTimeTransform:
     def test_exponential_closed_form(self):
         a, horizon = 2.0, 1.0
@@ -101,24 +108,25 @@ class TestTimeTransform:
 
     def test_stack_matches_single_series(self):
         horizon = 0.7
-        t = np.linspace(0.0, horizon, 97)
+        t = np.linspace(0.0, horizon, 1025)
         rows = np.stack([np.exp(1j * 2 * t), np.cos(5 * t) + 1j * t,
                          t ** 3 - 0.5j])
-        w = np.array([0.0, 0.3, 9.0, 250.0 - 2.0j, -40.0], dtype=complex)
+        w = across_chunk_edge(
+            np.array([0.0, 0.3, 9.0, 250.0 - 2.0j, -40.0], dtype=complex))
         single = np.stack([_time_transform(row[None], horizon, w, [1.0])
                            for row in rows], axis=1)
         for s in range(3):
             np.testing.assert_allclose(
-                _time_transform(rows, horizon, w, np.eye(3)[s], chunk=2),
+                _time_transform(rows, horizon, w, np.eye(3)[s]),
                 single[:, s], rtol=1e-13, atol=1e-15)
         # per-w and shared weights; at the horizon, on the series' grid and
         # at times off it, which end at the horizon
         off = np.linspace(0.0, horizon, 11)
-        for weights in (np.arange(15.0).reshape(5, 3) * (1.0 - 0.5j),
+        for weights in (np.arange(3.0 * len(w)).reshape(-1, 3) * (1.0 - 0.5j),
                         np.array([1.5, -0.5j, 2.0 - 1.0j])):
             want = np.sum(weights * single, axis=1)
             for times, last in ((None, ...), (t, -1), (off, -1)):
-                got = _time_transform(rows, horizon, w, weights, times, chunk=2)
+                got = _time_transform(rows, horizon, w, weights, times)
                 np.testing.assert_allclose(got[:, last], want,
                                            rtol=1e-12, atol=1e-14)
 
@@ -126,12 +134,14 @@ class TestTimeTransform:
         # the moments are folded into the weights by (power, series): every
         # column must match the prefix integrals of the same splines, taken
         # by 24-point Gauss-Legendre on each cell, with S = 3 series, complex
-        # weights and a chunk of 2 that does not divide nw = 5
+        # weights and nw = 133 rows, which the chunk of 128 does not divide
         horizon = 0.7
-        t = np.linspace(0.0, horizon, 29)
+        t = np.linspace(0.0, horizon, 1025)
         rows = np.stack([np.exp(1j * 2 * t), np.cos(5 * t) + 1j * t,
                          t ** 3 - 0.5j])
-        w = np.array([0.0, 0.3, 9.0, 250.0 - 2.0j, -40.0], dtype=complex)
+        w = across_chunk_edge(
+            np.array([0.0, 0.3, 9.0, 250.0 - 2.0j, -40.0], dtype=complex))
+        nw = len(w)
         xg, wg = roots_legendre(24)
         half = 0.5 * (t[1] - t[0])
         s = (0.5 * (t[1:] + t[:-1]))[:, None] + half * xg
@@ -139,10 +149,10 @@ class TestTimeTransform:
         cells = np.einsum("wcg,rcg,g->wrc", np.exp(-1j * w[:, None, None] * s),
                           spl, half * wg)
         # per-w and shared weights
-        for weights in ((np.arange(15.0).reshape(5, 3) - 6.0) * (1.0 - 0.5j) + 2.0j,
-                        np.array([0.5 - 1.0j, -2.0, 3.0j])):
-            cum = _time_transform(rows, horizon, w, weights, t, chunk=2)
-            want = np.einsum("wr,wrc->wc", np.broadcast_to(weights, (5, 3)),
+        for weights in ((np.arange(3.0 * nw).reshape(nw, 3) - 6.0) * (1.0 - 0.5j)
+                        + 2.0j, np.array([0.5 - 1.0j, -2.0, 3.0j])):
+            cum = _time_transform(rows, horizon, w, weights, t)
+            want = np.einsum("wr,wrc->wc", np.broadcast_to(weights, (nw, 3)),
                              np.cumsum(cells, axis=2))
             assert np.all(cum[:, 0] == 0.0)
             np.testing.assert_allclose(cum[:, 1:], want, rtol=1e-11,
@@ -151,13 +161,14 @@ class TestTimeTransform:
             off = np.linspace(0.0, horizon, 12)[1:-1]
             want = CubicSpline(t, np.pad(want, ((0, 0), (1, 0))), axis=1)(off)
             np.testing.assert_allclose(
-                _time_transform(rows, horizon, w, weights, off, chunk=2), want,
+                _time_transform(rows, horizon, w, weights, off), want,
                 rtol=1e-11, atol=1e-13 * np.max(np.abs(want)))
 
     def test_default_chunks_match_one_chunk(self, monkeypatch):
         # 700 nodes on the 257-point stack, and on a series on 1025 times,
-        # where the default chunk is held at 128 rows, take whole and partial
-        # default chunks; splitting w must not change any transform
+        # where the chunk is held at 128 rows, take whole and partial chunks;
+        # splitting w must not change any transform: calls on slices of 100
+        # rows, one chunk each, cut w elsewhere
         horizon = 0.5
         w = np.linspace(-300.0, 300.0, 700) - 1j * np.linspace(0.0, 2.0, 700)
         sizes = []
@@ -172,9 +183,10 @@ class TestTimeTransform:
                     sizes.clear()
                     got = _time_transform(rows, horizon, w, e, times)
                     assert sizes == chunks
-                    np.testing.assert_allclose(
-                        got, _time_transform(rows, horizon, w, e, times, chunk=700),
-                        rtol=1e-14, atol=1e-16)
+                    want = np.concatenate([
+                        _time_transform(rows, horizon, w[lo:lo + 100], e, times)
+                        for lo in range(0, 700, 100)])
+                    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
 
 
 XQ, WQ = linear.XQ_NODES, linear.XQ_WEIGHTS
@@ -185,6 +197,24 @@ def assembly_shift(basis, k):
     """_assemble's shift for the basis e^{i k x} ("in") or e^{-i k (1 - x)}
     ("out") = e^{i k x - i k}."""
     return None if basis == "in" else -1j * k
+
+
+@pytest.fixture
+def split_cells(monkeypatch):
+    """Per _taylor_cells call, the number of cells whose nodes fall in two
+    consecutive blocks: the kernel takes blocks of 2048 nodes, and the
+    assembly of 4096 up to 129 output times."""
+    counts = []
+    inner = linear._taylor_cells
+
+    def recording(k, size):
+        centres, blocks = inner(k, size)
+        counts.append(sum(int(a[1][-1] == b[1][0])
+                          for a, b in zip(blocks, blocks[1:])))
+        return centres, blocks
+
+    monkeypatch.setattr(linear, "_taylor_cells", recording)
+    return counts
 
 
 class TestExponentialTables:
@@ -236,13 +266,16 @@ class TestExponentialTables:
         self.assert_kernels_match(k, shift, payloads,
                                   _kernel(k, shift, payloads))
 
-    def test_kernel_chunk_not_dividing_nodes(self):
+    def test_kernel_chunk_not_dividing_nodes(self, split_cells):
+        # 4500 nodes: blocks of 2048, 2048 and 404, with cells split across
+        # their edges
         xq = XQ
         payloads = [np.stack([np.exp(2j * xq) * (1 + xq ** 2), xq + 0j], axis=1),
                     np.cos(7 * xq) - 0.3j]
-        k = np.linspace(-80.0, 80.0, 301) + 1j * np.linspace(-3.0, 1.0, 301)
+        k = np.linspace(-80.0, 80.0, 4500) + 1j * np.linspace(-3.0, 1.0, 4500)
         shift = -np.maximum(k.imag, 0.0) + 0j
-        got = linear._apply_kernel(k, shift, payloads, chunk=7)
+        got = linear._apply_kernel(k, shift, payloads)
+        assert split_cells == [2]
         self.assert_kernels_match(k, shift, payloads, got)
 
     def test_kernel_of_no_nodes(self):
@@ -366,8 +399,9 @@ class TestExponentialTables:
     def assembly_nodes():
         """D0-type nodes (upper half plane, "in" basis) and D+/- type nodes
         (lower half plane, "out" basis), each with time exponents from
-        arc-level growth e^{24} at t = 0.5 to strong decay."""
-        n = 61
+        arc-level growth e^{24} at t = 0.5 to strong decay: 4200 of each,
+        which the assembly takes in blocks of 4096 and 104."""
+        n = 4200
         rng = np.random.default_rng(3)
         om = (np.linspace(-900.0, 900.0, n)
               + 1j * np.linspace(-48.0, 400.0, n)[rng.permutation(n)])
@@ -378,7 +412,7 @@ class TestExponentialTables:
         dpm_k = radius * np.exp(-1j * np.linspace(0.2, 2.9, n))
         return (("in", d0_k), ("out", dpm_k)), w, om, coef
 
-    def assert_assembly_matches(self, coef_on_times):
+    def assert_assembly_matches(self, coef_on_times, split_cells):
         ell, horizon = 1.0, 0.5
         (bases, w, om, coef) = self.assembly_nodes()
         x_grid, t_grid = np.linspace(0.0, ell, 33), np.linspace(0.0, horizon, 17)
@@ -386,21 +420,25 @@ class TestExponentialTables:
         for basis, k in bases:
             got = linear._assemble(
                 np.zeros((len(x_grid), len(t_grid)), dtype=complex),
-                horizon, k, w, om, coef, assembly_shift(basis, k), chunk=16)
+                horizon, k, w, om, coef, assembly_shift(basis, k))
             want = self.dense_assembly(x_grid, t_grid, ell, basis, k, w,
                                        om, coef)
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(want)))
+        # a cell of each basis is split across the blocks' edge
+        assert split_cells == [1, 1]
 
-    def test_assembly_matches_dense_exp(self):
-        self.assert_assembly_matches(lambda coef, t: coef)
+    def test_assembly_matches_dense_exp(self, split_cells):
+        self.assert_assembly_matches(lambda coef, t: coef, split_cells)
 
-    def test_assembly_of_a_time_dependent_coefficient_matches_dense_exp(self):
+    def test_assembly_of_a_time_dependent_coefficient_matches_dense_exp(
+            self, split_cells):
         # as on the real axis with forcing: u0hat plus a history on the
-        # output times, (nk, nt), split over whole and partial chunks
+        # output times, (nk, nt), split over whole and partial blocks
         self.assert_assembly_matches(
             lambda coef, t: coef[:, None] + np.outer(1j * coef.conj(),
-                                                     np.sin(9.0 * t) + t))
+                                                     np.sin(9.0 * t) + t),
+            split_cells)
 
     def test_contour_nodes_exclude_the_arcs(self):
         # contour_nodes is shared among the six non-arc segments, rounded to
@@ -420,11 +458,10 @@ class TestExponentialTables:
 
     def test_arc_amplification_guard(self):
         # (ell, T) = (0.1, 0.25): the arc radius is held at 1.5 / ell = 15,
-        # which amplifies by e^{843.8}; the arc panel count would overflow,
-        # so the overflow guard raises first.  The other rows amplify by
-        # e^{54}, e^{81} and e^{42.2}, past the precision cap
-        # ln(tolerance / eps) = 29.1; below it they returned errors of 5e4,
-        # 3e16 and 0.1
+        # which amplifies by e^{843.8}; its panel count would overflow, but
+        # the precision cap ln(tolerance / eps) = 29.1 is checked first.  The
+        # other rows amplify by e^{54}, e^{81} and e^{42.2}; below the cap
+        # they returned errors of 5e4, 3e16 and 0.1
         budget = QuadratureBudget(contour_nodes=4000, real_axis_nodes=2000)
         for ell, horizon in ((0.1, 0.25), (0.5, 2.0), (0.5, 3.0), (0.2, 0.1)):
             data = plane_wave_data(AIRY, ell, horizon, 2.0)
@@ -432,12 +469,13 @@ class TestExponentialTables:
                 solve_full(data, (9, 9), budget)
 
     def test_arc_panel_cap(self):
-        # on a short interval the arc radius is held at 1.5 / ell = 7.5: at
-        # T = 1 that is an amplification exponent of 422, below the overflow
-        # guard, and about 4.6e14 panels per arc, so the panel cap raises
-        data = plane_wave_data(AIRY, 0.2, 1.0, 2.0)
+        # (ell, T) = (4e-4, 1e-12) with the window 3e4: the arc radius is
+        # R_Delta = 9 at tau = 1/64, an amplification exponent of 11.4, below
+        # the precision cap 29.1; but the phase density's |dk| floor 2 / ell
+        # asks for 1.17e5 panels per arc, so the panel cap raises
+        data = plane_wave_data(AIRY, 4e-4, 1e-12, 2.0)
         with pytest.raises(ExponentialOverflow, match="panels"):
-            solve_full(data, (9, 9), QuadratureBudget())
+            solve_full(data, (9, 9), QuadratureBudget(real_axis_window=3e4))
 
     @pytest.mark.parametrize("budget", [
         QuadratureBudget(real_axis_window=2.0)], ids=["window-inside-arc"])
@@ -537,28 +575,38 @@ class TestTaylorCells:
     @pytest.mark.parametrize("on_times", [False, True],
                              ids=["constant", "on-times"])
     def test_fine_grid_assembly_matches_dense_exp(self, basis, im_sign,
-                                                  on_times):
+                                                  on_times, split_cells):
         # criterion 09's 513 x points with |Im k| up to 52; "in" rows with
-        # Im k < 0 grow along x.  A chunk of 16 splits cells over blocks.
+        # Im k < 0 grow along x.  3900 decaying nodes in one cell of the last
+        # column of cells, Re k in [59.4, 62.2), put 4200 nodes in all, and
+        # the edge of the assembly's blocks of 4096 inside that cell
         ell, horizon = 1.0, 0.5
         x_grid, t_grid = np.linspace(0.0, ell, 513), np.linspace(0.0, horizon, 129)
         rng = np.random.default_rng(31)
-        n = 300
+        n, m = 300, 3900
         k = rng.uniform(-60.0, 60.0, n) + 1j * im_sign * rng.uniform(0.0, 52.0, n)
         om = rng.uniform(-900.0, 900.0, n) + 1j * rng.uniform(-48.0, 400.0, n)
+        k = np.concatenate([k, rng.uniform(59.5, 60.0, m)
+                            + 1j * im_sign * rng.uniform(0.5, 2.5, m)])
+        om = np.concatenate([om, rng.uniform(-900.0, 900.0, m)
+                             + 1j * rng.uniform(100.0, 400.0, m)])
+        n += m
         w = rng.normal(size=n) + 1j * rng.normal(size=n)
         coef = rng.normal(size=n) + 1j * rng.normal(size=n)
         if on_times:
             coef = coef[:, None] + np.outer(1j * coef.conj(), np.sin(9.0 * t_grid))
         got = linear._assemble(np.zeros((513, 129), dtype=complex), horizon,
-                               k, w, om, coef, assembly_shift(basis, k), chunk=16)
+                               k, w, om, coef, assembly_shift(basis, k))
+        assert split_cells == [1]
         want = self.dense_assembly(x_grid, t_grid, ell, basis, k, w, om, coef)
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
 
-    def test_node_order_does_not_matter(self):
+    def test_node_order_does_not_matter(self, split_cells):
+        # 4500 nodes: the kernel's blocks of 2048 and the assembly's of 4096
+        # leave partial blocks, and split cells, in either order
         rng = np.random.default_rng(37)
-        n = 500
+        n = 4500
         k = rng.uniform(-60.0, 60.0, n) + 1j * rng.uniform(-30.0, 30.0, n)
         perm = rng.permutation(n)
         shift = self.kernel_shift(k)
@@ -576,10 +624,12 @@ class TestTaylorCells:
             fields = [linear._assemble(np.zeros((129, 33), dtype=complex),
                                        0.5, nodes[p], w[p], om[p],
                                        np.ones(n, dtype=complex),
-                                       assembly_shift(basis, nodes[p]), chunk=64)
+                                       assembly_shift(basis, nodes[p]))
                       for p in (perm, np.arange(n))]
             np.testing.assert_allclose(fields[0], fields[1], rtol=1e-13,
                                        atol=1e-13 * np.max(np.abs(fields[1])))
+        # two kernel calls, then four assemblies
+        assert split_cells == [2, 2, 1, 1, 1, 1]
 
 
 class TestFdWeights:
@@ -753,6 +803,31 @@ class TestUnitTwin:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize("ell", [0.7, 3.0])
+    def test_global_relation_of_the_twin(self, ell, forced):
+        # each term of the identity for the twin at k ell is 1 / ell times
+        # the caller's at k, so the normalized defects agree: here for a
+        # field and its twin sampled from the exact solution on their own
+        # grids, [0, ell] x [0, T] and [0, 1] x [0, T / ell^3]
+        params, horizon = DispersionParams(0.5, 1.0, 1.0), 0.4
+        if forced:
+            data, exact = _forced_plane_wave(params, 161, 129, ell, horizon)
+        else:
+            data = plane_wave_data(params, ell, horizon, 2.0)
+            exact = plane_wave_exact(params, 2.0)
+        field = Field.from_callable(exact, np.linspace(0.0, ell, 161),
+                                    np.linspace(0.0, horizon, 97))
+        twin = Field.from_callable(lambda xi, s: exact(ell * xi, ell ** 3 * s),
+                                   np.linspace(0.0, 1.0, 161),
+                                   np.linspace(0.0, horizon / ell ** 3, 97))
+        ks = np.array([1.0, -2.1, 0.45, 1.5 + 0.5j, -2.0 - 0.5j])
+        res = global_relation_residual(field, data, ks)
+        res_twin = global_relation_residual(twin, linear._unit_twin(data), ell * ks)
+        assert abs(res - res_twin) <= 1e-9
+        assert res <= 1e-3
+
+
 def _forced_plane_wave(params, x_nodes=257, t_nodes=129, ell=1.0, horizon=0.5):
     """Problem solved by u = (1 + t) P with P the plane wave (a = 2), on
     [0, ell] x [0, horizon]: i u_t + L u = i P, a rank-1 forcing."""
@@ -890,7 +965,7 @@ class TestSolvePlan:
         # an equal data object is sampled afresh, to the same field
         np.testing.assert_array_equal(plan.apply(replace(data)).values, want)
         assert len(plan.groups) == 3 and len(plan.node_counts) == 9
-        assert 0 < plan.rho <= r_delta(AIRY, 1.0)
+        assert 0 < plan.rho <= r_delta(AIRY)
 
     def test_one_term_per_contour(self, monkeypatch):
         # a forced plane wave has u0, boundary data and forcing: the real

@@ -57,25 +57,35 @@ class TestImOmega:
 
 class TestRadii:
     def test_r_delta_airy(self):
-        assert r_delta(AIRY, 1.0) == pytest.approx(9.0)
+        assert r_delta(AIRY) == pytest.approx(9.0)
 
     def test_r_delta_moderate_discriminant(self):
-        assert r_delta(DispersionParams(1.0, 0.0, 3.0), 1.0) == pytest.approx(9.0)
+        assert r_delta(DispersionParams(1.0, 0.0, 3.0)) == pytest.approx(9.0)
 
     def test_r_delta_short_interval(self):
-        assert r_delta(DispersionParams(1.0, 0.0, 3.0), 0.05) == pytest.approx(180.0)
+        # the paper's R_Delta on [0, ell], max{(2 sqrt2 / sqrt3) sqrt|disc|,
+        # 9 / ell}, is 9 / ell = 180 for (1, 0, 3) at ell = 0.05; r_delta of
+        # the twin's (beta, alpha ell, delta ell^2) is ell R_Delta(ell)
+        ell = 0.05
+        twin = DispersionParams(1.0, 0.0, 3.0 * ell ** 2)
+        assert r_delta(twin) == pytest.approx(ell * 180.0)
 
+    def test_r_delta_long_interval(self):
+        # at ell = 5 the discriminant term wins: R_Delta = 2 sqrt6 > 9 / 5
+        ell = 5.0
+        twin = DispersionParams(1.0, 0.0, 3.0 * ell ** 2)
+        assert r_delta(twin) == pytest.approx(ell * 2.0 * np.sqrt(6.0))
 
 
 class TestDelta:
     def test_origin_zero(self):
         roots = symmetry_roots(AIRY, 0.0 + 0.0j)
-        assert scaled_delta(roots, 1.0, 0.0) == pytest.approx(0.0)
+        assert scaled_delta(roots, 0.0) == pytest.approx(0.0)
 
     def test_gamma9_point_bound(self):
         k = -9.0 + 0.0j
         roots = symmetry_roots(AIRY, k)
-        val = scaled_delta(roots, 1.0, roots[2])
+        val = scaled_delta(roots, roots[2])
         assert abs(val) >= DELTA_BOUND_CPM * 9.0
 
     def test_frozen_constants(self):
@@ -94,7 +104,7 @@ class TestContourSet:
                        DispersionParams(1.0, 0.0, -3.0)):
             segments, rho = solver_segments(params)
             # 1e-9 of the bound on |omega| over the puncture disk (alpha = 0)
-            rd = r_delta(params, 1.0)
+            rd = r_delta(params)
             tol = 1e-9 * (params.beta * rd ** 3 + abs(params.delta) * rd)
             for kind, nodes_k in segments:
                 if kind is SegmentKind.CIRCULAR_ARC:
