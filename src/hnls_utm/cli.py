@@ -246,6 +246,16 @@ def _json_dump(path, payload):
         fh.write("\n")
 
 
+def _emit(text, out_dir, name):
+    """Write text to out_dir/name when out_dir is given, then echo it."""
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / name, "w", newline="\n") as fh:
+            fh.write(text)
+    click.echo(text, nl=False)
+
+
 def _refined(cfg: ScenarioConfig, level: int) -> ScenarioConfig:
     if level <= 0:
         return cfg
@@ -392,13 +402,8 @@ def compare(config_path, out_dir, refine):
 def verify(suite, seed, out_dir):
     """Run a seeded property suite; exit 0 iff every property passes."""
     report = run_suite(suite, seed)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / ("verify_%s.json" % suite), "w", newline="\n") as fh:
-            fh.write(text)
-    click.echo(text, nl=False)
+    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out_dir,
+          "verify_%s.json" % suite)
     sys.exit(0 if report["passed"] else 1)
 
 
@@ -416,13 +421,7 @@ def norms(config_path, out_dir):
     rows = [(name, order, 2.0, 2.0, norm) for name, order, norm in terms]
     rows.append(("data_norm_sum", cfg.s, 2.0, 2.0,
                  float(sum(norm for _name, _order, norm in terms))))
-    text = _norms_csv(rows)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "norms.csv", "w", newline="\n") as fh:
-            fh.write(text)
-    click.echo(text, nl=False)
+    _emit(_norms_csv(rows), out_dir, "norms.csv")
     sys.exit(0)
 
 

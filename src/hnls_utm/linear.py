@@ -53,13 +53,15 @@ e^{-i k (1 - x)} and none elsewhere; _assemble takes it and applies the
 transforms of the g0/h0/h1 stack and of B; the real axis's is u0hat plus the
 forcing history, B's running transform with the node weights -i Ahat(k).
 
-The x-factors of the data's x-transforms, e^{-i k x + shift_k}, and of the
-assembly, e^{i k x + shift_k}, are summed by Taylor cells in k: the nodes
-are grouped into squares of side 2 sqrt(2), and about a cell's centre c each
-factor is e^{i c (x - x0)} times a TAYLOR_TERMS-term series in (k - c)(x - x0)
-and a node factor, exact to rounding because |k - c| |x - x0| <= 2; no
-per-node x-table is built.  The time tables are _phase_tables, rows of
-running products of 2 step exponentials per w.
+The x-factor of the assembly, e^{i k x + shift_k}, is summed by one split,
+_taylor_cells: the nodes are grouped into squares of side 2 sqrt(2) in k,
+and about a cell's centre c the factor is a node factor e^{i k x0 + shift_k}
+times e^{i c (x - x0)} times a TAYLOR_TERMS-term series in (k - c)(x - x0),
+exact to rounding because |k - c| |x - x0| <= 2.  One rule sets the
+reference end: x0 = 0 for a cell above the real axis and 1 below, so the
+cell factor is at most 1.  The x-transforms' factor e^{-i k x + shift_k} is
+the same split taken at -k.  No per-node x-table is built.  The time tables
+are _phase_tables, rows of running products of 2 step exponentials per w.
 
 The three regions share one term, SolvePlan._contour_term: a region fixes
 only its dominant symmetry root sigma (k, nu+ or nu-), whether the data are
@@ -335,14 +337,23 @@ INV_FACTORIAL = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, TAYLOR_TERMS)])
 FILON_TAYLOR = INV_FACTORIAL / np.add.outer(np.arange(1, 5), np.arange(TAYLOR_TERMS))
 
 
-def _taylor_cells(k, chunk):
-    """Group the nodes k into square Taylor cells of side TAYLOR_SIDE, so
-    |k - c| <= TAYLOR_RADIUS from the cell's centre c, whatever the order of
-    the nodes.
+def _taylor_cells(k, shift, chunk):
+    """The Taylor-cell split of e^{i k x + shift_k} on [0, 1].
 
-    Returns the cell centres (ncells,) and a list of blocks of at most chunk
-    nodes taken in cell order: per block, the node indices, the cell of each
-    node and the runs, slices of the block, of nodes sharing a cell.
+    The nodes k are grouped into square cells of side TAYLOR_SIDE, so
+    |k - c| <= TAYLOR_RADIUS from the cell's centre c, whatever the order of
+    the nodes.  A cell's reference end x0 is 0 above the real axis and 1
+    below, so that its x-table e^{i c (x - x0)} (x - x0)^n / n! is at most 1
+    in modulus, and
+        e^{i k x + shift_k} = sum_n rows[n, k] e^{i c (x - x0)} (x - x0)^n / n!
+    with the node rows e^{i k x0 + shift_k} (i (k - c))^n, which carry the
+    largest entry; shift None is zero.
+
+    Returns the cell centres (ncells,), each cell's x0 and a generator of
+    blocks of at most chunk nodes taken in cell order: per block, the node
+    indices, the cell of each node, the runs, slices of the block, of nodes
+    sharing a cell, and the (TAYLOR_TERMS, nodes) node rows, built as the
+    block is reached.
     """
     ij = np.floor(np.stack([k.imag, k.real]) / TAYLOR_SIDE)
     # by column of cells, then by row; stable, so a cell keeps node order
@@ -352,19 +363,23 @@ def _taylor_cells(k, chunk):
     new[1:] = np.any(ij[:, 1:] != ij[:, :-1], axis=0)
     cell = np.cumsum(new) - 1
     centres = TAYLOR_SIDE * (ij[1, new] + 0.5 + 1j * (ij[0, new] + 0.5))
-    blocks = []
-    for lo in range(0, len(k), chunk):
-        cb = cell[lo:lo + chunk]
-        cuts = np.concatenate([[0], np.flatnonzero(np.diff(cb)) + 1, [len(cb)]])
-        blocks.append((order[lo:lo + chunk], cb,
-                       [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]))
-    return centres, blocks
+    x0 = np.where(centres.imag > 0, 0.0, 1.0)
+
+    def blocks():
+        for lo in range(0, len(k), chunk):
+            idx, cb = order[lo:lo + chunk], cell[lo:lo + chunk]
+            cuts = np.concatenate([[0], np.flatnonzero(np.diff(cb)) + 1, [len(cb)]])
+            kc = k[idx]
+            expo = 1j * kc * x0[cb] + (0.0 if shift is None else shift[idx])
+            yield (idx, cb, [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])],
+                   _taylor_powers(1j * (kc - centres[cb]), np.exp(expo)))
+    return centres, x0, blocks()
 
 
-def _taylor_powers(z):
-    """z^n for n < TAYLOR_TERMS, (TAYLOR_TERMS, len(z)), filled by rows."""
+def _taylor_powers(z, scale=1.0):
+    """scale z^n for n < TAYLOR_TERMS, (TAYLOR_TERMS, len(z)), filled by rows."""
     out = np.empty((TAYLOR_TERMS, len(z)), dtype=np.result_type(z, 1.0))
-    out[0] = 1.0
+    out[0] = scale
     for n in range(1, TAYLOR_TERMS):
         np.multiply(out[n - 1], z, out=out[n])
     return out
@@ -380,16 +395,13 @@ def _apply_kernel(karr, shift, payloads):
     sum_q exp(-i k x_q + shift_k) w_q p[q] as an array over k, on the unit
     x-quadrature (x_q, w_q) = (XQ_NODES, XQ_WEIGHTS).
 
-    The nodes are grouped into _taylor_cells.  About a cell's centre c,
-    e^{-i k (x - x0)} = e^{-i c (x - x0)} sum_n z^n u^n / n! with
-    z = -i (k - c) and u = x - x0, so one product with every payload column,
-    weighted by w_q, gives the moments of every cell,
-        M_n(c) = sum_q w_q p_q e^{-i c (x_q - x0)} u_q^n / n!,
-    and each cell's nodes take one (nodes x TAYLOR_TERMS) product with them,
-    scaled by the node factor e^{-i k x0 + shift_k}.  The reference end x0
-    is 1 above the real axis and 0 below, so the cell factor is at most 1
-    and the node factor carries the row's largest entry.  Nodes are taken in
-    blocks of 2048.
+    The kernel is the _taylor_cells split taken at -k, since
+    e^{-i k x + shift_k} = e^{i (-k) x + shift_k}: per side of the real axis,
+    one product of its cells' x-tables with every payload column, weighted
+    by w_q, gives the moments of every cell c (of -k) there,
+        M_n(c) = sum_q w_q p_q e^{i c (x_q - x0)} (x_q - x0)^n / n!,
+    and each cell's nodes take one product of their node rows with them.
+    Nodes are taken in blocks of 2048.
 
     All exponents must have (essentially) nonpositive real part; a large
     positive real part signals a construction error and raises before any
@@ -417,24 +429,19 @@ def _apply_kernel(karr, shift, payloads):
     cols = np.concatenate([p.reshape(len(wq), -1) for p in payloads], axis=1)
     weighted = cols * wq[:, None]
     ncol = cols.shape[1]
-    centres, blocks = _taylor_cells(karr, 2048)
-    up = centres.imag > 0
+    centres, x0, blocks = _taylor_cells(-karr, shift, 2048)
     moments = np.empty((len(centres), TAYLOR_TERMS, ncol), dtype=np.complex128)
-    for sel, x0 in ((up, 1.0), (~up, 0.0)):
-        dx = xq - x0
+    for side in (0.0, 1.0):
+        sel, dx = x0 == side, xq - side
         rhs = _taylor_basis(dx)[:, :, None] * weighted[:, None, :]
-        cell_factor = np.exp(-1j * np.outer(centres[sel], dx))
-        moments[sel] = (cell_factor @ rhs.reshape(len(xq), -1)).reshape(
-            -1, TAYLOR_TERMS, ncol)
+        moments[sel] = (np.exp(1j * np.outer(centres[sel], dx))
+                        @ rhs.reshape(len(xq), -1)).reshape(-1, TAYLOR_TERMS, ncol)
     out = np.empty((nk, ncol), dtype=np.complex128)
-    for idx, cell, runs in blocks:
-        kc = karr[idx]
-        powers = _taylor_powers(-1j * (kc - centres[cell]))
+    for idx, cell, runs, rows in blocks:
         part = np.empty((len(idx), ncol), dtype=np.complex128)
         for run in runs:
-            np.matmul(powers[:, run].T, moments[cell[run.start]], out=part[run])
-        x0 = np.where(up[cell], 1.0, 0.0)
-        out[idx] = part * np.exp(-1j * kc * x0 + shift[idx])[:, None]
+            np.matmul(rows[:, run].T, moments[cell[run.start]], out=part[run])
+        out[idx] = part
     widths = [1 if p.ndim == 1 else p.shape[1] for p in payloads]
     outs = np.split(out, np.cumsum(widths)[:-1], axis=1)
     return [o[:, 0] if p.ndim == 1 else o for o, p in zip(outs, payloads)]
@@ -445,50 +452,40 @@ def _assemble(vals, horizon, karr, warr, om, coef, shift=None):
     on the uniform (nx, nt) = vals.shape points of [0, 1] x [0, horizon].
 
     coef is (nk,), constant in time, or (nk, nt) on the output times; shift
-    is as in _apply_kernel, -i k on D+/- for e^{-i k (1 - x)}.  The nodes are
-    grouped into _taylor_cells and taken in blocks of 4096, or of
-    2^19 / (nt - 1) past 129 times, so the time table stays near 2^19
-    entries.  Per block, the time table is a _phase_table scaled
-    by w_k coef_k (or by w_k, with coef_k(t) multiplied in) and by the node
-    factor e^{i k x0 + shift_k}; per cell, one product contracts its rows
-    with the node powers (i (k - c))^n into a (TAYLOR_TERMS, nt) array, and
-    once the cell's last block is done, one product applies the cell's
-    x-table e^{i c (x - x0)} (x - x0)^n / n!.  The reference end x0 of a
-    cell is 0 above the real axis and 1 below, so the cell factor is at most
-    1 and the node factor carries the row's largest entry; the growth guard
-    bounds the time table's.
+    is as in _apply_kernel, -i k on D+/- for e^{-i k (1 - x)}.  The factor
+    e^{i k x + shift_k} is the _taylor_cells split, taken in blocks of 4096
+    nodes, or of 2^19 / (nt - 1) past 129 times, so the time table stays
+    near 2^19 entries.  Per block, the time table is a _phase_table scaled
+    by w_k coef_k (or by w_k, with coef_k(t) multiplied in); per cell, one
+    product contracts it with the node rows into a (TAYLOR_TERMS, nt) array,
+    and once the cell's last block is done, one product applies the cell's
+    x-table.  The split's node rows carry the x-factor's largest entry; the
+    growth guard bounds the time table's.
     """
     nx, nt = vals.shape
     dt = horizon / (nt - 1)
-    nk = len(karr)
-    growth = np.max(-om.imag) * horizon if nk else 0.0
+    growth = np.max(-om.imag) * horizon if len(karr) else 0.0
     if growth > OVERFLOW_GUARD:
         raise ExponentialOverflow("contour time factor exceeds the overflow guard")
-    shift = np.zeros(nk) if shift is None else shift
-    rows = max(1, 2 ** 19 // max(nt - 1, 128))
-    centres, blocks = _taylor_cells(karr, rows)
-    up = centres.imag > 0
+    chunk = max(1, 2 ** 19 // max(nt - 1, 128))
+    centres, x0, blocks = _taylor_cells(karr, shift, chunk)
 
     def contracted():
-        """(cell, node powers . time table) per run of each block."""
-        for idx, cell, runs in blocks:
-            kc = karr[idx]
-            x0 = np.where(up[cell], 0.0, 1.0)
-            scale = warr[idx] * np.exp(1j * kc * x0 + shift[idx])
+        """(cell, node rows . time table) per run of each block."""
+        for idx, cell, runs, rows in blocks:
             if coef.ndim == 1:
-                tm = _phase_table(-om[idx], dt, nt, scale=scale * coef[idx])
+                tm = _phase_table(-om[idx], dt, nt, scale=warr[idx] * coef[idx])
             else:
-                tm = _phase_table(-om[idx], dt, nt, scale=scale)
+                tm = _phase_table(-om[idx], dt, nt, scale=warr[idx])
                 # in the table's own (nt, nk) order: twice as fast as tm *= coef
                 np.multiply(tm.T, coef[idx].T, out=tm.T)
-            powers = _taylor_powers(1j * (kc - centres[cell]))
             for run in runs:
-                yield cell[run.start], powers[:, run] @ tm[run]
+                yield cell[run.start], rows[:, run] @ tm[run]
 
     x = np.linspace(0.0, 1.0, nx)
-    sides = {True: (x, _taylor_basis(x)), False: (x - 1.0, _taylor_basis(x - 1.0))}
+    tables = {side: (x - side, _taylor_basis(x - side)) for side in (0.0, 1.0)}
     for c, parts in itertools.groupby(contracted(), key=lambda part: part[0]):
-        dx, table = sides[bool(up[c])]
+        dx, table = tables[x0[c]]
         factor = np.exp(1j * centres[c] * dx) * (1.0 / TWO_PI)
         vals += (factor[:, None] * table) @ sum(g for _c, g in parts)
     return vals
@@ -968,11 +965,7 @@ def solve_reduced(params: DispersionParams, ell: float, psi0: TimeSeries,
     """Solve the companion problem with zero initial datum, zero left
     Dirichlet datum, and right data (psi0, psi1) on grid = (nx, nt) as in
     solve_full, verifying convergence under node refinement."""
-    if abs(psi0.horizon - psi1.horizon) > 1e-9 * max(1.0, psi0.horizon):
-        raise ValueError("psi0 and psi1 must share a horizon")
-    horizon = psi0.horizon
-    base = zero_data(params, ell, horizon)
-    data = replace(base, h0=psi0, h1=psi1)
+    data = replace(zero_data(params, ell, psi0.horizon), h0=psi0, h1=psi1)
     prev = solve_full(data, grid, budget)
     for factor in (1.6, 2.56):
         refined = replace(budget,

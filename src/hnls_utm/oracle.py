@@ -9,9 +9,12 @@ contour-integral evaluator: the equation is stepped as
 with a theta-weighted implicit scheme.  Interior stencils are 4th order for
 u_x and u_xx and centered (2nd order) for u_xxx; the row adjacent to x = 0
 uses a one-sided 6-point stencil, and a single ghost point past x = ell is
-closed by the 4th-order one-sided Neumann condition.  Each step solves one
-banded system; the LU factorization is computed once (the step is constant)
-and reused.  The nonlinearity is handled by a per-step fixed-point sweep.
+closed by the 4th-order one-sided Neumann condition.  L is kept as one
+gather table (_stencil), point indices and weights per interior point: the
+implicit matrix, the explicit step and the coupling to the known boundary
+values are all read from it.  Each step solves one banded system; the LU
+factorization is computed once (the step is constant) and reused.  The
+nonlinearity is handled by a per-step fixed-point sweep.
 """
 
 from __future__ import annotations
@@ -48,79 +51,52 @@ class OracleConfig:
             raise ValueError("theta must lie in [1/2, 1]")
 
 
-def _stencil_rows(params, x):
-    """Rows of the spatial operator L at the interior points.
+def _stencil(params, x):
+    """The spatial operator L at the interior points as one gather table.
 
-    Returns (rows, neumann) where rows is a list of (i, point_indices, weights)
-    with index nx standing for the ghost point at ell + h, and neumann is the
+    Returns ((idx, wts), neumann): per interior point, its row's point
+    indices and L weights, (nx - 2, 6), short rows padded with weight 0 at
+    point 0, with index nx standing for the ghost point at ell + h; and the
     (point_indices, weights) of the 4th-order one-sided first derivative at
-    x = ell used to close the ghost.
+    x = ell that closes the ghost.
     """
     nx = len(x)
-    h = x[1] - x[0]
-    ghost_x = x[-1] + h
-
-    def coords(idx):
-        return np.array([ghost_x if j == nx else x[j] for j in idx])
-
-    rows = []
+    pts = np.append(x, x[-1] + (x[1] - x[0]))
+    idx = np.zeros((nx - 2, 6), dtype=np.intp)
+    wts = np.zeros((nx - 2, 6), dtype=np.complex128)
     for i in range(1, nx - 1):
-        idx = np.arange(0, 6) if i == 1 else np.arange(i - 2, i + 3)
-        pts = coords(idx)
-        lrow = (-params.beta * fd_weights(pts, x[i], 3)
-                + 1j * params.alpha * fd_weights(pts, x[i], 2)
-                - params.delta * fd_weights(pts, x[i], 1))
-        rows.append((i, idx, lrow))
-    n_idx = np.array([nx - 4, nx - 3, nx - 2, nx - 1, nx])
-    n_w = fd_weights(coords(n_idx), x[-1], 1)
-    return rows, (n_idx, n_w)
+        ridx = np.arange(0, 6) if i == 1 else np.arange(i - 2, i + 3)
+        idx[i - 1, :len(ridx)] = ridx
+        wts[i - 1, :len(ridx)] = (-params.beta * fd_weights(pts[ridx], x[i], 3)
+                                  + 1j * params.alpha * fd_weights(pts[ridx], x[i], 2)
+                                  - params.delta * fd_weights(pts[ridx], x[i], 1))
+    n_idx = np.arange(nx - 4, nx + 1)
+    return (idx, wts), (n_idx, fd_weights(pts[n_idx], x[-1], 1))
 
 
-def _unknown_col(p, nx):
-    """Column of grid point p in the unknown vector (u_1..u_{nx-2}, ghost),
-    or -1 if p is a boundary point carried on the right-hand side."""
-    if 1 <= p <= nx - 2:
-        return p - 1
-    if p == nx:
-        return nx - 2
-    return -1
+def _unknown_col(nx):
+    """Column of each grid point 0..nx (nx the ghost) in the unknown vector
+    (u_1..u_{nx-2}, ghost), -1 for the boundary points carried on the
+    right-hand side."""
+    return np.r_[-1, np.arange(nx - 2), -1, nx - 2]
 
 
-def _banded_matrix(rows, neumann, nx, dt_theta):
+def _banded_matrix(stencil, neumann, dt_theta):
     """LAPACK band storage of I - dt*theta*L on the unknowns, with the
     Neumann closure as the last row."""
-    n_un = nx - 1
+    (idx, wts), (n_idx, n_w) = stencil, neumann
+    n_un = len(idx) + 1
+    col = _unknown_col(n_un + 1)
     ab = np.zeros((2 * _KL + _KU + 1, n_un), dtype=np.complex128)
-
-    def put(r, c, v):
-        ab[_KL + _KU + r - c, c] += v
-
-    for i, idx, lrow in rows:
-        r = i - 1
-        put(r, r, 1.0)
-        for p, lv in zip(idx, lrow):
-            c = _unknown_col(p, nx)
-            if c >= 0:
-                put(r, c, -dt_theta * lv)
-    n_idx, n_w = neumann
-    r = n_un - 1
-    for p, wv in zip(n_idx, n_w):
-        c = _unknown_col(p, nx)
-        if c >= 0:
-            put(r, c, wv)
+    ab[_KL + _KU, :-1] = 1.0
+    # row r of the table, then the Neumann row; points off the unknowns drop
+    r = np.r_[np.repeat(np.arange(n_un - 1), idx.shape[1]),
+              np.full(len(n_idx), n_un - 1)]
+    c = col[np.r_[idx.ravel(), n_idx]]
+    v = np.r_[-dt_theta * wts.ravel(), n_w]
+    keep = c >= 0
+    np.add.at(ab, (_KL + _KU + r[keep] - c[keep], c[keep]), v[keep])
     return ab
-
-
-def _padded_stencil(rows):
-    """The interior rows as one gather: point indices and L weights, one row
-    per interior point, short rows padded with weight 0 at point 0."""
-    width = max(len(ridx) for _i, ridx, _w in rows)
-    idx = np.zeros((len(rows), width), dtype=np.intp)
-    wts = np.zeros((len(rows), width), dtype=np.complex128)
-    for j, (_i, ridx, lrow) in enumerate(rows):
-        idx[j, :len(ridx)] = ridx
-        wts[j, :len(ridx)] = lrow
-    return idx, wts
 
 
 def _apply_l(stencil, state):
@@ -139,8 +115,8 @@ def oracle_solve(data: ProblemData, config: OracleConfig) -> Field:
     dt = t[1] - t[0]
     kappa, lam = complex(data.kappa), data.lam
 
-    rows, neumann = _stencil_rows(params, x)
-    ab = _banded_matrix(rows, neumann, nx, dt * theta)
+    stencil, neumann = _stencil(params, x)
+    ab = _banded_matrix(stencil, neumann, dt * theta)
     lu, piv, info = lapack.zgbtrf(ab, _KL, _KU)
     if info != 0:
         raise StepDiverged("implicit matrix is singular (info=%d)" % info)
@@ -168,10 +144,9 @@ def oracle_solve(data: ProblemData, config: OracleConfig) -> Field:
     values = np.empty((nx, nt), dtype=np.complex128)
     values[:, 0] = state[:nx]
 
-    stencil = _padded_stencil(rows)
     # the implicit rows' coupling to the known points: the same gather with
     # the weights of unknown points zeroed
-    known_pt = np.vectorize(_unknown_col)(stencil[0], nx) < 0
+    known_pt = _unknown_col(nx)[stencil[0]] < 0
     bdry = (stencil[0], np.where(known_pt, stencil[1], 0.0))
 
     for n in range(1, nt):

@@ -203,15 +203,17 @@ def assembly_shift(basis, k):
 def split_cells(monkeypatch):
     """Per _taylor_cells call, the number of cells whose nodes fall in two
     consecutive blocks: the kernel takes blocks of 2048 nodes, and the
-    assembly of 4096 up to 129 output times."""
+    assembly of 4096 up to 129 output times.  The split yields its blocks
+    as they are reached; they are listed here to be counted."""
     counts = []
     inner = linear._taylor_cells
 
-    def recording(k, size):
-        centres, blocks = inner(k, size)
+    def recording(k, shift, size):
+        centres, x0, blocks = inner(k, shift, size)
+        blocks = list(blocks)
         counts.append(sum(int(a[1][-1] == b[1][0])
                           for a, b in zip(blocks, blocks[1:])))
-        return centres, blocks
+        return centres, x0, blocks
 
     monkeypatch.setattr(linear, "_taylor_cells", recording)
     return counts
@@ -536,12 +538,34 @@ class TestTaylorCells:
                             ell * (rng.uniform(-40, 40, 300)
                                    + 1j * rng.uniform(-20, 20, 300))])
         k = k[rng.permutation(len(k))]
-        centres, blocks = linear._taylor_cells(k, len(k))
-        ((idx, cell, runs),) = blocks
+        centres, _x0, blocks = linear._taylor_cells(k, None, len(k))
+        ((idx, cell, runs, _rows),) = blocks
         assert sorted(idx) == list(range(len(k)))
         # one run per cell, every node within 2 of its centre
         assert len(runs) == len(centres) == len(set(cell))
         assert np.all(np.abs(k[idx] - centres[cell]) <= 2.0 * (1 + 1e-12))
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["plain", "shifted"])
+    def test_split_rows_times_x_tables_match_dense_exp(self, shifted):
+        # cells above and below the real axis, corners and centres included,
+        # in blocks of 37 nodes; the shift -i k is D+/-'s e^{i k (x - 1)}
+        rng = np.random.default_rng(41)
+        k = np.concatenate([self.cell_points(), rng.uniform(-20, 20, 100)
+                            + 1j * rng.uniform(-6, 6, 100)])
+        shift = -1j * k if shifted else None
+        x = np.linspace(0.0, 1.0, 65)
+        want = np.exp(1j * np.outer(k, x) + (0.0 if shift is None else shift[:, None]))
+        centres, x0, blocks = linear._taylor_cells(k, shift, 37)
+        got = np.empty_like(want)
+        for idx, cell, _runs, rows in blocks:
+            dx = x[None, :] - x0[cell][:, None]
+            # x-tables e^{i c (x - x0)} (x - x0)^n / n!, (nodes, n, x)
+            tables = (np.exp(1j * centres[cell][:, None] * dx)[:, None, :]
+                      * dx[:, None, :] ** np.arange(linear.TAYLOR_TERMS)[:, None]
+                      * linear.INV_FACTORIAL[:, None])
+            got[idx] = np.einsum("nj,jnx->jx", rows, tables)
+        assert set(x0[centres.imag > 0]) == {0.0} and set(x0[centres.imag < 0]) == {1.0}
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("ell", [1.0, 0.3])
     def test_kernel_on_cell_edges_and_centres(self, ell):
@@ -662,6 +686,11 @@ class TestZeroData:
         with pytest.raises(InvalidTruncation):
             solve_reduced(AIRY, 1.0, zero_series(0.5), zero_series(0.5),
                           (9, 9), budget)
+
+    def test_solve_reduced_rejects_unequal_horizons(self):
+        with pytest.raises(ValueError, match="h1 horizon"):
+            solve_reduced(AIRY, 1.0, zero_series(0.5), zero_series(0.4),
+                          (9, 9), SMALL_BUDGET)
 
     def test_global_relation_zero(self):
         data = zero_data(AIRY, 1.0, 0.5)

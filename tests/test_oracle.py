@@ -116,3 +116,30 @@ class TestStencilGather:
         monkeypatch.setattr(oracle, "_apply_l", self.row_loop)
         want = oracle_solve(data, config).values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestBandedMatrix:
+    def test_band_storage_is_the_dense_implicit_matrix(self):
+        # I - dt theta L on the unknowns (u_1..u_{nx-2}, ghost), with L's
+        # columns read off the gather table by _apply_l on unit states and
+        # the Neumann closure as the last row
+        nx, dt_theta = 16, 0.013
+        x = np.linspace(0.0, 1.0, nx)
+        stencil, (n_idx, n_w) = oracle._stencil(DispersionParams(1.0, 0.5, 1.0), x)
+        lmat = np.stack([oracle._apply_l(stencil, e) for e in np.eye(nx + 1)], axis=1)
+        unknowns = np.r_[1:nx - 1, nx]
+        want = np.zeros((nx - 1, nx - 1), dtype=complex)
+        want[:-1] = np.eye(nx - 1)[:-1] - dt_theta * lmat[:, unknowns]
+        neumann = np.zeros(nx + 1)
+        neumann[n_idx] = n_w
+        want[-1] = neumann[unknowns]
+        ab = oracle._banded_matrix(stencil, (n_idx, n_w), dt_theta)
+        kl, ku = oracle._KL, oracle._KU
+        # the band read back; zero outside it, so want must be banded too
+        r, c = np.indices(want.shape)
+        band = (r - c <= kl) & (c - r <= ku)
+        got = np.zeros_like(want)
+        got[band] = ab[kl + ku + r[band] - c[band], c[band]]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        # the kl rows LU fills in are left empty
+        assert not np.any(ab[:kl])
