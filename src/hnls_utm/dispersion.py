@@ -11,9 +11,9 @@ root of
     (k - alpha/(3 beta))**2 - (4/(9 beta**2)) (alpha**2 + 3 beta delta),
 
 whose branch cut is the straight segment joining the two branch points
-b_minus, b_plus.  The angle conventions below make the root continuous
-everywhere off that segment and asymptotic to k - alpha/(3 beta) at
-infinity.
+b_minus, b_plus.  For every sign of the discriminant it is one product of
+two principal square roots, continuous everywhere off that segment and
+asymptotic to k - alpha/(3 beta) at infinity.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchCutPoint
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -92,52 +90,29 @@ def branch_points(params: DispersionParams) -> BranchData:
     return BranchData(0.0, complex(c0), complex(c0), BranchKind.COINCIDENT)
 
 
-def _on_cut_interior(bd: BranchData, k: np.ndarray) -> np.ndarray:
-    """Boolean mask of points strictly inside the branch cut segment."""
-    if bd.kind is BranchKind.COINCIDENT:
-        return np.zeros(k.shape, dtype=bool)
-    if bd.kind is BranchKind.REAL_PAIR:
-        return (k.imag == 0.0) & (k.real > bd.b_minus.real) & (k.real < bd.b_plus.real)
-    return (k.real == bd.b_plus.real) & (k.imag > bd.b_minus.imag) & (k.imag < bd.b_plus.imag)
-
-
 def branch_sqrt(params: DispersionParams, k):
     """Single-valued sqrt of (k-c0)**2 - (4/(9 beta**2))(alpha**2+3 beta delta).
 
-    For a positive discriminant the two angles are measured counterclockwise
-    from the positive real direction at each branch point; for a negative
-    discriminant they are measured from the upward vertical rays, with an
-    extra half turn in the phase.  Both choices place the cut on the segment
-    joining b_minus to b_plus and select the root ~ (k - c0) at infinity.
+    The product e sqrt((k - b_minus) / e) sqrt((k - b_plus) / e) of principal
+    roots, with e the direction of the cut from b_minus to b_plus (1 for a
+    real pair or coincident points, i for an imaginary pair).  Their cuts,
+    the rays from b_minus and b_plus in direction -e, cancel past b_minus:
+    the cut is the segment, and the root ~ (k - c0) at infinity.  Zero parts
+    of k are made +0.0 first, so no sign of a zero changes the root.
 
     Raises BranchCutPoint for points strictly inside the cut; exact branch
     points map to 0 (the continuous limit).
     """
-    scalar = np.isscalar(k)
-    karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
+    karr = np.asarray(k, dtype=np.complex128) + 0.0
     bd = branch_points(params)
-    if np.any(_on_cut_interior(bd, karr)):
+    e = 1j if bd.kind is BranchKind.IMAGINARY_PAIR else 1.0
+    # rotating the differences, not k and b apart, keeps their zero signs alike
+    dm, dp = (karr - bd.b_minus) / e, (karr - bd.b_plus) / e
+    # strictly inside the cut: on its line, past b_minus and short of b_plus
+    if np.any((dm.imag == 0.0) & (dm.real > 0.0) & (dp.real < 0.0)):
         raise BranchCutPoint("point lies strictly inside the branch cut")
-
-    if bd.kind is BranchKind.COINCIDENT:
-        out = karr - params.center
-    else:
-        z_m = karr - bd.b_minus
-        z_p = karr - bd.b_plus
-        r_m = np.abs(z_m)
-        r_p = np.abs(z_p)
-        if bd.kind is BranchKind.REAL_PAIR:
-            th_m = np.mod(np.angle(z_m), TWO_PI)
-            th_p = np.mod(np.angle(z_p), TWO_PI)
-            phase = 0.5 * (th_m + th_p)
-        else:
-            th_m = np.mod(np.angle(z_m) - 0.5 * np.pi, TWO_PI)
-            th_p = np.mod(np.angle(z_p) - 0.5 * np.pi, TWO_PI)
-            phase = 0.5 * (th_m + th_p + np.pi)
-        out = np.sqrt(r_m * r_p) * np.exp(1j * phase)
-        # branch points themselves: radicand vanishes, continuous limit is 0
-        out = np.where((r_m == 0.0) | (r_p == 0.0), 0.0 + 0.0j, out)
-    return complex(out[0]) if scalar else out.reshape(np.shape(k))
+    out = e * np.sqrt(dm) * np.sqrt(dp)
+    return complex(out) if np.isscalar(k) else out
 
 
 def symmetry_roots(params: DispersionParams, k):

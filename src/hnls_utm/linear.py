@@ -275,12 +275,14 @@ def _time_transform(series, horizon: float, w, weights, times=None) -> np.ndarra
     first multiplied by the (nt - 1, 4 S) spline coefficients and then
     contracted with it; at the times, one product with the coefficients gives
     every cell integral, which the phase table multiplies in place before the
-    running sum.  The integrals on the series' grid go to other times by its
-    cubic spline, linear in the data, so as one (nt, len(times)) matrix.  A
-    chunk holds 2^16 / (nt - 1) rows, at least 128: the phase table stays
-    within 1 MiB up to 513 times (2 MiB at 1025), reused from the heap and
-    cached rather than mapped afresh (past 4 MiB, as huge pages when the
-    kernel has them) for every chunk.
+    running sum on the series' grid.  A time inside a cell adds to the sum at
+    the cell's start e^{-i w t_cell} times the moments over the part of the
+    cell before it, contracted with that cell's coefficients weighted by w;
+    the moments are taken once per partial length.  A chunk holds
+    2^16 / (nt - 1) rows, at least 128: the phase table stays within 1 MiB up
+    to 513 times (2 MiB at 1025), reused from the heap and cached rather than
+    mapped afresh (past 4 MiB, as huge pages when the kernel has them) for
+    every chunk.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     vals = np.asarray(series, dtype=np.complex128)
@@ -299,8 +301,17 @@ def _time_transform(series, horizon: float, w, weights, times=None) -> np.ndarra
     else:
         # (4 S, nt - 1): row m S + s holds series s's power-m coefficients
         coef = coef.transpose(0, 2, 1).reshape(-1, nt - 1)
-        out = np.empty((len(w), nt), dtype=np.complex128)
-        out[:, 0] = 0.0
+        start = np.searchsorted(grid, times, side="right") - 1
+        inside = np.flatnonzero(times != grid[start])
+        start[inside] = np.minimum(start[inside], nt - 2)
+        lengths = times[inside] - grid[start[inside]]
+        # lengths equal but for rounding share one set of moments
+        _, first, length_of = np.unique(
+            np.round(lengths / (16.0 * np.finfo(np.float64).eps * horizon)),
+            return_index=True, return_inverse=True)
+        parts = [(lengths[i], inside[length_of == g]) for g, i in enumerate(first)]
+        from_zero = start == 0
+        out = np.empty((len(w), len(times)), dtype=np.complex128)
     dt = horizon / (nt - 1)
     chunk = max(128, 2 ** 16 // (nt - 1))
     for lo in range(0, len(w), chunk):
@@ -311,12 +322,28 @@ def _time_transform(series, horizon: float, w, weights, times=None) -> np.ndarra
         folded = folded.reshape(len(eph), -1)
         if times is None:
             out[sel] = np.einsum("ij,ij->i", eph @ coef, folded)
-        else:
-            cell = folded @ coef
-            np.cumsum(np.multiply(cell, eph, out=cell), axis=1, out=out[sel, 1:])
-    if times is None or np.array_equal(grid, times):
-        return out
-    return out @ CubicSpline(grid, np.eye(nt), axis=1)(times)
+            continue
+        cell = folded @ coef
+        np.cumsum(np.multiply(cell, eph, out=cell), axis=1, out=cell)
+        if not parts:
+            # the running sum at each time, none at t = 0; "clip" writes to
+            # out unbuffered
+            np.take(cell, start - 1, axis=1, out=out[sel], mode="clip")
+            out[sel, from_zero] = 0.0
+            continue
+        # rows by time, so that the gathers and updates below take whole rows:
+        # the running sum to each time's cell start, then its partial cell
+        by_time = np.ascontiguousarray(cell.T)[start - 1]
+        by_time[from_zero] = 0.0
+        # (4, nt - 1, chunk): e^{-i w_j t_cell} sum_s weights[j, s] times
+        # series s's power-m coefficient of the cell
+        wcoef = eph.T * (coef.reshape(4, -1, nt - 1).transpose(0, 2, 1)
+                         @ weights[sel].T)
+        for h, at in parts:
+            mom = _filon_moments(w[sel], h)
+            by_time[at] += np.einsum("mj,mtj->tj", mom, wcoef[:, start[at]])
+        out[sel] = by_time.T
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -68,11 +68,8 @@ class PicardReport:
 
 
 def _power_law(values: np.ndarray, lam: float) -> np.ndarray:
-    """|u|^{lam-1} u with an exact zero at u = 0 (no NaN for lam < 3)."""
-    mag = np.abs(values)
-    with np.errstate(divide="ignore"):
-        amp = np.where(mag > 0, np.exp((lam - 1.0) * np.log(np.maximum(mag, 1e-300))), 0.0)
-    return amp * values
+    """|u|^{lam-1} u; 0.0 ** (lam - 1) = 0 for lam > 1, so u = 0 maps to 0."""
+    return np.abs(values) ** (lam - 1.0) * values
 
 
 def apply_nonlinearity(field: Field, kappa: complex, lam: float) -> Field:

@@ -134,32 +134,41 @@ class TestTimeTransform:
         # the moments are folded into the weights by (power, series): every
         # column must match the prefix integrals of the same splines, taken
         # by 24-point Gauss-Legendre on each cell, with S = 3 series, complex
-        # weights and nw = 133 rows, which the chunk of 128 does not divide
+        # weights and nw = 134 rows, which the chunk of 128 does not divide;
+        # the last node turns |w| dt ~ 20 radians in one cell
         horizon = 0.7
         t = np.linspace(0.0, horizon, 1025)
         rows = np.stack([np.exp(1j * 2 * t), np.cos(5 * t) + 1j * t,
                          t ** 3 - 0.5j])
-        w = across_chunk_edge(
-            np.array([0.0, 0.3, 9.0, 250.0 - 2.0j, -40.0], dtype=complex))
+        w = np.append(across_chunk_edge(
+            np.array([0.0, 0.3, 9.0, 250.0 - 2.0j, -40.0], dtype=complex)), 3e4)
         nw = len(w)
         xg, wg = roots_legendre(24)
-        half = 0.5 * (t[1] - t[0])
-        s = (0.5 * (t[1:] + t[:-1]))[:, None] + half * xg
-        spl = CubicSpline(t, rows, axis=1)(s)
-        cells = np.einsum("wcg,rcg,g->wrc", np.exp(-1j * w[:, None, None] * s),
-                          spl, half * wg)
+
+        def gauss(a, b):
+            """int_a^b e^{-i w u} phi(u) du per (w, series, interval)."""
+            half = 0.5 * (b - a)
+            s = (a + half)[:, None] + half[:, None] * xg
+            return np.einsum("wcg,rcg,cg->wrc", np.exp(-1j * w[:, None, None] * s),
+                             CubicSpline(t, rows, axis=1)(s), half[:, None] * wg)
+
+        cells = np.cumsum(gauss(t[:-1], t[1:]), axis=2)
+        # off the series' grid: the sum to the cell's start and the part of
+        # the cell before the time
+        off = np.linspace(0.0, horizon, 12)[1:-1]
+        start = np.searchsorted(t, off) - 1
+        partial = np.pad(cells, ((0, 0), (0, 0), (1, 0)))[:, :, start] \
+            + gauss(t[start], off)
         # per-w and shared weights
         for weights in ((np.arange(3.0 * nw).reshape(nw, 3) - 6.0) * (1.0 - 0.5j)
                         + 2.0j, np.array([0.5 - 1.0j, -2.0, 3.0j])):
+            per_w = np.broadcast_to(weights, (nw, 3))
             cum = _time_transform(rows, horizon, w, weights, t)
-            want = np.einsum("wr,wrc->wc", np.broadcast_to(weights, (nw, 3)),
-                             np.cumsum(cells, axis=2))
+            want = np.einsum("wr,wrc->wc", per_w, cells)
             assert np.all(cum[:, 0] == 0.0)
             np.testing.assert_allclose(cum[:, 1:], want, rtol=1e-11,
                                        atol=1e-13 * np.max(np.abs(want)))
-            # off the series' grid, the running integrals are splined in time
-            off = np.linspace(0.0, horizon, 12)[1:-1]
-            want = CubicSpline(t, np.pad(want, ((0, 0), (1, 0))), axis=1)(off)
+            want = np.einsum("wr,wrc->wc", per_w, partial)
             np.testing.assert_allclose(
                 _time_transform(rows, horizon, w, weights, off), want,
                 rtol=1e-11, atol=1e-13 * np.max(np.abs(want)))
