@@ -39,19 +39,21 @@ Two numerical choices matter:
   spline of the data (stable for arbitrarily large |w|; for small |w| by
   the Taylor cells' series).
 
-The forcing is factored once per solve as A(x) B(t) of rank r (_sample):
-the x-kernels act on the r columns of A, and only the r rows of B are
-splined in time.  The data enter the formula only through truncated time
-transforms, and one routine, _time_transform, takes them all: a weighted
-sum over a few shared series of int_0^t e^{-i w u} phi(u) du, at the
-horizon on the region boundaries and at every output time in the real
-axis's forcing history.  Each term of the representation sums, over its
-nodes, w_k e^{i k x + shift_k} e^{i omega t} times one coefficient array,
-constant in time or on the output times, with shift_k = -i k on D+/- for
-e^{-i k (1 - x)} and none elsewhere; _assemble takes it and applies the
-1/(2 pi).  A region's coefficient is its payload over Delta, weights times
-transforms of the g0/h0/h1 stack and of B; the real axis's is u0hat plus the
-forcing history, B's running transform with the node weights -i Ahat(k).
+The data enter the solve as two arrays (_sample): the x-quadrature payload
+[u0 | A], the forcing factored as A(x) B(t) of rank r, and the corner
+blend's 2x2 coefficients.  The x-kernels act on the payload's 1 + r
+columns, and only the r rows of B are splined in time.  The data enter the
+formula only through truncated time transforms, and one routine,
+_time_transform, takes them all: a weighted sum over a few shared series of
+int_0^t e^{-i w u} phi(u) du, at the horizon on the region boundaries and at
+every output time in the real axis's forcing history.  Each term of the
+representation sums, over its nodes, w_k e^{i k x + shift_k} e^{i omega t}
+times one coefficient array, constant in time or on the output times, with
+shift_k = -i k on D+/- for e^{-i k (1 - x)} and none elsewhere; _assemble
+takes it and applies the 1/(2 pi).  A region's coefficient is its payload
+over Delta, weights times transforms of the g0/h0/h1 stack and of B; the
+real axis's is u0hat plus the forcing history, B's running transform with
+the node weights -i Ahat(k), where [u0hat | Ahat] is the payload's kernel.
 
 The x-factor of the assembly, e^{i k x + shift_k}, is summed by one split,
 _taylor_cells: the nodes are grouped into squares of side 2 sqrt(2) in k,
@@ -417,10 +419,9 @@ def _taylor_basis(u):
     return _taylor_powers(u).T * INV_FACTORIAL
 
 
-def _apply_kernel(karr, shift, payloads):
-    """For each payload p (shape (nq,) or (nq, c)) return
-    sum_q exp(-i k x_q + shift_k) w_q p[q] as an array over k, on the unit
-    x-quadrature (x_q, w_q) = (XQ_NODES, XQ_WEIGHTS).
+def _apply_kernel(karr, shift, payload):
+    """sum_q exp(-i k x_q + shift_k) w_q payload[q], (nk, c), for the (nq, c)
+    payload on the unit x-quadrature (x_q, w_q) = (XQ_NODES, XQ_WEIGHTS).
 
     The kernel is the _taylor_cells split taken at -k, since
     e^{-i k x + shift_k} = e^{i (-k) x + shift_k}: per side of the real axis,
@@ -435,8 +436,6 @@ def _apply_kernel(karr, shift, payloads):
     exponential is taken.  The real part Im(k) x + Re(shift_k) is linear in
     x, so its maximum over the nodes is at the first or last node.
     """
-    if not payloads:
-        return []
     karr = np.asarray(karr, dtype=np.complex128)
     nk = len(karr)
     shift = (np.zeros(nk) if shift is None
@@ -452,10 +451,11 @@ def _apply_kernel(karr, shift, payloads):
         # the guard the panel's 8 Gauss points cannot resolve it
         if np.max(np.abs(karr.imag)) * XQ_REACH > OVERFLOW_GUARD:
             raise ExponentialOverflow("Im k too large for the x-quadrature panels")
-    payloads = [np.asarray(p, dtype=np.complex128) for p in payloads]
-    cols = np.concatenate([p.reshape(len(wq), -1) for p in payloads], axis=1)
-    weighted = cols * wq[:, None]
-    ncol = cols.shape[1]
+    payload = np.asarray(payload, dtype=np.complex128)
+    if payload.shape[:1] != wq.shape or payload.ndim != 2:
+        raise ValueError("the payload must be (%d, c), got %r" % (len(wq), payload.shape))
+    weighted = payload * wq[:, None]
+    ncol = payload.shape[1]
     centres, x0, blocks = _taylor_cells(-karr, shift, 2048)
     moments = np.empty((len(centres), TAYLOR_TERMS, ncol), dtype=np.complex128)
     for side in (0.0, 1.0):
@@ -469,9 +469,7 @@ def _apply_kernel(karr, shift, payloads):
         for run in runs:
             np.matmul(rows[:, run].T, moments[cell[run.start]], out=part[run])
         out[idx] = part
-    widths = [1 if p.ndim == 1 else p.shape[1] for p in payloads]
-    outs = np.split(out, np.cumsum(widths)[:-1], axis=1)
-    return [o[:, 0] if p.ndim == 1 else o for o, p in zip(outs, payloads)]
+    return out
 
 
 def _assemble(vals, horizon, karr, warr, om, coef, shift=None):
@@ -559,16 +557,16 @@ def _radial_envelope(params, horizon, samples, r_max, h1_weight):
     ks = np.concatenate([params.center + rs, params.center - rs]) + 0j
     om = omega(params, ks).real
     omp = np.abs(omega_prime(params, ks))
-    u0hat, ahat = _x_transforms(ks, None, samples)
-    env = np.zeros(2 * ENVELOPE_RADII) if u0hat is None else np.abs(u0hat)
+    hat = None if samples.xcols is None else _apply_kernel(ks, None, samples.xcols)
+    env = np.zeros(2 * ENVELOPE_RADII) if hat is None else np.abs(hat[:, 0])
     if samples.stack is not None:
         # one call for the three series: om thrice, one-hot weights
         g0t, h0t, h1t = np.abs(_time_transform(
             samples.stack, horizon, np.tile(om, 3),
             np.repeat(np.eye(3), len(om), axis=0))).reshape(3, -1)
         env += omp * (g0t + h0t + h1_weight * h1t)
-    if ahat is not None:
-        env += np.abs(_time_transform(samples.forcing[1], horizon, om, ahat))
+    if samples.b is not None:
+        env += np.abs(_time_transform(samples.b, horizon, om, hat[:, 1:]))
     env = np.maximum(env[:ENVELOPE_RADII], env[ENVELOPE_RADII:])
     env = np.maximum.accumulate(env[::-1])[::-1]
     emax = float(env[0])
@@ -720,15 +718,16 @@ def _factor_forcing(fq):
 
 
 class _Samples(NamedTuple):
-    """The data as the transforms see it, corner blend removed: u0 on the
-    x-quadrature, the (3, NTQ) stack of g0, h0, h1 and the factored forcing
-    (A, B), B on the given forcing's time grid or on the output times; a part
-    that is identically zero is None.  blend is _corner_blend's result."""
+    """The data as the transforms see it, corner blend removed: xcols, the
+    (nq, 1 + r) x-quadrature payload [u0 | A] of u0 and the forcing's x
+    factor; the (3, NTQ) stack of g0, h0, h1; b, the forcing's (r, nt) time
+    factor B, on the given forcing's time grid or on the output times; and
+    blend, _corner_blend's C.  A part that is identically zero is None."""
 
-    u0v: Optional[np.ndarray]
+    xcols: Optional[np.ndarray]
     stack: Optional[np.ndarray]
-    forcing: Optional[tuple]
-    blend: Optional[tuple]
+    b: Optional[np.ndarray]
+    blend: Optional[np.ndarray]
 
 
 # time samples of the boundary data
@@ -750,73 +749,48 @@ def _sample(data: ProblemData, t_grid) -> _Samples:
     forcing = None
     blend = _corner_blend(data)
     if blend is not None:
-        wfun, wforce, wx_right = blend
-        u0v = u0v - wfun(xq, 0.0)
-        stack = stack - np.stack([wfun(0.0, tq), wfun(1.0, tq), wx_right(tq)])
+        (c00, ct), (cx, cxt) = blend
+        u0v = u0v - (c00 + cx * xq)
+        # w(0, t), w(1, t) and w_x(1, t)
+        stack = stack - np.array([[1, 0], [1, 1], [0, 1]]) @ blend @ np.stack(
+            [np.ones(NTQ), tq / data.horizon])
+        # the forcing i w_t + i delta w_x = (a0 + a1 x) 1 + 1 (a2 t), of rank
+        # <= 2, as factors A(x) and B(t) with the zero terms dropped
+        a0 = 1j * (ct / data.horizon + data.params.delta * cx)
+        a1 = 1j * cxt / data.horizon
+        a2 = data.params.delta * a1
+        t = t_grid if fq is None else data.forcing.t_grid
+        keep = [a0 != 0 or a1 != 0, a2 != 0]
+        a = np.stack([a0 + a1 * xq, np.ones(len(xq))], axis=1)[:, keep]
+        b = np.stack([np.ones(len(t)), a2 * t + 0j])[keep]
         if fq is None:
-            a, b = wforce(xq, t_grid)
             forcing = (-a, b) if len(b) else None
         else:
-            a, b = wforce(xq, data.forcing.t_grid)
             fq = fq - a @ b
     if fq is not None:
         forcing = _factor_forcing(fq)
-    return _Samples(u0v if np.any(u0v) else None,
-                    stack if np.any(stack) else None, forcing, blend)
-
-
-def _x_transforms(k, shift, samples: _Samples):
-    """(u0hat, ahat): the x-transforms at k, with the kernel shift, of u0,
-    (nk,), and of A's columns, (nk, r), by one kernel call; None if absent."""
-    parts = (samples.u0v, None if samples.forcing is None else samples.forcing[0])
-    hats = iter(_apply_kernel(k, shift, [p for p in parts if p is not None]))
-    return tuple(None if p is None else next(hats) for p in parts)
+    a, b = forcing if forcing is not None else (np.zeros((len(xq), 0)), None)
+    xcols = np.column_stack([u0v, a])
+    return _Samples(xcols if np.any(xcols) else None,
+                    stack if np.any(stack) else None, b, blend)
 
 
 def _corner_blend(data: ProblemData):
-    """Bilinear function w(x, t) matching the rectangle-corner values u0(0),
-    u0(1), g0(T), h0(T) of data on [0, 1] (a _unit_twin), together with its
-    trace data and the forcing it generates under the equation operator, as
-    factors on x and t.
+    """The 2x2 coefficients C of the bilinear w(x, t) = [1, x] C [1, t / T]^T
+    that matches the rectangle-corner values u0(0), u0(1), g0(T), h0(T) of
+    data on [0, 1] (a _unit_twin); None when all four are zero.
 
     Subtracting w from the problem (by linearity, with the compensating
     forcing) removes the 1/k corner terms of the data transforms, which are
     what make the truncated representation converge slowly near the corners
     of the space-time rectangle.
     """
-    horizon = data.horizon
-    c00 = complex(np.asarray(data.u0(np.array([0.0])))[0])
-    c10 = complex(np.asarray(data.u0(np.array([1.0])))[0])
-    c01 = complex(np.asarray(data.g0(np.array([horizon])))[0])
-    c11 = complex(np.asarray(data.h0(np.array([horizon])))[0])
-    if c00 == 0 and c10 == 0 and c01 == 0 and c11 == 0:
+    c00, c10 = np.asarray(data.u0(np.array([0.0, 1.0])), dtype=np.complex128)
+    c01, c11 = (complex(np.asarray(s(np.array([data.horizon])))[0])
+                for s in (data.g0, data.h0))
+    if c00 == c10 == c01 == c11 == 0:
         return None
-    cx = c10 - c00
-    ct = c01 - c00
-    cxt = c11 - c01 - c10 + c00
-    delta = data.params.delta
-
-    def w(x, t):
-        tt = np.asarray(t) / horizon
-        return c00 + cx * x + ct * tt + cxt * x * tt
-
-    # the forcing i w_t + i delta w_x = (a0 + a1 x) 1 + 1 (a2 t), of rank <= 2
-    a0 = 1j * (ct / horizon + delta * cx)
-    a1 = 1j * cxt / horizon
-    a2 = delta * a1
-
-    def forcing(x, t):
-        """The forcing as factors A(x) (len(x), r) and B(t) (r, len(t)),
-        terms with zero coefficients dropped."""
-        x, t = np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64)
-        keep = np.array([a0 != 0 or a1 != 0, a2 != 0])
-        return (np.stack([a0 + a1 * x, np.ones(len(x))], axis=1)[:, keep],
-                np.stack([np.ones(len(t)), a2 * t + 0j])[keep])
-
-    def wx_right(t):
-        return cx + cxt * np.asarray(t) / horizon
-
-    return w, forcing, wx_right
+    return np.array([[c00, c01 - c00], [c10 - c00, c11 - c01 - c10 + c00]])
 
 
 def _unit_twin(data: ProblemData) -> ProblemData:
@@ -874,31 +848,31 @@ class SolvePlan:
         xi, s = self.unit_grids
         samples = _sample(_unit_twin(data), s)
         vals = np.zeros((len(xi), len(s)), dtype=np.complex128)
-        spatial = samples.u0v is not None or samples.forcing is not None
-        if spatial:
+        if samples.xcols is not None:
             self._real_axis_term(vals, samples)
-        if spatial or samples.stack is not None:
+        if samples.xcols is not None or samples.stack is not None:
             for region, k, w in self.groups:
                 self._contour_term(vals, samples, region, k, w)
         if samples.blend is not None:
-            vals = vals + samples.blend[0](xi[:, None], s[None, :])
+            vals += (np.stack([np.ones(len(xi)), xi], axis=1) @ samples.blend
+                     @ np.stack([np.ones(len(s)), s / self.tau]))
         return Field(np.linspace(0.0, self.ell, len(xi)),
                      np.linspace(0.0, self.horizon, len(s)), vals)
 
     def _real_axis_term(self, vals, samples):
         """The whole-line term over the truncated real window; its
-        coefficient is u0hat plus, added in place, the forcing history."""
+        coefficient is the payload's u0 column plus, added in place, the
+        forcing history."""
         k_r, w_r = self.real_axis
         om_r = omega(self.unit_params, k_r + 0j).real
-        coef, ahat = _x_transforms(k_r, None, samples)
-        if ahat is not None:
-            history = _time_transform(samples.forcing[1], self.tau, om_r,
-                                      -1j * ahat, self.unit_grids[1])
-            # freed before the assembly, where a forced solve peaks in memory
-            del ahat
-            if coef is not None:
-                history += coef[:, None]
-            coef = history
+        hat = _apply_kernel(k_r, None, samples.xcols)
+        coef = hat[:, 0]
+        if samples.b is not None:
+            coef = _time_transform(samples.b, self.tau, om_r, -1j * hat[:, 1:],
+                                   self.unit_grids[1])
+            # in place, and hat freed: a forced solve peaks in the assembly
+            coef += hat[:, :1]
+            del hat
         _assemble(vals, self.tau, k_r, w_r, om_r, coef)
 
     def _contour_term(self, vals, samples, region, k, w):
@@ -915,8 +889,9 @@ class SolvePlan:
         c_sigma = mu_sigma on D+/-, -(mu+ f+ + mu- f-) on D0.  Grouped so,
         every exponent has nonpositive real part.  The payload is built as
         weights times transforms: one _time_transform of the g0/h0/h1 stack
-        with the weights in brackets, times -omega', one of B with the
-        weights -i sum_j c_j Ahat_j, and the u0 terms sum_j c_j u0hat_j.
+        with the weights in brackets, times -omega', and sum_j c_j of the
+        roots' kernels on the [u0 | A] payload: its column 0 is the u0 term,
+        and its other columns, times -i, weigh one _time_transform of B.
         """
         params = self.unit_params
         roots = symmetry_roots(params, k)
@@ -935,17 +910,14 @@ class SolvePlan:
             payload = _time_transform(samples.stack, self.tau, om, boundary)
         c = [m * z for m in mu]
         c[dom] = -(mu[1] * fp + mu[2] * fm) if in_d0 else mu[dom]
-        forcing = 0.0
-        for j, root in enumerate(roots):
-            shift = 1j * root if j == dom else None
-            u0hat, ahat = _x_transforms(root, shift, samples)
-            if u0hat is not None:
-                payload = payload + c[j] * u0hat
-            if ahat is not None:
-                forcing = forcing + c[j][:, None] * ahat
-        if samples.forcing is not None:
-            payload = payload + _time_transform(samples.forcing[1], self.tau, om,
-                                                -1j * forcing)
+        if samples.xcols is not None:
+            hat = sum(c[j][:, None] * _apply_kernel(
+                root, 1j * root if j == dom else None, samples.xcols)
+                for j, root in enumerate(roots))
+            payload = payload + hat[:, 0]
+            if samples.b is not None:
+                payload = payload + _time_transform(samples.b, self.tau, om,
+                                                    -1j * hat[:, 1:])
         _assemble(vals, self.tau, k, w, om,
                   payload / scaled_delta(roots, roots[dom]),
                   None if in_d0 else -1j * k)
@@ -1064,11 +1036,12 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
     params, horizon, t = data.params, data.horizon, field.t_grid
     om = omega(params, karr)
 
-    xq = XQ_NODES
-    vq = resample(field, xq)
-    u0v = np.asarray(data.u0(xq), dtype=np.complex128)
-    uhat, u0hat = _apply_kernel(karr, None, [vq, u0v])
-    lhs = _phase_table(om, t[1], len(t)) * uhat
+    xq, nt = XQ_NODES, len(t)
+    forcing = _factor_forcing(None if data.forcing is None
+                              else resample(data.forcing, xq))
+    a = np.zeros((len(xq), 0)) if forcing is None else forcing[0]
+    hat = _apply_kernel(karr, None, np.column_stack([resample(field, xq), data.u0(xq), a]))
+    lhs = _phase_table(om, t[1], nt) * hat[:, :nt]
 
     th = float(t[-1])
     g0, h0, h1 = (np.asarray(s(t), dtype=np.complex128)
@@ -1084,13 +1057,10 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
     poly0 = beta * karr ** 2 - alpha * karr - delta
     left = np.stack([-poly0, 1j * poly1, np.full_like(karr, beta)], axis=1)
     weights = np.concatenate([left, -np.exp(-1j * karr)[:, None] * left], axis=1)
-    rhs = u0hat[:, None] + _time_transform(
+    rhs = hat[:, nt:nt + 1] + _time_transform(
         np.stack([g0, g1, g2, h0, h1, h2]), th, om, weights, t)
-    forcing = _factor_forcing(None if data.forcing is None
-                              else resample(data.forcing, xq))
     if forcing is not None:
-        (ahat,) = _apply_kernel(karr, None, [forcing[0]])
-        rhs = rhs + _time_transform(forcing[1], horizon, om, -1j * ahat, t)
+        rhs = rhs + _time_transform(forcing[1], horizon, om, -1j * hat[:, nt + 1:], t)
 
     scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))))
     if scale == 0.0:

@@ -127,14 +127,24 @@ def plane_wave_field(params: DispersionParams, a: float,
 # spec-dictionary builders used by the configuration layer
 # --------------------------------------------------------------------------
 
-def _load_samples(path):
+def _load_samples(path, extent, name):
+    """The complex values of a coord,re,im data file; ConfigInvalid naming
+    the field unless every entry is finite and the coordinates are uniform
+    over [0, extent], each within 1e-9 extent of its grid point."""
     try:
         raw = np.loadtxt(path, delimiter=",", skiprows=1)
     except OSError as exc:
         raise ConfigInvalid("cannot read data file %r: %s" % (path, exc))
     if raw.ndim != 2 or raw.shape[1] < 3:
         raise ConfigInvalid("data file %r needs columns coord,re,im" % path)
-    return raw[:, 0], raw[:, 1] + 1j * raw[:, 2]
+    if not np.all(np.isfinite(raw[:, :3])):
+        raise ConfigInvalid("field %r: data file %r holds a value that is not "
+                            "finite" % (name, path))
+    grid = np.linspace(0.0, extent, len(raw))
+    if np.max(np.abs(raw[:, 0] - grid)) > 1e-9 * extent:
+        raise ConfigInvalid("field %r: the coordinates of data file %r must be "
+                            "uniform over [0, %r]" % (name, path, extent))
+    return raw[:, 1] + 1j * raw[:, 2]
 
 
 def named_number(value, name):
@@ -168,8 +178,7 @@ def profile_from_spec(spec, ell: float, name: str = "spec") -> SpatialProfile:
     if spec is None:
         return zero_profile(ell)
     if "path" in spec:
-        _coords, vals = _load_samples(spec["path"])
-        return SpatialProfile(ell, vals)
+        return SpatialProfile(ell, _load_samples(spec["path"], ell, name))
     preset = spec.get("preset")
     if preset == "zero":
         return zero_profile(ell)
@@ -195,8 +204,7 @@ def series_from_spec(spec, horizon: float, name: str = "spec") -> TimeSeries:
     if spec is None:
         return zero_series(horizon)
     if "path" in spec:
-        _coords, vals = _load_samples(spec["path"])
-        return TimeSeries(horizon, vals)
+        return TimeSeries(horizon, _load_samples(spec["path"], horizon, name))
     preset = spec.get("preset")
     if preset == "zero":
         return zero_series(horizon)

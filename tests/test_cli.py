@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -282,6 +283,48 @@ class TestSolveVerb:
         assert result.exit_code == 3, result.output
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "InvalidTruncation"
+
+
+def write_csv(tmp_path, coords, values, name="samples.csv"):
+    path = tmp_path / name
+    rows = ["%r,%r,%r" % (float(c), float(v.real), float(v.imag))
+            for c, v in zip(coords, np.asarray(values, dtype=complex))]
+    path.write_text("coord,re,im\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+class TestCsvData:
+    """A {"path": csv} spec is sampled on the uniform grid of [0, ell] or
+    [0, T], so its coordinate column must be that grid."""
+
+    def test_uniform_file_solves(self, tmp_path):
+        x = np.linspace(0.0, 1.0, 65)
+        doc = dict(BASE, data=dict(BASE["data"], u0={
+            "path": write_csv(tmp_path, x, np.sin(np.pi * x))}))
+        config = write_config(tmp_path, doc)
+        xs = np.linspace(0.0, 1.0, 7)
+        np.testing.assert_allclose(load_scenario(config).data.u0(xs),
+                                   np.sin(np.pi * xs), atol=1e-6)
+        result = CliRunner().invoke(main, ["solve", "--config", config,
+                                           "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("name, coords, values", [
+        ("u0", np.linspace(0.0, 1.0, 65) ** 2, np.sin(np.pi * np.linspace(0.0, 1.0, 65) ** 2)),
+        ("u0", np.linspace(0.0, 2.0, 65), np.sin(np.pi * np.linspace(0.0, 2.0, 65))),
+        ("u0", np.linspace(0.0, 1.0, 65), np.r_[np.zeros(32), np.nan, np.zeros(32)]),
+        ("g0", np.linspace(0.0, 0.1, 33) ** 2 * 10.0, np.zeros(33)),
+    ], ids=["nonuniform", "wrong-span", "nan", "g0-nonuniform"])
+    def test_bad_file_exit_2_naming_the_field(self, tmp_path, name, coords, values):
+        doc = dict(BASE, data=dict(BASE["data"], **{
+            name: {"path": write_csv(tmp_path, coords, values)}}))
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--config",
+                                           write_config(tmp_path, doc),
+                                           "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "'data.%s'" % name in result.output
+        assert not (out / "field.csv").exists()
 
 
 class TestVerifyVerb:

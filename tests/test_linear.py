@@ -251,48 +251,46 @@ class TestExponentialTables:
         dpm_k = np.linspace(3.0, 60.0, 77) * np.exp(-1j * np.linspace(0.2, 2.9, 77))
         for k, shift in ((real_k, np.zeros(161)), (d0_k, 1j * (d0_k - nup)),
                          (dpm_k, np.zeros(77))):
-            self.assert_kernels_match(k, shift, [p, p[:, 0]],
-                                      _kernel(k, shift, [p, p[:, 0]]))
+            payload = np.column_stack([p, p[:, 0]])
+            self.assert_kernels_match(k, shift, payload,
+                                      _kernel(k, shift, payload))
 
-    def assert_kernels_match(self, k, shift, payloads, got):
-        assert len(got) == len(payloads)
-        for g, p in zip(got, payloads):
-            assert g.shape == (len(k),) + p.shape[1:]
-            want = self.dense_kernel(k, shift, p.reshape(len(p), -1))
-            want = want.reshape(g.shape)
-            np.testing.assert_allclose(g, want, rtol=1e-12,
-                                       atol=1e-12 * np.max(np.abs(want)))
+    def assert_kernels_match(self, k, shift, payload, got):
+        assert got.shape == (len(k), payload.shape[1])
+        want = self.dense_kernel(k, shift, payload)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
     def test_kernel_mixed_payloads_match_dense_exp(self):
-        # 1-D and 2-D payloads in one call, 43 columns in all, split back
-        # into their own shapes
+        # the [u0 | A] payload a forcing-only solve sends: a zero u0 column
+        # and 29 columns of A, 30 in all
         xq = XQ
         rng = np.random.default_rng(11)
-        wide = (rng.standard_normal((len(xq), 40))
-                + 1j * rng.standard_normal((len(xq), 40)))
-        pair = np.stack([np.exp(2j * xq), np.cos(7 * xq) - 0.3j], axis=1)
-        payloads = [np.sin(3 * xq) + 0.5j, wide, pair]
+        wide = (rng.standard_normal((len(xq), 29))
+                + 1j * rng.standard_normal((len(xq), 29)))
+        payload = np.column_stack([np.zeros(len(xq)), wide])
         k = np.linspace(-60.0, 60.0, 2000) - 1j * np.linspace(0.0, 4.0, 2000)
         shift = np.zeros(2000)
-        self.assert_kernels_match(k, shift, payloads,
-                                  _kernel(k, shift, payloads))
+        got = _kernel(k, shift, payload)
+        assert np.all(got[:, 0] == 0.0)
+        self.assert_kernels_match(k, shift, payload, got)
 
     def test_kernel_chunk_not_dividing_nodes(self, split_cells):
         # 4500 nodes: blocks of 2048, 2048 and 404, with cells split across
         # their edges
         xq = XQ
-        payloads = [np.stack([np.exp(2j * xq) * (1 + xq ** 2), xq + 0j], axis=1),
-                    np.cos(7 * xq) - 0.3j]
+        payload = np.stack([np.exp(2j * xq) * (1 + xq ** 2), xq + 0j,
+                            np.cos(7 * xq) - 0.3j], axis=1)
         k = np.linspace(-80.0, 80.0, 4500) + 1j * np.linspace(-3.0, 1.0, 4500)
         shift = -np.maximum(k.imag, 0.0) + 0j
-        got = linear._apply_kernel(k, shift, payloads)
+        got = linear._apply_kernel(k, shift, payload)
         assert split_cells == [2]
-        self.assert_kernels_match(k, shift, payloads, got)
+        self.assert_kernels_match(k, shift, payload, got)
 
     def test_kernel_of_no_nodes(self):
         p = np.ones((len(XQ), 3))
-        got_2d, got_1d = _kernel(np.array([], dtype=complex), None, [p, p[:, 0]])
-        assert got_2d.shape == (0, 3) and got_1d.shape == (0,)
+        assert _kernel(np.array([], dtype=complex), None, p).shape == (0, 3)
+        assert _kernel(np.array([], dtype=complex), None, p[:, :1]).shape == (0, 1)
 
     def test_kernel_large_imaginary_k_with_compensating_shift(self):
         # e^{-i k x + shift} = e^{1000 (x - 1)} stays at most 1, and
@@ -301,10 +299,10 @@ class TestExponentialTables:
         xq = XQ
         k = np.array([1000j, 1000j + 5.0])
         shift = np.full(2, -1000.0 + 0j)
-        payloads = [np.exp(2j * xq) * (1 + xq ** 2)]
-        got = _kernel(k, shift, payloads)
-        assert np.all(np.isfinite(got[0]))
-        self.assert_kernels_match(k, shift, payloads, got)
+        payload = (np.exp(2j * xq) * (1 + xq ** 2))[:, None]
+        got = _kernel(k, shift, payload)
+        assert np.all(np.isfinite(got))
+        self.assert_kernels_match(k, shift, payload, got)
 
     def test_kernel_rows_of_both_signs_of_imaginary_k_in_one_chunk(self):
         # each row is shifted so that its largest entry, at the last node for
@@ -316,10 +314,11 @@ class TestExponentialTables:
         im = rng.uniform(800.0, 1000.0, 40) * np.tile([1.0, -1.0], 20)
         k = rng.uniform(-50.0, 50.0, 40) + 1j * im
         shift = -np.maximum(im * xq[0], im * xq[-1]) + 0j
-        payloads = [np.exp(2j * xq) * (1 + xq ** 2), np.cos(7 * xq) - 0.3j]
-        got = _kernel(k, shift, payloads)
-        assert np.all(np.abs(got[0]) > 0)
-        self.assert_kernels_match(k, shift, payloads, got)
+        payload = np.stack([np.exp(2j * xq) * (1 + xq ** 2), np.cos(7 * xq) - 0.3j],
+                           axis=1)
+        got = _kernel(k, shift, payload)
+        assert np.all(np.abs(got[:, 0]) > 0)
+        self.assert_kernels_match(k, shift, payload, got)
 
     @pytest.mark.parametrize("cells", [3, 10, 128, 256])
     def test_phase_table_matches_dense_exp(self, cells):
@@ -362,28 +361,36 @@ class TestExponentialTables:
 
     def test_kernel_guard_on_shift(self):
         k = np.array([0.0, 5.0, -3.0]) + 0j
-        p = np.ones(len(XQ))
+        p = np.ones((len(XQ), 1))
         with pytest.raises(ExponentialOverflow):
-            _kernel(k, np.array([0.0, 2.01, 0.0]), [p])
-        _kernel(k, np.array([0.0, 1.99, 0.0]), [p])
+            _kernel(k, np.array([0.0, 2.01, 0.0]), p)
+        _kernel(k, np.array([0.0, 1.99, 0.0]), p)
 
     def test_kernel_guard_on_imaginary_k(self):
         x_first, x_last = XQ[0], XQ[-1]
-        p = np.ones(len(XQ))
+        p = np.ones((len(XQ), 1))
         # Im k > 0: the exponent's real part is largest at the last node
         with pytest.raises(ExponentialOverflow):
-            _kernel(np.array([1.0 + 2.01j / x_last]), None, [p])
-        _kernel(np.array([1.0 + 1.99j / x_last]), None, [p])
+            _kernel(np.array([1.0 + 2.01j / x_last]), None, p)
+        _kernel(np.array([1.0 + 1.99j / x_last]), None, p)
         # Im k < 0 with a shift: largest at the first node
         with pytest.raises(ExponentialOverflow):
-            _kernel(np.array([-1.0j]), np.array([2.01 + x_first]), [p])
-        _kernel(np.array([-1.0j]), np.array([1.99 + x_first]), [p])
+            _kernel(np.array([-1.0j]), np.array([2.01 + x_first]), p)
+        _kernel(np.array([-1.0j]), np.array([1.99 + x_first]), p)
+
+    def test_kernel_rejects_a_payload_that_is_not_a_column_matrix(self):
+        # a 1-D vector or a list [v] would broadcast against the (nq, 1)
+        # weights to (nq, nq) without an error
+        v = np.ones(len(XQ))
+        for payload in (v, [v], v[None, :]):
+            with pytest.raises(ValueError, match="payload"):
+                _kernel(np.array([1.0 + 0j]), None, payload)
 
     def test_kernel_guard_on_panel_factor(self):
         # the shift cancels the growth, but e^{-i k off} would overflow
-        p = np.ones(len(XQ))
+        p = np.ones((len(XQ), 1))
         with pytest.raises(ExponentialOverflow):
-            _kernel(np.array([5e4j]), np.array([-5e4 + 0j]), [p])
+            _kernel(np.array([5e4j]), np.array([-5e4 + 0j]), p)
 
     def test_time_transform_guard(self):
         horizon = 0.5
@@ -585,7 +592,7 @@ class TestTaylorCells:
         k = self.cell_points() / ell
         xq = ell * XQ
         shift = -np.maximum(k.imag * xq[0], k.imag * xq[-1]) + 0j
-        (got,) = linear._apply_kernel(ell * k, shift, [ell * np.eye(len(xq))])
+        got = linear._apply_kernel(ell * k, shift, ell * np.eye(len(xq)))
         want = np.exp(-1j * np.outer(k, xq) + shift[:, None]) * (ell * WQ)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -644,12 +651,11 @@ class TestTaylorCells:
         perm = rng.permutation(n)
         shift = self.kernel_shift(k)
         xq = XQ
-        payloads = [np.exp(2j * xq) * (1 + xq ** 2),
-                    np.stack([np.cos(7 * xq) - 0.3j, xq + 0j], axis=1)]
-        for got, want in zip(_kernel(k[perm], shift[perm], payloads),
-                             _kernel(k, shift, payloads)):
-            np.testing.assert_allclose(got, want[perm], rtol=1e-13,
-                                       atol=1e-13 * np.max(np.abs(want)))
+        payload = np.stack([np.exp(2j * xq) * (1 + xq ** 2),
+                            np.cos(7 * xq) - 0.3j, xq + 0j], axis=1)
+        got, want = _kernel(k[perm], shift[perm], payload), _kernel(k, shift, payload)
+        np.testing.assert_allclose(got, want[perm], rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(want)))
         om = rng.uniform(-900.0, 900.0, n) + 1j * rng.uniform(-48.0, 400.0, n)
         w = rng.normal(size=n) + 1j * rng.normal(size=n)
         upper = np.abs(k.real) + 1j * np.abs(k.imag)
@@ -956,18 +962,21 @@ class TestForcedSolution:
         assert 0 < counts[1] <= counts[0]
 
 
+CORNER_CASES = pytest.mark.parametrize("delta, corners, rank", [
+    (0.0, (1.0, 2.0 - 1.0j, 0.5j, -1.0), 1),
+    (0.7, (1.0, 2.0 - 1.0j, 0.5j, -1.0), 2),
+    (0.7, (1.0, 2.0, 3.0, 4.0), 1),
+    (0.7, (1.5j, 1.5j, 1.5j, 1.5j), 0),
+], ids=["delta-0", "delta-nonzero", "cxt-0", "constant"])
+
+
 class TestCornerBlend:
-    @pytest.mark.parametrize("delta, corners, rank", [
-        (0.0, (1.0, 2.0 - 1.0j, 0.5j, -1.0), 1),
-        (0.7, (1.0, 2.0 - 1.0j, 0.5j, -1.0), 2),
-        (0.7, (1.0, 2.0, 3.0, 4.0), 1),
-        (0.7, (1.5j, 1.5j, 1.5j, 1.5j), 0),
-    ], ids=["delta-0", "delta-nonzero", "cxt-0", "constant"])
-    def test_forcing_factors(self, delta, corners, rank):
-        # corners (u0(0), u0(ell), g0(T), h0(T)); c_xt = 0 in "cxt-0"
+    @staticmethod
+    def corner_data(delta, corners, ell=0.8, horizon=0.3):
+        """Data bilinear on [0, ell] x [0, horizon] with the corners
+        (u0(0), u0(ell), g0(T), h0(T)) and a zero Neumann datum."""
         c00, c10, c01, c11 = corners
-        ell, horizon = 0.8, 0.3
-        data = ProblemData(
+        return ProblemData(
             DispersionParams(1.0, 0.0, delta), ell, horizon,
             SpatialProfile.from_callable(
                 lambda x: c00 + (c10 - c00) * x / ell + 0j, ell),
@@ -976,22 +985,51 @@ class TestCornerBlend:
             TimeSeries.from_callable(
                 lambda t: c10 + (c11 - c10) * t / horizon + 0j, horizon),
             zero_series(horizon))
+
+    @CORNER_CASES
+    def test_forcing_factors(self, delta, corners, rank):
+        # corners (u0(0), u0(ell), g0(T), h0(T)); c_xt = 0 in "cxt-0"
+        c00, c10, c01, c11 = corners
+        ell, horizon = 0.8, 0.3
+        data = self.corner_data(delta, corners, ell, horizon)
         # the blend is taken on the unit twin, whose forcing is ell^3 times
         # the problem's at (x / ell, t / ell^3)
         twin = linear._unit_twin(data)
-        _w, forcing, _wx = linear._corner_blend(twin)
-        x, t = np.linspace(0.0, ell, 17), np.linspace(0.0, horizon, 9)
-        a, b = forcing(x / ell, t / ell ** 3)
-        assert a.shape == (17, rank) and b.shape == (rank, 9)
-        # the blend's forcing i w_t + i delta w_x, written out
+        t = np.linspace(0.0, horizon, 9)
+        samples = linear._sample(twin, t / ell ** 3)
+        # the blend's factors are the payload's columns 1: and b; _sample
+        # subtracts the blend, so they carry its forcing negated
+        no_b = samples.b is None
+        a = np.zeros((len(XQ), 0)) if no_b else -samples.xcols[:, 1:]
+        b = np.zeros((0, 9)) if no_b else samples.b
+        assert a.shape == (len(XQ), rank) and b.shape == (rank, 9)
+        # the blend's forcing i w_t + i delta w_x, written out at the
+        # x-quadrature XQ_NODES of the twin, x = ell XQ_NODES
         cx, ct, cxt = c10 - c00, c01 - c00, c11 - c01 - c10 + c00
-        xx, tt = x[:, None] / ell, t[None, :] / horizon
+        xx, tt = XQ[:, None], t[None, :] / horizon
         want = ell ** 3 * (1j * (ct + cxt * xx) / horizon
                            + 1j * delta * (cx + cxt * tt) / ell)
         np.testing.assert_allclose(a @ b, want, rtol=1e-14,
                                    atol=1e-14 * np.max(np.abs(want)))
-        samples = linear._sample(twin, t / ell ** 3)
-        assert (samples.forcing is None) == (rank == 0)
+
+    @CORNER_CASES
+    def test_blend_record(self, delta, corners, rank):
+        # C is the bilinear w = [1, x] C [1, t / T] of the unit twin: at the
+        # rectangle's corners it is the twin's u0(0), u0(1), g0(T) and h0(T),
+        # and _sample's g0 and h0 rows, minus w(0, t) and w(1, t), vanish at T
+        twin = linear._unit_twin(self.corner_data(delta, corners))
+        tau = np.array([twin.horizon])
+        want = np.array([[twin.u0(np.array([0.0]))[0], twin.g0(tau)[0]],
+                         [twin.u0(np.array([1.0]))[0], twin.h0(tau)[0]]])
+        blend = linear._corner_blend(twin)
+        assert blend.shape == (2, 2)
+        ends = np.array([[1.0, 0.0], [1.0, 1.0]])
+        scale = np.max(np.abs(corners))
+        np.testing.assert_allclose(ends @ blend @ ends.T, want, rtol=0.0,
+                                   atol=1e-15 * scale)
+        stack = linear._sample(twin, np.linspace(0.0, twin.horizon, 9)).stack
+        if stack is not None:
+            assert np.max(np.abs(stack[:2, -1])) <= 1e-15 * scale
 
 
 class TestSolvePlan:

@@ -23,7 +23,7 @@ def interval_fourier(prof, k):
     """phi_hat(k) = int_0^1 e^{-i k x} phi(x) dx as the solver computes it:
     the x-kernel applied to the profile on the x-quadrature."""
     karr = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-    (out,) = _apply_kernel(karr, None, [prof(XQ_NODES)])
+    out = _apply_kernel(karr, None, prof(XQ_NODES)[:, None])[:, 0]
     return complex(out[0]) if np.isscalar(k) else out
 
 
@@ -43,7 +43,7 @@ def forcing_transform(func, horizon, k, w, nt=257):
     if factored is None:
         return 0.0
     a, b = factored
-    (ahat,) = _apply_kernel(np.array([k], dtype=np.complex128), None, [a])
+    ahat = _apply_kernel(np.array([k], dtype=np.complex128), None, a)
     return complex(_time_transform(b, horizon, np.array([w], dtype=np.complex128),
                                    ahat)[0])
 
