@@ -87,7 +87,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .dispersion import (DispersionParams, mu_factors, omega, omega_prime,
                          symmetry_roots)
@@ -95,7 +94,7 @@ from .errors import ExponentialOverflow, GridTooCoarse, InvalidTruncation, Quadr
 from .fields import Field, is_uniform
 from .regions import (DOMINANT_ROOT, RegionLabel, SegmentKind, arc_half_angle,
                       r_delta, scaled_delta, segment_specs)
-from .transforms import GL8_NODES, SpatialProfile, TimeSeries, gauss_panels
+from .transforms import CubicSpline, GL8_NODES, SpatialProfile, TimeSeries, gauss_panels
 
 TWO_PI = 2.0 * np.pi
 # largest |real part| of an exponent the transforms and the assembly evaluate
@@ -173,7 +172,8 @@ class ProblemData:
             if not _spans(self.forcing, self.ell, self.horizon):
                 raise ValueError("forcing grids must span [0, ell] x [0, horizon]")
             uniform = np.linspace(0.0, self.horizon, len(t))
-            if not np.allclose(t, uniform, atol=1e-9 * max(1.0, self.horizon)):
+            atol = 1e-9 * max(1.0, self.horizon)
+            if not np.allclose(t, uniform, rtol=0.0, atol=atol):
                 raise ValueError("forcing time grid must be uniform")
         if not self.lam > 1:
             raise ValueError("lambda must exceed 1")

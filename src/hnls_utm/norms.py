@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
-from scipy.interpolate import CubicSpline
 
 from .fields import Field, is_uniform
-from .transforms import SpatialProfile, chebyshev_grid, composite_gl
+from .transforms import CubicSpline, SpatialProfile, chebyshev_grid, composite_gl
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,114 @@
-"""Data containers and the Gauss-Legendre panel rule.
+"""Data containers, the cubic spline and the Gauss-Legendre panel rule.
 
 SpatialProfile and TimeSeries hold complex samples of the data on [0, ell]
 and [0, horizon]; sampled data are carried off the grid by interpolation,
 while analytic presets attach a callable that is evaluated directly.
-gauss_panels is the one 8-point Gauss-Legendre panel rule: the phase-graded
-contour nodes, the mean-value identity's tau-quadrature and composite_gl
-(the uniform rule of the norm integrals and of laplace_transform) all take
-it on their own panel edges.  The data transforms of the solution formula
-(the interval Fourier transform and the truncated time transforms) live in
-linear, next to the contours they are evaluated on.
+CubicSpline is the package's one interpolant of samples: a numpy not-a-knot
+spline on any ascending grid.  gauss_panels is the one 8-point
+Gauss-Legendre panel rule: the phase-graded contour nodes, the mean-value
+identity's tau-quadrature and composite_gl (the uniform rule of the norm
+integrals and of laplace_transform) all take it on their own panel edges.
+The data transforms of the solution formula (the interval Fourier transform
+and the truncated time transforms) live in linear, next to the contours they
+are evaluated on.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 # the 8-point Gauss-Legendre rule on [-1, 1], computed once
 GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+@functools.lru_cache(maxsize=8)
+def _slope_map(grid: bytes) -> np.ndarray:
+    """The (n, n - 1) map from the cell slopes of samples on an ascending
+    grid, given as its float64 bytes, to the node slopes of their not-a-knot
+    spline.  The slopes solve the tridiagonal system of a continuous second
+    derivative, closed by a continuous third derivative at the second and the
+    second-last node; one elimination sweep without pivoting, run on every
+    cell slope at once, gives the map.  It is shared through the cache, so
+    it is read-only; it holds n^2 floats, 8 MB at n = 1025."""
+    x = np.frombuffer(grid)
+    n = len(x)
+    dx = np.diff(x)
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i] @ slopes
+    sub = np.concatenate(([0.0], dx[1:], [d1]))
+    diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    sup = np.concatenate(([d0], dx[:-1], [0.0]))
+    rhs = np.zeros((n, n - 1))
+    i = np.arange(1, n - 1)
+    rhs[i, i - 1] = 3.0 * dx[1:]
+    rhs[i, i] = 3.0 * dx[:-1]
+    rhs[0, :2] = (dx[0] + 2.0 * d0) * dx[1] / d0, dx[0] ** 2 / d0
+    rhs[-1, -2:] = dx[-1] ** 2 / d1, (2.0 * d1 + dx[-1]) * dx[-2] / d1
+    for i in range(1, n):
+        m = sub[i] / diag[i - 1]
+        diag[i] -= m * sup[i - 1]
+        rhs[i] -= m * rhs[i - 1]
+    rhs[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        rhs[i] = (rhs[i] - sup[i] * rhs[i + 1]) / diag[i]
+    rhs.setflags(write=False)
+    return rhs
+
+
+class CubicSpline:
+    """Not-a-knot cubic spline of the samples y along their axis, on the
+    ascending grid x of at least 4 points.  It keeps scipy's CubicSpline
+    layout: c is (4, n - 1, ...), highest power first, cell j's cubic in
+    (x - x[j]); the end cells' cubics extend past the grid."""
+
+    def __init__(self, x, y, axis=0):
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        y = np.moveaxis(np.asarray(y), axis, 0)
+        if x.ndim != 1 or len(x) < 4 or len(y) != len(x):
+            raise ValueError("need one grid of at least 4 points along the spline axis")
+        dx = np.diff(x)[:, None]
+        if not np.all(dx > 0):
+            raise ValueError("the spline grid must ascend strictly")
+        dtype = np.result_type(y.dtype, np.float64)
+        # every step is real-linear, so complex rows go as (re, im) columns
+        rows = np.ascontiguousarray(y.reshape(len(x), -1), dtype=dtype).view(np.float64)
+        slope = np.diff(rows, axis=0) / dx
+        s = _slope_map(x.tobytes()) @ slope
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], rows[:-1]))
+        self.x, self.axis = x, axis
+        self.c = c.view(dtype).reshape((4, len(x) - 1) + y.shape[1:])
+
+    def __call__(self, points):
+        """Values at points, their axes where the spline axis was."""
+        points = np.asarray(points, dtype=np.float64)
+        cell = np.clip(np.searchsorted(self.x, points, side="right") - 1,
+                       0, len(self.x) - 2)
+        h = (points - self.x[cell]).reshape(points.shape + (1,) * (self.c.ndim - 2))
+        c = self.c[:, cell]
+        out = c[0]
+        for coef in c[1:]:
+            out = out * h + coef
+        return np.moveaxis(out, range(points.ndim),
+                           range(self.axis, self.axis + points.ndim))
+
+    def derivative(self, nu=1):
+        """The nu-th derivative, a spline of the same layout and degree 3 - nu
+        (the zero polynomial past 3)."""
+        spline = copy.copy(self)
+        powers = np.arange(len(self.c) - 1, nu - 1, -1)
+        if len(powers) == 0:
+            spline.c = np.zeros((1,) + self.c.shape[1:], dtype=self.c.dtype)
+            return spline
+        factor = np.prod([powers - q for q in range(nu)], axis=0)
+        factor = factor.reshape((-1,) + (1,) * (self.c.ndim - 1))
+        spline.c = self.c[:len(powers)] * factor
+        return spline
 
 
 def chebyshev_grid(n: int, ell: float) -> np.ndarray:

@@ -1,8 +1,13 @@
-"""Every name a package module imports is used in that module, and every
-private function or class it defines is used somewhere else in the package."""
+"""Every name a package module imports is used in that module, every
+private function or class it defines is used somewhere else in the package,
+and importing the command line loads no scipy module but the oracle's
+scipy.linalg."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -80,3 +85,15 @@ def test_no_private_function_in_linear_takes_ell():
             if "ell" in names and (private or name == "regions.py"):
                 takes_ell.append("%s: %s" % (name, node.name))
     assert not takes_ell, "%s take ell" % sorted(takes_ell)
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # the one spline is numpy's: only the oracle's banded LU needs scipy
+    heavy = ("scipy.interpolate", "scipy.special", "scipy.sparse")
+    code = ("import sys, hnls_utm.cli; "
+            "print(' '.join(m for m in %r if m in sys.modules))" % (heavy,))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

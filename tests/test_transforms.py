@@ -2,7 +2,8 @@
 transform (linear._apply_kernel on the unit x-quadrature), the truncated time
 transforms, at the horizon and running (linear._time_transform, the one
 weighted Filon-spline routine) and the factored forcing transform
-(linear._factor_forcing); the Laplace transform and the data containers."""
+(linear._factor_forcing); the not-a-knot cubic spline, the Laplace transform
+and the data containers."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from hnls_utm.errors import ExponentialOverflow
 from hnls_utm.linear import (XQ_NODES, _apply_kernel, _factor_forcing,
                              _time_transform)
-from hnls_utm.transforms import SpatialProfile, TimeSeries, laplace_transform
+from hnls_utm import transforms
+from hnls_utm.transforms import (CubicSpline, SpatialProfile, TimeSeries,
+                                 chebyshev_grid, laplace_transform)
 
 
 def profile_of(func, n=257):
@@ -146,6 +149,91 @@ class TestProfiles:
             SpatialProfile(-1.0, np.zeros(8))
         with pytest.raises(ValueError):
             TimeSeries(0.0, np.zeros(8))
+
+
+SPLINE_GRIDS = pytest.mark.parametrize("grid", [
+    lambda n: np.linspace(0.0, 1.5, n), lambda n: chebyshev_grid(n, 1.5)],
+    ids=["uniform", "chebyshev"])
+
+
+class TestCubicSpline:
+    @SPLINE_GRIDS
+    @pytest.mark.parametrize("n", [4, 5, 17])
+    def test_reproduces_cubics_and_their_derivatives(self, grid, n):
+        # not-a-knot ends make any cubic its own spline; its derivatives are
+        # the closed forms, and the fourth is zero.  The third derivative
+        # divides the samples' rounding by a cell width cubed: on the
+        # 17-point Chebyshev grid scipy's spline is 1.3e-11 off too
+        cubic = np.polynomial.Polynomial([0.3 - 1j, -2.0 + 0.5j, 1.5, 0.7 + 2j])
+        x = grid(n)
+        spline = CubicSpline(x, cubic(x))
+        pts = np.linspace(-0.4, 1.9, 47)
+        for order in range(4):
+            want = cubic.deriv(order)(pts)
+            got = spline.derivative(order)(pts) if order else spline(pts)
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=1e-10 * np.max(np.abs(want)))
+        assert np.all(spline.derivative(4)(pts) == 0.0)
+
+    def test_extends_the_end_cells(self):
+        x = chebyshev_grid(17, 1.0)
+        spline = CubicSpline(x, np.sin(3.0 * x))
+        for cell, point in ((0, -0.3), (-1, 1.2)):
+            h = point - x[:-1][cell]
+            want = np.polyval(spline.c[:, cell], h)
+            assert spline(point) == pytest.approx(want, rel=1e-14)
+            assert spline(np.array([point]))[0] == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_axis(self, dtype):
+        # the spline axis is either axis of y; complex samples are splined
+        # as their real and imaginary parts
+        rng = np.random.default_rng(1)
+        x = chebyshev_grid(9, 2.0)
+        y = rng.standard_normal((9, 3)).astype(dtype)
+        if dtype is np.complex128:
+            y += 1j * rng.standard_normal((9, 3))
+        pts = np.linspace(-0.2, 2.2, 11)
+        along0 = CubicSpline(x, y, axis=0)
+        along1 = CubicSpline(x, y.T, axis=1)
+        assert along0.c.shape == along1.c.shape == (4, 8, 3)
+        assert along0.c.dtype == along1.c.dtype == dtype
+        assert along0(pts).shape == (11, 3) and along1(pts).shape == (3, 11)
+        np.testing.assert_array_equal(along1(pts), along0(pts).T)
+        parts = CubicSpline(x, y.real)(pts) + 1j * CubicSpline(x, y.imag)(pts)
+        np.testing.assert_allclose(along0(pts), parts, rtol=1e-15, atol=1e-15)
+
+    @SPLINE_GRIDS
+    @pytest.mark.parametrize("n", [4, 17, 257, 1025])
+    def test_matches_scipy(self, grid, n):
+        from scipy.interpolate import CubicSpline as ScipySpline
+        rng = np.random.default_rng(n)
+        x = grid(n)
+        y = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        ours, theirs = CubicSpline(x, y, axis=1), ScipySpline(x, y, axis=1)
+        scale = np.max(np.abs(theirs.c))
+        np.testing.assert_allclose(ours.c, theirs.c, rtol=0.0, atol=1e-12 * scale)
+        pts = np.linspace(-0.1, 1.6, 301)
+        for order in range(4):
+            want = theirs.derivative(order)(pts) if order else theirs(pts)
+            got = ours.derivative(order)(pts) if order else ours(pts)
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=1e-12 * np.max(np.abs(want)))
+
+    def test_slope_map_is_built_once_per_grid(self):
+        transforms._slope_map.cache_clear()
+        x = np.linspace(0.0, 1.0, 1025)
+        for rows in (1, 3):
+            CubicSpline(x, np.ones((rows, 1025)), axis=1)
+        info = transforms._slope_map.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("x", [np.linspace(0.0, 1.0, 3),
+                                   np.array([0.0, 0.5, 0.5, 1.0]),
+                                   np.array([0.0, 0.6, 0.4, 1.0])])
+    def test_rejects_short_or_unordered_grids(self, x):
+        with pytest.raises(ValueError):
+            CubicSpline(x, np.zeros(len(x)))
 
 
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-8, 8))
