@@ -5,7 +5,6 @@ Verbs:
 * ``solve``   — run one scenario (``--mode linear|nonlinear|reduced|oracle|
                 compare``) and write field.csv (+ JSON header), norms.csv and
                 diagnostics.json into the output directory.
-* ``compare`` — shorthand for ``solve --mode compare``.
 * ``verify``  — run a seeded property suite and write/print its JSON report.
 * ``norms``   — evaluate the data-norm table for a scenario without solving.
 
@@ -38,9 +37,9 @@ from .fields import Field
 from .linear import (ProblemData, QuadratureBudget, evaluate_traces,
                      global_relation_residual, solve_full, solve_reduced)
 from .nonlinear import (apply_nonlinearity, check_compatibility,
-                        _combined_forcing, _data_norm_terms, data_norm_sum,
-                        default_proxies, lifespan_indicator, picard_solve)
-from .norms import NormSpec, ct_l2_norm, mixed_norm, sobolev_norm
+                        _combined_forcing, _data_norm_terms, default_proxies,
+                        lifespan_indicator, picard_solve)
+from .norms import NormSpec, ct_l2_norm, mixed_norm
 from .oracle import OracleConfig, oracle_solve
 from .presets import (named_number, plane_wave_data, profile_from_spec,
                       series_from_spec)
@@ -205,18 +204,27 @@ def _forcing_from_spec(spec, ell, horizon):
 # artifact writers
 # --------------------------------------------------------------------------
 
+def _data_norm_rows(data: ProblemData, s: float) -> list:
+    """The data-norm rows: the four terms of nonlinear._data_norm_terms and
+    their sum, data_norm_sum."""
+    terms = _data_norm_terms(data, s)
+    rows = [(name, order, 2.0, 2.0, norm) for name, order, norm in terms]
+    rows.append(("data_norm_sum", s, 2.0, 2.0,
+                 float(sum(norm for _name, _order, norm in terms))))
+    return rows
+
+
 def _write_norms(path, cfg: ScenarioConfig, field_obj: Field):
+    """The three field rows, then the norms verb's data-norm rows."""
     s = cfg.s
     rows = [
         ("field_l2_xt", 0.0, 2.0, 2.0, field_obj.l2_norm_xt()),
         ("field_ct_l2", 0.0, 2.0, float("inf"), ct_l2_norm(field_obj)),
         ("field_ct_hs", s, 2.0, float("inf"),
          mixed_norm(field_obj, NormSpec(s, 2.0, float("inf")))),
-        ("u0_hs", s, 2.0, 2.0, sobolev_norm(cfg.data.u0, s)),
-        ("data_norm_sum", s, 2.0, 2.0, data_norm_sum(cfg.data, s)),
     ]
     with open(path, "w", newline="\n") as fh:
-        fh.write(_norms_csv(rows))
+        fh.write(_norms_csv(rows + _data_norm_rows(cfg.data, s)))
 
 
 def _norms_csv(rows) -> str:
@@ -323,9 +331,11 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
     except SolverError as exc:
         click.echo("solver error (%s): %s" % (type(exc).__name__, exc),
                    err=True)
-        _json_dump(out / "diagnostics.json",
-                   dict(diagnostics, error=type(exc).__name__,
-                        message=str(exc)))
+        diagnostics.update(error=type(exc).__name__, message=str(exc))
+        # NoConvergence carries the Picard report it stopped with
+        if getattr(exc, "report", None) is not None:
+            diagnostics["picard"] = exc.report.to_dict()
+        _json_dump(out / "diagnostics.json", diagnostics)
         return 3
     except ValueError as exc:
         click.echo("input error: %s" % exc, err=True)
@@ -386,15 +396,6 @@ def solve(config_path, mode, out_dir, refine):
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--out", "out_dir", default=None, type=click.Path())
-@click.option("--refine", default=0, type=click.IntRange(min=0))
-def compare(config_path, out_dir, refine):
-    """Solve with both routes and report their relative L2 gap."""
-    sys.exit(run_scenario(config_path, "compare", out_dir, refine))
-
-
-@main.command()
 @click.option("--suite", default="all",
               type=click.Choice(sorted(SUITES) + ["all"]))
 @click.option("--seed", default=0, type=click.IntRange(min=0))
@@ -417,11 +418,7 @@ def norms(config_path, out_dir):
     except ConfigInvalid as exc:
         click.echo("config error: %s" % exc, err=True)
         sys.exit(2)
-    terms = _data_norm_terms(cfg.data, cfg.s)
-    rows = [(name, order, 2.0, 2.0, norm) for name, order, norm in terms]
-    rows.append(("data_norm_sum", cfg.s, 2.0, 2.0,
-                 float(sum(norm for _name, _order, norm in terms))))
-    _emit(_norms_csv(rows), out_dir, "norms.csv")
+    _emit(_norms_csv(_data_norm_rows(cfg.data, cfg.s)), out_dir, "norms.csv")
     sys.exit(0)
 
 

@@ -38,7 +38,8 @@ class MissingProxy(SolverError):
 
 
 class NoConvergence(SolverError):
-    """Raised when Picard iteration exhausts max_iter without converging.
+    """Raised when Picard iteration exhausts max_iter without converging, or
+    diverges until N(u) or its distance overflows.
 
     Carries the partial report so callers can inspect the distance history.
     """

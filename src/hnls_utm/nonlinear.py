@@ -223,7 +223,8 @@ def picard_solve(data: ProblemData, grid, budget: QuadratureBudget,
                  max_iter: int = 12, tol: float = 1e-6):
     """Fixed-point iteration of the forced linear solve on grid = (nx, nt)
     as in solve_full; returns the converged field and the iteration report,
-    or raises NoConvergence (report attached) when max_iter is exhausted.
+    or raises NoConvergence (report attached) when max_iter is exhausted or
+    the iteration diverges: N(u) or the distance overflows.
 
     All solves share one SolvePlan made from data, and the solution map is
     linear, so the data part base = S[data] is solved once and each
@@ -245,11 +246,20 @@ def picard_solve(data: ProblemData, grid, budget: QuadratureBudget,
     base = plan.apply(data)
     forcing_only = zero_data(data.params, data.ell, data.horizon)
     current = base
-    for _n in range(max_iter):
-        nl = apply_nonlinearity(current, data.kappa, data.lam)
-        part = plan.apply(replace(forcing_only, forcing=nl))
+    for n in range(max_iter):
+        # a diverging iterate overflows N(u) or the distance: NoConvergence,
+        # before a Field (which rejects non-finite values) is built from it
+        with np.errstate(over="ignore", invalid="ignore"):
+            nl = data.kappa * _power_law(current.values, data.lam)
+        if not np.all(np.isfinite(nl)):
+            _diverged(report, "N(u) overflows at iteration %d" % (n + 1))
+        part = plan.apply(replace(forcing_only, forcing=Field(
+            current.x_grid, current.t_grid, nl)))
         new = Field(base.x_grid, base.t_grid, base.values + part.values)
-        dist = ct_l2_distance(new, current)
+        with np.errstate(over="ignore"):
+            dist = ct_l2_distance(new, current)
+        if not np.isfinite(dist):
+            _diverged(report, "the distance overflows at iteration %d" % (n + 1))
         report.distances.append(dist)
         if len(report.distances) > 1 and report.distances[-2] > 0:
             report.contraction_ratios.append(dist / report.distances[-2])
@@ -261,6 +271,14 @@ def picard_solve(data: ProblemData, grid, budget: QuadratureBudget,
     report.final_residual = report.distances[-1]
     raise NoConvergence("Picard iteration did not converge in %d iterations"
                         % max_iter, report=report)
+
+
+def _diverged(report: PicardReport, what: str):
+    """Raise NoConvergence for a diverging iteration; the report keeps the
+    finite distances so far."""
+    if report.distances:
+        report.final_residual = report.distances[-1]
+    raise NoConvergence("Picard iteration diverged: %s" % what, report=report)
 
 
 @dataclass(frozen=True)

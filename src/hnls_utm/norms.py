@@ -3,7 +3,7 @@
 Integer-order Sobolev norms follow the sum convention
 ||v||_{H^s(0,ell)} = sum_{j=0}^{s} ||d^j v / dx^j||_{L2(0,ell)}.
 Fractional orders use one concrete realization of the restriction norm: a
-reflect-and-taper extension to a smooth function of period 4*ell, a discrete
+reflect-and-taper extension to a C^1 function of period 4*ell, a discrete
 Fourier multiplier (1+k^2)^{s/2}, and the L^p norm of the restriction back to
 (0, ell).  Comparisons against other realizations are only meaningful up to
 equivalence constants.
@@ -98,20 +98,23 @@ def _periodic_extension(profile: SpatialProfile):
     quarter period.
 
     Layout over one period [0, 4*ell): the profile itself on [0, ell], a
-    tapered reflection about x = ell on [ell, 2*ell], zeros on [2*ell, 3*ell],
-    and a tapered reflection about x = 0 (placed at the period's end) on
-    [3*ell, 4*ell).
+    tapered point reflection 2 phi(ell) - phi(2 ell - x) on [ell, 2*ell],
+    zeros on [2*ell, 3*ell], and a tapered point reflection about x = 0
+    (placed at the period's end) on [3*ell, 4*ell).  Point reflections match
+    value and slope, so the extension is C^1 and in H^s for s < 5/2.
     """
     ell = profile.ell
     n = 1024
     h = ell / n
     x = np.arange(n) * h  # one quarter period
     core = np.asarray(profile(x), dtype=np.complex128)
+    ends = np.asarray(profile(np.array([0.0, ell])), dtype=np.complex128)
+    flip = np.asarray(profile(ell - x), dtype=np.complex128)
     # taper falls from 1 at the interface to 0 at the far end of each copy
-    ramp = _smoothstep(1.0 - x / ell)
-    right = np.asarray(profile(ell - x), dtype=np.complex128) * ramp
-    # reflection about x = 0 occupies [3*ell, 4*ell): value phi(4*ell - x)
-    mirror = np.asarray(profile(ell - x), dtype=np.complex128) * _smoothstep(x / ell)
+    right = (2.0 * ends[1] - flip) * _smoothstep(1.0 - x / ell)
+    # reflection about x = 0 occupies [3*ell, 4*ell): at 4*ell - y the value
+    # is 2 phi(0) - phi(y), y = ell - x
+    mirror = (2.0 * ends[0] - flip) * _smoothstep(x / ell)
     ext = np.concatenate([core, right, np.zeros(n, dtype=np.complex128), mirror])
     return ext, h
 

@@ -168,24 +168,27 @@ class TestSolveVerb:
                                            "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
 
-    def test_compare_verb_matches_compare_mode(self, tmp_path):
+    def test_compare_mode_gap(self, tmp_path):
         # the one CLI solve whose grid is the oracle's (nx, nt)
         doc = dict(BASE, solver=dict(BASE["solver"],
                                      oracle={"nx": 16, "nt": 16}))
         config = write_config(tmp_path, doc)
-        runs = {"verb": ["compare"], "mode": ["solve", "--mode", "compare"]}
-        diags = {}
-        for name, args in runs.items():
-            out = tmp_path / name
-            result = CliRunner().invoke(main, args + ["--config", config,
-                                                      "--out", str(out)])
-            assert result.exit_code == 0, result.output
-            diags[name] = (out / "diagnostics.json").read_text()
-            header = json.loads((out / "field.csv.json").read_text())
-            assert header["grid"] == [16, 16]
-        assert diags["verb"] == diags["mode"]
-        gap = json.loads(diags["verb"])["ut_vs_oracle_relative_l2"]
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--mode", "compare",
+                                           "--config", config,
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        header = json.loads((out / "field.csv.json").read_text())
+        assert header["grid"] == [16, 16]
+        gap = json.loads((out / "diagnostics.json").read_text())[
+            "ut_vs_oracle_relative_l2"]
         assert gap == pytest.approx(0.0403, abs=5e-5)
+
+    def test_compare_is_a_mode_not_a_verb(self, tmp_path):
+        result = CliRunner().invoke(main, ["compare", "--config",
+                                           write_config(tmp_path, BASE)])
+        assert result.exit_code == 2
+        assert "No such command" in result.output
 
     def test_refine_doubles_budgets_and_oracle_grid(self, tmp_path):
         doc = dict(BASE, solver=dict(BASE["solver"],
@@ -203,12 +206,13 @@ class TestSolveVerb:
         assert json.loads((out / "diagnostics.json").read_text())[
             "refine_level"] == 1
 
-    @pytest.mark.parametrize("verb", ["solve", "compare"])
-    def test_negative_refine_exit_2(self, tmp_path, verb):
+    @pytest.mark.parametrize("mode", [[], ["--mode", "compare"]],
+                             ids=["solve", "compare"])
+    def test_negative_refine_exit_2(self, tmp_path, mode):
         config = write_config(tmp_path, BASE)
         out = tmp_path / "o"
-        result = CliRunner().invoke(main, [verb, "--config", config,
-                                           "--refine", "-1", "--out", str(out)])
+        result = CliRunner().invoke(main, ["solve", "--config", config] + mode
+                                    + ["--refine", "-1", "--out", str(out)])
         assert result.exit_code == 2
         assert "--refine" in result.output
         assert not out.exists()
@@ -230,6 +234,48 @@ class TestSolveVerb:
         assert result.exit_code == 3
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "StepDiverged"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("section, key, value, distances, message", [
+        ("nonlinearity", "kappa_re", 320.0, 6, "diverged"),
+        ("solver", "max_iter", 1, 1, "did not converge in 1 iterations")],
+        ids=["diverging", "max_iter-1"])
+    def test_no_convergence_exit_3_with_report(self, tmp_path, section, key,
+                                               value, distances, message):
+        # the shipped Gaussian on a coarser grid and budget; a diverging run
+        # is a solver failure, not an input error from an overflowed Field
+        doc = yaml.safe_load((CONFIGS / "nonlinear_gaussian.yaml").read_text())
+        doc["solver"].update(grid=[33, 17], budget={
+            "contour_nodes": 8000, "real_axis_window": 45.0,
+            "real_axis_nodes": 4000})
+        doc[section][key] = value
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--config",
+                                           write_config(tmp_path, doc),
+                                           "--mode", "nonlinear",
+                                           "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "NoConvergence"
+        assert message in diag["message"]
+        assert len(diag["picard"]["distances"]) == distances
+        assert diag["picard"]["converged"] is False
+        assert not (out / "field.csv").exists()
+
+    def test_quadrature_diverged_exit_3(self, tmp_path):
+        # 400 contour nodes: solve_reduced's refinements do not settle
+        doc = dict(BASE, solver=dict(BASE["solver"], budget={
+            "contour_nodes": 400, "real_axis_window": 24.0,
+            "real_axis_nodes": 200}))
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--config",
+                                           write_config(tmp_path, doc),
+                                           "--mode", "reduced",
+                                           "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "QuadratureDiverged" in result.output
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "QuadratureDiverged"
 
     def test_arc_overflow_exit_3(self, tmp_path):
         # (ell, T) = (0.1, 0.25): the arc radius is held at 1.5 / ell = 15, an
@@ -361,6 +407,22 @@ class TestNormsVerb:
         text = (out / "data_norms.csv").read_text() \
             if (out / "data_norms.csv").exists() else result.output
         assert "data_norm_sum" in text
+
+    def test_solve_writes_the_same_data_rows(self, tmp_path):
+        # solve's norms.csv: the three field rows, then the norms verb's
+        # table without its header line, byte for byte
+        config = write_config(tmp_path, BASE)
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--config", config,
+                                           "--mode", "reduced",
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        lines = (out / "norms.csv").read_text().splitlines(keepends=True)
+        verb = CliRunner().invoke(main, ["norms", "--config", config])
+        assert verb.exit_code == 0
+        assert [line.split(",")[0] for line in lines[1:4]] == [
+            "field_l2_xt", "field_ct_l2", "field_ct_hs"]
+        assert lines[0] + "".join(lines[4:]) == verb.output
 
     def test_data_rows_sum_to_data_norm_sum(self, tmp_path):
         doc = dict(BASE, data=dict(BASE["data"],

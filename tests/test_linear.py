@@ -9,7 +9,8 @@ from scipy.interpolate import CubicSpline
 from scipy.special import roots_legendre
 
 from hnls_utm.dispersion import DispersionParams, symmetry_roots
-from hnls_utm.errors import ExponentialOverflow, GridTooCoarse, InvalidTruncation
+from hnls_utm.errors import (ExponentialOverflow, GridTooCoarse,
+                             InvalidTruncation, QuadratureDiverged)
 from hnls_utm.fields import Field
 from hnls_utm.linear import (OVERFLOW_GUARD, ProblemData, QuadratureBudget,
                              _filon_moments, _time_transform, evaluate_traces,
@@ -1144,6 +1145,12 @@ class TestReducedBump:
                            zero_series(horizon), bump_series(horizon),
                            zero_series(horizon))
         field = solve_full(data, (65, 33), self.budget)
+        # the solve puts the Dirichlet data on the edges: about 1e-14 on the
+        # left and 2.4e-8 on the right; a quadratic lift in place of the
+        # g0/h0/h1 stack and corner blend read 1.1e-5 and 9.2e-5
+        assert np.max(np.abs(field.values[0, :])) <= 1e-6
+        assert np.max(np.abs(field.values[-1, :]
+                              - data.h0(field.t_grid))) <= 1e-6
         ks = [0.9 + 0.0j, 2.1 + 0.0j, -1.3 + 0.0j, 1.1 - 0.4j]
         res = global_relation_residual(field, data, ks)
         assert res <= 2e-4
@@ -1153,6 +1160,16 @@ class TestReducedBump:
         res_fine = global_relation_residual(
             solve_full(data, (65, 33), rich), data, ks)
         assert res_fine <= 2.0 * res
+
+    def test_refinement_that_does_not_settle_raises(self):
+        # 400 contour nodes: the three refinements of solve_reduced still
+        # differ by more than the budget's tolerance
+        horizon = 0.5
+        budget = QuadratureBudget(contour_nodes=400, real_axis_window=24.0,
+                                  real_axis_nodes=200)
+        with pytest.raises(QuadratureDiverged, match="did not converge"):
+            solve_reduced(AIRY, 1.0, bump_series(horizon),
+                          zero_series(horizon), (49, 33), budget)
 
 
 class TestLinearity:

@@ -169,9 +169,9 @@ class TestPicard:
     budget = QuadratureBudget(contour_nodes=12000, real_axis_window=30.0,
                               real_axis_nodes=6000)
 
-    def gaussian_data(self, kappa, horizon=0.02, lam=3.0):
+    def gaussian_data(self, kappa, horizon=0.02, lam=3.0, amplitude=1.0):
         return ProblemData(HALF, 1.0, horizon,
-                           gaussian_profile(1.0, 0.5, 0.2),
+                           gaussian_profile(1.0, 0.5, 0.2, amplitude),
                            zero_series(horizon), zero_series(horizon),
                            zero_series(horizon), kappa=kappa, lam=lam)
 
@@ -252,6 +252,28 @@ class TestPicard:
                          max_iter=1, tol=1e-14)
         assert err.value.report.distances  # partial history is attached
         assert not err.value.report.converged
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kappa, amplitude, distances, what", [
+        (320.0, 1.0, 6, "distance overflows at iteration 7"),
+        (1.0, 1e120, 0, r"N\(u\) overflows at iteration 1")],
+        ids=["distance", "nonlinearity"])
+    def test_divergence_raises_no_convergence(self, kappa, amplitude,
+                                              distances, what):
+        # kappa = 320 on the shipped Gaussian: distances 0.66, 2.3, 64,
+        # 1.3e6, 7.3e18, 5.6e56, then the next one overflows; u0 = 1e120
+        # overflows |u|^2 u before any distance.  Neither reaches a Field
+        # built from non-finite values (a ValueError, not a solver error).
+        with pytest.raises(NoConvergence, match=what) as err:
+            picard_solve(self.gaussian_data(kappa, 0.04, amplitude=amplitude),
+                         (33, 17), QuadratureBudget(8000, 45.0, 4000))
+        report = err.value.report
+        assert len(report.distances) == distances
+        assert np.all(np.isfinite(report.distances))
+        assert np.all(np.diff(report.distances) > 0)
+        assert not report.converged
+        if distances:
+            assert report.final_residual == report.distances[-1]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -37,6 +37,16 @@ class TestSobolev:
         vals = [sobolev_norm(prof, s) for s in (0.0, 1.0, 2.0)]
         assert vals[0] <= vals[1] <= vals[2]
 
+    def test_fractional_norm_continuous_up_to_two(self):
+        # sin(2 pi x) has slope 2 pi at both ends: an even reflection kinks
+        # there and read 21.1, 23.2 and 577 at s = 1.49, 1.51 and 1.999
+        # against 33.1 at s = 2; the C^1 point reflection reads 11.1, 11.6
+        # and 28.6
+        below, above = sobolev_norm(SIN, 1.49), sobolev_norm(SIN, 1.51)
+        assert abs(above - below) <= 0.05 * below
+        near_two, at_two = sobolev_norm(SIN, 1.999), sobolev_norm(SIN, 2.0)
+        assert at_two / 2.0 <= near_two <= 2.0 * at_two
+
 
 class TestBessel:
     def test_zero(self):
