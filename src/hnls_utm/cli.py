@@ -2,9 +2,11 @@
 
 Verbs:
 
-* ``solve``   — run one scenario (``--mode linear|nonlinear|reduced|oracle|
-                compare``) and write field.csv (+ JSON header), norms.csv and
-                diagnostics.json into the output directory.
+* ``solve``   — run one scenario (``--mode contour|reduced|oracle|compare``)
+                and write field.csv (+ JSON header), norms.csv and
+                diagnostics.json into the output directory.  ``contour``
+                solves the stated problem, by Picard iteration if kappa != 0;
+                ``compare`` solves it on the oracle's grid, with the gap.
 * ``verify``  — run a seeded property suite and write/print its JSON report.
 * ``norms``   — evaluate the data-norm table for a scenario without solving.
 
@@ -32,10 +34,10 @@ import numpy as np
 import yaml
 
 from .dispersion import DispersionParams
-from .errors import ConfigInvalid, SolverError
+from .errors import ConfigInvalid, MissingProxy, SolverError
 from .fields import Field
 from .linear import (ProblemData, QuadratureBudget, evaluate_traces,
-                     global_relation_residual, solve_full, solve_reduced)
+                     global_relation_residual, solve_reduced)
 from .nonlinear import (apply_nonlinearity, check_compatibility,
                         _combined_forcing, _data_norm_terms, default_proxies,
                         lifespan_indicator, picard_solve)
@@ -45,7 +47,7 @@ from .presets import (named_number, plane_wave_data, profile_from_spec,
                       series_from_spec)
 from .verify import SUITES, run_suite
 
-MODES = ("linear", "nonlinear", "reduced", "oracle", "compare")
+MODES = ("contour", "reduced", "oracle", "compare")
 
 
 @dataclass
@@ -293,41 +295,31 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
     diagnostics = {"mode": mode, "refine_level": int(refine)}
     t_start = time.time()
     try:
-        if mode == "linear":
-            field_obj = solve_full(data, cfg.grid, cfg.budget)
-            diagnostics["global_relation_residual"] = global_relation_residual(
-                field_obj, data, _diag_k_samples(cfg))
-            diagnostics["trace_recovery_gaps"] = _trace_gaps(field_obj, data)
-            diagnostics["compatibility"] = check_compatibility(data, cfg.s)
-        elif mode == "nonlinear":
-            field_obj, report = picard_solve(data, cfg.grid, cfg.budget,
+        if mode in ("contour", "compare"):
+            grid = ((cfg.oracle.nx, cfg.oracle.nt) if mode == "compare"
+                    else cfg.grid)
+            field_obj, report = picard_solve(data, grid, cfg.budget,
                                              max_iter=cfg.max_iter, tol=cfg.tol)
-            diagnostics["picard"] = report.to_dict()
-            diagnostics["compatibility"] = check_compatibility(data, cfg.s)
-            proxies = dict(default_proxies(), **cfg.proxies)
-            try:
-                ind = lifespan_indicator(data, cfg.s, proxies)
-                diagnostics["lifespan"] = {"regime": ind.regime.value,
-                                           "lhs_value": ind.lhs_value,
-                                           "satisfied": ind.satisfied}
-            except ValueError as exc:
-                diagnostics["lifespan"] = {"error": str(exc)}
-            effective = replace(data, forcing=_combined_forcing(
-                data, apply_nonlinearity(field_obj, data.kappa, data.lam)))
+            # the nonlinear problem is the linear one forced by f + N(u)
+            effective = data
+            if data.kappa != 0:
+                diagnostics["picard"] = report.to_dict()
+                diagnostics["lifespan"] = _lifespan(data, cfg.s, cfg.proxies)
+                effective = replace(data, forcing=_combined_forcing(
+                    data, apply_nonlinearity(field_obj, data.kappa, data.lam)))
             diagnostics["global_relation_residual"] = global_relation_residual(
                 field_obj, effective, _diag_k_samples(cfg))
+            diagnostics["trace_recovery_gaps"] = _trace_gaps(field_obj, data)
+            diagnostics["compatibility"] = check_compatibility(data, cfg.s)
+            if mode == "compare":
+                diagnostics["ut_vs_oracle_relative_l2"] = \
+                    field_obj.relative_l2_gap(oracle_solve(data, cfg.oracle))
         elif mode == "reduced":
             field_obj = solve_reduced(data.params, data.ell, data.h0, data.h1,
                                       cfg.grid, cfg.budget)
             diagnostics["trace_recovery_gaps"] = _trace_gaps(field_obj, data)
-        elif mode == "oracle":
+        else:  # oracle
             field_obj = oracle_solve(data, cfg.oracle)
-        else:  # compare
-            field_obj = solve_full(data, (cfg.oracle.nx, cfg.oracle.nt),
-                                   cfg.budget)
-            oracle_field = oracle_solve(data, cfg.oracle)
-            diagnostics["ut_vs_oracle_relative_l2"] = field_obj.relative_l2_gap(
-                oracle_field)
     except SolverError as exc:
         click.echo("solver error (%s): %s" % (type(exc).__name__, exc),
                    err=True)
@@ -358,14 +350,31 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
 
 
 def _check_reduced(data: ProblemData):
-    """ConfigInvalid naming u0, g0 or the forcing if nonzero: the reduced
-    problem reads only h0 and h1 and would drop them."""
+    """ConfigInvalid naming u0, g0, the forcing or a part of kappa if
+    nonzero: the reduced problem is linear, reads only h0 and h1 and would
+    drop them."""
     forcing = None if data.forcing is None else data.forcing.values
     for name, values in (("data.u0", data.u0.samples),
-                         ("data.g0", data.g0.samples), ("data.forcing", forcing)):
+                         ("data.g0", data.g0.samples), ("data.forcing", forcing),
+                         ("nonlinearity.kappa_re", data.kappa.real),
+                         ("nonlinearity.kappa_im", data.kappa.imag)):
         if values is not None and np.any(values != 0):
             raise ConfigInvalid("field %r must be zero in reduced mode, which "
-                                "solves with zero u0, g0 and forcing" % name)
+                                "solves with zero u0, g0, forcing and kappa"
+                                % name)
+
+
+def _lifespan(data: ProblemData, s: float, proxies: dict) -> dict:
+    """The lifespan indicator's record on the config's proxies; only when
+    one is missing are the defaults filled in, which warns."""
+    try:
+        ind = lifespan_indicator(data, s, proxies)
+    except MissingProxy:
+        return _lifespan(data, s, dict(default_proxies(), **proxies))
+    except ValueError as exc:
+        return {"error": str(exc)}
+    return {"regime": ind.regime.value, "lhs_value": ind.lhs_value,
+            "satisfied": ind.satisfied}
 
 
 def _diag_k_samples(cfg: ScenarioConfig):
@@ -385,7 +394,7 @@ def main():
 
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--mode", default="linear",
+@click.option("--mode", default="contour",
               type=click.Choice(MODES, case_sensitive=False))
 @click.option("--out", "out_dir", default=None, type=click.Path())
 @click.option("--refine", default=0, type=click.IntRange(min=0),

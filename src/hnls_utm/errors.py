@@ -21,7 +21,8 @@ class ExponentialOverflow(SolverError):
     radius is too large for the horizon: its amplification exponent passes
     the precision cap ln(tolerance / eps), where rounding alone would exceed
     the budget's tolerance, or it would need more than linear.MAX_ARC_PANELS
-    panels."""
+    panels; or when a solve's sampled forcing or assembled field is not
+    finite."""
 
 
 class QuadratureDiverged(SolverError):
@@ -39,7 +40,7 @@ class MissingProxy(SolverError):
 
 class NoConvergence(SolverError):
     """Raised when Picard iteration exhausts max_iter without converging, or
-    diverges until N(u) or its distance overflows.
+    diverges until N(u), its forcing solve or its distance overflows.
 
     Carries the partial report so callers can inspect the distance history.
     """

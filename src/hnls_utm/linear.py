@@ -707,11 +707,16 @@ def _factor_forcing(fq):
     (nq, r) and B (r, nt), by an SVD cut at rounding level (numpy's
     matrix_rank rule).  Every forcing transform then needs the x-kernel on r
     columns of A and the time transform of r shared series B.  None when
-    there is no forcing or it is zero."""
+    there is no forcing or it is zero; ExponentialOverflow when fq is not
+    finite."""
     if fq is None:
         return None
+    if not np.all(np.isfinite(fq)):
+        raise ExponentialOverflow("the sampled forcing is not finite")
     u, s, vh = np.linalg.svd(fq, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(fq.shape) * np.finfo(np.float64).eps))
+    # max(fq.shape) * eps first: s[0] * max(fq.shape) overflows when s[0]
+    # is within a factor max(fq.shape) of the float maximum
+    rank = int(np.sum(s > s[0] * (max(fq.shape) * np.finfo(np.float64).eps)))
     if rank == 0:
         return None
     return u[:, :rank] * s[:rank], vh[:rank]
@@ -841,7 +846,8 @@ class SolvePlan:
     def apply(self, data: ProblemData) -> Field:
         """Evaluate the solution representation of the forced linear problem
         for data on the plan's nodes and output grid.  Transforms of
-        identically zero parts of the data are skipped."""
+        identically zero parts of the data are skipped; ExponentialOverflow
+        when the assembled values are not finite."""
         if (data.params, data.ell, data.horizon) != (self.params, self.ell,
                                                      self.horizon):
             raise ValueError("data params, ell or horizon differ from the plan's")
@@ -856,6 +862,8 @@ class SolvePlan:
         if samples.blend is not None:
             vals += (np.stack([np.ones(len(xi)), xi], axis=1) @ samples.blend
                      @ np.stack([np.ones(len(s)), s / self.tau]))
+        if not np.all(np.isfinite(vals)):
+            raise ExponentialOverflow("the assembled field is not finite")
         return Field(np.linspace(0.0, self.ell, len(xi)),
                      np.linspace(0.0, self.horizon, len(s)), vals)
 

@@ -22,7 +22,8 @@ from typing import Dict, List
 
 import numpy as np
 
-from .errors import InhomogeneousBoundary, MissingProxy, NoConvergence
+from .errors import (ExponentialOverflow, InhomogeneousBoundary, MissingProxy,
+                     NoConvergence)
 from .fields import Field
 from .linear import (ProblemData, QuadratureBudget, fd_weights, make_plan,
                      resample, solve_full, zero_data)
@@ -224,7 +225,8 @@ def picard_solve(data: ProblemData, grid, budget: QuadratureBudget,
     """Fixed-point iteration of the forced linear solve on grid = (nx, nt)
     as in solve_full; returns the converged field and the iteration report,
     or raises NoConvergence (report attached) when max_iter is exhausted or
-    the iteration diverges: N(u) or the distance overflows.
+    the iteration diverges: N(u), its forcing solve or the distance
+    overflows.
 
     All solves share one SolvePlan made from data, and the solution map is
     linear, so the data part base = S[data] is solved once and each
@@ -247,14 +249,20 @@ def picard_solve(data: ProblemData, grid, budget: QuadratureBudget,
     forcing_only = zero_data(data.params, data.ell, data.horizon)
     current = base
     for n in range(max_iter):
-        # a diverging iterate overflows N(u) or the distance: NoConvergence,
-        # before a Field (which rejects non-finite values) is built from it
+        # a diverging iterate overflows N(u), its forcing solve or the
+        # distance: NoConvergence, before a Field (which rejects non-finite
+        # values) is built from it
         with np.errstate(over="ignore", invalid="ignore"):
             nl = data.kappa * _power_law(current.values, data.lam)
         if not np.all(np.isfinite(nl)):
             _diverged(report, "N(u) overflows at iteration %d" % (n + 1))
-        part = plan.apply(replace(forcing_only, forcing=Field(
-            current.x_grid, current.t_grid, nl)))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                part = plan.apply(replace(forcing_only, forcing=Field(
+                    current.x_grid, current.t_grid, nl)))
+        except ExponentialOverflow:
+            _diverged(report, "the forcing solve overflows at iteration %d"
+                      % (n + 1))
         new = Field(base.x_grid, base.t_grid, base.values + part.values)
         with np.errstate(over="ignore"):
             dist = ct_l2_distance(new, current)

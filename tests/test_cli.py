@@ -1,6 +1,7 @@
 """Command-line interface: config loading, artifacts, exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 
 from hnls_utm.cli import load_scenario, main
 from hnls_utm.errors import ConfigInvalid
+from hnls_utm.nonlinear import HIGH_PROXIES, LOW_PROXIES
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -28,6 +30,18 @@ BASE = {
                    "real_axis_nodes": 3000},
     },
 }
+
+
+def gaussian_doc(**sections):
+    """The shipped Gaussian on a 33 x 17 grid and budget 8000/45/4000, with
+    the given sections' fields updated."""
+    doc = yaml.safe_load((CONFIGS / "nonlinear_gaussian.yaml").read_text())
+    doc["solver"].update(grid=[33, 17], budget={
+        "contour_nodes": 8000, "real_axis_window": 45.0,
+        "real_axis_nodes": 4000})
+    for section, fields in sections.items():
+        doc[section].update(fields)
+    return doc
 
 
 def write_config(tmp_path, doc, name="scenario.yaml"):
@@ -154,6 +168,18 @@ class TestSolveVerb:
         assert "'data.%s'" % name in result.output
         assert not (out / "field.csv").exists()
 
+    @pytest.mark.parametrize("part", ["kappa_re", "kappa_im"])
+    def test_reduced_mode_rejects_kappa(self, tmp_path, part):
+        # the reduced problem is linear: a nonzero kappa would be dropped
+        doc = dict(BASE, nonlinearity={part: 0.5})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--config",
+                                           write_config(tmp_path, doc),
+                                           "--mode", "reduced", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "'nonlinearity.%s'" % part in result.output
+        assert not (out / "field.csv").exists()
+
     def test_config_error_exit_2(self, tmp_path):
         doc = {k: v for k, v in BASE.items() if k != "dispersion"}
         config = write_config(tmp_path, doc)
@@ -167,6 +193,73 @@ class TestSolveVerb:
                                            "--mode", "magic",
                                            "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+    def test_retired_modes_exit_2(self, tmp_path, mode):
+        # one contour mode solves the stated problem, linear or not
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--config",
+                                           write_config(tmp_path, BASE),
+                                           "--mode", mode, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "'%s' is not one of" % mode in result.output
+        assert not out.exists()
+
+    def test_default_solve_is_the_stated_nonlinear_problem(self, tmp_path):
+        # the shipped Gaussian has kappa = 0.05: the default run iterates
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--config", str(
+            CONFIGS / "nonlinear_gaussian.yaml"), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["mode"] == "contour"
+        assert diag["picard"]["converged"] is True
+        assert diag["picard"]["iterations"] >= 2
+        assert set(diag["trace_recovery_gaps"]) == {
+            "left_dirichlet", "right_dirichlet", "right_neumann"}
+
+    def test_linear_run_writes_no_picard_record(self, tmp_path):
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--config",
+                                           write_config(tmp_path, BASE),
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert "picard" not in diag and "lifespan" not in diag
+        assert "global_relation_residual" in diag
+        assert "trace_recovery_gaps" in diag and "compatibility" in diag
+
+    @pytest.mark.parametrize("proxies, warns", [
+        ({name: 2.0 for name in set(HIGH_PROXIES) | set(LOW_PROXIES)}, False),
+        ({"c_s": 2.0}, True)], ids=["all-set", "c_s-only"])
+    def test_proxy_default_warns_only_when_one_is_missing(self, tmp_path,
+                                                          proxies, warns):
+        doc = gaussian_doc(solver={"proxies": proxies})
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, ["solve", "--config",
+                                               write_config(tmp_path, doc),
+                                               "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        defaulted = ["proxies defaulted" in str(w.message) for w in caught]
+        assert any(defaulted) is warns
+        lifespan = json.loads((out / "diagnostics.json").read_text())["lifespan"]
+        assert lifespan["regime"] == "High" and lifespan["lhs_value"] > 0
+
+    def test_compare_solves_the_stated_nonlinear_problem(self, tmp_path):
+        # at kappa = 5 the linear field is 2.4e-2 from the oracle's nonlinear
+        # one; the Picard field of the stated problem is within 1e-2
+        doc = gaussian_doc(nonlinearity={"kappa_re": 5.0},
+                           solver={"oracle": {"nx": 64, "nt": 64}})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--mode", "compare",
+                                           "--config", write_config(tmp_path, doc),
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["picard"]["converged"] is True
+        assert diag["ut_vs_oracle_relative_l2"] <= 1e-2
 
     def test_compare_mode_gap(self, tmp_path):
         # the one CLI solve whose grid is the oracle's (nx, nt)
@@ -244,15 +337,11 @@ class TestSolveVerb:
                                                value, distances, message):
         # the shipped Gaussian on a coarser grid and budget; a diverging run
         # is a solver failure, not an input error from an overflowed Field
-        doc = yaml.safe_load((CONFIGS / "nonlinear_gaussian.yaml").read_text())
-        doc["solver"].update(grid=[33, 17], budget={
-            "contour_nodes": 8000, "real_axis_window": 45.0,
-            "real_axis_nodes": 4000})
-        doc[section][key] = value
+        doc = gaussian_doc(**{section: {key: value}})
         out = tmp_path / "o"
         result = CliRunner().invoke(main, ["solve", "--config",
                                            write_config(tmp_path, doc),
-                                           "--mode", "nonlinear",
+                                           "--mode", "contour",
                                            "--out", str(out)])
         assert result.exit_code == 3, result.output
         diag = json.loads((out / "diagnostics.json").read_text())
@@ -260,6 +349,22 @@ class TestSolveVerb:
         assert message in diag["message"]
         assert len(diag["picard"]["distances"]) == distances
         assert diag["picard"]["converged"] is False
+        assert not (out / "field.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kappa", [1e305, 1e307])
+    def test_huge_kappa_exit_3(self, tmp_path, kappa):
+        # the forcing solve overflows: a diverged run, not a converged linear
+        # field (exit 0) or an input error (exit 2)
+        doc = gaussian_doc(nonlinearity={"kappa_re": kappa})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--config",
+                                           write_config(tmp_path, doc),
+                                           "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "NoConvergence"
+        assert "forcing solve overflows" in diag["message"]
         assert not (out / "field.csv").exists()
 
     def test_quadrature_diverged_exit_3(self, tmp_path):
@@ -291,7 +396,7 @@ class TestSolveVerb:
             config = write_config(tmp_path, doc)
             out = tmp_path / ("o4-%d" % i)
             result = CliRunner().invoke(main, ["solve", "--config", config,
-                                               "--mode", "linear",
+                                               "--mode", "contour",
                                                "--out", str(out)])
             assert result.exit_code == 3, result.output
             diag = json.loads((out / "diagnostics.json").read_text())
@@ -308,7 +413,7 @@ class TestSolveVerb:
         config = write_config(tmp_path, doc)
         out = tmp_path / "o5"
         result = CliRunner().invoke(main, ["solve", "--config", config,
-                                           "--mode", "linear",
+                                           "--mode", "contour",
                                            "--out", str(out)])
         assert result.exit_code == 3, result.output
         diag = json.loads((out / "diagnostics.json").read_text())
@@ -324,7 +429,7 @@ class TestSolveVerb:
         config = write_config(tmp_path, doc)
         out = tmp_path / "o6"
         result = CliRunner().invoke(main, ["solve", "--config", config,
-                                           "--mode", "linear",
+                                           "--mode", "contour",
                                            "--out", str(out)])
         assert result.exit_code == 3, result.output
         diag = json.loads((out / "diagnostics.json").read_text())

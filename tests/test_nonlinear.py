@@ -256,14 +256,20 @@ class TestPicard:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kappa, amplitude, distances, what", [
         (320.0, 1.0, 6, "distance overflows at iteration 7"),
-        (1.0, 1e120, 0, r"N\(u\) overflows at iteration 1")],
-        ids=["distance", "nonlinearity"])
+        (1.0, 1e120, 0, r"N\(u\) overflows at iteration 1"),
+        (1e305, 1.0, 0, "forcing solve overflows at iteration 1"),
+        (1e307, 1.0, 0, "forcing solve overflows at iteration 1")],
+        ids=["distance", "nonlinearity", "kappa-1e305", "kappa-1e307"])
     def test_divergence_raises_no_convergence(self, kappa, amplitude,
                                               distances, what):
         # kappa = 320 on the shipped Gaussian: distances 0.66, 2.3, 64,
         # 1.3e6, 7.3e18, 5.6e56, then the next one overflows; u0 = 1e120
-        # overflows |u|^2 u before any distance.  Neither reaches a Field
-        # built from non-finite values (a ValueError, not a solver error).
+        # overflows |u|^2 u before any distance.  At kappa = 1e305 the
+        # forcing solve's field overflows (a rank cut evaluated as
+        # s[0] * max(shape) * eps would overflow first and drop N(u), a
+        # "converged" linear field), and at 1e307 the sampled forcing does.
+        # None reaches a Field built from non-finite values (a ValueError,
+        # not a solver error).
         with pytest.raises(NoConvergence, match=what) as err:
             picard_solve(self.gaussian_data(kappa, 0.04, amplitude=amplitude),
                          (33, 17), QuadratureBudget(8000, 45.0, 4000))
