@@ -111,9 +111,8 @@ def load_scenario(path) -> ScenarioConfig:
     ell = named_number(_need(doc, "geometry", "ell"), "geometry.ell")
     horizon = named_number(_need(doc, "geometry", "horizon"), "geometry.horizon")
     for name, value in (("geometry.ell", ell), ("geometry.horizon", horizon)):
-        if not 0 < value < np.inf:
-            raise ConfigInvalid("field %r must be finite and positive, got %r"
-                                % (name, value))
+        if not value > 0:
+            raise ConfigInvalid("field %r must be positive, got %r" % (name, value))
 
     non = _mapping(doc.get("nonlinearity"), "nonlinearity") or {}
     kappa = complex(
@@ -157,8 +156,9 @@ def load_scenario(path) -> ScenarioConfig:
     grid = sol.get("grid", (129, 65))
     if isinstance(grid, (list, tuple)):
         grid = tuple(_integer(v, "solver.grid") for v in grid)
-    if not isinstance(grid, tuple) or len(grid) != 2 or min(grid) < 4:
-        raise ConfigInvalid("solver.grid must be two sizes of at least 4")
+    # the trace diagnostics difference five points in x
+    if not isinstance(grid, tuple) or len(grid) != 2 or grid[0] < 5 or grid[1] < 4:
+        raise ConfigInvalid("field 'solver.grid' must be [>= 5, >= 4], got %r" % (grid,))
     budget = _mapping(sol.get("budget"), "solver.budget") or {}
     try:
         budget = QuadratureBudget(**budget)
@@ -177,9 +177,8 @@ def load_scenario(path) -> ScenarioConfig:
     if max_iter < 1:
         raise ConfigInvalid("field 'solver.max_iter' must be >= 1, got %r"
                             % max_iter)
-    if not 0 < tol < np.inf:
-        raise ConfigInvalid("field 'solver.tol' must be finite and positive, "
-                            "got %r" % tol)
+    if not tol > 0:
+        raise ConfigInvalid("field 'solver.tol' must be positive, got %r" % tol)
 
     outputs = _mapping(doc.get("outputs"), "outputs") or {}
     out_dir = outputs.get("directory", "out")

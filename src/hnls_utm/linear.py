@@ -42,41 +42,32 @@ Two numerical choices matter:
 The data enter the solve as two arrays (_sample): the x-quadrature payload
 [u0 | A], the forcing factored as A(x) B(t) of rank r, and the corner
 blend's 2x2 coefficients.  The x-kernels act on the payload's 1 + r
-columns, and only the r rows of B are splined in time.  The data enter the
-formula only through truncated time transforms, and one routine,
-_time_transform, takes them all: a weighted sum over a few shared series of
-int_0^t e^{-i w u} phi(u) du, at the horizon on the region boundaries and at
-every output time in the real axis's forcing history.  Each term of the
-representation sums, over its nodes, w_k e^{i k x + shift_k} e^{i omega t}
-times one coefficient array, constant in time or on the output times, with
-shift_k = -i k on D+/- for e^{-i k (1 - x)} and none elsewhere; _assemble
-takes it and applies the 1/(2 pi).  A region's coefficient is its payload
-over Delta, weights times transforms of the g0/h0/h1 stack and of B; the
-real axis's is u0hat plus the forcing history, B's running transform with
-the node weights -i Ahat(k), where [u0hat | Ahat] is the payload's kernel.
+columns, and only the r rows of B are splined in time.  One routine,
+_time_transform, takes every truncated time transform: a weighted sum over
+a few shared series of int_0^t e^{-i w u} phi(u) du, at the horizon on the
+region boundaries and at every output time in the real axis's forcing
+history.
 
-The x-factor of the assembly, e^{i k x + shift_k}, is summed by one split,
-_taylor_cells: the nodes are grouped into squares of side 2 sqrt(2) in k,
-and about a cell's centre c the factor is a node factor e^{i k x0 + shift_k}
-times e^{i c (x - x0)} times a TAYLOR_TERMS-term series in (k - c)(x - x0),
-exact to rounding because |k - c| |x - x0| <= 2.  One rule sets the
-reference end: x0 = 0 for a cell above the real axis and 1 below, so the
-cell factor is at most 1.  The x-transforms' factor e^{-i k x + shift_k} is
-the same split taken at -k.  No per-node x-table is built.  The time tables
-are _phase_tables, rows of running products of 2 step exponentials per w.
+The data-independent part of a solve is a SolvePlan, which keeps no data:
+the twin's output grids, the arc radius rho and the four contours, each one
+Contour record of its nodes (placed by _solver_segments, thinned by the
+radial envelope of the data the plan is made from) and tables, built once:
+omega, and on a region boundary the symmetry roots, omega' and Delta_s
+(regions.scaled_delta, the one place the Delta formula lives).  apply(data)
+evaluates one term, SolvePlan._term, per contour, skipping identically zero
+parts of the data: the sum over the nodes of w_k e^{i k x + shift_k}
+e^{i omega t} times the payload over Delta_s (_assemble), with shift_k =
+-i k on D+/- for e^{-i k (1 - x)}.  A region fixes only its dominant root
+sigma (k, nu+ or nu-), whether the data are scaled by e^{i sigma}, and the
+shift; the real window's payload, not divided, is u0hat plus the forcing
+history.  solve_full is make_plan(...).apply(data).
 
-The three regions share one term, SolvePlan._contour_term: a region fixes
-only its dominant symmetry root sigma (k, nu+ or nu-), whether the data are
-scaled by e^{i sigma}, and the assembly shift.  Each region's term divides by
-regions.scaled_delta, the one place the Delta formula lives.
-
-The data-independent part of a solve is a SolvePlan: the twin's parameters
-and output grids, the nodes of the four contours, all placed by
-_solver_segments (thinned by the radial envelope of the data the plan is
-made from), and the deformed arc radius rho; it keeps no data.
-SolvePlan.apply(data) samples the data, skips the transforms of identically
-zero parts, and evaluates one term per contour; solve_full is
-make_plan(...).apply(data).
+The x-factors e^{+-i k x + shift_k} of the assembly and of the x-kernels are
+summed by one split, _taylor_cells: a series in (k - c)(x - x0) about the
+centre c of each square of side 2 sqrt(2) in k, exact to rounding, with
+x0 = 0 above the real axis and 1 below so that the cell factor is at most 1;
+no per-node x-table is built.  The time tables are _phase_tables, rows of
+running products of 2 step exponentials per w.
 """
 
 from __future__ import annotations
@@ -175,8 +166,8 @@ class ProblemData:
             atol = 1e-9 * max(1.0, self.horizon)
             if not np.allclose(t, uniform, rtol=0.0, atol=atol):
                 raise ValueError("forcing time grid must be uniform")
-        if not self.lam > 1:
-            raise ValueError("lambda must exceed 1")
+        if not (np.isfinite(self.kappa) and 1 < self.lam < np.inf):
+            raise ValueError("kappa and lambda must be finite, lambda above 1")
 
 
 def _spans(field: Field, length, horizon) -> bool:
@@ -419,9 +410,10 @@ def _taylor_basis(u):
     return _taylor_powers(u).T * INV_FACTORIAL
 
 
-def _apply_kernel(karr, shift, payload):
+def _apply_kernel(karr, shift, payload, scale=None):
     """sum_q exp(-i k x_q + shift_k) w_q payload[q], (nk, c), for the (nq, c)
-    payload on the unit x-quadrature (x_q, w_q) = (XQ_NODES, XQ_WEIGHTS).
+    payload on the unit x-quadrature (x_q, w_q) = (XQ_NODES, XQ_WEIGHTS),
+    times scale_k when scale is given.
 
     The kernel is the _taylor_cells split taken at -k, since
     e^{-i k x + shift_k} = e^{i (-k) x + shift_k}: per side of the real axis,
@@ -468,7 +460,7 @@ def _apply_kernel(karr, shift, payload):
         part = np.empty((len(idx), ncol), dtype=np.complex128)
         for run in runs:
             np.matmul(rows[:, run].T, moments[cell[run.start]], out=part[run])
-        out[idx] = part
+        out[idx] = part if scale is None else scale[idx, None] * part
     return out
 
 
@@ -581,11 +573,15 @@ def _radial_envelope(params, horizon, samples, r_max, h1_weight):
     return wfun
 
 
-def _delta_margin(params, k, region):
-    """min |Delta_s| / |k - c0| over the points k of one region's boundary."""
+def _roots_and_delta(params, k, region):
+    """The roots (k, nu+, nu-) at the points k of region's boundary, and Delta_s."""
     roots = symmetry_roots(params, k)
-    ds = scaled_delta(roots, roots[DOMINANT_ROOT[region]])
-    return float(np.min(np.abs(ds) / np.abs(k - params.center)))
+    return roots, scaled_delta(roots, roots[DOMINANT_ROOT[region]])
+
+
+def _delta_margin(params, k, delta):
+    """min |Delta_s| / |k - c0| over the points k, where Delta_s = delta."""
+    return float(np.min(np.abs(delta) / np.abs(k - params.center)))
 
 
 def _deformation_margin(params, rho, rd):
@@ -603,7 +599,8 @@ def _deformation_margin(params, rho, rd):
         for region, (a, b) in spans.items():
             theta = np.linspace(a, b, SWEEP_ANGLES)
             k = params.center + r * np.exp(1j * theta)
-            margin = min(margin, _delta_margin(params, k, region))
+            delta = _roots_and_delta(params, k, region)[1]
+            margin = min(margin, _delta_margin(params, k, delta))
     return margin
 
 
@@ -678,12 +675,6 @@ def _solver_segments(params, horizon, budget, dk_weight, weight=None):
     # each region's three segments are consecutive in specs
     contours = [(specs[i][1], np.concatenate(ks[i:i + 3]),
                  np.concatenate(ws[i:i + 3])) for i in (0, 3, 6)]
-    # denominator margin on the actual nodes
-    margin = min(_delta_margin(params, k, region) for region, k, _w in contours)
-    if margin < MIN_DELTA_MARGIN:
-        raise QuadratureDiverged(
-            "denominator margin %.3g on the contour nodes; the deformed "
-            "contour passes too close to a zero" % margin)
     pf, cum = _phase_measure(params, lambda p: p + 0j, c0 - r_t, c0 + r_t,
                              horizon, dk_weight, weight=weight)
     p, w = _graded_panel_nodes(pf, cum, max(4, budget.real_axis_nodes // 8))
@@ -820,26 +811,65 @@ def _unit_twin(data: ProblemData) -> ProblemData:
         cube * data.kappa, data.lam)
 
 
+class Contour(NamedTuple):
+    """One contour's nodes k, weights w and tables: om = omega(k), real on
+    the real window (region None), whose B transform runs at the output
+    times, and on a region boundary its roots (k, nu+, nu-), Delta_s, omega'."""
+
+    k: np.ndarray
+    w: np.ndarray
+    om: np.ndarray
+    times: Optional[np.ndarray] = None
+    region: Optional[RegionLabel] = None
+    roots: Optional[tuple] = None
+    delta: Optional[np.ndarray] = None
+    omp: Optional[np.ndarray] = None
+
+
+def _weights(c: Contour):
+    """The kernels (root, shift, multiplier), (nk, 3) g0/h0/h1 weights and
+    assembly shift of c's term: on the real window one kernel, at k, alone.
+    A region fixes its dominant root sigma = roots[dom] of roots =
+    (k, nu+, nu-), the data-scaling root s (0 on D0, sigma on D+/-) and the
+    assembly shift (none on D0, -i k on D+/- for e^{-ik(1 - x)}).  With
+    z = e^{i s}, f+/- = e^{i (s - nu+/-)} and mu = mu_factors(roots),
+        payload = -omega'(k) [mu_0 z g0~ + (nu- f+ - nu+ f-) h0~
+                              + i (f+ - f-) h1~] + sum_j c_j T_j,
+    T_j = u0hat - i sum_r Ahat_r Btilde_r at roots_j, shifted by e^{i sigma}
+    at sigma, c_j = mu_j z at the other two roots and c_sigma = mu_sigma on
+    D+/-, -(mu+ f+ + mu- f-) on D0; grouped so, every exponent has
+    nonpositive real part."""
+    if c.region is None:
+        return ((c.k, None, None),), None, None
+    roots, dom = c.roots, DOMINANT_ROOT[c.region]
+    mu = mu_factors(roots)
+    in_d0 = c.region is RegionLabel.D0
+    s = 0.0 if in_d0 else roots[dom]
+    z, fp, fm = (np.exp(1j * (s - r)) for r in (0.0, roots[1], roots[2]))
+    boundary = -c.omp[:, None] * np.stack(
+        [mu[0] * z, roots[2] * fp - roots[1] * fm, 1j * (fp - fm)], axis=1)
+    m = [mj * z for mj in mu]
+    m[dom] = -(mu[1] * fp + mu[2] * fm) if in_d0 else mu[dom]
+    kernels = tuple((root, 1j * root if j == dom else None, m[j])
+                    for j, root in enumerate(roots))
+    return kernels, boundary, None if in_d0 else -1j * c.k
+
+
 @dataclass(frozen=True, eq=False)
 class SolvePlan:
     """Everything a solve needs that its data does not change, for one
-    (params, ell, horizon), output grid and budget: its _unit_twin's
-    parameters unit_params, horizon tau and output grids unit_grids, and in
-    the twin's k the four contours' nodes, real_axis (k_r, w_r) and groups,
-    one (region, k, dk-weights) per region boundary, the node_counts of its
-    nine segments and the deformed arc radius rho; no data.  The nodes are
-    thinned by the radial envelope of the data the plan was made from.  Build
-    one with make_plan; apply(data) solves for any data on the same
-    (params, ell, horizon), all on the same nodes, so it is linear in data."""
+    (params, ell, horizon), output grid and budget, and no data: the
+    _unit_twin's horizon tau and output grids unit_grids, its four Contours
+    (real window, D0, D+, D-), the nine region segments' node_counts and the
+    arc radius rho.  Build one with make_plan; apply(data) solves for any
+    data on the same (params, ell, horizon) and nodes, so it is linear."""
 
     params: DispersionParams
     ell: float
     horizon: float
-    unit_params: DispersionParams
     tau: float
     unit_grids: Tuple[np.ndarray, np.ndarray]
-    real_axis: Tuple[np.ndarray, np.ndarray]
-    groups: list
+    contours: Tuple[Contour, ...]
     node_counts: Tuple[int, ...]
     rho: float
 
@@ -854,11 +884,8 @@ class SolvePlan:
         xi, s = self.unit_grids
         samples = _sample(_unit_twin(data), s)
         vals = np.zeros((len(xi), len(s)), dtype=np.complex128)
-        if samples.xcols is not None:
-            self._real_axis_term(vals, samples)
-        if samples.xcols is not None or samples.stack is not None:
-            for region, k, w in self.groups:
-                self._contour_term(vals, samples, region, k, w)
+        for contour in self.contours:
+            self._term(vals, samples, contour)
         if samples.blend is not None:
             vals += (np.stack([np.ones(len(xi)), xi], axis=1) @ samples.blend
                      @ np.stack([np.ones(len(s)), s / self.tau]))
@@ -867,76 +894,36 @@ class SolvePlan:
         return Field(np.linspace(0.0, self.ell, len(xi)),
                      np.linspace(0.0, self.horizon, len(s)), vals)
 
-    def _real_axis_term(self, vals, samples):
-        """The whole-line term over the truncated real window; its
-        coefficient is the payload's u0 column plus, added in place, the
-        forcing history."""
-        k_r, w_r = self.real_axis
-        om_r = omega(self.unit_params, k_r + 0j).real
-        hat = _apply_kernel(k_r, None, samples.xcols)
-        coef = hat[:, 0]
-        if samples.b is not None:
-            coef = _time_transform(samples.b, self.tau, om_r, -1j * hat[:, 1:],
-                                   self.unit_grids[1])
-            # in place, and hat freed: a forced solve peaks in the assembly
-            coef += hat[:, :1]
-            del hat
-        _assemble(vals, self.tau, k_r, w_r, om_r, coef)
-
-    def _contour_term(self, vals, samples, region, k, w):
-        """A region's boundary term: payload / Delta_s, assembled with shift.
-
-        The region fixes its dominant root sigma = roots[dom] of roots =
-        (k, nu+, nu-), the data-scaling root s (0 on D0, sigma on D+/-) and
-        the assembly shift (none on D0, -i k on D+/- for e^{-ik(1 - x)}).
-        With z = e^{i s}, f+/- = e^{i (s - nu+/-)} and mu = mu_factors(roots),
-            payload = -omega'(k) [mu_0 z g0~ + (nu- f+ - nu+ f-) h0~
-                                  + i (f+ - f-) h1~] + sum_j c_j T_j,
-        T_j = u0hat - i sum_r Ahat_r Btilde_r at roots_j, shifted by
-        e^{i sigma} at sigma, c_j = mu_j z at the other two roots and
-        c_sigma = mu_sigma on D+/-, -(mu+ f+ + mu- f-) on D0.  Grouped so,
-        every exponent has nonpositive real part.  The payload is built as
-        weights times transforms: one _time_transform of the g0/h0/h1 stack
-        with the weights in brackets, times -omega', and sum_j c_j of the
-        roots' kernels on the [u0 | A] payload: its column 0 is the u0 term,
-        and its other columns, times -i, weigh one _time_transform of B.
-        """
-        params = self.unit_params
-        roots = symmetry_roots(params, k)
-        mu = mu_factors(roots)
-        dom = DOMINANT_ROOT[region]
-        in_d0 = region is RegionLabel.D0
-        s = 0.0 if in_d0 else roots[dom]
-        z = np.exp(1j * s)
-        fp = np.exp(1j * (s - roots[1]))
-        fm = np.exp(1j * (s - roots[2]))
-        om = omega(params, k)
-        payload = 0.0
-        if samples.stack is not None:
-            boundary = -omega_prime(params, k)[:, None] * np.stack(
-                [mu[0] * z, roots[2] * fp - roots[1] * fm, 1j * (fp - fm)], axis=1)
-            payload = _time_transform(samples.stack, self.tau, om, boundary)
-        c = [m * z for m in mu]
-        c[dom] = -(mu[1] * fp + mu[2] * fm) if in_d0 else mu[dom]
+    def _term(self, vals, samples, c: Contour):
+        """One contour's term, payload / Delta_s assembled with the shift of
+        _weights(c): the stack transform, plus the u0 column of the kernels'
+        sum on [u0 | A], plus B's transform weighted by -i times the rest."""
+        kernels, boundary, shift = _weights(c)
+        payload = None
+        if samples.stack is not None and boundary is not None:
+            payload = _time_transform(samples.stack, self.tau, c.om, boundary)
         if samples.xcols is not None:
-            hat = sum(c[j][:, None] * _apply_kernel(
-                root, 1j * root if j == dom else None, samples.xcols)
-                for j, root in enumerate(roots))
-            payload = payload + hat[:, 0]
+            hat = sum(_apply_kernel(root, sh, samples.xcols, m)
+                      for root, sh, m in kernels)
+            payload = hat[:, 0] if payload is None else payload + hat[:, 0]
             if samples.b is not None:
-                payload = payload + _time_transform(samples.b, self.tau, om,
-                                                    -1j * hat[:, 1:])
-        _assemble(vals, self.tau, k, w, om,
-                  payload / scaled_delta(roots, roots[dom]),
-                  None if in_d0 else -1j * k)
+                forced = _time_transform(samples.b, self.tau, c.om,
+                                         -1j * hat[:, 1:], c.times)
+                # in place, and hat freed: a forced solve peaks in the assembly
+                np.add(forced.T, payload, out=forced.T)
+                payload = forced
+                del hat
+        if payload is not None:
+            _assemble(vals, self.tau, c.k, c.w, c.om,
+                      payload if c.delta is None else payload / c.delta, shift)
 
 
 def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
-    """Choose the output grids and the contour and real-axis nodes once for
-    data's (params, ell, horizon); grid = (nx, nt) counts the uniform output
-    points of [0, ell] x [0, horizon].  The nodes are placed for the
-    problem's _unit_twin and thinned by the radial envelope of data itself,
-    so the plan suits data of similar spectral content; a plan made from
+    """Choose the output grids and the four Contours once for data's
+    (params, ell, horizon); grid = (nx, nt) counts the uniform output points
+    of [0, ell] x [0, horizon].  The nodes are placed for the problem's
+    _unit_twin and thinned by the radial envelope of data itself, so the
+    plan suits data of similar spectral content; a plan made from
     identically zero data uses unweighted nodes."""
     try:
         nx, nt = (operator.index(n) for n in grid)
@@ -955,10 +942,19 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
     dk_weight = 1.0 + 2.0 / ell
     weight = _radial_envelope(params, tau, samples, unit_budget.real_axis_window,
                               1.0 / ell)
-    real_axis, groups, counts, rho = _solver_segments(params, tau, unit_budget,
-                                                      dk_weight, weight)
-    return SolvePlan(data.params, ell, data.horizon, params, tau, unit_grids,
-                     real_axis, groups, counts, rho)
+    (k_r, w_r), groups, counts, rho = _solver_segments(params, tau, unit_budget,
+                                                       dk_weight, weight)
+    contours = (Contour(k_r, w_r, omega(params, k_r + 0j).real, unit_grids[1]),
+                *(Contour(k, w, omega(params, k), None, region,
+                          *_roots_and_delta(params, k, region),
+                          omega_prime(params, k)) for region, k, w in groups))
+    margin = min(_delta_margin(params, c.k, c.delta) for c in contours[1:])
+    if margin < MIN_DELTA_MARGIN:
+        raise QuadratureDiverged(
+            "denominator margin %.3g on the contour nodes; the deformed "
+            "contour passes too close to a zero" % margin)
+    return SolvePlan(data.params, ell, data.horizon, tau, unit_grids,
+                     contours, counts, rho)
 
 
 def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:

@@ -37,6 +37,8 @@ LOW_PROXIES = ("c_s_lambda", "c2_sT", "c3_s2T", "c3_spT")
 # initial mass, that still counts as monotone
 TRACE_TOL = 1e-3
 MASS_SLACK = 1e-3
+# the message of a diverging Picard iteration's NoConvergence
+DIVERGED = "Picard iteration diverged: %s overflows at iteration %d"
 
 
 class Regime(enum.Enum):
@@ -53,10 +55,23 @@ class LifespanIndicator:
 
 @dataclass
 class PicardReport:
+    """Successive C_t L2_x distances and whether they converged; the
+    contraction ratios and the final residual are read off them."""
+
     distances: List[float] = dc_field(default_factory=list)
-    contraction_ratios: List[float] = dc_field(default_factory=list)
     converged: bool = False
-    final_residual: float = float("nan")
+
+    @property
+    def contraction_ratios(self) -> List[float]:
+        """Each distance over the one before it, where that one is > 0."""
+        d = self.distances
+        return [b / a for a, b in zip(d, d[1:]) if a > 0]
+
+    @property
+    def final_residual(self) -> float:
+        """The last distance; with none, 0.0 (kappa = 0) or NaN (diverged)."""
+        return (self.distances[-1] if self.distances
+                else 0.0 if self.converged else float("nan"))
 
     def to_dict(self) -> dict:
         return {
@@ -239,11 +254,9 @@ def picard_solve(data: ProblemData, grid, budget: QuadratureBudget,
         raise ValueError("max_iter must be at least 1")
     if not 0 < tol < np.inf:
         raise ValueError("tol must be finite and positive, got %r" % (tol,))
-    report = PicardReport()
     if data.kappa == 0:
-        report.converged = True
-        report.final_residual = 0.0
-        return solve_full(data, grid, budget), report
+        return solve_full(data, grid, budget), PicardReport(converged=True)
+    report = PicardReport()
     plan = make_plan(data, grid, budget)
     base = plan.apply(data)
     forcing_only = zero_data(data.params, data.ell, data.horizon)
@@ -255,38 +268,25 @@ def picard_solve(data: ProblemData, grid, budget: QuadratureBudget,
         with np.errstate(over="ignore", invalid="ignore"):
             nl = data.kappa * _power_law(current.values, data.lam)
         if not np.all(np.isfinite(nl)):
-            _diverged(report, "N(u) overflows at iteration %d" % (n + 1))
+            raise NoConvergence(DIVERGED % ("N(u)", n + 1), report=report)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 part = plan.apply(replace(forcing_only, forcing=Field(
                     current.x_grid, current.t_grid, nl)))
         except ExponentialOverflow:
-            _diverged(report, "the forcing solve overflows at iteration %d"
-                      % (n + 1))
+            raise NoConvergence(DIVERGED % ("the forcing solve", n + 1), report=report)
         new = Field(base.x_grid, base.t_grid, base.values + part.values)
         with np.errstate(over="ignore"):
             dist = ct_l2_distance(new, current)
         if not np.isfinite(dist):
-            _diverged(report, "the distance overflows at iteration %d" % (n + 1))
+            raise NoConvergence(DIVERGED % ("the distance", n + 1), report=report)
         report.distances.append(dist)
-        if len(report.distances) > 1 and report.distances[-2] > 0:
-            report.contraction_ratios.append(dist / report.distances[-2])
         current = new
         if dist <= tol:
             report.converged = True
-            report.final_residual = dist
             return current, report
-    report.final_residual = report.distances[-1]
     raise NoConvergence("Picard iteration did not converge in %d iterations"
                         % max_iter, report=report)
-
-
-def _diverged(report: PicardReport, what: str):
-    """Raise NoConvergence for a diverging iteration; the report keeps the
-    finite distances so far."""
-    if report.distances:
-        report.final_residual = report.distances[-1]
-    raise NoConvergence("Picard iteration diverged: %s" % what, report=report)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ class NormSpec:
     q: float = 2.0
 
     def __post_init__(self):
-        if self.s < 0:
-            raise ValueError("s must be nonnegative")
+        if not 0 <= self.s < np.inf:
+            raise ValueError("s must be finite and nonnegative")
         if self.p < 2 or self.q < 2:
             raise ValueError("p and q must be at least 2")
 
@@ -71,8 +71,8 @@ def _derivative_func(profile: SpatialProfile, order: int):
 def sobolev_norm(profile: SpatialProfile, s: float) -> float:
     """H^s(0, ell) norm; integer s uses the derivative-sum convention,
     fractional s the extension realization of bessel_norm at p=2."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    if not 0 <= s < np.inf:
+        raise ValueError("s must be finite and nonnegative")
     if float(s).is_integer():
         # 64 uniform 8-point panels: composite_gl takes (257 - 1) // 4
         x, w = composite_gl(0.0, profile.ell, 257)
@@ -122,8 +122,8 @@ def _periodic_extension(profile: SpatialProfile):
 def bessel_norm(profile: SpatialProfile, s: float, p: float) -> float:
     """Bessel-potential norm ||F^{-1}{(1+k^2)^{s/2} F phi}||_{L^p} restricted
     to (0, ell), realized through the periodic extension."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    if not 0 <= s < np.inf:
+        raise ValueError("s must be finite and nonnegative")
     if p < 2:
         raise ValueError("p must be at least 2")
     ext, h = _periodic_extension(profile)

@@ -148,11 +148,14 @@ def _load_samples(path, extent, name):
 
 
 def named_number(value, name):
-    """float(value), or ConfigInvalid naming the configuration field."""
+    """float(value) if finite, or ConfigInvalid naming the configuration field."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
-        raise ConfigInvalid("field %r must be a number, got %r" % (name, value))
+        number = np.nan
+    if not np.isfinite(number):
+        raise ConfigInvalid("field %r must be a finite number, got %r" % (name, value))
+    return number
 
 
 def _param(spec, key, default, name):

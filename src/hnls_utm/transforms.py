@@ -24,6 +24,7 @@ import numpy as np
 
 # the 8-point Gauss-Legendre rule on [-1, 1], computed once
 GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+CALLABLE_SAMPLES = 257  # the samples from_callable takes
 
 
 @functools.lru_cache(maxsize=8)
@@ -146,8 +147,8 @@ class SpatialProfile:
         return CubicSpline(self.grid(), self.samples)(x)
 
     @classmethod
-    def from_callable(cls, func, ell, n=257):
-        x = np.linspace(0.0, ell, n)
+    def from_callable(cls, func, ell):
+        x = np.linspace(0.0, ell, CALLABLE_SAMPLES)
         return cls(ell, np.asarray(func(x), dtype=np.complex128), func)
 
 
@@ -176,7 +177,7 @@ class TimeSeries:
         return CubicSpline(self.grid(), self.samples)(t)
 
     @classmethod
-    def from_callable(cls, func, horizon, n=257):
+    def from_callable(cls, func, horizon, n=CALLABLE_SAMPLES):
         t = np.linspace(0.0, horizon, n)
         return cls(horizon, np.asarray(func(t), dtype=np.complex128), func)
 

@@ -105,6 +105,11 @@ class TestLoadScenario:
         ("solver", "tol", float("nan"), "'solver.tol'"),
         ("solver", "tol", float("inf"), "'solver.tol'"),
         ("solver", "tol", 0.0, "'solver.tol'"),
+        ("solver", "grid", [4, 4], "'solver.grid'"),
+        ("nonlinearity", "kappa_re", float("nan"), "'nonlinearity.kappa_re'"),
+        ("nonlinearity", "kappa_re", float("inf"), "'nonlinearity.kappa_re'"),
+        ("nonlinearity", "lambda", float("inf"), "'nonlinearity.lambda'"),
+        ("solver", "s", float("nan"), "'solver.s'"),
     ], ids=["solver", "grid", "max_iter", "proxies", "outputs", "u0",
             "budget-arc-radius", "unknown-preset", "spec-beside-plane-wave",
             "u0-width", "h0-amplitude", "forcing-x-center", "u0-width-range",
@@ -112,7 +117,8 @@ class TestLoadScenario:
             "grid-quoted", "max_iter-fraction", "budget-real-axis-fraction",
             "budget-contour-fraction", "budget-window-nan",
             "budget-tolerance-inf", "geometry-ell-inf", "geometry-horizon-nan",
-            "geometry-ell-negative", "tol-nan", "tol-inf", "tol-zero"])
+            "geometry-ell-negative", "tol-nan", "tol-inf", "tol-zero",
+            "grid-nx-4", "kappa_re-nan", "kappa_re-inf", "lambda-inf", "s-nan"])
     def test_malformed_field_exit_2(self, tmp_path, section, key, value,
                                     named):
         doc = {k: dict(v) for k, v in BASE.items()}
@@ -149,6 +155,16 @@ class TestSolveVerb:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["mode"] == "reduced"
         assert "trace_recovery_gaps" in diag
+
+    def test_five_by_four_grid_solves(self, tmp_path):
+        # five points in x are the fewest the trace diagnostics difference
+        doc = dict(BASE, solver=dict(BASE["solver"], grid=[5, 4]))
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--config",
+                                           write_config(tmp_path, doc),
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "field.csv").exists()
 
     @pytest.mark.parametrize("name, spec", [
         ("u0", {"preset": "gaussian", "center": 0.5, "width": 0.15,
@@ -528,6 +544,14 @@ class TestNormsVerb:
         assert [line.split(",")[0] for line in lines[1:4]] == [
             "field_l2_xt", "field_ct_l2", "field_ct_hs"]
         assert lines[0] + "".join(lines[4:]) == verb.output
+
+    def test_non_finite_order_exit_2(self, tmp_path):
+        # a NaN order wrote NaN rows with exit 0
+        doc = dict(BASE, solver=dict(BASE["solver"], s=float("nan")))
+        result = CliRunner().invoke(main, ["norms", "--config",
+                                           write_config(tmp_path, doc)])
+        assert result.exit_code == 2
+        assert "'solver.s'" in result.output
 
     def test_data_rows_sum_to_data_norm_sum(self, tmp_path):
         doc = dict(BASE, data=dict(BASE["data"],

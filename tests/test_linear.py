@@ -1061,19 +1061,13 @@ class TestSolvePlan:
         np.testing.assert_array_equal(plan.apply(data).values, want)
         # an equal data object is sampled afresh, to the same field
         np.testing.assert_array_equal(plan.apply(replace(data)).values, want)
-        assert len(plan.groups) == 3 and len(plan.node_counts) == 9
+        assert len(plan.contours) == 4 and len(plan.node_counts) == 9
         assert 0 < plan.rho <= r_delta(AIRY)
 
-    def test_one_term_per_contour(self, monkeypatch):
-        # a forced plane wave has u0, boundary data and forcing: the real
-        # window takes one kernel call and one assembly, and each of the
-        # three region contours one kernel call per symmetry root and one
-        # assembly
-        data, _exact = _forced_plane_wave(AIRY, 33, 17)
-        plan = make_plan(data, (9, 9), SMALL_BUDGET)
+    @staticmethod
+    def count_calls(monkeypatch, names):
+        """Route linear's names through wrappers that log each call's name."""
         calls = []
-        # D+/- take e^{-i k (1 - x)} as the kernel's shift -i k, not a basis
-        assert "basis" not in inspect.signature(linear._assemble).parameters
 
         def counted(name):
             inner = getattr(linear, name)
@@ -1083,8 +1077,21 @@ class TestSolvePlan:
                 return inner(*args, **kwargs)
             return wrapper
 
-        for name in ("_assemble", "_apply_kernel", "_time_transform"):
+        for name in names:
             monkeypatch.setattr(linear, name, counted(name))
+        return calls
+
+    def test_one_term_per_contour(self, monkeypatch):
+        # a forced plane wave has u0, boundary data and forcing: the real
+        # window takes one kernel call and one assembly, and each of the
+        # three region contours one kernel call per symmetry root and one
+        # assembly
+        data, _exact = _forced_plane_wave(AIRY, 33, 17)
+        plan = make_plan(data, (9, 9), SMALL_BUDGET)
+        # D+/- take e^{-i k (1 - x)} as the kernel's shift -i k, not a basis
+        assert "basis" not in inspect.signature(linear._assemble).parameters
+        calls = self.count_calls(
+            monkeypatch, ("_assemble", "_apply_kernel", "_time_transform"))
         plan.apply(data)
         assert (calls.count("_assemble"), calls.count("_apply_kernel")) == (4, 10)
         # one time transform of the g0/h0/h1 stack and one of B per region,
@@ -1092,13 +1099,31 @@ class TestSolvePlan:
         assert calls.count("_time_transform") == 7
         assert not any(hasattr(linear, name) for name in (
             "_cumulative_transform", "_forcing_history", "_data_time_transforms",
-            "_spline_coefficients", "_moment_chunks"))
-        # each region contour joins its three segments, in segment order
-        for i, (_region, k, w) in enumerate(plan.groups):
-            assert len(k) == len(w) == sum(plan.node_counts[3 * i:3 * i + 3])
+            "_spline_coefficients", "_moment_chunks", "_real_axis_term",
+            "_contour_term"))
+        # the real window comes first, with no region and no Delta, and
+        # takes B's running transform at the output times
+        real, *regions = plan.contours
+        assert real.region is None and real.delta is None
+        assert real.times is plan.unit_grids[1]
+        # each region contour joins its three segments, in segment order,
+        # and holds its three roots and Delta_s
+        for i, c in enumerate(regions):
+            assert len(c.k) == len(c.w) == sum(plan.node_counts[3 * i:3 * i + 3])
+            assert c.times is None and len(c.roots) == 3
+            assert c.roots[0] is c.k and len(c.delta) == len(c.k)
         # the plan keeps no data
         kept = [getattr(plan, f.name) for f in fields(plan)]
         assert not any(isinstance(v, (ProblemData, linear._Samples)) for v in kept)
+
+    def test_apply_builds_no_node_tables(self, monkeypatch):
+        # the roots, omega, omega' and Delta_s of every node are the plan's
+        data, _exact = _forced_plane_wave(AIRY, 33, 17)
+        plan = make_plan(data, (9, 9), SMALL_BUDGET)
+        calls = self.count_calls(monkeypatch, (
+            "symmetry_roots", "omega", "omega_prime", "scaled_delta"))
+        plan.apply(data)
+        assert calls == []
 
     def test_data_and_forcing_parts_add_up(self):
         # the solution map on one plan is linear: the split picard_solve uses
@@ -1267,6 +1292,12 @@ class TestValidation:
                          lambda: replace(base, ell=bad),
                          lambda: replace(base, horizon=bad)):
                 with pytest.raises(ValueError, match="finite and positive"):
+                    make()
+            # nor may the nonlinearity be non-finite
+            for make in (lambda: replace(base, kappa=complex(bad, 0.0)),
+                         lambda: replace(base, kappa=complex(0.0, bad)),
+                         lambda: replace(base, lam=bad)):
+                with pytest.raises(ValueError, match="kappa and lambda"):
                     make()
 
     def test_problem_data_consistency(self):

@@ -280,6 +280,8 @@ class TestPicard:
         assert not report.converged
         if distances:
             assert report.final_residual == report.distances[-1]
+        else:
+            assert np.isnan(report.to_dict()["final_residual"])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -12,8 +12,8 @@ from hnls_utm.norms import (NormSpec, bessel_norm,
 from hnls_utm.transforms import SpatialProfile
 
 
-def profile_of(func, ell=1.0, n=257):
-    return SpatialProfile.from_callable(func, ell, n=n)
+def profile_of(func, ell=1.0):
+    return SpatialProfile.from_callable(func, ell)
 
 
 CONST = profile_of(lambda x: np.full_like(x, 3.0, dtype=complex))
@@ -139,6 +139,15 @@ class TestMixed:
         # the trapezoid L2 path takes any grid: sup_t (1 + t) / sqrt(2)
         assert mixed_norm(f, NormSpec(0.0, 2.0, np.inf)) == pytest.approx(
             np.sqrt(2.0), rel=1e-4)
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), -1.0],
+                         ids=["nan", "inf", "negative"])
+def test_order_must_be_finite_and_nonnegative(s):
+    for evaluate in (lambda: NormSpec(s), lambda: sobolev_norm(SIN, s),
+                     lambda: bessel_norm(SIN, s, 2.0)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            evaluate()
 
 
 class TestAdmissiblePairs:

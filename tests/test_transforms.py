@@ -18,8 +18,8 @@ from hnls_utm.transforms import (CubicSpline, SpatialProfile, TimeSeries,
                                  chebyshev_grid, laplace_transform)
 
 
-def profile_of(func, n=257):
-    return SpatialProfile.from_callable(func, 1.0, n=n)
+def profile_of(func):
+    return SpatialProfile.from_callable(func, 1.0)
 
 
 def interval_fourier(prof, k):
