@@ -530,8 +530,11 @@ def _phase_measure(params, gamma, lo, hi, horizon, dk_weight, weight=None):
 
 def _graded_panel_nodes(pf, cum, n_panels):
     """Gauss-Legendre panels with equal shares of cum, empty ones dropped."""
-    edges = np.interp(np.linspace(0.0, cum[-1], n_panels + 1), cum, pf)
-    return gauss_panels(np.unique(np.maximum.accumulate(edges)))
+    edges = np.maximum.accumulate(
+        np.interp(np.linspace(0.0, cum[-1], n_panels + 1), cum, pf))
+    # the edges ascend already; np.unique would sort them again and import
+    # numpy.ma inside the first solve
+    return gauss_panels(edges[np.r_[True, edges[1:] > edges[:-1]]])
 
 
 def _radial_envelope(params, horizon, samples, r_max, h1_weight):

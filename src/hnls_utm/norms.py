@@ -29,13 +29,13 @@ class NormSpec:
     def __post_init__(self):
         if not 0 <= self.s < np.inf:
             raise ValueError("s must be finite and nonnegative")
-        if self.p < 2 or self.q < 2:
+        if not (self.p >= 2 and self.q >= 2):
             raise ValueError("p and q must be at least 2")
 
 
 def check_admissible_pair(q: float, p: float) -> bool:
     """True iff q, p >= 2 and 3/q + 1/p = 1/2 (to 1e-12; inf allowed)."""
-    if q < 2 or p < 2:
+    if not (q >= 2 and p >= 2):
         return False
     inv_q = 0.0 if np.isinf(q) else 1.0 / q
     inv_p = 0.0 if np.isinf(p) else 1.0 / p
@@ -124,7 +124,7 @@ def bessel_norm(profile: SpatialProfile, s: float, p: float) -> float:
     to (0, ell), realized through the periodic extension."""
     if not 0 <= s < np.inf:
         raise ValueError("s must be finite and nonnegative")
-    if p < 2:
+    if not p >= 2:
         raise ValueError("p must be at least 2")
     ext, h = _periodic_extension(profile)
     n_tot = len(ext)

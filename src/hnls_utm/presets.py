@@ -51,8 +51,8 @@ def bump_callable(lo: float, hi: float, amplitude: float = 1.0):
 
 
 def gaussian_callable(center: float, width: float, amplitude: float = 1.0):
-    if width <= 0:
-        raise ValueError("gaussian width must be positive")
+    if not 0 < width < np.inf:
+        raise ValueError("gaussian width must be finite and positive")
 
     def func(x):
         x = np.asarray(x, dtype=np.float64)

@@ -118,6 +118,17 @@ def chebyshev_grid(n: int, ell: float) -> np.ndarray:
     return 0.5 * ell * (1.0 - np.cos(np.pi * j / (n - 1)))
 
 
+def _checked_samples(samples):
+    """samples as complex128; ValueError unless there are at least 4, all
+    finite."""
+    if len(samples) < 4:
+        raise ValueError("need at least 4 samples")
+    samples = np.asarray(samples, dtype=np.complex128)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
+    return samples
+
+
 @dataclass(frozen=True)
 class SpatialProfile:
     """Complex samples of a function on a uniform grid over [0, ell].
@@ -133,10 +144,7 @@ class SpatialProfile:
     def __post_init__(self):
         if not 0 < self.ell < np.inf:
             raise ValueError("ell must be finite and positive")
-        if len(self.samples) < 4:
-            raise ValueError("need at least 4 samples")
-        object.__setattr__(self, "samples",
-                           np.asarray(self.samples, dtype=np.complex128))
+        object.__setattr__(self, "samples", _checked_samples(self.samples))
 
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.ell, len(self.samples))
@@ -163,10 +171,7 @@ class TimeSeries:
     def __post_init__(self):
         if not 0 < self.horizon < np.inf:
             raise ValueError("horizon must be finite and positive")
-        if len(self.samples) < 4:
-            raise ValueError("need at least 4 samples")
-        object.__setattr__(self, "samples",
-                           np.asarray(self.samples, dtype=np.complex128))
+        object.__setattr__(self, "samples", _checked_samples(self.samples))
 
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, len(self.samples))

@@ -481,7 +481,8 @@ class TestCsvData:
         ("u0", np.linspace(0.0, 2.0, 65), np.sin(np.pi * np.linspace(0.0, 2.0, 65))),
         ("u0", np.linspace(0.0, 1.0, 65), np.r_[np.zeros(32), np.nan, np.zeros(32)]),
         ("g0", np.linspace(0.0, 0.1, 33) ** 2 * 10.0, np.zeros(33)),
-    ], ids=["nonuniform", "wrong-span", "nan", "g0-nonuniform"])
+        ("g0", np.linspace(0.0, 0.1, 33), np.r_[np.zeros(16), np.inf, np.zeros(16)]),
+    ], ids=["nonuniform", "wrong-span", "nan", "g0-nonuniform", "g0-inf"])
     def test_bad_file_exit_2_naming_the_field(self, tmp_path, name, coords, values):
         doc = dict(BASE, data=dict(BASE["data"], **{
             name: {"path": write_csv(tmp_path, coords, values)}}))

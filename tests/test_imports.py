@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 private function or class it defines is used somewhere else in the package,
-and importing the command line loads no scipy module but the oracle's
-scipy.linalg."""
+importing the package or its command line loads no scipy module at all, the
+oracle's first band solve loads scipy.linalg's LAPACK through the
+module-level name it solves with, and a first solve loads no module."""
 
 import ast
 import os
@@ -87,13 +88,55 @@ def test_no_private_function_in_linear_takes_ell():
     assert not takes_ell, "%s take ell" % sorted(takes_ell)
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # the one spline is numpy's: only the oracle's banded LU needs scipy
-    heavy = ("scipy.interpolate", "scipy.special", "scipy.sparse")
-    code = ("import sys, hnls_utm.cli; "
-            "print(' '.join(m for m in %r if m in sys.modules))" % (heavy,))
+def _run(code):
+    """The standard output of code run in a fresh interpreter with the
+    package on its path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == []
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+@pytest.mark.parametrize("module", ["hnls_utm", "hnls_utm.cli"])
+def test_import_loads_no_scipy_module(module):
+    # the solver is numpy's: only the oracle's banded LU needs scipy, and it
+    # imports scipy on its first solve
+    code = ("import sys, %s; print(' '.join(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))" % module)
+    assert _run(code).split() == []
+
+
+def test_oracle_loads_lapack_on_its_first_solve():
+    # the oracle keeps the module-level name lapack, which perfbench's tracer
+    # swaps, and resolves scipy's zgbtrf and zgbtrs through it
+    code = """if True:
+        import sys
+        from hnls_utm import oracle
+        from hnls_utm.dispersion import DispersionParams
+        from hnls_utm.presets import plane_wave_data
+        before = 'scipy.linalg' in sys.modules
+        oracle.oracle_solve(plane_wave_data(DispersionParams(1.0, 0.0, 0.0),
+                                            1.0, 0.5, 2.0),
+                            oracle.OracleConfig(nx=16, nt=16))
+        import scipy.linalg.lapack as lapack
+        print(before, 'lapack' in vars(oracle),
+              oracle.lapack.zgbtrf is lapack.zgbtrf,
+              oracle.lapack.zgbtrs is lapack.zgbtrs)
+    """
+    assert _run(code).split() == ["False", "True", "True", "True"]
+
+
+def test_first_solve_loads_no_module():
+    # whatever a solve needs is loaded by importing the package, so a first
+    # solve's time is the solve's: np.unique, for one, imports numpy.ma
+    code = """if True:
+        import sys
+        from hnls_utm import QuadratureBudget, solve_full
+        from hnls_utm.dispersion import DispersionParams
+        from hnls_utm.presets import plane_wave_data
+        data = plane_wave_data(DispersionParams(1.0, 0.0, 0.0), 1.0, 0.5, 2.0)
+        before = set(sys.modules)
+        solve_full(data, (9, 9), QuadratureBudget())
+        print(' '.join(sorted(set(sys.modules) - before)))
+    """
+    assert _run(code).split() == []

@@ -150,6 +150,20 @@ def test_order_must_be_finite_and_nonnegative(s):
             evaluate()
 
 
+@pytest.mark.parametrize("exponent", [float("nan"), 1.5],
+                         ids=["nan", "below-two"])
+def test_exponents_must_be_at_least_two(exponent):
+    # a NaN exponent compares false both ways: NormSpec(p=nan) would make
+    # mixed_norm return NaN
+    for evaluate in (lambda: NormSpec(0.0, exponent, 2.0),
+                     lambda: NormSpec(0.0, 2.0, exponent),
+                     lambda: bessel_norm(SIN, 0.0, exponent)):
+        with pytest.raises(ValueError, match="at least 2"):
+            evaluate()
+    assert not check_admissible_pair(exponent, 6.0)
+    assert not check_admissible_pair(9.0, exponent)
+
+
 class TestAdmissiblePairs:
     def test_endpoint(self):
         assert check_admissible_pair(np.inf, 2.0)

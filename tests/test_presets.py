@@ -33,6 +33,12 @@ class TestGaussianAndZero:
         prof = gaussian_profile(1.0, 0.5, 0.2)
         assert prof(np.array([0.5]))[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("width", [np.nan, np.inf, 0.0, -0.2],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_gaussian_width_must_be_finite_and_positive(self, width):
+        with pytest.raises(ValueError, match="finite and positive"):
+            gaussian_profile(1.0, 0.5, width)
+
     def test_zero(self):
         assert np.all(zero_profile(1.0)(np.linspace(0, 1, 7)) == 0.0)
         assert np.all(zero_series(0.5)(np.linspace(0, 0.5, 7)) == 0.0)

@@ -150,6 +150,19 @@ class TestProfiles:
         with pytest.raises(ValueError):
             TimeSeries(0.0, np.zeros(8))
 
+    @pytest.mark.parametrize("cls", [SpatialProfile, TimeSeries])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                             ids=["nan", "inf", "imag-inf"])
+    def test_finite_samples(self, cls, bad):
+        # one non-finite sample is an input fault, named here rather than
+        # deep inside a solve
+        samples = np.zeros(8, dtype=np.complex128)
+        samples[3] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            cls(1.0, samples)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            cls.from_callable(lambda x: np.where(x > 0.5, bad, 0.0), 1.0)
+
 
 SPLINE_GRIDS = pytest.mark.parametrize("grid", [
     lambda n: np.linspace(0.0, 1.5, n), lambda n: chebyshev_grid(n, 1.5)],
