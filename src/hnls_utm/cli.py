@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import datetime
 import json
-import operator
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import click
@@ -35,16 +34,16 @@ import yaml
 
 from .dispersion import DispersionParams
 from .errors import ConfigInvalid, MissingProxy, SolverError
-from .fields import Field
-from .linear import (ProblemData, QuadratureBudget, evaluate_traces,
+from .fields import Field, integer
+from .linear import (ProblemData, QuadratureBudget, _scaled, evaluate_traces,
                      global_relation_residual, solve_reduced)
 from .nonlinear import (apply_nonlinearity, check_compatibility,
                         _combined_forcing, _data_norm_terms, default_proxies,
                         lifespan_indicator, picard_solve)
 from .norms import NormSpec, ct_l2_norm, mixed_norm
 from .oracle import OracleConfig, oracle_solve
-from .presets import (named_number, plane_wave_data, profile_from_spec,
-                      series_from_spec)
+from .presets import (mapping, named_number, plane_wave_data,
+                      profile_from_spec, series_from_spec)
 from .verify import SUITES, run_suite
 
 MODES = ("contour", "reduced", "oracle", "compare")
@@ -53,25 +52,18 @@ MODES = ("contour", "reduced", "oracle", "compare")
 @dataclass
 class ScenarioConfig:
     data: ProblemData
-    s: float = 1.0
-    proxies: dict = field(default_factory=dict)
-    grid: tuple = (129, 65)
-    budget: QuadratureBudget = field(default_factory=QuadratureBudget)
-    oracle: OracleConfig = field(default_factory=OracleConfig)
-    max_iter: int = 12
-    tol: float = 1e-6
-    out_dir: str = "out"
-
-
-def _mapping(value, name):
-    """value itself if it is a mapping or None; ConfigInvalid otherwise."""
-    if value is not None and not isinstance(value, dict):
-        raise ConfigInvalid("field %r must be a mapping, got %r" % (name, value))
-    return value
+    s: float
+    proxies: dict
+    grid: tuple
+    budget: QuadratureBudget
+    oracle: OracleConfig
+    max_iter: int
+    tol: float
+    out_dir: str
 
 
 def _need(doc: dict, section: str, key: str = None):
-    sec = _mapping(doc.get(section), section)
+    sec = mapping(doc.get(section), section)
     if sec is None:
         raise ConfigInvalid("missing required section %r" % section)
     if key is None:
@@ -82,10 +74,8 @@ def _need(doc: dict, section: str, key: str = None):
 
 
 def _integer(value, name):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigInvalid("field %r must be an integer, got %r" % (name, value))
+    return integer(value, "field %r must be an integer, got %r" % (name, value),
+                   ConfigInvalid)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -114,7 +104,7 @@ def load_scenario(path) -> ScenarioConfig:
         if not value > 0:
             raise ConfigInvalid("field %r must be positive, got %r" % (name, value))
 
-    non = _mapping(doc.get("nonlinearity"), "nonlinearity") or {}
+    non = mapping(doc.get("nonlinearity"), "nonlinearity") or {}
     kappa = complex(
         named_number(non.get("kappa_re", 0.0), "nonlinearity.kappa_re"),
         named_number(non.get("kappa_im", 0.0), "nonlinearity.kappa_im"))
@@ -140,38 +130,30 @@ def load_scenario(path) -> ScenarioConfig:
             data = replace(data, kappa=kappa, lam=lam)
         else:
             forcing = _forcing_from_spec(dsec.get("forcing"), ell, horizon)
-            spec = {name: _mapping(dsec.get(name), "data." + name)
-                    for name in ("u0", "g0", "h0", "h1")}
             data = ProblemData(
                 params, ell, horizon,
-                profile_from_spec(spec["u0"], ell, "data.u0"),
-                series_from_spec(spec["g0"], horizon, "data.g0"),
-                series_from_spec(spec["h0"], horizon, "data.h0"),
-                series_from_spec(spec["h1"], horizon, "data.h1"),
+                profile_from_spec(dsec.get("u0"), ell, "data.u0"),
+                series_from_spec(dsec.get("g0"), horizon, "data.g0"),
+                series_from_spec(dsec.get("h0"), horizon, "data.h0"),
+                series_from_spec(dsec.get("h1"), horizon, "data.h1"),
                 forcing=forcing, kappa=kappa, lam=lam)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigInvalid("data: %s" % exc)
 
-    sol = _mapping(doc.get("solver"), "solver") or {}
+    sol = mapping(doc.get("solver"), "solver") or {}
     grid = sol.get("grid", (129, 65))
     if isinstance(grid, (list, tuple)):
         grid = tuple(_integer(v, "solver.grid") for v in grid)
     # the trace diagnostics difference five points in x
     if not isinstance(grid, tuple) or len(grid) != 2 or grid[0] < 5 or grid[1] < 4:
         raise ConfigInvalid("field 'solver.grid' must be [>= 5, >= 4], got %r" % (grid,))
-    budget = _mapping(sol.get("budget"), "solver.budget") or {}
-    try:
-        budget = QuadratureBudget(**budget)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid("solver.budget: %s" % exc)
-    oracle = _mapping(sol.get("oracle"), "solver.oracle") or {}
-    try:
-        oracle = OracleConfig(**oracle)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid("solver.oracle: %s" % exc)
+    budget = _settings(QuadratureBudget, sol.get("budget"), "solver.budget")
+    oracle = _settings(OracleConfig, sol.get("oracle"), "solver.oracle")
     s = named_number(sol.get("s", 1.0), "solver.s")
+    if not s >= 0:
+        raise ConfigInvalid("field 'solver.s' must be nonnegative, got %r" % s)
     proxies = {str(k): named_number(v, "solver.proxies.%s" % k) for k, v in
-               (_mapping(sol.get("proxies"), "solver.proxies") or {}).items()}
+               (mapping(sol.get("proxies"), "solver.proxies") or {}).items()}
     max_iter = _integer(sol.get("max_iter", 12), "solver.max_iter")
     tol = named_number(sol.get("tol", 1e-6), "solver.tol")
     if max_iter < 1:
@@ -180,10 +162,18 @@ def load_scenario(path) -> ScenarioConfig:
     if not tol > 0:
         raise ConfigInvalid("field 'solver.tol' must be positive, got %r" % tol)
 
-    outputs = _mapping(doc.get("outputs"), "outputs") or {}
+    outputs = mapping(doc.get("outputs"), "outputs") or {}
     out_dir = outputs.get("directory", "out")
     return ScenarioConfig(data, s, proxies, grid, budget, oracle, max_iter,
                           tol, str(out_dir))
+
+
+def _settings(cls, spec, name):
+    """cls(**spec); ConfigInvalid naming name for a bad key or value."""
+    try:
+        return cls(**(mapping(spec, name) or {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid("%s: %s" % (name, exc))
 
 
 def _forcing_from_spec(spec, ell, horizon):
@@ -192,10 +182,8 @@ def _forcing_from_spec(spec, ell, horizon):
         return None
     if not isinstance(spec, dict) or "x" not in spec or "t" not in spec:
         raise ConfigInvalid("data.forcing must give separable 'x' and 't' specs")
-    prof = profile_from_spec(_mapping(spec["x"], "data.forcing.x"), ell,
-                             "data.forcing.x")
-    ser = series_from_spec(_mapping(spec["t"], "data.forcing.t"), horizon,
-                           "data.forcing.t")
+    prof = profile_from_spec(spec["x"], ell, "data.forcing.x")
+    ser = series_from_spec(spec["t"], horizon, "data.forcing.t")
     x = np.linspace(0.0, ell, 129)
     t = np.linspace(0.0, horizon, 129)
     return Field(x, t, np.outer(prof(x), ser(t)))
@@ -239,14 +227,10 @@ def _trace_gaps(field_obj: Field, data: ProblemData) -> dict:
     traces = evaluate_traces(field_obj)
     t = field_obj.t_grid
     scale = max(float(np.max(np.abs(field_obj.values))), 1e-30)
-    return {
-        "left_dirichlet": float(np.max(np.abs(
-            traces["left_dirichlet"].samples - data.g0(t)))) / scale,
-        "right_dirichlet": float(np.max(np.abs(
-            traces["right_dirichlet"].samples - data.h0(t)))) / scale,
-        "right_neumann": float(np.max(np.abs(
-            traces["right_neumann"].samples - data.h1(t)))) / scale,
-    }
+    return {name: float(np.max(np.abs(traces[name].samples - datum(t)))) / scale
+            for name, datum in (("left_dirichlet", data.g0),
+                                ("right_dirichlet", data.h0),
+                                ("right_neumann", data.h1))}
 
 
 def _json_dump(path, payload):
@@ -266,13 +250,10 @@ def _emit(text, out_dir, name):
 
 
 def _refined(cfg: ScenarioConfig, level: int) -> ScenarioConfig:
-    if level <= 0:
-        return cfg
+    """cfg with node counts and the oracle's grid doubled level times."""
     f = 2 ** level
-    budget = replace(cfg.budget, contour_nodes=cfg.budget.contour_nodes * f,
-                     real_axis_nodes=cfg.budget.real_axis_nodes * f)
     oracle = replace(cfg.oracle, nx=cfg.oracle.nx * f, nt=cfg.oracle.nt * f)
-    return replace(cfg, budget=budget, oracle=oracle)
+    return replace(cfg, budget=_scaled(cfg.budget, f), oracle=oracle)
 
 
 def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
@@ -333,15 +314,15 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
         return 2
 
     header = {
-        "params": {"beta": data.params.beta, "alpha": data.params.alpha,
-                   "delta": data.params.delta},
+        "params": asdict(data.params),
         "ell": data.ell, "horizon": data.horizon, "mode": mode,
         "grid": [len(field_obj.x_grid), len(field_obj.t_grid)],
         "budget": asdict(cfg.budget),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "wall_seconds": time.time() - t_start,
     }
-    field_obj.to_csv(out / "field.csv", header=header)
+    field_obj.to_csv(out / "field.csv")
+    _json_dump(out / "field.csv.json", header)
     _write_norms(out / "norms.csv", cfg, field_obj)
     _json_dump(out / "diagnostics.json", diagnostics)
     click.echo("wrote %s" % out)

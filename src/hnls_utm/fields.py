@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +13,17 @@ def is_uniform(grid) -> bool:
     ideal = np.linspace(grid[0], grid[-1], len(grid))
     ulps = 8 * np.finfo(np.float64).eps * max(abs(grid[0]), abs(grid[-1]))
     return bool(grid[-1] > grid[0] and np.max(np.abs(grid - ideal)) <= ulps)
+
+
+def integer(value, message, error=ValueError):
+    """value as an int, or error(message) unless it is an integer; a bool is
+    not one, though operator.index reads True as 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(message)
 
 
 @dataclass(frozen=True)
@@ -58,18 +69,14 @@ class Field:
         ref = other.l2_norm_xt()
         return diff.l2_norm_xt() / ref if ref > 0 else diff.l2_norm_xt()
 
-    def to_csv(self, path, header: dict | None = None):
-        """CSV columns x, t, re_u, im_u; optional JSON header sidecar."""
+    def to_csv(self, path):
+        """CSV columns x, t, re_u, im_u."""
         with open(path, "w", newline="\n") as fh:
             fh.write("x,t,re_u,im_u\n")
             for i, x in enumerate(self.x_grid):
                 for j, t in enumerate(self.t_grid):
                     v = self.values[i, j]
                     fh.write("%.17g,%.17g,%.17g,%.17g\n" % (x, t, v.real, v.imag))
-        if header is not None:
-            with open(str(path) + ".json", "w") as fh:
-                json.dump(header, fh, indent=2, sort_keys=True)
-                fh.write("\n")
 
     @classmethod
     def from_callable(cls, func, x_grid, t_grid):

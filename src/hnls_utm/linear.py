@@ -73,7 +73,6 @@ running products of 2 step exponentials per w.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Tuple
 
@@ -82,7 +81,7 @@ import numpy as np
 from .dispersion import (DispersionParams, mu_factors, omega, omega_prime,
                          symmetry_roots)
 from .errors import ExponentialOverflow, GridTooCoarse, InvalidTruncation, QuadratureDiverged
-from .fields import Field, is_uniform
+from .fields import Field, integer, is_uniform
 from .regions import (DOMINANT_ROOT, RegionLabel, SegmentKind, arc_half_angle,
                       r_delta, scaled_delta, segment_specs)
 from .transforms import CubicSpline, GL8_NODES, SpatialProfile, TimeSeries, gauss_panels
@@ -122,11 +121,8 @@ class QuadratureBudget:
 
     def __post_init__(self):
         counts = (self.contour_nodes, self.real_axis_nodes)
-        try:
-            positive = min(operator.index(n) for n in counts) > 0
-        except TypeError:
-            raise ValueError("node counts must be integers, got %r, %r" % counts)
-        if not positive:
+        message = "node counts must be integers, got %r, %r" % counts
+        if min(integer(n, message) for n in counts) <= 0:
             raise ValueError("node counts must be positive")
         if not all(0 < v < np.inf for v in (self.real_axis_window, self.tolerance)):
             raise ValueError("window and tolerance must be finite and positive")
@@ -928,10 +924,11 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
     _unit_twin and thinned by the radial envelope of data itself, so the
     plan suits data of similar spectral content; a plan made from
     identically zero data uses unweighted nodes."""
+    message = "grid must be two integer point counts (nx, nt)"
     try:
-        nx, nt = (operator.index(n) for n in grid)
+        nx, nt = (integer(n, message) for n in grid)
     except (TypeError, ValueError):
-        raise ValueError("grid must be two integer point counts (nx, nt)")
+        raise ValueError(message)
     if nx < 4 or nt < 4:
         raise GridTooCoarse("output grids need at least 4 points each")
     ell = data.ell
@@ -966,6 +963,12 @@ def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:
     return make_plan(data, grid, budget).apply(data)
 
 
+def _scaled(budget: QuadratureBudget, factor) -> QuadratureBudget:
+    """budget with both node counts scaled by factor, rounded down."""
+    return replace(budget, contour_nodes=int(budget.contour_nodes * factor),
+                   real_axis_nodes=int(budget.real_axis_nodes * factor))
+
+
 def solve_reduced(params: DispersionParams, ell: float, psi0: TimeSeries,
                   psi1: TimeSeries, grid, budget: QuadratureBudget) -> Field:
     """Solve the companion problem with zero initial datum, zero left
@@ -974,10 +977,7 @@ def solve_reduced(params: DispersionParams, ell: float, psi0: TimeSeries,
     data = replace(zero_data(params, ell, psi0.horizon), h0=psi0, h1=psi1)
     prev = solve_full(data, grid, budget)
     for factor in (1.6, 2.56):
-        refined = replace(budget,
-                          contour_nodes=int(budget.contour_nodes * factor),
-                          real_axis_nodes=int(budget.real_axis_nodes * factor))
-        cur = solve_full(data, grid, refined)
+        cur = solve_full(data, grid, _scaled(budget, factor))
         scale = max(cur.l2_norm_xt(), 1e-300)
         gap = (cur - prev).l2_norm_xt()
         if gap <= budget.tolerance * max(1.0, scale):

@@ -15,7 +15,6 @@ argument.
 from __future__ import annotations
 
 import enum
-import operator
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Dict, List
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import (ExponentialOverflow, InhomogeneousBoundary, MissingProxy,
                      NoConvergence)
-from .fields import Field
+from .fields import Field, integer
 from .linear import (ProblemData, QuadratureBudget, fd_weights, make_plan,
                      resample, solve_full, zero_data)
 from .norms import ct_l2_distance, sobolev_norm
@@ -246,10 +245,8 @@ def picard_solve(data: ProblemData, grid, budget: QuadratureBudget,
     All solves share one SolvePlan made from data, and the solution map is
     linear, so the data part base = S[data] is solved once and each
     iteration solves only the forcing: u <- base + S[0; N(u)]."""
-    try:
-        max_iter = operator.index(max_iter)
-    except TypeError:
-        raise ValueError("max_iter must be an integer, got %r" % (max_iter,))
+    max_iter = integer(max_iter, "max_iter must be an integer, got %r"
+                       % (max_iter,))
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not 0 < tol < np.inf:

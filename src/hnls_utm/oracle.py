@@ -20,13 +20,12 @@ scipy's LAPACK, the package's one use of scipy, imported on the first solve.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StepDiverged
-from .fields import Field
+from .fields import Field, integer
 from .linear import ProblemData, fd_weights, resample
 
 _KL, _KU = 3, 4  # band widths of the implicit matrix
@@ -53,11 +52,8 @@ class OracleConfig:
 
     def __post_init__(self):
         for name in ("nx", "nt"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError("%s must be an integer point count, got %r"
-                                 % (name, getattr(self, name)))
+            integer(getattr(self, name), "%s must be an integer point count, "
+                    "got %r" % (name, getattr(self, name)))
         if self.nx < 16 or self.nt < 16:
             raise ValueError("nx and nt must be at least 16")
         if not 0.5 <= self.theta <= 1.0:
@@ -157,19 +153,15 @@ def oracle_solve(data: ProblemData, config: OracleConfig) -> Field:
     values = np.empty((nx, nt), dtype=np.complex128)
     values[:, 0] = state[:nx]
 
-    # the implicit rows' coupling to the known points: the same gather with
-    # the weights of unknown points zeroed
-    known_pt = _unknown_col(nx)[stencil[0]] < 0
-    bdry = (stencil[0], np.where(known_pt, stencil[1], 0.0))
-
     for n in range(1, nt):
         lu_n = _apply_l(stencil, state)
         interior_n = state[1:nx - 1]
         rhs_fixed = interior_n + dt * (1.0 - theta) * (lu_n + q_term(interior_n, n - 1))
-        # known boundary values at the new level enter the implicit side
+        # known boundary values at the new level enter the implicit side:
+        # the state with every unknown point and the ghost zeroed
         known = np.zeros(nx + 1, dtype=np.complex128)
         known[0], known[nx - 1] = g0[n], h0[n]
-        rhs_fixed += dt * theta * _apply_l(bdry, known)
+        rhs_fixed += dt * theta * _apply_l(stencil, known)
         b_neu = h1[n] - n_w[3] * h0[n]
 
         guess = interior_n.copy()

@@ -50,7 +50,8 @@ def bump_callable(lo: float, hi: float, amplitude: float = 1.0):
     return func
 
 
-def gaussian_callable(center: float, width: float, amplitude: float = 1.0):
+def gaussian_profile(ell: float, center: float, width: float,
+                     amplitude: float = 1.0) -> SpatialProfile:
     if not 0 < width < np.inf:
         raise ValueError("gaussian width must be finite and positive")
 
@@ -58,13 +59,7 @@ def gaussian_callable(center: float, width: float, amplitude: float = 1.0):
         x = np.asarray(x, dtype=np.float64)
         return amplitude * np.exp(-((x - center) / width) ** 2) + 0.0j
 
-    return func
-
-
-def gaussian_profile(ell: float, center: float, width: float,
-                     amplitude: float = 1.0) -> SpatialProfile:
-    return SpatialProfile.from_callable(
-        gaussian_callable(center, width, amplitude), ell)
+    return SpatialProfile.from_callable(func, ell)
 
 
 def bump_profile(ell: float, lo: float = None, hi: float = None,
@@ -106,16 +101,13 @@ def plane_wave_exact(params: DispersionParams, a: float):
 def plane_wave_data(params: DispersionParams, ell: float, horizon: float,
                     a: float) -> ProblemData:
     """ProblemData whose initial/boundary data are read off the plane wave."""
-    wa = omega(params, complex(a))
-    u0 = SpatialProfile.from_callable(
-        lambda x: np.exp(1j * a * np.asarray(x)), ell)
-    g0 = TimeSeries.from_callable(
-        lambda t: np.exp(1j * wa * np.asarray(t)), horizon)
-    h0 = TimeSeries.from_callable(
-        lambda t: np.exp(1j * (a * ell + wa * np.asarray(t))), horizon)
-    h1 = TimeSeries.from_callable(
-        lambda t: 1j * a * np.exp(1j * (a * ell + wa * np.asarray(t))), horizon)
-    return ProblemData(params, ell, horizon, u0, g0, h0, h1)
+    u = plane_wave_exact(params, a)
+    return ProblemData(
+        params, ell, horizon,
+        SpatialProfile.from_callable(lambda x: u(x, 0.0), ell),
+        TimeSeries.from_callable(lambda t: u(0.0, t), horizon),
+        TimeSeries.from_callable(lambda t: u(ell, t), horizon),
+        TimeSeries.from_callable(lambda t: 1j * a * u(ell, t), horizon))
 
 
 def plane_wave_field(params: DispersionParams, a: float,
@@ -129,14 +121,16 @@ def plane_wave_field(params: DispersionParams, a: float,
 
 def _load_samples(path, extent, name):
     """The complex values of a coord,re,im data file; ConfigInvalid naming
-    the field unless every entry is finite and the coordinates are uniform
-    over [0, extent], each within 1e-9 extent of its grid point."""
+    the field unless it has at least 4 rows, every entry is finite and the
+    coordinates are uniform over [0, extent], each within 1e-9 extent of
+    its grid point."""
     try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1)
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ConfigInvalid("cannot read data file %r: %s" % (path, exc))
-    if raw.ndim != 2 or raw.shape[1] < 3:
-        raise ConfigInvalid("data file %r needs columns coord,re,im" % path)
+    if raw.shape[1] < 3 or len(raw) < 4:
+        raise ConfigInvalid("field %r: data file %r needs at least 4 rows of "
+                            "columns coord,re,im" % (name, path))
     if not np.all(np.isfinite(raw[:, :3])):
         raise ConfigInvalid("field %r: data file %r holds a value that is not "
                             "finite" % (name, path))
@@ -147,10 +141,18 @@ def _load_samples(path, extent, name):
     return raw[:, 1] + 1j * raw[:, 2]
 
 
+def mapping(value, name):
+    """value itself if it is a mapping or None; ConfigInvalid otherwise."""
+    if value is not None and not isinstance(value, dict):
+        raise ConfigInvalid("field %r must be a mapping, got %r" % (name, value))
+    return value
+
+
 def named_number(value, name):
-    """float(value) if finite, or ConfigInvalid naming the configuration field."""
+    """float(value) if finite, or ConfigInvalid naming the configuration field;
+    a bool is no number, though float reads True as 1.0."""
     try:
-        number = float(value)
+        number = np.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = np.nan
     if not np.isfinite(number):
@@ -159,9 +161,8 @@ def named_number(value, name):
 
 
 def _param(spec, key, default, name):
-    """spec[key] (or default) as a named number; None stays None."""
-    value = spec.get(key, default)
-    return None if value is None else named_number(value, "%s.%s" % (name, key))
+    """spec[key] (or default) as a named number."""
+    return named_number(spec.get(key, default), "%s.%s" % (name, key))
 
 
 def _bump_params(spec, extent, name):
@@ -178,39 +179,38 @@ def _bump_params(spec, extent, name):
 def profile_from_spec(spec, ell: float, name: str = "spec") -> SpatialProfile:
     """Build a SpatialProfile from a preset/path dictionary (None -> zero);
     name is the spec's field name in error messages."""
-    if spec is None:
-        return zero_profile(ell)
-    if "path" in spec:
-        return SpatialProfile(ell, _load_samples(spec["path"], ell, name))
-    preset = spec.get("preset")
-    if preset == "zero":
-        return zero_profile(ell)
-    if preset == "gaussian":
-        width = _param(spec, "width", 0.1 * ell, name)
-        if not width > 0:
-            raise ConfigInvalid("field %r must be positive, got %r"
-                                % (name + ".width", width))
-        return gaussian_profile(ell, _param(spec, "center", 0.5 * ell, name),
-                                width, _param(spec, "amplitude", 1.0, name))
-    if preset == "bump":
-        return bump_profile(ell, *_bump_params(spec, ell, name))
-    if preset == "plane_wave":
-        a = _param(spec, "a", 2.0, name)
-        return SpatialProfile.from_callable(
-            lambda x: np.exp(1j * a * np.asarray(x)), ell)
-    raise ConfigInvalid("unknown spatial preset %r in %r" % (preset, name))
+    return _from_spec(spec, ell, name, SpatialProfile)
 
 
 def series_from_spec(spec, horizon: float, name: str = "spec") -> TimeSeries:
-    """Build a TimeSeries from a preset/path dictionary (None -> zero);
-    name is the spec's field name in error messages."""
-    if spec is None:
-        return zero_series(horizon)
-    if "path" in spec:
-        return TimeSeries(horizon, _load_samples(spec["path"], horizon, name))
-    preset = spec.get("preset")
+    """profile_from_spec for a TimeSeries, which has no gaussian or
+    plane_wave preset."""
+    return _from_spec(spec, horizon, name, TimeSeries)
+
+
+def _from_spec(spec, extent, name, kind):
+    """The kind (SpatialProfile or TimeSeries) over [0, extent] that spec
+    gives; ConfigInvalid naming name for a bad spec."""
+    spatial = kind is SpatialProfile
+    if mapping(spec, name) is not None and "path" in spec:
+        return kind(extent, _load_samples(spec["path"], extent, name))
+    preset = "zero" if spec is None else spec.get("preset")
     if preset == "zero":
-        return zero_series(horizon)
+        return (zero_profile if spatial else zero_series)(extent)
     if preset == "bump":
-        return bump_series(horizon, *_bump_params(spec, horizon, name))
-    raise ConfigInvalid("unknown time-series preset %r in %r" % (preset, name))
+        return (bump_profile if spatial else bump_series)(
+            extent, *_bump_params(spec, extent, name))
+    if spatial and preset == "gaussian":
+        width = _param(spec, "width", 0.1 * extent, name)
+        if not width > 0:
+            raise ConfigInvalid("field %r must be positive, got %r"
+                                % (name + ".width", width))
+        return gaussian_profile(extent,
+                                _param(spec, "center", 0.5 * extent, name),
+                                width, _param(spec, "amplitude", 1.0, name))
+    if spatial and preset == "plane_wave":
+        a = _param(spec, "a", 2.0, name)
+        return SpatialProfile.from_callable(
+            lambda x: np.exp(1j * a * np.asarray(x)), extent)
+    raise ConfigInvalid("unknown %s preset %r in %r" % (
+        "spatial" if spatial else "time-series", preset, name))

@@ -110,6 +110,16 @@ class TestLoadScenario:
         ("nonlinearity", "kappa_re", float("inf"), "'nonlinearity.kappa_re'"),
         ("nonlinearity", "lambda", float("inf"), "'nonlinearity.lambda'"),
         ("solver", "s", float("nan"), "'solver.s'"),
+        ("solver", "s", -1.0, "'solver.s'"),
+        ("solver", "max_iter", True, "'solver.max_iter'"),
+        ("solver", "budget", {"contour_nodes": True}, "solver.budget: node"),
+        ("solver", "oracle", {"nx": True},
+         "solver.oracle: nx must be an integer"),
+        ("solver", "grid", [33, True], "'solver.grid' must be an integer"),
+        ("geometry", "ell", True, "'geometry.ell'"),
+        ("data", "h0", {"preset": "bump", "lo": None}, "'data.h0.lo'"),
+        ("data", "u0", {"preset": "gaussian", "center": None},
+         "'data.u0.center'"),
     ], ids=["solver", "grid", "max_iter", "proxies", "outputs", "u0",
             "budget-arc-radius", "unknown-preset", "spec-beside-plane-wave",
             "u0-width", "h0-amplitude", "forcing-x-center", "u0-width-range",
@@ -118,7 +128,10 @@ class TestLoadScenario:
             "budget-contour-fraction", "budget-window-nan",
             "budget-tolerance-inf", "geometry-ell-inf", "geometry-horizon-nan",
             "geometry-ell-negative", "tol-nan", "tol-inf", "tol-zero",
-            "grid-nx-4", "kappa_re-nan", "kappa_re-inf", "lambda-inf", "s-nan"])
+            "grid-nx-4", "kappa_re-nan", "kappa_re-inf", "lambda-inf", "s-nan",
+            "s-negative", "max_iter-bool", "budget-contour-bool",
+            "oracle-nx-bool", "grid-nt-bool", "geometry-ell-bool",
+            "h0-bump-null-lo", "u0-gaussian-null-center"])
     def test_malformed_field_exit_2(self, tmp_path, section, key, value,
                                     named):
         doc = {k: dict(v) for k, v in BASE.items()}
@@ -482,7 +495,10 @@ class TestCsvData:
         ("u0", np.linspace(0.0, 1.0, 65), np.r_[np.zeros(32), np.nan, np.zeros(32)]),
         ("g0", np.linspace(0.0, 0.1, 33) ** 2 * 10.0, np.zeros(33)),
         ("g0", np.linspace(0.0, 0.1, 33), np.r_[np.zeros(16), np.inf, np.zeros(16)]),
-    ], ids=["nonuniform", "wrong-span", "nan", "g0-nonuniform", "g0-inf"])
+        ("u0", np.linspace(0.0, 1.0, 3), np.zeros(3)),
+        ("h1", np.zeros(1), np.zeros(1)),
+    ], ids=["nonuniform", "wrong-span", "nan", "g0-nonuniform", "g0-inf",
+            "three-rows", "one-row"])
     def test_bad_file_exit_2_naming_the_field(self, tmp_path, name, coords, values):
         doc = dict(BASE, data=dict(BASE["data"], **{
             name: {"path": write_csv(tmp_path, coords, values)}}))
@@ -549,6 +565,14 @@ class TestNormsVerb:
     def test_non_finite_order_exit_2(self, tmp_path):
         # a NaN order wrote NaN rows with exit 0
         doc = dict(BASE, solver=dict(BASE["solver"], s=float("nan")))
+        result = CliRunner().invoke(main, ["norms", "--config",
+                                           write_config(tmp_path, doc)])
+        assert result.exit_code == 2
+        assert "'solver.s'" in result.output
+
+    def test_negative_order_exit_2(self, tmp_path):
+        # a negative order passed the loader and crashed the norms verb
+        doc = dict(BASE, solver=dict(BASE["solver"], s=-1.0))
         result = CliRunner().invoke(main, ["norms", "--config",
                                            write_config(tmp_path, doc)])
         assert result.exit_code == 2

@@ -1265,8 +1265,10 @@ class TestValidation:
             for name in ("real_axis_window", "tolerance"):
                 with pytest.raises(ValueError, match="finite"):
                     QuadratureBudget(**{name: bad})
-        # a fractional node count is neither floored nor passed on
-        for counts in ({"real_axis_nodes": 6000.5}, {"contour_nodes": 24000.5}):
+        # a fractional node count is neither floored nor passed on, and a
+        # bool is no count, though operator.index reads True as 1
+        for counts in ({"real_axis_nodes": 6000.5}, {"contour_nodes": 24000.5},
+                       {"contour_nodes": True}, {"real_axis_nodes": False}):
             with pytest.raises(ValueError, match="integers"):
                 QuadratureBudget(**counts)
 
@@ -1351,6 +1353,6 @@ class TestValidation:
         np.testing.assert_array_equal(field.x_grid, np.linspace(0.0, 1.0, 7))
         np.testing.assert_array_equal(field.t_grid, np.linspace(0.0, 0.5, 5))
         for grid in ((np.linspace(0.0, 1.0, 7), np.linspace(0.0, 0.5, 5)),
-                     (7.0, 5), (7, 5, 3), 7):
+                     (7.0, 5), (7, 5, 3), 7, (9, True)):
             with pytest.raises(ValueError, match="two integer point counts"):
                 solve_full(data, grid, SMALL_BUDGET)

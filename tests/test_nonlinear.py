@@ -292,8 +292,9 @@ class TestPicard:
                          tol=0.0)
 
     @pytest.mark.parametrize("settings", [
-        {"tol": float("nan")}, {"tol": float("inf")}, {"max_iter": 2.5}],
-        ids=["tol-nan", "tol-inf", "max_iter-fraction"])
+        {"tol": float("nan")}, {"tol": float("inf")}, {"max_iter": 2.5},
+        {"max_iter": True}],
+        ids=["tol-nan", "tol-inf", "max_iter-fraction", "max_iter-bool"])
     def test_non_finite_tol_and_fractional_max_iter(self, settings):
         # rejected before any solve: a NaN tol never converges and an
         # infinite one accepts the first iterate

@@ -23,6 +23,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             OracleConfig(nt=15)
 
+    @pytest.mark.parametrize("counts", [{"nx": True}, {"nt": 16.0},
+                                        {"nx": "64"}],
+                             ids=["nx-bool", "nt-float", "nx-quoted"])
+    def test_counts_are_integers(self, counts):
+        with pytest.raises(ValueError, match="integer point count"):
+            OracleConfig(**counts)
+
     def test_theta_range(self):
         with pytest.raises(ValueError):
             OracleConfig(theta=0.4)

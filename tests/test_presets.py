@@ -90,6 +90,21 @@ class TestSpecConstruction:
             {"preset": "gaussian", "center": 0.5, "width": 0.2}, 1.0)
         assert g(np.array([0.5]))[0] == pytest.approx(1.0)
 
+    def test_plane_wave_profile(self):
+        # the u0 plane wave e^{iax}, the t = 0 slice of plane_wave_exact
+        x = np.linspace(0.0, 1.0, 9)
+        for spec, a in (({"preset": "plane_wave"}, 2.0),
+                        ({"preset": "plane_wave", "a": -3.0}, -3.0)):
+            prof = profile_from_spec(spec, 1.0)
+            np.testing.assert_allclose(prof(x), np.exp(1j * a * x), rtol=1e-12)
+            np.testing.assert_allclose(prof(x), plane_wave_exact(AIRY, a)(x, 0.0),
+                                       rtol=1e-12)
+
+    def test_series_has_no_spatial_presets(self):
+        for preset in ("gaussian", "plane_wave"):
+            with pytest.raises(ConfigInvalid, match="time-series preset"):
+                series_from_spec({"preset": preset}, 0.5, "data.g0")
+
     def test_series_presets(self):
         ser = series_from_spec({"preset": "bump"}, 0.5)
         assert ser(np.array([0.0]))[0] == 0.0
