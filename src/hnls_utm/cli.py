@@ -47,6 +47,11 @@ from .presets import (mapping, named_number, plane_wave_data,
 from .verify import SUITES, run_suite
 
 MODES = ("contour", "reduced", "oracle", "compare")
+# the largest order solver.s may give, a validation limit and not a setting:
+# every data-norm row of the shipped configs is finite up to s = 47 (checked
+# in steps of 0.5), the lifespan regimes need s <= 2, and an integer order s
+# takes s + 1 derivatives, so a huge one would run without end
+MAX_ORDER = 40.0
 
 
 @dataclass
@@ -125,8 +130,13 @@ def load_scenario(path) -> ScenarioConfig:
                 "data.%s" % key, "with" if preset else "without"))
     try:
         if preset:
-            data = plane_wave_data(params, ell, horizon,
-                                   named_number(dsec.get("a", 2.0), "data.a"))
+            a = named_number(dsec.get("a", 2.0), "data.a")
+            try:
+                data = plane_wave_data(params, ell, horizon, a)
+            except OverflowError:
+                raise ConfigInvalid("field 'data.a' is too large: the plane "
+                                    "wave's frequency omega(a) overflows, "
+                                    "got %r" % a)
             data = replace(data, kappa=kappa, lam=lam)
         else:
             forcing = _forcing_from_spec(dsec.get("forcing"), ell, horizon)
@@ -150,8 +160,9 @@ def load_scenario(path) -> ScenarioConfig:
     budget = _settings(QuadratureBudget, sol.get("budget"), "solver.budget")
     oracle = _settings(OracleConfig, sol.get("oracle"), "solver.oracle")
     s = named_number(sol.get("s", 1.0), "solver.s")
-    if not s >= 0:
-        raise ConfigInvalid("field 'solver.s' must be nonnegative, got %r" % s)
+    if not 0 <= s <= MAX_ORDER:
+        raise ConfigInvalid("field 'solver.s' must lie in [0, %g], got %r"
+                            % (MAX_ORDER, s))
     proxies = {str(k): named_number(v, "solver.proxies.%s" % k) for k, v in
                (mapping(sol.get("proxies"), "solver.proxies") or {}).items()}
     max_iter = _integer(sol.get("max_iter", 12), "solver.max_iter")
@@ -195,15 +206,22 @@ def _forcing_from_spec(spec, ell, horizon):
 
 def _data_norm_rows(data: ProblemData, s: float) -> list:
     """The data-norm rows: the four terms of nonlinear._data_norm_terms and
-    their sum, data_norm_sum."""
-    terms = _data_norm_terms(data, s)
+    their sum, data_norm_sum; ConfigInvalid naming solver.s when a row is
+    not finite."""
+    # an overflowing row is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _data_norm_terms(data, s)
     rows = [(name, order, 2.0, 2.0, norm) for name, order, norm in terms]
     rows.append(("data_norm_sum", s, 2.0, 2.0,
                  float(sum(norm for _name, _order, norm in terms))))
+    bad = [row[0] for row in rows if not np.isfinite(row[-1])]
+    if bad:
+        raise ConfigInvalid("field 'solver.s' = %r gives data norms that are "
+                            "not finite: %s" % (s, ", ".join(bad)))
     return rows
 
 
-def _write_norms(path, cfg: ScenarioConfig, field_obj: Field):
+def _write_norms(path, cfg: ScenarioConfig, field_obj: Field, data_rows):
     """The three field rows, then the norms verb's data-norm rows."""
     s = cfg.s
     rows = [
@@ -213,7 +231,7 @@ def _write_norms(path, cfg: ScenarioConfig, field_obj: Field):
          mixed_norm(field_obj, NormSpec(s, 2.0, float("inf")))),
     ]
     with open(path, "w", newline="\n") as fh:
-        fh.write(_norms_csv(rows + _data_norm_rows(cfg.data, s)))
+        fh.write(_norms_csv(rows + data_rows))
 
 
 def _norms_csv(rows) -> str:
@@ -265,6 +283,7 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
         cfg = _refined(load_scenario(config_path), refine)
         if mode == "reduced":
             _check_reduced(cfg.data)
+        data_rows = _data_norm_rows(cfg.data, cfg.s)
     except ConfigInvalid as exc:
         click.echo("config error: %s" % exc, err=True)
         return 2
@@ -323,7 +342,7 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
     }
     field_obj.to_csv(out / "field.csv")
     _json_dump(out / "field.csv.json", header)
-    _write_norms(out / "norms.csv", cfg, field_obj)
+    _write_norms(out / "norms.csv", cfg, field_obj, data_rows)
     _json_dump(out / "diagnostics.json", diagnostics)
     click.echo("wrote %s" % out)
     return 0
@@ -404,10 +423,11 @@ def norms(config_path, out_dir):
     """Evaluate the data-norm table for a scenario without solving."""
     try:
         cfg = load_scenario(config_path)
+        rows = _data_norm_rows(cfg.data, cfg.s)
     except ConfigInvalid as exc:
         click.echo("config error: %s" % exc, err=True)
         sys.exit(2)
-    _emit(_norms_csv(_data_norm_rows(cfg.data, cfg.s)), out_dir, "norms.csv")
+    _emit(_norms_csv(rows), out_dir, "norms.csv")
     sys.exit(0)
 
 

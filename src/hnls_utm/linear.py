@@ -59,8 +59,11 @@ parts of the data: the sum over the nodes of w_k e^{i k x + shift_k}
 e^{i omega t} times the payload over Delta_s (_assemble), with shift_k =
 -i k on D+/- for e^{-i k (1 - x)}.  A region fixes only its dominant root
 sigma (k, nu+ or nu-), whether the data are scaled by e^{i sigma}, and the
-shift; the real window's payload, not divided, is u0hat plus the forcing
-history.  solve_full is make_plan(...).apply(data).
+shift.  The real window's payload, not divided, is u0hat plus the forcing
+history, and is never held whole: _assemble asks for it per block of its
+nodes, and each block's rows are one _time_transform of B on that block's
+nodes, against B's spline set up once per term (_spline_cells), so a forced
+solve holds one block x nt of it.  solve_full is make_plan(...).apply(data).
 
 The x-factors e^{+-i k x + shift_k} of the assembly and of the x-kernels are
 summed by one split, _taylor_cells: a series in (k - c)(x - x0) about the
@@ -253,10 +256,56 @@ def _phase_table(w, dt, n, scale=None):
     return out.T
 
 
+class _SplineCells(NamedTuple):
+    """What _time_transform needs of its series and times whatever the w
+    (_spline_cells): the series' count and length nt, their spline's cell
+    coefficients in the layout of the horizon or of the times, and for times
+    the cell each time starts its running sum at, whether that is t = 0, and
+    the partial cells as (length, times) groups."""
+
+    count: int
+    nt: int
+    coef: np.ndarray
+    start: Optional[np.ndarray] = None
+    from_zero: Optional[np.ndarray] = None
+    parts: Optional[list] = None
+
+
+def _spline_cells(series, horizon: float, times=None) -> _SplineCells:
+    """The w-independent set-up of _time_transform(series, horizon, w,
+    weights, times): the cubic spline of each row of series, and with times
+    each time's cell and its partial cell's length, equal lengths but for
+    rounding sharing one group."""
+    vals = np.asarray(series, dtype=np.complex128)
+    nt = vals.shape[1]
+    grid = np.linspace(0.0, horizon, nt)
+    # (4, nt - 1, S): cell polynomial coefficients, lowest power first
+    coef = CubicSpline(grid, vals, axis=1).c[::-1]
+    if times is None:
+        # (nt - 1, 4 S): cell rows, columns grouped by power
+        return _SplineCells(len(vals), nt, coef.transpose(1, 0, 2).reshape(nt - 1, -1))
+    # (4 S, nt - 1): row m S + s holds series s's power-m coefficients
+    coef = coef.transpose(0, 2, 1).reshape(-1, nt - 1)
+    start = np.searchsorted(grid, times, side="right") - 1
+    inside = np.flatnonzero(times != grid[start])
+    start[inside] = np.minimum(start[inside], nt - 2)
+    lengths = times[inside] - grid[start[inside]]
+    _, first, length_of = np.unique(
+        np.round(lengths / (16.0 * np.finfo(np.float64).eps * horizon)),
+        return_index=True, return_inverse=True)
+    parts = [(lengths[i], inside[length_of == g]) for g, i in enumerate(first)]
+    return _SplineCells(len(vals), nt, coef, start, start == 0, parts)
+
+
 def _time_transform(series, horizon: float, w, weights, times=None) -> np.ndarray:
     """sum_s weights[j, s] int_0^t e^{-i w_j u} phi_s(u) du against the cubic
     spline phi_s of each row of series, (S, nt) on linspace(0, horizon, nt):
     at t = horizon, (nw,), or at every time of times, (nw, len(times)).
+
+    series may also be _spline_cells(series, horizon, times), made once for
+    calls on many blocks of w with the same series and times: the real
+    window's forcing history is taken so, one block of the assembly at a
+    time, and never held whole.
 
     weights is (nw, S), or (S,) shared by every w.  Per chunk of w, the Filon
     moments over one time cell are folded into the weights as one (chunk, 4 S)
@@ -267,40 +316,24 @@ def _time_transform(series, horizon: float, w, weights, times=None) -> np.ndarra
     running sum on the series' grid.  A time inside a cell adds to the sum at
     the cell's start e^{-i w t_cell} times the moments over the part of the
     cell before it, contracted with that cell's coefficients weighted by w;
-    the moments are taken once per partial length.  A chunk holds
+    the moments are taken once per partial length and chunk.  A chunk holds
     2^16 / (nt - 1) rows, at least 128: the phase table stays within 1 MiB up
     to 513 times (2 MiB at 1025), reused from the heap and cached rather than
     mapped afresh (past 4 MiB, as huge pages when the kernel has them) for
     every chunk.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
-    vals = np.asarray(series, dtype=np.complex128)
-    nt = vals.shape[1]
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.complex128),
-                              (len(w), len(vals)))
     if np.max(w.imag) * horizon > OVERFLOW_GUARD:
         raise ExponentialOverflow("Im w too positive for the time transform")
-    grid = np.linspace(0.0, horizon, nt)
-    # (4, nt - 1, S): cell polynomial coefficients, lowest power first
-    coef = CubicSpline(grid, vals, axis=1).c[::-1]
+    cells = (series if isinstance(series, _SplineCells)
+             else _spline_cells(series, horizon, times))
+    nt, coef, start, parts = cells.nt, cells.coef, cells.start, cells.parts
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.complex128),
+                              (len(w), cells.count))
     if times is None:
-        # (nt - 1, 4 S): cell rows, columns grouped by power
-        coef = coef.transpose(1, 0, 2).reshape(nt - 1, -1)
         out = np.empty(len(w), dtype=np.complex128)
     else:
-        # (4 S, nt - 1): row m S + s holds series s's power-m coefficients
-        coef = coef.transpose(0, 2, 1).reshape(-1, nt - 1)
-        start = np.searchsorted(grid, times, side="right") - 1
-        inside = np.flatnonzero(times != grid[start])
-        start[inside] = np.minimum(start[inside], nt - 2)
-        lengths = times[inside] - grid[start[inside]]
-        # lengths equal but for rounding share one set of moments
-        _, first, length_of = np.unique(
-            np.round(lengths / (16.0 * np.finfo(np.float64).eps * horizon)),
-            return_index=True, return_inverse=True)
-        parts = [(lengths[i], inside[length_of == g]) for g, i in enumerate(first)]
-        from_zero = start == 0
-        out = np.empty((len(w), len(times)), dtype=np.complex128)
+        out = np.empty((len(w), len(start)), dtype=np.complex128)
     dt = horizon / (nt - 1)
     chunk = max(128, 2 ** 16 // (nt - 1))
     for lo in range(0, len(w), chunk):
@@ -318,12 +351,12 @@ def _time_transform(series, horizon: float, w, weights, times=None) -> np.ndarra
             # the running sum at each time, none at t = 0; "clip" writes to
             # out unbuffered
             np.take(cell, start - 1, axis=1, out=out[sel], mode="clip")
-            out[sel, from_zero] = 0.0
+            out[sel, cells.from_zero] = 0.0
             continue
         # rows by time, so that the gathers and updates below take whole rows:
         # the running sum to each time's cell start, then its partial cell
         by_time = np.ascontiguousarray(cell.T)[start - 1]
-        by_time[from_zero] = 0.0
+        by_time[cells.from_zero] = 0.0
         # (4, nt - 1, chunk): e^{-i w_j t_cell} sum_s weights[j, s] times
         # series s's power-m coefficient of the cell
         wcoef = eph.T * (coef.reshape(4, -1, nt - 1).transpose(0, 2, 1)
@@ -460,38 +493,45 @@ def _apply_kernel(karr, shift, payload, scale=None):
     return out
 
 
+def _assembly_block(nt):
+    """The nodes _assemble takes per block at nt output times: 4096, or
+    2^19 / (nt - 1) past 129 times, so its time table stays near 2^19
+    entries."""
+    return max(1, 2 ** 19 // max(nt - 1, 128))
+
+
 def _assemble(vals, horizon, karr, warr, om, coef, shift=None):
     """vals += 1/(2 pi) sum_k w_k e^{i k x + shift_k} e^{i om_k t} coef_k(t)
     on the uniform (nx, nt) = vals.shape points of [0, 1] x [0, horizon].
 
-    coef is (nk,), constant in time, or (nk, nt) on the output times; shift
-    is as in _apply_kernel, -i k on D+/- for e^{-i k (1 - x)}.  The factor
-    e^{i k x + shift_k} is the _taylor_cells split, taken in blocks of 4096
-    nodes, or of 2^19 / (nt - 1) past 129 times, so the time table stays
-    near 2^19 entries.  Per block, the time table is a _phase_table scaled
-    by w_k coef_k (or by w_k, with coef_k(t) multiplied in); per cell, one
-    product contracts it with the node rows into a (TAYLOR_TERMS, nt) array,
-    and once the cell's last block is done, one product applies the cell's
-    x-table.  The split's node rows carry the x-factor's largest entry; the
-    growth guard bounds the time table's.
+    coef is (nk,), constant in time, or a function that maps the node
+    indices idx of one block to their (len(idx), nt) rows on the output
+    times, so that a time-dependent coefficient is formed one block at a
+    time; shift is as in _apply_kernel, -i k on D+/- for e^{-i k (1 - x)}.
+    The factor e^{i k x + shift_k} is the _taylor_cells split, taken in
+    blocks of _assembly_block(nt) nodes.  Per block, the time table is a
+    _phase_table scaled by w_k coef_k (or by w_k, with the block's rows
+    multiplied in); per cell, one product contracts it with the node rows
+    into a (TAYLOR_TERMS, nt) array, and once the cell's last block is done,
+    one product applies the cell's x-table.  The split's node rows carry the
+    x-factor's largest entry; the growth guard bounds the time table's.
     """
     nx, nt = vals.shape
     dt = horizon / (nt - 1)
     growth = np.max(-om.imag) * horizon if len(karr) else 0.0
     if growth > OVERFLOW_GUARD:
         raise ExponentialOverflow("contour time factor exceeds the overflow guard")
-    chunk = max(1, 2 ** 19 // max(nt - 1, 128))
-    centres, x0, blocks = _taylor_cells(karr, shift, chunk)
+    centres, x0, blocks = _taylor_cells(karr, shift, _assembly_block(nt))
 
     def contracted():
         """(cell, node rows . time table) per run of each block."""
         for idx, cell, runs, rows in blocks:
-            if coef.ndim == 1:
-                tm = _phase_table(-om[idx], dt, nt, scale=warr[idx] * coef[idx])
-            else:
+            if callable(coef):
                 tm = _phase_table(-om[idx], dt, nt, scale=warr[idx])
-                # in the table's own (nt, nk) order: twice as fast as tm *= coef
-                np.multiply(tm.T, coef[idx].T, out=tm.T)
+                # in the table's own (nt, nk) order: twice as fast as tm *= rows
+                np.multiply(tm.T, coef(idx).T, out=tm.T)
+            else:
+                tm = _phase_table(-om[idx], dt, nt, scale=warr[idx] * coef[idx])
             for run in runs:
                 yield cell[run.start], rows[:, run] @ tm[run]
 
@@ -896,7 +936,9 @@ class SolvePlan:
     def _term(self, vals, samples, c: Contour):
         """One contour's term, payload / Delta_s assembled with the shift of
         _weights(c): the stack transform, plus the u0 column of the kernels'
-        sum on [u0 | A], plus B's transform weighted by -i times the rest."""
+        sum hat on [u0 | A], plus B's transform weighted by -i times the
+        rest of hat.  On the real window that last part is B's running
+        transform at the output times, taken per block of the assembly."""
         kernels, boundary, shift = _weights(c)
         payload = None
         if samples.stack is not None and boundary is not None:
@@ -905,16 +947,28 @@ class SolvePlan:
             hat = sum(_apply_kernel(root, sh, samples.xcols, m)
                       for root, sh, m in kernels)
             payload = hat[:, 0] if payload is None else payload + hat[:, 0]
-            if samples.b is not None:
-                forced = _time_transform(samples.b, self.tau, c.om,
-                                         -1j * hat[:, 1:], c.times)
-                # in place, and hat freed: a forced solve peaks in the assembly
-                np.add(forced.T, payload, out=forced.T)
-                payload = forced
-                del hat
+            if samples.b is not None and c.times is not None:
+                payload = self._history(samples.b, c, hat)
+            elif samples.b is not None:
+                payload = _time_transform(samples.b, self.tau, c.om,
+                                          -1j * hat[:, 1:]) + payload
         if payload is not None:
             _assemble(vals, self.tau, c.k, c.w, c.om,
                       payload if c.delta is None else payload / c.delta, shift)
+
+    def _history(self, b, c: Contour, hat):
+        """The real window's coefficient as _assemble takes it per block:
+        u0hat plus the running transform of B at the output times, weighted
+        by -i times the block's forcing columns of hat.  B's spline and the
+        times' cells are set up once."""
+        cells = _spline_cells(b, self.tau, c.times)
+
+        def rows(idx):
+            out = _time_transform(cells, self.tau, c.om[idx],
+                                  -1j * hat[idx, 1:], c.times)
+            out += hat[idx, :1]
+            return out
+        return rows
 
 
 def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:

@@ -1,6 +1,9 @@
 """Command-line interface: config loading, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,7 +12,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from hnls_utm.cli import load_scenario, main
+from hnls_utm.cli import MAX_ORDER, load_scenario, main
 from hnls_utm.errors import ConfigInvalid
 from hnls_utm.nonlinear import HIGH_PROXIES, LOW_PROXIES
 
@@ -577,6 +580,58 @@ class TestNormsVerb:
                                            write_config(tmp_path, doc)])
         assert result.exit_code == 2
         assert "'solver.s'" in result.output
+
+    @pytest.mark.parametrize("verb", ["norms", "solve"])
+    def test_huge_plane_wave_wavenumber_exit_2(self, tmp_path, verb):
+        # omega(a) overflowed in the plane-wave preset: an OverflowError
+        # traceback, not a config error
+        doc = dict(BASE, data={"preset": "plane_wave", "a": 1.0e200})
+        result = CliRunner().invoke(main, [verb, "--config",
+                                           write_config(tmp_path, doc),
+                                           "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "'data.a'" in result.output
+
+    @pytest.mark.parametrize("s, code", [
+        (MAX_ORDER, 0), (MAX_ORDER + 0.5, 2), (200.0, 2), (2000.0, 2)])
+    def test_order_limit(self, tmp_path, s, code):
+        # s = 200 wrote inf rows and s = 2000 nan rows, both with exit 0
+        doc = dict(BASE, solver=dict(BASE["solver"], s=s))
+        result = CliRunner().invoke(main, ["norms", "--config",
+                                           write_config(tmp_path, doc)])
+        assert result.exit_code == code, result.output
+        if code:
+            assert "'solver.s'" in result.output
+        else:
+            values = [float(line.split(",")[-1])
+                      for line in result.output.splitlines()[1:]]
+            assert len(values) == 5 and np.all(np.isfinite(values))
+
+    def test_huge_order_fails_before_any_norm(self, tmp_path):
+        # s = 1e6 ran past 120 s: the limit is checked before any norm
+        doc = dict(BASE, solver=dict(BASE["solver"], s=1.0e6))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(CONFIGS.parent / "src"), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "hnls_utm.cli", "norms", "--config",
+             write_config(tmp_path, doc)],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert result.returncode == 2
+        assert "'solver.s'" in result.stderr
+
+    @pytest.mark.parametrize("s, code", [(1.0, 0), (39.5, 2)])
+    def test_non_finite_row_within_the_limit_exit_2(self, tmp_path, s, code):
+        # a narrow Gaussian of amplitude 1e40: its H^39.5 norm overflows
+        # where its H^1 norm does not
+        doc = dict(BASE, solver=dict(BASE["solver"], s=s),
+                   data=dict(BASE["data"], u0={
+                       "preset": "gaussian", "center": 0.5, "width": 0.01,
+                       "amplitude": 1.0e40}))
+        result = CliRunner().invoke(main, ["norms", "--config",
+                                           write_config(tmp_path, doc)])
+        assert result.exit_code == code, result.output
+        if code:
+            assert "'solver.s'" in result.output and "u0_hs" in result.output
 
     def test_data_rows_sum_to_data_norm_sum(self, tmp_path):
         doc = dict(BASE, data=dict(BASE["data"],

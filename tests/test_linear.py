@@ -229,6 +229,12 @@ def split_cells(monkeypatch):
     return counts
 
 
+def per_block(coef):
+    """coef as _assemble takes it: an (nk,) array as it is, and an (nk, nt)
+    array on the output times as the rows of each block's node indices."""
+    return coef if coef.ndim == 1 else lambda idx: coef[idx]
+
+
 class TestExponentialTables:
     """The factored x-kernel and time phase tables against one dense exp per
     entry, and the overflow guards in front of them."""
@@ -439,7 +445,7 @@ class TestExponentialTables:
         for basis, k in bases:
             got = linear._assemble(
                 np.zeros((len(x_grid), len(t_grid)), dtype=complex),
-                horizon, k, w, om, coef, assembly_shift(basis, k))
+                horizon, k, w, om, per_block(coef), assembly_shift(basis, k))
             want = self.dense_assembly(x_grid, t_grid, ell, basis, k, w,
                                        om, coef)
             np.testing.assert_allclose(got, want, rtol=1e-12,
@@ -637,7 +643,7 @@ class TestTaylorCells:
         if on_times:
             coef = coef[:, None] + np.outer(1j * coef.conj(), np.sin(9.0 * t_grid))
         got = linear._assemble(np.zeros((513, 129), dtype=complex), horizon,
-                               k, w, om, coef, assembly_shift(basis, k))
+                               k, w, om, per_block(coef), assembly_shift(basis, k))
         assert split_cells == [1]
         want = self.dense_assembly(x_grid, t_grid, ell, basis, k, w, om, coef)
         np.testing.assert_allclose(got, want, rtol=1e-12,
@@ -981,6 +987,46 @@ class TestForcedSolution:
             solve_full(data, (9, 9), budget)
             counts.append(sum(rows))
         assert 0 < counts[1] <= counts[0]
+
+    @pytest.mark.parametrize("forcing_times", [1025, 129],
+                             ids=["on-output-times", "partial-cells"])
+    def test_history_is_never_built_whole(self, monkeypatch, forcing_times):
+        # 1025 output times make the assembly's blocks 512 nodes, fewer than
+        # the real window's 2000: B's running transform is taken per block,
+        # on the output times or, from a coarser forcing grid, with partial
+        # cells (as in criterion 09), and gives the field of the whole history
+        nt = 1025
+        data, _exact = _forced_plane_wave(AIRY, 33, forcing_times)
+        plan = make_plan(data, (9, nt), SMALL_BUDGET)
+        real = plan.contours[0]
+        block = linear._assembly_block(nt)
+        assert len(real.k) > block
+        calls = []
+        inner = linear._time_transform
+
+        def recording(series, horizon, w, weights, times=None):
+            if times is not None:
+                calls.append((len(w), series))
+            return inner(series, horizon, w, weights, times)
+
+        monkeypatch.setattr(linear, "_time_transform", recording)
+        got = plan.apply(data).values
+        monkeypatch.undo()
+        assert max(n for n, _cells in calls) <= block
+        assert sum(n for n, _cells in calls) == len(real.k)
+        # one set-up of B's spline and the times' cells for every block
+        assert len({id(cells) for _n, cells in calls}) == 1
+        assert bool(calls[0][1].parts) == (forcing_times != nt)
+
+        def whole(self, b, c, hat):
+            history = (inner(b, self.tau, c.om, -1j * hat[:, 1:], c.times)
+                       + hat[:, :1])
+            return lambda idx: history[idx]
+
+        monkeypatch.setattr(linear.SolvePlan, "_history", whole)
+        want = plan.apply(data).values
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
 
 CORNER_CASES = pytest.mark.parametrize("delta, corners, rank", [
