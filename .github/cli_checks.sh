@@ -1,0 +1,68 @@
+#!/usr/bin/env bash
+# Command-line checks of the installed hnls-utm entry point, one step per call:
+#   bash .github/cli_checks.sh <step> <tmpdir>
+# where <step> is config-errors, diverging-picard or overflowing-forcing and
+# <tmpdir> an existing directory for the step's configs and outputs.  Run it
+# from the repository root; it exits nonzero on the first failed check.
+set -eo pipefail
+
+step=$1
+tmp=$2
+test -d "$tmp"
+
+# expect_exit CODE COMMAND...: run COMMAND and fail unless it exits with CODE
+expect_exit() {
+    local code=$1 status=0
+    shift
+    "$@" || status=$?
+    test "$status" -eq "$code"
+}
+
+case "$step" in
+    # a CSV data file is read and checked: the shipped Gaussian sampled on
+    # 257 rows solves, 3 rows exit 2 naming data.u0, and so does a negative
+    # order in the norms verb, naming solver.s; a plane wave whose omega(a)
+    # overflows exits 2 naming data.a, and an order past the limit exits 2
+    # naming solver.s before any norm is computed
+    config-errors)
+        for rows in 257 3; do
+            python -c "import sys, numpy as np; x = np.linspace(0.0, 1.0, int(sys.argv[2])); np.savetxt(sys.argv[1], np.column_stack([x, np.exp(-((x - 0.5) / 0.2) ** 2), 0.0 * x]), delimiter=',', header='coord,re,im', comments='')" "$tmp/u0_$rows.csv" "$rows"
+        done
+        sed "s#u0: {preset: gaussian, center: 0.5, width: 0.2}#u0: {path: $tmp/u0_257.csv}#" configs/nonlinear_gaussian.yaml > "$tmp/csv.yaml"
+        grep -q 'u0: {path:' "$tmp/csv.yaml"
+        hnls-utm solve --config "$tmp/csv.yaml" --out "$tmp/csv"
+        sed 's#u0_257.csv#u0_3.csv#' "$tmp/csv.yaml" > "$tmp/short.yaml"
+        expect_exit 2 hnls-utm solve --config "$tmp/short.yaml" --out "$tmp/short" 2> "$tmp/short.err"
+        grep -q "'data.u0'.*at least 4 rows" "$tmp/short.err"
+        sed 's/^  s: 1.0$/  s: -1.0/' configs/nonlinear_gaussian.yaml > "$tmp/negative_s.yaml"
+        grep -q 's: -1.0' "$tmp/negative_s.yaml"
+        expect_exit 2 hnls-utm norms --config "$tmp/negative_s.yaml" 2> "$tmp/negative_s.err"
+        grep -q "'solver.s'" "$tmp/negative_s.err"
+        sed 's/^  a: 2.0$/  a: 1.0e200/' configs/linear_plane_wave.yaml > "$tmp/huge_a.yaml"
+        grep -q 'a: 1.0e200' "$tmp/huge_a.yaml"
+        expect_exit 2 hnls-utm norms --config "$tmp/huge_a.yaml" 2> "$tmp/huge_a.err"
+        grep -q "'data.a'" "$tmp/huge_a.err"
+        sed 's/^  s: 1.0$/  s: 1.0e6/' configs/nonlinear_gaussian.yaml > "$tmp/huge_s.yaml"
+        grep -q 's: 1.0e6' "$tmp/huge_s.yaml"
+        expect_exit 2 timeout 60 hnls-utm norms --config "$tmp/huge_s.yaml" 2> "$tmp/huge_s.err"
+        grep -q "'solver.s'" "$tmp/huge_s.err"
+        ;;
+    # a diverging Picard run is a solver failure: exit 3, diagnostics written
+    diverging-picard)
+        sed 's/kappa_re: 0.05/kappa_re: 320/' configs/nonlinear_gaussian.yaml > "$tmp/diverging.yaml"
+        grep -q 'kappa_re: 320' "$tmp/diverging.yaml"
+        expect_exit 3 hnls-utm solve --config "$tmp/diverging.yaml" --out "$tmp/diverging"
+        grep -q '"error": "NoConvergence"' "$tmp/diverging/diagnostics.json"
+        ;;
+    # a forcing too large to solve is a diverged run too, not exit 0 or 2
+    overflowing-forcing)
+        sed 's/kappa_re: 0.05/kappa_re: 1.0e305/' configs/nonlinear_gaussian.yaml > "$tmp/overflow.yaml"
+        grep -q 'kappa_re: 1.0e305' "$tmp/overflow.yaml"
+        expect_exit 3 hnls-utm solve --config "$tmp/overflow.yaml" --out "$tmp/overflow"
+        grep -q '"error": "NoConvergence"' "$tmp/overflow/diagnostics.json"
+        ;;
+    *)
+        echo "unknown step '$step': config-errors, diverging-picard or overflowing-forcing" >&2
+        exit 64
+        ;;
+esac

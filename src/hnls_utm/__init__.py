@@ -20,7 +20,7 @@ from .nonlinear import (DissipationAudit, LifespanIndicator, PicardReport,
 from .norms import (NormSpec, bessel_norm, check_admissible_pair,
                     ct_l2_distance, ct_l2_norm, mixed_norm, sobolev_norm)
 from .oracle import OracleConfig, oracle_solve
-from .regions import RegionLabel, SegmentKind, im_omega, r_delta, scaled_delta
+from .regions import RegionLabel, im_omega, r_delta, scaled_delta
 from .transforms import SpatialProfile, TimeSeries, laplace_transform
 from .verify import run_suite
 

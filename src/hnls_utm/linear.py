@@ -50,10 +50,12 @@ history.
 
 The data-independent part of a solve is a SolvePlan, which keeps no data:
 the twin's output grids, the arc radius rho and the four contours, each one
-Contour record of its nodes (placed by _solver_segments, thinned by the
-radial envelope of the data the plan is made from) and tables, built once:
-omega, and on a region boundary the symmetry roots, omega' and Delta_s
-(regions.scaled_delta, the one place the Delta formula lives).  apply(data)
+Contour record of its nodes and tables, built once.  _solver_segments places
+the nodes on regions.segment_specs' nine Segment records and on the real
+window, one more Segment, by one routine (_place), thinned by the radial
+envelope of the data the plan is made from; the tables are omega, and on a
+region boundary the symmetry roots, omega' and Delta_s (regions.scaled_delta,
+the one place the Delta formula lives).  apply(data)
 evaluates one term, SolvePlan._term, per contour, skipping identically zero
 parts of the data: the sum over the nodes of w_k e^{i k x + shift_k}
 e^{i omega t} times the payload over Delta_s (_assemble), with shift_k =
@@ -85,8 +87,9 @@ from .dispersion import (DispersionParams, mu_factors, omega, omega_prime,
                          symmetry_roots)
 from .errors import ExponentialOverflow, GridTooCoarse, InvalidTruncation, QuadratureDiverged
 from .fields import Field, integer, is_uniform
-from .regions import (DOMINANT_ROOT, RegionLabel, SegmentKind, arc_half_angle,
-                      r_delta, scaled_delta, segment_specs)
+# arc_half_angle is uncalled here but bound for perfbench's tracer (ROADMAP item 4)
+from .regions import (DOMINANT_ROOT, RegionLabel, arc_half_angle, r_delta,
+                      real_ray, scaled_delta, segment_specs)
 from .transforms import CubicSpline, GL8_NODES, SpatialProfile, TimeSeries, gauss_panels
 
 TWO_PI = 2.0 * np.pi
@@ -548,29 +551,34 @@ def _assemble(vals, horizon, karr, warr, om, coef, shift=None):
 # phase-graded contour nodes
 # --------------------------------------------------------------------------
 
-def _phase_measure(params, gamma, lo, hi, horizon, dk_weight, weight=None):
-    """The phase a segment's nodes must resolve, cumulated along its parameter
-    p on 2001 points: density (|d omega| horizon + |dk| dk_weight) / 2 pi,
-    times the envelope weight at |k - c0| when given."""
-    pf = np.linspace(lo, hi, 2001)
-    kf = np.asarray(gamma(pf), dtype=np.complex128)
+def _phase_measure(params, seg, horizon, dk_weight, weight=None):
+    """The phase the Segment seg's nodes must resolve, cumulated along its
+    parameter p on 2001 points: density (|d omega| horizon + |dk| dk_weight)
+    / 2 pi, times the envelope weight at |k - c0| when given.  Arcs keep the
+    unweighted measure: their panel count is set by the amplification bound,
+    not by the data amplitude."""
+    pf = np.linspace(seg.lo, seg.hi, 2001)
+    kf = np.asarray(seg.gamma(pf), dtype=np.complex128)
     omf = omega(params, kf)
     dk = np.gradient(kf, pf)
     dom = np.gradient(omf, pf)
     dens = (np.abs(dom) * horizon + np.abs(dk) * dk_weight) / TWO_PI + 1e-9
-    if weight is not None:
+    if weight is not None and not seg.arc:
         dens = dens * weight(np.abs(kf - params.center))
     cum = np.cumsum(np.r_[0.0, np.diff(pf) * (dens[1:] + dens[:-1]) / 2.0])
     return pf, cum
 
 
-def _graded_panel_nodes(pf, cum, n_panels):
-    """Gauss-Legendre panels with equal shares of cum, empty ones dropped."""
+def _place(seg, pf, cum, n_panels):
+    """Nodes k = gamma(p) and weights orientation gamma'(p) dp of seg on
+    Gauss-Legendre panels with equal shares of cum, empty ones dropped."""
     edges = np.maximum.accumulate(
         np.interp(np.linspace(0.0, cum[-1], n_panels + 1), cum, pf))
     # the edges ascend already; np.unique would sort them again and import
     # numpy.ma inside the first solve
-    return gauss_panels(edges[np.r_[True, edges[1:] > edges[:-1]]])
+    p, w = gauss_panels(edges[np.r_[True, edges[1:] > edges[:-1]]])
+    return (np.asarray(seg.gamma(p), dtype=np.complex128),
+            seg.orientation * w * np.asarray(seg.dgamma(p), dtype=np.complex128))
 
 
 def _radial_envelope(params, horizon, samples, r_max, h1_weight):
@@ -626,20 +634,14 @@ def _delta_margin(params, k, delta):
 def _deformation_margin(params, rho, rd):
     """Minimum scaled-denominator margin |Delta_s| / |k - c0| over the
     annular region sectors swept when the puncture arcs move from rd in to
-    rho."""
+    rho: SWEEP_ANGLES points on each arc of segment_specs at each radius."""
     margin = np.inf
     for r in np.linspace(rho, rd, SWEEP_RADII):
-        phi0 = arc_half_angle(params, r)
-        spans = {
-            RegionLabel.D0: (0.5 * np.pi - phi0, 0.5 * np.pi + phi0),
-            RegionLabel.DPLUS: (-(0.5 * np.pi - phi0), 0.0),
-            RegionLabel.DMINUS: (-np.pi, -(0.5 * np.pi + phi0)),
-        }
-        for region, (a, b) in spans.items():
-            theta = np.linspace(a, b, SWEEP_ANGLES)
-            k = params.center + r * np.exp(1j * theta)
-            delta = _roots_and_delta(params, k, region)[1]
-            margin = min(margin, _delta_margin(params, k, delta))
+        for seg in segment_specs(params, r, rd):
+            if seg.arc:
+                k = seg.gamma(np.linspace(seg.lo, seg.hi, SWEEP_ANGLES))
+                delta = _roots_and_delta(params, k, seg.region)[1]
+                margin = min(margin, _delta_margin(params, k, delta))
     return margin
 
 
@@ -662,7 +664,8 @@ def _solver_segments(params, horizon, budget, dk_weight, weight=None):
     """Phase-graded quadrature nodes on the formula's four contours: the real
     window |k - c0| <= R as (k, w) and each region's boundary as
     (region, k, dk-weights), its three (deformed) segments joined in
-    segment_specs order; the nine segments' node counts; and the arc radius."""
+    segment_specs order; the nine segments' node counts; and the arc radius.
+    The window is placed as one more Segment, with region None."""
     rho = _pick_arc_radius(params, horizon)
     c0, r_t = params.center, budget.real_axis_window
     if r_t <= 1.1 * rho:
@@ -671,53 +674,44 @@ def _solver_segments(params, horizon, budget, dk_weight, weight=None):
             "exceed 1.1 rho, so be more than %.4g times wider" % (1.1 * rho / r_t))
     # past this cap, rounding on an arc (e^{amp} eps) passes the tolerance
     precision_cap = np.log(budget.tolerance / np.finfo(np.float64).eps)
-    specs = segment_specs(params, rho, r_t)
-    measures, panel_counts = [], []
-    for (kind, _region, lo, hi, _ori, gamma, _dg) in specs:
-        arc = kind is SegmentKind.CIRCULAR_ARC
-        # arcs keep the unweighted phase measure: their panel count is set
-        # by the amplification bound, not by the data amplitude
-        pf, cum = _phase_measure(params, gamma, lo, hi, horizon, dk_weight,
-                                 weight=None if arc else weight)
-        measures.append((pf, cum))
-        panel_counts.append(None)
-        if arc:
-            # the arc integrand is amplified by e^{A}; Gauss-Legendre error
-            # must be driven below e^{-A}, which sets the phase per panel
-            kf = np.asarray(gamma(pf), dtype=np.complex128)
-            amp = max(float(np.max(-omega(params, kf).imag)) * horizon, 0.0)
-            if amp > precision_cap:
-                raise ExponentialOverflow(
-                    "arc amplification exponent %.4g exceeds the precision cap "
-                    "ln(tolerance / eps) = %.4g; the horizon is too long for "
-                    "the interval" % (amp, precision_cap))
-            theta_max = 2.6 * (1e-8 * np.exp(-amp)) ** (1.0 / 16.0)
-            n_arc = np.ceil(cum[-1] * TWO_PI / theta_max)
-            if n_arc > MAX_ARC_PANELS:
-                raise ExponentialOverflow(
-                    "arc at rho = %.4g (in the unit interval's k) with "
-                    "amplification exponent %.4g needs %.3g panels, more than "
-                    "%d; the arc radius is too large for the horizon"
-                    % (rho, amp, n_arc, MAX_ARC_PANELS))
-            panel_counts[-1] = max(24, int(n_arc))
-    free = [i for i, n in enumerate(panel_counts) if n is None]
-    totals = np.array([measures[i][1][-1] for i in free])
-    n_free_panels = max(12, budget.contour_nodes // 8)
-    for i, share in zip(free, totals / np.sum(totals)):
-        panel_counts[i] = max(2, int(round(n_free_panels * share)))
-    ks, ws = [], []
-    for (_kind, _region, lo, hi, ori, gamma, dgamma), (pf, cum), n_panels in zip(
-            specs, measures, panel_counts):
-        p, w = _graded_panel_nodes(pf, cum, n_panels)
-        ks.append(np.asarray(gamma(p), dtype=np.complex128))
-        ws.append(ori * w * np.asarray(dgamma(p), dtype=np.complex128))
-    # each region's three segments are consecutive in specs
-    contours = [(specs[i][1], np.concatenate(ks[i:i + 3]),
+    boundary = segment_specs(params, rho, r_t)
+    segs = boundary + [real_ray(None, c0 - r_t, c0 + r_t, +1)]
+    measures = [_phase_measure(params, seg, horizon, dk_weight, weight) for seg in segs]
+    # contour_nodes is shared among the graded boundary segments by phase
+    graded = np.array([cum[-1] for seg, (_pf, cum) in zip(boundary, measures)
+                       if not seg.arc])
+    shares = iter(graded / np.sum(graded))
+    n_graded = max(12, budget.contour_nodes // 8)
+    panels = []
+    for seg, (pf, cum) in zip(boundary, measures):
+        if not seg.arc:
+            panels.append(max(2, int(round(n_graded * next(shares)))))
+            continue
+        # the arc integrand is amplified by e^{A}; Gauss-Legendre error
+        # must be driven below e^{-A}, which sets the phase per panel
+        kf = np.asarray(seg.gamma(pf), dtype=np.complex128)
+        amp = max(float(np.max(-omega(params, kf).imag)) * horizon, 0.0)
+        if amp > precision_cap:
+            raise ExponentialOverflow(
+                "arc amplification exponent %.4g exceeds the precision cap "
+                "ln(tolerance / eps) = %.4g; the horizon is too long for "
+                "the interval" % (amp, precision_cap))
+        theta_max = 2.6 * (1e-8 * np.exp(-amp)) ** (1.0 / 16.0)
+        n_arc = np.ceil(cum[-1] * TWO_PI / theta_max)
+        if n_arc > MAX_ARC_PANELS:
+            raise ExponentialOverflow(
+                "arc at rho = %.4g (in the unit interval's k) with "
+                "amplification exponent %.4g needs %.3g panels, more than "
+                "%d; the arc radius is too large for the horizon"
+                % (rho, amp, n_arc, MAX_ARC_PANELS))
+        panels.append(max(24, int(n_arc)))
+    panels.append(max(4, budget.real_axis_nodes // 8))
+    ks, ws = zip(*(_place(seg, *m, n) for seg, m, n in zip(segs, measures, panels)))
+    # each region's three segments are consecutive in segment_specs
+    contours = [(boundary[i].region, np.concatenate(ks[i:i + 3]),
                  np.concatenate(ws[i:i + 3])) for i in (0, 3, 6)]
-    pf, cum = _phase_measure(params, lambda p: p + 0j, c0 - r_t, c0 + r_t,
-                             horizon, dk_weight, weight=weight)
-    p, w = _graded_panel_nodes(pf, cum, max(4, budget.real_axis_nodes // 8))
-    return (p.astype(np.float64), w), contours, tuple(map(len, ks)), rho
+    window = ks[-1].real.copy(), ws[-1].real.copy()
+    return window, contours, tuple(map(len, ks[:-1])), rho
 
 
 # --------------------------------------------------------------------------

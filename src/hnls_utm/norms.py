@@ -79,7 +79,7 @@ def sobolev_norm(profile: SpatialProfile, s: float) -> float:
         total = 0.0
         for j in range(int(s) + 1):
             vals = _derivative_func(profile, j)(x)
-            total += float(np.sqrt(np.sum(w * np.abs(vals) ** 2).real))
+            total += _scaled_lp(np.abs(vals), lambda m: np.sum(w * m), 2.0)
         return total
     return bessel_norm(profile, s, 2.0)
 
@@ -137,8 +137,16 @@ def bessel_norm(profile: SpatialProfile, s: float, p: float) -> float:
     xs = np.arange(len(core)) * h
     if np.isinf(p):
         return float(np.max(np.abs(core)))
-    vals = np.abs(core) ** p
-    return float(np.trapezoid(vals, xs) ** (1.0 / p))
+    return _scaled_lp(np.abs(core), lambda m: np.trapezoid(m, xs), p)
+
+
+def _scaled_lp(mags, integrate, p: float) -> float:
+    """integrate(mags ** p) ** (1 / p) with mags divided by their largest
+    value first, so that the power cannot overflow a representable norm."""
+    top = float(np.max(mags))
+    if not 0.0 < top < np.inf:
+        return top
+    return top * float(integrate((mags / top) ** p)) ** (1.0 / p)
 
 
 def _slice_profile(field: Field, j: int) -> SpatialProfile:

@@ -11,15 +11,19 @@ root's exponential.  The punctured regions remove a disk around the center,
 which for the radius R_Delta contains the branch cut and all zeros of Delta.
 Their boundaries are nine oriented segments: hyperbola branches of the
 Im omega = 0 locus, circular arcs of the puncture disk, and real-axis rays,
-each truncated at a common radius.  segment_specs describes them
-geometrically; the solver (linear._solver_segments) places its phase-graded
-quadrature nodes on them and joins each region's three segments into one
-contour, so the solution formula has one term per region.
+each truncated at a common radius.  segment_specs returns them as Segment
+records (gamma, gamma', parameter range, orientation, arc flag) made by
+three constructors: hyperbola_branch, puncture_arc and real_ray.  The
+solver (linear._solver_segments) places its phase-graded quadrature nodes
+on the records, and on the real window as one more real_ray, and joins each
+region's three segments into one contour, so the solution formula has one
+term per region; linear._deformation_margin sweeps the same arc records.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,12 +39,6 @@ class RegionLabel(enum.Enum):
 # the index in (k, nu+, nu-) of each region's dominant symmetry root: the one
 # root with positive imaginary part on the region
 DOMINANT_ROOT = {RegionLabel.D0: 0, RegionLabel.DPLUS: 1, RegionLabel.DMINUS: 2}
-
-
-class SegmentKind(enum.Enum):
-    HYPERBOLA_BRANCH = "HyperbolaBranch"
-    CIRCULAR_ARC = "CircularArc"
-    REAL_RAY = "RealRay"
 
 
 def im_omega(params: DispersionParams, k):
@@ -88,80 +86,76 @@ def arc_half_angle(params: DispersionParams, radius: float) -> float:
     return float(np.arcsin(np.sqrt(val)))
 
 
+class Segment(NamedTuple):
+    """One oriented boundary piece: gamma maps the real parameter p in
+    [lo, hi] to k and dgamma is its derivative; orientation is +1 when the
+    boundary runs with increasing p and -1 otherwise.  arc marks a puncture
+    arc, whose panel count comes from its amplification, not from a share of
+    the phase.  region is None for the real window."""
+
+    region: Optional[RegionLabel]
+    lo: float
+    hi: float
+    orientation: int
+    gamma: Callable
+    dgamma: Callable
+    arc: bool = False
+
+
+def hyperbola_branch(params: DispersionParams, region, sx, sy, lo, hi,
+                     orientation) -> Segment:
+    """The branch of Im omega = 0 with Re k = c0 + sx S(r), Im k = sy r for
+    the height r in [lo, hi], where S(r) = sqrt(3 beta^2 r^2 + d) / (3 beta)."""
+    beta, c0, d = params.beta, params.center, params.discriminant
+
+    def root(r):
+        return np.sqrt(3.0 * beta ** 2 * r ** 2 + d)
+
+    return Segment(region, lo, hi, orientation,
+                   lambda r: c0 + sx * (root(r) / (3.0 * beta)) + 1j * sy * r,
+                   lambda r: sx * (beta * r / root(r)) + 1j * sy)
+
+
+def puncture_arc(params: DispersionParams, region, radius, lo, hi) -> Segment:
+    """The arc c0 + radius e^{i theta}, theta in [lo, hi], run clockwise."""
+    c0 = params.center
+    return Segment(region, lo, hi, -1, lambda t: c0 + radius * np.exp(1j * t),
+                   lambda t: 1j * radius * np.exp(1j * t), arc=True)
+
+
+def real_ray(region, lo, hi, orientation) -> Segment:
+    """The real interval [lo, hi]."""
+    return Segment(region, lo, hi, orientation, lambda x: x + 0j * np.asarray(x),
+                   lambda x: np.ones_like(np.asarray(x), dtype=np.complex128))
+
+
 def segment_specs(params: DispersionParams, puncture_radius: float,
                   truncation_radius: float):
-    """Geometric descriptions of the nine boundary segments.
-
-    Returns a list of (kind, region, lo, hi, orientation, gamma, dgamma)
-    tuples, Gamma_1 to Gamma_9 in order: gamma maps the natural real
-    parameter in [lo, hi] (height r on hyperbola branches, angle theta on
-    arcs, abscissa on real rays) to k, dgamma is its derivative, and
-    orientation is +1 when the boundary runs with increasing parameter and -1
-    otherwise.  Each region's boundary is positively oriented (region on the
-    left), and its three segments meet end to end.  The puncture radius is
-    R_Delta for the canonical contour, but the solver passes a smaller
-    (deformation-checked) radius.
+    """The nine boundary segments Gamma_1 to Gamma_9, in order, as Segment
+    records with the natural parameter: height r on hyperbola branches,
+    angle theta on arcs, abscissa on real rays.  Each region's boundary is
+    positively oriented (region on the left), and its three segments meet
+    end to end.  The puncture radius is R_Delta for the canonical contour,
+    but the solver passes a smaller (deformation-checked) radius.
     """
-    beta = params.beta
-    c0 = params.center
-    d = params.discriminant
-    rd = puncture_radius
-    r_t = truncation_radius
+    d, c0 = params.discriminant, params.center
+    rd, r_t = puncture_radius, truncation_radius
     phi0 = arc_half_angle(params, rd)
-
-    def s_of_r(r):
-        return np.sqrt(3.0 * beta ** 2 * r ** 2 + d) / (3.0 * beta)
-
-    def ds_of_r(r):
-        return beta * r / np.sqrt(3.0 * beta ** 2 * r ** 2 + d)
-
     # junction height and truncation height on the hyperbola branches
     r0 = rd * np.cos(phi0)
-    r_trunc = np.sqrt(0.75 * (r_t ** 2 - d / (9.0 * beta ** 2)))
-
-    def arc(theta):
-        return c0 + rd * np.exp(1j * theta)
-
-    def darc(theta):
-        return 1j * rd * np.exp(1j * theta)
-
-    def hyper(sx, sy):
-        # branch with Re k = c0 + sx*S(r), Im k = sy*r, r > 0
-        def gamma(r):
-            return c0 + sx * s_of_r(r) + 1j * sy * r
-
-        def dgamma(r):
-            return sx * ds_of_r(r) + 1j * sy
-
-        return gamma, dgamma
-
-    def real_ray(x):
-        return x + 0j * np.asarray(x)
-
-    def done(x):
-        return np.ones_like(np.asarray(x), dtype=np.complex128)
-
-    g1, dg1 = hyper(-1.0, +1.0)
-    g3, dg3 = hyper(+1.0, +1.0)
-    g6, dg6 = hyper(+1.0, -1.0)
-    g7, dg7 = hyper(-1.0, -1.0)
-    hb = SegmentKind.HYPERBOLA_BRANCH
+    r_trunc = np.sqrt(0.75 * (r_t ** 2 - d / (9.0 * params.beta ** 2)))
+    d0, dplus, dminus = RegionLabel.D0, RegionLabel.DPLUS, RegionLabel.DMINUS
     return [
         # boundary of the punctured D0, counterclockwise
-        (hb, RegionLabel.D0, r0, r_trunc, -1, g1, dg1),
-        (SegmentKind.CIRCULAR_ARC, RegionLabel.D0,
-         0.5 * np.pi - phi0, 0.5 * np.pi + phi0, -1, arc, darc),
-        (hb, RegionLabel.D0, r0, r_trunc, +1, g3, dg3),
+        hyperbola_branch(params, d0, -1.0, +1.0, r0, r_trunc, -1),
+        puncture_arc(params, d0, rd, 0.5 * np.pi - phi0, 0.5 * np.pi + phi0),
+        hyperbola_branch(params, d0, +1.0, +1.0, r0, r_trunc, +1),
         # boundary of the punctured D+
-        (SegmentKind.REAL_RAY, RegionLabel.DPLUS,
-         c0 + rd, c0 + r_t, -1, real_ray, done),
-        (SegmentKind.CIRCULAR_ARC, RegionLabel.DPLUS,
-         -(0.5 * np.pi - phi0), 0.0, -1, arc, darc),
-        (hb, RegionLabel.DPLUS, r0, r_trunc, +1, g6, dg6),
+        real_ray(dplus, c0 + rd, c0 + r_t, -1),
+        puncture_arc(params, dplus, rd, -(0.5 * np.pi - phi0), 0.0),
+        hyperbola_branch(params, dplus, +1.0, -1.0, r0, r_trunc, +1),
         # boundary of the punctured D-
-        (hb, RegionLabel.DMINUS, r0, r_trunc, -1, g7, dg7),
-        (SegmentKind.CIRCULAR_ARC, RegionLabel.DMINUS,
-         -np.pi, -(0.5 * np.pi + phi0), -1, arc, darc),
-        (SegmentKind.REAL_RAY, RegionLabel.DMINUS,
-         c0 - r_t, c0 - rd, -1, real_ray, done),
+        hyperbola_branch(params, dminus, -1.0, -1.0, r0, r_trunc, -1),
+        puncture_arc(params, dminus, rd, -np.pi, -(0.5 * np.pi + phi0)),
+        real_ray(dminus, c0 - r_t, c0 - rd, -1),
     ]

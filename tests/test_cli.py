@@ -619,14 +619,19 @@ class TestNormsVerb:
         assert result.returncode == 2
         assert "'solver.s'" in result.stderr
 
-    @pytest.mark.parametrize("s, code", [(1.0, 0), (39.5, 2)])
-    def test_non_finite_row_within_the_limit_exit_2(self, tmp_path, s, code):
-        # a narrow Gaussian of amplitude 1e40: its H^39.5 norm overflows
-        # where its H^1 norm does not
+    @pytest.mark.parametrize("s, amplitude, code", [
+        pytest.param(1.0, 1.0e40, 0, id="1.0-0"),
+        pytest.param(39.5, 1.0e40, 0, id="39.5-0"),
+        pytest.param(39.5, 1.0e300, 2, id="39.5-2")])
+    def test_non_finite_row_within_the_limit_exit_2(self, tmp_path, s,
+                                                    amplitude, code):
+        # a narrow Gaussian: at amplitude 1e40 its H^39.5 norm, about 1e161,
+        # is finite though its square is not; at 1e300 the norm, about 1e421,
+        # is not representable
         doc = dict(BASE, solver=dict(BASE["solver"], s=s),
                    data=dict(BASE["data"], u0={
                        "preset": "gaussian", "center": 0.5, "width": 0.01,
-                       "amplitude": 1.0e40}))
+                       "amplitude": amplitude}))
         result = CliRunner().invoke(main, ["norms", "--config",
                                            write_config(tmp_path, doc)])
         assert result.exit_code == code, result.output

@@ -9,7 +9,7 @@ from hnls_utm.dispersion import (BranchKind, DispersionParams, branch_points,
                                  branch_sqrt, mu_factors, omega, omega_prime,
                                  symmetry_roots)
 from hnls_utm.errors import BranchCutPoint
-from hnls_utm.regions import RegionLabel, SegmentKind, segment_specs
+from hnls_utm.regions import segment_specs
 
 AIRY = DispersionParams(1.0, 0.0, 0.0)
 
@@ -134,11 +134,10 @@ class TestBranchRootOnTheCutLine:
 
     @pytest.mark.parametrize("params", PARAM_SETS)
     def test_real_ray_nodes_of_d_minus(self, params):
-        specs = segment_specs(params, 3.0, 30.0)
-        ((_kind, _region, lo, hi, _ori, gamma, _dg),) = [
-            spec for spec in specs if spec[0] is SegmentKind.REAL_RAY
-            and spec[1] is RegionLabel.DMINUS]
-        k = np.asarray(gamma(np.linspace(lo, hi, 33)), dtype=np.complex128)
+        # Gamma_9, the real ray of D-
+        ray = segment_specs(params, 3.0, 30.0)[8]
+        k = np.asarray(ray.gamma(np.linspace(ray.lo, ray.hi, 33)),
+                       dtype=np.complex128)
         got = branch_sqrt(params, k)
         assert np.all(branch_sqrt(params, flip_zero(k)) == got)
         # k - c0 is large and negative there: the root is close to it

@@ -26,11 +26,17 @@ def _imported_names(tree):
                 yield alias.asname or alias.name
 
 
+# names a module imports only so that perfbench's tracer can patch them in
+# its namespace, until the tracer's rework (ROADMAP item 4)
+TRACER_BINDINGS = {"linear.py": {"arc_half_angle"}}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = sorted(set(_imported_names(tree)) - used)
+    unused = sorted(set(_imported_names(tree)) - used
+                    - TRACER_BINDINGS.get(path.name, set()))
     assert not unused, "%s imports unused names %s" % (path.name, unused)
 
 

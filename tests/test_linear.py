@@ -18,7 +18,7 @@ from hnls_utm.linear import (OVERFLOW_GUARD, ProblemData, QuadratureBudget,
                              global_relation_residual, make_plan, solve_full,
                              solve_reduced, zero_data)
 from hnls_utm import linear, verify
-from hnls_utm.regions import SegmentKind, r_delta, segment_specs
+from hnls_utm.regions import r_delta, segment_specs
 from hnls_utm.presets import (bump_profile, bump_series, plane_wave_data,
                               plane_wave_exact, plane_wave_field, zero_profile,
                               zero_series)
@@ -474,7 +474,7 @@ class TestExponentialTables:
         for budget in (QuadratureBudget(), QuadratureBudget(contour_nodes=48000)):
             plan = make_plan(data, (9, 9), budget)
             specs = segment_specs(AIRY, plan.rho, budget.real_axis_window)
-            is_arc = [kind is SegmentKind.CIRCULAR_ARC for kind, *_ in specs]
+            is_arc = [seg.arc for seg in specs]
             assert sum(is_arc) == 3
             free = sum(n for n, a in zip(plan.node_counts, is_arc) if not a)
             assert abs(free - budget.contour_nodes) <= 6 * 4

@@ -47,6 +47,19 @@ class TestSobolev:
         near_two, at_two = sobolev_norm(SIN, 1.999), sobolev_norm(SIN, 2.0)
         assert at_two / 2.0 <= near_two <= 2.0 * at_two
 
+    @pytest.mark.parametrize("s", [1.0, 39.5])
+    def test_homogeneous_where_the_square_overflows(self, s):
+        # the width-0.01 Gaussian's H^39.5 norm is about 1.2e121, so at
+        # amplitude 1e40 its square overflows though the norm does not.  The
+        # amplitude is 2^133 (1.09e40): a power of two scales every rounding
+        # exactly, and at s = 39.5 the multiplier amplifies rounding in the
+        # FFT, which moves with any other factor (by 0.29 at 1 + 2^-40)
+        gauss = profile_of(lambda x: np.exp(-((x - 0.5) / 0.01) ** 2) + 0j)
+        amp = 2.0 ** 133
+        big = profile_of(lambda x: amp * gauss(x))
+        assert sobolev_norm(big, s) == pytest.approx(amp * sobolev_norm(gauss, s),
+                                                     rel=1e-12)
+
 
 class TestBessel:
     def test_zero(self):
