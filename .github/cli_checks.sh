@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Command-line checks of the installed hnls-utm entry point, one step per call:
 #   bash .github/cli_checks.sh <step> <tmpdir>
-# where <step> is config-errors, diverging-picard or overflowing-forcing and
-# <tmpdir> an existing directory for the step's configs and outputs.  Run it
-# from the repository root; it exits nonzero on the first failed check.
+# where <step> is import-guard, console-script, config-errors,
+# diverging-picard or overflowing-forcing and <tmpdir> an existing directory
+# for the step's configs and outputs.  Run it from the repository root; it
+# exits nonzero on the first failed check.
 set -eo pipefail
 
 step=$1
@@ -18,7 +19,38 @@ expect_exit() {
     test "$status" -eq "$code"
 }
 
+# no_scipy CODE: run the Python CODE, then fail if it loaded a module named
+# scipy or scipy.*
+no_scipy() {
+    python -c "$1
+import sys
+loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]
+assert not loaded, loaded"
+}
+
 case "$step" in
+    # the package is numpy's: importing its command line, a 32 x 32 oracle
+    # solve and a --mode compare run load no module named scipy or scipy.*
+    import-guard)
+        no_scipy "import hnls_utm.cli"
+        no_scipy "from hnls_utm import oracle
+from hnls_utm.dispersion import DispersionParams
+from hnls_utm.presets import plane_wave_data
+oracle.oracle_solve(plane_wave_data(DispersionParams(1.0, 0.0, 0.0), 1.0, 0.5, 2.0),
+                    oracle.OracleConfig(nx=32, nt=32))"
+        no_scipy "from hnls_utm.cli import run_scenario
+assert run_scenario('configs/compare_plane_wave.yaml', 'compare', '$tmp/compare_guard') == 0"
+        ;;
+    # the tests call cli.main in-process; this runs the installed entry point
+    console-script)
+        hnls-utm verify --suite all --seed 0
+        hnls-utm solve --config configs/linear_plane_wave.yaml --out "$tmp/linear"
+        hnls-utm solve --config configs/compare_plane_wave.yaml --mode compare --out "$tmp/compare"
+        hnls-utm solve --config configs/compare_plane_wave.yaml --mode oracle --out "$tmp/oracle"
+        hnls-utm solve --config configs/reduced_bump.yaml --mode reduced --out "$tmp/reduced"
+        hnls-utm solve --config configs/nonlinear_gaussian.yaml --out "$tmp/nonlinear"
+        hnls-utm norms --config configs/nonlinear_gaussian.yaml --out "$tmp/norms"
+        ;;
     # a CSV data file is read and checked: the shipped Gaussian sampled on
     # 257 rows solves, 3 rows exit 2 naming data.u0, and so does a negative
     # order in the norms verb, naming solver.s; a plane wave whose omega(a)
@@ -62,7 +94,7 @@ case "$step" in
         grep -q '"error": "NoConvergence"' "$tmp/overflow/diagnostics.json"
         ;;
     *)
-        echo "unknown step '$step': config-errors, diverging-picard or overflowing-forcing" >&2
+        echo "unknown step '$step': import-guard, console-script, config-errors, diverging-picard or overflowing-forcing" >&2
         exit 64
         ;;
 esac

@@ -387,6 +387,10 @@ TAYLOR_SIDE = np.sqrt(2.0) * TAYLOR_RADIUS
 INV_FACTORIAL = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, TAYLOR_TERMS)])
 # 1 / (n! (m + n + 1)), m = 0..3: _filon_moments' series for small |w| h
 FILON_TAYLOR = INV_FACTORIAL / np.add.outer(np.arange(1, 5), np.arange(TAYLOR_TERMS))
+# payload columns _apply_kernel takes its cell moments for at a time: the
+# product's right side is then (256, TAYLOR_TERMS, 8), 0.8 MiB, whatever the
+# forcing's rank
+MOMENT_COLUMNS = 8
 
 
 def _taylor_cells(k, shift, chunk):
@@ -442,15 +446,17 @@ def _taylor_basis(u):
     return _taylor_powers(u).T * INV_FACTORIAL
 
 
-def _apply_kernel(karr, shift, payload, scale=None):
+def _apply_kernel(karr, shift, payload, scale=None, out=None):
     """sum_q exp(-i k x_q + shift_k) w_q payload[q], (nk, c), for the (nq, c)
     payload on the unit x-quadrature (x_q, w_q) = (XQ_NODES, XQ_WEIGHTS),
-    times scale_k when scale is given.
+    times scale_k when scale is given, added into out when given (a term's
+    kernels sum into one array) and returned.
 
     The kernel is the _taylor_cells split taken at -k, since
     e^{-i k x + shift_k} = e^{i (-k) x + shift_k}: per side of the real axis,
-    one product of its cells' x-tables with every payload column, weighted
-    by w_q, gives the moments of every cell c (of -k) there,
+    one product of its cells' x-tables with MOMENT_COLUMNS payload columns
+    at a time, weighted by w_q, gives the moments of every cell c (of -k)
+    there,
         M_n(c) = sum_q w_q p_q e^{i c (x_q - x0)} (x_q - x0)^n / n!,
     and each cell's nodes take one product of their node rows with them.
     Nodes are taken in blocks of 2048.
@@ -484,23 +490,29 @@ def _apply_kernel(karr, shift, payload, scale=None):
     moments = np.empty((len(centres), TAYLOR_TERMS, ncol), dtype=np.complex128)
     for side in (0.0, 1.0):
         sel, dx = x0 == side, xq - side
-        rhs = _taylor_basis(dx)[:, :, None] * weighted[:, None, :]
-        moments[sel] = (np.exp(1j * np.outer(centres[sel], dx))
-                        @ rhs.reshape(len(xq), -1)).reshape(-1, TAYLOR_TERMS, ncol)
-    out = np.empty((nk, ncol), dtype=np.complex128)
+        phase, basis = np.exp(1j * np.outer(centres[sel], dx)), _taylor_basis(dx)
+        for lo in range(0, ncol, MOMENT_COLUMNS):
+            cols = weighted[:, lo:lo + MOMENT_COLUMNS]
+            rhs = (basis[:, :, None] * cols[:, None, :]).reshape(len(xq), -1)
+            moments[sel, :, lo:lo + MOMENT_COLUMNS] = (phase @ rhs).reshape(
+                -1, TAYLOR_TERMS, cols.shape[1])
+    if out is None:
+        out = np.zeros((nk, ncol), dtype=np.complex128)
     for idx, cell, runs, rows in blocks:
         part = np.empty((len(idx), ncol), dtype=np.complex128)
         for run in runs:
             np.matmul(rows[:, run].T, moments[cell[run.start]], out=part[run])
-        out[idx] = part if scale is None else scale[idx, None] * part
+        if scale is not None:
+            np.multiply(scale[idx, None], part, out=part)
+        out[idx] += part
     return out
 
 
 def _assembly_block(nt):
-    """The nodes _assemble takes per block at nt output times: 4096, or
-    2^19 / (nt - 1) past 129 times, so its time table stays near 2^19
-    entries."""
-    return max(1, 2 ** 19 // max(nt - 1, 128))
+    """The nodes _assemble takes per block at nt output times: 1024, or
+    2^17 / (nt - 1) past 129 times, so its time table stays near 2^17
+    entries (2 MiB)."""
+    return max(1, 2 ** 17 // max(nt - 1, 128))
 
 
 def _assemble(vals, horizon, karr, warr, om, coef, shift=None):
@@ -514,7 +526,8 @@ def _assemble(vals, horizon, karr, warr, om, coef, shift=None):
     The factor e^{i k x + shift_k} is the _taylor_cells split, taken in
     blocks of _assembly_block(nt) nodes.  Per block, the time table is a
     _phase_table scaled by w_k coef_k (or by w_k, with the block's rows
-    multiplied in); per cell, one product contracts it with the node rows
+    multiplied in), released before the next block's is built; per cell,
+    one product contracts it with the node rows
     into a (TAYLOR_TERMS, nt) array, and once the cell's last block is done,
     one product applies the cell's x-table.  The split's node rows carry the
     x-factor's largest entry; the growth guard bounds the time table's.
@@ -537,6 +550,7 @@ def _assemble(vals, horizon, karr, warr, om, coef, shift=None):
                 tm = _phase_table(-om[idx], dt, nt, scale=warr[idx] * coef[idx])
             for run in runs:
                 yield cell[run.start], rows[:, run] @ tm[run]
+            del tm
 
     x = np.linspace(0.0, 1.0, nx)
     tables = {side: (x - side, _taylor_basis(x - side)) for side in (0.0, 1.0)}
@@ -938,14 +952,15 @@ class SolvePlan:
         if samples.stack is not None and boundary is not None:
             payload = _time_transform(samples.stack, self.tau, c.om, boundary)
         if samples.xcols is not None:
-            hat = sum(_apply_kernel(root, sh, samples.xcols, m)
-                      for root, sh, m in kernels)
+            hat = np.zeros((len(c.k), samples.xcols.shape[1]), dtype=np.complex128)
+            for root, sh, m in kernels:
+                _apply_kernel(root, sh, samples.xcols, m, out=hat)
             payload = hat[:, 0] if payload is None else payload + hat[:, 0]
             if samples.b is not None and c.times is not None:
                 payload = self._history(samples.b, c, hat)
             elif samples.b is not None:
-                payload = _time_transform(samples.b, self.tau, c.om,
-                                          -1j * hat[:, 1:]) + payload
+                payload = -1j * _time_transform(samples.b, self.tau, c.om,
+                                                hat[:, 1:]) + payload
         if payload is not None:
             _assemble(vals, self.tau, c.k, c.w, c.om,
                       payload if c.delta is None else payload / c.delta, shift)

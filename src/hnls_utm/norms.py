@@ -19,6 +19,13 @@ from numpy.polynomial import chebyshev as npcheb
 from .fields import Field, is_uniform
 from .transforms import CubicSpline, SpatialProfile, chebyshev_grid, composite_gl
 
+# the largest share of the multiplied spectrum that FFT rounding may reach in
+# bessel_norm: eps max|F phi| max (1 + k^2)^{s/2} over max|(1 + k^2)^{s/2} F phi|.
+# Resolved profiles read below 1e-3 (a Gaussian of width 0.2 at s = 39.5:
+# 1.9e-5, its norm steady to 3e-8), noise above it (width 0.01 at s = 20.5:
+# 1.5, its norm moved 24% by a 2^-40 change of amplitude)
+MAX_ROUNDING_SHARE = 1e-3
+
 
 @dataclass(frozen=True)
 class NormSpec:
@@ -121,7 +128,10 @@ def _periodic_extension(profile: SpatialProfile):
 
 def bessel_norm(profile: SpatialProfile, s: float, p: float) -> float:
     """Bessel-potential norm ||F^{-1}{(1+k^2)^{s/2} F phi}||_{L^p} restricted
-    to (0, ell), realized through the periodic extension."""
+    to (0, ell), realized through the periodic extension.  ValueError when
+    the multiplier lifts the spectrum's rounding past MAX_ROUNDING_SHARE of
+    the result, where the norm would be rounding noise; a result that
+    overflows is returned as it is."""
     if not 0 <= s < np.inf:
         raise ValueError("s must be finite and nonnegative")
     if not p >= 2:
@@ -131,7 +141,18 @@ def bessel_norm(profile: SpatialProfile, s: float, p: float) -> float:
     period = n_tot * h
     k = 2.0 * np.pi * np.fft.fftfreq(n_tot, d=h)
     mult = (1.0 + k ** 2) ** (s / 2.0)
-    smoothed = np.fft.ifft(np.fft.fft(ext) * mult)
+    spectrum = np.fft.fft(ext)
+    weighted = spectrum * mult
+    top = float(np.max(np.abs(weighted)))
+    if 0.0 < top < np.inf:
+        share = (np.finfo(np.float64).eps * float(np.max(np.abs(spectrum)))
+                 / top * float(np.max(mult)))
+        if not share <= MAX_ROUNDING_SHARE:
+            raise ValueError(
+                "order s = %g amplifies rounding to %.2g of the norm (limit "
+                "%g): the profile is not resolved at this order"
+                % (s, share, MAX_ROUNDING_SHARE))
+    smoothed = np.fft.ifft(weighted)
     n_core = n_tot // 4
     core = smoothed[:n_core + 1]
     xs = np.arange(len(core)) * h

@@ -12,15 +12,26 @@ uses a one-sided 6-point stencil, and a single ghost point past x = ell is
 closed by the 4th-order one-sided Neumann condition.  L is kept as one
 gather table (_stencil), point indices and weights per interior point: the
 implicit matrix, the explicit step and the coupling to the known boundary
-values are all read from it.  Each step solves one banded system; the LU
-factorization is computed once (the step is constant) and reused.  The
-nonlinearity is handled by a per-step fixed-point sweep.  The banded LU is
-scipy's LAPACK, the package's one use of scipy, imported on the first solve.
+values are all read from it.  Each step solves one banded system, whose
+matrix is the same at every step, so it is factored once.  The nonlinearity
+is handled by a per-step fixed-point sweep.
+
+The step solve is numpy's.  The n = nx - 1 unknowns are cut into blocks of
+m = sqrt(8 n) rows (_factor): the inverses of the diagonal blocks and a
+Woodbury correction for the band entries that couple neighbouring blocks
+hold n (m + 7 n / m), about 5 n^1.5, complex numbers (1.8 MB at n = 768,
+where a dense inverse would hold n^2, 9.4 MB), and a pass through them
+takes as many multiply-adds.  A solve is two passes, the second on the
+residual against the band (one step of iterative refinement, _solve), which
+brings it to the accuracy of a banded LU.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,17 +42,73 @@ from .linear import ProblemData, fd_weights, resample
 _KL, _KU = 3, 4  # band widths of the implicit matrix
 
 
-class _Lapack:
-    """scipy.linalg.lapack, imported on the first attribute read.  oracle_solve
-    calls zgbtrf and zgbtrs through the module-level name lapack, which
-    perfbench's tracer swaps to count band solves."""
+class _StepFactor(NamedTuple):
+    """The constant step's matrix A as _solve uses it: its band as a gather
+    table (_apply_l), column indices and weights with weights[i, d] =
+    A[i, i + d - KL] for d <= KL + KU (indices clipped to the matrix, with
+    weight 0 off it); inv, (p, m, m), the inverses of A's m x m diagonal
+    blocks, the last one padded with the identity; and the Woodbury
+    correction q, (p m, len(cols)), on the columns cols that hold the band
+    entries between blocks."""
 
-    def __getattr__(self, name):
-        from scipy.linalg import lapack
-        return getattr(lapack, name)
+    band: tuple
+    inv: np.ndarray
+    cols: np.ndarray
+    q: np.ndarray
 
 
-lapack = _Lapack()
+def _factor(ab) -> _StepFactor:
+    """Factor the matrix of LAPACK band storage ab (_banded_matrix).
+
+    With D the block diagonal of A and E = A - D, nonzero only in the
+    columns cols next to the block edges, A^{-1} = (I - Q S^T) D^{-1} by
+    Woodbury's identity, where S^T picks the entries cols and
+    Q = D^{-1} E (I + S^T D^{-1} E)^{-1}.  StepDiverged when a block or the
+    coupling matrix is singular."""
+    n, width = ab.shape[1], _KL + _KU + 1
+    i = np.arange(n)[:, None]
+    j = i + np.arange(-_KL, _KU + 1)
+    inside = (j >= 0) & (j < n)
+    row_cols = np.clip(j, 0, n - 1)
+    rows = np.where(inside, ab[_KL + _KU + i - j, row_cols], 0.0)
+    m = max(width, math.isqrt(width * n))
+    p = -(-n // m)
+    i, j = np.broadcast_arrays(i, j)
+    i, j, v = i[inside], j[inside], rows[inside]
+    same = i // m == j // m
+    blocks = np.tile(np.eye(m, dtype=np.complex128), (p, 1, 1))
+    blocks[i[same] // m, i[same] % m, j[same] % m] = v[same]
+    cols, at = np.unique(j[~same], return_inverse=True)
+    coupling = np.zeros((p * m, len(cols)), dtype=np.complex128)
+    coupling[i[~same], at] = v[~same]
+    try:
+        inv = np.linalg.inv(blocks)
+        w = (inv @ coupling.reshape(p, m, -1)).reshape(p * m, -1)
+        q = w @ np.linalg.inv(np.eye(len(cols)) + w[cols])
+    except np.linalg.LinAlgError:
+        raise StepDiverged("implicit matrix is singular")
+    return _StepFactor((row_cols, rows), inv, cols, q)
+
+
+def _woodbury(f: _StepFactor, b):
+    """A^{-1} b by f's block inverses and Woodbury correction."""
+    p, m = f.inv.shape[:2]
+    g = np.zeros(p * m, dtype=np.complex128)
+    g[:len(b)] = b
+    g = (f.inv @ g.reshape(p, m, 1)).reshape(-1)
+    g -= f.q @ g[f.cols]
+    return g[:len(b)]
+
+
+def _solve(f: _StepFactor, b):
+    """A^{-1} b, with one step of iterative refinement on A's band."""
+    x = _woodbury(f, b)
+    return x + _woodbury(f, b - _apply_l(f.band, x))
+
+
+# the step's factorization and solve, under the LAPACK names of the banded
+# LU they replace: perfbench's tracer swaps this object to count band solves
+lapack = SimpleNamespace(zgbtrf=_factor, zgbtrs=_solve)
 
 
 @dataclass(frozen=True)
@@ -109,8 +176,10 @@ def _banded_matrix(stencil, neumann, dt_theta):
 
 
 def _apply_l(stencil, state):
-    """L applied to the full state (grid values then ghost) at the interior
-    points, as an array of length nx - 2."""
+    """The gather table stencil = (idx, wts) applied to state: row i is
+    sum_j wts[i, j] state[idx[i, j]].  For _stencil's table, L applied to
+    the full state (grid values then ghost) at the interior points, as an
+    array of length nx - 2."""
     idx, wts = stencil
     return np.einsum("ij,ij->i", wts, state[idx])
 
@@ -126,9 +195,7 @@ def oracle_solve(data: ProblemData, config: OracleConfig) -> Field:
 
     stencil, neumann = _stencil(params, x)
     ab = _banded_matrix(stencil, neumann, dt * theta)
-    lu, piv, info = lapack.zgbtrf(ab, _KL, _KU)
-    if info != 0:
-        raise StepDiverged("implicit matrix is singular (info=%d)" % info)
+    factor = lapack.zgbtrf(ab)
 
     g0, h0, h1 = (np.asarray(series(t), dtype=np.complex128)
                   for series in (data.g0, data.h0, data.h1))
@@ -172,9 +239,7 @@ def oracle_solve(data: ProblemData, config: OracleConfig) -> Field:
             b = np.empty(nx - 1, dtype=np.complex128)
             b[:-1] = rhs_fixed + dt * theta * q_term(guess, n)
             b[-1] = b_neu
-            sol, info = lapack.zgbtrs(lu, _KL, _KU, b, piv)
-            if info != 0:
-                raise StepDiverged("banded solve failed at step %d" % n)
+            sol = lapack.zgbtrs(factor, b)
             new = sol[:nx - 2]
             diffs.append(float(np.max(np.abs(new - guess))))
             guess = new

@@ -35,6 +35,12 @@ BASE = {
 }
 
 
+# BASE's data with u0 a Gaussian of width 0.2 and h0 zero: every data-norm
+# row is resolved up to s = 40 (bessel_norm refuses rounding noise)
+RESOLVED = dict(BASE["data"], u0={"preset": "gaussian", "center": 0.5,
+                                  "width": 0.2}, h0={"preset": "zero"})
+
+
 def gaussian_doc(**sections):
     """The shipped Gaussian on a 33 x 17 grid and budget 8000/45/4000, with
     the given sections' fields updated."""
@@ -595,8 +601,10 @@ class TestNormsVerb:
     @pytest.mark.parametrize("s, code", [
         (MAX_ORDER, 0), (MAX_ORDER + 0.5, 2), (200.0, 2), (2000.0, 2)])
     def test_order_limit(self, tmp_path, s, code):
-        # s = 200 wrote inf rows and s = 2000 nan rows, both with exit 0
-        doc = dict(BASE, solver=dict(BASE["solver"], s=s))
+        # s = 200 wrote inf rows and s = 2000 nan rows, both with exit 0.
+        # The data are RESOLVED's: BASE's bump h0 is rounding noise from
+        # s = 16 (order (s + 1) / 3 = 5.7) on, refused whatever the limit
+        doc = dict(BASE, solver=dict(BASE["solver"], s=s), data=RESOLVED)
         result = CliRunner().invoke(main, ["norms", "--config",
                                            write_config(tmp_path, doc)])
         assert result.exit_code == code, result.output
@@ -619,24 +627,36 @@ class TestNormsVerb:
         assert result.returncode == 2
         assert "'solver.s'" in result.stderr
 
-    @pytest.mark.parametrize("s, amplitude, code", [
-        pytest.param(1.0, 1.0e40, 0, id="1.0-0"),
-        pytest.param(39.5, 1.0e40, 0, id="39.5-0"),
-        pytest.param(39.5, 1.0e300, 2, id="39.5-2")])
-    def test_non_finite_row_within_the_limit_exit_2(self, tmp_path, s,
+    @pytest.mark.parametrize("s, width, amplitude, code", [
+        pytest.param(1.0, 0.01, 1.0e40, 0, id="1.0-0"),
+        pytest.param(39.5, 0.2, 1.0e40, 0, id="39.5-0"),
+        pytest.param(39.5, 0.01, 1.0e300, 2, id="39.5-2")])
+    def test_non_finite_row_within_the_limit_exit_2(self, tmp_path, s, width,
                                                     amplitude, code):
-        # a narrow Gaussian: at amplitude 1e40 its H^39.5 norm, about 1e161,
-        # is finite though its square is not; at 1e300 the norm, about 1e421,
-        # is not representable
+        # Gaussians: at amplitude 1e40 the width-0.2 one's H^39.5 norm, about
+        # 9e167, is finite though its square is not; at 1e300 the width-0.01
+        # one's norm, about 1e421, is not representable
         doc = dict(BASE, solver=dict(BASE["solver"], s=s),
-                   data=dict(BASE["data"], u0={
-                       "preset": "gaussian", "center": 0.5, "width": 0.01,
+                   data=dict(RESOLVED, u0={
+                       "preset": "gaussian", "center": 0.5, "width": width,
                        "amplitude": amplitude}))
         result = CliRunner().invoke(main, ["norms", "--config",
                                            write_config(tmp_path, doc)])
         assert result.exit_code == code, result.output
         if code:
             assert "'solver.s'" in result.output and "u0_hs" in result.output
+
+    @pytest.mark.parametrize("s", [20.5, 39.5])
+    def test_rounding_noise_row_exit_2(self, tmp_path, s):
+        # the width-0.01 Gaussian's H^s norm at these orders is FFT rounding
+        # lifted by the multiplier: a finite number, refused by name
+        doc = dict(BASE, solver=dict(BASE["solver"], s=s),
+                   data=dict(RESOLVED, u0={
+                       "preset": "gaussian", "center": 0.5, "width": 0.01}))
+        result = CliRunner().invoke(main, ["norms", "--config",
+                                           write_config(tmp_path, doc)])
+        assert result.exit_code == 2, result.output
+        assert "'solver.s'" in result.output and "not resolved" in result.output
 
     def test_data_rows_sum_to_data_norm_sum(self, tmp_path):
         doc = dict(BASE, data=dict(BASE["data"],

@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
 private function or class it defines is used somewhere else in the package,
-importing the package or its command line loads no scipy module at all, the
-oracle's first band solve loads scipy.linalg's LAPACK through the
-module-level name it solves with, and a first solve loads no module."""
+importing the package or its command line, or running the oracle, loads no
+scipy module at all, the oracle keeps the module-level name it solves
+through, and a first solve loads no module."""
 
 import ast
 import os
@@ -105,31 +105,30 @@ def _run(code):
 
 @pytest.mark.parametrize("module", ["hnls_utm", "hnls_utm.cli"])
 def test_import_loads_no_scipy_module(module):
-    # the solver is numpy's: only the oracle's banded LU needs scipy, and it
-    # imports scipy on its first solve
+    # the solver and the oracle are numpy's
     code = ("import sys, %s; print(' '.join(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))" % module)
     assert _run(code).split() == []
 
 
-def test_oracle_loads_lapack_on_its_first_solve():
-    # the oracle keeps the module-level name lapack, which perfbench's tracer
-    # swaps, and resolves scipy's zgbtrf and zgbtrs through it
+def test_oracle_solve_loads_no_scipy_module():
+    # the oracle factors and solves its step with numpy through the
+    # module-level name lapack, which perfbench's tracer swaps
     code = """if True:
         import sys
         from hnls_utm import oracle
         from hnls_utm.dispersion import DispersionParams
         from hnls_utm.presets import plane_wave_data
-        before = 'scipy.linalg' in sys.modules
         oracle.oracle_solve(plane_wave_data(DispersionParams(1.0, 0.0, 0.0),
                                             1.0, 0.5, 2.0),
                             oracle.OracleConfig(nx=16, nt=16))
-        import scipy.linalg.lapack as lapack
-        print(before, 'lapack' in vars(oracle),
-              oracle.lapack.zgbtrf is lapack.zgbtrf,
-              oracle.lapack.zgbtrs is lapack.zgbtrs)
+        print(' '.join(m for m in sys.modules
+                       if m == 'scipy' or m.startswith('scipy.')) or '-',
+              'lapack' in vars(oracle),
+              oracle.lapack.zgbtrf is oracle._factor,
+              oracle.lapack.zgbtrs is oracle._solve)
     """
-    assert _run(code).split() == ["False", "True", "True", "True"]
+    assert _run(code).split() == ["-", "True", "True", "True"]
 
 
 def test_first_solve_loads_no_module():

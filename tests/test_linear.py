@@ -1,6 +1,7 @@
 """Contour-integral evaluator: time transforms, solves, traces, residual."""
 
 import inspect
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -19,7 +20,8 @@ from hnls_utm.linear import (OVERFLOW_GUARD, ProblemData, QuadratureBudget,
                              solve_reduced, zero_data)
 from hnls_utm import linear, verify
 from hnls_utm.regions import r_delta, segment_specs
-from hnls_utm.presets import (bump_profile, bump_series, plane_wave_data,
+from hnls_utm.presets import (bump_profile, bump_series, gaussian_profile,
+                              plane_wave_data,
                               plane_wave_exact, plane_wave_field, zero_profile,
                               zero_series)
 from hnls_utm.transforms import SpatialProfile, TimeSeries, chebyshev_grid
@@ -213,7 +215,7 @@ def assembly_shift(basis, k):
 def split_cells(monkeypatch):
     """Per _taylor_cells call, the number of cells whose nodes fall in two
     consecutive blocks: the kernel takes blocks of 2048 nodes, and the
-    assembly of 4096 up to 129 output times.  The split yields its blocks
+    assembly of _assembly_block(nt) at nt output times.  The split yields its blocks
     as they are reached; they are listed here to be counted."""
     counts = []
     inner = linear._taylor_cells
@@ -421,12 +423,13 @@ class TestExponentialTables:
         return ker @ tm / (2.0 * np.pi)
 
     @staticmethod
-    def assembly_nodes():
+    def assembly_nodes(nt):
         """D0-type nodes (upper half plane, "in" basis) and D+/- type nodes
         (lower half plane, "out" basis), each with time exponents from
-        arc-level growth e^{24} at t = 0.5 to strong decay: 4200 of each,
-        which the assembly takes in blocks of 4096 and 104."""
-        n = 4200
+        arc-level growth e^{24} at t = 0.5 to strong decay: 104 more of each
+        than the assembly's block at nt output times, so it takes them in
+        one whole block and one of 104."""
+        n = linear._assembly_block(nt) + 104
         rng = np.random.default_rng(3)
         om = (np.linspace(-900.0, 900.0, n)
               + 1j * np.linspace(-48.0, 400.0, n)[rng.permutation(n)])
@@ -439,8 +442,8 @@ class TestExponentialTables:
 
     def assert_assembly_matches(self, coef_on_times, split_cells):
         ell, horizon = 1.0, 0.5
-        (bases, w, om, coef) = self.assembly_nodes()
         x_grid, t_grid = np.linspace(0.0, ell, 33), np.linspace(0.0, horizon, 17)
+        (bases, w, om, coef) = self.assembly_nodes(len(t_grid))
         coef = coef_on_times(coef, t_grid)
         for basis, k in bases:
             got = linear._assemble(
@@ -624,13 +627,15 @@ class TestTaylorCells:
     def test_fine_grid_assembly_matches_dense_exp(self, basis, im_sign,
                                                   on_times, split_cells):
         # criterion 09's 513 x points with |Im k| up to 52; "in" rows with
-        # Im k < 0 grow along x.  3900 decaying nodes in one cell of the last
-        # column of cells, Re k in [59.4, 62.2), put 4200 nodes in all, and
-        # the edge of the assembly's blocks of 4096 inside that cell
+        # Im k < 0 grow along x.  Decaying nodes in one cell of the last
+        # column of cells, Re k in [59.4, 62.2), put 104 nodes more than the
+        # assembly's block in all, and the edge of its first block inside
+        # that cell
         ell, horizon = 1.0, 0.5
         x_grid, t_grid = np.linspace(0.0, ell, 513), np.linspace(0.0, horizon, 129)
         rng = np.random.default_rng(31)
-        n, m = 300, 3900
+        n = 300
+        m = linear._assembly_block(len(t_grid)) + 104 - n
         k = rng.uniform(-60.0, 60.0, n) + 1j * im_sign * rng.uniform(0.0, 52.0, n)
         om = rng.uniform(-900.0, 900.0, n) + 1j * rng.uniform(-48.0, 400.0, n)
         k = np.concatenate([k, rng.uniform(59.5, 60.0, m)
@@ -650,8 +655,9 @@ class TestTaylorCells:
                                    atol=1e-12 * np.max(np.abs(want)))
 
     def test_node_order_does_not_matter(self, split_cells):
-        # 4500 nodes: the kernel's blocks of 2048 and the assembly's of 4096
-        # leave partial blocks, and split cells, in either order
+        # 4500 nodes: the kernel's blocks of 2048 and the assembly's of
+        # _assembly_block(33) leave partial blocks, and split cells, in
+        # either order
         rng = np.random.default_rng(37)
         n = 4500
         k = rng.uniform(-60.0, 60.0, n) + 1j * rng.uniform(-30.0, 30.0, n)
@@ -674,8 +680,10 @@ class TestTaylorCells:
                       for p in (perm, np.arange(n))]
             np.testing.assert_allclose(fields[0], fields[1], rtol=1e-13,
                                        atol=1e-13 * np.max(np.abs(fields[1])))
-        # two kernel calls, then four assemblies
-        assert split_cells == [2, 2, 1, 1, 1, 1]
+        # two kernel calls, then four assemblies, each with a cell split at
+        # every edge between its blocks
+        edges = (n - 1) // linear._assembly_block(33)
+        assert edges >= 1 and split_cells == [2, 2] + [edges] * 4
 
 
 class TestFdWeights:
@@ -1141,8 +1149,11 @@ class TestSolvePlan:
         plan.apply(data)
         assert (calls.count("_assemble"), calls.count("_apply_kernel")) == (4, 10)
         # one time transform of the g0/h0/h1 stack and one of B per region,
-        # and the forcing history on the real window, all by one routine
-        assert calls.count("_time_transform") == 7
+        # and the forcing history on the real window, one per block of the
+        # assembly, all by one routine
+        history_blocks = -(-len(plan.contours[0].k) // linear._assembly_block(9))
+        assert history_blocks >= 2
+        assert calls.count("_time_transform") == 6 + history_blocks
         assert not any(hasattr(linear, name) for name in (
             "_cumulative_transform", "_forcing_history", "_data_time_transforms",
             "_spline_coefficients", "_moment_chunks", "_real_axis_term",
@@ -1180,6 +1191,35 @@ class TestSolvePlan:
                  + plan.apply(replace(zero_data(AIRY, 1.0, 0.5),
                                       forcing=data.forcing)).values)
         assert np.max(np.abs(parts - whole)) <= 1e-10 * np.max(np.abs(whole))
+
+    def test_picard_applies_stay_within_their_memory_bounds(self):
+        # criterion 03's plan on 129 x 129: the data apply, and the forcing
+        # apply of the first Picard iterate, whose B has rank 29.  Each peak
+        # of traced allocations read 22.3 and 32.3 MiB when a term's three
+        # kernel outputs were summed whole and an assembly block's time table
+        # held 2^19 entries
+        half = DispersionParams(0.5, 0.0, 0.0)
+        data = ProblemData(half, 1.0, 0.04, gaussian_profile(1.0, 0.5, 0.2),
+                           zero_series(0.04), zero_series(0.04),
+                           zero_series(0.04), kappa=0.05, lam=3.0)
+        plan = make_plan(data, (129, 129), QuadratureBudget(
+            contour_nodes=32000, real_axis_window=45.0, real_axis_nodes=16000))
+
+        def peak_mib(problem):
+            tracemalloc.start()
+            try:
+                field = plan.apply(problem)
+                return field, tracemalloc.get_traced_memory()[1] / 2 ** 20
+            finally:
+                tracemalloc.stop()
+
+        base, data_peak = peak_mib(data)
+        nl = data.kappa * np.abs(base.values) ** 2 * base.values
+        forcing = replace(zero_data(half, 1.0, 0.04),
+                          forcing=Field(base.x_grid, base.t_grid, nl))
+        assert linear._sample(forcing, plan.unit_grids[1]).b.shape == (29, 129)
+        _field, forcing_peak = peak_mib(forcing)
+        assert data_peak <= 12.0 and forcing_peak <= 20.0, (data_peak, forcing_peak)
 
     @pytest.mark.parametrize("other", [
         plane_wave_data(DispersionParams(1.0, 0.0, 1.0), 1.0, 0.5, 2.0),

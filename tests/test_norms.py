@@ -47,14 +47,15 @@ class TestSobolev:
         near_two, at_two = sobolev_norm(SIN, 1.999), sobolev_norm(SIN, 2.0)
         assert at_two / 2.0 <= near_two <= 2.0 * at_two
 
-    @pytest.mark.parametrize("s", [1.0, 39.5])
-    def test_homogeneous_where_the_square_overflows(self, s):
-        # the width-0.01 Gaussian's H^39.5 norm is about 1.2e121, so at
+    @pytest.mark.parametrize("s, width", [(1.0, 0.01), (39.5, 0.2)],
+                             ids=["1.0", "39.5"])
+    def test_homogeneous_where_the_square_overflows(self, s, width):
+        # the width-0.2 Gaussian's H^39.5 norm is about 8.9e127, so at
         # amplitude 1e40 its square overflows though the norm does not.  The
         # amplitude is 2^133 (1.09e40): a power of two scales every rounding
-        # exactly, and at s = 39.5 the multiplier amplifies rounding in the
-        # FFT, which moves with any other factor (by 0.29 at 1 + 2^-40)
-        gauss = profile_of(lambda x: np.exp(-((x - 0.5) / 0.01) ** 2) + 0j)
+        # exactly.  (The width-0.01 Gaussian is rounding noise at s = 39.5,
+        # which bessel_norm refuses: TestBessel.)
+        gauss = profile_of(lambda x: np.exp(-((x - 0.5) / width) ** 2) + 0j)
         amp = 2.0 ** 133
         big = profile_of(lambda x: amp * gauss(x))
         assert sobolev_norm(big, s) == pytest.approx(amp * sobolev_norm(gauss, s),
@@ -71,6 +72,29 @@ class TestBessel:
             direct = (np.trapezoid(np.abs(SIN(np.linspace(0, 1, 4001))) ** p,
                                    np.linspace(0, 1, 4001))) ** (1.0 / p)
             assert bessel_norm(SIN, 0.0, p) == pytest.approx(direct, rel=1e-6)
+
+    @pytest.mark.parametrize("s", [20.5, 39.5])
+    def test_rounding_noise_raises(self, s):
+        # on the width-0.01 Gaussian the multiplier lifts the FFT's rounding
+        # to 1.5 and 2.0 times the multiplied spectrum's peak: the norm moved
+        # 24% and 29% when the amplitude changed by 2^-40, so it is refused,
+        # not returned
+        gauss = profile_of(lambda x: np.exp(-((x - 0.5) / 0.01) ** 2) + 0j)
+        with pytest.raises(ValueError, match="not resolved"):
+            bessel_norm(gauss, s, 2.0)
+        with pytest.raises(ValueError, match="not resolved"):
+            sobolev_norm(gauss, s)
+
+    @pytest.mark.parametrize("width, s", [(0.01, 10.5), (0.2, 39.5)])
+    def test_resolved_orders_are_steady(self, width, s):
+        # rounding reaches 3.3e-5 and 1.9e-5 of the peak, under the 1e-3
+        # bound: a 2^-40 change of amplitude moves the norm by 6e-12 and
+        # 2.9e-8
+        def gauss(amp):
+            return profile_of(lambda x: amp * np.exp(-((x - 0.5) / width) ** 2) + 0j)
+        amp = 1.0 + 2.0 ** -40
+        base, moved = bessel_norm(gauss(1.0), s, 2.0), bessel_norm(gauss(amp), s, 2.0)
+        assert np.isfinite(base) and moved / amp == pytest.approx(base, rel=1e-6)
 
     def test_dual_path_gaussian(self):
         prof = profile_of(lambda x: np.exp(-((x - 0.5) / 0.15) ** 2) + 0j)

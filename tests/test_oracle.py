@@ -1,6 +1,7 @@
 """Implicit finite-difference reference solver."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,3 +151,74 @@ class TestBandedMatrix:
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
         # the kl rows LU fills in are left empty
         assert not np.any(ab[:kl])
+
+
+class TestStepSolve:
+    """The numpy factorization and solve of the constant step against a
+    dense solve and against scipy's banded LU, which only this test
+    imports."""
+
+    @staticmethod
+    def step_band(nx, params=AIRY, dt_theta=0.55 * 0.5 / 511):
+        x = np.linspace(0.0, 1.0, nx)
+        stencil, neumann = oracle._stencil(params, x)
+        return oracle._banded_matrix(stencil, neumann, dt_theta)
+
+    @staticmethod
+    def dense(ab):
+        n, kl, ku = ab.shape[1], oracle._KL, oracle._KU
+        r, c = np.indices((n, n))
+        band = (r - c <= kl) & (c - r <= ku)
+        a = np.zeros((n, n), dtype=complex)
+        a[band] = ab[kl + ku + r[band] - c[band], c[band]]
+        return a
+
+    @pytest.mark.parametrize("nx", [16, 17, 129, 512])
+    def test_solve_matches_a_dense_solve(self, nx):
+        # 16 and 17 leave the last block short; the step of a 512^2 plane
+        # wave has condition number near 8e5, where scipy's banded LU is
+        # 1e-12 off the dense solve too
+        ab = self.step_band(nx, DispersionParams(1.0, 0.5, 1.0))
+        rng = np.random.default_rng(nx)
+        b = rng.standard_normal(nx - 1) + 1j * rng.standard_normal(nx - 1)
+        want = np.linalg.solve(self.dense(ab), b)
+        got = oracle.lapack.zgbtrs(oracle.lapack.zgbtrf(ab), b)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_singular_step_raises(self):
+        ab = self.step_band(32)
+        ab[oracle._KL + oracle._KU, :5] = 0.0
+        ab[:, :5] = 0.0
+        with pytest.raises(StepDiverged, match="singular"):
+            oracle.lapack.zgbtrf(ab)
+
+    @pytest.mark.parametrize("case", ["picard-129", "plane-wave-512"])
+    def test_fields_match_lapack(self, case, monkeypatch):
+        from scipy.linalg import lapack as scipy_lapack
+        kl, ku = oracle._KL, oracle._KU
+        if case == "picard-129":
+            horizon = 0.04
+            data = ProblemData(DispersionParams(0.5, 0.0, 0.0), 1.0, horizon,
+                               gaussian_profile(1.0, 0.5, 0.2),
+                               zero_series(horizon), zero_series(horizon),
+                               zero_series(horizon), kappa=0.05, lam=3.0)
+            config = OracleConfig(nx=129, nt=129)
+        else:
+            data = plane_wave_data(AIRY, 1.0, 0.5, 2.0)
+            config = OracleConfig(nx=512, nt=512)
+        got = oracle_solve(data, config).values
+
+        def zgbtrf(ab):
+            lu, piv, info = scipy_lapack.zgbtrf(ab, kl, ku)
+            assert info == 0
+            return lu, piv
+
+        def zgbtrs(factor, b):
+            sol, info = scipy_lapack.zgbtrs(factor[0], kl, ku, b, factor[1])
+            assert info == 0
+            return sol
+
+        monkeypatch.setattr(oracle, "lapack", SimpleNamespace(zgbtrf=zgbtrf,
+                                                              zgbtrs=zgbtrs))
+        want = oracle_solve(data, config).values
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
