@@ -2,9 +2,9 @@
 # Command-line checks of the installed hnls-utm entry point, one step per call:
 #   bash .github/cli_checks.sh <step> <tmpdir>
 # where <step> is import-guard, console-script, config-errors,
-# diverging-picard or overflowing-forcing and <tmpdir> an existing directory
-# for the step's configs and outputs.  Run it from the repository root; it
-# exits nonzero on the first failed check.
+# diverging-picard, overflowing-forcing or under-resolved and <tmpdir> an
+# existing directory for the step's configs and outputs.  Run it from the
+# repository root; it exits nonzero on the first failed check.
 set -eo pipefail
 
 step=$1
@@ -93,8 +93,19 @@ assert run_scenario('configs/compare_plane_wave.yaml', 'compare', '$tmp/compare_
         expect_exit 3 hnls-utm solve --config "$tmp/overflow.yaml" --out "$tmp/overflow"
         grep -q '"error": "NoConvergence"' "$tmp/overflow/diagnostics.json"
         ;;
+    # a solve whose panels cannot resolve its phase is a solver failure: the
+    # (2, 1, -1) plane wave at beta T = 1 on the default budget, exit 3
+    under-resolved)
+        sed -e 's/^  beta: 1.0$/  beta: 2.0/' -e 's/^  alpha: 0.0$/  alpha: 1.0/' \
+            -e 's/^  delta: 0.0$/  delta: -1.0/' -e '/^  budget:$/,/^    tolerance:/d' \
+            configs/linear_plane_wave.yaml > "$tmp/under.yaml"
+        grep -q 'delta: -1.0' "$tmp/under.yaml"
+        expect_exit 1 grep -q 'budget' "$tmp/under.yaml"
+        expect_exit 3 hnls-utm solve --config "$tmp/under.yaml" --out "$tmp/under"
+        grep -q '"error": "QuadratureDiverged"' "$tmp/under/diagnostics.json"
+        ;;
     *)
-        echo "unknown step '$step': import-guard, console-script, config-errors, diverging-picard or overflowing-forcing" >&2
+        echo "unknown step '$step': import-guard, console-script, config-errors, diverging-picard, overflowing-forcing or under-resolved" >&2
         exit 64
         ;;
 esac

@@ -35,8 +35,8 @@ import yaml
 from .dispersion import DispersionParams
 from .errors import ConfigInvalid, MissingProxy, SolverError
 from .fields import Field, integer
-from .linear import (ProblemData, QuadratureBudget, _scaled, evaluate_traces,
-                     global_relation_residual, solve_reduced)
+from .linear import (MAX_PANEL_PHASE, ProblemData, QuadratureBudget, _scaled,
+                     evaluate_traces, global_relation_residual, solve_reduced)
 from .nonlinear import (apply_nonlinearity, check_compatibility,
                         _combined_forcing, _data_norm_terms, default_proxies,
                         lifespan_indicator, picard_solve)
@@ -246,11 +246,19 @@ def _norms_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _digits(value: float) -> float:
+    """value to 4 significant digits: the field's rounding moves the
+    differenced diagnostics by up to about 1e-7 of themselves, so further
+    digits would make two runs' files differ."""
+    return float("%.4g" % value)
+
+
 def _trace_gaps(field_obj: Field, data: ProblemData) -> dict:
     traces = evaluate_traces(field_obj)
     t = field_obj.t_grid
     scale = max(float(np.max(np.abs(field_obj.values))), 1e-30)
-    return {name: float(np.max(np.abs(traces[name].samples - datum(t)))) / scale
+    return {name: _digits(float(np.max(np.abs(traces[name].samples - datum(t))))
+                          / scale)
             for name, datum in (("left_dirichlet", data.g0),
                                 ("right_dirichlet", data.h0),
                                 ("right_neumann", data.h1))}
@@ -304,6 +312,12 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
                     else cfg.grid)
             field_obj, report = picard_solve(data, grid, cfg.budget,
                                              max_iter=cfg.max_iter, tol=cfg.tol)
+            # the horizon the transforms ran to, one output step past T
+            plan = report.plan
+            diagnostics.update(
+                transform_horizon=plan.tau * plan.ell ** 3,
+                phase_per_panel=_digits(plan.phase_per_panel),
+                phase_per_panel_bound=MAX_PANEL_PHASE)
             # the nonlinear problem is the linear one forced by f + N(u)
             effective = data
             if data.kappa != 0:
@@ -311,8 +325,9 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
                 diagnostics["lifespan"] = _lifespan(data, cfg.s, cfg.proxies)
                 effective = replace(data, forcing=_combined_forcing(
                     data, apply_nonlinearity(field_obj, data.kappa, data.lam)))
-            diagnostics["global_relation_residual"] = global_relation_residual(
-                field_obj, effective, _diag_k_samples(cfg))
+            diagnostics["global_relation_residual"] = _digits(
+                global_relation_residual(field_obj, effective,
+                                         _diag_k_samples(cfg)))
             diagnostics["trace_recovery_gaps"] = _trace_gaps(field_obj, data)
             diagnostics["compatibility"] = check_compatibility(data, cfg.s)
             if mode == "compare":

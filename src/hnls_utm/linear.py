@@ -37,7 +37,20 @@ Two numerical choices matter:
   oscillation |omega| * T + |k|, and the truncated time transforms are
   evaluated through exact polynomial moments of e^{-i w t} against a cubic
   spline of the data (stable for arbitrarily large |w|; for small |w| by
-  the Taylor cells' series).
+  the Taylor cells' series).  A budget whose panels would each span more
+  than MAX_PANEL_PHASE radians of that phase on a segment (unweighted by
+  the data) cannot resolve it: make_plan raises QuadratureDiverged, after
+  its other guards, rather than return an inaccurate field.
+
+The formula holds with the horizon T replaced by any tau >= t, given data on
+[0, tau]; the field up to T does not depend on the data past T.  The
+transforms run to tau = T + dt, one output step past T: at the horizon the
+factor e^{i omega (t - tau)} is 1, so the truncated integrand keeps its
+algebraic tail in k, and the column at tau, which carries that O(1 / R)
+error, is assembled and dropped.  The data are continued past T by one
+routine, _continued, the C^1 point reflection g(T + s) = 2 g(T) - g(T - s)
+(the boundary data, a given forcing and with it Picard's N(u)), and the
+t = 0 column is u0 itself.
 
 The data enter the solve as two arrays (_sample): the x-quadrature payload
 [u0 | A], the forcing factored as A(x) B(t) of rank r, and the corner
@@ -101,6 +114,12 @@ MIN_DELTA_MARGIN = 1e-4
 # most Gauss-Legendre panels one arc may take; more means the arc radius is
 # too large for the horizon, and the panels would exhaust memory
 MAX_ARC_PANELS = 100000
+# most unweighted phase, in radians, one 8-point panel of a graded segment
+# or the real window may span.  Measured on the plane-wave family at the
+# default budget: the members within the tolerance 1e-3 read up to 29.5 rad
+# per panel, and the (2, 1, -1) cases at beta T = 1, with errors of 2.0e-2
+# and 2.4e-2, 58.2 and 58.4
+MAX_PANEL_PHASE = 40.0
 # radii of the radial envelope on [0, R]; radii, and angles per region
 # sector, of the deformation-margin sweep
 ENVELOPE_RADII, SWEEP_RADII, SWEEP_ANGLES = 193, 9, 65
@@ -118,11 +137,16 @@ class QuadratureBudget:
     its own count from its amplification bound.  The deformed puncture
     radius is not a budget setting: make_plan picks it where the Delta-margin
     sweep finds the swept annulus zero-free.
+
+    The defaults were picked by a sweep over node counts {3000, 4000, 6000,
+    8000} and windows {12, 15, 20} on the plane-wave family: they meet the
+    tolerance for every beta T <= 0.5 member, 2.9e-4 at worst, and fail the
+    phase check at beta T = 1.
     """
 
-    contour_nodes: int = 24000
-    real_axis_window: float = 30.0
-    real_axis_nodes: int = 12000
+    contour_nodes: int = 3000
+    real_axis_window: float = 15.0
+    real_axis_nodes: int = 1500
     tolerance: float = 1e-3
 
     def __post_init__(self):
@@ -678,8 +702,10 @@ def _solver_segments(params, horizon, budget, dk_weight, weight=None):
     """Phase-graded quadrature nodes on the formula's four contours: the real
     window |k - c0| <= R as (k, w) and each region's boundary as
     (region, k, dk-weights), its three (deformed) segments joined in
-    segment_specs order; the nine segments' node counts; and the arc radius.
-    The window is placed as one more Segment, with region None."""
+    segment_specs order; the nine segments' node counts; the arc radius;
+    and the phase per panel of the ten segments, the window last: the
+    unweighted phase measure over the panel count, 0 on an arc.  The window
+    is placed as one more Segment, with region None."""
     rho = _pick_arc_radius(params, horizon)
     c0, r_t = params.center, budget.real_axis_window
     if r_t <= 1.1 * rho:
@@ -725,7 +751,10 @@ def _solver_segments(params, horizon, budget, dk_weight, weight=None):
     contours = [(boundary[i].region, np.concatenate(ks[i:i + 3]),
                  np.concatenate(ws[i:i + 3])) for i in (0, 3, 6)]
     window = ks[-1].real.copy(), ws[-1].real.copy()
-    return window, contours, tuple(map(len, ks[:-1])), rho
+    # the phase the nodes must resolve, whatever the data's envelope
+    phases = tuple(0.0 if seg.arc else TWO_PI * _phase_measure(
+        params, seg, horizon, dk_weight)[1][-1] / n for seg, n in zip(segs, panels))
+    return window, contours, tuple(map(len, ks[:-1])), rho, phases
 
 
 # --------------------------------------------------------------------------
@@ -763,9 +792,9 @@ def _factor_forcing(fq):
 class _Samples(NamedTuple):
     """The data as the transforms see it, corner blend removed: xcols, the
     (nq, 1 + r) x-quadrature payload [u0 | A] of u0 and the forcing's x
-    factor; the (3, NTQ) stack of g0, h0, h1; b, the forcing's (r, nt) time
-    factor B, on the given forcing's time grid or on the output times; and
-    blend, _corner_blend's C.  A part that is identically zero is None."""
+    factor; the (3, NTQ) stack of g0, h0, h1 and b, the forcing's (r, nt)
+    time factor B, each on a uniform grid of [0, tau], the transform horizon;
+    and blend, _corner_blend's C.  A part that is identically zero is None."""
 
     xcols: Optional[np.ndarray]
     stack: Optional[np.ndarray]
@@ -777,30 +806,48 @@ class _Samples(NamedTuple):
 NTQ = 257
 
 
+def _continued(series, horizon, t) -> np.ndarray:
+    """series at the times t of [0, 2 horizon], continued past the horizon T
+    by the C^1 point reflection g(T + s) = 2 g(T) - g(T - s): series is read
+    only on [0, T], and the time axis of its values is their last.  The one
+    continuation of every series the transforms take past T (the boundary
+    data, a given forcing and with it Picard's N(u)): the field up to T does
+    not depend on data past T, and a C^1 continuation keeps the transforms'
+    spline as smooth across T as inside."""
+    t = np.asarray(t, dtype=np.float64)
+    past = t > horizon
+    vals = np.array(series(np.where(past, 2.0 * horizon - t, t)), dtype=np.complex128)
+    if np.any(past):
+        vals[..., past] = 2.0 * np.asarray(series(np.array([horizon]))) - vals[..., past]
+    return vals
+
+
 def _sample(data: ProblemData, t_grid) -> _Samples:
-    """Sample data on [0, 1] (a _unit_twin), remove the corner blend and
-    factor the forcing.  The blend forcing comes factored, with B on the
-    output times t_grid when it is the only forcing; a given forcing has the
-    blend's factors subtracted on its own time grid and is factored by
-    _factor_forcing."""
-    xq = XQ_NODES
+    """Sample data on [0, 1] (a _unit_twin) up to the transform horizon
+    tau = t_grid[-1], continued past data.horizon by _continued, remove the
+    corner blend and factor the forcing.  The blend forcing comes factored,
+    with B on the times t_grid when it is the only forcing; a given forcing
+    has the blend's factors subtracted on its own time grid, is factored by
+    _factor_forcing, and its B continued onto the uniform grid of [0, tau]
+    whose step is the largest not above the given grid's."""
+    xq, horizon, tau = XQ_NODES, data.horizon, t_grid[-1]
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
     fq = None if data.forcing is None else resample(data.forcing, xq)
-    tq = np.linspace(0.0, data.horizon, NTQ)
-    stack = np.stack([np.asarray(s(tq), dtype=np.complex128)
-                      for s in (data.g0, data.h0, data.h1)])
+    tq = np.linspace(0.0, tau, NTQ)
+    stack = np.stack([_continued(s, horizon, tq) for s in (data.g0, data.h0, data.h1)])
     forcing = None
-    blend = _corner_blend(data)
+    blend = _corner_blend(data, tau)
     if blend is not None:
         (c00, ct), (cx, cxt) = blend
         u0v = u0v - (c00 + cx * xq)
         # w(0, t), w(1, t) and w_x(1, t)
         stack = stack - np.array([[1, 0], [1, 1], [0, 1]]) @ blend @ np.stack(
-            [np.ones(NTQ), tq / data.horizon])
+            [np.ones(NTQ), tq / tau])
         # the forcing i w_t + i delta w_x = (a0 + a1 x) 1 + 1 (a2 t), of rank
-        # <= 2, as factors A(x) and B(t) with the zero terms dropped
-        a0 = 1j * (ct / data.horizon + data.params.delta * cx)
-        a1 = 1j * cxt / data.horizon
+        # <= 2, as factors A(x) and B(t) with the zero terms dropped; linear
+        # in t, so it commutes with the continuation
+        a0 = 1j * (ct / tau + data.params.delta * cx)
+        a1 = 1j * cxt / tau
         a2 = data.params.delta * a1
         t = t_grid if fq is None else data.forcing.t_grid
         keep = [a0 != 0 or a1 != 0, a2 != 0]
@@ -812,25 +859,30 @@ def _sample(data: ProblemData, t_grid) -> _Samples:
             fq = fq - a @ b
     if fq is not None:
         forcing = _factor_forcing(fq)
+        if forcing is not None:
+            t = data.forcing.t_grid
+            steps = int(np.ceil((len(t) - 1) * tau / horizon * (1.0 - 1e-12)))
+            forcing = forcing[0], _continued(CubicSpline(t, forcing[1], axis=1),
+                                             horizon, np.linspace(0.0, tau, steps + 1))
     a, b = forcing if forcing is not None else (np.zeros((len(xq), 0)), None)
     xcols = np.column_stack([u0v, a])
     return _Samples(xcols if np.any(xcols) else None,
                     stack if np.any(stack) else None, b, blend)
 
 
-def _corner_blend(data: ProblemData):
-    """The 2x2 coefficients C of the bilinear w(x, t) = [1, x] C [1, t / T]^T
-    that matches the rectangle-corner values u0(0), u0(1), g0(T), h0(T) of
-    data on [0, 1] (a _unit_twin); None when all four are zero.
+def _corner_blend(data: ProblemData, tau):
+    """The 2x2 coefficients C of the bilinear w(x, t) = [1, x] C [1, t / tau]^T
+    that matches the rectangle-corner values u0(0), u0(1), g0(tau), h0(tau)
+    of data on [0, 1] (a _unit_twin), g0 and h0 continued past the horizon
+    by _continued; None when all four are zero.
 
     Subtracting w from the problem (by linearity, with the compensating
     forcing) removes the 1/k corner terms of the data transforms, which are
     what make the truncated representation converge slowly near the corners
-    of the space-time rectangle.
+    of the space-time rectangle [0, 1] x [0, tau].
     """
     c00, c10 = np.asarray(data.u0(np.array([0.0, 1.0])), dtype=np.complex128)
-    c01, c11 = (complex(np.asarray(s(np.array([data.horizon])))[0])
-                for s in (data.g0, data.h0))
+    c01, c11 = (complex(_continued(s, data.horizon, [tau])[0]) for s in (data.g0, data.h0))
     if c00 == c10 == c01 == c11 == 0:
         return None
     return np.array([[c00, c01 - c00], [c10 - c00, c11 - c01 - c10 + c00]])
@@ -906,10 +958,13 @@ def _weights(c: Contour):
 class SolvePlan:
     """Everything a solve needs that its data does not change, for one
     (params, ell, horizon), output grid and budget, and no data: the
-    _unit_twin's horizon tau and output grids unit_grids, its four Contours
-    (real window, D0, D+, D-), the nine region segments' node_counts and the
-    arc radius rho.  Build one with make_plan; apply(data) solves for any
-    data on the same (params, ell, horizon) and nodes, so it is linear."""
+    _unit_twin's transform horizon tau, one output step past its horizon,
+    its grids unit_grids (nx points of [0, 1] and the nt + 1 assembly times
+    of [0, tau]), its four Contours (real window, D0, D+, D-), the nine
+    region segments' node_counts, the arc radius rho and phase_per_panel,
+    the largest unweighted phase an 8-point panel of a graded segment or
+    the window spans.  Build one with make_plan; apply(data) solves for any data on the
+    same (params, ell, horizon) and nodes, so it is linear."""
 
     params: DispersionParams
     ell: float
@@ -919,6 +974,7 @@ class SolvePlan:
     contours: Tuple[Contour, ...]
     node_counts: Tuple[int, ...]
     rho: float
+    phase_per_panel: float
 
     def apply(self, data: ProblemData) -> Field:
         """Evaluate the solution representation of the forced linear problem
@@ -936,10 +992,12 @@ class SolvePlan:
         if samples.blend is not None:
             vals += (np.stack([np.ones(len(xi)), xi], axis=1) @ samples.blend
                      @ np.stack([np.ones(len(s)), s / self.tau]))
+        # the column at tau is dropped, and the one at t = 0 is u0 itself
+        x, vals = np.linspace(0.0, self.ell, len(xi)), vals[:, :-1]
+        vals[:, 0] = data.u0(x)
         if not np.all(np.isfinite(vals)):
             raise ExponentialOverflow("the assembled field is not finite")
-        return Field(np.linspace(0.0, self.ell, len(xi)),
-                     np.linspace(0.0, self.horizon, len(s)), vals)
+        return Field(x, np.linspace(0.0, self.horizon, len(s) - 1), vals)
 
     def _term(self, vals, samples, c: Contour):
         """One contour's term, payload / Delta_s assembled with the shift of
@@ -986,7 +1044,10 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
     of [0, ell] x [0, horizon].  The nodes are placed for the problem's
     _unit_twin and thinned by the radial envelope of data itself, so the
     plan suits data of similar spectral content; a plan made from
-    identically zero data uses unweighted nodes."""
+    identically zero data uses unweighted nodes.  QuadratureDiverged when
+    the nodes pass within the Delta margin of a zero, or when a panel spans
+    more than MAX_PANEL_PHASE; the message names the phase, the bound and
+    the segment."""
     message = "grid must be two integer point counts (nx, nt)"
     try:
         nx, nt = (integer(n, message) for n in grid)
@@ -996,8 +1057,11 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
         raise GridTooCoarse("output grids need at least 4 points each")
     ell = data.ell
     twin = _unit_twin(data)
-    params, tau = twin.params, twin.horizon
-    unit_grids = np.linspace(0.0, 1.0, nx), np.linspace(0.0, tau, nt)
+    # the transform horizon tau, one output step past the twin's horizon:
+    # at t = tau the transforms' tails in k do not oscillate, so that column
+    # carries the window's truncation error and is dropped (ROADMAP item 24)
+    params, tau = twin.params, twin.horizon * nt / (nt - 1)
+    unit_grids = np.linspace(0.0, 1.0, nx), np.linspace(0.0, tau, nt + 1)
     samples = _sample(twin, unit_grids[1])
     # the budget in the caller's units: window R ell in the twin's k, density
     # floor 2 |dk~| / ell, and the envelope's Neumann datum h1 = (ell h1) / ell
@@ -1005,8 +1069,8 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
     dk_weight = 1.0 + 2.0 / ell
     weight = _radial_envelope(params, tau, samples, unit_budget.real_axis_window,
                               1.0 / ell)
-    (k_r, w_r), groups, counts, rho = _solver_segments(params, tau, unit_budget,
-                                                       dk_weight, weight)
+    (k_r, w_r), groups, counts, rho, phases = _solver_segments(
+        params, tau, unit_budget, dk_weight, weight)
     contours = (Contour(k_r, w_r, omega(params, k_r + 0j).real, unit_grids[1]),
                 *(Contour(k, w, omega(params, k), None, region,
                           *_roots_and_delta(params, k, region),
@@ -1016,8 +1080,16 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
         raise QuadratureDiverged(
             "denominator margin %.3g on the contour nodes; the deformed "
             "contour passes too close to a zero" % margin)
+    worst = int(np.argmax(phases))
+    if phases[worst] > MAX_PANEL_PHASE:
+        where = ("the real window" if worst == 9 else "segment %d of the %s "
+                 "boundary" % (worst % 3 + 1, groups[worst // 3][0].value))
+        raise QuadratureDiverged(
+            "%.3g rad of phase per 8-point panel on %s, past the bound %g: "
+            "the budget has too few nodes for its window and the horizon"
+            % (phases[worst], where, MAX_PANEL_PHASE))
     return SolvePlan(data.params, ell, data.horizon, tau, unit_grids,
-                     contours, counts, rho)
+                     contours, counts, rho, phases[worst])
 
 
 def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:

@@ -17,15 +17,16 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .errors import (ExponentialOverflow, InhomogeneousBoundary, MissingProxy,
                      NoConvergence)
 from .fields import Field, integer
-from .linear import (ProblemData, QuadratureBudget, fd_weights, make_plan,
-                     resample, solve_full, zero_data)
+# solve_full is uncalled here but bound for perfbench's tracer (ROADMAP item 4)
+from .linear import (ProblemData, QuadratureBudget, SolvePlan, fd_weights,
+                     make_plan, resample, solve_full, zero_data)
 from .norms import ct_l2_distance, sobolev_norm
 from .transforms import SpatialProfile, gauss_panels
 
@@ -55,10 +56,12 @@ class LifespanIndicator:
 @dataclass
 class PicardReport:
     """Successive C_t L2_x distances and whether they converged; the
-    contraction ratios and the final residual are read off them."""
+    contraction ratios and the final residual are read off them.  plan is
+    the SolvePlan every solve of the run applied."""
 
     distances: List[float] = dc_field(default_factory=list)
     converged: bool = False
+    plan: Optional[SolvePlan] = None
 
     @property
     def contraction_ratios(self) -> List[float]:
@@ -242,20 +245,22 @@ def picard_solve(data: ProblemData, grid, budget: QuadratureBudget,
     the iteration diverges: N(u), its forcing solve or the distance
     overflows.
 
-    All solves share one SolvePlan made from data, and the solution map is
-    linear, so the data part base = S[data] is solved once and each
-    iteration solves only the forcing: u <- base + S[0; N(u)]."""
+    All solves share one SolvePlan made from data, which the report keeps,
+    and the solution map is linear, so the data part base = S[data] is
+    solved once and each iteration solves only the forcing:
+    u <- base + S[0; N(u)]."""
     max_iter = integer(max_iter, "max_iter must be an integer, got %r"
                        % (max_iter,))
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not 0 < tol < np.inf:
         raise ValueError("tol must be finite and positive, got %r" % (tol,))
-    if data.kappa == 0:
-        return solve_full(data, grid, budget), PicardReport(converged=True)
-    report = PicardReport()
     plan = make_plan(data, grid, budget)
+    report = PicardReport(plan=plan)
     base = plan.apply(data)
+    if data.kappa == 0:
+        report.converged = True
+        return base, report
     forcing_only = zero_data(data.params, data.ell, data.horizon)
     current = base
     for n in range(max_iter):

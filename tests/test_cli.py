@@ -12,8 +12,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from hnls_utm.cli import MAX_ORDER, load_scenario, main
+from hnls_utm import cli
+from hnls_utm.cli import MAX_ORDER, load_scenario, main, run_scenario
 from hnls_utm.errors import ConfigInvalid
+from hnls_utm.fields import Field
 from hnls_utm.nonlinear import HIGH_PROXIES, LOW_PROXIES
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -299,6 +301,33 @@ class TestSolveVerb:
         assert diag["picard"]["converged"] is True
         assert diag["ut_vs_oracle_relative_l2"] <= 1e-2
 
+    def test_diagnostics_ignore_rounding_noise(self, tmp_path, monkeypatch):
+        # the residual and the trace gaps difference the field, which moves
+        # them by up to 1.3e-7 of themselves under rounding noise: they are
+        # written to 4 digits, so a field perturbed by 1 + 1e-16 N(0, 1)
+        # writes the same file
+        config = str(CONFIGS / "linear_plane_wave.yaml")
+        assert run_scenario(config, "contour", str(tmp_path / "plain")) == 0
+        rng = np.random.default_rng(0)
+        solve = cli.picard_solve
+
+        def perturbed(*args, **kwargs):
+            field, report = solve(*args, **kwargs)
+            noise = 1.0 + 1e-16 * rng.standard_normal(field.values.shape)
+            return Field(field.x_grid, field.t_grid, field.values * noise), report
+
+        monkeypatch.setattr(cli, "picard_solve", perturbed)
+        assert run_scenario(config, "contour", str(tmp_path / "noisy")) == 0
+        plain, noisy = ((tmp_path / d / "diagnostics.json").read_text()
+                        for d in ("plain", "noisy"))
+        assert plain == noisy
+        diag = json.loads(plain)
+        # the plan's transform horizon, T plus one of the 33 output steps,
+        # and its worst phase per panel against the bound
+        assert diag["transform_horizon"] == 0.5 * 33 / 32
+        assert 0 < diag["phase_per_panel"] <= diag["phase_per_panel_bound"] == 40.0
+        assert max(diag["trace_recovery_gaps"].values()) < 1e-3
+
     def test_compare_mode_gap(self, tmp_path):
         # the one CLI solve whose grid is the oracle's (nx, nt)
         doc = dict(BASE, solver=dict(BASE["solver"],
@@ -406,10 +435,12 @@ class TestSolveVerb:
         assert not (out / "field.csv").exists()
 
     def test_quadrature_diverged_exit_3(self, tmp_path):
-        # 400 contour nodes: solve_reduced's refinements do not settle
+        # 300 contour nodes at the window 12 pass the phase check (32 rad per
+        # panel), but solve_reduced's refinements differ by 3.3e-6 and then
+        # 3.4e-9, more than the tolerance 1e-10: they do not settle
         doc = dict(BASE, solver=dict(BASE["solver"], budget={
-            "contour_nodes": 400, "real_axis_window": 24.0,
-            "real_axis_nodes": 200}))
+            "contour_nodes": 300, "real_axis_window": 12.0,
+            "real_axis_nodes": 150, "tolerance": 1e-10}))
         out = tmp_path / "o"
         result = CliRunner().invoke(main, ["solve", "--config",
                                            write_config(tmp_path, doc),
@@ -419,6 +450,25 @@ class TestSolveVerb:
         assert "QuadratureDiverged" in result.output
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "QuadratureDiverged"
+        assert "did not converge" in diag["message"]
+
+    def test_under_resolved_exit_3(self, tmp_path):
+        # the (2, 1, -1) plane wave at beta T = 1 spans 58 rad per panel on
+        # the default budget; without the phase check it read 2.0e-2, exit 0
+        doc = dict(BASE, dispersion={"beta": 2.0, "alpha": 1.0, "delta": -1.0},
+                   geometry={"ell": 1.0, "horizon": 0.5},
+                   data={"preset": "plane_wave", "a": 2.0},
+                   solver={"grid": [33, 17]})
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--config",
+                                           write_config(tmp_path, doc),
+                                           "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "QuadratureDiverged"
+        assert "rad of phase per 8-point panel" in diag["message"]
+        assert "past the bound 40" in diag["message"]
+        assert not (out / "field.csv").exists()
 
     def test_arc_overflow_exit_3(self, tmp_path):
         # (ell, T) = (0.1, 0.25): the arc radius is held at 1.5 / ell = 15, an
@@ -430,6 +480,7 @@ class TestSolveVerb:
                        data={"preset": "plane_wave", "a": 2.0})
             doc["solver"] = {"grid": [9, 9],
                              "budget": {"contour_nodes": 4000,
+                                        "real_axis_window": 30.0,
                                         "real_axis_nodes": 2000}}
             config = write_config(tmp_path, doc)
             out = tmp_path / ("o4-%d" % i)

@@ -28,7 +28,7 @@ def _imported_names(tree):
 
 # names a module imports only so that perfbench's tracer can patch them in
 # its namespace, until the tracer's rework (ROADMAP item 4)
-TRACER_BINDINGS = {"linear.py": {"arc_half_angle"}}
+TRACER_BINDINGS = {"linear.py": {"arc_half_angle"}, "nonlinear.py": {"solve_full"}}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

@@ -489,8 +489,10 @@ class TestExponentialTables:
         # which amplifies by e^{843.8}; its panel count would overflow, but
         # the precision cap ln(tolerance / eps) = 29.1 is checked first.  The
         # other rows amplify by e^{54}, e^{81} and e^{42.2}; below the cap
-        # they returned errors of 5e4, 3e16 and 0.1
-        budget = QuadratureBudget(contour_nodes=4000, real_axis_nodes=2000)
+        # they returned errors of 5e4, 3e16 and 0.1.  At ell = 0.1 a window
+        # narrower than 30 would raise InvalidTruncation first
+        budget = QuadratureBudget(contour_nodes=4000, real_axis_window=30.0,
+                                  real_axis_nodes=2000)
         for ell, horizon in ((0.1, 0.25), (0.5, 2.0), (0.5, 3.0), (0.2, 0.1)):
             data = plane_wave_data(AIRY, ell, horizon, 2.0)
             with pytest.raises(ExponentialOverflow, match="arc amplification"):
@@ -514,17 +516,17 @@ class TestExponentialTables:
             solve_full(data, (9, 9), budget)
 
     def test_invalid_truncation_names_the_factor(self):
-        # at ell = 0.1 the default window R = 30 is 3 in the unit twin's k,
-        # below 1.1 rho; the message names the factor 1.1 rho / 3, without
+        # at ell = 0.1 the default window R = 15 is 1.5 in the unit twin's k,
+        # below 1.1 rho; the message names the factor 1.1 rho / 1.5, without
         # units, and a window that factor wider plans and solves
         data = plane_wave_data(AIRY, 0.1, 2e-4, 2.0)
         with pytest.raises(InvalidTruncation) as raised:
             make_plan(data, (33, 17), QuadratureBudget())
         with pytest.raises(InvalidTruncation):
-            make_plan(data, (33, 17), QuadratureBudget(real_axis_window=43.0))
-        plan = make_plan(data, (33, 17), QuadratureBudget(real_axis_window=44.0))
-        factor = 1.1 * plan.rho / (30.0 * 0.1)
-        assert 1.4 < factor < 44.0 / 30.0
+            make_plan(data, (33, 17), QuadratureBudget(real_axis_window=42.0))
+        plan = make_plan(data, (33, 17), QuadratureBudget(real_axis_window=43.0))
+        factor = 1.1 * plan.rho / (15.0 * 0.1)
+        assert 2.8 < factor < 43.0 / 15.0
         assert "%.4g times wider" % factor in str(raised.value)
         field = plan.apply(data)
         exact = plane_wave_field(AIRY, 2.0, field.x_grid, field.t_grid)
@@ -738,10 +740,13 @@ def _family_case(params, ell, horizon):
     if (ell, horizon) != (1.0, 0.5):
         case_id += "@%g,%g" % (ell, horizon)
     if (params.beta, params.alpha, params.delta) == (2.0, 1.0, -1.0) and ell != 0.5:
-        # 4.6e-3 at ell = 1 and 6.5e-3 at ell = 2: the fixed default budget
-        # is short of nodes here
+        # 58.2 and 58.4 rad per panel at ell = 1 and 2, past the phase check's
+        # bound: the fixed default budget is short of nodes here, and without
+        # the check it returned 2.0e-2 and 2.4e-2
         return pytest.param(params, ell, horizon, id=case_id, marks=pytest.mark.xfail(
-            strict=True, reason="default budget short of nodes; ROADMAP item 2"))
+            strict=True, reason="beta T = 1: the default budget fails the phase "
+            "check (QuadratureDiverged); a budget that follows the phase is "
+            "ROADMAP item 2"))
     return pytest.param(params, ell, horizon, id=case_id)
 
 
@@ -770,23 +775,39 @@ class TestPlaneWave:
         assert field.relative_l2_gap(exact) <= 1e-3
 
     def test_budget_in_the_callers_units(self):
-        # (ell, T) = (0.5, 1), tau = 8: 4.7e-3 with the window, the phase
-        # density's |dk| floor and the envelope's h1 weight in the caller's
-        # units; a floor or an h1 weight in the twin's units gives about 1e-2
+        # (ell, T) = (0.5, 1), tau = 8, with the window, the phase density's
+        # |dk| floor and the envelope's h1 weight in the caller's units: the
+        # default budget spans 57.9 rad per panel and raises; twice its nodes
+        # read 8.9e-5 (9.9e-5 with the floor, 1.04e-4 with the h1 weight in
+        # the twin's units)
         data = plane_wave_data(AIRY, 0.5, 1.0, 2.0)
-        field = solve_full(data, (33, 17), QuadratureBudget())
+        with pytest.raises(QuadratureDiverged, match="per 8-point panel"):
+            solve_full(data, (33, 17), QuadratureBudget())
+        field = solve_full(data, (33, 17), QuadratureBudget(
+            contour_nodes=6000, real_axis_nodes=3000))
         exact = plane_wave_field(AIRY, 2.0, field.x_grid, field.t_grid)
-        assert field.relative_l2_gap(exact) <= 5e-3
+        assert field.relative_l2_gap(exact) <= 1e-3
 
     @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0), (0.5, 1.0, 1.0)])
     def test_output_times_do_not_change_the_field(self, coeffs):
-        # the corner-blend forcing is sampled on the output times; with
-        # delta != 0 it depends on t, and either grid must give one field
+        # the corner-blend forcing is sampled on the assembly times; with
+        # delta != 0 it depends on t, and either grid must give one field.
+        # Two output grids have two transform horizons, one step past each,
+        # so the four terms are assembled on one plan's grid of [0, tau]
+        # and on its refinement
         data = plane_wave_data(DispersionParams(*coeffs), 1.0, 0.5, 2.0)
-        coarse = solve_full(data, (33, 17), QuadratureBudget())
-        fine = solve_full(data, (33, 33), QuadratureBudget())
-        gap = np.max(np.abs(fine.values[:, ::2] - coarse.values))
-        assert gap <= 1e-10 * np.max(np.abs(coarse.values))
+        plan = make_plan(data, (33, 17), QuadratureBudget())
+        twin = linear._unit_twin(data)
+        fields = []
+        for times in (plan.unit_grids[1], np.linspace(0.0, plan.tau, 35)):
+            samples = linear._sample(twin, times)
+            vals = np.zeros((33, len(times)), dtype=np.complex128)
+            for c in plan.contours:
+                plan._term(vals, samples, c if c.times is None else c._replace(times=times))
+            fields.append(vals)
+        coarse, fine = fields
+        gap = np.max(np.abs(fine[:, ::2] - coarse))
+        assert gap <= 1e-10 * np.max(np.abs(coarse))
 
     @pytest.mark.parametrize("x_grid, t_grid", [
         (np.linspace(0.0, 1.0, 65), 0.5 * np.linspace(0.0, 1.0, 97) ** 2),
@@ -836,6 +857,100 @@ class TestPlaneWave:
         assert err <= budget.tolerance * norm
 
 
+class TestEndpointColumns:
+    """The transforms run to tau, one output step past T, on data continued
+    past T by the C^1 point reflection; the t = 0 column is u0 itself."""
+
+    def test_continuation_is_c1_and_reads_only_up_to_the_horizon(self):
+        horizon, reads = 0.5, []
+
+        def series(t):
+            t = np.asarray(t)
+            reads.append(t.copy())
+            return np.stack([np.exp(2j * t), t ** 3 + 0j])
+
+        s = np.array([1e-6, 2e-6])
+        t = np.concatenate([np.linspace(0.0, horizon, 9), horizon + s,
+                            [1.4 * horizon, 2.0 * horizon]])
+        got = linear._continued(series, horizon, t)
+        assert got.shape == (2, len(t))
+        assert max(np.max(r) for r in reads) <= horizon
+        assert min(np.min(r) for r in reads) >= 0.0
+        # inside [0, T] the series itself; past it 2 g(T) - g(2T - t)
+        np.testing.assert_array_equal(got[:, :9], series(t[:9]))
+        np.testing.assert_allclose(got[:, -1], 2.0 * series([horizon])[:, 0]
+                                   - series([0.0])[:, 0], rtol=1e-15)
+        # value and slope match at T: the one-sided slopes agree to O(s)
+        end, slope = series([horizon])[:, 0], np.array([2j * np.exp(1j), 0.75])
+        right = (got[:, 10] - got[:, 9]) / (s[1] - s[0])
+        np.testing.assert_allclose(got[:, 9], end + slope * s[0], atol=1e-11)
+        np.testing.assert_allclose(right, slope, atol=1e-5)
+
+    def test_first_positive_time_of_criterion_01(self):
+        # the t = 0 column is u0 by construction, so the quadrature near
+        # t = 0 is read one step later, as the relative L2 error over x at
+        # t = T / 128: 3.8e-5 at configs/linear_plane_wave.yaml's budget
+        # (9.6e-5 at 24000 / 30 / 12000) and 7.7e-4 at the default, whose
+        # window R = 15 leaves a layer in t at both ends
+        data = plane_wave_data(AIRY, 1.0, 0.5, 2.0)
+        for budget, bound in ((QuadratureBudget(40000, 30.0, 20000), 1e-4),
+                              (QuadratureBudget(), 1e-3)):
+            field = solve_full(data, (65, 129), budget)
+            exact = plane_wave_field(AIRY, 2.0, field.x_grid, field.t_grid)
+            x = field.x_grid
+            err = np.trapezoid(np.abs(field.values[:, 1] - exact.values[:, 1]) ** 2, x)
+            norm = np.trapezoid(np.abs(exact.values[:, 1]) ** 2, x)
+            assert np.sqrt(err / norm) <= bound
+            np.testing.assert_array_equal(field.values[:, 0], data.u0(x))
+
+    def test_plan_keeps_the_transform_horizon(self):
+        # tau is the twin's T / ell^3 plus one output step; the assembly
+        # runs on nt + 1 times of [0, tau] and returns the first nt
+        data = plane_wave_data(AIRY, 2.0, 0.5, 2.0)
+        plan = make_plan(data, (9, 17), SMALL_BUDGET)
+        assert plan.tau == pytest.approx(0.5 / 8.0 * 17.0 / 16.0, rel=1e-15)
+        assert len(plan.unit_grids[1]) == 18 and plan.unit_grids[1][-1] == plan.tau
+        field = plan.apply(data)
+        assert field.values.shape == (9, 17) and field.t_grid[-1] == 0.5
+        assert 0.0 < plan.phase_per_panel <= linear.MAX_PANEL_PHASE
+
+
+class TestPhaseCheck:
+    """make_plan raises QuadratureDiverged when a segment's unweighted phase
+    per 8-point panel passes MAX_PANEL_PHASE: the panels cannot resolve it."""
+
+    @pytest.mark.parametrize("ell", [1.0, 2.0])
+    def test_family_cases_at_beta_t_one_raise(self, ell):
+        # 58.2 and 58.4 rad per panel on the default budget; without the
+        # check they returned 2.0e-2 and 2.4e-2
+        data = plane_wave_data(DispersionParams(2.0, 1.0, -1.0), ell, 0.5, 2.0)
+        with pytest.raises(QuadratureDiverged) as raised:
+            make_plan(data, (49, 17), QuadratureBudget())
+        message = str(raised.value)
+        assert "rad of phase per 8-point panel" in message
+        assert "bound %g" % linear.MAX_PANEL_PHASE in message
+        assert "segment" in message and "boundary" in message
+
+    @pytest.mark.parametrize("m, raises", [(1, False), (2, False), (4, True),
+                                           (8, True)])
+    def test_wider_window_with_proportional_nodes(self, m, raises):
+        # the Airy bump at T = 0.1 with the window 30 m and m times the
+        # nodes of (24000, 30, 12000): the phase grows like m^3 and the nodes
+        # like m, 5.7, 22.4, 89 and 357 rad per panel.  Solved, m = 4 and 8
+        # read 5.4e-3 and 4.7 at t = T / 2, and m = 1 and 2 1.8e-3 and 7.0e-4
+        horizon = 0.1
+        data = ProblemData(AIRY, 1.0, horizon, bump_profile(1.0, 0.2, 0.7),
+                           zero_series(horizon), zero_series(horizon),
+                           zero_series(horizon))
+        budget = QuadratureBudget(24000 * m, 30.0 * m, 12000 * m)
+        if raises:
+            with pytest.raises(QuadratureDiverged, match="per 8-point panel"):
+                make_plan(data, (65, 33), budget)
+        else:
+            plan = make_plan(data, (65, 33), budget)
+            assert plan.phase_per_panel <= linear.MAX_PANEL_PHASE
+
+
 class TestUnitTwin:
     """A problem on [0, ell] and its twin on [0, 1]: the parameters
     (beta, alpha ell, delta ell^2), the horizon T / ell^3 and, for a plane
@@ -848,9 +963,12 @@ class TestUnitTwin:
         # the plan's nodes are the twin's, for the window R ell; made afresh
         # for the twin, they would differ by the budget's two terms in the
         # caller's units, the phase floor and the envelope's h1 weight
+        # twice the default's nodes: (2, 1, -1) at (2, 0.5) fails the
+        # default's phase check
         a = 2.0
         data = plane_wave_data(params, ell, horizon, a)
-        plan = make_plan(data, (33, 17), QuadratureBudget())
+        plan = make_plan(data, (33, 17), QuadratureBudget(contour_nodes=6000,
+                                                          real_axis_nodes=3000))
         twin = plane_wave_data(
             DispersionParams(params.beta, params.alpha * ell,
                              params.delta * ell ** 2),
@@ -1096,7 +1214,7 @@ class TestCornerBlend:
         tau = np.array([twin.horizon])
         want = np.array([[twin.u0(np.array([0.0]))[0], twin.g0(tau)[0]],
                          [twin.u0(np.array([1.0]))[0], twin.h0(tau)[0]]])
-        blend = linear._corner_blend(twin)
+        blend = linear._corner_blend(twin, twin.horizon)
         assert blend.shape == (2, 2)
         ends = np.array([[1.0, 0.0], [1.0, 1.0]])
         scale = np.max(np.abs(corners))
@@ -1217,7 +1335,8 @@ class TestSolvePlan:
         nl = data.kappa * np.abs(base.values) ** 2 * base.values
         forcing = replace(zero_data(half, 1.0, 0.04),
                           forcing=Field(base.x_grid, base.t_grid, nl))
-        assert linear._sample(forcing, plan.unit_grids[1]).b.shape == (29, 129)
+        # B continued one output step past T, to the plan's 130 times
+        assert linear._sample(forcing, plan.unit_grids[1]).b.shape == (29, 130)
         _field, forcing_peak = peak_mib(forcing)
         assert data_peak <= 12.0 and forcing_peak <= 20.0, (data_peak, forcing_peak)
 
@@ -1273,11 +1392,13 @@ class TestReducedBump:
         assert res_fine <= 2.0 * res
 
     def test_refinement_that_does_not_settle_raises(self):
-        # 400 contour nodes: the three refinements of solve_reduced still
-        # differ by more than the budget's tolerance
+        # 1200 contour nodes at the window 12 pass the phase check (36 rad
+        # per panel), but the three refinements of solve_reduced still differ
+        # by more than the tolerance 1e-9: 7.5e-6, then 1.3e-8.  At 1e-3 a
+        # budget that passes the phase check settles at once
         horizon = 0.5
-        budget = QuadratureBudget(contour_nodes=400, real_axis_window=24.0,
-                                  real_axis_nodes=200)
+        budget = QuadratureBudget(contour_nodes=1200, real_axis_window=12.0,
+                                  real_axis_nodes=600, tolerance=1e-9)
         with pytest.raises(QuadratureDiverged, match="did not converge"):
             solve_reduced(AIRY, 1.0, bump_series(horizon),
                           zero_series(horizon), (49, 33), budget)
@@ -1407,7 +1528,8 @@ class TestValidation:
             forcing = Field(x, t, np.zeros((33, 17)))
             if accepted:
                 make_plan(replace(data, forcing=forcing), (9, 9),
-                          QuadratureBudget(contour_nodes=4000, real_axis_nodes=2000))
+                          QuadratureBudget(contour_nodes=4000, real_axis_window=30.0,
+                                           real_axis_nodes=2000))
             else:
                 with pytest.raises(ValueError, match="span"):
                     replace(data, forcing=forcing)

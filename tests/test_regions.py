@@ -26,8 +26,8 @@ DK_WEIGHT = 3.0
 def solver_segments(params, horizon=0.5, budget=BUDGET):
     """The solver's Segment records, the real window last, each with the
     nodes and weights _solver_segments places on it; and rho."""
-    (k_r, w_r), contours, counts, rho = _solver_segments(params, horizon, budget,
-                                                         DK_WEIGHT)
+    (k_r, w_r), contours, counts, rho, _phases = _solver_segments(
+        params, horizon, budget, DK_WEIGHT)
     r_t = budget.real_axis_window
     segs = segment_specs(params, rho, r_t) + [
         real_ray(None, params.center - r_t, params.center + r_t, +1)]
