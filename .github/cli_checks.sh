@@ -94,7 +94,9 @@ assert run_scenario('configs/compare_plane_wave.yaml', 'compare', '$tmp/compare_
         grep -q '"error": "NoConvergence"' "$tmp/overflow/diagnostics.json"
         ;;
     # a solve whose panels cannot resolve its phase is a solver failure: the
-    # (2, 1, -1) plane wave at beta T = 1 on the default budget, exit 3
+    # (2, 1, -1) plane wave at beta T = 1 on the default budget, exit 3; so
+    # is one whose window truncates its data: the shipped Gaussian on the
+    # default budget misses its Dirichlet data, exit 3
     under-resolved)
         sed -e 's/^  beta: 1.0$/  beta: 2.0/' -e 's/^  alpha: 0.0$/  alpha: 1.0/' \
             -e 's/^  delta: 0.0$/  delta: -1.0/' -e '/^  budget:$/,/^    tolerance:/d' \
@@ -103,6 +105,11 @@ assert run_scenario('configs/compare_plane_wave.yaml', 'compare', '$tmp/compare_
         expect_exit 1 grep -q 'budget' "$tmp/under.yaml"
         expect_exit 3 hnls-utm solve --config "$tmp/under.yaml" --out "$tmp/under"
         grep -q '"error": "QuadratureDiverged"' "$tmp/under/diagnostics.json"
+        sed '/^  budget:$/,/^    real_axis_nodes:/d' configs/nonlinear_gaussian.yaml > "$tmp/truncated.yaml"
+        expect_exit 1 grep -q 'budget' "$tmp/truncated.yaml"
+        expect_exit 3 hnls-utm solve --config "$tmp/truncated.yaml" --out "$tmp/truncated"
+        grep -q '"error": "QuadratureDiverged"' "$tmp/truncated/diagnostics.json"
+        grep -q 'misses its Dirichlet datum' "$tmp/truncated/diagnostics.json"
         ;;
     *)
         echo "unknown step '$step': import-guard, console-script, config-errors, diverging-picard, overflowing-forcing or under-resolved" >&2

@@ -35,8 +35,9 @@ import yaml
 from .dispersion import DispersionParams
 from .errors import ConfigInvalid, MissingProxy, SolverError
 from .fields import Field, integer
-from .linear import (MAX_PANEL_PHASE, ProblemData, QuadratureBudget, _scaled,
-                     evaluate_traces, global_relation_residual, solve_reduced)
+from .linear import (MAX_DIRICHLET_GAP, MAX_PANEL_PHASE, ProblemData,
+                     QuadratureBudget, _scaled, evaluate_traces,
+                     global_relation_residual, solve_reduced)
 from .nonlinear import (apply_nonlinearity, check_compatibility,
                         _combined_forcing, _data_norm_terms, default_proxies,
                         lifespan_indicator, picard_solve)
@@ -317,7 +318,8 @@ def run_scenario(config_path, mode: str, out_dir=None, refine: int = 0) -> int:
             diagnostics.update(
                 transform_horizon=plan.tau * plan.ell ** 3,
                 phase_per_panel=_digits(plan.phase_per_panel),
-                phase_per_panel_bound=MAX_PANEL_PHASE)
+                phase_per_panel_bound=MAX_PANEL_PHASE,
+                dirichlet_gap_bound=MAX_DIRICHLET_GAP)
             # the nonlinear problem is the linear one forced by f + N(u)
             effective = data
             if data.kappa != 0:

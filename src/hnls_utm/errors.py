@@ -27,7 +27,10 @@ class ExponentialOverflow(SolverError):
 
 class QuadratureDiverged(SolverError):
     """Raised when node-count refinements fail to converge below the requested
-    tolerance, or contour nodes come within the Delta margin of a zero."""
+    tolerance, contour nodes come within the Delta margin of a zero, a
+    segment's panels span more than linear.MAX_PANEL_PHASE on average, or
+    a solved field misses its Dirichlet data by more than
+    linear.MAX_DIRICHLET_GAP."""
 
 
 class GridTooCoarse(SolverError):

@@ -37,10 +37,14 @@ Two numerical choices matter:
   oscillation |omega| * T + |k|, and the truncated time transforms are
   evaluated through exact polynomial moments of e^{-i w t} against a cubic
   spline of the data (stable for arbitrarily large |w|; for small |w| by
-  the Taylor cells' series).  A budget whose panels would each span more
-  than MAX_PANEL_PHASE radians of that phase on a segment (unweighted by
-  the data) cannot resolve it: make_plan raises QuadratureDiverged, after
-  its other guards, rather than return an inaccurate field.
+  the Taylor cells' series).  A budget whose panels would span more than
+  MAX_PANEL_PHASE radians of that phase on average over a segment
+  (unweighted by the data) cannot resolve it: make_plan raises
+  QuadratureDiverged, after its other guards, rather than return an
+  inaccurate field.  A window that truncates the data's transforms shows
+  in the field itself, which then misses its Dirichlet data: apply raises
+  QuadratureDiverged when the gap passes MAX_DIRICHLET_GAP of the field's
+  largest value (_dirichlet_gap).
 
 The formula holds with the horizon T replaced by any tau >= t, given data on
 [0, tau]; the field up to T does not depend on the data past T.  The
@@ -114,12 +118,22 @@ MIN_DELTA_MARGIN = 1e-4
 # most Gauss-Legendre panels one arc may take; more means the arc radius is
 # too large for the horizon, and the panels would exhaust memory
 MAX_ARC_PANELS = 100000
-# most unweighted phase, in radians, one 8-point panel of a graded segment
-# or the real window may span.  Measured on the plane-wave family at the
-# default budget: the members within the tolerance 1e-3 read up to 29.5 rad
-# per panel, and the (2, 1, -1) cases at beta T = 1, with errors of 2.0e-2
-# and 2.4e-2, 58.2 and 58.4
+# most unweighted phase, in radians, an 8-point panel of a graded segment or
+# the real window may span on average: the segment's phase measure, |dk|
+# floor included, over its panel count.  The envelope weight gives panels
+# equal shares of the weighted phase, so one panel may span up to about 4.6
+# times the mean.  Measured on the plane-wave family at the default budget:
+# the members within the tolerance 1e-3 read up to 29.5 rad per panel, and
+# the (2, 1, -1) cases at beta T = 1, with errors of 2.0e-2 and 2.4e-2,
+# 58.2 and 58.4
 MAX_PANEL_PHASE = 40.0
+# largest gap, over the times past t = 0, between the field's boundary values
+# and its Dirichlet data g0 and h0, as a fraction of the field's largest
+# value.  Measured: the Tier-1 solves within the tolerance 1e-3 read up to
+# 2.1e-3, and rough data on the default budget, whose window truncates
+# their transforms, 8.1e-3 to 3.0e-2 at relative L2 errors of 9.2e-3 to
+# 4.6e-2: the gap follows the error within a factor of about 2
+MAX_DIRICHLET_GAP = 5e-3
 # radii of the radial envelope on [0, R]; radii, and angles per region
 # sector, of the deformation-margin sweep
 ENVELOPE_RADII, SWEEP_RADII, SWEEP_ANGLES = 193, 9, 65
@@ -141,7 +155,9 @@ class QuadratureBudget:
     The defaults were picked by a sweep over node counts {3000, 4000, 6000,
     8000} and windows {12, 15, 20} on the plane-wave family: they meet the
     tolerance for every beta T <= 0.5 member, 2.9e-4 at worst, and fail the
-    phase check at beta T = 1.
+    phase check at beta T = 1.  Data with content past the window R = 15,
+    such as narrow bumps and Gaussians on short horizons, fail the
+    Dirichlet check and need a wider window.
     """
 
     contour_nodes: int = 3000
@@ -703,7 +719,7 @@ def _solver_segments(params, horizon, budget, dk_weight, weight=None):
     window |k - c0| <= R as (k, w) and each region's boundary as
     (region, k, dk-weights), its three (deformed) segments joined in
     segment_specs order; the nine segments' node counts; the arc radius;
-    and the phase per panel of the ten segments, the window last: the
+    and the mean phase per panel of the ten segments, the window last: the
     unweighted phase measure over the panel count, 0 on an arc.  The window
     is placed as one more Segment, with region None."""
     rho = _pick_arc_radius(params, horizon)
@@ -751,7 +767,8 @@ def _solver_segments(params, horizon, budget, dk_weight, weight=None):
     contours = [(boundary[i].region, np.concatenate(ks[i:i + 3]),
                  np.concatenate(ws[i:i + 3])) for i in (0, 3, 6)]
     window = ks[-1].real.copy(), ws[-1].real.copy()
-    # the phase the nodes must resolve, whatever the data's envelope
+    # the phase the nodes must resolve, unweighted by the data's envelope,
+    # per panel on average
     phases = tuple(0.0 if seg.arc else TWO_PI * _phase_measure(
         params, seg, horizon, dk_weight)[1][-1] / n for seg, n in zip(segs, panels))
     return window, contours, tuple(map(len, ks[:-1])), rho, phases
@@ -962,9 +979,10 @@ class SolvePlan:
     its grids unit_grids (nx points of [0, 1] and the nt + 1 assembly times
     of [0, tau]), its four Contours (real window, D0, D+, D-), the nine
     region segments' node_counts, the arc radius rho and phase_per_panel,
-    the largest unweighted phase an 8-point panel of a graded segment or
-    the window spans.  Build one with make_plan; apply(data) solves for any data on the
-    same (params, ell, horizon) and nodes, so it is linear."""
+    the largest over the graded segments and the window of the mean
+    unweighted phase per 8-point panel.  Build one with make_plan;
+    apply(data) solves for any data on the same (params, ell, horizon) and
+    nodes, so it is linear."""
 
     params: DispersionParams
     ell: float
@@ -980,7 +998,9 @@ class SolvePlan:
         """Evaluate the solution representation of the forced linear problem
         for data on the plan's nodes and output grid.  Transforms of
         identically zero parts of the data are skipped; ExponentialOverflow
-        when the assembled values are not finite."""
+        when the assembled values are not finite, and QuadratureDiverged
+        when the field misses its Dirichlet data by more than
+        MAX_DIRICHLET_GAP (_dirichlet_gap)."""
         if (data.params, data.ell, data.horizon) != (self.params, self.ell,
                                                      self.horizon):
             raise ValueError("data params, ell or horizon differ from the plan's")
@@ -997,7 +1017,15 @@ class SolvePlan:
         vals[:, 0] = data.u0(x)
         if not np.all(np.isfinite(vals)):
             raise ExponentialOverflow("the assembled field is not finite")
-        return Field(x, np.linspace(0.0, self.horizon, len(s) - 1), vals)
+        t = np.linspace(0.0, self.horizon, len(s) - 1)
+        gap, side = _dirichlet_gap(vals, data, t)
+        if gap > MAX_DIRICHLET_GAP:
+            raise QuadratureDiverged(
+                "the field misses its Dirichlet datum at x = %s by %.3g of its "
+                "largest value, past the bound %g: the window truncates the "
+                "data's transforms, or the nodes are too few" % (
+                    side, gap, MAX_DIRICHLET_GAP))
+        return Field(x, t, vals)
 
     def _term(self, vals, samples, c: Contour):
         """One contour's term, payload / Delta_s assembled with the shift of
@@ -1038,6 +1066,22 @@ class SolvePlan:
         return rows
 
 
+def _dirichlet_gap(vals, data: ProblemData, t):
+    """The largest gap, over the times t past 0, between the field's values
+    at x = 0 and x = ell and the Dirichlet data g0 and h0 there, over the
+    field's largest value; and the side, "0" or "ell", where it is largest.
+    The formula meets its Dirichlet data only as well as the quadrature
+    resolves it, so the gap is an a posteriori residual of the solve.  The
+    t = 0 column is u0 itself and is left out: data that are not compatible
+    at the corners miss there by u0(0) - g0(0)."""
+    scale = float(np.max(np.abs(vals)))
+    if scale == 0.0:
+        return 0.0, "0"
+    left, right = (float(np.max(np.abs(vals[row, 1:] - series(t[1:]))))
+                   for row, series in ((0, data.g0), (-1, data.h0)))
+    return max(left, right) / scale, "0" if left >= right else "ell"
+
+
 def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
     """Choose the output grids and the four Contours once for data's
     (params, ell, horizon); grid = (nx, nt) counts the uniform output points
@@ -1045,9 +1089,9 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
     _unit_twin and thinned by the radial envelope of data itself, so the
     plan suits data of similar spectral content; a plan made from
     identically zero data uses unweighted nodes.  QuadratureDiverged when
-    the nodes pass within the Delta margin of a zero, or when a panel spans
-    more than MAX_PANEL_PHASE; the message names the phase, the bound and
-    the segment."""
+    the nodes pass within the Delta margin of a zero, or when a segment's
+    panels span more than MAX_PANEL_PHASE on average; the message names the
+    phase, the bound and the segment."""
     message = "grid must be two integer point counts (nx, nt)"
     try:
         nx, nt = (integer(n, message) for n in grid)

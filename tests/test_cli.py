@@ -327,6 +327,7 @@ class TestSolveVerb:
         assert diag["transform_horizon"] == 0.5 * 33 / 32
         assert 0 < diag["phase_per_panel"] <= diag["phase_per_panel_bound"] == 40.0
         assert max(diag["trace_recovery_gaps"].values()) < 1e-3
+        assert diag["dirichlet_gap_bound"] == 5e-3
 
     def test_compare_mode_gap(self, tmp_path):
         # the one CLI solve whose grid is the oracle's (nx, nt)
@@ -468,6 +469,23 @@ class TestSolveVerb:
         assert diag["error"] == "QuadratureDiverged"
         assert "rad of phase per 8-point panel" in diag["message"]
         assert "past the bound 40" in diag["message"]
+        assert not (out / "field.csv").exists()
+
+    def test_truncated_data_exit_3(self, tmp_path):
+        # configs/nonlinear_gaussian.yaml on the default budget: its window
+        # R = 15 truncates the Gaussian's transform, and the first solve's
+        # field misses h0 = 0 by 1.5e-2 of its largest value
+        doc = yaml.safe_load((CONFIGS / "nonlinear_gaussian.yaml").read_text())
+        del doc["solver"]["budget"]
+        out = tmp_path / "o"
+        result = CliRunner().invoke(main, ["solve", "--config",
+                                           write_config(tmp_path, doc),
+                                           "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["error"] == "QuadratureDiverged"
+        assert "misses its Dirichlet datum" in diag["message"]
+        assert "past the bound 0.005" in diag["message"]
         assert not (out / "field.csv").exists()
 
     def test_arc_overflow_exit_3(self, tmp_path):

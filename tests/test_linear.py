@@ -775,18 +775,48 @@ class TestPlaneWave:
         assert field.relative_l2_gap(exact) <= 1e-3
 
     def test_budget_in_the_callers_units(self):
-        # (ell, T) = (0.5, 1), tau = 8, with the window, the phase density's
-        # |dk| floor and the envelope's h1 weight in the caller's units: the
-        # default budget spans 57.9 rad per panel and raises; twice its nodes
-        # read 8.9e-5 (9.9e-5 with the floor, 1.04e-4 with the h1 weight in
-        # the twin's units)
-        data = plane_wave_data(AIRY, 0.5, 1.0, 2.0)
-        with pytest.raises(QuadratureDiverged, match="per 8-point panel"):
-            solve_full(data, (33, 17), QuadratureBudget())
+        # (ell, T) = (3, 1) on twice the default's nodes: the window R is
+        # R ell in the twin's k and reads 1.9e-4; R in the twin's k cuts the
+        # caller's window to R / 3 and read 2.4e-3.  At (0.5, 1), tau = 8,
+        # the default budget spans 57.9 rad per panel and raises
+        data = plane_wave_data(AIRY, 3.0, 1.0, 2.0)
         field = solve_full(data, (33, 17), QuadratureBudget(
             contour_nodes=6000, real_axis_nodes=3000))
         exact = plane_wave_field(AIRY, 2.0, field.x_grid, field.t_grid)
         assert field.relative_l2_gap(exact) <= 1e-3
+        with pytest.raises(QuadratureDiverged, match="per 8-point panel"):
+            solve_full(plane_wave_data(AIRY, 0.5, 1.0, 2.0), (33, 17),
+                       QuadratureBudget())
+
+    @pytest.mark.parametrize("ell, horizon", [(0.5, 0.25), (2.0, 0.5)])
+    def test_plan_reads_the_budget_in_the_callers_units(self, ell, horizon,
+                                                        monkeypatch):
+        # the phase density's |dk| floor and the envelope's h1 weight move
+        # the family's errors by at most 30% between the caller's and the
+        # twin's units (8.9e-5 against 9.9e-5 and 1.04e-4 at (0.5, 1) on
+        # twice the default's nodes), too little to tell by accuracy, so
+        # the plan's arguments are read: window R ell in the twin's k,
+        # floor 2 / ell and h1 weight 1 / ell
+        seen = {}
+        envelope, segments = linear._radial_envelope, linear._solver_segments
+
+        def spy_envelope(params, horizon, samples, r_max, h1_weight):
+            seen.update(r_max=r_max, h1_weight=h1_weight)
+            return envelope(params, horizon, samples, r_max, h1_weight)
+
+        def spy_segments(params, horizon, budget, dk_weight, weight=None):
+            seen.update(window=budget.real_axis_window, dk_weight=dk_weight)
+            return segments(params, horizon, budget, dk_weight, weight)
+
+        monkeypatch.setattr(linear, "_radial_envelope", spy_envelope)
+        monkeypatch.setattr(linear, "_solver_segments", spy_segments)
+        budget = QuadratureBudget()
+        plan = make_plan(plane_wave_data(AIRY, ell, horizon, 2.0), (17, 9), budget)
+        window = budget.real_axis_window * ell
+        assert seen == dict(r_max=window, h1_weight=1.0 / ell, window=window,
+                            dk_weight=1.0 + 2.0 / ell)
+        reach = np.max(np.abs(plan.contours[0].k - plan.params.center))
+        assert 0.99 * window < reach < window
 
     @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0), (0.5, 1.0, 1.0)])
     def test_output_times_do_not_change_the_field(self, coeffs):
@@ -886,22 +916,37 @@ class TestEndpointColumns:
         np.testing.assert_allclose(got[:, 9], end + slope * s[0], atol=1e-11)
         np.testing.assert_allclose(right, slope, atol=1e-5)
 
+    @staticmethod
+    def _first_positive_time(budget):
+        """Criterion 01 on 65 x 129: the relative L2 error over x at
+        t = T / 128, and whether the t = 0 column is u0 exactly."""
+        data = plane_wave_data(AIRY, 1.0, 0.5, 2.0)
+        field = solve_full(data, (65, 129), budget)
+        exact = plane_wave_field(AIRY, 2.0, field.x_grid, field.t_grid)
+        x = field.x_grid
+        err = np.trapezoid(np.abs(field.values[:, 1] - exact.values[:, 1]) ** 2, x)
+        norm = np.trapezoid(np.abs(exact.values[:, 1]) ** 2, x)
+        return np.sqrt(err / norm), np.array_equal(field.values[:, 0], data.u0(x))
+
+    @pytest.mark.xfail(strict=True, reason="the default window R = 15 leaves "
+                       "a layer in t at both ends: 7.7e-4 at t = T / 128 "
+                       "(ROADMAP item 3)")
     def test_first_positive_time_of_criterion_01(self):
         # the t = 0 column is u0 by construction, so the quadrature near
-        # t = 0 is read one step later, as the relative L2 error over x at
-        # t = T / 128: 3.8e-5 at configs/linear_plane_wave.yaml's budget
-        # (9.6e-5 at 24000 / 30 / 12000) and 7.7e-4 at the default, whose
-        # window R = 15 leaves a layer in t at both ends
-        data = plane_wave_data(AIRY, 1.0, 0.5, 2.0)
-        for budget, bound in ((QuadratureBudget(40000, 30.0, 20000), 1e-4),
-                              (QuadratureBudget(), 1e-3)):
-            field = solve_full(data, (65, 129), budget)
-            exact = plane_wave_field(AIRY, 2.0, field.x_grid, field.t_grid)
-            x = field.x_grid
-            err = np.trapezoid(np.abs(field.values[:, 1] - exact.values[:, 1]) ** 2, x)
-            norm = np.trapezoid(np.abs(exact.values[:, 1]) ** 2, x)
-            assert np.sqrt(err / norm) <= bound
-            np.testing.assert_array_equal(field.values[:, 0], data.u0(x))
+        # t = 0 is read one step later, at the default budget criterion 01
+        # uses; the error there goes like 1 / (R^3 t)
+        err, exact_start = self._first_positive_time(QuadratureBudget())
+        assert exact_start
+        assert err <= 1e-4
+
+    def test_first_positive_time_at_the_window_30(self):
+        # item 24 alone meets the bound where the window is wide enough:
+        # 3.8e-5 at configs/linear_plane_wave.yaml's budget (9.6e-5 at
+        # 24000 / 30 / 12000)
+        err, exact_start = self._first_positive_time(
+            QuadratureBudget(40000, 30.0, 20000))
+        assert exact_start
+        assert err <= 1e-4
 
     def test_plan_keeps_the_transform_horizon(self):
         # tau is the twin's T / ell^3 plus one output step; the assembly
@@ -949,6 +994,82 @@ class TestPhaseCheck:
         else:
             plan = make_plan(data, (65, 33), budget)
             assert plan.phase_per_panel <= linear.MAX_PANEL_PHASE
+
+
+class TestDirichletCheck:
+    """SolvePlan.apply raises QuadratureDiverged when the field misses its
+    Dirichlet data past t = 0 by more than MAX_DIRICHLET_GAP of its largest
+    value: the window truncates the data's transforms."""
+
+    @staticmethod
+    def _bump_data():
+        # the benchmark's batch draw 0 at seed 901: beta = 1/2, T = 0.04,
+        # bumps in u0, g0 and h0
+        horizon = 0.04
+        return ProblemData(DispersionParams(0.5, 0.0, 0.0), 1.0, horizon,
+                           bump_profile(1.0, 0.23, 0.93, 0.85),
+                           bump_series(horizon, amplitude=0.85),
+                           bump_series(horizon, amplitude=0.59),
+                           zero_series(horizon))
+
+    def test_rough_data_on_the_default_budget_raise(self):
+        # the default's window R = 15 leaves 2.3e-2 of relative L2 error
+        # here, and the field misses h0 by 3.0e-2; the window 30 reads
+        # 5.5e-4 and 9.2e-4
+        data = self._bump_data()
+        with pytest.raises(QuadratureDiverged) as raised:
+            solve_full(data, (129, 33), QuadratureBudget())
+        message = str(raised.value)
+        assert "misses its Dirichlet datum at x = ell" in message
+        assert "bound %g" % linear.MAX_DIRICHLET_GAP in message
+        field = solve_full(data, (129, 33), QuadratureBudget(24000, 30.0, 12000))
+        gap, _side = linear._dirichlet_gap(field.values, data, field.t_grid)
+        assert gap <= linear.MAX_DIRICHLET_GAP
+
+    @pytest.mark.parametrize("budget, raises", [
+        (QuadratureBudget(), True), (QuadratureBudget(32000, 45.0, 16000), False)],
+        ids=["default", "config"])
+    def test_the_gaussian_config_on_the_default_budget(self, budget, raises):
+        # configs/nonlinear_gaussian.yaml's linear problem: 1.5e-2 on the
+        # default budget, 2.5e-5 on the config's own
+        horizon = 0.04
+        data = ProblemData(DispersionParams(0.5, 0.0, 0.0), 1.0, horizon,
+                           gaussian_profile(1.0, 0.5, 0.2), zero_series(horizon),
+                           zero_series(horizon), zero_series(horizon))
+        plan = make_plan(data, (129, 65), budget)
+        if raises:
+            with pytest.raises(QuadratureDiverged, match="Dirichlet datum"):
+                plan.apply(data)
+        else:
+            plan.apply(data)
+
+    def test_the_start_column_is_left_out(self):
+        # a Gaussian of width 0.3 misses g0 = 0 at the corner by 6.2e-2 of
+        # its peak: the t = 0 column is u0 itself, so the check reads from
+        # t = dt on, where the field misses by 7.3e-4
+        horizon = 0.04
+        data = ProblemData(DispersionParams(0.5, 0.0, 0.0), 1.0, horizon,
+                           gaussian_profile(1.0, 0.5, 0.3), zero_series(horizon),
+                           zero_series(horizon), zero_series(horizon))
+        field = solve_full(data, (129, 65), QuadratureBudget(32000, 45.0, 16000))
+        assert abs(field.values[0, 0]) > 10 * linear.MAX_DIRICHLET_GAP
+        gap, _side = linear._dirichlet_gap(field.values, data, field.t_grid)
+        assert gap <= linear.MAX_DIRICHLET_GAP / 5
+
+    def test_gap_of_a_field_on_its_data(self):
+        # the exact plane wave meets its Dirichlet data to rounding; a field
+        # off by 1e-2 at x = ell from t = dt on reads 1e-2 of its largest
+        # value there
+        data = plane_wave_data(AIRY, 1.0, 0.5, 2.0)
+        exact = plane_wave_field(AIRY, 2.0, np.linspace(0.0, 1.0, 9),
+                                 np.linspace(0.0, 0.5, 17))
+        gap, _side = linear._dirichlet_gap(exact.values, data, exact.t_grid)
+        assert gap <= 1e-14
+        off = exact.values.copy()
+        off[-1, 1:] += 1e-2
+        gap, side = linear._dirichlet_gap(off, data, exact.t_grid)
+        assert gap == pytest.approx(1e-2 / np.max(np.abs(off)), rel=1e-12)
+        assert side == "ell"
 
 
 class TestUnitTwin:
