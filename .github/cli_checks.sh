@@ -2,8 +2,8 @@
 # Command-line checks of the installed hnls-utm entry point, one step per call:
 #   bash .github/cli_checks.sh <step> <tmpdir>
 # where <step> is import-guard, console-script, config-errors,
-# diverging-picard, overflowing-forcing or under-resolved and <tmpdir> an
-# existing directory for the step's configs and outputs.  Run it from the
+# diverging-picard, overflowing-forcing, under-resolved or traced-bench and
+# <tmpdir> an existing directory for the step's configs and outputs.  Run it from the
 # repository root; it exits nonzero on the first failed check.
 set -eo pipefail
 
@@ -111,8 +111,18 @@ assert run_scenario('configs/compare_plane_wave.yaml', 'compare', '$tmp/compare_
         grep -q '"error": "QuadratureDiverged"' "$tmp/truncated/diagnostics.json"
         grep -q 'misses its Dirichlet datum' "$tmp/truncated/diagnostics.json"
         ;;
+    # the tracer wraps names in linear's namespace (omega, symmetry_roots,
+    # CubicSpline, ...): a traced run fails when a refactor unbinds one.
+    # plane_wave takes the corner-blend forcing, picard the forced applies
+    # of the Picard loop
+    traced-bench)
+        for workload in plane_wave picard; do
+            python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 1 --trace 1 > "$tmp/trace_$workload.txt"
+            tail -n 1 "$tmp/trace_$workload.txt" | python3 -c "import json, sys; assert json.load(sys.stdin)['correct'] is True"
+        done
+        ;;
     *)
-        echo "unknown step '$step': import-guard, console-script, config-errors, diverging-picard, overflowing-forcing or under-resolved" >&2
+        echo "unknown step '$step': import-guard, console-script, config-errors, diverging-picard, overflowing-forcing, under-resolved or traced-bench" >&2
         exit 64
         ;;
 esac

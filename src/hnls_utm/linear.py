@@ -58,8 +58,10 @@ t = 0 column is u0 itself.
 
 The data enter the solve as two arrays (_sample): the x-quadrature payload
 [u0 | A], the forcing factored as A(x) B(t) of rank r, and the corner
-blend's 2x2 coefficients.  The x-kernels act on the payload's 1 + r
-columns, and only the r rows of B are splined in time.  One routine,
+blend's 2x2 coefficients.  B keeps the singular values above
+tolerance / 1000 of the largest (the plan's rank_cut), since the rest move
+the field far below the tolerance.  The x-kernels act on the payload's
+1 + r columns, and only the r rows of B are splined in time.  One routine,
 _time_transform, takes every truncated time transform: a weighted sum over
 a few shared series of int_0^t e^{-i w u} phi(u) du, at the horizon on the
 region boundaries and at every output time in the real axis's forcing
@@ -80,9 +82,12 @@ e^{i omega t} times the payload over Delta_s (_assemble), with shift_k =
 sigma (k, nu+ or nu-), whether the data are scaled by e^{i sigma}, and the
 shift.  The real window's payload, not divided, is u0hat plus the forcing
 history, and is never held whole: _assemble asks for it per block of its
-nodes, and each block's rows are one _time_transform of B on that block's
-nodes, against B's spline set up once per term (_spline_cells), so a forced
-solve holds one block x nt of it.  solve_full is make_plan(...).apply(data).
+nodes, and each block's rows are one kernel call on the payload and one
+_time_transform of B on that block's nodes, against B's spline set up once
+per term (_spline_cells), so a forced solve holds one block x nt of the
+history and one block x (1 + r) of the kernel's columns.  A region
+boundary's kernels are summed whole, per contour.  solve_full is
+make_plan(...).apply(data).
 
 The x-factors e^{+-i k x + shift_k} of the assembly and of the x-kernels are
 summed by one split, _taylor_cells: a series in (k - c)(x - x0) about the
@@ -134,6 +139,12 @@ MAX_PANEL_PHASE = 40.0
 # their transforms, 8.1e-3 to 3.0e-2 at relative L2 errors of 9.2e-3 to
 # 4.6e-2: the gap follows the error within a factor of about 2
 MAX_DIRICHLET_GAP = 5e-3
+# a solve's forcing keeps the singular values of its time factor B above
+# RANK_CUT times the budget's tolerance of the largest (_factor_forcing).
+# Measured on criterion 03's first Picard forcing: 29 above rounding, 13
+# above this cut at the default tolerance 1e-3, and the Picard field moves
+# by 1.9e-12 of its largest value
+RANK_CUT = 1e-3
 # radii of the radial envelope on [0, R]; radii, and angles per region
 # sector, of the deformation-margin sweep
 ENVELOPE_RADII, SWEEP_RADII, SWEEP_ANGLES = 193, 9, 65
@@ -486,6 +497,11 @@ def _taylor_basis(u):
     return _taylor_powers(u).T * INV_FACTORIAL
 
 
+# the kernel's data-independent x-tables on each side x0 of a Taylor cell:
+# x_q - x0 on the unit x-quadrature and its Taylor basis
+
+
+
 def _apply_kernel(karr, shift, payload, scale=None, out=None):
     """sum_q exp(-i k x_q + shift_k) w_q payload[q], (nk, c), for the (nq, c)
     payload on the unit x-quadrature (x_q, w_q) = (XQ_NODES, XQ_WEIGHTS),
@@ -530,6 +546,9 @@ def _apply_kernel(karr, shift, payload, scale=None, out=None):
     moments = np.empty((len(centres), TAYLOR_TERMS, ncol), dtype=np.complex128)
     for side in (0.0, 1.0):
         sel, dx = x0 == side, xq - side
+        # real nodes, as on the real window, have no cell below the axis
+        if not np.any(sel):
+            continue
         phase, basis = np.exp(1j * np.outer(centres[sel], dx)), _taylor_basis(dx)
         for lo in range(0, ncol, MOMENT_COLUMNS):
             cols = weighted[:, lo:lo + MOMENT_COLUMNS]
@@ -786,21 +805,25 @@ def resample(field: Field, x, t=None) -> np.ndarray:
     return vals if t is None else CubicSpline(field.t_grid, vals, axis=1)(t)
 
 
-def _factor_forcing(fq):
+def _factor_forcing(fq, cut=0.0):
     """Split the quadrature-sampled forcing fq (nq, nt) as A @ B with A
-    (nq, r) and B (r, nt), by an SVD cut at rounding level (numpy's
-    matrix_rank rule).  Every forcing transform then needs the x-kernel on r
-    columns of A and the time transform of r shared series B.  None when
-    there is no forcing or it is zero; ExponentialOverflow when fq is not
-    finite."""
+    (nq, r) and B (r, nt), by an SVD that keeps the largest singular value
+    and those above cut times it, and never those at rounding level,
+    max(fq.shape) eps times it.  A solve cuts at its budget's tolerance / 1000
+    (SolvePlan.rank_cut); cut 0 keeps every singular value above rounding.
+    Every forcing transform then needs the x-kernel on r columns of A and
+    the time transform of r shared series B.  None when there is no forcing
+    or it is zero; ExponentialOverflow when fq is not finite."""
     if fq is None:
         return None
     if not np.all(np.isfinite(fq)):
         raise ExponentialOverflow("the sampled forcing is not finite")
     u, s, vh = np.linalg.svd(fq, full_matrices=False)
-    # max(fq.shape) * eps first: s[0] * max(fq.shape) overflows when s[0]
-    # is within a factor max(fq.shape) of the float maximum
-    rank = int(np.sum(s > s[0] * (max(fq.shape) * np.finfo(np.float64).eps)))
+    # the relative floor first: s[0] * max(fq.shape) overflows when s[0] is
+    # within a factor max(fq.shape) of the float maximum
+    floor = max(cut, max(fq.shape) * np.finfo(np.float64).eps)
+    # the largest is kept whatever the cut, unless fq is zero
+    rank = max(int(np.sum(s > s[0] * floor)), int(s[0] > 0))
     if rank == 0:
         return None
     return u[:, :rank] * s[:rank], vh[:rank]
@@ -839,14 +862,15 @@ def _continued(series, horizon, t) -> np.ndarray:
     return vals
 
 
-def _sample(data: ProblemData, t_grid) -> _Samples:
+def _sample(data: ProblemData, t_grid, cut=0.0) -> _Samples:
     """Sample data on [0, 1] (a _unit_twin) up to the transform horizon
     tau = t_grid[-1], continued past data.horizon by _continued, remove the
     corner blend and factor the forcing.  The blend forcing comes factored,
     with B on the times t_grid when it is the only forcing; a given forcing
     has the blend's factors subtracted on its own time grid, is factored by
-    _factor_forcing, and its B continued onto the uniform grid of [0, tau]
-    whose step is the largest not above the given grid's."""
+    _factor_forcing at the relative cut, and its B continued onto the
+    uniform grid of [0, tau] whose step is the largest not above the given
+    grid's."""
     xq, horizon, tau = XQ_NODES, data.horizon, t_grid[-1]
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
     fq = None if data.forcing is None else resample(data.forcing, xq)
@@ -875,7 +899,7 @@ def _sample(data: ProblemData, t_grid) -> _Samples:
         else:
             fq = fq - a @ b
     if fq is not None:
-        forcing = _factor_forcing(fq)
+        forcing = _factor_forcing(fq, cut)
         if forcing is not None:
             t = data.forcing.t_grid
             steps = int(np.ceil((len(t) - 1) * tau / horizon * (1.0 - 1e-12)))
@@ -978,11 +1002,12 @@ class SolvePlan:
     _unit_twin's transform horizon tau, one output step past its horizon,
     its grids unit_grids (nx points of [0, 1] and the nt + 1 assembly times
     of [0, tau]), its four Contours (real window, D0, D+, D-), the nine
-    region segments' node_counts, the arc radius rho and phase_per_panel,
-    the largest over the graded segments and the window of the mean
-    unweighted phase per 8-point panel.  Build one with make_plan;
-    apply(data) solves for any data on the same (params, ell, horizon) and
-    nodes, so it is linear."""
+    region segments' node_counts, the arc radius rho, phase_per_panel, the
+    largest over the graded segments and the window of the mean unweighted
+    phase per 8-point panel, and rank_cut, RANK_CUT times the budget's
+    tolerance: the forcing's B keeps the singular values above rank_cut of
+    the largest.  Build one with make_plan; apply(data) solves for any data
+    on the same (params, ell, horizon) and nodes, so it is linear."""
 
     params: DispersionParams
     ell: float
@@ -993,6 +1018,7 @@ class SolvePlan:
     node_counts: Tuple[int, ...]
     rho: float
     phase_per_panel: float
+    rank_cut: float
 
     def apply(self, data: ProblemData) -> Field:
         """Evaluate the solution representation of the forced linear problem
@@ -1005,7 +1031,7 @@ class SolvePlan:
                                                      self.horizon):
             raise ValueError("data params, ell or horizon differ from the plan's")
         xi, s = self.unit_grids
-        samples = _sample(_unit_twin(data), s)
+        samples = _sample(_unit_twin(data), s, self.rank_cut)
         vals = np.zeros((len(xi), len(s)), dtype=np.complex128)
         for contour in self.contours:
             self._term(vals, samples, contour)
@@ -1031,8 +1057,11 @@ class SolvePlan:
         """One contour's term, payload / Delta_s assembled with the shift of
         _weights(c): the stack transform, plus the u0 column of the kernels'
         sum hat on [u0 | A], plus B's transform weighted by -i times the
-        rest of hat.  On the real window that last part is B's running
-        transform at the output times, taken per block of the assembly."""
+        rest of hat.  On the real window with a forcing, the payload is
+        _history's, formed per block of the assembly."""
+        if samples.b is not None and c.times is not None:
+            _assemble(vals, self.tau, c.k, c.w, c.om, self._history(samples, c))
+            return
         kernels, boundary, shift = _weights(c)
         payload = None
         if samples.stack is not None and boundary is not None:
@@ -1042,26 +1071,26 @@ class SolvePlan:
             for root, sh, m in kernels:
                 _apply_kernel(root, sh, samples.xcols, m, out=hat)
             payload = hat[:, 0] if payload is None else payload + hat[:, 0]
-            if samples.b is not None and c.times is not None:
-                payload = self._history(samples.b, c, hat)
-            elif samples.b is not None:
+            if samples.b is not None:
                 payload = -1j * _time_transform(samples.b, self.tau, c.om,
                                                 hat[:, 1:]) + payload
         if payload is not None:
             _assemble(vals, self.tau, c.k, c.w, c.om,
                       payload if c.delta is None else payload / c.delta, shift)
 
-    def _history(self, b, c: Contour, hat):
-        """The real window's coefficient as _assemble takes it per block:
-        u0hat plus the running transform of B at the output times, weighted
-        by -i times the block's forcing columns of hat.  B's spline and the
-        times' cells are set up once."""
-        cells = _spline_cells(b, self.tau, c.times)
+    def _history(self, samples, c: Contour):
+        """The real window's coefficient as _assemble takes it per block of
+        its nodes idx: the kernel's [u0hat | Ahat] on the block, and u0hat
+        plus the running transform of B at the output times, weighted by
+        -i Ahat.  B's spline and the times' cells are set up once; neither
+        the kernel's columns nor the history is held for the whole window."""
+        cells = _spline_cells(samples.b, self.tau, c.times)
 
         def rows(idx):
-            out = _time_transform(cells, self.tau, c.om[idx],
-                                  -1j * hat[idx, 1:], c.times)
-            out += hat[idx, :1]
+            hat = _apply_kernel(c.k[idx], None, samples.xcols)
+            out = _time_transform(cells, self.tau, c.om[idx], -1j * hat[:, 1:],
+                                  c.times)
+            out += hat[:, :1]
             return out
         return rows
 
@@ -1106,7 +1135,8 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
     # carries the window's truncation error and is dropped (ROADMAP item 24)
     params, tau = twin.params, twin.horizon * nt / (nt - 1)
     unit_grids = np.linspace(0.0, 1.0, nx), np.linspace(0.0, tau, nt + 1)
-    samples = _sample(twin, unit_grids[1])
+    rank_cut = RANK_CUT * budget.tolerance
+    samples = _sample(twin, unit_grids[1], rank_cut)
     # the budget in the caller's units: window R ell in the twin's k, density
     # floor 2 |dk~| / ell, and the envelope's Neumann datum h1 = (ell h1) / ell
     unit_budget = replace(budget, real_axis_window=budget.real_axis_window * ell)
@@ -1133,7 +1163,7 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
             "the budget has too few nodes for its window and the horizon"
             % (phases[worst], where, MAX_PANEL_PHASE))
     return SolvePlan(data.params, ell, data.horizon, tau, unit_grids,
-                     contours, counts, rho, phases[worst])
+                     contours, counts, rho, phases[worst], rank_cut)
 
 
 def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:

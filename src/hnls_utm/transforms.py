@@ -4,10 +4,12 @@ SpatialProfile and TimeSeries hold complex samples of the data on [0, ell]
 and [0, horizon]; sampled data are carried off the grid by interpolation,
 while analytic presets attach a callable that is evaluated directly.
 CubicSpline is the package's one interpolant of samples: a numpy not-a-knot
-spline on any ascending grid.  gauss_panels is the one 8-point
-Gauss-Legendre panel rule: the phase-graded contour nodes, the mean-value
-identity's tau-quadrature and composite_gl (the uniform rule of the norm
-integrals and of laplace_transform) all take it on their own panel edges.
+spline on any ascending grid, whose node slopes come from a cached map up to
+SLOPE_MAP_POINTS points and from a per-call solve past them.  gauss_panels
+is the one 8-point Gauss-Legendre panel rule: the phase-graded contour
+nodes, the mean-value identity's tau-quadrature and composite_gl (the
+uniform rule of the norm integrals and of laplace_transform) all take it on
+their own panel edges.
 The data transforms of the solution formula (the interval Fourier transform
 and the truncated time transforms) live in linear, next to the contours they
 are evaluated on.
@@ -27,29 +29,40 @@ GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 CALLABLE_SAMPLES = 257  # the samples from_callable takes
 
 
-@functools.lru_cache(maxsize=8)
-def _slope_map(grid: bytes) -> np.ndarray:
-    """The (n, n - 1) map from the cell slopes of samples on an ascending
-    grid, given as its float64 bytes, to the node slopes of their not-a-knot
-    spline.  The slopes solve the tridiagonal system of a continuous second
-    derivative, closed by a continuous third derivative at the second and the
-    second-last node; one elimination sweep without pivoting, run on every
-    cell slope at once, gives the map.  It is shared through the cache, so
-    it is read-only; it holds n^2 floats, 8 MB at n = 1025."""
-    x = np.frombuffer(grid)
+# most grid points a spline takes its node slopes through the cached
+# _slope_map for; past it, _slopes solves for them per call, since the map
+# holds n^2 floats (134 MB at n = 4097)
+SLOPE_MAP_POINTS = 1025
+
+
+def _slopes(x: np.ndarray, slope: Optional[np.ndarray] = None) -> np.ndarray:
+    """The node slopes, (n, m), of the not-a-knot spline on the ascending
+    grid x of n points whose cell slopes are the columns of slope,
+    (n - 1, m); with slope None, the (n, n - 1) map from the cell slopes to
+    the node slopes.  They solve the tridiagonal system of a continuous
+    second derivative, closed by a continuous third derivative at the second
+    and the second-last node; one elimination sweep without pivoting, run on
+    every column at once."""
     n = len(x)
     dx = np.diff(x)
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i] @ slopes
+    # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i], and
+    # rhs[i] sums coef times the cell slopes at cells, row by row
     sub = np.concatenate(([0.0], dx[1:], [d1]))
     diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]))
     sup = np.concatenate(([d0], dx[:-1], [0.0]))
-    rhs = np.zeros((n, n - 1))
     i = np.arange(1, n - 1)
-    rhs[i, i - 1] = 3.0 * dx[1:]
-    rhs[i, i] = 3.0 * dx[:-1]
-    rhs[0, :2] = (dx[0] + 2.0 * d0) * dx[1] / d0, dx[0] ** 2 / d0
-    rhs[-1, -2:] = dx[-1] ** 2 / d1, (2.0 * d1 + dx[-1]) * dx[-2] / d1
+    rows = np.r_[i, i, 0, 0, n - 1, n - 1]
+    cells = np.r_[i - 1, i, 0, 1, n - 3, n - 2]
+    coef = np.r_[3.0 * dx[1:], 3.0 * dx[:-1],
+                 (dx[0] + 2.0 * d0) * dx[1] / d0, dx[0] ** 2 / d0,
+                 dx[-1] ** 2 / d1, (2.0 * d1 + dx[-1]) * dx[-2] / d1]
+    if slope is None:
+        rhs = np.zeros((n, n - 1))
+        rhs[rows, cells] = coef
+    else:
+        rhs = np.zeros((n, slope.shape[1]))
+        np.add.at(rhs, rows, coef[:, None] * slope[cells])
     for i in range(1, n):
         m = sub[i] / diag[i - 1]
         diag[i] -= m * sup[i - 1]
@@ -57,8 +70,17 @@ def _slope_map(grid: bytes) -> np.ndarray:
     rhs[-1] /= diag[-1]
     for i in range(n - 2, -1, -1):
         rhs[i] = (rhs[i] - sup[i] * rhs[i + 1]) / diag[i]
-    rhs.setflags(write=False)
     return rhs
+
+
+@functools.lru_cache(maxsize=8)
+def _slope_map(grid: bytes) -> np.ndarray:
+    """_slopes' (n, n - 1) map on the ascending grid given as its float64
+    bytes.  It is shared through the cache, so it is read-only; it holds
+    n^2 floats, 8 MB at n = 1025."""
+    out = _slopes(np.frombuffer(grid))
+    out.setflags(write=False)
+    return out
 
 
 class CubicSpline:
@@ -79,7 +101,10 @@ class CubicSpline:
         # every step is real-linear, so complex rows go as (re, im) columns
         rows = np.ascontiguousarray(y.reshape(len(x), -1), dtype=dtype).view(np.float64)
         slope = np.diff(rows, axis=0) / dx
-        s = _slope_map(x.tobytes()) @ slope
+        if len(x) <= SLOPE_MAP_POINTS:
+            s = _slope_map(x.tobytes()) @ slope
+        else:
+            s = _slopes(x, slope)
         t = (s[:-1] + s[1:] - 2.0 * slope) / dx
         c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], rows[:-1]))
         self.x, self.axis = x, axis

@@ -248,8 +248,10 @@ class TestSolveVerb:
     def test_default_solve_is_the_stated_nonlinear_problem(self, tmp_path):
         # the shipped Gaussian has kappa = 0.05: the default run iterates
         out = tmp_path / "o"
-        result = CliRunner().invoke(main, ["solve", "--config", str(
-            CONFIGS / "nonlinear_gaussian.yaml"), "--out", str(out)])
+        # the config sets no lifespan proxies
+        with pytest.warns(UserWarning, match="defaulted"):
+            result = CliRunner().invoke(main, ["solve", "--config", str(
+                CONFIGS / "nonlinear_gaussian.yaml"), "--out", str(out)])
         assert result.exit_code == 0, result.output
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["mode"] == "contour"
@@ -293,9 +295,10 @@ class TestSolveVerb:
         doc = gaussian_doc(nonlinearity={"kappa_re": 5.0},
                            solver={"oracle": {"nx": 64, "nt": 64}})
         out = tmp_path / "o"
-        result = CliRunner().invoke(main, ["solve", "--mode", "compare",
-                                           "--config", write_config(tmp_path, doc),
-                                           "--out", str(out)])
+        with pytest.warns(UserWarning, match="defaulted"):
+            result = CliRunner().invoke(main, ["solve", "--mode", "compare",
+                                               "--config", write_config(tmp_path, doc),
+                                               "--out", str(out)])
         assert result.exit_code == 0, result.output
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["picard"]["converged"] is True

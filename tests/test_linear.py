@@ -1256,7 +1256,15 @@ class TestForcedSolution:
                 calls.append((len(w), series))
             return inner(series, horizon, w, weights, times)
 
+        kernel = linear._apply_kernel
+        kernel_nodes = []
+
+        def recording_kernel(karr, *args, **kwargs):
+            kernel_nodes.append(len(karr))
+            return kernel(karr, *args, **kwargs)
+
         monkeypatch.setattr(linear, "_time_transform", recording)
+        monkeypatch.setattr(linear, "_apply_kernel", recording_kernel)
         got = plan.apply(data).values
         monkeypatch.undo()
         assert max(n for n, _cells in calls) <= block
@@ -1264,9 +1272,12 @@ class TestForcedSolution:
         # one set-up of B's spline and the times' cells for every block
         assert len({id(cells) for _n, cells in calls}) == 1
         assert bool(calls[0][1].parts) == (forcing_times != nt)
+        # the window's kernel columns are formed per block too
+        assert len(real.k) not in kernel_nodes
 
-        def whole(self, b, c, hat):
-            history = (inner(b, self.tau, c.om, -1j * hat[:, 1:], c.times)
+        def whole(self, samples, c):
+            hat = kernel(c.k, None, samples.xcols)
+            history = (inner(samples.b, self.tau, c.om, -1j * hat[:, 1:], c.times)
                        + hat[:, :1])
             return lambda idx: history[idx]
 
@@ -1376,9 +1387,9 @@ class TestSolvePlan:
 
     def test_one_term_per_contour(self, monkeypatch):
         # a forced plane wave has u0, boundary data and forcing: the real
-        # window takes one kernel call and one assembly, and each of the
-        # three region contours one kernel call per symmetry root and one
-        # assembly
+        # window takes one kernel call per block of its assembly and one
+        # assembly, and each of the three region contours one kernel call
+        # per symmetry root and one assembly
         data, _exact = _forced_plane_wave(AIRY, 33, 17)
         plan = make_plan(data, (9, 9), SMALL_BUDGET)
         # D+/- take e^{-i k (1 - x)} as the kernel's shift -i k, not a basis
@@ -1386,12 +1397,13 @@ class TestSolvePlan:
         calls = self.count_calls(
             monkeypatch, ("_assemble", "_apply_kernel", "_time_transform"))
         plan.apply(data)
-        assert (calls.count("_assemble"), calls.count("_apply_kernel")) == (4, 10)
         # one time transform of the g0/h0/h1 stack and one of B per region,
         # and the forcing history on the real window, one per block of the
         # assembly, all by one routine
         history_blocks = -(-len(plan.contours[0].k) // linear._assembly_block(9))
         assert history_blocks >= 2
+        assert calls.count("_assemble") == 4
+        assert calls.count("_apply_kernel") == 9 + history_blocks
         assert calls.count("_time_transform") == 6 + history_blocks
         assert not any(hasattr(linear, name) for name in (
             "_cumulative_transform", "_forcing_history", "_data_time_transforms",
@@ -1433,10 +1445,12 @@ class TestSolvePlan:
 
     def test_picard_applies_stay_within_their_memory_bounds(self):
         # criterion 03's plan on 129 x 129: the data apply, and the forcing
-        # apply of the first Picard iterate, whose B has rank 29.  Each peak
-        # of traced allocations read 22.3 and 32.3 MiB when a term's three
-        # kernel outputs were summed whole and an assembly block's time table
-        # held 2^19 entries
+        # apply of the first Picard iterate, whose B has rank 29 above
+        # rounding and 13 above the plan's cut at the tolerance 1e-3.  Each
+        # peak of traced allocations read 22.3 and 32.3 MiB when a term's
+        # three kernel outputs were summed whole and an assembly block's time
+        # table held 2^19 entries; the forcing apply's read 17.4 MiB at rank
+        # 29 with the window's kernel columns held whole, and 9.3 MiB now
         half = DispersionParams(0.5, 0.0, 0.0)
         data = ProblemData(half, 1.0, 0.04, gaussian_profile(1.0, 0.5, 0.2),
                            zero_series(0.04), zero_series(0.04),
@@ -1457,9 +1471,12 @@ class TestSolvePlan:
         forcing = replace(zero_data(half, 1.0, 0.04),
                           forcing=Field(base.x_grid, base.t_grid, nl))
         # B continued one output step past T, to the plan's 130 times
+        assert plan.rank_cut == pytest.approx(1e-6)
         assert linear._sample(forcing, plan.unit_grids[1]).b.shape == (29, 130)
+        assert linear._sample(forcing, plan.unit_grids[1],
+                              plan.rank_cut).b.shape == (13, 130)
         _field, forcing_peak = peak_mib(forcing)
-        assert data_peak <= 12.0 and forcing_peak <= 20.0, (data_peak, forcing_peak)
+        assert data_peak <= 12.0 and forcing_peak <= 10.25, (data_peak, forcing_peak)
 
     @pytest.mark.parametrize("other", [
         plane_wave_data(DispersionParams(1.0, 0.0, 1.0), 1.0, 0.5, 2.0),

@@ -246,6 +246,25 @@ class TestPicard:
         want = Field.from_callable(exact, field.x_grid, field.t_grid)
         assert field.relative_l2_gap(want) <= 1e-3
 
+    @pytest.mark.parametrize("lam", [2.0, 5.0])
+    @pytest.mark.parametrize("kappa", [5.0, 5.0j], ids=["kappa-5", "kappa-5i"])
+    def test_power_family_converges_with_the_rank_cut(self, monkeypatch,
+                                                      lam, kappa):
+        # criterion 03's problem off lambda = 3, on 33 x 17: every ratio is
+        # below 1 (at most 0.06 measured), and cutting the forcing's B at
+        # tolerance / 1000 moves the field by at most 8.6e-10 against the
+        # cut at rounding level
+        data = self.gaussian_data(kappa, 0.04, lam=lam)
+        budget = QuadratureBudget(contour_nodes=32000, real_axis_window=45.0,
+                                  real_axis_nodes=16000)
+        field, report = picard_solve(data, (33, 17), budget, max_iter=12)
+        assert report.converged
+        assert report.contraction_ratios
+        assert all(r < 1.0 for r in report.contraction_ratios)
+        monkeypatch.setattr(linear, "RANK_CUT", 0.0)
+        rounding, _report = picard_solve(data, (33, 17), budget, max_iter=12)
+        assert field.relative_l2_gap(rounding) <= 1e-8
+
     def test_no_convergence_carries_report(self):
         with pytest.raises(NoConvergence) as err:
             picard_solve(self.gaussian_data(0.05), (33, 17), self.budget,

@@ -5,14 +5,16 @@ weighted Filon-spline routine) and the factored forcing transform
 (linear._factor_forcing); the not-a-knot cubic spline, the Laplace transform
 and the data containers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnls_utm.errors import ExponentialOverflow
-from hnls_utm.linear import (XQ_NODES, _apply_kernel, _factor_forcing,
-                             _time_transform)
+from hnls_utm.linear import (RANK_CUT, XQ_NODES, _apply_kernel,
+                             _factor_forcing, _time_transform)
 from hnls_utm import transforms
 from hnls_utm.transforms import (CubicSpline, SpatialProfile, TimeSeries,
                                  chebyshev_grid, laplace_transform)
@@ -125,6 +127,45 @@ class TestForcingTransform:
         got = forcing_transform(lambda x, t: np.exp(1j * a * x + 1j * b * t),
                                 1.0, k, w)
         assert got == pytest.approx(x_part * t_part, rel=1e-9)
+
+
+class TestForcingFactors:
+    @staticmethod
+    def synthetic(singular_values, shape=(len(XQ_NODES), 129)):
+        """U diag(singular_values) V^H with random orthonormal U and V."""
+        rng = np.random.default_rng(7)
+        r = len(singular_values)
+        u, _ = np.linalg.qr(rng.standard_normal((shape[0], r))
+                            + 1j * rng.standard_normal((shape[0], r)))
+        v, _ = np.linalg.qr(rng.standard_normal((shape[1], r))
+                            + 1j * rng.standard_normal((shape[1], r)))
+        return (u * np.asarray(singular_values)) @ v.conj().T
+
+    @pytest.mark.parametrize("tolerance, rank", [
+        (1e-3, 2), (1e-5, 3), (1e-9, 4), (1e4, 1)])
+    def test_rank_follows_the_tolerance(self, tolerance, rank):
+        # a solve cuts B at tolerance / 1000 of the largest singular value,
+        # which it keeps whatever the cut; cut 0 keeps what lies above
+        # rounding
+        fq = self.synthetic([1.0, 1e-4, 1e-7, 1e-10])
+        a, b = _factor_forcing(fq, RANK_CUT * tolerance)
+        assert a.shape == (len(XQ_NODES), rank) and b.shape == (rank, 129)
+        assert _factor_forcing(fq)[1].shape == (4, 129)
+        # A B is fq with the dropped singular values alone taken out
+        want = np.linalg.svd(fq, compute_uv=False)[rank]
+        assert np.linalg.norm(fq - a @ b, 2) == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("cut", [0.0, 1e-6])
+    def test_zero_and_huge_forcings(self, cut):
+        # a zero forcing factors to None; one within a factor max(fq.shape)
+        # of the float maximum keeps its rank, the relative floor taken
+        # before the multiplication by the largest singular value (s[0] * 256
+        # overflows at 1e307)
+        assert _factor_forcing(np.zeros((len(XQ_NODES), 65)), cut) is None
+        fq = self.synthetic([1.0, 1e-3])
+        a, b = _factor_forcing(1e307 * fq, cut)
+        assert a.shape[1] == b.shape[0] == 2
+        assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
 
 
 class TestLaplace:
@@ -240,6 +281,33 @@ class TestCubicSpline:
             CubicSpline(x, np.ones((rows, 1025)), axis=1)
         info = transforms._slope_map.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    @SPLINE_GRIDS
+    def test_long_grids_solve_without_the_map(self, grid, monkeypatch):
+        # past SLOPE_MAP_POINTS the slopes are solved per call: a 4097-point
+        # spline held 128.3 MiB with its cached map, and holds its own
+        # coefficients alone now, with the map's values
+        n = 4097
+        assert transforms.SLOPE_MAP_POINTS < n
+        transforms._slope_map.cache_clear()
+        x = grid(n)
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            spline = CubicSpline(x, y)
+            held = tracemalloc.get_traced_memory()[0] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert held < 1.0, held
+        assert transforms._slope_map.cache_info().currsize == 0
+        monkeypatch.setattr(transforms, "SLOPE_MAP_POINTS", n)
+        dense = CubicSpline(x, y)
+        transforms._slope_map.cache_clear()
+        pts = np.linspace(-0.1, 1.6, 301)
+        want = dense(pts)
+        np.testing.assert_allclose(spline(pts), want, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("x", [np.linspace(0.0, 1.0, 3),
                                    np.array([0.0, 0.5, 0.5, 1.0]),
