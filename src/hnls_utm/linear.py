@@ -64,8 +64,9 @@ the field far below the tolerance.  The x-kernels act on the payload's
 1 + r columns, and only the r rows of B are splined in time.  One routine,
 _time_transform, takes every truncated time transform: a weighted sum over
 a few shared series of int_0^t e^{-i w u} phi(u) du, at the horizon on the
-region boundaries and at every output time in the real axis's forcing
-history.
+region boundaries, and in the real axis's forcing history as one running
+sum on B's grid, read every stride cells: B lies on a uniform grid that
+holds every assembly time (_grid_holding), so no time falls inside a cell.
 
 The data-independent part of a solve is a SolvePlan, which keeps no data:
 the twin's output grids, the arc radius rho and the four contours, each one
@@ -311,66 +312,48 @@ def _phase_table(w, dt, n, scale=None):
 
 
 class _SplineCells(NamedTuple):
-    """What _time_transform needs of its series and times whatever the w
-    (_spline_cells): the series' count and length nt, their spline's cell
-    coefficients in the layout of the horizon or of the times, and for times
-    the cell each time starts its running sum at, whether that is t = 0, and
-    the partial cells as (length, times) groups."""
+    """What _time_transform needs of its series whatever the w
+    (_spline_cells): the series' count and length nt, and their spline's
+    cell coefficients, laid out for the horizon or for the running sum."""
 
     count: int
     nt: int
     coef: np.ndarray
-    start: Optional[np.ndarray] = None
-    from_zero: Optional[np.ndarray] = None
-    parts: Optional[list] = None
 
 
-def _spline_cells(series, horizon: float, times=None) -> _SplineCells:
+def _spline_cells(series, horizon: float, stride=None) -> _SplineCells:
     """The w-independent set-up of _time_transform(series, horizon, w,
-    weights, times): the cubic spline of each row of series, and with times
-    each time's cell and its partial cell's length, equal lengths but for
-    rounding sharing one group."""
+    weights, stride): the cubic spline of each row of series, its cell
+    coefficients laid out for the running sum when stride is given."""
     vals = np.asarray(series, dtype=np.complex128)
     nt = vals.shape[1]
-    grid = np.linspace(0.0, horizon, nt)
     # (4, nt - 1, S): cell polynomial coefficients, lowest power first
-    coef = CubicSpline(grid, vals, axis=1).c[::-1]
-    if times is None:
+    coef = CubicSpline(np.linspace(0.0, horizon, nt), vals, axis=1).c[::-1]
+    if stride is None:
         # (nt - 1, 4 S): cell rows, columns grouped by power
         return _SplineCells(len(vals), nt, coef.transpose(1, 0, 2).reshape(nt - 1, -1))
     # (4 S, nt - 1): row m S + s holds series s's power-m coefficients
-    coef = coef.transpose(0, 2, 1).reshape(-1, nt - 1)
-    start = np.searchsorted(grid, times, side="right") - 1
-    inside = np.flatnonzero(times != grid[start])
-    start[inside] = np.minimum(start[inside], nt - 2)
-    lengths = times[inside] - grid[start[inside]]
-    _, first, length_of = np.unique(
-        np.round(lengths / (16.0 * np.finfo(np.float64).eps * horizon)),
-        return_index=True, return_inverse=True)
-    parts = [(lengths[i], inside[length_of == g]) for g, i in enumerate(first)]
-    return _SplineCells(len(vals), nt, coef, start, start == 0, parts)
+    return _SplineCells(len(vals), nt, coef.transpose(0, 2, 1).reshape(-1, nt - 1))
 
 
-def _time_transform(series, horizon: float, w, weights, times=None) -> np.ndarray:
+def _time_transform(series, horizon: float, w, weights, stride=None) -> np.ndarray:
     """sum_s weights[j, s] int_0^t e^{-i w_j u} phi_s(u) du against the cubic
     spline phi_s of each row of series, (S, nt) on linspace(0, horizon, nt):
-    at t = horizon, (nw,), or at every time of times, (nw, len(times)).
+    at t = horizon, (nw,), or with an integer stride that divides nt - 1 at
+    every stride-th time of the series' grid, (nw, (nt - 1) / stride + 1).
 
-    series may also be _spline_cells(series, horizon, times), made once for
-    calls on many blocks of w with the same series and times: the real
-    window's forcing history is taken so, one block of the assembly at a
-    time, and never held whole.
+    series may also be _spline_cells(series, horizon, stride), made once for
+    calls on many blocks of w with the same series: the real window's
+    forcing history is taken so, one block of the assembly at a time, and
+    never held whole.
 
     weights is (nw, S), or (S,) shared by every w.  Per chunk of w, the Filon
     moments over one time cell are folded into the weights as one (chunk, 4 S)
     matrix.  At the horizon, the phase table e^{-i w t} at the cell starts is
     first multiplied by the (nt - 1, 4 S) spline coefficients and then
-    contracted with it; at the times, one product with the coefficients gives
+    contracted with it; running, one product with the coefficients gives
     every cell integral, which the phase table multiplies in place before the
-    running sum on the series' grid.  A time inside a cell adds to the sum at
-    the cell's start e^{-i w t_cell} times the moments over the part of the
-    cell before it, contracted with that cell's coefficients weighted by w;
-    the moments are taken once per partial length and chunk.  A chunk holds
+    running sum on the series' grid, read every stride cells.  A chunk holds
     2^16 / (nt - 1) rows, at least 128: the phase table stays within 1 MiB up
     to 513 times (2 MiB at 1025), reused from the heap and cached rather than
     mapped afresh (past 4 MiB, as huge pages when the kernel has them) for
@@ -380,14 +363,13 @@ def _time_transform(series, horizon: float, w, weights, times=None) -> np.ndarra
     if np.max(w.imag) * horizon > OVERFLOW_GUARD:
         raise ExponentialOverflow("Im w too positive for the time transform")
     cells = (series if isinstance(series, _SplineCells)
-             else _spline_cells(series, horizon, times))
-    nt, coef, start, parts = cells.nt, cells.coef, cells.start, cells.parts
+             else _spline_cells(series, horizon, stride))
+    nt, coef = cells.nt, cells.coef
     weights = np.broadcast_to(np.asarray(weights, dtype=np.complex128),
                               (len(w), cells.count))
-    if times is None:
-        out = np.empty(len(w), dtype=np.complex128)
-    else:
-        out = np.empty((len(w), len(start)), dtype=np.complex128)
+    # a running sum reads 0 at t = 0
+    out = np.zeros(len(w) if stride is None else (len(w), (nt - 1) // stride + 1),
+                   dtype=np.complex128)
     dt = horizon / (nt - 1)
     chunk = max(128, 2 ** 16 // (nt - 1))
     for lo in range(0, len(w), chunk):
@@ -396,29 +378,12 @@ def _time_transform(series, horizon: float, w, weights, times=None) -> np.ndarra
         eph = _phase_table(w[sel], dt, nt - 1)
         folded = mom.T[:, :, None] * weights[sel][:, None, :]
         folded = folded.reshape(len(eph), -1)
-        if times is None:
+        if stride is None:
             out[sel] = np.einsum("ij,ij->i", eph @ coef, folded)
             continue
         cell = folded @ coef
         np.cumsum(np.multiply(cell, eph, out=cell), axis=1, out=cell)
-        if not parts:
-            # the running sum at each time, none at t = 0; "clip" writes to
-            # out unbuffered
-            np.take(cell, start - 1, axis=1, out=out[sel], mode="clip")
-            out[sel, cells.from_zero] = 0.0
-            continue
-        # rows by time, so that the gathers and updates below take whole rows:
-        # the running sum to each time's cell start, then its partial cell
-        by_time = np.ascontiguousarray(cell.T)[start - 1]
-        by_time[cells.from_zero] = 0.0
-        # (4, nt - 1, chunk): e^{-i w_j t_cell} sum_s weights[j, s] times
-        # series s's power-m coefficient of the cell
-        wcoef = eph.T * (coef.reshape(4, -1, nt - 1).transpose(0, 2, 1)
-                         @ weights[sel].T)
-        for h, at in parts:
-            mom = _filon_moments(w[sel], h)
-            by_time[at] += np.einsum("mj,mtj->tj", mom, wcoef[:, start[at]])
-        out[sel] = by_time.T
+        out[sel, 1:] = cell[:, stride - 1::stride]
     return out
 
 
@@ -832,9 +797,9 @@ def _factor_forcing(fq, cut=0.0):
 class _Samples(NamedTuple):
     """The data as the transforms see it, corner blend removed: xcols, the
     (nq, 1 + r) x-quadrature payload [u0 | A] of u0 and the forcing's x
-    factor; the (3, NTQ) stack of g0, h0, h1 and b, the forcing's (r, nt)
-    time factor B, each on a uniform grid of [0, tau], the transform horizon;
-    and blend, _corner_blend's C.  A part that is identically zero is None."""
+    factor; the (3, NTQ) stack of g0, h0, h1 and b, the forcing's time factor
+    B, each on a uniform grid of [0, tau], the transform horizon, B's holding
+    every assembly time; and blend, _corner_blend's C.  A zero part is None."""
 
     xcols: Optional[np.ndarray]
     stack: Optional[np.ndarray]
@@ -862,6 +827,14 @@ def _continued(series, horizon, t) -> np.ndarray:
     return vals
 
 
+def _grid_holding(times, step):
+    """The uniform grid of [0, times[-1]] that holds every one of the uniform
+    times from 0, with their step over j = ceil(their step / step), the
+    largest not above step; and j, the stride of the times on it."""
+    j = int(np.ceil(times[1] / step * (1.0 - 1e-12)))
+    return np.linspace(0.0, times[-1], (len(times) - 1) * j + 1), j
+
+
 def _sample(data: ProblemData, t_grid, cut=0.0) -> _Samples:
     """Sample data on [0, 1] (a _unit_twin) up to the transform horizon
     tau = t_grid[-1], continued past data.horizon by _continued, remove the
@@ -869,8 +842,9 @@ def _sample(data: ProblemData, t_grid, cut=0.0) -> _Samples:
     with B on the times t_grid when it is the only forcing; a given forcing
     has the blend's factors subtracted on its own time grid, is factored by
     _factor_forcing at the relative cut, and its B continued onto the
-    uniform grid of [0, tau] whose step is the largest not above the given
-    grid's."""
+    uniform grid of [0, tau] that holds every time of t_grid with the
+    largest step not above the given grid's (_grid_holding): t_grid itself
+    when the forcing sits on the output times, as Picard's N(u) does."""
     xq, horizon, tau = XQ_NODES, data.horizon, t_grid[-1]
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
     fq = None if data.forcing is None else resample(data.forcing, xq)
@@ -902,9 +876,9 @@ def _sample(data: ProblemData, t_grid, cut=0.0) -> _Samples:
         forcing = _factor_forcing(fq, cut)
         if forcing is not None:
             t = data.forcing.t_grid
-            steps = int(np.ceil((len(t) - 1) * tau / horizon * (1.0 - 1e-12)))
+            grid, _stride = _grid_holding(t_grid, horizon / (len(t) - 1))
             forcing = forcing[0], _continued(CubicSpline(t, forcing[1], axis=1),
-                                             horizon, np.linspace(0.0, tau, steps + 1))
+                                             horizon, grid)
     a, b = forcing if forcing is not None else (np.zeros((len(xq), 0)), None)
     xcols = np.column_stack([u0v, a])
     return _Samples(xcols if np.any(xcols) else None,
@@ -953,13 +927,12 @@ def _unit_twin(data: ProblemData) -> ProblemData:
 
 class Contour(NamedTuple):
     """One contour's nodes k, weights w and tables: om = omega(k), real on
-    the real window (region None), whose B transform runs at the output
+    the real window (region None), whose B transform runs at the assembly
     times, and on a region boundary its roots (k, nu+, nu-), Delta_s, omega'."""
 
     k: np.ndarray
     w: np.ndarray
     om: np.ndarray
-    times: Optional[np.ndarray] = None
     region: Optional[RegionLabel] = None
     roots: Optional[tuple] = None
     delta: Optional[np.ndarray] = None
@@ -1059,8 +1032,10 @@ class SolvePlan:
         sum hat on [u0 | A], plus B's transform weighted by -i times the
         rest of hat.  On the real window with a forcing, the payload is
         _history's, formed per block of the assembly."""
-        if samples.b is not None and c.times is not None:
-            _assemble(vals, self.tau, c.k, c.w, c.om, self._history(samples, c))
+        if samples.b is not None and c.region is None:
+            stride = (samples.b.shape[1] - 1) // (vals.shape[1] - 1)
+            _assemble(vals, self.tau, c.k, c.w, c.om,
+                      self._history(samples, c, stride))
             return
         kernels, boundary, shift = _weights(c)
         payload = None
@@ -1078,18 +1053,18 @@ class SolvePlan:
             _assemble(vals, self.tau, c.k, c.w, c.om,
                       payload if c.delta is None else payload / c.delta, shift)
 
-    def _history(self, samples, c: Contour):
+    def _history(self, samples, c: Contour, stride):
         """The real window's coefficient as _assemble takes it per block of
         its nodes idx: the kernel's [u0hat | Ahat] on the block, and u0hat
-        plus the running transform of B at the output times, weighted by
-        -i Ahat.  B's spline and the times' cells are set up once; neither
+        plus B's running transform at the assembly times, every stride-th
+        of its grid, weighted by -i Ahat.  B's spline is set up once; neither
         the kernel's columns nor the history is held for the whole window."""
-        cells = _spline_cells(samples.b, self.tau, c.times)
+        cells = _spline_cells(samples.b, self.tau, stride)
 
         def rows(idx):
             hat = _apply_kernel(c.k[idx], None, samples.xcols)
             out = _time_transform(cells, self.tau, c.om[idx], -1j * hat[:, 1:],
-                                  c.times)
+                                  stride)
             out += hat[:, :1]
             return out
         return rows
@@ -1145,8 +1120,8 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
                               1.0 / ell)
     (k_r, w_r), groups, counts, rho, phases = _solver_segments(
         params, tau, unit_budget, dk_weight, weight)
-    contours = (Contour(k_r, w_r, omega(params, k_r + 0j).real, unit_grids[1]),
-                *(Contour(k, w, omega(params, k), None, region,
+    contours = (Contour(k_r, w_r, omega(params, k_r + 0j).real),
+                *(Contour(k, w, omega(params, k), region,
                           *_roots_and_delta(params, k, region),
                           omega_prime(params, k)) for region, k, w in groups))
     margin = min(_delta_margin(params, c.k, c.delta) for c in contours[1:])
@@ -1274,9 +1249,12 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
     left = np.stack([-poly0, 1j * poly1, np.full_like(karr, beta)], axis=1)
     weights = np.concatenate([left, -np.exp(-1j * karr)[:, None] * left], axis=1)
     rhs = hat[:, nt:nt + 1] + _time_transform(
-        np.stack([g0, g1, g2, h0, h1, h2]), th, om, weights, t)
+        np.stack([g0, g1, g2, h0, h1, h2]), th, om, weights, 1)
     if forcing is not None:
-        rhs = rhs + _time_transform(forcing[1], horizon, om, -1j * hat[:, nt + 1:], t)
+        ft = data.forcing.t_grid
+        grid, stride = _grid_holding(t, horizon / (len(ft) - 1))
+        rhs = rhs + _time_transform(CubicSpline(ft, forcing[1], axis=1)(grid), th,
+                                    om, -1j * hat[:, nt + 1:], stride)
 
     scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))))
     if scale == 0.0:

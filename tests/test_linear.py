@@ -87,7 +87,7 @@ class TestTimeTransform:
         t = np.linspace(0.0, horizon, 65)
         vals = np.sin(3 * t) + 1j * t ** 2
         w = np.array([11.0 + 0.0j])
-        cum = _time_transform(vals[None, :], horizon, w, [1.0], t)[0]
+        cum = _time_transform(vals[None, :], horizon, w, [1.0], 1)[0]
         for j in (10, 32, 64):
             direct = _time_transform(vals[None, : j + 1], t[j], w, [1.0])[0]
             assert cum[j] == pytest.approx(direct, rel=1e-6, abs=1e-12)
@@ -122,14 +122,13 @@ class TestTimeTransform:
             np.testing.assert_allclose(
                 _time_transform(rows, horizon, w, np.eye(3)[s]),
                 single[:, s], rtol=1e-13, atol=1e-15)
-        # per-w and shared weights; at the horizon, on the series' grid and
-        # at times off it, which end at the horizon
-        off = np.linspace(0.0, horizon, 11)
+        # per-w and shared weights; at the horizon and running on the
+        # series' grid, which ends at the horizon
         for weights in (np.arange(3.0 * len(w)).reshape(-1, 3) * (1.0 - 0.5j),
                         np.array([1.5, -0.5j, 2.0 - 1.0j])):
             want = np.sum(weights * single, axis=1)
-            for times, last in ((None, ...), (t, -1), (off, -1)):
-                got = _time_transform(rows, horizon, w, weights, times)
+            for stride, last in ((None, ...), (1, -1)):
+                got = _time_transform(rows, horizon, w, weights, stride)
                 np.testing.assert_allclose(got[:, last], want,
                                            rtol=1e-12, atol=1e-14)
 
@@ -138,7 +137,8 @@ class TestTimeTransform:
         # column must match the prefix integrals of the same splines, taken
         # by 24-point Gauss-Legendre on each cell, with S = 3 series, complex
         # weights and nw = 134 rows, which the chunk of 128 does not divide;
-        # the last node turns |w| dt ~ 20 radians in one cell
+        # the last node turns |w| dt ~ 20 radians in one cell.  Read every
+        # 4th cell, the columns are every 4th of those integrals
         horizon = 0.7
         t = np.linspace(0.0, horizon, 1025)
         rows = np.stack([np.exp(1j * 2 * t), np.cos(5 * t) + 1j * t,
@@ -156,25 +156,18 @@ class TestTimeTransform:
                              CubicSpline(t, rows, axis=1)(s), half[:, None] * wg)
 
         cells = np.cumsum(gauss(t[:-1], t[1:]), axis=2)
-        # off the series' grid: the sum to the cell's start and the part of
-        # the cell before the time
-        off = np.linspace(0.0, horizon, 12)[1:-1]
-        start = np.searchsorted(t, off) - 1
-        partial = np.pad(cells, ((0, 0), (0, 0), (1, 0)))[:, :, start] \
-            + gauss(t[start], off)
         # per-w and shared weights
         for weights in ((np.arange(3.0 * nw).reshape(nw, 3) - 6.0) * (1.0 - 0.5j)
                         + 2.0j, np.array([0.5 - 1.0j, -2.0, 3.0j])):
             per_w = np.broadcast_to(weights, (nw, 3))
-            cum = _time_transform(rows, horizon, w, weights, t)
             want = np.einsum("wr,wrc->wc", per_w, cells)
-            assert np.all(cum[:, 0] == 0.0)
-            np.testing.assert_allclose(cum[:, 1:], want, rtol=1e-11,
-                                       atol=1e-13 * np.max(np.abs(want)))
-            want = np.einsum("wr,wrc->wc", per_w, partial)
-            np.testing.assert_allclose(
-                _time_transform(rows, horizon, w, weights, off), want,
-                rtol=1e-11, atol=1e-13 * np.max(np.abs(want)))
+            for stride in (1, 4):
+                cum = _time_transform(rows, horizon, w, weights, stride)
+                assert cum.shape == (nw, 1024 // stride + 1)
+                assert np.all(cum[:, 0] == 0.0)
+                np.testing.assert_allclose(cum[:, 1:], want[:, stride - 1::stride],
+                                           rtol=1e-11,
+                                           atol=1e-13 * np.max(np.abs(want)))
 
     def test_default_chunks_match_one_chunk(self, monkeypatch):
         # 700 nodes on the 257-point stack, and on a series on 1025 times,
@@ -191,12 +184,12 @@ class TestTimeTransform:
             t = np.linspace(0.0, horizon, nt)
             rows = np.stack([np.sin(3 * t), np.exp(-1j * t), t ** 2 + 0.5j])
             for e in np.eye(3):
-                for times in (None, t):
+                for stride in (None, 1):
                     sizes.clear()
-                    got = _time_transform(rows, horizon, w, e, times)
+                    got = _time_transform(rows, horizon, w, e, stride)
                     assert sizes == chunks
                     want = np.concatenate([
-                        _time_transform(rows, horizon, w[lo:lo + 100], e, times)
+                        _time_transform(rows, horizon, w[lo:lo + 100], e, stride)
                         for lo in range(0, 700, 100)])
                     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
 
@@ -833,7 +826,7 @@ class TestPlaneWave:
             samples = linear._sample(twin, times)
             vals = np.zeros((33, len(times)), dtype=np.complex128)
             for c in plan.contours:
-                plan._term(vals, samples, c if c.times is None else c._replace(times=times))
+                plan._term(vals, samples, c)
             fields.append(vals)
         coarse, fine = fields
         gap = np.max(np.abs(fine[:, ::2] - coarse))
@@ -1149,12 +1142,13 @@ def _forced_plane_wave(params, x_nodes=257, t_nodes=129, ell=1.0, horizon=0.5):
 
 
 class TestForcedSolution:
-    @pytest.mark.parametrize("forcing_times", [97, 129],
-                             ids=["field-times", "interpolated"])
+    @pytest.mark.parametrize("forcing_times", [97, 129, 40],
+                             ids=["field-times", "interpolated", "unaligned"])
     @pytest.mark.parametrize("coeffs", [(1.0, 0.0, 0.0), (0.5, 1.0, 1.0)])
     def test_global_relation_with_forcing(self, coeffs, forcing_times):
         # the running forcing transform, on the field's times and carried to
-        # them from a finer grid; doubling the forcing must show
+        # them from a finer grid or from 40 times, only every 13th of which
+        # is one of the field's; doubling the forcing must show
         data, exact = _forced_plane_wave(DispersionParams(*coeffs), 161,
                                          forcing_times)
         field = Field.from_callable(exact, np.linspace(0.0, 1.0, 161),
@@ -1235,13 +1229,13 @@ class TestForcedSolution:
             counts.append(sum(rows))
         assert 0 < counts[1] <= counts[0]
 
-    @pytest.mark.parametrize("forcing_times", [1025, 129],
-                             ids=["on-output-times", "partial-cells"])
+    @pytest.mark.parametrize("forcing_times", [1025, 129, 40],
+                             ids=["on-output-times", "coarser", "unaligned"])
     def test_history_is_never_built_whole(self, monkeypatch, forcing_times):
         # 1025 output times make the assembly's blocks 512 nodes, fewer than
         # the real window's 2000: B's running transform is taken per block,
-        # on the output times or, from a coarser forcing grid, with partial
-        # cells (as in criterion 09), and gives the field of the whole history
+        # with B on the 1026 assembly times whatever the forcing's grid (as
+        # in criterion 09), and gives the field of the whole history
         nt = 1025
         data, _exact = _forced_plane_wave(AIRY, 33, forcing_times)
         plan = make_plan(data, (9, nt), SMALL_BUDGET)
@@ -1251,10 +1245,10 @@ class TestForcedSolution:
         calls = []
         inner = linear._time_transform
 
-        def recording(series, horizon, w, weights, times=None):
-            if times is not None:
-                calls.append((len(w), series))
-            return inner(series, horizon, w, weights, times)
+        def recording(series, horizon, w, weights, stride=None):
+            if stride is not None:
+                calls.append((len(w), series, stride))
+            return inner(series, horizon, w, weights, stride)
 
         kernel = linear._apply_kernel
         kernel_nodes = []
@@ -1267,17 +1261,18 @@ class TestForcedSolution:
         monkeypatch.setattr(linear, "_apply_kernel", recording_kernel)
         got = plan.apply(data).values
         monkeypatch.undo()
-        assert max(n for n, _cells in calls) <= block
-        assert sum(n for n, _cells in calls) == len(real.k)
-        # one set-up of B's spline and the times' cells for every block
-        assert len({id(cells) for _n, cells in calls}) == 1
-        assert bool(calls[0][1].parts) == (forcing_times != nt)
+        assert max(n for n, _cells, _stride in calls) <= block
+        assert sum(n for n, _cells, _stride in calls) == len(real.k)
+        # one set-up of B's spline for every block, read at every cell
+        assert len({id(cells) for _n, cells, _stride in calls}) == 1
+        assert {stride for *_, stride in calls} == {1}
+        assert calls[0][1].nt == nt + 1
         # the window's kernel columns are formed per block too
         assert len(real.k) not in kernel_nodes
 
-        def whole(self, samples, c):
+        def whole(self, samples, c, stride):
             hat = kernel(c.k, None, samples.xcols)
-            history = (inner(samples.b, self.tau, c.om, -1j * hat[:, 1:], c.times)
+            history = (inner(samples.b, self.tau, c.om, -1j * hat[:, 1:], stride)
                        + hat[:, :1])
             return lambda idx: history[idx]
 
@@ -1285,6 +1280,27 @@ class TestForcedSolution:
         want = plan.apply(data).values
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-12 * np.max(np.abs(want)))
+
+    def test_forcing_grid_does_not_change_the_transform_work(self, monkeypatch):
+        # a forced apply on 1025 output times takes as many Filon moment
+        # sets whether the forcing sits on the output times, on a coarser
+        # grid that holds every 8th of them, or on 40 times that miss all of
+        # them but the ends: B is continued onto the assembly times in each
+        # case.  Reading the running sum inside a cell took a moment set per
+        # partial-cell length there: 97, 16442 and 3313 calls
+        nt = 1025
+        data, _exact = _forced_plane_wave(AIRY, 33, nt)
+        plan = make_plan(data, (9, nt), SMALL_BUDGET)
+        moments = linear._filon_moments
+        counts = []
+        monkeypatch.setattr(linear, "_filon_moments",
+                            lambda w, h: counts.append(1) or moments(w, h))
+        totals = []
+        for forcing_times in (nt, 129, 40):
+            counts.clear()
+            plan.apply(_forced_plane_wave(AIRY, 33, forcing_times)[0])
+            totals.append(len(counts))
+        assert totals[0] > 0 and totals == [totals[0]] * 3, totals
 
 
 CORNER_CASES = pytest.mark.parametrize("delta, corners, rank", [
@@ -1410,15 +1426,16 @@ class TestSolvePlan:
             "_spline_coefficients", "_moment_chunks", "_real_axis_term",
             "_contour_term"))
         # the real window comes first, with no region and no Delta, and
-        # takes B's running transform at the output times
+        # takes B's running transform on B's own grid, which holds the
+        # assembly times
         real, *regions = plan.contours
         assert real.region is None and real.delta is None
-        assert real.times is plan.unit_grids[1]
+        assert "times" not in real._fields
         # each region contour joins its three segments, in segment order,
         # and holds its three roots and Delta_s
         for i, c in enumerate(regions):
             assert len(c.k) == len(c.w) == sum(plan.node_counts[3 * i:3 * i + 3])
-            assert c.times is None and len(c.roots) == 3
+            assert c.region is not None and len(c.roots) == 3
             assert c.roots[0] is c.k and len(c.delta) == len(c.k)
         # the plan keeps no data
         kept = [getattr(plan, f.name) for f in fields(plan)]

@@ -98,7 +98,7 @@ class TestTildeTransform:
         ser = TimeSeries.from_callable(lambda t: np.ones_like(t, dtype=complex), 2.0)
         # the running transform at the grid time t = 0.5
         running = _time_transform(ser.samples[None, :], ser.horizon,
-                                  np.array([0.0 + 0.0j]), [1.0], ser.grid())
+                                  np.array([0.0 + 0.0j]), [1.0], 1)
         j = int(np.flatnonzero(ser.grid() == 0.5)[0])
         assert running[0, j] == pytest.approx(0.5)
 
