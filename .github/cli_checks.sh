@@ -114,9 +114,9 @@ assert run_scenario('configs/compare_plane_wave.yaml', 'compare', '$tmp/compare_
     # the tracer wraps names in linear's namespace (omega, symmetry_roots,
     # CubicSpline, ...): a traced run fails when a refactor unbinds one.
     # plane_wave takes the corner-blend forcing, picard the forced applies
-    # of the Picard loop
+    # of the Picard loop, and batch the forcing-free path
     traced-bench)
-        for workload in plane_wave picard; do
+        for workload in plane_wave picard batch; do
             python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 1 --trace 1 > "$tmp/trace_$workload.txt"
             tail -n 1 "$tmp/trace_$workload.txt" | python3 -c "import json, sys; assert json.load(sys.stdin)['correct'] is True"
         done

@@ -12,8 +12,8 @@ map i u_t + i beta u_xxx + alpha u_xx + i delta u_x = f on [0, ell] x [0, T]
 exactly onto its twin on [0, 1] x [0, T / ell^3] (_unit_twin), which
 make_plan and SolvePlan.apply solve and hand back on the caller's grids;
 every helper below them works on [0, 1].  The budget keeps the caller's
-units: make_plan reads its window R as R ell, the |dk| floor of the phase
-density as 2 / ell, and weighs the Neumann datum of the envelope by 1 / ell.
+units: make_plan reads its window R as R ell and the |dk| floor of the
+phase density as 2 / ell.
 
 Two numerical choices matter:
 
@@ -72,10 +72,11 @@ The data-independent part of a solve is a SolvePlan, which keeps no data:
 the twin's output grids, the arc radius rho and the four contours, each one
 Contour record of its nodes and tables, built once.  _solver_segments places
 the nodes on regions.segment_specs' nine Segment records and on the real
-window, one more Segment, by one routine (_place), thinned by the radial
-envelope of the data the plan is made from; the tables are omega, and on a
-region boundary the symmetry roots, omega' and Delta_s (regions.scaled_delta,
-the one place the Delta formula lives).  apply(data)
+window, one more Segment, by one routine (_place), thinned off the arcs by a
+fixed weight of |k - c0| (_phase_measure), so the nodes depend on (params,
+ell, horizon) alone; the tables are omega, and on a region boundary the
+symmetry roots, omega' and Delta_s (regions.scaled_delta, the one place the
+Delta formula lives).  apply(data)
 evaluates one term, SolvePlan._term, per contour, skipping identically zero
 parts of the data: the sum over the nodes of w_k e^{i k x + shift_k}
 e^{i omega t} times the payload over Delta_s (_assemble), with shift_k =
@@ -126,9 +127,11 @@ MIN_DELTA_MARGIN = 1e-4
 MAX_ARC_PANELS = 100000
 # most unweighted phase, in radians, an 8-point panel of a graded segment or
 # the real window may span on average: the segment's phase measure, |dk|
-# floor included, over its panel count.  The envelope weight gives panels
-# equal shares of the weighted phase, so one panel may span up to about 4.6
-# times the mean.  Measured on the plane-wave family at the default budget:
+# floor included, over its panel count.  The fixed weight of _phase_measure
+# gives panels equal shares of the weighted phase, so one panel may span up
+# to (1 + R ell)^{1/3} times the mean, R ell the window in the twin's k
+# (100^{1/3} at most, by the weight's floor): 2.52 at the default window on
+# ell = 1.  Measured on the plane-wave family at the default budget:
 # the members within the tolerance 1e-3 read up to 29.5 rad per panel, and
 # the (2, 1, -1) cases at beta T = 1, with errors of 2.0e-2 and 2.4e-2,
 # 58.2 and 58.4
@@ -146,9 +149,8 @@ MAX_DIRICHLET_GAP = 5e-3
 # above this cut at the default tolerance 1e-3, and the Picard field moves
 # by 1.9e-12 of its largest value
 RANK_CUT = 1e-3
-# radii of the radial envelope on [0, R]; radii, and angles per region
-# sector, of the deformation-margin sweep
-ENVELOPE_RADII, SWEEP_RADII, SWEEP_ANGLES = 193, 9, 65
+# radii, and angles per region sector, of the deformation-margin sweep
+SWEEP_RADII, SWEEP_ANGLES = 9, 65
 
 
 @dataclass(frozen=True)
@@ -589,22 +591,29 @@ def _assemble(vals, horizon, karr, warr, om, coef, shift=None):
 # phase-graded contour nodes
 # --------------------------------------------------------------------------
 
-def _phase_measure(params, seg, horizon, dk_weight, weight=None):
+def _phase_measure(params, seg, horizon, dk_weight):
     """The phase the Segment seg's nodes must resolve, cumulated along its
-    parameter p on 2001 points: density (|d omega| horizon + |dk| dk_weight)
-    / 2 pi, times the envelope weight at |k - c0| when given.  Arcs keep the
-    unweighted measure: their panel count is set by the amplification bound,
-    not by the data amplitude."""
+    parameter p on 2001 points, and its unweighted total: density
+    (|d omega| horizon + |dk| dk_weight) / 2 pi, cumulated off an arc with
+    the weight max(1 / (1 + r), 1e-2)^{1/3} of r = |k - c0|, the cube root
+    of a 1 / r transform, so that panels thin out away from c0 whatever the
+    data.  Arcs keep the unweighted measure: their panel count is set by the
+    amplification bound."""
     pf = np.linspace(seg.lo, seg.hi, 2001)
     kf = np.asarray(seg.gamma(pf), dtype=np.complex128)
     omf = omega(params, kf)
     dk = np.gradient(kf, pf)
     dom = np.gradient(omf, pf)
     dens = (np.abs(dom) * horizon + np.abs(dk) * dk_weight) / TWO_PI + 1e-9
-    if weight is not None and not seg.arc:
-        dens = dens * weight(np.abs(kf - params.center))
-    cum = np.cumsum(np.r_[0.0, np.diff(pf) * (dens[1:] + dens[:-1]) / 2.0])
-    return pf, cum
+
+    def cumulated(d):
+        return np.cumsum(np.r_[0.0, np.diff(pf) * (d[1:] + d[:-1]) / 2.0])
+
+    cum = cumulated(dens)
+    if seg.arc:
+        return pf, cum, cum[-1]
+    weight = np.maximum(1.0 / (1.0 + np.abs(kf - params.center)), 1e-2) ** (1.0 / 3.0)
+    return pf, cumulated(dens * weight), cum[-1]
 
 
 def _place(seg, pf, cum, n_panels):
@@ -617,45 +626,6 @@ def _place(seg, pf, cum, n_panels):
     p, w = gauss_panels(edges[np.r_[True, edges[1:] > edges[:-1]]])
     return (np.asarray(seg.gamma(p), dtype=np.complex128),
             seg.orientation * w * np.asarray(seg.dgamma(p), dtype=np.complex128))
-
-
-def _radial_envelope(params, horizon, samples, r_max, h1_weight):
-    """Radial proxy for the magnitude of the transformed data at distance r
-    from the dispersion center, used to thin the quadrature where the
-    integrand is negligible.
-
-    The proxy is evaluated on the real axis at c0 +/- r (where the data
-    transforms are largest among the admissible directions), made
-    nonincreasing, and normalized; the returned callable maps |k - c0| to a
-    density weight in [1e-2, 1], or None for identically zero data.  The
-    boundary part sums |omega'| (|g0~| + |h0~| + h1_weight |h1~|).
-    """
-    rs = np.linspace(0.0, r_max, ENVELOPE_RADII)
-    ks = np.concatenate([params.center + rs, params.center - rs]) + 0j
-    om = omega(params, ks).real
-    omp = np.abs(omega_prime(params, ks))
-    hat = None if samples.xcols is None else _apply_kernel(ks, None, samples.xcols)
-    env = np.zeros(2 * ENVELOPE_RADII) if hat is None else np.abs(hat[:, 0])
-    if samples.stack is not None:
-        # one call for the three series: om thrice, one-hot weights
-        g0t, h0t, h1t = np.abs(_time_transform(
-            samples.stack, horizon, np.tile(om, 3),
-            np.repeat(np.eye(3), len(om), axis=0))).reshape(3, -1)
-        env += omp * (g0t + h0t + h1_weight * h1t)
-    if samples.b is not None:
-        env += np.abs(_time_transform(samples.b, horizon, om, hat[:, 1:]))
-    env = np.maximum(env[:ENVELOPE_RADII], env[ENVELOPE_RADII:])
-    env = np.maximum.accumulate(env[::-1])[::-1]
-    emax = float(env[0])
-    if emax <= 0.0:
-        return None
-    weight = np.clip(env / emax, 1e-2, 1.0) ** (1.0 / 3.0)
-
-    def wfun(r):
-        return np.interp(np.asarray(r, dtype=np.float64), rs, weight,
-                         left=weight[0], right=weight[-1])
-
-    return wfun
 
 
 def _roots_and_delta(params, k, region):
@@ -698,14 +668,14 @@ def _pick_arc_radius(params, horizon):
     return rho
 
 
-def _solver_segments(params, horizon, budget, dk_weight, weight=None):
+def _solver_segments(params, horizon, budget, dk_weight):
     """Phase-graded quadrature nodes on the formula's four contours: the real
     window |k - c0| <= R as (k, w) and each region's boundary as
     (region, k, dk-weights), its three (deformed) segments joined in
     segment_specs order; the nine segments' node counts; the arc radius;
     and the mean phase per panel of the ten segments, the window last: the
-    unweighted phase measure over the panel count, 0 on an arc.  The window
-    is placed as one more Segment, with region None."""
+    unweighted total of _phase_measure over the panel count, 0 on an arc.
+    The window is placed as one more Segment, with region None."""
     rho = _pick_arc_radius(params, horizon)
     c0, r_t = params.center, budget.real_axis_window
     if r_t <= 1.1 * rho:
@@ -716,14 +686,14 @@ def _solver_segments(params, horizon, budget, dk_weight, weight=None):
     precision_cap = np.log(budget.tolerance / np.finfo(np.float64).eps)
     boundary = segment_specs(params, rho, r_t)
     segs = boundary + [real_ray(None, c0 - r_t, c0 + r_t, +1)]
-    measures = [_phase_measure(params, seg, horizon, dk_weight, weight) for seg in segs]
+    measures = [_phase_measure(params, seg, horizon, dk_weight) for seg in segs]
     # contour_nodes is shared among the graded boundary segments by phase
-    graded = np.array([cum[-1] for seg, (_pf, cum) in zip(boundary, measures)
+    graded = np.array([cum[-1] for seg, (_pf, cum, _total) in zip(boundary, measures)
                        if not seg.arc])
     shares = iter(graded / np.sum(graded))
     n_graded = max(12, budget.contour_nodes // 8)
     panels = []
-    for seg, (pf, cum) in zip(boundary, measures):
+    for seg, (pf, cum, _total) in zip(boundary, measures):
         if not seg.arc:
             panels.append(max(2, int(round(n_graded * next(shares)))))
             continue
@@ -746,15 +716,15 @@ def _solver_segments(params, horizon, budget, dk_weight, weight=None):
                 % (rho, amp, n_arc, MAX_ARC_PANELS))
         panels.append(max(24, int(n_arc)))
     panels.append(max(4, budget.real_axis_nodes // 8))
-    ks, ws = zip(*(_place(seg, *m, n) for seg, m, n in zip(segs, measures, panels)))
+    ks, ws = zip(*(_place(seg, pf, cum, n)
+                   for seg, (pf, cum, _total), n in zip(segs, measures, panels)))
     # each region's three segments are consecutive in segment_specs
     contours = [(boundary[i].region, np.concatenate(ks[i:i + 3]),
                  np.concatenate(ws[i:i + 3])) for i in (0, 3, 6)]
     window = ks[-1].real.copy(), ws[-1].real.copy()
-    # the phase the nodes must resolve, unweighted by the data's envelope,
-    # per panel on average
-    phases = tuple(0.0 if seg.arc else TWO_PI * _phase_measure(
-        params, seg, horizon, dk_weight)[1][-1] / n for seg, n in zip(segs, panels))
+    # the phase the nodes must resolve, unweighted, per panel on average
+    phases = tuple(0.0 if seg.arc else TWO_PI * total / n
+                   for seg, (_pf, _cum, total), n in zip(segs, measures, panels))
     return window, contours, tuple(map(len, ks[:-1])), rho, phases
 
 
@@ -1090,12 +1060,11 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
     """Choose the output grids and the four Contours once for data's
     (params, ell, horizon); grid = (nx, nt) counts the uniform output points
     of [0, ell] x [0, horizon].  The nodes are placed for the problem's
-    _unit_twin and thinned by the radial envelope of data itself, so the
-    plan suits data of similar spectral content; a plan made from
-    identically zero data uses unweighted nodes.  QuadratureDiverged when
-    the nodes pass within the Delta margin of a zero, or when a segment's
-    panels span more than MAX_PANEL_PHASE on average; the message names the
-    phase, the bound and the segment."""
+    _unit_twin with a fixed weight (_phase_measure): only data's (params,
+    ell, horizon) are read, and the plan serves any data on them.
+    QuadratureDiverged when the nodes pass within the Delta margin of a
+    zero, or when a segment's panels span more than MAX_PANEL_PHASE on
+    average; the message names the phase, the bound and the segment."""
     message = "grid must be two integer point counts (nx, nt)"
     try:
         nx, nt = (integer(n, message) for n in grid)
@@ -1110,16 +1079,11 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
     # carries the window's truncation error and is dropped (ROADMAP item 24)
     params, tau = twin.params, twin.horizon * nt / (nt - 1)
     unit_grids = np.linspace(0.0, 1.0, nx), np.linspace(0.0, tau, nt + 1)
-    rank_cut = RANK_CUT * budget.tolerance
-    samples = _sample(twin, unit_grids[1], rank_cut)
-    # the budget in the caller's units: window R ell in the twin's k, density
-    # floor 2 |dk~| / ell, and the envelope's Neumann datum h1 = (ell h1) / ell
+    # the budget in the caller's units: window R ell in the twin's k and
+    # density floor 2 |dk~| / ell
     unit_budget = replace(budget, real_axis_window=budget.real_axis_window * ell)
-    dk_weight = 1.0 + 2.0 / ell
-    weight = _radial_envelope(params, tau, samples, unit_budget.real_axis_window,
-                              1.0 / ell)
     (k_r, w_r), groups, counts, rho, phases = _solver_segments(
-        params, tau, unit_budget, dk_weight, weight)
+        params, tau, unit_budget, 1.0 + 2.0 / ell)
     contours = (Contour(k_r, w_r, omega(params, k_r + 0j).real),
                 *(Contour(k, w, omega(params, k), region,
                           *_roots_and_delta(params, k, region),
@@ -1138,7 +1102,8 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
             "the budget has too few nodes for its window and the horizon"
             % (phases[worst], where, MAX_PANEL_PHASE))
     return SolvePlan(data.params, ell, data.horizon, tau, unit_grids,
-                     contours, counts, rho, phases[worst], rank_cut)
+                     contours, counts, rho, phases[worst],
+                     RANK_CUT * budget.tolerance)
 
 
 def solve_full(data: ProblemData, grid, budget: QuadratureBudget) -> Field:

@@ -784,30 +784,23 @@ class TestPlaneWave:
     @pytest.mark.parametrize("ell, horizon", [(0.5, 0.25), (2.0, 0.5)])
     def test_plan_reads_the_budget_in_the_callers_units(self, ell, horizon,
                                                         monkeypatch):
-        # the phase density's |dk| floor and the envelope's h1 weight move
-        # the family's errors by at most 30% between the caller's and the
-        # twin's units (8.9e-5 against 9.9e-5 and 1.04e-4 at (0.5, 1) on
-        # twice the default's nodes), too little to tell by accuracy, so
-        # the plan's arguments are read: window R ell in the twin's k,
-        # floor 2 / ell and h1 weight 1 / ell
+        # the phase density's |dk| floor moves the family's errors by at
+        # most 30% between the caller's and the twin's units (8.9e-5 against
+        # 9.9e-5 and 1.04e-4 at (0.5, 1) on twice the default's nodes), too
+        # little to tell by accuracy, so the plan's arguments are read:
+        # window R ell in the twin's k and floor 2 / ell
         seen = {}
-        envelope, segments = linear._radial_envelope, linear._solver_segments
+        segments = linear._solver_segments
 
-        def spy_envelope(params, horizon, samples, r_max, h1_weight):
-            seen.update(r_max=r_max, h1_weight=h1_weight)
-            return envelope(params, horizon, samples, r_max, h1_weight)
-
-        def spy_segments(params, horizon, budget, dk_weight, weight=None):
+        def spy_segments(params, horizon, budget, dk_weight):
             seen.update(window=budget.real_axis_window, dk_weight=dk_weight)
-            return segments(params, horizon, budget, dk_weight, weight)
+            return segments(params, horizon, budget, dk_weight)
 
-        monkeypatch.setattr(linear, "_radial_envelope", spy_envelope)
         monkeypatch.setattr(linear, "_solver_segments", spy_segments)
         budget = QuadratureBudget()
         plan = make_plan(plane_wave_data(AIRY, ell, horizon, 2.0), (17, 9), budget)
         window = budget.real_axis_window * ell
-        assert seen == dict(r_max=window, h1_weight=1.0 / ell, window=window,
-                            dk_weight=1.0 + 2.0 / ell)
+        assert seen == dict(window=window, dk_weight=1.0 + 2.0 / ell)
         reach = np.max(np.abs(plan.contours[0].k - plan.params.center))
         assert 0.99 * window < reach < window
 
@@ -1075,8 +1068,8 @@ class TestUnitTwin:
     def test_twin_on_the_same_nodes_gives_the_same_field(self, params, ell,
                                                          horizon):
         # the plan's nodes are the twin's, for the window R ell; made afresh
-        # for the twin, they would differ by the budget's two terms in the
-        # caller's units, the phase floor and the envelope's h1 weight
+        # for the twin, they would differ by the budget's phase floor, which
+        # is in the caller's units
         # twice the default's nodes: (2, 1, -1) at (2, 0.5) fails the
         # default's phase check
         a = 2.0
@@ -1494,6 +1487,29 @@ class TestSolvePlan:
                               plan.rank_cut).b.shape == (13, 130)
         _field, forcing_peak = peak_mib(forcing)
         assert data_peak <= 12.0 and forcing_peak <= 10.25, (data_peak, forcing_peak)
+
+    def test_plan_does_not_depend_on_the_data(self):
+        # the nodes follow the geometry alone: a plane wave, zero data and a
+        # Gaussian u0 get one plan
+        params = DispersionParams(0.5, 1.0, 1.0)
+        zero = zero_data(params, 2.0, 0.5)
+        plans = [make_plan(data, (17, 9), QuadratureBudget()) for data in (
+            plane_wave_data(params, 2.0, 0.5, 2.0), zero,
+            replace(zero, u0=gaussian_profile(2.0, 1.0, 0.4)))]
+        first = plans[0]
+        for plan in plans[1:]:
+            assert plan.node_counts == first.node_counts
+            assert plan.phase_per_panel == first.phase_per_panel
+            for c, want in zip(plan.contours, first.contours):
+                np.testing.assert_array_equal(c.k, want.k)
+                np.testing.assert_array_equal(c.w, want.w)
+
+    def test_default_plan_of_the_plane_wave_workload(self):
+        # the benchmark's plane_wave solve: its time follows these counts
+        plan = make_plan(plane_wave_data(AIRY, 1.0, 0.5, 2.0), (49, 17),
+                         QuadratureBudget())
+        assert plan.node_counts == (496, 960, 496, 504, 960, 496, 496, 960, 504)
+        assert len(plan.contours[0].k) == 1496
 
     @pytest.mark.parametrize("other", [
         plane_wave_data(DispersionParams(1.0, 0.0, 1.0), 1.0, 0.5, 2.0),

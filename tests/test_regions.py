@@ -150,7 +150,8 @@ class TestContourSet:
         seg = Segment(RegionLabel.D0, 0.25 * np.pi, 0.75 * np.pi, -1,
                       lambda t: c0 + a * np.cos(t) + 1j * b * np.sin(t),
                       lambda t: -a * np.sin(t) + 1j * b * np.cos(t), arc=True)
-        k, w = _place(seg, *_phase_measure(AIRY, seg, 0.5, DK_WEIGHT), 24)
+        pf, cum, _total = _phase_measure(AIRY, seg, 0.5, DK_WEIGHT)
+        k, w = _place(seg, pf, cum, 24)
         np.testing.assert_allclose(((k.real - c0) / a) ** 2 + (k.imag / b) ** 2,
                                    1.0, rtol=1e-12)
         chord = -(seg.gamma(seg.hi) - seg.gamma(seg.lo))
