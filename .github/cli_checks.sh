@@ -41,7 +41,9 @@ oracle.oracle_solve(plane_wave_data(DispersionParams(1.0, 0.0, 0.0), 1.0, 0.5, 2
         no_scipy "from hnls_utm.cli import run_scenario
 assert run_scenario('configs/compare_plane_wave.yaml', 'compare', '$tmp/compare_guard') == 0"
         ;;
-    # the tests call cli.main in-process; this runs the installed entry point
+    # the tests call cli.main in-process; this runs the installed entry point.
+    # reduced_bump.yaml is the one shipped config with nonzero boundary
+    # series, so its norms run the boundary-data norm path
     console-script)
         hnls-utm verify --suite all --seed 0
         hnls-utm solve --config configs/linear_plane_wave.yaml --out "$tmp/linear"
@@ -50,6 +52,7 @@ assert run_scenario('configs/compare_plane_wave.yaml', 'compare', '$tmp/compare_
         hnls-utm solve --config configs/reduced_bump.yaml --mode reduced --out "$tmp/reduced"
         hnls-utm solve --config configs/nonlinear_gaussian.yaml --out "$tmp/nonlinear"
         hnls-utm norms --config configs/nonlinear_gaussian.yaml --out "$tmp/norms"
+        hnls-utm norms --config configs/reduced_bump.yaml --out "$tmp/norms_bump"
         ;;
     # a CSV data file is read and checked: the shipped Gaussian sampled on
     # 257 rows solves, 3 rows exit 2 naming data.u0, and so does a negative

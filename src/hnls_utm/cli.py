@@ -25,7 +25,7 @@ import datetime
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import click
@@ -183,9 +183,14 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def _settings(cls, spec, name):
-    """cls(**spec); ConfigInvalid naming name for a bad key or value."""
+    """cls(**spec); ConfigInvalid naming name for a bad key or value.  A float
+    field given as no float, as YAML's string 3.0e4, is read by named_number."""
+    spec = dict(mapping(spec, name) or {})
+    for f in fields(cls):
+        if isinstance(f.default, float) and not isinstance(spec.get(f.name, 0.0), float):
+            spec[f.name] = named_number(spec[f.name], "%s.%s" % (name, f.name))
     try:
-        return cls(**(mapping(spec, name) or {}))
+        return cls(**spec)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid("%s: %s" % (name, exc))
 

@@ -43,6 +43,8 @@ class Field:
         v = np.asarray(self.values, dtype=np.complex128)
         if len(x) < 4 or len(t) < 4:
             raise ValueError("grids need at least 4 points each")
+        if not all(np.all(np.isfinite(g)) and np.all(np.diff(g) > 0) for g in (x, t)):
+            raise ValueError("grids must be finite and ascend strictly")
         if v.shape != (len(x), len(t)):
             raise ValueError("values shape must be (len(x_grid), len(t_grid))")
         if not np.all(np.isfinite(v)):

@@ -11,9 +11,8 @@ Every problem is solved on [0, 1].  x = ell xi, t = ell^3 s and k = k~ / ell
 map i u_t + i beta u_xxx + alpha u_xx + i delta u_x = f on [0, ell] x [0, T]
 exactly onto its twin on [0, 1] x [0, T / ell^3] (_unit_twin), which
 make_plan and SolvePlan.apply solve and hand back on the caller's grids;
-every helper below them works on [0, 1].  The budget keeps the caller's
-units: make_plan reads its window R as R ell and the |dk| floor of the
-phase density as 2 / ell.
+every helper below them works on [0, 1].  Only the budget's window keeps
+the caller's units: make_plan reads R as R ell.
 
 Two numerical choices matter:
 
@@ -65,31 +64,31 @@ the field far below the tolerance.  The x-kernels act on the payload's
 _time_transform, takes every truncated time transform: a weighted sum over
 a few shared series of int_0^t e^{-i w u} phi(u) du, at the horizon on the
 region boundaries, and in the real axis's forcing history as one running
-sum on B's grid, read every stride cells: B lies on a uniform grid that
-holds every assembly time (_grid_holding), so no time falls inside a cell.
+sum on B's grid, read every stride cells: _continued_onto puts B on a
+uniform grid that holds every assembly time, so no time falls in a cell.
 
 The data-independent part of a solve is a SolvePlan, which keeps no data:
 the twin's output grids, the arc radius rho and the four contours, each one
 Contour record of its nodes and tables, built once.  _solver_segments places
 the nodes on regions.segment_specs' nine Segment records and on the real
 window, one more Segment, by one routine (_place), thinned off the arcs by a
-fixed weight of |k - c0| (_phase_measure), so the nodes depend on (params,
-ell, horizon) alone; the tables are omega, and on a region boundary the
-symmetry roots, omega' and Delta_s (regions.scaled_delta, the one place the
-Delta formula lives).  apply(data)
-evaluates one term, SolvePlan._term, per contour, skipping identically zero
-parts of the data: the sum over the nodes of w_k e^{i k x + shift_k}
-e^{i omega t} times the payload over Delta_s (_assemble), with shift_k =
--i k on D+/- for e^{-i k (1 - x)}.  A region fixes only its dominant root
-sigma (k, nu+ or nu-), whether the data are scaled by e^{i sigma}, and the
-shift.  The real window's payload, not divided, is u0hat plus the forcing
-history, and is never held whole: _assemble asks for it per block of its
-nodes, and each block's rows are one kernel call on the payload and one
-_time_transform of B on that block's nodes, against B's spline set up once
-per term (_spline_cells), so a forced solve holds one block x nt of the
-history and one block x (1 + r) of the kernel's columns.  A region
-boundary's kernels are summed whole, per contour.  solve_full is
-make_plan(...).apply(data).
+fixed weight of |k - c0| (_phase_measure): the nodes depend on the twin's
+(params, horizon) and the window R ell alone, so a problem and its twin get
+one plan.  The tables are omega, and on a region boundary the symmetry
+roots, omega' and Delta_s (regions.scaled_delta, the one place the Delta
+formula lives).  apply(data) evaluates one term, SolvePlan._term, per
+contour, skipping identically zero parts of the data: the sum over the
+nodes of w_k e^{i k x + shift_k} e^{i omega t} times the payload over
+Delta_s (_assemble), with shift_k = -i k on D+/- for e^{-i k (1 - x)}.  A
+region fixes only its dominant root sigma (k, nu+ or nu-), whether the
+data are scaled by e^{i sigma}, and the shift.  The real window's payload,
+not divided, is u0hat plus the forcing history, and is never held whole:
+_assemble asks for it per block of its nodes, and each block's rows are
+one kernel call on the payload and one _time_transform of B on that block's
+nodes, against B's spline set up once per term (_spline_cells), so a
+forced solve holds one block x nt of the history and one block x (1 + r)
+of the kernel's columns.  A region boundary's kernels are summed whole,
+per contour.  solve_full is make_plan(...).apply(data).
 
 The x-factors e^{+-i k x + shift_k} of the assembly and of the x-kernels are
 summed by one split, _taylor_cells: a series in (k - c)(x - x0) about the
@@ -315,26 +314,22 @@ def _phase_table(w, dt, n, scale=None):
 
 class _SplineCells(NamedTuple):
     """What _time_transform needs of its series whatever the w
-    (_spline_cells): the series' count and length nt, and their spline's
-    cell coefficients, laid out for the horizon or for the running sum."""
+    (_spline_cells): the series' count S and length nt, and their spline's
+    cell coefficients, (4 S, nt - 1)."""
 
     count: int
     nt: int
     coef: np.ndarray
 
 
-def _spline_cells(series, horizon: float, stride=None) -> _SplineCells:
-    """The w-independent set-up of _time_transform(series, horizon, w,
-    weights, stride): the cubic spline of each row of series, its cell
-    coefficients laid out for the running sum when stride is given."""
+def _spline_cells(series, horizon: float) -> _SplineCells:
+    """The w-independent set-up of _time_transform(series, horizon, ...): the
+    cubic spline of each row of series, its cell coefficients with row m S + s
+    holding series s's power-m coefficients."""
     vals = np.asarray(series, dtype=np.complex128)
     nt = vals.shape[1]
     # (4, nt - 1, S): cell polynomial coefficients, lowest power first
     coef = CubicSpline(np.linspace(0.0, horizon, nt), vals, axis=1).c[::-1]
-    if stride is None:
-        # (nt - 1, 4 S): cell rows, columns grouped by power
-        return _SplineCells(len(vals), nt, coef.transpose(1, 0, 2).reshape(nt - 1, -1))
-    # (4 S, nt - 1): row m S + s holds series s's power-m coefficients
     return _SplineCells(len(vals), nt, coef.transpose(0, 2, 1).reshape(-1, nt - 1))
 
 
@@ -344,16 +339,16 @@ def _time_transform(series, horizon: float, w, weights, stride=None) -> np.ndarr
     at t = horizon, (nw,), or with an integer stride that divides nt - 1 at
     every stride-th time of the series' grid, (nw, (nt - 1) / stride + 1).
 
-    series may also be _spline_cells(series, horizon, stride), made once for
-    calls on many blocks of w with the same series: the real window's
-    forcing history is taken so, one block of the assembly at a time, and
-    never held whole.
+    series may also be _spline_cells(series, horizon), made once for calls
+    on many blocks of w with the same series: the real window's forcing
+    history is taken so, one block of the assembly at a time, and never
+    held whole.
 
     weights is (nw, S), or (S,) shared by every w.  Per chunk of w, the Filon
     moments over one time cell are folded into the weights as one (chunk, 4 S)
     matrix.  At the horizon, the phase table e^{-i w t} at the cell starts is
-    first multiplied by the (nt - 1, 4 S) spline coefficients and then
-    contracted with it; running, one product with the coefficients gives
+    first multiplied by the transposed (4 S, nt - 1) spline coefficients and
+    then contracted with it; running, one product with the coefficients gives
     every cell integral, which the phase table multiplies in place before the
     running sum on the series' grid, read every stride cells.  A chunk holds
     2^16 / (nt - 1) rows, at least 128: the phase table stays within 1 MiB up
@@ -365,7 +360,7 @@ def _time_transform(series, horizon: float, w, weights, stride=None) -> np.ndarr
     if np.max(w.imag) * horizon > OVERFLOW_GUARD:
         raise ExponentialOverflow("Im w too positive for the time transform")
     cells = (series if isinstance(series, _SplineCells)
-             else _spline_cells(series, horizon, stride))
+             else _spline_cells(series, horizon))
     nt, coef = cells.nt, cells.coef
     weights = np.broadcast_to(np.asarray(weights, dtype=np.complex128),
                               (len(w), cells.count))
@@ -381,7 +376,7 @@ def _time_transform(series, horizon: float, w, weights, stride=None) -> np.ndarr
         folded = mom.T[:, :, None] * weights[sel][:, None, :]
         folded = folded.reshape(len(eph), -1)
         if stride is None:
-            out[sel] = np.einsum("ij,ij->i", eph @ coef, folded)
+            out[sel] = np.einsum("ij,ij->i", eph @ coef.T, folded)
             continue
         cell = folded @ coef
         np.cumsum(np.multiply(cell, eph, out=cell), axis=1, out=cell)
@@ -462,11 +457,6 @@ def _taylor_powers(z, scale=1.0):
 def _taylor_basis(u):
     """u^n / n! for n < TAYLOR_TERMS, (len(u), TAYLOR_TERMS)."""
     return _taylor_powers(u).T * INV_FACTORIAL
-
-
-# the kernel's data-independent x-tables on each side x0 of a Taylor cell:
-# x_q - x0 on the unit x-quadrature and its Taylor basis
-
 
 
 def _apply_kernel(karr, shift, payload, scale=None, out=None):
@@ -591,11 +581,11 @@ def _assemble(vals, horizon, karr, warr, om, coef, shift=None):
 # phase-graded contour nodes
 # --------------------------------------------------------------------------
 
-def _phase_measure(params, seg, horizon, dk_weight):
+def _phase_measure(params, seg, horizon):
     """The phase the Segment seg's nodes must resolve, cumulated along its
     parameter p on 2001 points, and its unweighted total: density
-    (|d omega| horizon + |dk| dk_weight) / 2 pi, cumulated off an arc with
-    the weight max(1 / (1 + r), 1e-2)^{1/3} of r = |k - c0|, the cube root
+    (|d omega| horizon + 3 |dk|) / 2 pi in the twin's k, cumulated off an arc
+    with the weight max(1 / (1 + r), 1e-2)^{1/3} of r = |k - c0|, the cube root
     of a 1 / r transform, so that panels thin out away from c0 whatever the
     data.  Arcs keep the unweighted measure: their panel count is set by the
     amplification bound."""
@@ -604,7 +594,7 @@ def _phase_measure(params, seg, horizon, dk_weight):
     omf = omega(params, kf)
     dk = np.gradient(kf, pf)
     dom = np.gradient(omf, pf)
-    dens = (np.abs(dom) * horizon + np.abs(dk) * dk_weight) / TWO_PI + 1e-9
+    dens = (np.abs(dom) * horizon + np.abs(dk) * 3.0) / TWO_PI + 1e-9
 
     def cumulated(d):
         return np.cumsum(np.r_[0.0, np.diff(pf) * (d[1:] + d[:-1]) / 2.0])
@@ -668,14 +658,14 @@ def _pick_arc_radius(params, horizon):
     return rho
 
 
-def _solver_segments(params, horizon, budget, dk_weight):
+def _solver_segments(params, horizon, budget):
     """Phase-graded quadrature nodes on the formula's four contours: the real
     window |k - c0| <= R as (k, w) and each region's boundary as
     (region, k, dk-weights), its three (deformed) segments joined in
     segment_specs order; the nine segments' node counts; the arc radius;
     and the mean phase per panel of the ten segments, the window last: the
     unweighted total of _phase_measure over the panel count, 0 on an arc.
-    The window is placed as one more Segment, with region None."""
+    The window, budget's R in the twin's k, is one more Segment, region None."""
     rho = _pick_arc_radius(params, horizon)
     c0, r_t = params.center, budget.real_axis_window
     if r_t <= 1.1 * rho:
@@ -686,7 +676,7 @@ def _solver_segments(params, horizon, budget, dk_weight):
     precision_cap = np.log(budget.tolerance / np.finfo(np.float64).eps)
     boundary = segment_specs(params, rho, r_t)
     segs = boundary + [real_ray(None, c0 - r_t, c0 + r_t, +1)]
-    measures = [_phase_measure(params, seg, horizon, dk_weight) for seg in segs]
+    measures = [_phase_measure(params, seg, horizon) for seg in segs]
     # contour_nodes is shared among the graded boundary segments by phase
     graded = np.array([cum[-1] for seg, (_pf, cum, _total) in zip(boundary, measures)
                        if not seg.arc])
@@ -797,12 +787,14 @@ def _continued(series, horizon, t) -> np.ndarray:
     return vals
 
 
-def _grid_holding(times, step):
-    """The uniform grid of [0, times[-1]] that holds every one of the uniform
-    times from 0, with their step over j = ceil(their step / step), the
-    largest not above step; and j, the stride of the times on it."""
-    j = int(np.ceil(times[1] / step * (1.0 - 1e-12)))
-    return np.linspace(0.0, times[-1], (len(times) - 1) * j + 1), j
+def _continued_onto(t, b, horizon, times):
+    """The rows b on the uniform grid t of [0, horizon], splined and
+    continued by _continued onto the uniform grid of [0, times[-1]] that holds
+    the uniform times from 0, with their step over j = ceil(their step / t's),
+    the largest not above t's; and j, the stride of the times on it."""
+    j = int(np.ceil(times[1] / (horizon / (len(t) - 1)) * (1.0 - 1e-12)))
+    grid = np.linspace(0.0, times[-1], (len(times) - 1) * j + 1)
+    return _continued(CubicSpline(t, b, axis=1), horizon, grid), j
 
 
 def _sample(data: ProblemData, t_grid, cut=0.0) -> _Samples:
@@ -811,10 +803,9 @@ def _sample(data: ProblemData, t_grid, cut=0.0) -> _Samples:
     corner blend and factor the forcing.  The blend forcing comes factored,
     with B on the times t_grid when it is the only forcing; a given forcing
     has the blend's factors subtracted on its own time grid, is factored by
-    _factor_forcing at the relative cut, and its B continued onto the
-    uniform grid of [0, tau] that holds every time of t_grid with the
-    largest step not above the given grid's (_grid_holding): t_grid itself
-    when the forcing sits on the output times, as Picard's N(u) does."""
+    _factor_forcing at the relative cut, and its B put by _continued_onto on
+    a grid of [0, tau] holding every time of t_grid: t_grid itself when the
+    forcing sits on the output times, as Picard's N(u) does."""
     xq, horizon, tau = XQ_NODES, data.horizon, t_grid[-1]
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
     fq = None if data.forcing is None else resample(data.forcing, xq)
@@ -845,10 +836,8 @@ def _sample(data: ProblemData, t_grid, cut=0.0) -> _Samples:
     if fq is not None:
         forcing = _factor_forcing(fq, cut)
         if forcing is not None:
-            t = data.forcing.t_grid
-            grid, _stride = _grid_holding(t_grid, horizon / (len(t) - 1))
-            forcing = forcing[0], _continued(CubicSpline(t, forcing[1], axis=1),
-                                             horizon, grid)
+            forcing = forcing[0], _continued_onto(data.forcing.t_grid, forcing[1],
+                                                  horizon, t_grid)[0]
     a, b = forcing if forcing is not None else (np.zeros((len(xq), 0)), None)
     xcols = np.column_stack([u0v, a])
     return _Samples(xcols if np.any(xcols) else None,
@@ -1029,7 +1018,7 @@ class SolvePlan:
         plus B's running transform at the assembly times, every stride-th
         of its grid, weighted by -i Ahat.  B's spline is set up once; neither
         the kernel's columns nor the history is held for the whole window."""
-        cells = _spline_cells(samples.b, self.tau, stride)
+        cells = _spline_cells(samples.b, self.tau)
 
         def rows(idx):
             hat = _apply_kernel(c.k[idx], None, samples.xcols)
@@ -1060,8 +1049,9 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
     """Choose the output grids and the four Contours once for data's
     (params, ell, horizon); grid = (nx, nt) counts the uniform output points
     of [0, ell] x [0, horizon].  The nodes are placed for the problem's
-    _unit_twin with a fixed weight (_phase_measure): only data's (params,
-    ell, horizon) are read, and the plan serves any data on them.
+    _unit_twin at the window R ell with a fixed weight (_phase_measure):
+    only data's (params, ell, horizon) are read, the plan serves any data on
+    them, and the twin planned at the window R ell gets the same plan.
     QuadratureDiverged when the nodes pass within the Delta margin of a
     zero, or when a segment's panels span more than MAX_PANEL_PHASE on
     average; the message names the phase, the bound and the segment."""
@@ -1079,11 +1069,9 @@ def make_plan(data: ProblemData, grid, budget: QuadratureBudget) -> SolvePlan:
     # carries the window's truncation error and is dropped (ROADMAP item 24)
     params, tau = twin.params, twin.horizon * nt / (nt - 1)
     unit_grids = np.linspace(0.0, 1.0, nx), np.linspace(0.0, tau, nt + 1)
-    # the budget in the caller's units: window R ell in the twin's k and
-    # density floor 2 |dk~| / ell
+    # the window in the caller's units, R ell in the twin's k
     unit_budget = replace(budget, real_axis_window=budget.real_axis_window * ell)
-    (k_r, w_r), groups, counts, rho, phases = _solver_segments(
-        params, tau, unit_budget, 1.0 + 2.0 / ell)
+    (k_r, w_r), groups, counts, rho, phases = _solver_segments(params, tau, unit_budget)
     contours = (Contour(k_r, w_r, omega(params, k_r + 0j).real),
                 *(Contour(k, w, omega(params, k), region,
                           *_roots_and_delta(params, k, region),
@@ -1176,17 +1164,19 @@ def _trace_derivative(field: Field, side: str, order: int) -> np.ndarray:
 def global_relation_residual(field: Field, data: ProblemData, k_samples) -> float:
     """Max over sampled (k, t) of the defect in the transform-side identity
     linking the evolving spatial transform of the field to the transformed
-    data, normalized by the magnitude of the identity's terms.  The field
-    must span the data's [0, ell] x [0, horizon], and the boundary series are
-    integrated on its time grid, which must be uniform.  The identity is
-    checked on the _unit_twin at k ell, with the field on (x / ell, t / ell^3):
-    there each of its terms is 1 / ell times the caller's, so the normalized
-    defect is the same."""
+    data, normalized by the magnitude of the identity's terms, at one or more
+    finite k_samples.  The field must span the data's [0, ell] x [0, horizon],
+    and the boundary series are integrated on its time grid, which must be
+    uniform.  The identity is checked on the _unit_twin at k ell, with the
+    field on (x / ell, t / ell^3): there each of its terms is 1 / ell times
+    the caller's, so the normalized defect is the same."""
     _check_uniform_from_zero(field.t_grid)
     if not _spans(field, data.ell, data.horizon):
         raise ValueError("the field does not span the data's [0, ell] x [0, horizon]")
-    ell = data.ell
-    karr = ell * np.asarray(list(k_samples), dtype=np.complex128)
+    karr = np.asarray(list(k_samples), dtype=np.complex128)
+    if not (len(karr) and np.all(np.isfinite(karr))):
+        raise ValueError("k_samples must hold at least one sample, all finite")
+    ell, karr = data.ell, data.ell * karr
     field = Field(field.x_grid / ell, field.t_grid / ell ** 3, field.values)
     data = _unit_twin(data)
     params, horizon, t = data.params, data.horizon, field.t_grid
@@ -1216,10 +1206,8 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
     rhs = hat[:, nt:nt + 1] + _time_transform(
         np.stack([g0, g1, g2, h0, h1, h2]), th, om, weights, 1)
     if forcing is not None:
-        ft = data.forcing.t_grid
-        grid, stride = _grid_holding(t, horizon / (len(ft) - 1))
-        rhs = rhs + _time_transform(CubicSpline(ft, forcing[1], axis=1)(grid), th,
-                                    om, -1j * hat[:, nt + 1:], stride)
+        b, stride = _continued_onto(data.forcing.t_grid, forcing[1], horizon, t)
+        rhs = rhs + _time_transform(b, th, om, -1j * hat[:, nt + 1:], stride)
 
     scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))))
     if scale == 0.0:

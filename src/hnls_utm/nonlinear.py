@@ -167,14 +167,6 @@ def default_proxies() -> Dict[str, float]:
     return {name: 1.0 for name in set(HIGH_PROXIES) | set(LOW_PROXIES)}
 
 
-def _time_profile(series) -> SpatialProfile:
-    """View a time series as a profile on (0, horizon) so the interval-norm
-    machinery applies to boundary data."""
-    t = series.grid()
-    vals = np.asarray(series(t), dtype=np.complex128)
-    return SpatialProfile(series.horizon, vals, func=series.func)
-
-
 def _data_norm_terms(data: ProblemData, s: float):
     """The four terms of data_norm_sum as (name, order, norm) rows:
     ||u0||_{H^s}, ||g0||_{H^{(s+1)/3}}, ||h0||_{H^{(s+1)/3}} and
@@ -183,11 +175,9 @@ def _data_norm_terms(data: ProblemData, s: float):
     u0 = SpatialProfile(data.ell, np.asarray(data.u0(x), dtype=np.complex128),
                         func=data.u0.func)
     return [("u0_hs", s, sobolev_norm(u0, s)),
-            ("g0_h(s+1)/3", (s + 1.0) / 3.0,
-             sobolev_norm(_time_profile(data.g0), (s + 1.0) / 3.0)),
-            ("h0_h(s+1)/3", (s + 1.0) / 3.0,
-             sobolev_norm(_time_profile(data.h0), (s + 1.0) / 3.0)),
-            ("h1_hs/3", s / 3.0, sobolev_norm(_time_profile(data.h1), s / 3.0))]
+            ("g0_h(s+1)/3", (s + 1.0) / 3.0, sobolev_norm(data.g0, (s + 1.0) / 3.0)),
+            ("h0_h(s+1)/3", (s + 1.0) / 3.0, sobolev_norm(data.h0, (s + 1.0) / 3.0)),
+            ("h1_hs/3", s / 3.0, sobolev_norm(data.h1, s / 3.0))]
 
 
 def data_norm_sum(data: ProblemData, s: float) -> float:

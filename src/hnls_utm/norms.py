@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .fields import Field, is_uniform
-from .transforms import CubicSpline, SpatialProfile, chebyshev_grid, composite_gl
+from .transforms import CubicSpline, SpatialProfile, TimeSeries, chebyshev_grid, composite_gl
 
 # the largest share of the multiplied spectrum that FFT rounding may reach in
 # bessel_norm: eps max|F phi| max (1 + k^2)^{s/2} over max|(1 + k^2)^{s/2} F phi|.
@@ -49,20 +49,20 @@ def check_admissible_pair(q: float, p: float) -> bool:
     return abs(3.0 * inv_q + inv_p - 0.5) <= 1e-12
 
 
-def _cheb_interpolant(profile: SpatialProfile):
+def _cheb_interpolant(profile: SpatialProfile | TimeSeries):
     """Degree-128 Chebyshev-series representation of the profile's analytic
     source on [0, ell], or None for sampled profiles."""
     if profile.func is None:
         return None
-    deg = 128
-    x = chebyshev_grid(deg + 1, profile.ell)
+    deg, ell = 128, profile.grid()[-1]
+    x = chebyshev_grid(deg + 1, ell)
     y = np.asarray(profile.func(x), dtype=np.complex128)
-    re = npcheb.Chebyshev.fit(x, y.real, deg, domain=[0.0, profile.ell])
-    im = npcheb.Chebyshev.fit(x, y.imag, deg, domain=[0.0, profile.ell])
+    re = npcheb.Chebyshev.fit(x, y.real, deg, domain=[0.0, ell])
+    im = npcheb.Chebyshev.fit(x, y.imag, deg, domain=[0.0, ell])
     return re, im
 
 
-def _derivative_func(profile: SpatialProfile, order: int):
+def _derivative_func(profile: SpatialProfile | TimeSeries, order: int):
     """Callable for the order-th derivative of the profile."""
     cheb = _cheb_interpolant(profile)
     if cheb is not None:
@@ -75,14 +75,15 @@ def _derivative_func(profile: SpatialProfile, order: int):
     return spline.derivative(order) if order else spline
 
 
-def sobolev_norm(profile: SpatialProfile, s: float) -> float:
-    """H^s(0, ell) norm; integer s uses the derivative-sum convention,
-    fractional s the extension realization of bessel_norm at p=2."""
+def sobolev_norm(profile: SpatialProfile | TimeSeries, s: float) -> float:
+    """H^s(0, ell) norm, ell = profile.grid()[-1]; integer s uses the
+    derivative-sum convention, fractional s the extension realization of
+    bessel_norm at p=2."""
     if not 0 <= s < np.inf:
         raise ValueError("s must be finite and nonnegative")
     if float(s).is_integer():
         # 64 uniform 8-point panels: composite_gl takes (257 - 1) // 4
-        x, w = composite_gl(0.0, profile.ell, 257)
+        x, w = composite_gl(0.0, profile.grid()[-1], 257)
         total = 0.0
         for j in range(int(s) + 1):
             vals = _derivative_func(profile, j)(x)
@@ -100,7 +101,7 @@ def _smoothstep(s: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def _periodic_extension(profile: SpatialProfile):
+def _periodic_extension(profile: SpatialProfile | TimeSeries):
     """Samples of the period-4*ell reflect-and-taper extension, 1024 per
     quarter period.
 
@@ -110,7 +111,7 @@ def _periodic_extension(profile: SpatialProfile):
     (placed at the period's end) on [3*ell, 4*ell).  Point reflections match
     value and slope, so the extension is C^1 and in H^s for s < 5/2.
     """
-    ell = profile.ell
+    ell = profile.grid()[-1]
     n = 1024
     h = ell / n
     x = np.arange(n) * h  # one quarter period
@@ -126,12 +127,12 @@ def _periodic_extension(profile: SpatialProfile):
     return ext, h
 
 
-def bessel_norm(profile: SpatialProfile, s: float, p: float) -> float:
+def bessel_norm(profile: SpatialProfile | TimeSeries, s: float, p: float) -> float:
     """Bessel-potential norm ||F^{-1}{(1+k^2)^{s/2} F phi}||_{L^p} restricted
-    to (0, ell), realized through the periodic extension.  ValueError when
-    the multiplier lifts the spectrum's rounding past MAX_ROUNDING_SHARE of
-    the result, where the norm would be rounding noise; a result that
-    overflows is returned as it is."""
+    to (0, ell), ell = profile.grid()[-1], realized through the periodic
+    extension.  ValueError when the multiplier lifts the spectrum's rounding
+    past MAX_ROUNDING_SHARE of the result, where the norm would be rounding
+    noise; a result that overflows is returned as it is."""
     if not 0 <= s < np.inf:
         raise ValueError("s must be finite and nonnegative")
     if not p >= 2:

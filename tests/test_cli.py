@@ -14,9 +14,11 @@ from click.testing import CliRunner
 
 from hnls_utm import cli
 from hnls_utm.cli import MAX_ORDER, load_scenario, main, run_scenario
+from hnls_utm.dispersion import DispersionParams
 from hnls_utm.errors import ConfigInvalid
 from hnls_utm.fields import Field
 from hnls_utm.nonlinear import HIGH_PROXIES, LOW_PROXIES
+from hnls_utm.presets import plane_wave_exact
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -155,6 +157,21 @@ class TestLoadScenario:
                                            "--out", str(tmp_path / "o")])
         assert result.exit_code == 2, result.output
         assert named in result.output
+
+    def test_yaml_string_numbers_in_budget_and_oracle(self, tmp_path):
+        # YAML 1.1 reads 3.0e4 and 5e-1 as strings; every section's numbers
+        # go through one reader, so these are used as numbers, not exit 2
+        text = yaml.safe_dump(BASE).replace(
+            "real_axis_window: 15.0", "real_axis_window: 3.0e4")
+        text = text.replace("solver:\n", "solver:\n  oracle: {theta: 5e-1}\n")
+        config = tmp_path / "numbers.yaml"
+        config.write_text(text)
+        assert yaml.safe_load(text)["solver"]["oracle"] == {"theta": "5e-1"}
+        cfg = load_scenario(config)
+        assert (cfg.budget.real_axis_window, cfg.oracle.theta) == (3e4, 0.5)
+        result = CliRunner().invoke(main, ["norms", "--config", str(config),
+                                           "--out", str(tmp_path / "n")])
+        assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")),
                              ids=lambda p: p.stem)
@@ -514,9 +531,11 @@ class TestSolveVerb:
             assert "arc amplification" in diag["message"]
 
     def test_arc_panel_cap_exit_3(self, tmp_path):
-        # (ell, T) = (4e-4, 1e-12) with the window 3e4: amplification 11.4,
-        # below the precision cap, but 1.17e5 panels per arc
-        doc = dict(BASE, geometry={"ell": 4e-4, "horizon": 1e-12},
+        # (beta, alpha, delta) = (1e-3, 10, 0) at (ell, T) = (1, 1.2e-8) with
+        # the window 3e4: amplification 16.3, below the precision cap, but
+        # 1.21e5 panels per arc
+        doc = dict(BASE, dispersion={"beta": 1e-3, "alpha": 10.0, "delta": 0.0},
+                   geometry={"ell": 1.0, "horizon": 1.2e-8},
                    data={"preset": "plane_wave", "a": 2.0},
                    solver={"grid": [9, 9],
                            "budget": {"real_axis_window": 3e4}})
@@ -529,6 +548,19 @@ class TestSolveVerb:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["error"] == "ExponentialOverflow"
         assert "panels" in diag["message"]
+        # the Airy wave at (4e-4, 1e-12) once met the cap too: it solves
+        doc.update(dispersion=BASE["dispersion"],
+                   geometry={"ell": 4e-4, "horizon": 1e-12})
+        config = write_config(tmp_path, doc)
+        result = CliRunner().invoke(main, ["solve", "--config", config,
+                                           "--mode", "contour",
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        x, t, re_u, im_u = np.loadtxt(out / "field.csv", delimiter=",",
+                                      skiprows=1, unpack=True)
+        got = re_u + 1j * im_u
+        want = plane_wave_exact(DispersionParams(1.0, 0.0, 0.0), 2.0)(x, t)
+        assert np.linalg.norm(got - want) <= 1e-3 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("budget", [{"real_axis_window": 2.0}],
                              ids=["window-inside-arc"])

@@ -492,13 +492,20 @@ class TestExponentialTables:
                 solve_full(data, (9, 9), budget)
 
     def test_arc_panel_cap(self):
-        # (ell, T) = (4e-4, 1e-12) with the window 3e4: the arc radius is
-        # R_Delta = 9 at tau = 1/64, an amplification exponent of 11.4, below
-        # the precision cap 29.1; but the phase density's |dk| floor 2 / ell
-        # asks for 1.17e5 panels per arc, so the panel cap raises
-        data = plane_wave_data(AIRY, 4e-4, 1e-12, 2.0)
+        # (beta, alpha, delta) = (1e-3, 10, 0) at (ell, T) = (1, 1.2e-8) with
+        # the window 3e4: the arc radius is R_Delta = 9615, an amplification
+        # exponent of 16.3, below the precision cap 29.1; but the arc asks
+        # for 1.21e5 panels, so the panel cap raises
+        data = plane_wave_data(DispersionParams(1e-3, 10.0, 0.0), 1.0, 1.2e-8, 2.0)
+        budget = QuadratureBudget(real_axis_window=3e4)
         with pytest.raises(ExponentialOverflow, match="panels"):
-            solve_full(data, (9, 9), QuadratureBudget(real_axis_window=3e4))
+            solve_full(data, (9, 9), budget)
+        # the phase density's |dk| floor is in the twin's k: at (ell, T) =
+        # (4e-4, 1e-12) it once read 2 / ell and asked for 1.19e5 panels
+        data = plane_wave_data(AIRY, 4e-4, 1e-12, 2.0)
+        field = solve_full(data, (9, 9), budget)
+        exact = plane_wave_field(AIRY, 2.0, field.x_grid, field.t_grid)
+        assert field.relative_l2_gap(exact) <= 1e-3
 
     @pytest.mark.parametrize("budget", [
         QuadratureBudget(real_axis_window=2.0)], ids=["window-inside-arc"])
@@ -784,23 +791,19 @@ class TestPlaneWave:
     @pytest.mark.parametrize("ell, horizon", [(0.5, 0.25), (2.0, 0.5)])
     def test_plan_reads_the_budget_in_the_callers_units(self, ell, horizon,
                                                         monkeypatch):
-        # the phase density's |dk| floor moves the family's errors by at
-        # most 30% between the caller's and the twin's units (8.9e-5 against
-        # 9.9e-5 and 1.04e-4 at (0.5, 1) on twice the default's nodes), too
-        # little to tell by accuracy, so the plan's arguments are read:
-        # window R ell in the twin's k and floor 2 / ell
+        # the window is R ell in the twin's k, and the nodes reach it
         seen = {}
         segments = linear._solver_segments
 
-        def spy_segments(params, horizon, budget, dk_weight):
-            seen.update(window=budget.real_axis_window, dk_weight=dk_weight)
-            return segments(params, horizon, budget, dk_weight)
+        def spy_segments(params, horizon, budget):
+            seen.update(window=budget.real_axis_window)
+            return segments(params, horizon, budget)
 
         monkeypatch.setattr(linear, "_solver_segments", spy_segments)
         budget = QuadratureBudget()
         plan = make_plan(plane_wave_data(AIRY, ell, horizon, 2.0), (17, 9), budget)
         window = budget.real_axis_window * ell
-        assert seen == dict(window=window, dk_weight=1.0 + 2.0 / ell)
+        assert seen == dict(window=window)
         reach = np.max(np.abs(plan.contours[0].k - plan.params.center))
         assert 0.99 * window < reach < window
 
@@ -1067,9 +1070,7 @@ class TestUnitTwin:
     @pytest.mark.parametrize("params", FAMILY_PARAMS, ids=_params_id)
     def test_twin_on_the_same_nodes_gives_the_same_field(self, params, ell,
                                                          horizon):
-        # the plan's nodes are the twin's, for the window R ell; made afresh
-        # for the twin, they would differ by the budget's phase floor, which
-        # is in the caller's units
+        # the plan's nodes are the twin's, for the window R ell
         # twice the default's nodes: (2, 1, -1) at (2, 0.5) fails the
         # default's phase check
         a = 2.0
@@ -1084,6 +1085,27 @@ class TestUnitTwin:
                             horizon=twin.horizon)
         want = twin_plan.apply(twin).values
         got = plan.apply(data).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("ell, horizon", [(0.5, 0.25), (2.0, 0.5)])
+    def test_twin_planned_at_the_window_r_ell_gets_the_same_plan(self, ell,
+                                                                horizon):
+        # the budget reaches the plan in the caller's units through the
+        # window alone, so the twin, planned afresh at the window R ell,
+        # gets the caller's plan bit for bit, and solve_full one field
+        data = plane_wave_data(AIRY, ell, horizon, 2.0)
+        twin = linear._unit_twin(data)
+        budget = QuadratureBudget()
+        twin_budget = replace(budget, real_axis_window=budget.real_axis_window * ell)
+        plan, twin_plan = (make_plan(data, (33, 17), budget),
+                           make_plan(twin, (33, 17), twin_budget))
+        for c, tc in zip(plan.contours, twin_plan.contours):
+            np.testing.assert_array_equal(c.k, tc.k)
+            np.testing.assert_array_equal(c.w, tc.w)
+        assert plan.node_counts == twin_plan.node_counts
+        assert plan.phase_per_panel == twin_plan.phase_per_panel
+        want = solve_full(twin, (33, 17), twin_budget).values
+        got = solve_full(data, (33, 17), budget).values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -1654,6 +1676,27 @@ class TestValidation:
         # the arc radius is picked by the Delta-margin sweep, never set
         with pytest.raises(TypeError, match="arc_radius"):
             QuadratureBudget(arc_radius=9.0)
+
+    @pytest.mark.parametrize("x_grid, t_grid", [
+        (np.linspace(1.0, 0.0, 9), np.linspace(0.0, 0.5, 5)),
+        (np.linspace(0.0, 1.0, 9), np.linspace(0.5, 0.0, 5)),
+        (np.r_[0.0, np.nan, 0.5, 0.75, 1.0], np.linspace(0.0, 0.5, 5)),
+        (np.linspace(0.0, 1.0, 9), np.r_[0.0, 0.1, 0.2, np.inf, 0.5])],
+        ids=["x-descending", "t-descending", "x-nan", "t-inf"])
+    def test_field_grids_ascend_and_are_finite(self, x_grid, t_grid):
+        # such grids would give nan norms, with or without a RuntimeWarning
+        with pytest.raises(ValueError, match="ascend"):
+            Field(x_grid, t_grid, np.ones((len(x_grid), len(t_grid))))
+
+    @pytest.mark.parametrize("ks", [[], [np.nan], [1.0, np.inf]],
+                             ids=["empty", "nan", "inf"])
+    def test_global_relation_needs_finite_samples(self, ks):
+        # no sample would fail inside numpy's max, and a nan one return nan
+        data = plane_wave_data(AIRY, 1.0, 0.5, 2.0)
+        field = plane_wave_field(AIRY, 2.0, np.linspace(0.0, 1.0, 33),
+                                 np.linspace(0.0, 0.5, 17))
+        with pytest.raises(ValueError, match="k_samples"):
+            global_relation_residual(field, data, ks)
 
     def test_field_of_transposed_values(self):
         values = (np.arange(45.0) + 1j).reshape(5, 9)

@@ -246,14 +246,17 @@ class TestPicard:
         want = Field.from_callable(exact, field.x_grid, field.t_grid)
         assert field.relative_l2_gap(want) <= 1e-3
 
-    @pytest.mark.parametrize("lam", [2.0, 5.0])
-    @pytest.mark.parametrize("kappa", [5.0, 5.0j], ids=["kappa-5", "kappa-5i"])
+    @pytest.mark.parametrize("kappa, lam", [
+        (5.0, 2.0), (5.0, 5.0), (5.0j, 2.0), (5.0j, 5.0), (-5.0, 2.5)],
+        ids=["kappa-5-2.0", "kappa-5-5.0", "kappa-5i-2.0", "kappa-5i-5.0",
+             "kappa-minus5-2.5"])
     def test_power_family_converges_with_the_rank_cut(self, monkeypatch,
                                                       lam, kappa):
         # criterion 03's problem off lambda = 3, on 33 x 17: every ratio is
         # below 1 (at most 0.06 measured), and cutting the forcing's B at
         # tolerance / 1000 moves the field by at most 8.6e-10 against the
-        # cut at rounding level
+        # cut at rounding level; (lambda, kappa) = (2.5, -5) reads ratios
+        # 0.020, 0.039 and 0.013 and moves by 3.0e-10
         data = self.gaussian_data(kappa, 0.04, lam=lam)
         budget = QuadratureBudget(contour_nodes=32000, real_axis_window=45.0,
                                   real_axis_nodes=16000)

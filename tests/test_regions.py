@@ -19,15 +19,13 @@ PARAMS = verify.PARAM_SETS + (DispersionParams(1.0, 2.0, 0.0),
                               DispersionParams(0.5, 0.0, 0.0))
 # truncation radius 20 on the unit interval, horizon 1/2
 BUDGET = QuadratureBudget(contour_nodes=4000, real_axis_window=20.0)
-# the |dk| weight of the phase density make_plan gives the unit interval
-DK_WEIGHT = 3.0
 
 
 def solver_segments(params, horizon=0.5, budget=BUDGET):
     """The solver's Segment records, the real window last, each with the
     nodes and weights _solver_segments places on it; and rho."""
     (k_r, w_r), contours, counts, rho, _phases = _solver_segments(
-        params, horizon, budget, DK_WEIGHT)
+        params, horizon, budget)
     r_t = budget.real_axis_window
     segs = segment_specs(params, rho, r_t) + [
         real_ray(None, params.center - r_t, params.center + r_t, +1)]
@@ -150,7 +148,7 @@ class TestContourSet:
         seg = Segment(RegionLabel.D0, 0.25 * np.pi, 0.75 * np.pi, -1,
                       lambda t: c0 + a * np.cos(t) + 1j * b * np.sin(t),
                       lambda t: -a * np.sin(t) + 1j * b * np.cos(t), arc=True)
-        pf, cum, _total = _phase_measure(AIRY, seg, 0.5, DK_WEIGHT)
+        pf, cum, _total = _phase_measure(AIRY, seg, 0.5)
         k, w = _place(seg, pf, cum, 24)
         np.testing.assert_allclose(((k.real - c0) / a) ** 2 + (k.imag / b) ** 2,
                                    1.0, rtol=1e-12)
@@ -159,5 +157,4 @@ class TestContourSet:
 
     def test_invalid_truncation(self):
         with pytest.raises(InvalidTruncation):
-            _solver_segments(AIRY, 0.5, QuadratureBudget(real_axis_window=2.0),
-                             DK_WEIGHT)
+            _solver_segments(AIRY, 0.5, QuadratureBudget(real_axis_window=2.0))
