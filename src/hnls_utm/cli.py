@@ -183,11 +183,12 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def _settings(cls, spec, name):
-    """cls(**spec); ConfigInvalid naming name for a bad key or value.  A float
-    field given as no float, as YAML's string 3.0e4, is read by named_number."""
+    """cls(**spec); ConfigInvalid naming name for a bad key or value.  Every
+    float field given is read by named_number, so YAML's string 3.0e4 is a
+    number and .nan and 'nan' are named alike."""
     spec = dict(mapping(spec, name) or {})
     for f in fields(cls):
-        if isinstance(f.default, float) and not isinstance(spec.get(f.name, 0.0), float):
+        if isinstance(f.default, float) and f.name in spec:
             spec[f.name] = named_number(spec[f.name], "%s.%s" % (name, f.name))
     try:
         return cls(**spec)

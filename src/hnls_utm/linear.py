@@ -55,17 +55,19 @@ routine, _continued, the C^1 point reflection g(T + s) = 2 g(T) - g(T - s)
 (the boundary data, a given forcing and with it Picard's N(u)), and the
 t = 0 column is u0 itself.
 
-The data enter the solve as two arrays (_sample): the x-quadrature payload
-[u0 | A], the forcing factored as A(x) B(t) of rank r, and the corner
-blend's 2x2 coefficients.  B keeps the singular values above
+The data enter the solve once per apply (_sample): the x-quadrature
+payload [u0 | A], the forcing factored as A(x) B(t) of rank r, the
+boundary stack g0, h0, h1 and B as spline cells (_spline_cells), and the
+corner blend's 2x2 coefficients.  B keeps the singular values above
 tolerance / 1000 of the largest (the plan's rank_cut), since the rest move
 the field far below the tolerance.  The x-kernels act on the payload's
 1 + r columns, and only the r rows of B are splined in time.  One routine,
-_time_transform, takes every truncated time transform: a weighted sum over
-a few shared series of int_0^t e^{-i w u} phi(u) du, at the horizon on the
-region boundaries, and in the real axis's forcing history as one running
-sum on B's grid, read every stride cells: _continued_onto puts B on a
-uniform grid that holds every assembly time, so no time falls in a cell.
+_time_transform, takes every truncated time transform of the cells: a
+weighted sum over a few shared series of int_0^t e^{-i w u} phi(u) du, at
+the horizon on the region boundaries, and in the real axis's forcing
+history as one running sum on B's grid, read every stride cells:
+_continued_onto puts B on a uniform grid that holds every assembly time,
+so no time falls in a cell.
 
 The data-independent part of a solve is a SolvePlan, which keeps no data:
 the twin's output grids, the arc radius rho and the four contours, each one
@@ -84,11 +86,11 @@ region fixes only its dominant root sigma (k, nu+ or nu-), whether the
 data are scaled by e^{i sigma}, and the shift.  The real window's payload,
 not divided, is u0hat plus the forcing history, and is never held whole:
 _assemble asks for it per block of its nodes, and each block's rows are
-one kernel call on the payload and one _time_transform of B on that block's
-nodes, against B's spline set up once per term (_spline_cells), so a
-forced solve holds one block x nt of the history and one block x (1 + r)
-of the kernel's columns.  A region boundary's kernels are summed whole,
-per contour.  solve_full is make_plan(...).apply(data).
+one kernel call on the payload and one _time_transform of B's cells on
+that block's nodes, so a forced solve holds one block x nt of the history
+and one block x (1 + r) of the kernel's columns.  A region boundary's
+kernels are summed whole, per contour.  solve_full is
+make_plan(...).apply(data).
 
 The x-factors e^{+-i k x + shift_k} of the assembly and of the x-kernels are
 summed by one split, _taylor_cells: a series in (k - c)(x - x0) about the
@@ -313,36 +315,36 @@ def _phase_table(w, dt, n, scale=None):
 
 
 class _SplineCells(NamedTuple):
-    """What _time_transform needs of its series whatever the w
-    (_spline_cells): the series' count S and length nt, and their spline's
-    cell coefficients, (4 S, nt - 1)."""
+    """A few series as _time_transform takes them, whatever the w
+    (_spline_cells): the series' count S, length nt and horizon, and their
+    spline's cell coefficients, (4 S, nt - 1)."""
 
     count: int
     nt: int
+    horizon: float
     coef: np.ndarray
 
 
 def _spline_cells(series, horizon: float) -> _SplineCells:
-    """The w-independent set-up of _time_transform(series, horizon, ...): the
-    cubic spline of each row of series, its cell coefficients with row m S + s
-    holding series s's power-m coefficients."""
+    """The series, (S, nt) rows on linspace(0, horizon, nt), set up once for
+    every _time_transform of them: the cubic spline of each row, its cell
+    coefficients with row m S + s holding series s's power-m coefficients."""
     vals = np.asarray(series, dtype=np.complex128)
     nt = vals.shape[1]
     # (4, nt - 1, S): cell polynomial coefficients, lowest power first
     coef = CubicSpline(np.linspace(0.0, horizon, nt), vals, axis=1).c[::-1]
-    return _SplineCells(len(vals), nt, coef.transpose(0, 2, 1).reshape(-1, nt - 1))
+    return _SplineCells(len(vals), nt, horizon,
+                        coef.transpose(0, 2, 1).reshape(-1, nt - 1))
 
 
-def _time_transform(series, horizon: float, w, weights, stride=None) -> np.ndarray:
+def _time_transform(cells: _SplineCells, w, weights, stride=None) -> np.ndarray:
     """sum_s weights[j, s] int_0^t e^{-i w_j u} phi_s(u) du against the cubic
-    spline phi_s of each row of series, (S, nt) on linspace(0, horizon, nt):
+    spline phi_s of each series of cells = _spline_cells(series, horizon):
     at t = horizon, (nw,), or with an integer stride that divides nt - 1 at
     every stride-th time of the series' grid, (nw, (nt - 1) / stride + 1).
-
-    series may also be _spline_cells(series, horizon), made once for calls
-    on many blocks of w with the same series: the real window's forcing
-    history is taken so, one block of the assembly at a time, and never
-    held whole.
+    The cells serve every call on the same series: the region terms' and
+    the real window's blocks of w, whose forcing history is taken one block
+    of the assembly at a time and never held whole.
 
     weights is (nw, S), or (S,) shared by every w.  Per chunk of w, the Filon
     moments over one time cell are folded into the weights as one (chunk, 4 S)
@@ -357,11 +359,9 @@ def _time_transform(series, horizon: float, w, weights, stride=None) -> np.ndarr
     every chunk.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
+    nt, horizon, coef = cells.nt, cells.horizon, cells.coef
     if np.max(w.imag) * horizon > OVERFLOW_GUARD:
         raise ExponentialOverflow("Im w too positive for the time transform")
-    cells = (series if isinstance(series, _SplineCells)
-             else _spline_cells(series, horizon))
-    nt, coef = cells.nt, cells.coef
     weights = np.broadcast_to(np.asarray(weights, dtype=np.complex128),
                               (len(w), cells.count))
     # a running sum reads 0 at t = 0
@@ -757,13 +757,15 @@ def _factor_forcing(fq, cut=0.0):
 class _Samples(NamedTuple):
     """The data as the transforms see it, corner blend removed: xcols, the
     (nq, 1 + r) x-quadrature payload [u0 | A] of u0 and the forcing's x
-    factor; the (3, NTQ) stack of g0, h0, h1 and b, the forcing's time factor
-    B, each on a uniform grid of [0, tau], the transform horizon, B's holding
-    every assembly time; and blend, _corner_blend's C.  A zero part is None."""
+    factor; the stack of g0, h0, h1 on NTQ times and b, the forcing's time
+    factor B, as _spline_cells on uniform grids of [0, tau], the transform
+    horizon, B's holding every assembly time, stride cells apart; and blend,
+    _corner_blend's C.  A zero part is None."""
 
     xcols: Optional[np.ndarray]
-    stack: Optional[np.ndarray]
-    b: Optional[np.ndarray]
+    stack: Optional[_SplineCells]
+    b: Optional[_SplineCells]
+    stride: int
     blend: Optional[np.ndarray]
 
 
@@ -805,13 +807,14 @@ def _sample(data: ProblemData, t_grid, cut=0.0) -> _Samples:
     has the blend's factors subtracted on its own time grid, is factored by
     _factor_forcing at the relative cut, and its B put by _continued_onto on
     a grid of [0, tau] holding every time of t_grid: t_grid itself when the
-    forcing sits on the output times, as Picard's N(u) does."""
+    forcing sits on the output times, as Picard's N(u) does.  The stack and
+    B are set up as _spline_cells here, once for every term."""
     xq, horizon, tau = XQ_NODES, data.horizon, t_grid[-1]
     u0v = np.asarray(data.u0(xq), dtype=np.complex128)
     fq = None if data.forcing is None else resample(data.forcing, xq)
     tq = np.linspace(0.0, tau, NTQ)
     stack = np.stack([_continued(s, horizon, tq) for s in (data.g0, data.h0, data.h1)])
-    forcing = None
+    forcing, stride = None, 1
     blend = _corner_blend(data, tau)
     if blend is not None:
         (c00, ct), (cx, cxt) = blend
@@ -836,12 +839,13 @@ def _sample(data: ProblemData, t_grid, cut=0.0) -> _Samples:
     if fq is not None:
         forcing = _factor_forcing(fq, cut)
         if forcing is not None:
-            forcing = forcing[0], _continued_onto(data.forcing.t_grid, forcing[1],
-                                                  horizon, t_grid)[0]
+            b, stride = _continued_onto(data.forcing.t_grid, forcing[1], horizon, t_grid)
+            forcing = forcing[0], b
     a, b = forcing if forcing is not None else (np.zeros((len(xq), 0)), None)
     xcols = np.column_stack([u0v, a])
     return _Samples(xcols if np.any(xcols) else None,
-                    stack if np.any(stack) else None, b, blend)
+                    _spline_cells(stack, tau) if np.any(stack) else None,
+                    None if b is None else _spline_cells(b, tau), stride, blend)
 
 
 def _corner_blend(data: ProblemData, tau):
@@ -992,38 +996,34 @@ class SolvePlan:
         rest of hat.  On the real window with a forcing, the payload is
         _history's, formed per block of the assembly."""
         if samples.b is not None and c.region is None:
-            stride = (samples.b.shape[1] - 1) // (vals.shape[1] - 1)
-            _assemble(vals, self.tau, c.k, c.w, c.om,
-                      self._history(samples, c, stride))
+            _assemble(vals, self.tau, c.k, c.w, c.om, self._history(samples, c))
             return
         kernels, boundary, shift = _weights(c)
         payload = None
         if samples.stack is not None and boundary is not None:
-            payload = _time_transform(samples.stack, self.tau, c.om, boundary)
+            payload = _time_transform(samples.stack, c.om, boundary)
         if samples.xcols is not None:
             hat = np.zeros((len(c.k), samples.xcols.shape[1]), dtype=np.complex128)
             for root, sh, m in kernels:
                 _apply_kernel(root, sh, samples.xcols, m, out=hat)
             payload = hat[:, 0] if payload is None else payload + hat[:, 0]
             if samples.b is not None:
-                payload = -1j * _time_transform(samples.b, self.tau, c.om,
-                                                hat[:, 1:]) + payload
+                payload = -1j * _time_transform(samples.b, c.om, hat[:, 1:]) + payload
         if payload is not None:
             _assemble(vals, self.tau, c.k, c.w, c.om,
                       payload if c.delta is None else payload / c.delta, shift)
 
-    def _history(self, samples, c: Contour, stride):
+    def _history(self, samples, c: Contour):
         """The real window's coefficient as _assemble takes it per block of
         its nodes idx: the kernel's [u0hat | Ahat] on the block, and u0hat
-        plus B's running transform at the assembly times, every stride-th
-        of its grid, weighted by -i Ahat.  B's spline is set up once; neither
-        the kernel's columns nor the history is held for the whole window."""
-        cells = _spline_cells(samples.b, self.tau)
+        plus B's running transform at the assembly times, every
+        samples.stride-th of its grid, weighted by -i Ahat.  Neither the
+        kernel's columns nor the history is held for the whole window."""
 
         def rows(idx):
             hat = _apply_kernel(c.k[idx], None, samples.xcols)
-            out = _time_transform(cells, self.tau, c.om[idx], -1j * hat[:, 1:],
-                                  stride)
+            out = _time_transform(samples.b, c.om[idx], -1j * hat[:, 1:],
+                                  samples.stride)
             out += hat[:, :1]
             return out
         return rows
@@ -1204,10 +1204,11 @@ def global_relation_residual(field: Field, data: ProblemData, k_samples) -> floa
     left = np.stack([-poly0, 1j * poly1, np.full_like(karr, beta)], axis=1)
     weights = np.concatenate([left, -np.exp(-1j * karr)[:, None] * left], axis=1)
     rhs = hat[:, nt:nt + 1] + _time_transform(
-        np.stack([g0, g1, g2, h0, h1, h2]), th, om, weights, 1)
+        _spline_cells(np.stack([g0, g1, g2, h0, h1, h2]), th), om, weights, 1)
     if forcing is not None:
         b, stride = _continued_onto(data.forcing.t_grid, forcing[1], horizon, t)
-        rhs = rhs + _time_transform(b, th, om, -1j * hat[:, nt + 1:], stride)
+        rhs = rhs + _time_transform(_spline_cells(b, th), om,
+                                    -1j * hat[:, nt + 1:], stride)
 
     scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))))
     if scale == 0.0:

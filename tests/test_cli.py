@@ -110,8 +110,8 @@ class TestLoadScenario:
         ("solver", "budget", {"real_axis_nodes": 6000.5}, "solver.budget: node"),
         ("solver", "budget", {"contour_nodes": 24000.5}, "solver.budget: node"),
         ("solver", "budget", {"real_axis_window": float("nan")},
-         "solver.budget: window"),
-        ("solver", "budget", {"tolerance": float("inf")}, "solver.budget: window"),
+         "'solver.budget.real_axis_window'"),
+        ("solver", "budget", {"tolerance": float("inf")}, "'solver.budget.tolerance'"),
         ("geometry", "ell", float("inf"), "'geometry.ell'"),
         ("geometry", "horizon", float("nan"), "'geometry.horizon'"),
         ("geometry", "ell", -1.0, "'geometry.ell'"),
@@ -172,6 +172,21 @@ class TestLoadScenario:
         result = CliRunner().invoke(main, ["norms", "--config", str(config),
                                            "--out", str(tmp_path / "n")])
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("section, key", [("budget", "real_axis_window"),
+                                              ("oracle", "theta")])
+    def test_nan_spellings_give_one_message(self, tmp_path, section, key):
+        # YAML reads .nan as a float and 'nan' as a string; both are named by
+        # the field's reader, and the messages differ only in the value's repr
+        messages = []
+        for value in (float("nan"), "nan"):
+            doc = {k: dict(v) for k, v in BASE.items()}
+            doc["solver"][section] = {key: value}
+            with pytest.raises(ConfigInvalid) as err:
+                load_scenario(write_config(tmp_path, doc))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1].replace("'nan'", "nan")
+        assert "'solver.%s.%s'" % (section, key) in messages[0]
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")),
                              ids=lambda p: p.stem)

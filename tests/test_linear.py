@@ -14,7 +14,8 @@ from hnls_utm.errors import (ExponentialOverflow, GridTooCoarse,
                              InvalidTruncation, QuadratureDiverged)
 from hnls_utm.fields import Field
 from hnls_utm.linear import (OVERFLOW_GUARD, ProblemData, QuadratureBudget,
-                             _filon_moments, _time_transform, evaluate_traces,
+                             _filon_moments, _spline_cells, _time_transform,
+                             evaluate_traces,
                              fd_weights,
                              global_relation_residual, make_plan, solve_full,
                              solve_reduced, zero_data)
@@ -78,7 +79,7 @@ class TestTimeTransform:
         t = np.linspace(0.0, horizon, 257)
         vals = np.exp(1j * a * t)
         w = np.array([0.0, 1.0, 37.0, 300.0, -150.0], dtype=complex)
-        got = _time_transform(vals[None], horizon, w, [1.0])
+        got = _time_transform(_spline_cells(vals[None], horizon), w, [1.0])
         want = (np.exp(1j * (a - w) * horizon) - 1.0) / (1j * (a - w))
         np.testing.assert_allclose(got, want, rtol=1e-7)
 
@@ -87,9 +88,10 @@ class TestTimeTransform:
         t = np.linspace(0.0, horizon, 65)
         vals = np.sin(3 * t) + 1j * t ** 2
         w = np.array([11.0 + 0.0j])
-        cum = _time_transform(vals[None, :], horizon, w, [1.0], 1)[0]
+        cum = _time_transform(_spline_cells(vals[None, :], horizon), w, [1.0], 1)[0]
         for j in (10, 32, 64):
-            direct = _time_transform(vals[None, : j + 1], t[j], w, [1.0])[0]
+            prefix = _spline_cells(vals[None, : j + 1], t[j])
+            direct = _time_transform(prefix, w, [1.0])[0]
             assert cum[j] == pytest.approx(direct, rel=1e-6, abs=1e-12)
 
     def test_rowwise_values(self):
@@ -98,8 +100,8 @@ class TestTimeTransform:
         t = np.linspace(0.0, horizon, 129)
         w = np.array([3.0 + 0.0j, 80.0 + 0.0j])
         rows = np.stack([np.exp(1j * 2 * t), t.astype(complex)])
-        got = np.stack([_time_transform(rows, horizon, w, e) for e in np.eye(2)],
-                       axis=1)
+        cells = _spline_cells(rows, horizon)
+        got = np.stack([_time_transform(cells, w, e) for e in np.eye(2)], axis=1)
         assert got.shape == (2, 2)
         want0 = (np.exp(1j * (2 - w[0])) - 1.0) / (1j * (2 - w[0]))
         assert got[0, 0] == pytest.approx(want0, rel=1e-8)
@@ -116,11 +118,12 @@ class TestTimeTransform:
                          t ** 3 - 0.5j])
         w = across_chunk_edge(
             np.array([0.0, 0.3, 9.0, 250.0 - 2.0j, -40.0], dtype=complex))
-        single = np.stack([_time_transform(row[None], horizon, w, [1.0])
+        single = np.stack([_time_transform(_spline_cells(row[None], horizon), w, [1.0])
                            for row in rows], axis=1)
+        cells = _spline_cells(rows, horizon)
         for s in range(3):
             np.testing.assert_allclose(
-                _time_transform(rows, horizon, w, np.eye(3)[s]),
+                _time_transform(cells, w, np.eye(3)[s]),
                 single[:, s], rtol=1e-13, atol=1e-15)
         # per-w and shared weights; at the horizon and running on the
         # series' grid, which ends at the horizon
@@ -128,7 +131,7 @@ class TestTimeTransform:
                         np.array([1.5, -0.5j, 2.0 - 1.0j])):
             want = np.sum(weights * single, axis=1)
             for stride, last in ((None, ...), (1, -1)):
-                got = _time_transform(rows, horizon, w, weights, stride)
+                got = _time_transform(cells, w, weights, stride)
                 np.testing.assert_allclose(got[:, last], want,
                                            rtol=1e-12, atol=1e-14)
 
@@ -156,13 +159,14 @@ class TestTimeTransform:
                              CubicSpline(t, rows, axis=1)(s), half[:, None] * wg)
 
         cells = np.cumsum(gauss(t[:-1], t[1:]), axis=2)
+        spline_cells = _spline_cells(rows, horizon)
         # per-w and shared weights
         for weights in ((np.arange(3.0 * nw).reshape(nw, 3) - 6.0) * (1.0 - 0.5j)
                         + 2.0j, np.array([0.5 - 1.0j, -2.0, 3.0j])):
             per_w = np.broadcast_to(weights, (nw, 3))
             want = np.einsum("wr,wrc->wc", per_w, cells)
             for stride in (1, 4):
-                cum = _time_transform(rows, horizon, w, weights, stride)
+                cum = _time_transform(spline_cells, w, weights, stride)
                 assert cum.shape == (nw, 1024 // stride + 1)
                 assert np.all(cum[:, 0] == 0.0)
                 np.testing.assert_allclose(cum[:, 1:], want[:, stride - 1::stride],
@@ -183,13 +187,14 @@ class TestTimeTransform:
         for nt, chunks in ((257, [256, 256, 188]), (1025, [128] * 5 + [60])):
             t = np.linspace(0.0, horizon, nt)
             rows = np.stack([np.sin(3 * t), np.exp(-1j * t), t ** 2 + 0.5j])
+            cells = _spline_cells(rows, horizon)
             for e in np.eye(3):
                 for stride in (None, 1):
                     sizes.clear()
-                    got = _time_transform(rows, horizon, w, e, stride)
+                    got = _time_transform(cells, w, e, stride)
                     assert sizes == chunks
                     want = np.concatenate([
-                        _time_transform(rows, horizon, w[lo:lo + 100], e, stride)
+                        _time_transform(cells, w[lo:lo + 100], e, stride)
                         for lo in range(0, 700, 100)])
                     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
 
@@ -398,12 +403,11 @@ class TestExponentialTables:
         horizon = 0.5
         vals = np.linspace(0.0, 1.0, 33) + 0j
         w_max = OVERFLOW_GUARD / horizon
+        cells = _spline_cells(vals[None], horizon)
         with pytest.raises(ExponentialOverflow):
-            _time_transform(vals[None], horizon, np.array([3.0, 1.01j * w_max]),
-                            [1.0])
+            _time_transform(cells, np.array([3.0, 1.01j * w_max]), [1.0])
         assert np.all(np.isfinite(
-            _time_transform(vals[None], horizon, np.array([3.0, 0.99j * w_max]),
-                            [1.0])))
+            _time_transform(cells, np.array([3.0, 0.99j * w_max]), [1.0])))
 
     @staticmethod
     def dense_assembly(x_grid, t_grid, ell, basis, k, w, om, coef):
@@ -1260,10 +1264,10 @@ class TestForcedSolution:
         calls = []
         inner = linear._time_transform
 
-        def recording(series, horizon, w, weights, stride=None):
+        def recording(cells, w, weights, stride=None):
             if stride is not None:
-                calls.append((len(w), series, stride))
-            return inner(series, horizon, w, weights, stride)
+                calls.append((len(w), cells, stride))
+            return inner(cells, w, weights, stride)
 
         kernel = linear._apply_kernel
         kernel_nodes = []
@@ -1285,9 +1289,9 @@ class TestForcedSolution:
         # the window's kernel columns are formed per block too
         assert len(real.k) not in kernel_nodes
 
-        def whole(self, samples, c, stride):
+        def whole(self, samples, c):
             hat = kernel(c.k, None, samples.xcols)
-            history = (inner(samples.b, self.tau, c.om, -1j * hat[:, 1:], stride)
+            history = (inner(samples.b, c.om, -1j * hat[:, 1:], samples.stride)
                        + hat[:, :1])
             return lambda idx: history[idx]
 
@@ -1318,6 +1322,25 @@ class TestForcedSolution:
         assert totals[0] > 0 and totals == [totals[0]] * 3, totals
 
 
+def sampled_series(monkeypatch, data, times, cut=0.0):
+    """linear._sample(data, times, cut), and the arrays it set up as the
+    spline cells of its stack and b, by name (None for a zero part)."""
+    given = []
+    inner = linear._spline_cells
+
+    def recording(series, horizon):
+        cells = inner(series, horizon)
+        given.append((cells, series))
+        return cells
+
+    with monkeypatch.context() as m:
+        m.setattr(linear, "_spline_cells", recording)
+        samples = linear._sample(data, times, cut)
+    return samples, {name: next((series for cells, series in given
+                                 if cells is getattr(samples, name)), None)
+                     for name in ("stack", "b")}
+
+
 CORNER_CASES = pytest.mark.parametrize("delta, corners, rank", [
     (0.0, (1.0, 2.0 - 1.0j, 0.5j, -1.0), 1),
     (0.7, (1.0, 2.0 - 1.0j, 0.5j, -1.0), 2),
@@ -1343,7 +1366,7 @@ class TestCornerBlend:
             zero_series(horizon))
 
     @CORNER_CASES
-    def test_forcing_factors(self, delta, corners, rank):
+    def test_forcing_factors(self, monkeypatch, delta, corners, rank):
         # corners (u0(0), u0(ell), g0(T), h0(T)); c_xt = 0 in "cxt-0"
         c00, c10, c01, c11 = corners
         ell, horizon = 0.8, 0.3
@@ -1352,12 +1375,13 @@ class TestCornerBlend:
         # the problem's at (x / ell, t / ell^3)
         twin = linear._unit_twin(data)
         t = np.linspace(0.0, horizon, 9)
-        samples = linear._sample(twin, t / ell ** 3)
+        samples, series = sampled_series(monkeypatch, twin, t / ell ** 3)
         # the blend's factors are the payload's columns 1: and b; _sample
         # subtracts the blend, so they carry its forcing negated
         no_b = samples.b is None
         a = np.zeros((len(XQ), 0)) if no_b else -samples.xcols[:, 1:]
-        b = np.zeros((0, 9)) if no_b else samples.b
+        b = np.zeros((0, 9)) if no_b else series["b"]
+        assert no_b or (samples.b.count, samples.b.nt, samples.stride) == (rank, 9, 1)
         assert a.shape == (len(XQ), rank) and b.shape == (rank, 9)
         # the blend's forcing i w_t + i delta w_x, written out at the
         # x-quadrature XQ_NODES of the twin, x = ell XQ_NODES
@@ -1369,7 +1393,7 @@ class TestCornerBlend:
                                    atol=1e-14 * np.max(np.abs(want)))
 
     @CORNER_CASES
-    def test_blend_record(self, delta, corners, rank):
+    def test_blend_record(self, monkeypatch, delta, corners, rank):
         # C is the bilinear w = [1, x] C [1, t / T] of the unit twin: at the
         # rectangle's corners it is the twin's u0(0), u0(1), g0(T) and h0(T),
         # and _sample's g0 and h0 rows, minus w(0, t) and w(1, t), vanish at T
@@ -1383,7 +1407,8 @@ class TestCornerBlend:
         scale = np.max(np.abs(corners))
         np.testing.assert_allclose(ends @ blend @ ends.T, want, rtol=0.0,
                                    atol=1e-15 * scale)
-        stack = linear._sample(twin, np.linspace(0.0, twin.horizon, 9)).stack
+        stack = sampled_series(monkeypatch, twin,
+                               np.linspace(0.0, twin.horizon, 9))[1]["stack"]
         if stack is not None:
             assert np.max(np.abs(stack[:2, -1])) <= 1e-15 * scale
 
@@ -1456,6 +1481,21 @@ class TestSolvePlan:
         kept = [getattr(plan, f.name) for f in fields(plan)]
         assert not any(isinstance(v, (ProblemData, linear._Samples)) for v in kept)
 
+    def test_series_are_splined_once_per_apply(self, monkeypatch):
+        # the benchmark's plane_wave apply sets up the g0/h0/h1 stack and the
+        # corner blend's B once each for its four terms, and the Picard
+        # forcing apply that follows it sets up its B alone, once
+        data = plane_wave_data(AIRY, 1.0, 0.5, 2.0)
+        plan = make_plan(data, (49, 17), QuadratureBudget())
+        calls = self.count_calls(monkeypatch, ("_spline_cells",))
+        field = plan.apply(data)
+        assert len(calls) == 2
+        calls.clear()
+        nl = 0.05 * np.abs(field.values) ** 2 * field.values
+        plan.apply(replace(zero_data(AIRY, 1.0, 0.5),
+                           forcing=Field(field.x_grid, field.t_grid, nl)))
+        assert len(calls) == 1
+
     def test_apply_builds_no_node_tables(self, monkeypatch):
         # the roots, omega, omega' and Delta_s of every node are the plan's
         data, _exact = _forced_plane_wave(AIRY, 33, 17)
@@ -1504,9 +1544,9 @@ class TestSolvePlan:
                           forcing=Field(base.x_grid, base.t_grid, nl))
         # B continued one output step past T, to the plan's 130 times
         assert plan.rank_cut == pytest.approx(1e-6)
-        assert linear._sample(forcing, plan.unit_grids[1]).b.shape == (29, 130)
-        assert linear._sample(forcing, plan.unit_grids[1],
-                              plan.rank_cut).b.shape == (13, 130)
+        for cut, rank in ((0.0, 29), (plan.rank_cut, 13)):
+            b = linear._sample(forcing, plan.unit_grids[1], cut).b
+            assert (b.count, b.nt) == (rank, 130)
         _field, forcing_peak = peak_mib(forcing)
         assert data_peak <= 12.0 and forcing_peak <= 10.25, (data_peak, forcing_peak)
 

@@ -109,6 +109,16 @@ class TestMixed:
         spec = NormSpec(0.0, 2.0, 2.0)
         assert mixed_norm(f, spec) == 0.0
 
+    @pytest.mark.parametrize("amplitude", [10.0, 1e-3])
+    def test_large_time_exponent_reads_the_amplitude(self, amplitude):
+        # a constant field on [0, 1]^2: every slice norm is the amplitude,
+        # and so is the L^q mean in time; at q = 400 the amplitude's power
+        # overflows (10) or underflows (1e-3) unless it is scaled first
+        f = Field(np.linspace(0, 1, 9), np.linspace(0, 1, 9),
+                  np.full((9, 9), amplitude + 0j))
+        got = mixed_norm(f, NormSpec(0.0, 2.0, 400.0))
+        assert got == pytest.approx(amplitude, rel=1e-12)
+
     def test_sup_in_time_is_ct_l2(self):
         x = np.linspace(0, 1, 33)
         t = np.linspace(0, 0.5, 17)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hnls_utm.errors import ExponentialOverflow
 from hnls_utm.linear import (RANK_CUT, XQ_NODES, _apply_kernel,
-                             _factor_forcing, _time_transform)
+                             _factor_forcing, _spline_cells, _time_transform)
 from hnls_utm import transforms
 from hnls_utm.transforms import (CubicSpline, SpatialProfile, TimeSeries,
                                  chebyshev_grid, laplace_transform)
@@ -34,8 +34,8 @@ def interval_fourier(prof, k):
 
 def tilde_transform(ser, w):
     """int_0^horizon e^{-i w t} phi(t) dt as the solver computes it."""
-    return complex(_time_transform(ser.samples[None], ser.horizon, np.array([w]),
-                                   [1.0])[0])
+    cells = _spline_cells(ser.samples[None], ser.horizon)
+    return complex(_time_transform(cells, np.array([w]), [1.0])[0])
 
 
 def forcing_transform(func, horizon, k, w, nt=257):
@@ -49,8 +49,8 @@ def forcing_transform(func, horizon, k, w, nt=257):
         return 0.0
     a, b = factored
     ahat = _apply_kernel(np.array([k], dtype=np.complex128), None, a)
-    return complex(_time_transform(b, horizon, np.array([w], dtype=np.complex128),
-                                   ahat)[0])
+    return complex(_time_transform(_spline_cells(b, horizon),
+                                   np.array([w], dtype=np.complex128), ahat)[0])
 
 
 class TestIntervalFourier:
@@ -97,7 +97,7 @@ class TestTildeTransform:
     def test_truncated_upper_limit(self):
         ser = TimeSeries.from_callable(lambda t: np.ones_like(t, dtype=complex), 2.0)
         # the running transform at the grid time t = 0.5
-        running = _time_transform(ser.samples[None, :], ser.horizon,
+        running = _time_transform(_spline_cells(ser.samples[None, :], ser.horizon),
                                   np.array([0.0 + 0.0j]), [1.0], 1)
         j = int(np.flatnonzero(ser.grid() == 0.5)[0])
         assert running[0, j] == pytest.approx(0.5)
@@ -184,6 +184,24 @@ class TestProfiles:
             SpatialProfile(1.0, np.zeros(3))
         with pytest.raises(ValueError):
             TimeSeries(1.0, np.zeros(2))
+
+    def test_series_is_a_profile_in_time(self):
+        # one container: a TimeSeries is a SpatialProfile whose ell is its
+        # horizon, and either takes from_callable's sample count
+        ser = TimeSeries.from_callable(np.cos, 0.5, n=9)
+        assert isinstance(ser, SpatialProfile) and ser.horizon == ser.ell == 0.5
+        np.testing.assert_array_equal(ser.grid(), np.linspace(0.0, 0.5, 9))
+        prof = SpatialProfile.from_callable(np.cos, 0.5, n=9)
+        np.testing.assert_array_equal(prof.samples, ser.samples)
+
+    @pytest.mark.parametrize("cls", [SpatialProfile, TimeSeries])
+    @pytest.mark.parametrize("shape", [(9, 2), (9, 3), (2, 9), ()],
+                             ids=["9x2", "9x3", "2x9", "scalar"])
+    def test_samples_are_one_dimensional(self, cls, shape):
+        # (9, 2) samples used to be taken: a solve then failed inside numpy,
+        # and a series evaluated to (len(t), 2) values
+        with pytest.raises(ValueError, match="one-dimensional, got %d" % len(shape)):
+            cls(0.5, np.ones(shape))
 
     def test_positive_extent(self):
         with pytest.raises(ValueError):
